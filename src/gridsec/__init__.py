@@ -15,7 +15,6 @@ from .lp import (
     BasicFeasibleSolution,
     LpOutcome,
     LpStatus,
-    Rational,
     StandardFormLP,
     preprocess,
     solve_lp,

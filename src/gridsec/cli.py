@@ -9,8 +9,8 @@ Subcommands:
              between methods, emitted as CSV or JSON
 
 Exit codes: 0 success, 1 usage, 2 parse or validation failure,
-3 infeasible target, 4 internal mismatch (methods disagree or an exact
-invariant broke).
+3 infeasible target, 4 internal mismatch (methods disagree, an exact
+invariant broke, or a solver defect).
 """
 from __future__ import annotations
 
@@ -28,6 +28,7 @@ from .errors import (
     IntegralityError,
     MethodUnavailable,
     ParseError,
+    SolverDefect,
 )
 from .grid import parse_case
 from .oracle import exhaustive_min_support, milp_solve
@@ -309,7 +310,7 @@ def main(argv=None) -> int:
     except InfeasibleIndex as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
-    except (IntegralityError, AssertionError) as exc:
+    except (IntegralityError, SolverDefect, AssertionError) as exc:
         print(f"internal mismatch: {exc}", file=sys.stderr)
         return 4
     except GridsecError as exc:

@@ -15,6 +15,12 @@ class DimensionMismatch(GridsecError):
     """Vector/matrix sizes do not line up with the LP being verified."""
 
 
+class SolverDefect(GridsecError):
+    """A solver broke one of its own exact invariants (pivot budget, phase-1
+    outcome, rank drop, objective bookkeeping): a bug, not a property of the
+    input."""
+
+
 # --- TU minimization / minor enumeration ---
 
 class SizeLimitExceeded(GridsecError):

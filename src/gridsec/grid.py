@@ -182,30 +182,40 @@ def incidence(net: Network) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _exact_H_rows(net: Network, meas: MeasurementSystem) -> list[list[Fraction]]:
-    """Measurement matrix rows over exact rationals (same order as build_H)."""
-    _, B = incidence(net)
+    """Measurement matrix rows over exact rationals (same order as build_H).
+
+    Only the metered rows are built: an injection row is summed over the
+    lines at its bus, never through the whole Laplacian.
+    """
     n = net.n_states
     m_lines = len(net.lines)
-    dvals = [Fraction(1) / net.lines[j].reactance for j in range(m_lines)]
+    pos = {bus: c for c, bus in enumerate(net.state_buses)}
+    dvals = [Fraction(1) / ln.reactance for ln in net.lines]
     rows: list[list[Fraction]] = []
     for line_id in meas.flow_meters:
         if not 1 <= line_id <= m_lines:
             raise UnknownMeterId(f"flow meter references missing line {line_id}")
-        j = line_id - 1
-        rows.append([dvals[j] * int(B[c, j]) for c in range(n)])
-    lap = None
+        ln = net.lines[line_id - 1]
+        row = [Fraction(0)] * n
+        for bus, sign in ((ln.from_bus, 1), (ln.to_bus, -1)):
+            if bus in pos:
+                row[pos[bus]] = sign * dvals[line_id - 1]
+        rows.append(row)
     for bus in meas.injection_meters:
         if not 1 <= bus <= net.n_buses:
             raise UnknownMeterId(f"injection meter references missing bus {bus}")
         if bus == net.reference_bus:
             raise ValidationError(
                 "injection at the reference bus is outside the truncated model")
-        if lap is None:
-            lap = [[sum(int(B[r, j]) * dvals[j] * int(B[c, j])
-                        for j in range(m_lines)) for c in range(n)]
-                   for r in range(n)]
-        r = net.state_buses.index(bus)
-        rows.append(list(lap[r]))
+        # row of B D B^T: +d_j on the diagonal, -d_j toward the far end
+        row = [Fraction(0)] * n
+        for ln, d in zip(net.lines, dvals):
+            if bus in (ln.from_bus, ln.to_bus):
+                row[pos[bus]] += d
+                far = ln.to_bus if ln.from_bus == bus else ln.from_bus
+                if far in pos:
+                    row[pos[far]] -= d
+        rows.append(row)
     return rows
 
 

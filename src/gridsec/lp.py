@@ -5,10 +5,14 @@ exact rational.  No floating point enters the solve path, so the returned
 basic feasible solutions are exact and the Infeasible/Unbounded/Optimal
 trichotomy is decided, not estimated.
 
-The tableau kernel stores each row as integer numerators over one positive
-denominator, so pivots are integer cross-multiplications followed by a gcd
-sweep.  On the unimodular-style instances this package cares about the
-denominators stay tiny, which is what makes exact arithmetic affordable.
+Rows are kept as sparse integer rows with per-row denominators: a row maps
+column -> nonzero integer numerator (the right-hand side sits under the key
+RHS), all over one positive denominator.  Integer input goes straight into
+that form and reaches the tableau without a Fraction detour; a pivot is an
+integer cross-multiplication over the pivot row's nonzeros, applied to the
+rows whose pivot-column entry is nonzero, followed by a gcd sweep.  On the
+unimodular-style instances this package cares about the denominators stay
+tiny and the rows short, which is what makes exact arithmetic affordable.
 """
 from __future__ import annotations
 
@@ -17,12 +21,10 @@ from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import DimensionMismatch, InconsistentRow
+from .errors import DimensionMismatch, InconsistentRow, SolverDefect
 from .exactla import int_rank
 
-# Carrier for exact rational scalars: arbitrary precision, canonical reduced
-# form, positive denominator.  The stdlib type meets the contract as-is.
-Rational = Fraction
+RHS = -1   # key of the right-hand side in a sparse row
 
 
 def _to_frac(x) -> Fraction:
@@ -39,33 +41,101 @@ def _to_frac(x) -> Fraction:
         return Fraction(x)
 
 
+def scale_row(values) -> tuple[list[int], int]:
+    """Exact values as integers over their lcm denominator: (nums, den).
+
+    Python ints pass through with den 1; anything else is read exactly
+    (floats at their shortest decimal repr).
+    """
+    values = list(values)
+    if all(type(v) is int for v in values):
+        return values, 1
+    fracs = [_to_frac(v) for v in values]
+    den = 1
+    for v in fracs:
+        den = lcm(den, v.denominator)
+    return [v.numerator * (den // v.denominator) for v in fracs], den
+
+
+def _pairs(row: dict[int, int]) -> tuple[tuple[int, int], ...]:
+    """Canonical storage of a sparse row: nonzero (column, value) pairs in
+    column order, so the right-hand side (column RHS) comes first."""
+    return tuple(sorted((j, v) for j, v in row.items() if v))
+
+
 @dataclass(frozen=True)
 class StandardFormLP:
-    """min cost'x  subject to  constraint_matrix @ x = rhs,  x >= 0."""
+    """min cost'x  subject to  constraint_matrix @ x = rhs,  x >= 0.
 
-    constraint_matrix: tuple[tuple[Fraction, ...], ...]
-    rhs: tuple[Fraction, ...]
-    cost: tuple[Fraction, ...]
+    Each augmented row [C_i | d_i] is stored once: rows[i] holds the
+    nonzero (column, numerator) pairs, the right-hand side under RHS, over
+    the positive denominator dens[i], the lcm of the row's denominators.
+    The cost is stored the same way (cost_row over cost_den).  The form is
+    canonical, so LPs with equal data compare equal.
+    """
+
+    rows: tuple[tuple[tuple[int, int], ...], ...]
+    dens: tuple[int, ...]
+    cost_row: tuple[tuple[int, int], ...]
+    cost_den: int
+    num_vars: int
 
     @staticmethod
     def create(C, d, f) -> "StandardFormLP":
-        rows = tuple(tuple(_to_frac(v) for v in row) for row in C)
-        rhs = tuple(_to_frac(v) for v in d)
-        cost = tuple(_to_frac(v) for v in f)
-        if len(rows) != len(rhs):
+        """LP from dense exact data (int, Fraction, str or float entries)."""
+        C = [list(row) for row in C]
+        d = list(d)
+        f = list(f)
+        if len(C) != len(d):
             raise DimensionMismatch("constraint matrix and rhs disagree on row count")
-        width = len(cost)
-        if any(len(r) != width for r in rows):
+        width = len(f)
+        if any(len(r) != width for r in C):
             raise DimensionMismatch("constraint row width does not match cost length")
-        return StandardFormLP(rows, rhs, cost)
+        rows = []
+        dens = []
+        for row, b in zip(C, d):
+            nums, den = scale_row(row + [b])
+            sparse = dict(enumerate(nums[:-1]))
+            sparse[RHS] = nums[-1]
+            rows.append(_pairs(sparse))
+            dens.append(den)
+        cost, cost_den = scale_row(f)
+        return StandardFormLP(tuple(rows), tuple(dens),
+                              _pairs(dict(enumerate(cost))), cost_den, width)
+
+    @staticmethod
+    def from_int_rows(rows, cost, num_vars: int) -> "StandardFormLP":
+        """LP from integer rows given as {column: value} maps (right-hand
+        side under RHS) and an integer cost map; no scaling is needed."""
+        rows = tuple(_pairs(r) for r in rows)
+        return StandardFormLP(rows, (1,) * len(rows), _pairs(cost), 1, num_vars)
 
     @property
     def num_rows(self) -> int:
-        return len(self.constraint_matrix)
+        return len(self.rows)
 
     @property
-    def num_vars(self) -> int:
-        return len(self.cost)
+    def constraint_matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+        out = []
+        for pairs, den in zip(self.rows, self.dens):
+            row = [Fraction(0)] * self.num_vars
+            for j, v in pairs:
+                if j != RHS:
+                    row[j] = Fraction(v, den)
+            out.append(tuple(row))
+        return tuple(out)
+
+    @property
+    def rhs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(dict(pairs).get(RHS, 0), den)
+                     for pairs, den in zip(self.rows, self.dens))
+
+    @property
+    def cost(self) -> tuple[Fraction, ...]:
+        out = [Fraction(0)] * self.num_vars
+        for j, v in self.cost_row:
+            out[j] = Fraction(v, self.cost_den)
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -90,115 +160,123 @@ class LpOutcome:
     pivots: int = 0
 
 
-def _int_row(fracs) -> list[int]:
-    """Scale a row of Fractions to integers by its lcm denominator."""
-    mult = 1
-    for v in fracs:
-        mult = lcm(mult, v.denominator)
-    return [int(v * mult) for v in fracs]
-
-
-def _gcd_reduce(nums: list[int], den: int) -> tuple[list[int], int]:
+def _reduce(row: dict[int, int], den: int) -> int:
+    """Divide row and den by their common gcd in place; return the new den."""
     g = den
-    for v in nums:
+    for v in row.values():
         g = gcd(g, v)
         if g == 1:
-            return nums, den
+            return den
     if g > 1:
-        nums = [v // g for v in nums]
+        for j in row:
+            row[j] //= g
         den //= g
-    return nums, den
+    return den
+
+
+def _eliminate(row: dict[int, int], pv: int, f: int, prow: dict[int, int]) -> None:
+    """row <- row * pv - f * prow in place, dropping entries that vanish."""
+    if pv != 1:
+        for j in row:
+            row[j] *= pv
+    for j, b in prow.items():
+        v = row.get(j, 0) - f * b
+        if v:
+            row[j] = v
+        else:
+            del row[j]
 
 
 def preprocess(lp: StandardFormLP) -> StandardFormLP:
     """Drop linearly dependent rows; raise InconsistentRow on 0 = nonzero.
 
     The returned LP keeps the surviving original rows (same feasible set,
-    same objective) and has full row rank.
+    same objective) and has full row rank.  A row survives exactly when it
+    is independent of the rows kept before it, whichever nonzero column
+    each kept row pivots on.
     """
     kept: list[int] = []
-    pivoted: list[tuple[int, list[int]]] = []   # (pivot col, reduced augmented row)
-    p = lp.num_vars
-    for idx, (row, b) in enumerate(zip(lp.constraint_matrix, lp.rhs)):
-        aug = _int_row(list(row) + [b])
+    pivoted: list[tuple[int, dict[int, int]]] = []   # (pivot col, reduced row)
+    for idx, pairs in enumerate(lp.rows):
+        aug = dict(pairs)
         for pc, base in pivoted:
-            v = aug[pc]
+            v = aug.get(pc)
             if v:
-                pv = base[pc]
-                aug = [a * pv - v * c for a, c in zip(aug, base)]
-                aug, _ = _gcd_reduce(aug, 1)
-        pivot = next((j for j in range(p) if aug[j]), None)
+                _eliminate(aug, base[pc], v, base)
+                _reduce(aug, 0)   # den 0: divide by the row's own gcd
+        pivot = next((j for j in aug if j != RHS), None)
         if pivot is None:
-            if aug[p]:
-                raise InconsistentRow(f"row {idx} reduces to 0 = {aug[p]}")
+            if aug:
+                raise InconsistentRow(f"row {idx} reduces to 0 = {aug[RHS]}")
             continue
-        if aug[pivot] < 0:
-            aug = [-v for v in aug]
         pivoted.append((pivot, aug))
         kept.append(idx)
     return StandardFormLP(
-        tuple(lp.constraint_matrix[i] for i in kept),
-        tuple(lp.rhs[i] for i in kept),
-        lp.cost,
+        tuple(lp.rows[i] for i in kept),
+        tuple(lp.dens[i] for i in kept),
+        lp.cost_row, lp.cost_den, lp.num_vars,
     )
 
 
 class _Tableau:
-    """Simplex tableau over integer numerators with per-row denominators."""
+    """Simplex tableau over sparse integer rows with per-row denominators.
 
-    def __init__(self, rows: list[list[int]], dens: list[int], basis: list[int]):
-        self.rows = rows            # each row: coefficients + rhs in last slot
+    Row i stands for rows[i] / dens[i] and has the entry dens[i] in its
+    basic column; the objective row zrow / zden holds -z under RHS.
+    """
+
+    def __init__(self, rows: list[dict[int, int]], dens: list[int], basis: list[int]):
+        self.rows = rows
         self.dens = dens            # positive
         self.basis = basis
-        self.zrow: list[int] = []   # objective row, rhs slot holds -z
+        self.zrow: dict[int, int] = {}
         self.zden: int = 1
+
+    def price_out(self, r: int) -> None:
+        """Clear row r's basic column from the objective row."""
+        c = self.basis[r]
+        f = self.zrow.get(c)
+        if f:
+            pv = self.dens[r]
+            _eliminate(self.zrow, pv, f, self.rows[r])
+            self.zden = _reduce(self.zrow, self.zden * pv)
 
     def pivot(self, r: int, c: int) -> None:
         prow = self.rows[r]
         pv = prow[c]
         if pv < 0:
-            prow = [-v for v in prow]
+            for j in prow:
+                prow[j] = -prow[j]
             pv = -pv
-        prow, pv = _gcd_reduce(prow, pv)
-        self.rows[r] = prow
+        pv = _reduce(prow, pv)
         self.dens[r] = pv
         for i, row in enumerate(self.rows):
-            if i == r:
-                continue
-            f = row[c]
-            if f:
-                new = [a * pv - f * b for a, b in zip(row, prow)]
-                new, nd = _gcd_reduce(new, self.dens[i] * pv)
-                self.rows[i] = new
-                self.dens[i] = nd
-        f = self.zrow[c]
-        if f:
-            new = [a * pv - f * b for a, b in zip(self.zrow, prow)]
-            self.zrow, self.zden = _gcd_reduce(new, self.zden * pv)
+            if i != r:
+                f = row.get(c)
+                if f:
+                    _eliminate(row, pv, f, prow)
+                    self.dens[i] = _reduce(row, self.dens[i] * pv)
         self.basis[r] = c
+        self.price_out(r)
 
-    def entering(self, ncols: int, dantzig: bool) -> int | None:
-        z = self.zrow
-        if not dantzig:
-            for j in range(ncols):
-                if z[j] < 0:
-                    return j
+    def entering(self, dantzig: bool) -> int | None:
+        """Bland: smallest column with a negative reduced cost.  Dantzig:
+        most negative reduced cost, smallest column on ties."""
+        neg = [(v, j) for j, v in self.zrow.items() if v < 0 and j != RHS]
+        if not neg:
             return None
-        best = None
-        best_v = 0
-        for j in range(ncols):
-            if z[j] < best_v:
-                best, best_v = j, z[j]
-        return best
+        if dantzig:
+            return min(neg)[1]
+        return min(j for _, j in neg)
 
     def leaving(self, c: int) -> int | None:
         """Minimum-ratio row; ties broken by smallest basic variable index."""
         best = None
         bn = bd = 0
         for i, row in enumerate(self.rows):
-            a = row[c]
+            a = row.get(c, 0)
             if a > 0:
-                rn = row[-1]
+                rn = row.get(RHS, 0)
                 if best is None:
                     best, bn, bd = i, rn, a
                     continue
@@ -209,7 +287,7 @@ class _Tableau:
         return best
 
     def objective(self) -> Fraction:
-        return -Fraction(self.zrow[-1], self.zden)
+        return -Fraction(self.zrow.get(RHS, 0), self.zden)
 
 
 def _run_simplex(tab: _Tableau, ncols: int, rule: str, max_pivots: int,
@@ -219,7 +297,7 @@ def _run_simplex(tab: _Tableau, ncols: int, rule: str, max_pivots: int,
     dantzig_budget = pivots[0] + 3 * (len(tab.rows) + ncols) + 20
     while True:
         dantzig = rule == "dantzig" and pivots[0] < dantzig_budget
-        c = tab.entering(ncols, dantzig)
+        c = tab.entering(dantzig)
         if c is None:
             return "optimal"
         r = tab.leaving(c)
@@ -230,52 +308,47 @@ def _run_simplex(tab: _Tableau, ncols: int, rule: str, max_pivots: int,
         tab.pivot(r, c)
         pivots[0] += 1
         if pivots[0] > max_pivots:
-            raise RuntimeError(
+            raise SolverDefect(
                 f"pivot budget {max_pivots} exceeded; anti-cycling defect")
 
 
-def _solve_standard_ints(coeff_rows: list[list[int]], rhs: list[int],
-                         cost, p: int, rule: str = "bland",
+def _solve_standard_ints(rows, cost, cost_den: int, p: int, rule: str = "bland",
                          max_pivots: int | None = None, trace=None):
-    """Exact simplex on integer data.
+    """Exact simplex on sparse integer rows over columns 0..p-1.
 
-    Returns (status, values, basis, objective, pivots, dropped_rows).
-    Redundant rows surviving to phase 1 are dropped exactly; inconsistent
-    systems surface as "infeasible" via the phase-1 optimum.
+    rows hold their nonzero entries as {column: value} maps or (column,
+    value) pairs, the right-hand side under RHS; the cost is cost / cost_den
+    with cost holding integer numerators the same way.  Returns (status,
+    values, basis, objective, pivots, dropped_rows).  Redundant rows
+    surviving to phase 1 are dropped exactly; inconsistent systems surface
+    as "infeasible" via the phase-1 optimum.
     """
-    l = len(coeff_rows)
+    rows = [dict(r) for r in rows]
+    l = len(rows)
     if max_pivots is None:
         max_pivots = 10_000 + 60 * (l + p)
-    rows: list[list[int]] = []
-    for r, b in zip(coeff_rows, rhs):
-        if b < 0:
-            rows.append([-v for v in r] + [-b])
-        else:
-            rows.append(list(r) + [b])
+    for row in rows:
+        if row.get(RHS, 0) < 0:
+            for j in row:
+                row[j] = -row[j]
 
     # crash basis: singleton positive columns serve as ready-made basic vars
     col_count = [0] * p
-    col_row = [0] * p
-    for i, row in enumerate(rows):
-        for j in range(p):
-            if row[j]:
+    for row in rows:
+        for j in row:
+            if j != RHS:
                 col_count[j] += 1
-                col_row[j] = i
     basis = [-1] * l
-    used: set[int] = set()
     dens = [1] * l
     for i, row in enumerate(rows):
-        for j in range(p):
-            if col_count[j] == 1 and col_row[j] == i and row[j] > 0 and j not in used:
+        for j in sorted(row):
+            if j != RHS and col_count[j] == 1 and row[j] > 0:
                 basis[i] = j
-                used.add(j)
                 dens[i] = row[j]
                 break
 
     art_rows = [i for i in range(l) if basis[i] == -1]
-    n_art = len(art_rows)
-    ncols = p + n_art
-    rows = [row[:p] + [0] * n_art + [row[p]] for row in rows]
+    ncols = p + len(art_rows)
     for a, i in enumerate(art_rows):
         rows[i][p + a] = 1
         basis[i] = p + a
@@ -287,23 +360,24 @@ def _solve_standard_ints(coeff_rows: list[list[int]], rhs: list[int],
     if art_rows:
         if trace is not None:
             trace.write(f"phase 1: rows={l} cols={ncols} artificials={len(art_rows)}\n")
-        zrow = [0] * (ncols + 1)
+        # minimize the sum of artificials, priced out over their rows
+        zrow: dict[int, int] = {}
         for i in art_rows:
-            for j, v in enumerate(rows[i]):
-                zrow[j] -= v
-        for a in range(len(art_rows)):
-            zrow[p + a] += 1
-        tab.zrow, tab.zden = _gcd_reduce(zrow, 1)
+            for j, v in rows[i].items():
+                if j < p:
+                    zrow[j] = zrow.get(j, 0) - v
+        tab.zrow = zrow
+        tab.zden = 1
         status = _run_simplex(tab, ncols, rule, max_pivots, pivots, trace)
         if status != "optimal":
-            raise RuntimeError("phase 1 objective is bounded below; solver defect")
-        if tab.objective() > 0:
+            raise SolverDefect("phase 1 objective is bounded below; solver defect")
+        if tab.zrow.get(RHS, 0) < 0:
             return "infeasible", None, None, None, pivots[0], dropped
         # drive leftover artificials out of the basis or drop redundant rows
         i = 0
         while i < len(tab.rows):
             if tab.basis[i] >= p:
-                col = next((j for j in range(p) if tab.rows[i][j]), None)
+                col = min((j for j in tab.rows[i] if 0 <= j < p), default=None)
                 if col is None:
                     del tab.rows[i]
                     del tab.dens[i]
@@ -312,23 +386,15 @@ def _solve_standard_ints(coeff_rows: list[list[int]], rhs: list[int],
                     continue
                 tab.pivot(i, col)
             i += 1
-        for i, row in enumerate(tab.rows):
-            tab.rows[i] = row[:p] + [row[-1]]
+        for row in tab.rows:
+            for j in [j for j in row if j >= p]:
+                del row[j]
 
     # phase 2: price out the true cost over the current basis
-    acc = [_to_frac(c) for c in cost] + [Fraction(0)]
-    for i, row in enumerate(tab.rows):
-        cb = _to_frac(cost[tab.basis[i]])
-        if cb:
-            d = tab.dens[i]
-            for j in range(p + 1):
-                if row[j]:
-                    acc[j] -= cb * Fraction(row[j], d)
-    mult = 1
-    for v in acc:
-        mult = lcm(mult, v.denominator)
-    tab.zrow = [int(v * mult) for v in acc]
-    tab.zden = mult
+    tab.zrow = dict(cost)
+    tab.zden = cost_den
+    for i in range(len(tab.rows)):
+        tab.price_out(i)
     if trace is not None:
         trace.write(f"phase 2: rows={len(tab.rows)} cols={p}\n")
     status = _run_simplex(tab, p, rule, max_pivots, pivots, trace)
@@ -336,7 +402,7 @@ def _solve_standard_ints(coeff_rows: list[list[int]], rhs: list[int],
         return "unbounded", None, None, None, pivots[0], dropped
     values = [Fraction(0)] * p
     for i, row in enumerate(tab.rows):
-        values[tab.basis[i]] = Fraction(row[-1], tab.dens[i])
+        values[tab.basis[i]] = Fraction(row.get(RHS, 0), tab.dens[i])
     return ("optimal", values, sorted(tab.basis), tab.objective(), pivots[0], dropped)
 
 
@@ -357,23 +423,17 @@ def solve_lp(lp: StandardFormLP, *, rule: str = "bland",
         pre = preprocess(lp)
     except InconsistentRow:
         return LpOutcome(LpStatus.INFEASIBLE)
-    coeff = []
-    rhs = []
-    for row, b in zip(pre.constraint_matrix, pre.rhs):
-        scaled = _int_row(list(row) + [b])
-        coeff.append(scaled[:-1])
-        rhs.append(scaled[-1])
     status, values, basis, obj, pivots, dropped = _solve_standard_ints(
-        coeff, rhs, pre.cost, pre.num_vars, rule, max_pivots, trace)
+        pre.rows, pre.cost_row, pre.cost_den, pre.num_vars, rule, max_pivots, trace)
     if dropped:
-        raise RuntimeError("rank drop after preprocess; solver defect")
+        raise SolverDefect("rank drop after preprocess; solver defect")
     if status == "infeasible":
         return LpOutcome(LpStatus.INFEASIBLE, pivots=pivots)
     if status == "unbounded":
         return LpOutcome(LpStatus.UNBOUNDED, pivots=pivots)
-    check = sum(c * v for c, v in zip(pre.cost, values))
+    check = sum((v * values[j] for j, v in pre.cost_row), Fraction(0)) / pre.cost_den
     if check != obj:
-        raise RuntimeError("objective bookkeeping mismatch; solver defect")
+        raise SolverDefect("objective bookkeeping mismatch; solver defect")
     sol = BasicFeasibleSolution(tuple(values), tuple(basis), obj)
     return LpOutcome(LpStatus.OPTIMAL, sol, pivots)
 
@@ -383,7 +443,8 @@ def verify_bfs(lp: StandardFormLP, sol: BasicFeasibleSolution) -> bool:
 
     Raises DimensionMismatch when sizes make the check meaningless; returns
     False for any violated invariant (negativity, C x != d, dependent basis
-    columns, nonzero nonbasic entries, wrong objective).
+    columns, nonzero nonbasic entries, wrong objective).  The checks run on
+    the stored integer rows; scaling a row changes none of them.
     """
     l, p = lp.num_rows, lp.num_vars
     if len(sol.values) != p:
@@ -397,12 +458,15 @@ def verify_bfs(lp: StandardFormLP, sol: BasicFeasibleSolution) -> bool:
     basic = set(sol.basis)
     if any(v != 0 for j, v in enumerate(sol.values) if j not in basic):
         return False
-    for row, b in zip(lp.constraint_matrix, lp.rhs):
-        if sum(c * v for c, v in zip(row, sol.values)) != b:
+    x = {j: v for j, v in enumerate(sol.values) if v}
+    rows = [dict(pairs) for pairs in lp.rows]
+    for row in rows:
+        lhs = sum((v * x[j] for j, v in row.items() if j in x), Fraction(0))
+        if lhs != row.get(RHS, 0):
             return False
-    cols = [[row[j] for j in sol.basis] for row in lp.constraint_matrix]
-    if l and int_rank([_int_row(r) for r in cols]) != l:
+    if l and int_rank([[row.get(j, 0) for j in sol.basis] for row in rows]) != l:
         return False
-    if sum(c * v for c, v in zip(lp.cost, sol.values)) != sol.objective:
+    cx = sum((v * x[j] for j, v in lp.cost_row if j in x), Fraction(0))
+    if cx != sol.objective * lp.cost_den:
         return False
     return True

@@ -25,6 +25,7 @@ from .errors import (
     HasInjections,
     InfeasibleIndex,
     SizeLimitExceeded,
+    SolverDefect,
     TrivialNullspace,
     ValidationError,
     ZeroColumn,
@@ -169,7 +170,9 @@ def _node_lp(inst: MilpInstance, fixed0: frozenset[int], fixed1: frozenset[int])
     Free rows contribute y_j = (t+ + t-)/big_m through a link row
     A(j,:) d - t+ + t- = 0 and a box t+ + t- + u = big_m; rows fixed to 1
     keep only the box |A(j,:) d| <= big_m; rows fixed to 0 become
-    equalities.  States split as d = dp - dm for nonnegativity.
+    equalities.  States split as d = dp - dm for nonnegativity.  Returns
+    (rows, cost, cost_den, p, free, tcol) with sparse integer rows and the
+    cost cost / cost_den, as lp._solve_standard_ints takes them.
     """
     A = inst.A
     m, n = A.shape
@@ -188,54 +191,46 @@ def _node_lp(inst: MilpInstance, fixed0: frozenset[int], fixed1: frozenset[int])
         col += 2
     p = col
 
-    def state_part(j, sign=1):
-        row = [Fraction(0)] * p
-        for c in range(n):
-            a = sign * int(A[j - 1, c])
+    # rows whose right-hand side is big-M are scaled by its denominator,
+    # which makes every row integral
+    Mn, Md = M.numerator, M.denominator
+    rows_A = A.tolist()
+
+    def state_part(j, scale=1):
+        row = {}
+        for c, a in enumerate(rows_A[j - 1]):
             if a:
-                row[c] = Fraction(a)
-                row[n + c] = Fraction(-a)
+                row[c] = scale * a
+                row[n + c] = -scale * a
         return row
 
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    rows: list[dict[int, int]] = []
     for j in free:
         link = state_part(j)
-        link[tcol[j]] = Fraction(-1)
-        link[tcol[j] + 1] = Fraction(1)
+        link[tcol[j]] = -1
+        link[tcol[j] + 1] = 1
         rows.append(link)
-        rhs.append(Fraction(0))
-        box = [Fraction(0)] * p
-        box[tcol[j]] = box[tcol[j] + 1] = box[tcol[j] + 2] = Fraction(1)
-        rows.append(box)
-        rhs.append(M)
+        rows.append({tcol[j]: Md, tcol[j] + 1: Md, tcol[j] + 2: Md, lp.RHS: Mn})
     for j in sorted(fixed1):
-        up = state_part(j)
-        up[scol[j]] = Fraction(1)
+        up = state_part(j, Md)
+        up[scol[j]] = Md
+        up[lp.RHS] = Mn
         rows.append(up)
-        rhs.append(M)
-        lo = state_part(j, sign=-1)
-        lo[scol[j] + 1] = Fraction(1)
+        lo = state_part(j, -Md)
+        lo[scol[j] + 1] = Md
+        lo[lp.RHS] = Mn
         rows.append(lo)
-        rhs.append(M)
     for j in sorted(fixed0 | inst.protected):
         rows.append(state_part(j))
-        rhs.append(Fraction(0))
-    rows.append(state_part(inst.k))
-    rhs.append(Fraction(1))
+    target = state_part(inst.k)
+    target[lp.RHS] = 1
+    rows.append(target)
 
-    cost = [Fraction(0)] * p
-    inv = 1 / M
+    # cost 1/M = Md/Mn on the t+ and t- columns of every free row
+    cost = {}
     for j in free:
-        cost[tcol[j]] = cost[tcol[j] + 1] = inv
-
-    int_rows: list[list[int]] = []
-    int_rhs: list[int] = []
-    for row, b in zip(rows, rhs):
-        scaled = lp._int_row(row + [b])
-        int_rows.append(scaled[:-1])
-        int_rhs.append(scaled[-1])
-    return int_rows, int_rhs, cost, p, free, tcol
+        cost[tcol[j]] = cost[tcol[j] + 1] = Md
+    return rows, cost, Mn, p, free, tcol
 
 
 def solve_milp_instance(inst: MilpInstance, *, rule: str = "dantzig",
@@ -264,15 +259,15 @@ def solve_milp_instance(inst: MilpInstance, *, rule: str = "dantzig",
                 trace.write(f"node depth={len(fixed0) + len(fixed1)} "
                             f"fixed1={len(fixed1)} action=prune-depth\n")
             continue
-        rows, rhs, cost, p, free, tcol = _node_lp(inst, fixed0, fixed1)
+        rows, cost, cost_den, p, free, tcol = _node_lp(inst, fixed0, fixed1)
         status, values, _, objective, _, _ = lp._solve_standard_ints(
-            rows, rhs, cost, p, rule=rule)
+            rows, cost, cost_den, p, rule=rule)
         if status == "infeasible":
             if trace is not None:
                 trace.write(f"node depth={len(fixed0) + len(fixed1)} action=infeasible\n")
             continue
         if status != "optimal":
-            raise RuntimeError("bounded relaxation reported unbounded; solver defect")
+            raise SolverDefect("bounded relaxation reported unbounded; solver defect")
         bound = objective + len(fixed1) + 1
         if best is not None and bound > best - 1:
             if trace is not None:
@@ -520,12 +515,7 @@ def exhaustive_min_card(phi, b=None, *, cap: int = 200_000) -> int | None:
     m = len(rows[0]) if rows else 0
     # one integer scaling of the augmented rows; row scaling preserves
     # both ranks in the comparison
-    aug = []
-    for row, bv in zip(rows, bvec):
-        mult = 1
-        for v in list(row) + [bv]:
-            mult = mult * v.denominator // math.gcd(mult, v.denominator)
-        aug.append([int(v * mult) for v in list(row) + [bv]])
+    aug = [lp.scale_row(list(row) + [bv])[0] for row, bv in zip(rows, bvec)]
     if all(row[-1] == 0 for row in aug):
         return 0
     tested = 0

@@ -16,7 +16,6 @@ bound from counting the injections its witness touches).
 """
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,6 +32,7 @@ from .errors import (
 )
 from .exactla import int_rank
 from .grid import FLOAT_TOL, AttackVector, MeasurementMatrix, MeasurementSystem, Network, _exact_H_rows, incidence
+from .lp import scale_row
 from .tumin import TUProblem, TUSolution, solve_min_support
 
 
@@ -174,17 +174,6 @@ def _exact_rows(H) -> list[list[Fraction]] | None:
     return None
 
 
-def _int_rows(rows: list[list[Fraction]]) -> list[list[int]]:
-    out = []
-    for row in rows:
-        lcm = 1
-        for v in row:
-            d = v.denominator
-            lcm = lcm * d // math.gcd(lcm, d)
-        out.append([int(v * lcm) for v in row])
-    return out
-
-
 def check_conditions(H, k: int, *, tol: float = FLOAT_TOL) -> tuple[bool, bool]:
     """(meter row nonzero, full column rank) for 1-based row k.
 
@@ -199,7 +188,7 @@ def check_conditions(H, k: int, *, tol: float = FLOAT_TOL) -> tuple[bool, bool]:
         if not 1 <= k <= m:
             raise ValueError(f"row {k} outside 1..{m}")
         cond1 = any(v != 0 for v in exact[k - 1])
-        cond2 = int_rank(_int_rows(exact)) == n
+        cond2 = int_rank([scale_row(row)[0] for row in exact]) == n
         return cond1, cond2
     Hf = H.H if isinstance(H, MeasurementMatrix) else np.asarray(H, dtype=float)
     m, n = Hf.shape

@@ -12,7 +12,6 @@ Row indices (k, I, supports) are 1-based throughout this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 import math
 import random
@@ -20,7 +19,7 @@ import random
 import numpy as np
 
 from . import lp
-from .errors import IntegralityError, SizeLimitExceeded
+from .errors import IntegralityError, SizeLimitExceeded, SolverDefect
 from .exactla import det_int, independent_rows
 
 
@@ -72,37 +71,35 @@ def build_l1_lp(problem: TUProblem) -> lp.StandardFormLP:
     then a maximal independent subset of the protected rows pinned to zero,
     then the target row pinned to one.  Cost is sum(y+) + sum(y-).
     """
-    A = problem.A
-    m, n = A.shape
+    A = problem.A.tolist()
+    n = len(A[0])
     free = problem.free_rows
     r = len(free)
     prot = sorted(problem.I)
-    prot_rows = [[int(v) for v in A[i - 1]] for i in prot]
+    prot_rows = [A[i - 1] for i in prot]
     indep = independent_rows(prot_rows) if prot_rows else []
     kept_prot = [prot[i] for i in indep]
 
-    width = 2 * n + 2 * r
-    C: list[list[int]] = []
-    d: list[int] = []
+    def state_part(j: int) -> dict[int, int]:
+        row = {}
+        for c, a in enumerate(A[j - 1]):
+            if a:
+                row[c] = a
+                row[n + c] = -a
+        return row
+
+    rows: list[dict[int, int]] = []
     for pos, j in enumerate(free):
-        row = [0] * width
-        for c in range(n):
-            row[c] = int(A[j - 1, c])
-            row[n + c] = -int(A[j - 1, c])
+        row = state_part(j)
         row[2 * n + pos] = -1
         row[2 * n + r + pos] = 1
-        C.append(row)
-        d.append(0)
+        rows.append(row)
     for j in kept_prot + [problem.k]:
-        row = [0] * width
-        for c in range(n):
-            row[c] = int(A[j - 1, c])
-            row[n + c] = -int(A[j - 1, c])
-        C.append(row)
-        d.append(0)
-    d[-1] = 1
-    f = [0] * (2 * n) + [1] * (2 * r)
-    return lp.StandardFormLP.create(C, d, f)
+        rows.append(state_part(j))
+    rows[-1][lp.RHS] = 1
+    width = 2 * n + 2 * r
+    cost = {c: 1 for c in range(2 * n, width)}
+    return lp.StandardFormLP.from_int_rows(rows, cost, width)
 
 
 def solve_min_support(problem: TUProblem, *, rule: str = "bland") -> TUSolution | None:
@@ -116,7 +113,7 @@ def solve_min_support(problem: TUProblem, *, rule: str = "bland") -> TUSolution 
     if out.status is lp.LpStatus.INFEASIBLE:
         return None
     if out.status is not lp.LpStatus.OPTIMAL:
-        raise RuntimeError("l1 relaxation cannot be unbounded; solver defect")
+        raise SolverDefect("l1 relaxation cannot be unbounded; solver defect")
     n = problem.A.shape[1]
     vals = out.solution.values
     x_frac = [vals[c] - vals[n + c] for c in range(n)]

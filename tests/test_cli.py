@@ -167,6 +167,21 @@ class TestMainExitCodes:
         assert "mismatch" in err
 
 
+    def test_solver_defect_is_exit_4(self, monkeypatch):
+        import gridsec.lp as lpmod
+
+        real = lpmod._solve_standard_ints
+
+        def no_budget(rows, cost, cost_den, p, rule="bland",
+                      max_pivots=None, trace=None):
+            return real(rows, cost, cost_den, p, rule, 0, trace)
+
+        monkeypatch.setattr(lpmod, "_solve_standard_ints", no_budget)
+        rc, _, err = run_main(["solve", SIX, "-k", "6"])
+        assert rc == 4
+        assert "pivot budget" in err
+
+
 class TestAttackCommand:
     def test_stdout_json(self):
         rc, out, _ = run_main(["attack", SIX, "-k", "6"])

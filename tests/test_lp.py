@@ -10,7 +10,7 @@ import random
 import pytest
 import scipy.optimize
 
-from gridsec.errors import DimensionMismatch, InconsistentRow
+from gridsec.errors import DimensionMismatch, InconsistentRow, SolverDefect
 from gridsec.lp import (
     BasicFeasibleSolution,
     LpStatus,
@@ -43,6 +43,33 @@ def test_sign_infeasibility_needs_phase_one():
     # x1 + x2 = -1 has solutions, but none with x >= 0
     lp = StandardFormLP.create([[1, 1]], [-1], [0, 0])
     assert solve_lp(lp).status is LpStatus.INFEASIBLE
+
+
+def test_equal_values_of_any_input_type_build_equal_lps():
+    as_int = StandardFormLP.create([[1, 2], [0, 3]], [3, 6], [1, 0])
+    as_frac = StandardFormLP.create(
+        [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(3)]],
+        [Fraction(3), Fraction(6)], [Fraction(1), Fraction(0)])
+    as_str = StandardFormLP.create([["1", "2"], ["0", "3"]], ["3", "6"], ["1", "0"])
+    as_float = StandardFormLP.create([[1.0, 2.0], [0.0, 3.0]], [3.0, 6.0], [1.0, 0.0])
+    assert as_int == as_frac == as_str == as_float
+    halves = [
+        StandardFormLP.create([[Fraction(1, 2), 2]], [Fraction(3, 4)], [Fraction(1, 2), 0]),
+        StandardFormLP.create([["1/2", "2"]], ["3/4"], ["1/2", "0"]),
+        StandardFormLP.create([[0.5, 2.0]], [0.75], [0.5, 0.0]),
+    ]
+    assert halves[0] == halves[1] == halves[2]
+    assert halves[0].constraint_matrix == ((Fraction(1, 2), Fraction(2)),)
+    assert halves[0].rhs == (Fraction(3, 4),)
+    assert halves[0].cost == (Fraction(1, 2), Fraction(0))
+
+
+def test_pivot_budget_overrun_is_solver_defect():
+    # the crash basis picks x1; x2 has reduced cost -1, so one pivot is due
+    lp = StandardFormLP.create([[1, 1]], [1], [1, 0])
+    assert solve_lp(lp).pivots == 1
+    with pytest.raises(SolverDefect):
+        solve_lp(lp, max_pivots=0)
 
 
 def test_preprocess_drops_dependent_row():

@@ -1,0 +1,52 @@
+"""Pinned pivot and node counts.
+
+The pivot rules (Bland: smallest column with a negative reduced cost;
+Dantzig: most negative, smallest column on ties; ratio ties to the smallest
+basic index) fix every pivot sequence, so any simplex kernel that keeps the
+rules reproduces these counts.  A differing count means a tie-break moved.
+"""
+import random
+
+import pytest
+
+from conftest import IEEE14_CASE
+from gridsec import lp, oracle, security, tumin
+from gridsec.grid import parse_case
+from gridsec.oracle import MilpInstance
+from test_lp import _random_feasible_lp
+
+IEEE14_SWEEP_PIVOTS = {
+    "bland": [16, 17, 27, 25, 33, 23, 18, 25, 32, 25,
+              30, 29, 27, 32, 22, 26, 36, 25, 23, 29],
+    "dantzig": [16, 18, 27, 20, 17, 14, 14, 22, 28, 25,
+                20, 17, 19, 31, 17, 18, 21, 16, 16, 15],
+}
+# one _random_feasible_lp(random.Random(seed)) per seed 0..19
+RANDOM_LP_PIVOTS = {
+    "bland": [5, 2, 0, 2, 2, 4, 1, 3, 3, 8, 1, 6, 4, 3, 0, 1, 6, 5, 2, 0],
+    "dantzig": [5, 2, 0, 1, 2, 4, 1, 3, 2, 7, 1, 5, 4, 3, 0, 1, 3, 4, 2, 0],
+}
+MILP_NODES = {4: 43, 11: 81, 16: 81}
+
+
+@pytest.mark.parametrize("rule", ["bland", "dantzig"])
+def test_ieee14_sweep_pivots(rule):
+    net, meas = parse_case(IEEE14_CASE)
+    got = [lp.solve_lp(tumin.build_l1_lp(security.reduce_to_tu(net, meas, k)),
+                       rule=rule).pivots
+           for k in range(1, 21)]
+    assert got == IEEE14_SWEEP_PIVOTS[rule]
+
+
+@pytest.mark.parametrize("rule", ["bland", "dantzig"])
+def test_random_lp_pivots(rule):
+    got = [lp.solve_lp(_random_feasible_lp(random.Random(seed)), rule=rule).pivots
+           for seed in range(20)]
+    assert got == RANDOM_LP_PIVOTS[rule]
+
+
+def test_ieee14_milp_nodes():
+    net, meas = parse_case(IEEE14_CASE)
+    got = {k: oracle.solve_milp_instance(MilpInstance.from_system(net, meas, k))[3]
+           for k in MILP_NODES}
+    assert got == MILP_NODES
