@@ -47,6 +47,7 @@ from .security import (
     SecurityIndexResult,
     check_conditions,
     min_critical_tuple,
+    mincut_index,
     reduce_to_tu,
     security_index,
     security_index_bounds,

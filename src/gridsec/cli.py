@@ -2,7 +2,7 @@
 
 Subcommands:
 
-  solve      index of one meter (lp, milp, exhaustive, or bounds)
+  solve      index of one meter (lp, mincut, milp, exhaustive, or bounds)
   attack     witness attack vector for one meter, as JSON
   verify-tu  test the flow constraint matrix for total unimodularity
   bench      all unprotected flow meters, optionally cross-checked
@@ -19,8 +19,8 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import (
     GridsecError,
@@ -30,13 +30,42 @@ from .errors import (
     ParseError,
     SolverDefect,
 )
-from .grid import parse_case
+from .grid import MeasurementSystem, Network, parse_case
 from .oracle import exhaustive_min_support, milp_solve
-from .security import reduce_to_tu, security_index, security_index_bounds
+from .security import (
+    SecurityIndexResult,
+    mincut_index,
+    reduce_to_tu,
+    security_index,
+    security_index_bounds,
+)
 from .tumin import verify_tu
 
-BATCH_METHODS = ("lp", "milp", "exhaustive")
 CSV_HEADER = "meter,index,method,seconds"
+
+
+def _exhaustive(net: Network, meas: MeasurementSystem, k: int) -> SecurityIndexResult:
+    """Index of flow meter k by subset enumeration (no witness)."""
+    t0 = time.perf_counter()
+    prob = reduce_to_tu(net, meas, k)
+    value = exhaustive_min_support(prob.A, prob.k, prob.I)
+    if value is None:
+        raise InfeasibleIndex(k)
+    return SecurityIndexResult(meter=k, index=value, attack=None, method="exhaustive",
+                               bounds=(value, value),
+                               solve_time=time.perf_counter() - t0)
+
+
+# every solve method by its command-line name
+METHODS: dict[str, Callable[[Network, MeasurementSystem, int], SecurityIndexResult]] = {
+    "lp": security_index,
+    "mincut": mincut_index,
+    "milp": milp_solve,
+    "exhaustive": _exhaustive,
+    "bounds": security_index_bounds,
+}
+# bounds bracket the index instead of solving it, so bench cannot cross-check them
+BATCH_METHODS = tuple(m for m in METHODS if m != "bounds")
 
 
 @dataclass(frozen=True)
@@ -95,32 +124,25 @@ class BatchReport:
                    tuple(int(m) for m in data.get("mismatches", [])))
 
 
-def _solve_one(case_path: str, method: str, k: int) -> MeterEntry:
-    """One (meter, method) cell; runs in worker processes during batches."""
-    net, meas = parse_case(case_path)
+def _solve_one(case: tuple[Network, MeasurementSystem], method: str, k: int) -> MeterEntry:
+    """One (meter, method) cell of a parsed case; runs in worker processes
+    during batches."""
+    net, meas = case
     t0 = time.perf_counter()
     try:
-        if method == "lp":
-            res = security_index(net, meas, k)
-            return MeterEntry(k, method, res.index, res.solve_time)
-        if method == "milp":
-            res = milp_solve(net, meas, k)
-            return MeterEntry(k, method, res.index, res.solve_time)
-        if method == "exhaustive":
-            prob = reduce_to_tu(net, meas, k)
-            value = exhaustive_min_support(prob.A, prob.k, prob.I)
-            return MeterEntry(k, method, value, time.perf_counter() - t0)
+        res = METHODS[method](net, meas, k)
     except InfeasibleIndex:
         return MeterEntry(k, method, None, time.perf_counter() - t0)
-    raise MethodUnavailable(f"{method!r} is not a batch method")
+    return MeterEntry(k, method, res.index, res.solve_time)
 
 
 def run_batch(case_path, methods=("lp",), jobs: int | None = None) -> BatchReport:
     """Index of every unprotected flow meter, per method, cross-checked.
 
-    jobs > 1 fans the (meter, method) grid over worker processes; the
-    default is the machine's CPU count.  Meters where the methods give
-    different answers land in `mismatches`.
+    The case is parsed once.  jobs > 1 fans the (meter, method) grid over
+    worker processes, at most one per CPU; the default is the machine's
+    CPU count.  Meters where the methods give different answers land in
+    `mismatches`.
     """
     case_path = str(case_path)
     methods = tuple(methods)
@@ -129,13 +151,18 @@ def run_batch(case_path, methods=("lp",), jobs: int | None = None) -> BatchRepor
             raise MethodUnavailable(f"{m!r} is not a batch method")
     if not methods:
         raise MethodUnavailable("no methods requested")
+    if jobs is not None and jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    cpus = os.cpu_count() or 1
+    jobs = cpus if jobs is None else min(jobs, cpus)
     net, meas = parse_case(case_path)
     targets = [k for k in range(1, len(meas.flow_meters) + 1)
                if k not in meas.protected]
-    tasks = [(case_path, method, k) for method in methods for k in targets]
-    if jobs is None:
-        jobs = os.cpu_count() or 1
+    tasks = [((net, meas), method, k) for method in methods for k in targets]
     if jobs > 1 and len(tasks) > 1:
+        # imported only here: the pool's multiprocessing stack would add
+        # about 2 MB to every process that imports gridsec
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             entries = list(pool.map(_solve_one, *zip(*tasks)))
     else:
@@ -181,6 +208,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _jobs(text: str) -> int:
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="gridsec",
                      description="Exact security indices for DC state estimation.")
@@ -189,8 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", parents=[], help="index of one meter")
     p.add_argument("case")
     p.add_argument("-k", "--meter", type=int, required=True)
-    p.add_argument("--method", choices=("lp", "milp", "exhaustive", "bounds"),
-                   default="lp")
+    p.add_argument("--method", choices=tuple(METHODS), default="lp")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("attack", help="witness attack vector as JSON")
@@ -207,9 +240,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="index every unprotected flow meter")
     p.add_argument("case")
-    p.add_argument("--methods", default="lp",
-                   help="comma-separated subset of lp,milp,exhaustive")
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--methods", default="mincut",
+                   help=f"comma-separated subset of {','.join(BATCH_METHODS)}")
+    p.add_argument("--jobs", type=_jobs, default=None,
+                   help="worker processes (at least 1, capped at the CPU count)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", help="write the report here instead of stdout")
     p.set_defaults(func=_cmd_bench)
@@ -219,28 +253,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_solve(args) -> int:
     net, meas = parse_case(args.case)
     k = args.meter
-    if args.method == "bounds":
-        res = security_index_bounds(net, meas, k)
+    res = METHODS[args.method](net, meas, k)
+    if res.index is None:
         lo, hi = res.bounds
-        print(f"meter={k} bounds={lo},{hi} method=bounds "
+        print(f"meter={k} bounds={lo},{hi} method={args.method} "
               f"seconds={res.solve_time:.6f}")
-        return 0
-    if args.method == "lp":
-        res = security_index(net, meas, k)
-        value = res.index
-        seconds = res.solve_time
-    elif args.method == "milp":
-        res = milp_solve(net, meas, k)
-        value = res.index
-        seconds = res.solve_time
     else:
-        t0 = time.perf_counter()
-        prob = reduce_to_tu(net, meas, k)
-        value = exhaustive_min_support(prob.A, prob.k, prob.I)
-        seconds = time.perf_counter() - t0
-        if value is None:
-            raise InfeasibleIndex(k)
-    print(f"meter={k} index={value} method={args.method} seconds={seconds:.6f}")
+        print(f"meter={k} index={res.index} method={args.method} "
+              f"seconds={res.solve_time:.6f}")
     return 0
 
 

@@ -79,12 +79,6 @@ def in_row_space(vec, rows) -> bool:
     return basis.contains(vec)
 
 
-def independent_rows(rows) -> list[int]:
-    """Indices of a maximal independent subset, greedy in the given order."""
-    basis = EchelonBasis()
-    return [i for i, r in enumerate(rows) if basis.add(r)]
-
-
 def det_int(matrix) -> int:
     """Exact determinant of a square integer matrix (Bareiss, division-free)."""
     m = [[int(v) for v in row] for row in matrix]

@@ -7,12 +7,13 @@ For line-flow meters this is solved exactly: scaling each flow row by its
 line reactance leaves the sparsity pattern unchanged and turns the problem
 into minimum support of A @ dtheta with A the truncated incidence
 transpose, a network matrix, so the linear-programming relaxation has an
-integral optimum.
+integral optimum (security_index); the same index is the minimum cut
+between the line's endpoints (mincut_index).
 
 Meter indices follow the measurement-system convention: 1-based, flow
 meters first.  With injection meters present the flow-target index is
-bracketed instead of solved (lower bound from the flow-only problem, upper
-bound from counting the injections its witness touches).
+bracketed instead of solved (lower bound from the flow-only minimum cut,
+upper bound from counting the injections its witness touches).
 """
 from __future__ import annotations
 
@@ -33,7 +34,8 @@ from .errors import (
 from .exactla import int_rank
 from .grid import FLOAT_TOL, AttackVector, MeasurementMatrix, MeasurementSystem, Network, _exact_H_rows, incidence
 from .lp import scale_row
-from .tumin import TUProblem, TUSolution, solve_min_support
+from .mincut import check_certificate, max_flow, witness
+from .tumin import TUProblem, solve_min_support
 
 
 @dataclass(frozen=True)
@@ -41,7 +43,7 @@ class SecurityIndexResult:
     meter: int
     index: int | None                 # exact value, or None when only bracketed
     attack: AttackVector | None
-    method: str                       # "lp", "milp", "exhaustive", or "bounds"
+    method: str                       # "lp", "mincut", "milp", "exhaustive", or "bounds"
     bounds: tuple[int, int] | None = None
     solve_time: float = 0.0
 
@@ -59,6 +61,17 @@ class CriticalTuple:
             raise ValueError("target not contained in the tuple")
 
 
+def _flow_target(meas: MeasurementSystem, k: int) -> None:
+    """Reject meter k unless it is an unprotected flow meter of a
+    flow-only system."""
+    if meas.injection_meters:
+        raise HasInjections(f"{len(meas.injection_meters)} injection meters present")
+    kind, _ = meas.meter_kind(k)      # validates the index range
+    assert kind == "flow"
+    if k in meas.protected:
+        raise ValidationError(f"meter {k} is protected and cannot be targeted")
+
+
 def reduce_to_tu(net: Network, meas: MeasurementSystem, k: int) -> TUProblem:
     """Cast a flow-metered system as integer minimum-support data.
 
@@ -67,12 +80,7 @@ def reduce_to_tu(net: Network, meas: MeasurementSystem, k: int) -> TUProblem:
     support.  Only pure flow metering reduces this way, so injection
     meters raise HasInjections.
     """
-    if meas.injection_meters:
-        raise HasInjections(f"{len(meas.injection_meters)} injection meters present")
-    kind, _ = meas.meter_kind(k)      # validates the index range
-    assert kind == "flow"
-    if k in meas.protected:
-        raise ValidationError(f"meter {k} is protected and cannot be targeted")
+    _flow_target(meas, k)
     _, B = incidence(net)
     rows = []
     for lid in meas.flow_meters:
@@ -82,18 +90,25 @@ def reduce_to_tu(net: Network, meas: MeasurementSystem, k: int) -> TUProblem:
 
 
 def _flow_attack(net: Network, meas: MeasurementSystem, k: int,
-                 sol: TUSolution) -> tuple[list[Fraction], list[Fraction], frozenset[int]]:
-    """Exact (dtheta, flow dz, touched) scaled so meter k reads +1."""
-    _, B = incidence(net)
+                 x: tuple[int, ...]) -> tuple[list[Fraction], list[Fraction], frozenset[int]]:
+    """Exact (dtheta, flow dz, touched) of the integer state move x, scaled
+    so meter k reads +1.  Each line's dz comes from its endpoints' moves
+    and its reactance."""
     xk = net.lines[meas.flow_meters[k - 1] - 1].reactance
-    dtheta = [xk * int(v) for v in sol.x]
+    dtheta = [xk * v for v in x]
+    pot = dict(zip(net.state_buses, x))
     dz = []
     for lid in meas.flow_meters:
-        xj = net.lines[lid - 1].reactance
-        w = sum(int(B[c, lid - 1]) * int(v) for c, v in enumerate(sol.x))
-        dz.append(Fraction(w) * xk / xj)
+        ln = net.lines[lid - 1]
+        w = pot.get(ln.from_bus, 0) - pot.get(ln.to_bus, 0)
+        dz.append(w * xk / ln.reactance if w else Fraction(0))
     touched = frozenset(i + 1 for i, v in enumerate(dz) if v != 0)
     return dtheta, dz, touched
+
+
+def _attack(dtheta, dz, touched) -> AttackVector:
+    return AttackVector(np.array([float(v) for v in dtheta]),
+                        np.array([float(v) for v in dz]), touched)
 
 
 def security_index(net: Network, meas: MeasurementSystem, k: int, *,
@@ -109,26 +124,46 @@ def security_index(net: Network, meas: MeasurementSystem, k: int, *,
     sol = solve_min_support(prob, rule=rule)
     if sol is None:
         raise InfeasibleIndex(k)
-    dtheta, dz, touched = _flow_attack(net, meas, k, sol)
+    dtheta, dz, touched = _flow_attack(net, meas, k, sol.x)
     if touched != sol.support:        # reactance scaling cannot move the support
         raise AssertionError("witness support disagrees with the solver")
-    attack = AttackVector(np.array([float(v) for v in dtheta]),
-                          np.array([float(v) for v in dz]), touched)
     return SecurityIndexResult(
-        meter=k, index=sol.cardinality, attack=attack, method="lp",
-        bounds=(sol.cardinality, sol.cardinality),
+        meter=k, index=sol.cardinality, attack=_attack(dtheta, dz, touched),
+        method="lp", bounds=(sol.cardinality, sol.cardinality),
         solve_time=time.perf_counter() - t0)
 
 
-def security_index_bounds(net: Network, meas: MeasurementSystem, k: int, *,
-                          rule: str = "bland") -> SecurityIndexResult:
+def mincut_index(net: Network, meas: MeasurementSystem, k: int) -> SecurityIndexResult:
+    """Exact security index of flow meter k as a certified minimum cut.
+
+    Same contract as security_index (flow-only systems, witness with
+    delta_z[k] = 1, InfeasibleIndex when protection pins meter k); the
+    witness moves the buses reachable from meter k's from-bus in the
+    residual graph, and mincut.check_certificate proves it optimal.
+    """
+    t0 = time.perf_counter()
+    _flow_target(meas, k)
+    cut = max_flow(net, meas, k)
+    x = witness(net, meas, k, cut.source_side)
+    check_certificate(net, meas, k, cut.paths, x)
+    dtheta, dz, touched = _flow_attack(net, meas, k, x)
+    return SecurityIndexResult(
+        meter=k, index=cut.value, attack=_attack(dtheta, dz, touched),
+        method="mincut", bounds=(cut.value, cut.value),
+        solve_time=time.perf_counter() - t0)
+
+
+def security_index_bounds(net: Network, meas: MeasurementSystem, k: int) -> SecurityIndexResult:
     """Bracket the index of flow meter k when injection meters exist.
 
-    The flow-only optimum is a lower bound (injections only add touched
-    meters); evaluating the injection rows on its witness gives an upper
-    bound.  Protected injections would invalidate the lower bound, so they
-    raise ProtectedInjection; injection targets are not reducible and
-    raise TargetIsInjection.
+    The flow-only minimum cut is a lower bound (injections only add touched
+    meters); evaluating the injection rows on a minimum-cut witness gives
+    an upper bound.  Of the two canonical minimum cuts (the buses reachable
+    from meter k's from-bus in the residual graph, and the complement of
+    those that can reach its to-bus) the one touching fewer injection
+    meters is kept, and its certificate is checked.  Protected injections
+    would invalidate the lower bound, so they raise ProtectedInjection;
+    injection targets are not reducible and raise TargetIsInjection.
     """
     t0 = time.perf_counter()
     kind, _ = meas.meter_kind(k)
@@ -138,24 +173,29 @@ def security_index_bounds(net: Network, meas: MeasurementSystem, k: int, *,
     if any(i > nf for i in meas.protected):
         raise ProtectedInjection("protected injection meters break the flow-only bound")
     flow_meas = MeasurementSystem(meas.flow_meters, (), frozenset(meas.protected))
-    prob = reduce_to_tu(net, flow_meas, k)
-    sol = solve_min_support(prob, rule=rule)
-    if sol is None:
-        raise InfeasibleIndex(k)
-    dtheta, dz_flow, touched_flow = _flow_attack(net, flow_meas, k, sol)
+    _flow_target(flow_meas, k)
+    cut = max_flow(net, flow_meas, k)
     inj_rows = _exact_H_rows(net, MeasurementSystem((), meas.injection_meters))
-    dz_inj = [sum((row[c] * dtheta[c] for c in range(net.n_states)), Fraction(0))
-              for row in inj_rows]
-    touched_inj = frozenset(nf + j + 1 for j, v in enumerate(dz_inj) if v != 0)
-    lower = sol.cardinality
-    upper = sol.cardinality + len(touched_inj)
-    dz = dz_flow + dz_inj
-    attack = AttackVector(np.array([float(v) for v in dtheta]),
-                          np.array([float(v) for v in dz]),
-                          touched_flow | touched_inj)
+    xk = net.lines[meas.flow_meters[k - 1] - 1].reactance
+
+    def injection_move(x):
+        # the rows are evaluated over the witness's nonzero states only
+        nz = [(c, xk * v) for c, v in enumerate(x) if v]
+        dz = [sum((row[c] * d for c, d in nz), Fraction(0)) for row in inj_rows]
+        return x, dz, frozenset(nf + j + 1 for j, v in enumerate(dz) if v != 0)
+
+    sink_cut = frozenset(range(1, net.n_buses + 1)) - cut.sink_side
+    x, dz_inj, touched_inj = min(
+        (injection_move(witness(net, flow_meas, k, side))
+         for side in (cut.source_side, sink_cut)),
+        key=lambda move: len(move[2]))
+    check_certificate(net, flow_meas, k, cut.paths, x)
+    dtheta, dz_flow, touched_flow = _flow_attack(net, flow_meas, k, x)
     return SecurityIndexResult(
-        meter=k, index=None, attack=attack, method="bounds",
-        bounds=(lower, upper), solve_time=time.perf_counter() - t0)
+        meter=k, index=None,
+        attack=_attack(dtheta, dz_flow + dz_inj, touched_flow | touched_inj),
+        method="bounds", bounds=(cut.value, cut.value + len(touched_inj)),
+        solve_time=time.perf_counter() - t0)
 
 
 def _exact_rows(H) -> list[list[Fraction]] | None:

@@ -12,6 +12,7 @@ Row indices (k, I, supports) are 1-based throughout this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 import math
 import random
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import lp
 from .errors import IntegralityError, SizeLimitExceeded, SolverDefect
-from .exactla import det_int, independent_rows
+from .exactla import det_int
 
 
 @dataclass(frozen=True)
@@ -45,6 +46,12 @@ class TUProblem:
         if self.k in self.I:
             raise ValueError("target row cannot be protected")
 
+    @cached_property
+    def rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Each row's nonzero (column, value) pairs, as Python ints."""
+        return tuple(tuple((c, a) for c, a in enumerate(row) if a)
+                     for row in self.A.tolist())
+
     @property
     def free_rows(self) -> tuple[int, ...]:
         """Unprotected rows (1-based, ascending); note k is one of them."""
@@ -68,24 +75,19 @@ def build_l1_lp(problem: TUProblem) -> lp.StandardFormLP:
 
     Variables are (x+, x-, y+, y-) with y ranging over the unprotected rows;
     constraint rows are the unprotected block A(j,:)(x+ - x-) - y+ + y- = 0,
-    then a maximal independent subset of the protected rows pinned to zero,
-    then the target row pinned to one.  Cost is sum(y+) + sum(y-).
+    then the protected rows pinned to zero, then the target row pinned to
+    one.  Cost is sum(y+) + sum(y-).  Dependent protected rows are left to
+    lp.preprocess, which keeps the same rows a greedy pass over them would.
     """
-    A = problem.A.tolist()
-    n = len(A[0])
+    n = problem.A.shape[1]
     free = problem.free_rows
     r = len(free)
-    prot = sorted(problem.I)
-    prot_rows = [A[i - 1] for i in prot]
-    indep = independent_rows(prot_rows) if prot_rows else []
-    kept_prot = [prot[i] for i in indep]
 
     def state_part(j: int) -> dict[int, int]:
         row = {}
-        for c, a in enumerate(A[j - 1]):
-            if a:
-                row[c] = a
-                row[n + c] = -a
+        for c, a in problem.rows[j - 1]:
+            row[c] = a
+            row[n + c] = -a
         return row
 
     rows: list[dict[int, int]] = []
@@ -94,7 +96,7 @@ def build_l1_lp(problem: TUProblem) -> lp.StandardFormLP:
         row[2 * n + pos] = -1
         row[2 * n + r + pos] = 1
         rows.append(row)
-    for j in kept_prot + [problem.k]:
+    for j in sorted(problem.I) + [problem.k]:
         rows.append(state_part(j))
     rows[-1][lp.RHS] = 1
     width = 2 * n + 2 * r
@@ -130,11 +132,10 @@ def solve_min_support(problem: TUProblem, *, rule: str = "bland") -> TUSolution 
 
 
 def _solution_from_x(problem: TUProblem, x: tuple[int, ...]) -> TUSolution:
-    A = problem.A
     image = []
     support = set()
     for j in problem.free_rows:
-        v = int(sum(int(a) * b for a, b in zip(A[j - 1], x)))
+        v = sum(a * x[c] for c, a in problem.rows[j - 1])
         image.append(abs(v))
         if v:
             support.add(j)

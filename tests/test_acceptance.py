@@ -147,13 +147,14 @@ def test_criterion_4_tuple_reduction_on_flow_systems(report):
 def test_criterion_5_ieee14_lp_vs_milp(report):
     def check():
         t0 = time.perf_counter()
-        report = run_batch(IEEE14_CASE, methods=("lp", "milp"), jobs=1)
+        report = run_batch(IEEE14_CASE, methods=("lp", "mincut", "milp"), jobs=1)
         assert report.mismatches == ()
         by = {m: {e.meter: e for e in report.entries if e.method == m}
-              for m in ("lp", "milp")}
-        assert len(by["lp"]) == len(by["milp"]) == 20
+              for m in ("lp", "mincut", "milp")}
+        assert len(by["lp"]) == len(by["milp"]) == len(by["mincut"]) == 20
         for k in range(1, 21):
             assert by["lp"][k].index == by["milp"][k].index == IEEE14_INDICES[k]
+            assert by["mincut"][k].index == IEEE14_INDICES[k]
         lp_total = sum(e.seconds for e in by["lp"].values())
         milp_total = sum(e.seconds for e in by["milp"].values())
         assert lp_total < milp_total

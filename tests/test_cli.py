@@ -64,6 +64,51 @@ class TestRunBatch:
         with pytest.raises(MethodUnavailable):
             run_batch(SIXBUS_CASE, methods=())
 
+    def test_case_parsed_once_per_batch(self, monkeypatch):
+        import gridsec.cli as climod
+
+        calls = []
+        real = climod.parse_case
+        monkeypatch.setattr(climod, "parse_case",
+                            lambda path: calls.append(path) or real(path))
+        report = run_batch(SIXBUS_CASE, methods=("lp", "mincut", "exhaustive"), jobs=1)
+        assert len(report.entries) == 21
+        assert report.mismatches == ()
+        assert len(calls) == 1
+
+    def test_jobs_capped_at_cpu_count(self, monkeypatch):
+        import concurrent.futures
+
+        import gridsec.cli as climod
+
+        seen = []
+
+        class RecordingPool:
+            # runs the cells in this process; only records the pool size
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(climod.os, "cpu_count", lambda: 3)
+        report = run_batch(SIXBUS_CASE, methods=("mincut",), jobs=64)
+        assert seen == [3]
+        assert len(report.entries) == 7
+        run_batch(SIXBUS_CASE, methods=("mincut",))
+        assert seen == [3, 3]
+
+    def test_jobs_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            run_batch(SIXBUS_CASE, jobs=0)
+
 
 class TestEmit:
     def make_report(self):
@@ -112,6 +157,11 @@ class TestMainExitCodes:
         assert rc == 0
         assert "meter=6 index=3 method=lp" in out
 
+    def test_solve_mincut(self):
+        rc, out, _ = run_main(["solve", SIX, "-k", "6", "--method", "mincut"])
+        assert rc == 0
+        assert "meter=6 index=3 method=mincut" in out
+
     def test_solve_bounds(self):
         rc, out, _ = run_main(["solve", SIX, "-k", "1", "--method", "bounds"])
         assert rc == 0
@@ -142,6 +192,8 @@ class TestMainExitCodes:
         assert run_main([])[0] == 1
         assert run_main(["solve"])[0] == 1
         assert run_main(["solve", SIX, "-k", "1", "--method", "magic"])[0] == 1
+        assert run_main(["bench", SIX, "--jobs", "0"])[0] == 1
+        assert run_main(["bench", SIX, "--jobs", "-2"])[0] == 1
 
     def test_meter_out_of_range(self):
         rc, _, err = run_main(["solve", SIX, "-k", "99"])
@@ -221,6 +273,15 @@ class TestBenchCommand:
         lines = dest.read_text().splitlines()
         assert lines[0] == "meter,index,method,seconds"
         assert len(lines) == 8
+
+    def test_default_method_is_mincut(self, tmp_path):
+        dest = tmp_path / "report.csv"
+        rc, _, _ = run_main(["bench", SIX, "--jobs", "1", "--out", str(dest)])
+        assert rc == 0
+        rows = [line.split(",") for line in dest.read_text().splitlines()[1:]]
+        assert len(rows) == 7
+        assert {r[2] for r in rows} == {"mincut"}
+        assert sorted(int(r[1]) for r in rows) == [2, 2, 2, 2, 2, 2, 3]
 
     def test_json_round_trip(self, tmp_path):
         dest = tmp_path / "report.json"
