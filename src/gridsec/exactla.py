@@ -6,8 +6,25 @@ O(rows^2 * cols) and meant for matrices with tens of rows, not thousands.
 """
 from __future__ import annotations
 
+import numbers
 from fractions import Fraction
 from math import gcd
+
+import numpy as np
+
+
+def to_fraction(x) -> Fraction:
+    """x as an exact Fraction.  Floats, numpy's included, are read at their
+    shortest decimal repr, so 0.1 means 1/10; integers, numpy's included,
+    go through int(); strings, decimals and other rationals through the
+    Fraction constructor."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, (float, np.floating)):
+        return Fraction(repr(float(x)))
+    if isinstance(x, numbers.Integral):
+        return Fraction(int(x))
+    return Fraction(x)
 
 
 def _reduce_row(row: list[int]) -> list[int]:

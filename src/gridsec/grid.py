@@ -14,9 +14,9 @@ comparisons is 1e-9, absolute, on per-unit data.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-import math
+from functools import cached_property
 
 import numpy as np
 
@@ -27,18 +27,9 @@ from .errors import (
     UnknownMeterId,
     ValidationError,
 )
+from .exactla import to_fraction
 
 FLOAT_TOL = 1e-9
-
-
-def _to_reactance(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, float):
-        return Fraction(repr(x))
-    if isinstance(x, str):
-        return Fraction(x)
-    return Fraction(int(x))
 
 
 @dataclass(frozen=True)
@@ -60,7 +51,7 @@ class Network:
         if self.n_buses < 2:
             raise ValidationError("a network needs at least two buses")
         lines = tuple(
-            ln if isinstance(ln, Line) else Line(int(ln[0]), int(ln[1]), _to_reactance(ln[2]))
+            ln if isinstance(ln, Line) else Line(int(ln[0]), int(ln[1]), to_fraction(ln[2]))
             for ln in self.lines
         )
         object.__setattr__(self, "lines", lines)
@@ -73,6 +64,9 @@ class Network:
                 raise ValidationError(f"line {i} is a self-loop")
             if ln.reactance <= 0:
                 raise ValidationError(f"line {i} has nonpositive reactance")
+        # L lines connect at most L + 1 buses; checked before the O(N) union-find
+        if self.n_buses > len(lines) + 1:
+            raise DisconnectedGraph(f"{len(lines)} lines cannot connect {self.n_buses} buses")
         # connectivity check (union-find over the line list)
         parent = list(range(self.n_buses + 1))
 
@@ -94,7 +88,7 @@ class Network:
     def n_states(self) -> int:
         return self.n_buses - 1
 
-    @property
+    @cached_property
     def state_buses(self) -> tuple[int, ...]:
         """Buses carrying a state variable (all but the reference), ascending."""
         return tuple(b for b in range(1, self.n_buses + 1) if b != self.reference_bus)
@@ -181,6 +175,15 @@ def incidence(net: Network) -> tuple[np.ndarray, np.ndarray]:
     return B0, B0[keep, :]
 
 
+def _injection_bus(net: Network, bus: int) -> int:
+    """bus, unless an injection meter there falls outside the model."""
+    if not 1 <= bus <= net.n_buses:
+        raise UnknownMeterId(f"injection meter references missing bus {bus}")
+    if bus == net.reference_bus:
+        raise ValidationError("injection at the reference bus is outside the truncated model")
+    return bus
+
+
 def _exact_H_rows(net: Network, meas: MeasurementSystem) -> list[list[Fraction]]:
     """Measurement matrix rows over exact rationals (same order as build_H).
 
@@ -202,11 +205,7 @@ def _exact_H_rows(net: Network, meas: MeasurementSystem) -> list[list[Fraction]]
                 row[pos[bus]] = sign * dvals[line_id - 1]
         rows.append(row)
     for bus in meas.injection_meters:
-        if not 1 <= bus <= net.n_buses:
-            raise UnknownMeterId(f"injection meter references missing bus {bus}")
-        if bus == net.reference_bus:
-            raise ValidationError(
-                "injection at the reference bus is outside the truncated model")
+        _injection_bus(net, bus)
         # row of B D B^T: +d_j on the diagonal, -d_j toward the far end
         row = [Fraction(0)] * n
         for ln, d in zip(net.lines, dvals):

@@ -22,23 +22,9 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import DimensionMismatch, InconsistentRow, SolverDefect
-from .exactla import int_rank
+from .exactla import int_rank, to_fraction
 
 RHS = -1   # key of the right-hand side in a sparse row
-
-
-def _to_frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, float):
-        # floats are taken at their shortest decimal repr, so 0.1 means 1/10
-        return Fraction(repr(float(x)))
-    if isinstance(x, str):
-        return Fraction(x)
-    try:
-        return Fraction(int(x))
-    except (TypeError, ValueError):
-        return Fraction(x)
 
 
 def scale_row(values) -> tuple[list[int], int]:
@@ -50,7 +36,7 @@ def scale_row(values) -> tuple[list[int], int]:
     values = list(values)
     if all(type(v) is int for v in values):
         return values, 1
-    fracs = [_to_frac(v) for v in values]
+    fracs = [to_fraction(v) for v in values]
     den = 1
     for v in fracs:
         den = lcm(den, v.denominator)
@@ -290,6 +276,19 @@ class _Tableau:
         return -Fraction(self.zrow.get(RHS, 0), self.zden)
 
 
+@dataclass(frozen=True)
+class SimplexResult:
+    """Outcome of _solve_standard_ints; values, basis and objective are set
+    only when status is "optimal"."""
+
+    status: str                       # "optimal", "infeasible" or "unbounded"
+    values: list[Fraction] | None
+    basis: list[int] | None           # ascending
+    objective: Fraction | None
+    pivots: int
+    dropped: int                      # redundant rows dropped after phase 1
+
+
 def _run_simplex(tab: _Tableau, ncols: int, rule: str, max_pivots: int,
                  pivots: list[int], trace) -> str:
     # Dantzig selection may stall on degenerate vertices; past a budget we
@@ -313,15 +312,14 @@ def _run_simplex(tab: _Tableau, ncols: int, rule: str, max_pivots: int,
 
 
 def _solve_standard_ints(rows, cost, cost_den: int, p: int, rule: str = "bland",
-                         max_pivots: int | None = None, trace=None):
+                         max_pivots: int | None = None, trace=None) -> SimplexResult:
     """Exact simplex on sparse integer rows over columns 0..p-1.
 
     rows hold their nonzero entries as {column: value} maps or (column,
     value) pairs, the right-hand side under RHS; the cost is cost / cost_den
-    with cost holding integer numerators the same way.  Returns (status,
-    values, basis, objective, pivots, dropped_rows).  Redundant rows
-    surviving to phase 1 are dropped exactly; inconsistent systems surface
-    as "infeasible" via the phase-1 optimum.
+    with cost holding integer numerators the same way.  Redundant rows
+    surviving to phase 1 are dropped exactly (and counted in the result);
+    inconsistent systems surface as "infeasible" via the phase-1 optimum.
     """
     rows = [dict(r) for r in rows]
     l = len(rows)
@@ -372,7 +370,7 @@ def _solve_standard_ints(rows, cost, cost_den: int, p: int, rule: str = "bland",
         if status != "optimal":
             raise SolverDefect("phase 1 objective is bounded below; solver defect")
         if tab.zrow.get(RHS, 0) < 0:
-            return "infeasible", None, None, None, pivots[0], dropped
+            return SimplexResult("infeasible", None, None, None, pivots[0], dropped)
         # drive leftover artificials out of the basis or drop redundant rows
         i = 0
         while i < len(tab.rows):
@@ -399,11 +397,11 @@ def _solve_standard_ints(rows, cost, cost_den: int, p: int, rule: str = "bland",
         trace.write(f"phase 2: rows={len(tab.rows)} cols={p}\n")
     status = _run_simplex(tab, p, rule, max_pivots, pivots, trace)
     if status == "unbounded":
-        return "unbounded", None, None, None, pivots[0], dropped
+        return SimplexResult("unbounded", None, None, None, pivots[0], dropped)
     values = [Fraction(0)] * p
     for i, row in enumerate(tab.rows):
         values[tab.basis[i]] = Fraction(row.get(RHS, 0), tab.dens[i])
-    return ("optimal", values, sorted(tab.basis), tab.objective(), pivots[0], dropped)
+    return SimplexResult("optimal", values, sorted(tab.basis), tab.objective(), pivots[0], dropped)
 
 
 def solve_lp(lp: StandardFormLP, *, rule: str = "bland",
@@ -423,19 +421,19 @@ def solve_lp(lp: StandardFormLP, *, rule: str = "bland",
         pre = preprocess(lp)
     except InconsistentRow:
         return LpOutcome(LpStatus.INFEASIBLE)
-    status, values, basis, obj, pivots, dropped = _solve_standard_ints(
+    res = _solve_standard_ints(
         pre.rows, pre.cost_row, pre.cost_den, pre.num_vars, rule, max_pivots, trace)
-    if dropped:
+    if res.dropped:
         raise SolverDefect("rank drop after preprocess; solver defect")
-    if status == "infeasible":
-        return LpOutcome(LpStatus.INFEASIBLE, pivots=pivots)
-    if status == "unbounded":
-        return LpOutcome(LpStatus.UNBOUNDED, pivots=pivots)
-    check = sum((v * values[j] for j, v in pre.cost_row), Fraction(0)) / pre.cost_den
-    if check != obj:
+    if res.status == "infeasible":
+        return LpOutcome(LpStatus.INFEASIBLE, pivots=res.pivots)
+    if res.status == "unbounded":
+        return LpOutcome(LpStatus.UNBOUNDED, pivots=res.pivots)
+    check = sum((v * res.values[j] for j, v in pre.cost_row), Fraction(0)) / pre.cost_den
+    if check != res.objective:
         raise SolverDefect("objective bookkeeping mismatch; solver defect")
-    sol = BasicFeasibleSolution(tuple(values), tuple(basis), obj)
-    return LpOutcome(LpStatus.OPTIMAL, sol, pivots)
+    sol = BasicFeasibleSolution(tuple(res.values), tuple(res.basis), res.objective)
+    return LpOutcome(LpStatus.OPTIMAL, sol, res.pivots)
 
 
 def verify_bfs(lp: StandardFormLP, sol: BasicFeasibleSolution) -> bool:

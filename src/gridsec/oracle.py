@@ -30,9 +30,9 @@ from .errors import (
     ValidationError,
     ZeroColumn,
 )
-from .exactla import frac_rref, in_row_space, int_rank, left_nullspace
+from .exactla import frac_rref, in_row_space, int_rank, left_nullspace, to_fraction
 from .grid import MeasurementSystem, Network, incidence
-from .security import AttackVector, CriticalTuple, SecurityIndexResult
+from .security import CriticalTuple, SecurityIndexResult, _attack, _witness_attack
 
 
 def _int_matrix(A) -> list[list[int]]:
@@ -260,20 +260,20 @@ def solve_milp_instance(inst: MilpInstance, *, rule: str = "dantzig",
                             f"fixed1={len(fixed1)} action=prune-depth\n")
             continue
         rows, cost, cost_den, p, free, tcol = _node_lp(inst, fixed0, fixed1)
-        status, values, _, objective, _, _ = lp._solve_standard_ints(
-            rows, cost, cost_den, p, rule=rule)
-        if status == "infeasible":
+        res = lp._solve_standard_ints(rows, cost, cost_den, p, rule=rule)
+        if res.status == "infeasible":
             if trace is not None:
                 trace.write(f"node depth={len(fixed0) + len(fixed1)} action=infeasible\n")
             continue
-        if status != "optimal":
+        if res.status != "optimal":
             raise SolverDefect("bounded relaxation reported unbounded; solver defect")
-        bound = objective + len(fixed1) + 1
+        bound = res.objective + len(fixed1) + 1
         if best is not None and bound > best - 1:
             if trace is not None:
                 trace.write(f"node depth={len(fixed0) + len(fixed1)} "
                             f"bound={bound} best={best} action=prune-bound\n")
             continue
+        values = res.values
         y = {j: (values[tcol[j]] + values[tcol[j] + 1]) / M for j in free}
         frac = [j for j in free if y[j] != 0 and y[j] != 1]
         if not frac:
@@ -316,40 +316,21 @@ def milp_solve(net: Network, meas: MeasurementSystem, k: int, *,
     if out is None:
         raise InfeasibleIndex(k)
     value, d, support, _ = out
-    xk = net.lines[meas.flow_meters[k - 1] - 1].reactance
-    dtheta = [xk * v for v in d]
-    dz = []
-    for pos, lid in enumerate(meas.flow_meters):
-        xj = net.lines[lid - 1].reactance
-        w = sum(Fraction(int(inst.A[pos, c])) * d[c] for c in range(inst.A.shape[1]))
-        dz.append(w * xk / xj)
-    touched = frozenset(i + 1 for i, v in enumerate(dz) if v != 0)
+    dtheta, dz, touched = _witness_attack(net, meas, k, d)
     if touched != support:
         raise AssertionError("witness support disagrees with the solver")
-    attack = AttackVector(np.array([float(v) for v in dtheta]),
-                          np.array([float(v) for v in dz]), touched)
     return SecurityIndexResult(
-        meter=k, index=value, attack=attack, method="milp",
+        meter=k, index=value, attack=_attack(dtheta, dz, touched), method="milp",
         bounds=(value, value), solve_time=perf_counter() - t0)
 
 
 # --- compressed-sensing diagnostics --------------------------------------
 
 
-def _frac_value(v) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, float) or isinstance(v, np.floating):
-        return Fraction(repr(float(v)))
-    return Fraction(int(v))
-
-
 def _frac_matrix(phi) -> list[list[Fraction]]:
     if isinstance(phi, CsInstance):
         return [list(row) for row in phi.phi]
-    if isinstance(phi, np.ndarray) and phi.dtype != object:
-        return [[_frac_value(v) for v in row] for row in phi]
-    return [[_frac_value(v) for v in row] for row in phi]
+    return [[to_fraction(v) for v in row] for row in phi]
 
 
 @dataclass(frozen=True)
@@ -509,7 +490,7 @@ def exhaustive_min_card(phi, b=None, *, cap: int = 200_000) -> int | None:
     if b is None:
         raise ValueError("b is required unless phi is a CsInstance")
     rows = _frac_matrix(phi)
-    bvec = [_frac_value(v) for v in b]
+    bvec = [to_fraction(v) for v in b]
     if len(bvec) != len(rows):
         raise ValueError("b length must match the row count")
     m = len(rows[0]) if rows else 0

@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -178,6 +179,15 @@ class TestMainExitCodes:
         rc, _, err = run_main(["solve", str(bad), "-k", "1"])
         assert rc == 2
         assert "line 2" in err
+
+    def test_absurd_bus_count_is_exit_2(self, tmp_path):
+        huge = tmp_path / "huge.case"
+        huge.write_text("buses 1000000000000\nline 1 2 0.1\n")
+        t0 = time.perf_counter()
+        rc, _, err = run_main(["solve", str(huge), "-k", "1"])
+        assert time.perf_counter() - t0 < 1.0
+        assert rc == 2
+        assert "cannot connect" in err
 
     def test_infeasible(self, tmp_path):
         pinned = tmp_path / "pin.case"

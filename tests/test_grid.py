@@ -1,4 +1,5 @@
 """Network model, measurement matrices, estimation, and the case parser."""
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -54,6 +55,23 @@ class TestNetwork:
     def test_reference_bus_choice(self):
         net = Network(3, ((1, 2, 1), (2, 3, 1)), reference_bus=2)
         assert net.state_buses == (1, 3)
+
+    def test_state_buses_cached_without_changing_equality(self):
+        net = Network(3, ((1, 2, 1), (2, 3, 1)), reference_bus=2)
+        assert net.state_buses is net.state_buses
+        fresh = Network(3, ((1, 2, 1), (2, 3, 1)), reference_bus=2)
+        assert net == fresh
+        assert hash(net) == hash(fresh)
+
+    def test_reactance_kept_exact_from_numpy_floats(self):
+        net = Network(2, ((1, 2, np.float64(0.1)), (1, 2, np.float32(0.5))))
+        assert [ln.reactance for ln in net.lines] == [Fraction(1, 10), Fraction(1, 2)]
+
+    def test_rejects_more_buses_than_lines_connect_before_allocating(self):
+        t0 = time.perf_counter()
+        with pytest.raises(DisconnectedGraph):
+            Network(10**12, ((1, 2, 1),))
+        assert time.perf_counter() - t0 < 1.0
 
 
 class TestIncidence:
@@ -242,6 +260,12 @@ protect 1
     def test_malformed_directives(self, tmp_path, text):
         with pytest.raises(ParseError):
             self._parse_text(tmp_path, text)
+
+    def test_absurd_bus_count_rejected_fast(self, tmp_path):
+        t0 = time.perf_counter()
+        with pytest.raises(DisconnectedGraph):
+            self._parse_text(tmp_path, "buses 1000000000000\nline 1 2 0.1\n")
+        assert time.perf_counter() - t0 < 1.0
 
     def test_missing_buses_directive(self, tmp_path):
         with pytest.raises(ParseError):

@@ -4,17 +4,23 @@ Covers the documented trivial cases, preprocessing behavior, BFS
 verification, and randomized cross-checks against scipy's HiGHS solver
 (float oracle, loose tolerance) plus exact self-consistency invariants.
 """
+from dataclasses import FrozenInstanceError
+from decimal import Decimal
 from fractions import Fraction
 import random
 
+import numpy as np
 import pytest
 import scipy.optimize
 
 from gridsec.errors import DimensionMismatch, InconsistentRow, SolverDefect
+from gridsec.exactla import to_fraction
 from gridsec.lp import (
+    RHS,
     BasicFeasibleSolution,
     LpStatus,
     StandardFormLP,
+    _solve_standard_ints,
     preprocess,
     solve_lp,
     verify_bfs,
@@ -43,6 +49,31 @@ def test_sign_infeasibility_needs_phase_one():
     # x1 + x2 = -1 has solutions, but none with x >= 0
     lp = StandardFormLP.create([[1, 1]], [-1], [0, 0])
     assert solve_lp(lp).status is LpStatus.INFEASIBLE
+
+
+@pytest.mark.parametrize("value,want", [
+    (3, Fraction(3)), (True, Fraction(1)), (np.int64(-2), Fraction(-2)),
+    ("0.1", Fraction(1, 10)), ("1/3", Fraction(1, 3)), (Fraction(2, 7), Fraction(2, 7)),
+    (0.1, Fraction(1, 10)), (np.float64(0.1), Fraction(1, 10)),
+    (np.float32(0.5), Fraction(1, 2)), (np.float32(0.1), Fraction(repr(float(np.float32(0.1))))),
+    (Decimal("2.5"), Fraction(5, 2)),
+])
+def test_to_fraction_readings(value, want):
+    got = to_fraction(value)
+    assert got == want
+    assert type(got) is Fraction
+
+
+def test_simplex_returns_a_frozen_record():
+    # min x0 + 2 x1  s.t.  x0 + x1 = 1: column 0 is a ready-made basis
+    res = _solve_standard_ints([{0: 1, 1: 1, RHS: 1}], {0: 1, 1: 2}, 1, 2)
+    assert (res.status, res.values, res.basis, res.objective) == ("optimal", [1, 0], [0], 1)
+    assert (res.pivots, res.dropped) == (0, 0)
+    with pytest.raises(FrozenInstanceError):
+        res.status = "infeasible"
+    # x0 = -1 has no nonnegative solution
+    res = _solve_standard_ints([{0: 1, RHS: -1}], {0: 1}, 1, 1)
+    assert (res.status, res.values, res.basis, res.objective) == ("infeasible", None, None, None)
 
 
 def test_equal_values_of_any_input_type_build_equal_lps():

@@ -2,6 +2,7 @@
 import io
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,7 @@ from conftest import (
 from gridsec import (
     MeasurementSystem,
     Network,
+    build_H,
     exhaustive_min_card,
     exhaustive_min_support,
     exhaustive_min_tuple,
@@ -114,6 +116,24 @@ class TestMilp:
         inst = MilpInstance(SIXBUS_A, 6, big_m=Fraction(1, 2))
         out = solve_milp_instance(inst)
         assert out is None or out[0] > 3
+
+    def test_witness_from_a_half_valued_incumbent(self, monkeypatch):
+        # with big-M 1/2 the detour 1-2-3 may carry at most half a unit per
+        # line, so the target line 1-3 forces the incumbent d = (-1/2, -1)
+        net = Network(3, ((1, 2, 2), (2, 3, 3), (1, 3, 5)))
+        meas = MeasurementSystem((1, 2, 3))
+        real = MilpInstance.from_system
+        monkeypatch.setattr(MilpInstance, "from_system", classmethod(
+            lambda cls, *args: replace(real(*args), big_m=Fraction(1, 2))))
+        value, d, support, _ = solve_milp_instance(MilpInstance.from_system(net, meas, 3))
+        assert (value, d, support) == (3, (Fraction(-1, 2), Fraction(-1)), frozenset({1, 2, 3}))
+        res = milp_solve(net, meas, 3)
+        assert res.index == 3
+        assert res.attack.touched == frozenset({1, 2, 3})
+        assert res.attack.delta_theta.tolist() == [-2.5, -5.0]
+        assert res.attack.delta_z.tolist() == [1.25, float(Fraction(5, 6)), 1.0]
+        H = build_H(net, meas).H
+        assert np.allclose(H @ res.attack.delta_theta, res.attack.delta_z, atol=1e-12)
 
     def test_trace_records_search(self):
         inst = MilpInstance.from_system(sixbus_network(), sixbus_meas(), 6)

@@ -31,9 +31,12 @@ from gridsec.errors import (
     InfeasibleIndex,
     ProtectedInjection,
     TargetIsInjection,
+    UnknownMeterId,
     ValidationError,
 )
 from gridsec.grid import _exact_H_rows, build_H
+from gridsec.mincut import max_flow, witness
+from gridsec.security import _witness_attack
 
 
 class TestReduction:
@@ -140,6 +143,93 @@ class TestBounds:
         assert np.allclose(H.H @ res.attack.delta_theta, res.attack.delta_z,
                            atol=1e-12)
         assert res.attack.delta_z[0] == pytest.approx(1.0, abs=1e-12)
+
+
+def random_injection_system(rng: random.Random, max_nodes: int = 8):
+    """Partially flow-metered network with injection meters off the random
+    reference bus, up to three protected flow meters and a flow target."""
+    n, edges = random_connected_edges(rng, max_nodes)
+    lines = tuple((u, v, Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+                  for u, v in edges)
+    net = Network(n, lines, rng.randint(1, n))
+    m = len(lines)
+    flows = tuple(rng.sample(range(1, m + 1), rng.randint(1, m)))
+    buses = [b for b in range(1, n + 1) if b != net.reference_bus]
+    injections = tuple(rng.sample(buses, rng.randint(0, len(buses))))
+    k = rng.randint(1, len(flows))
+    pool = [j for j in range(1, len(flows) + 1) if j != k]
+    protected = frozenset(rng.sample(pool, rng.randint(0, min(len(pool), 3))))
+    return net, MeasurementSystem(flows, injections, protected), k
+
+
+def random_move(rng: random.Random, net, meas, k):
+    """A random exact state move that shifts meter k's line by +1, or None."""
+    x = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.6 else 0
+         for _ in range(net.n_states)]
+    pot = dict(zip(net.state_buses, x))
+    ln = net.lines[meas.flow_meters[k - 1] - 1]
+    w = pot.get(ln.from_bus, 0) - pot.get(ln.to_bus, 0)
+    return [v / w for v in x] if w else None
+
+
+class TestWitnessEvaluator:
+    def assert_matches_rows(self, net, meas, k, x):
+        dtheta, dz, touched = _witness_attack(net, meas, k, x)
+        xk = net.lines[meas.flow_meters[k - 1] - 1].reactance
+        assert dtheta == [xk * v for v in x]
+        image = [sum((a * d for a, d in zip(row, dtheta)), Fraction(0))
+                 for row in _exact_H_rows(net, meas)]
+        assert dz == image
+        assert touched == frozenset(i + 1 for i, v in enumerate(image) if v)
+        assert dz[k - 1] == 1
+
+    def test_matches_exact_rows_on_random_systems(self):
+        rng = random.Random(505)
+        cuts = 0
+        for _ in range(300):
+            net, meas, k = random_injection_system(rng)
+            x = random_move(rng, net, meas, k)
+            if x is not None:
+                self.assert_matches_rows(net, meas, k, x)
+            try:
+                cut = max_flow(net, MeasurementSystem(meas.flow_meters, (), meas.protected), k)
+            except InfeasibleIndex:
+                continue
+            cuts += 1
+            for side in (cut.source_side, frozenset(range(1, net.n_buses + 1)) - cut.sink_side):
+                self.assert_matches_rows(net, meas, k, witness(net, meas, k, side))
+        assert cuts > 100
+
+    def test_bounds_attack_is_the_image_of_its_state_move(self):
+        rng = random.Random(506)
+        checked = 0
+        for _ in range(200):
+            net, meas, k = random_injection_system(rng)
+            try:
+                res = security_index_bounds(net, meas, k)
+            except InfeasibleIndex:
+                continue
+            checked += 1
+            H = build_H(net, meas).H
+            assert np.allclose(H @ res.attack.delta_theta, res.attack.delta_z,
+                               rtol=1e-12, atol=1e-12)
+            image = set(np.flatnonzero(np.abs(H @ res.attack.delta_theta) > 1e-9) + 1)
+            assert set(res.attack.touched) == image
+            assert res.bounds[1] == len(res.attack.touched)
+            assert res.attack.delta_z[k - 1] == 1.0
+        assert checked > 100
+
+    def test_bounds_rejects_injection_at_missing_bus(self):
+        net = Network(3, ((1, 2, 1), (2, 3, 1)))
+        with pytest.raises(UnknownMeterId):
+            security_index_bounds(net, MeasurementSystem((1, 2), (4,)), 1)
+
+    def test_bounds_rejects_injection_at_reference_bus(self):
+        net = Network(3, ((1, 2, 1), (2, 3, 1)), reference_bus=2)
+        with pytest.raises(ValidationError) as err:
+            security_index_bounds(net, MeasurementSystem((1, 2), (2,)), 1)
+        assert type(err.value) is ValidationError
+        assert "reference bus" in str(err.value)
 
 
 class TestConditions:
