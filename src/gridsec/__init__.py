@@ -37,6 +37,7 @@ from .grid import (
     bdd_residual,
     build_H,
     craft_attack,
+    flow_rows,
     full_flow_metering,
     incidence,
     parse_case,

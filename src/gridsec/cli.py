@@ -30,7 +30,7 @@ from .errors import (
     ParseError,
     SolverDefect,
 )
-from .grid import MeasurementSystem, Network, parse_case
+from .grid import MeasurementSystem, Network, flow_rows, parse_case
 from .oracle import exhaustive_min_support, milp_solve
 from .security import (
     SecurityIndexResult,
@@ -66,14 +66,17 @@ METHODS: dict[str, Callable[[Network, MeasurementSystem, int], SecurityIndexResu
 }
 # bounds bracket the index instead of solving it, so bench cannot cross-check them
 BATCH_METHODS = tuple(m for m in METHODS if m != "bounds")
+# a broken exact invariant or a solver defect: exit 4, or one failed batch cell
+INTERNAL_ERRORS = (IntegralityError, SolverDefect, AssertionError)
 
 
 @dataclass(frozen=True)
 class MeterEntry:
     meter: int
     method: str
-    index: int | None        # None marks an infeasible target
+    index: int | None        # None marks an infeasible target or a failed cell
     seconds: float
+    error: str | None = None  # why the cell failed (an internal error), else None
 
 
 @dataclass(frozen=True)
@@ -81,6 +84,11 @@ class BatchReport:
     case: str
     entries: tuple[MeterEntry, ...]
     mismatches: tuple[int, ...]   # meters whose methods disagree, ascending
+
+    @property
+    def failures(self) -> tuple[MeterEntry, ...]:
+        """Cells whose solve failed with an internal error."""
+        return tuple(e for e in self.entries if e.error is not None)
 
     @property
     def totals(self) -> dict[str, float]:
@@ -92,10 +100,12 @@ class BatchReport:
 
     @property
     def sorted_indices(self) -> dict[str, tuple]:
-        """Per method, the index multiset in ascending order (None last)."""
+        """Per method, the index multiset of the cells that did not fail, in
+        ascending order (None, an infeasible target, last)."""
         out: dict[str, list] = {}
         for e in self.entries:
-            out.setdefault(e.method, []).append(e.index)
+            if e.error is None:
+                out.setdefault(e.method, []).append(e.index)
         return {m: tuple(sorted(v, key=lambda x: (x is None, x if x is not None else 0)))
                 for m, v in out.items()}
 
@@ -104,7 +114,7 @@ class BatchReport:
             "case": self.case,
             "entries": [
                 {"meter": e.meter, "method": e.method,
-                 "index": e.index, "seconds": e.seconds}
+                 "index": e.index, "seconds": e.seconds, "error": e.error}
                 for e in self.entries
             ],
             "mismatches": list(self.mismatches),
@@ -117,7 +127,7 @@ class BatchReport:
         entries = tuple(
             MeterEntry(int(e["meter"]), str(e["method"]),
                        None if e["index"] is None else int(e["index"]),
-                       float(e["seconds"]))
+                       float(e["seconds"]), e.get("error"))
             for e in data["entries"]
         )
         return cls(str(data["case"]), entries,
@@ -126,13 +136,16 @@ class BatchReport:
 
 def _solve_one(case: tuple[Network, MeasurementSystem], method: str, k: int) -> MeterEntry:
     """One (meter, method) cell of a parsed case; runs in worker processes
-    during batches."""
+    during batches.  An internal error fails this cell only."""
     net, meas = case
     t0 = time.perf_counter()
     try:
         res = METHODS[method](net, meas, k)
     except InfeasibleIndex:
         return MeterEntry(k, method, None, time.perf_counter() - t0)
+    except INTERNAL_ERRORS as exc:
+        return MeterEntry(k, method, None, time.perf_counter() - t0,
+                          f"{type(exc).__name__}: {exc}")
     return MeterEntry(k, method, res.index, res.solve_time)
 
 
@@ -142,7 +155,8 @@ def run_batch(case_path, methods=("lp",), jobs: int | None = None) -> BatchRepor
     The case is parsed once.  jobs > 1 fans the (meter, method) grid over
     worker processes, at most one per CPU; the default is the machine's
     CPU count.  Meters where the methods give different answers land in
-    `mismatches`.
+    `mismatches`; a cell that fails with an internal error records it and
+    takes no part in that comparison, and the other cells still run.
     """
     case_path = str(case_path)
     methods = tuple(methods)
@@ -169,7 +183,8 @@ def run_batch(case_path, methods=("lp",), jobs: int | None = None) -> BatchRepor
         entries = [_solve_one(*t) for t in tasks]
     by_meter: dict[int, set] = {}
     for e in entries:
-        by_meter.setdefault(e.meter, set()).add(e.index)
+        if e.error is None:
+            by_meter.setdefault(e.meter, set()).add(e.index)
     mismatches = tuple(sorted(k for k, vals in by_meter.items() if len(vals) > 1))
     return BatchReport(case_path, tuple(entries), mismatches)
 
@@ -290,10 +305,7 @@ def _cmd_verify_tu(args) -> int:
     net, meas = parse_case(args.case)
     if meas.injection_meters:
         raise MethodUnavailable("total unimodularity applies to the flow rows only")
-    from .grid import incidence
-
-    _, B = incidence(net)
-    A = B.T[[lid - 1 for lid in meas.flow_meters], :]
+    A = flow_rows(net, meas)
     order = max(1, min(args.max_order, min(A.shape)))
     ok = verify_tu(A, order, budget=args.budget)
     print(f"totally-unimodular<=order-{order}: {'yes' if ok else 'no'}")
@@ -309,11 +321,12 @@ def _cmd_bench(args) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    for e in report.failures:
+        print(f"internal mismatch: meter {e.meter} ({e.method}): {e.error}", file=sys.stderr)
     if report.mismatches:
         print(f"mismatch on meters: {','.join(map(str, report.mismatches))}",
               file=sys.stderr)
-        return 4
-    return 0
+    return 4 if report.failures or report.mismatches else 0
 
 
 def main(argv=None) -> int:
@@ -330,7 +343,7 @@ def main(argv=None) -> int:
     except InfeasibleIndex as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
-    except (IntegralityError, SolverDefect, AssertionError) as exc:
+    except INTERNAL_ERRORS as exc:
         print(f"internal mismatch: {exc}", file=sys.stderr)
         return 4
     except GridsecError as exc:

@@ -99,14 +99,12 @@ class MeasurementSystem:
     """Which quantities are metered, which meters are protected.
 
     flow_meters hold 1-based line ids, injection_meters hold bus ids.
-    protected holds 1-based indices into the combined meter list.  weights
-    are per-meter positive BDD weights; None means identity.
+    protected holds 1-based indices into the combined meter list.
     """
 
     flow_meters: tuple[int, ...]
     injection_meters: tuple[int, ...] = ()
     protected: frozenset[int] = frozenset()
-    weights: tuple[float, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "flow_meters", tuple(int(v) for v in self.flow_meters))
@@ -120,13 +118,6 @@ class MeasurementSystem:
         m = self.n_meters
         if any(not 1 <= i <= m for i in self.protected):
             raise ValidationError("protected index outside the meter list")
-        if self.weights is not None:
-            w = tuple(float(v) for v in self.weights)
-            object.__setattr__(self, "weights", w)
-            if len(w) != m:
-                raise ValidationError("weight vector length != meter count")
-            if any(v <= 0 for v in w):
-                raise ValidationError("weights must be positive")
 
     @property
     def n_meters(self) -> int:
@@ -173,6 +164,23 @@ def incidence(net: Network) -> tuple[np.ndarray, np.ndarray]:
         B0[ln.to_bus - 1, j] = -1
     keep = [b - 1 for b in net.state_buses]
     return B0, B0[keep, :]
+
+
+def flow_rows(net: Network, meas: MeasurementSystem) -> np.ndarray:
+    """Integer flow rows with the reactances dropped: row i has +1 at the
+    from-bus and -1 at the to-bus of the i-th metered line, over the
+    states (the reference bus carries none).  The rows of the truncated
+    incidence transpose, built for the metered lines only."""
+    pos = {bus: c for c, bus in enumerate(net.state_buses)}
+    A = np.zeros((len(meas.flow_meters), net.n_states), dtype=int)
+    for i, line_id in enumerate(meas.flow_meters):
+        if not 1 <= line_id <= len(net.lines):
+            raise UnknownMeterId(f"flow meter references missing line {line_id}")
+        ln = net.lines[line_id - 1]
+        for bus, sign in ((ln.from_bus, 1), (ln.to_bus, -1)):
+            if bus in pos:
+                A[i, pos[bus]] = sign
+    return A
 
 
 def _injection_bus(net: Network, bus: int) -> int:

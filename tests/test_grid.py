@@ -1,17 +1,19 @@
 """Network model, measurement matrices, estimation, and the case parser."""
+import random
 import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import IEEE14_CASE, SIXBUS_CASE, sixbus_network
+from conftest import IEEE14_CASE, SIXBUS_CASE, random_connected_edges, sixbus_network
 from gridsec import (
     MeasurementSystem,
     Network,
     bdd_residual,
     build_H,
     craft_attack,
+    flow_rows,
     incidence,
     parse_case,
     wls_estimate,
@@ -90,6 +92,21 @@ class TestIncidence:
         _, B = incidence(net)
         assert B.tolist() == [[1, 0], [-1, 1]]
 
+    def test_flow_rows_are_the_metered_incidence_rows(self):
+        rng = random.Random(11)
+        for _ in range(60):
+            n, edges = random_connected_edges(rng, 8)
+            net = Network(n, tuple((u, v, 1) for u, v in edges), rng.randint(1, n))
+            lids = rng.sample(range(1, len(edges) + 1), rng.randint(1, len(edges)))
+            _, B = incidence(net)
+            A = flow_rows(net, MeasurementSystem(lids))
+            assert A.dtype.kind == "i"
+            assert np.array_equal(A, B.T[[lid - 1 for lid in lids], :])
+
+    def test_flow_rows_reject_a_missing_line(self):
+        with pytest.raises(UnknownMeterId):
+            flow_rows(sixbus_network(), MeasurementSystem((1, 8)))
+
 
 class TestMeasurementSystem:
     def test_meter_kind_ordering(self):
@@ -109,12 +126,6 @@ class TestMeasurementSystem:
     def test_rejects_protected_out_of_range(self):
         with pytest.raises(ValidationError):
             MeasurementSystem((1, 2), protected=frozenset({3}))
-
-    def test_weight_validation(self):
-        with pytest.raises(ValidationError):
-            MeasurementSystem((1, 2), weights=(1.0,))
-        with pytest.raises(ValidationError):
-            MeasurementSystem((1, 2), weights=(1.0, -1.0))
 
     def test_full_flow_metering(self):
         meas = full_flow_metering(sixbus_network())

@@ -13,6 +13,9 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from conftest import SIXBUS_A
+from gridsec import lp as lp_module
+from gridsec import oracle
 from gridsec.errors import DimensionMismatch, InconsistentRow, SolverDefect
 from gridsec.exactla import to_fraction
 from gridsec.lp import (
@@ -20,6 +23,8 @@ from gridsec.lp import (
     BasicFeasibleSolution,
     LpStatus,
     StandardFormLP,
+    _Tableau,
+    _run_dual_simplex,
     _solve_standard_ints,
     preprocess,
     solve_lp,
@@ -242,3 +247,156 @@ def test_float_inputs_read_as_decimals():
     assert pre.constraint_matrix[0][0] == Fraction(1, 10)
     out = solve_lp(lp)
     assert out.solution.values[0] == 1
+
+
+# --- warm starts: an appended row re-optimized by the dual simplex --------
+
+
+def _optimal_tableau(lp, rule):
+    res = _solve_standard_ints(lp.rows, lp.cost_row, lp.cost_den, lp.num_vars, rule)
+    assert res.status == "optimal" and res.dropped == 0
+    return res.tableau
+
+
+def _extended(lp, row):
+    """lp plus the row . x + s = rhs over a fresh last column s."""
+    C = [list(r) + [0] for r in lp.constraint_matrix]
+    C.append([row.get(j, 0) for j in range(lp.num_vars)] + [1])
+    return StandardFormLP.create(C, list(lp.rhs) + [row.get(RHS, 0)],
+                                 list(lp.cost) + [0])
+
+
+@pytest.mark.parametrize("rule", ["bland", "dantzig"])
+def test_dual_simplex_matches_a_cold_solve_of_the_extended_lp(rule):
+    rng = random.Random(314)
+    outcomes = set()
+    pivots = [0]
+    for seed in range(200):
+        lp = preprocess(_random_feasible_lp(random.Random(seed)))
+        tab = _optimal_tableau(lp, rule)
+        x = tab.values()
+        row = {j: rng.randint(-3, 3) for j in range(lp.num_vars)}
+        # cut the current optimum off (or just touch it) most of the time
+        row[RHS] = sum(a * x.get(j, 0) for j, a in row.items()).__floor__() - rng.randint(-1, 3)
+        ext = _extended(lp, row)
+        tab.add_row(row)
+        status = _run_dual_simplex(tab, rule, 10_000, pivots, None)
+        cold = solve_lp(ext, rule=rule)
+        outcomes.add(status)
+        if status == "infeasible":
+            assert cold.status is LpStatus.INFEASIBLE
+            continue
+        assert status == "optimal"
+        tab.check_optimal()
+        assert cold.status is LpStatus.OPTIMAL
+        assert tab.objective() == cold.solution.objective
+        values = [Fraction(0)] * ext.num_vars
+        for j, v in tab.values().items():
+            values[j] = v
+        assert verify_bfs(ext, BasicFeasibleSolution(
+            tuple(values), tuple(sorted(tab.basis)), tab.objective()))
+    assert outcomes == {"optimal", "infeasible"}
+    assert pivots[0] > 60
+
+
+def test_dual_pivot_selection_rules():
+    # x0 = -1 and x1 = -3 over columns 2, 3 with reduced costs 2 and 1
+    def tableau(den1):
+        tab = _Tableau([{0: 1, 2: -1, RHS: -1}, {1: den1, 2: -2, 3: -1, RHS: -3}],
+                       [1, den1], [0, 1], 4)
+        tab.zrow = {2: 2, 3: 1}
+        return tab
+
+    tab = tableau(1)
+    assert tab.dual_leaving(dantzig=True) == 1      # the most negative value
+    assert tab.dual_leaving(dantzig=False) == 0     # Bland: smallest basic index
+    assert tableau(3).dual_leaving(dantzig=True) == 0   # -1 against -1: basic index
+    assert tab.dual_entering(1) == 2                # ratios 2/2 and 1/1 tie
+    tab.zrow[2] = 4
+    assert tab.dual_entering(1) == 3                # ratios 4/2 and 1/1
+    tab.rows[1] = {1: 1, RHS: -3}
+    assert tab.dual_entering(1) is None
+
+
+def test_dual_simplex_detects_an_infeasible_row():
+    # min x0  s.t.  x0 + x1 = 1: the optimum has x1 = 1 basic
+    lp = StandardFormLP.create([[1, 1]], [1], [1, 0])
+    # x0 + x1 <= 0 reduces to s = -1 with no negative entry
+    tab = _optimal_tableau(lp, "bland")
+    tab.add_row({0: 1, 1: 1})
+    assert _run_dual_simplex(tab, "bland", 100, [0], None) == "infeasible"
+    # x1 <= -1 needs one pivot (x0 enters) before x1's row shows it
+    tab = _optimal_tableau(lp, "dantzig")
+    tab.add_row({1: 1, RHS: -1})
+    pivots = [0]
+    assert _run_dual_simplex(tab, "dantzig", 100, pivots, None) == "infeasible"
+    assert pivots == [1]
+
+
+def test_dual_simplex_pivot_budget_is_solver_defect():
+    lp = StandardFormLP.create([[1, 1]], [1], [1, 0])
+    tab = _optimal_tableau(lp, "bland")
+    tab.add_row({1: 1, RHS: -1})
+    with pytest.raises(SolverDefect):
+        _run_dual_simplex(tab, "bland", 0, [0], None)
+
+
+SIXBUS_MILP = oracle.MilpInstance(SIXBUS_A, 6)
+
+
+@pytest.mark.parametrize("forge", ["reduced cost", "basic value"])
+def test_forged_node_tableau_is_solver_defect(monkeypatch, forge):
+    real = lp_module._solve_standard_ints
+
+    def forged(*args, **kwargs):
+        res = real(*args, **kwargs)
+        tab = res.tableau
+        if forge == "reduced cost":
+            c = next(j for j in range(tab.ncols) if j not in tab.basis)
+            tab.zrow[c] = -1
+        else:
+            tab.rows[0][RHS] = -1
+        return res
+
+    assert oracle.solve_milp_instance(SIXBUS_MILP)[0] == 3
+    monkeypatch.setattr(lp_module, "_solve_standard_ints", forged)
+    with pytest.raises(SolverDefect, match=forge):
+        oracle.solve_milp_instance(SIXBUS_MILP)
+
+
+def test_a_dual_simplex_that_skips_its_work_is_caught(monkeypatch):
+    # every zero branch then keeps the negative slack value of its new row
+    monkeypatch.setattr(lp_module, "_run_dual_simplex", lambda *args: "optimal")
+    with pytest.raises(SolverDefect, match="basic value"):
+        oracle.solve_milp_instance(SIXBUS_MILP)
+
+
+
+def test_an_incumbent_off_its_zero_fixing_is_caught(monkeypatch):
+    # the dual simplex drops the new rows' negative values instead of
+    # pivoting: every tableau still reads optimal, the fixings fail
+    def lying(tab, *args):
+        for row in tab.rows:
+            if row.get(RHS, 0) < 0:
+                del row[RHS]
+        return "optimal"
+
+    monkeypatch.setattr(lp_module, "_run_dual_simplex", lying)
+    with pytest.raises(SolverDefect, match="fixed to zero"):
+        oracle.solve_milp_instance(SIXBUS_MILP)
+
+
+def test_an_incumbent_off_the_root_rows_is_caught(monkeypatch):
+    # a re-optimization that doubles one positive basic value keeps the
+    # certificate (values and reduced costs nonnegative) but breaks a row
+    real = lp_module._run_simplex
+
+    def doubling(tab, *args):
+        status = real(tab, *args)
+        row = next(row for row in tab.rows if row.get(RHS, 0) > 0)
+        row[RHS] *= 2
+        return status
+
+    monkeypatch.setattr(lp_module, "_run_simplex", doubling)
+    with pytest.raises(SolverDefect, match="root row"):
+        oracle.solve_milp_instance(SIXBUS_MILP)

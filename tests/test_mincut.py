@@ -1,9 +1,12 @@
 """Min-cut security indices: differential checks and the path certificate."""
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import Phase, find, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     IEEE14_CASE,
@@ -25,6 +28,7 @@ from gridsec import (
 )
 from gridsec.errors import HasInjections, InfeasibleIndex, SolverDefect, ValidationError
 from gridsec.mincut import check_certificate, max_flow, witness
+from gridsec.oracle import MilpInstance, milp_solve, solve_milp_instance
 
 IEEE14_INDICES = {1: 2, 2: 2, 3: 2, 4: 4, 5: 4, 6: 2, 7: 4, 8: 2, 9: 3,
                   10: 3, 11: 2, 12: 2, 13: 3, 14: 1, 15: 2, 16: 2, 17: 2,
@@ -71,19 +75,79 @@ def networkx_index(net, meas, k):
     return None if value >= unbounded else value
 
 
+@st.composite
+def flow_systems(draw, max_buses: int = 8):
+    """Connected network (random spanning tree plus extra lines, random
+    orientations and reactances, random reference bus), partial flow
+    metering, a random target and up to three protected meters."""
+    n = draw(st.integers(3, max_buses))
+    edges = [(draw(st.integers(1, i - 1)), i) for i in range(2, n + 1)]
+    extra = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda e: e[0] != e[1])
+    edges += draw(st.lists(extra, max_size=n))
+    edges = draw(st.permutations(edges))
+    lines = tuple((v, u) if draw(st.booleans()) else (u, v) for u, v in edges)
+    lines = tuple((u, v, Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 9))))
+                  for u, v in lines)
+    net = Network(n, lines, draw(st.integers(1, n)))
+    flows = tuple(sorted(draw(st.sets(st.integers(1, len(lines)), min_size=1))))
+    k = draw(st.integers(1, len(flows)))
+    pool = [j for j in range(1, len(flows) + 1) if j != k]
+    protected = draw(st.sets(st.sampled_from(pool), max_size=3)) if pool else set()
+    return net, MeasurementSystem(flows, (), frozenset(protected)), k
+
+
+def assert_methods_agree(net, meas, k):
+    """mincut == exhaustive == lp == milp (both rules) == networkx; returns
+    the common index (None when protection pins the target)."""
+    got = index_or_none(mincut_index, net, meas, k)
+    prob = reduce_to_tu(net, meas, k)
+    assert got == exhaustive_min_support(prob.A, prob.k, prob.I)
+    assert got == index_or_none(security_index, net, meas, k)
+    for rule in ("dantzig", "bland"):
+        # milp_solve also checks its witness touches exactly its support
+        assert got == index_or_none(lambda *a: milp_solve(*a, rule=rule), net, meas, k)
+    assert got == networkx_index(net, meas, k)
+    return got
+
+
 class TestDifferential:
-    def test_agrees_with_lp_exhaustive_and_networkx(self):
-        rng = random.Random(2024)
-        infeasible = 0
-        for _ in range(300):
-            net, meas, k = random_flow_system(rng)
-            got = index_or_none(mincut_index, net, meas, k)
-            prob = reduce_to_tu(net, meas, k)
-            assert got == exhaustive_min_support(prob.A, prob.k, prob.I)
-            assert got == index_or_none(security_index, net, meas, k)
-            assert got == networkx_index(net, meas, k)
-            infeasible += got is None
-        assert 0 < infeasible < 300     # both outcomes were exercised
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(flow_systems())
+    def test_agrees_with_lp_exhaustive_and_networkx(self, system):
+        """The property includes milp_solve under both pivot rules."""
+        assert_methods_agree(*system)
+
+    @pytest.mark.parametrize("pinned", [True, False])
+    def test_differential_covers_both_outcomes(self, pinned):
+        system = find(flow_systems(), lambda s: (index_or_none(mincut_index, *s) is None) == pinned,
+                      settings=settings(database=None, derandomize=True,
+                                        phases=[Phase.generate]))
+        assert (assert_methods_agree(*system) is None) == pinned
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(flow_systems(), st.sampled_from([Fraction(5, 2), Fraction(7, 3), Fraction(1, 2),
+                                            Fraction(2, 3)]),
+           st.sampled_from(["dantzig", "bland"]))
+    def test_warm_branch_and_bound_with_a_fractional_big_m(self, system, big_m, rule):
+        # a big-M with a denominator scales the box rows; from 2 up it is
+        # valid for incidence rows, below 2 it can only cost more support
+        net, meas, k = system
+        inst = replace(MilpInstance.from_system(net, meas, k), big_m=big_m)
+        prob = reduce_to_tu(net, meas, k)
+        want = exhaustive_min_support(prob.A, prob.k, prob.I)
+        out = solve_milp_instance(inst, rule=rule)
+        if big_m >= 2 or want is None:
+            assert (None if out is None else out[0]) == want
+        else:
+            assert out is None or out[0] >= want
+        if out is not None:
+            value, d, support, _ = out
+            Ad = [sum(a * v for a, v in zip(row, d)) for row in inst.A.tolist()]
+            assert Ad[k - 1] == 1
+            assert all(Ad[j - 1] == 0 for j in meas.protected)
+            assert all(abs(v) <= big_m for j, v in enumerate(Ad, start=1) if j != k)
+            assert support == {j for j, v in enumerate(Ad, start=1) if v}
+            assert len(support) == value
 
     def test_witness_is_an_unobservable_attack(self):
         rng = random.Random(7)
