@@ -1,8 +1,14 @@
-"""Exact dense linear algebra at desk scale.
+"""Exact linear algebra: one sparse integer elimination kernel and its
+Fraction reference.
 
-Integer rows are reduced with cross-multiplication (no division), fraction
-rows with ordinary Gauss-Jordan over fractions.Fraction.  Everything here is
-O(rows^2 * cols) and meant for matrices with tens of rows, not thousands.
+Integer rows are sparse {column: value} maps, reduced by cross-
+multiplication and a gcd sweep without ever forming a fraction.  lp's
+simplex pivots and preprocessing, lp.verify_bfs, and the rank and
+row-space tests behind the oracles all run on this one kernel, whose work
+follows the nonzeros rather than the dense width.  Fraction Gauss-Jordan
+(frac_rref) serves the nullspace reformulation and is the reference the
+kernel is tested against; det_int is Bareiss elimination on a dense square
+matrix.
 """
 from __future__ import annotations
 
@@ -27,73 +33,93 @@ def to_fraction(x) -> Fraction:
     return Fraction(x)
 
 
-def _reduce_row(row: list[int]) -> list[int]:
-    g = 0
-    for v in row:
+def _reduce(row: dict[int, int], den: int) -> int:
+    """Divide row and den by their common gcd in place; return the new den.
+    With den 0 the row is divided by its own gcd."""
+    g = den
+    for v in row.values():
         g = gcd(g, v)
         if g == 1:
-            return row
-    if g <= 1:
-        return row
-    return [v // g for v in row]
+            return den
+    if g > 1:
+        for j in row:
+            row[j] //= g
+        den //= g
+    return den
+
+
+def _eliminate(row: dict[int, int], pv: int, f: int, prow: dict[int, int]) -> None:
+    """row <- row * pv - f * prow in place, dropping entries that vanish."""
+    if pv != 1:
+        for j in row:
+            row[j] *= pv
+    for j, b in prow.items():
+        v = row.get(j, 0) - f * b
+        if v:
+            row[j] = v
+        else:
+            del row[j]
 
 
 class EchelonBasis:
-    """Incremental row-echelon basis over the integers.
+    """Incremental echelon basis over sparse integer rows.
 
-    Rows are stored gcd-reduced with a positive pivot entry; add() reports
-    whether the row enlarged the span, so rank and membership queries share
-    one elimination routine.
+    A row maps column -> nonzero integer.  Each kept row is reduced over
+    the rows kept before it, in arrival order, and pivots on its first
+    nonnegative key; negative keys (lp's right-hand side) ride along but
+    never pivot.  Which rows are kept depends only on their span, not on
+    the pivot choice.
     """
 
     def __init__(self):
-        self.rows: list[list[int]] = []   # kept in increasing pivot-column order
-        self.pivots: list[int] = []
+        self.rows: list[tuple[int, dict[int, int]]] = []   # (pivot column, reduced row)
 
-    def _eliminate(self, row) -> list[int]:
-        row = [int(v) for v in row]
-        for piv_col, basis_row in zip(self.pivots, self.rows):
-            v = row[piv_col]
-            if v:
-                p = basis_row[piv_col]
-                row = [a * p - v * b for a, b in zip(row, basis_row)]
-                row = _reduce_row(row)
+    def reduce(self, row) -> dict[int, int]:
+        """A reduced copy of row (a map or (column, value) pairs): zero in
+        every pivot column, divided by its own gcd."""
+        row = dict(row)
+        for pc, base in self.rows:
+            f = row.get(pc)
+            if f:
+                _eliminate(row, base[pc], f, base)
+                _reduce(row, 0)
         return row
 
-    def add(self, row) -> bool:
-        """Insert a row; True iff it was independent of the current span."""
-        red = self._eliminate(row)
-        for col, v in enumerate(red):
-            if v:
-                if v < 0:
-                    red = [-x for x in red]
-                pos = sum(1 for p in self.pivots if p < col)
-                self.rows.insert(pos, red)
-                self.pivots.insert(pos, col)
-                return True
-        return False
-
-    def contains(self, row) -> bool:
-        return not any(self._eliminate(row))
+    def add(self, row) -> dict[int, int] | None:
+        """Keep row and return None when it is independent of the basis;
+        otherwise return what reduction leaves of it, which holds negative
+        keys only and is empty when the row lies in the span."""
+        red = self.reduce(row)
+        pivot = next((j for j in red if j >= 0), None)
+        if pivot is None:
+            return red
+        self.rows.append((pivot, red))
+        return None
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
 
-def int_rank(rows) -> int:
+def _sparse(row) -> dict[int, int]:
+    return {j: int(v) for j, v in enumerate(row) if v}
+
+
+def _basis(rows) -> EchelonBasis:
     basis = EchelonBasis()
     for r in rows:
-        basis.add(r)
-    return basis.rank
+        basis.add(_sparse(r))
+    return basis
+
+
+def int_rank(rows) -> int:
+    """Exact rank of a dense integer matrix (lists or a numpy array)."""
+    return _basis(rows).rank
 
 
 def in_row_space(vec, rows) -> bool:
-    """Exact membership of vec in the row space of an integer matrix."""
-    basis = EchelonBasis()
-    for r in rows:
-        basis.add(r)
-    return basis.contains(vec)
+    """Exact membership of vec in the row space of a dense integer matrix."""
+    return not _basis(rows).reduce(_sparse(vec))
 
 
 def det_int(matrix) -> int:

@@ -10,7 +10,8 @@ column -> nonzero integer numerator (the right-hand side sits under the key
 RHS), all over one positive denominator.  Integer input goes straight into
 that form and reaches the tableau without a Fraction detour; a pivot is an
 integer cross-multiplication over the pivot row's nonzeros, applied to the
-rows whose pivot-column entry is nonzero, followed by a gcd sweep.  On the
+rows whose pivot-column entry is nonzero, followed by a gcd sweep (the
+elimination kernel of exactla, which preprocess and verify_bfs share).  On the
 unimodular-style instances this package cares about the denominators stay
 tiny and the rows short, which is what makes exact arithmetic affordable.
 
@@ -23,10 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .errors import DimensionMismatch, InconsistentRow, SolverDefect
-from .exactla import int_rank, to_fraction
+from .exactla import EchelonBasis, _eliminate, _reduce, to_fraction
 
 RHS = -1   # key of the right-hand side in a sparse row
 
@@ -150,57 +151,24 @@ class LpOutcome:
     pivots: int = 0
 
 
-def _reduce(row: dict[int, int], den: int) -> int:
-    """Divide row and den by their common gcd in place; return the new den."""
-    g = den
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            return den
-    if g > 1:
-        for j in row:
-            row[j] //= g
-        den //= g
-    return den
-
-
-def _eliminate(row: dict[int, int], pv: int, f: int, prow: dict[int, int]) -> None:
-    """row <- row * pv - f * prow in place, dropping entries that vanish."""
-    if pv != 1:
-        for j in row:
-            row[j] *= pv
-    for j, b in prow.items():
-        v = row.get(j, 0) - f * b
-        if v:
-            row[j] = v
-        else:
-            del row[j]
-
-
 def preprocess(lp: StandardFormLP) -> StandardFormLP:
     """Drop linearly dependent rows; raise InconsistentRow on 0 = nonzero.
 
-    The returned LP keeps the surviving original rows (same feasible set,
-    same objective) and has full row rank.  A row survives exactly when it
-    is independent of the rows kept before it, whichever nonzero column
-    each kept row pivots on.
+    The rows go one by one into an exactla.EchelonBasis, the right-hand
+    side riding along under RHS.  A row survives exactly when it is
+    independent of the rows kept before it; a dependent row whose
+    reduction leaves a nonzero right-hand side is inconsistent.  The
+    returned LP keeps the surviving original rows (same feasible set, same
+    objective) and has full row rank.
     """
+    basis = EchelonBasis()
     kept: list[int] = []
-    pivoted: list[tuple[int, dict[int, int]]] = []   # (pivot col, reduced row)
     for idx, pairs in enumerate(lp.rows):
-        aug = dict(pairs)
-        for pc, base in pivoted:
-            v = aug.get(pc)
-            if v:
-                _eliminate(aug, base[pc], v, base)
-                _reduce(aug, 0)   # den 0: divide by the row's own gcd
-        pivot = next((j for j in aug if j != RHS), None)
-        if pivot is None:
-            if aug:
-                raise InconsistentRow(f"row {idx} reduces to 0 = {aug[RHS]}")
-            continue
-        pivoted.append((pivot, aug))
-        kept.append(idx)
+        rest = basis.add(pairs)
+        if rest is None:
+            kept.append(idx)
+        elif rest:
+            raise InconsistentRow(f"row {idx} reduces to 0 = {rest[RHS]}")
     return StandardFormLP(
         tuple(lp.rows[i] for i in kept),
         tuple(lp.dens[i] for i in kept),
@@ -596,7 +564,10 @@ def verify_bfs(lp: StandardFormLP, sol: BasicFeasibleSolution) -> bool:
         lhs = sum((v * x[j] for j, v in row.items() if j in x), Fraction(0))
         if lhs != row.get(RHS, 0):
             return False
-    if l and int_rank([[row.get(j, 0) for j in sol.basis] for row in rows]) != l:
+    cols = set(sol.basis)
+    basis = EchelonBasis()
+    if any(basis.add({j: v for j, v in row.items() if j in cols}) is not None
+           for row in rows):
         return False
     cx = sum((v * x[j] for j, v in lp.cost_row if j in x), Fraction(0))
     if cx != sol.objective * lp.cost_den:

@@ -13,9 +13,9 @@ The solve is a unit-capacity Edmonds-Karp max-flow on the standard library
 alone.  Beside the cut it returns the flow decomposed into unit u -> v
 paths (walks, should the flow hold a cycle), and check_certificate()
 confirms weak duality on every solve: the paths run over metered lines, no
-two share a unit-capacity line, and their number equals the support
-recomputed from the witness, which makes both the cut and the path packing
-optimal.
+two share a unit-capacity line, and their number equals the flow support
+of the attack that is reported, which makes both the cut and the path
+packing optimal.
 
 Lines are 1-based line ids, meters 1-based meter indices, as in grid.
 """
@@ -121,15 +121,17 @@ def witness(net, meas, k: int, side: frozenset[int]) -> tuple[int, ...]:
     return tuple(sign if b in side else 0 for b in net.state_buses)
 
 
-def check_certificate(net, meas, k: int, paths, x) -> None:
-    """Raise SolverDefect unless the paths and the witness x prove each
-    other optimal.
+def check_certificate(net, meas, k: int, paths, dz, touched) -> None:
+    """Raise SolverDefect unless the paths and the reported attack prove
+    each other optimal.
 
-    Every path must be a u -> v walk over metered lines, no two paths may
-    share an unprotected line, the witness must move meter k's line by +1
-    and no protected line, and the path count must equal the number of
-    metered lines the witness moves.  Each path then crosses a distinct
-    moved line, so no attack touches fewer meters than there are paths.
+    dz and touched are the attack's measurement change and support, flow
+    meters first, as security._witness_attack returns them.  Every path
+    must be a u -> v walk over metered lines and no two paths may share an
+    unprotected line; the attack must move meter k by +1, touch no
+    protected meter, and touch as many flow meters as there are paths.
+    Each path then crosses a distinct touched line, so no attack touches
+    fewer meters than there are paths.
     """
     lids = meas.flow_meters
     unit = {lid for i, lid in enumerate(lids, start=1) if i not in meas.protected}
@@ -151,13 +153,11 @@ def check_certificate(net, meas, k: int, paths, x) -> None:
                 used.add(lid)
         if bus != target.to_bus:
             raise SolverDefect(f"path {path} does not end at bus {target.to_bus}")
-    pot = dict(zip(net.state_buses, x))
-    moved = {lid for lid in lids
-             if pot.get(net.lines[lid - 1].from_bus, 0) != pot.get(net.lines[lid - 1].to_bus, 0)}
-    if pot.get(target.from_bus, 0) - pot.get(target.to_bus, 0) != 1:
-        raise SolverDefect("witness does not move the target line by +1")
-    if moved - unit:
-        raise SolverDefect(f"witness moves protected lines {sorted(moved - unit)}")
-    if len(moved) != len(paths):
-        raise SolverDefect(f"{len(paths)} disjoint paths but the witness moves "
-                           f"{len(moved)} lines")
+    if dz[k - 1] != 1:
+        raise SolverDefect("witness does not move the target meter by +1")
+    if touched & meas.protected:
+        raise SolverDefect(f"witness touches protected meters {sorted(touched & meas.protected)}")
+    flows = sum(1 for i in touched if i <= len(lids))
+    if flows != len(paths):
+        raise SolverDefect(f"{len(paths)} disjoint paths but the witness touches "
+                           f"{flows} flow meters")

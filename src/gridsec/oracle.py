@@ -22,18 +22,16 @@ import numpy as np
 from . import lp
 from .errors import (
     CapExceeded,
-    HasInjections,
     InfeasibleIndex,
     SizeLimitExceeded,
     SolverDefect,
     TrivialNullspace,
-    ValidationError,
     ZeroColumn,
 )
 from .exactla import frac_rref, in_row_space, int_rank, left_nullspace, to_fraction
 from .grid import MeasurementSystem, Network, flow_rows
 from .grid import incidence  # noqa: F401  not called here; the benchmark's tracer wraps it by this name
-from .security import CriticalTuple, SecurityIndexResult, _attack, _witness_attack
+from .security import CriticalTuple, SecurityIndexResult, _attack, _flow_target, _witness_attack
 
 
 def _int_matrix(A) -> list[list[int]]:
@@ -153,12 +151,7 @@ class MilpInstance:
 
     @classmethod
     def from_system(cls, net: Network, meas: MeasurementSystem, k: int) -> "MilpInstance":
-        if meas.injection_meters:
-            raise HasInjections(f"{len(meas.injection_meters)} injection meters present")
-        kind, _ = meas.meter_kind(k)
-        assert kind == "flow"
-        if k in meas.protected:
-            raise ValidationError(f"meter {k} is protected and cannot be targeted")
+        _flow_target(meas, k)
         # the largest entry count of any line's truncated incidence column
         big_m = max((ln.from_bus != net.reference_bus) + (ln.to_bus != net.reference_bus)
                     for ln in net.lines)
@@ -218,8 +211,8 @@ def _node_lp(inst: MilpInstance):
 def _check_incumbent(rows, x: dict[int, Fraction], fixed0, tcol) -> None:
     """An incumbent (nonzero values x by column) must satisfy the root rows
     and its zero fixings exactly; checked over x's common denominator."""
-    den = math.lcm(*(v.denominator for v in x.values()))
-    X = {c: v.numerator * (den // v.denominator) for c, v in x.items()}
+    nums, den = lp.scale_row(x.values())
+    X = dict(zip(x, nums))
     for row in rows:
         lhs = sum(a * X.get(c, 0) for c, a in row.items() if c != lp.RHS)
         if lhs != row.get(lp.RHS, 0) * den:

@@ -155,8 +155,8 @@ def mincut_index(net: Network, meas: MeasurementSystem, k: int) -> SecurityIndex
     _flow_target(meas, k)
     cut = max_flow(net, meas, k)
     x = witness(net, meas, k, cut.source_side)
-    check_certificate(net, meas, k, cut.paths, x)
     dtheta, dz, touched = _witness_attack(net, meas, k, x)
+    check_certificate(net, meas, k, cut.paths, dz, touched)
     return SecurityIndexResult(
         meter=k, index=cut.value, attack=_attack(dtheta, dz, touched),
         method="mincut", bounds=(cut.value, cut.value),
@@ -183,15 +183,15 @@ def security_index_bounds(net: Network, meas: MeasurementSystem, k: int) -> Secu
     nf = len(meas.flow_meters)
     if any(i > nf for i in meas.protected):
         raise ProtectedInjection("protected injection meters break the flow-only bound")
-    flow_meas = MeasurementSystem(meas.flow_meters, (), frozenset(meas.protected))
-    _flow_target(flow_meas, k)
-    cut = max_flow(net, flow_meas, k)
+    if k in meas.protected:
+        raise ValidationError(f"meter {k} is protected and cannot be targeted")
+    # every protected meter is now a flow meter, so the min cut reads meas as is
+    cut = max_flow(net, meas, k)
     sides = dict.fromkeys((cut.source_side, frozenset(range(1, net.n_buses + 1)) - cut.sink_side))
-    xs = [witness(net, flow_meas, k, side) for side in sides]   # one when the cuts coincide
-    moves = [_witness_attack(net, meas, k, x) for x in xs]
-    best = min(range(len(xs)), key=lambda i: len(moves[i][2]))   # the source side on a tie
-    check_certificate(net, flow_meas, k, cut.paths, xs[best])
-    dtheta, dz, touched = moves[best]
+    moves = [_witness_attack(net, meas, k, witness(net, meas, k, side))
+             for side in sides]   # one when the cuts coincide
+    dtheta, dz, touched = min(moves, key=lambda m: len(m[2]))   # the source side on a tie
+    check_certificate(net, meas, k, cut.paths, dz, touched)
     return SecurityIndexResult(
         meter=k, index=None, attack=_attack(dtheta, dz, touched),
         method="bounds", bounds=(cut.value, len(touched)),

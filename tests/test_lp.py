@@ -151,6 +151,14 @@ def test_verify_bfs_rejects_infeasible_values():
     assert not verify_bfs(lp, sol)
 
 
+def test_verify_bfs_rejects_dependent_basis_columns():
+    # x = (1, 0, 0) satisfies both rows, but basis columns 0 and 1 are parallel
+    lp = StandardFormLP.create([[1, 2, 0], [1, 2, 1]], [1, 1], [0, 0, 0])
+    values = (Fraction(1), Fraction(0), Fraction(0))
+    assert not verify_bfs(lp, BasicFeasibleSolution(values, (0, 1), Fraction(0)))
+    assert verify_bfs(lp, BasicFeasibleSolution(values, (0, 2), Fraction(0)))
+
+
 def test_verify_bfs_dimension_mismatch():
     lp = StandardFormLP.create([[1, 1]], [1], [0, 1])
     sol = BasicFeasibleSolution((Fraction(1),), (0,), Fraction(0))

@@ -23,6 +23,7 @@ from gridsec import (
     mincut_index,
     parse_case,
     reduce_to_tu,
+    security,
     security_index,
     security_index_bounds,
 )
@@ -239,8 +240,9 @@ class TestCertificate:
         self.paths = cut.paths
 
     def check(self, paths, x=None, meas=None):
-        check_certificate(self.net, meas or self.meas, 1, paths,
-                          self.x if x is None else x)
+        meas = meas or self.meas
+        _, dz, touched = security._witness_attack(self.net, meas, 1, self.x if x is None else x)
+        check_certificate(self.net, meas, 1, paths, dz, touched)
 
     def test_solver_output_passes(self):
         assert len(self.paths) == 2
@@ -269,3 +271,24 @@ class TestCertificate:
     def test_rejects_a_witness_that_misses_the_target(self):
         with pytest.raises(SolverDefect, match="target"):
             self.check(self.paths, x=(0, 0, 0))
+
+    def test_rejects_a_witness_that_touches_a_protected_meter(self):
+        # with line 2 protected the paths stay valid, but the witness moves it
+        meas = replace(self.meas, protected=frozenset({2}))
+        with pytest.raises(SolverDefect, match="protected"):
+            self.check(self.paths, meas=meas)
+
+    @pytest.mark.parametrize("solve", [mincut_index, security_index_bounds])
+    def test_rejects_a_reported_attack_with_an_extra_meter(self, monkeypatch, solve):
+        # the certificate checks the attack that is reported, so an
+        # evaluator that adds an untouched flow meter must not get through
+        evaluate = security._witness_attack
+
+        def padded(*args):
+            dtheta, dz, touched = evaluate(*args)
+            extra = min(set(range(1, 6)) - touched)
+            return dtheta, dz, touched | {extra}
+
+        monkeypatch.setattr(security, "_witness_attack", padded)
+        with pytest.raises(SolverDefect, match="disjoint paths"):
+            solve(self.net, self.meas, 1)
