@@ -17,8 +17,8 @@ class DimensionMismatch(GridsecError):
 
 class SolverDefect(GridsecError):
     """A solver broke one of its own exact invariants (pivot budget, phase-1
-    outcome, rank drop, objective bookkeeping): a bug, not a property of the
-    input."""
+    outcome, a dependent row past preprocess, objective bookkeeping): a bug,
+    not a property of the input."""
 
 
 # --- TU minimization / minor enumeration ---

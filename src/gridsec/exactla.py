@@ -33,6 +33,24 @@ def to_fraction(x) -> Fraction:
     return Fraction(x)
 
 
+def int_matrix(A) -> np.ndarray:
+    """A as a nonempty 2-D integer array.  Entries are read exactly (as by
+    to_fraction); one that is not an integer, or does not fit the array's
+    integer type, raises ValueError rather than being truncated."""
+    M = np.asarray(A)
+    if M.ndim != 2 or M.size == 0:
+        raise ValueError("expected a nonempty 2-D matrix")
+    if M.dtype.kind in "biu":
+        return M.astype(int)
+    vals = [to_fraction(v) for v in M.flat]
+    if any(v.denominator != 1 for v in vals):
+        raise ValueError("expected integer entries")
+    try:
+        return np.array([int(v) for v in vals], dtype=int).reshape(M.shape)
+    except OverflowError:
+        raise ValueError("integer entries out of the 64-bit range") from None
+
+
 def _reduce(row: dict[int, int], den: int) -> int:
     """Divide row and den by their common gcd in place; return the new den.
     With den 0 the row is divided by its own gcd."""
@@ -65,10 +83,12 @@ class EchelonBasis:
     """Incremental echelon basis over sparse integer rows.
 
     A row maps column -> nonzero integer.  Each kept row is reduced over
-    the rows kept before it, in arrival order, and pivots on its first
+    the rows kept before it, in arrival order, and pivots on its largest
     nonnegative key; negative keys (lp's right-hand side) ride along but
     never pivot.  Which rows are kept depends only on their span, not on
-    the pivot choice.
+    the pivot choice.  The LP builders number a row's own slack columns
+    after the shared state columns, so such a row pivots on a column no
+    other row holds and adds no fill to the rows reduced after it.
     """
 
     def __init__(self):
@@ -90,8 +110,8 @@ class EchelonBasis:
         otherwise return what reduction leaves of it, which holds negative
         keys only and is empty when the row lies in the span."""
         red = self.reduce(row)
-        pivot = next((j for j in red if j >= 0), None)
-        if pivot is None:
+        pivot = max(red, default=-1)
+        if pivot < 0:
             return red
         self.rows.append((pivot, red))
         return None

@@ -15,9 +15,17 @@ elimination kernel of exactla, which preprocess and verify_bfs share).  On the
 unimodular-style instances this package cares about the denominators stay
 tiny and the rows short, which is what makes exact arithmetic affordable.
 
-An optimal tableau can be re-optimized in place rather than solved again:
-by the primal simplex after a cost change, and by the dual simplex after
-an appended row.  The MILP oracle's branch and bound does so at every node.
+One pivot policy serves every loop: Dantzig pricing (most negative reduced
+cost) for speed, falling back to Bland's rule past a pivot allowance so
+that degenerate cycling cannot stall a solve.  Any rule that reaches an
+optimal vertex gives the same optimum, so the policy is a speed choice,
+not a correctness one.  preprocess is the one place that removes
+dependent rows; the simplex expects independent ones.
+
+A solve returns an LpOutcome; an optimal one carries its tableau, which
+can be re-optimized in place rather than solved again: by the primal
+simplex after a cost change, and by the dual simplex after an appended
+row.  The MILP oracle's branch and bound does so at every node.
 """
 from __future__ import annotations
 
@@ -95,11 +103,12 @@ class StandardFormLP:
                               _pairs(dict(enumerate(cost))), cost_den, width)
 
     @staticmethod
-    def from_int_rows(rows, cost, num_vars: int) -> "StandardFormLP":
+    def from_int_rows(rows, cost, num_vars: int, cost_den: int = 1) -> "StandardFormLP":
         """LP from integer rows given as {column: value} maps (right-hand
-        side under RHS) and an integer cost map; no scaling is needed."""
+        side under RHS) and the cost cost / cost_den, cost an integer map;
+        no scaling is needed."""
         rows = tuple(_pairs(r) for r in rows)
-        return StandardFormLP(rows, (1,) * len(rows), _pairs(cost), 1, num_vars)
+        return StandardFormLP(rows, (1,) * len(rows), _pairs(cost), cost_den, num_vars)
 
     @property
     def num_rows(self) -> int:
@@ -146,9 +155,13 @@ class LpStatus(Enum):
 
 @dataclass(frozen=True)
 class LpOutcome:
+    """A solve's status and pivot count; an optimal outcome also carries the
+    exact vertex and the final tableau, which can be re-optimized."""
+
     status: LpStatus
     solution: BasicFeasibleSolution | None = None
     pivots: int = 0
+    tableau: _Tableau | None = field(default=None, repr=False, compare=False)
 
 
 def preprocess(lp: StandardFormLP) -> StandardFormLP:
@@ -182,20 +195,23 @@ class _Tableau:
     Row i stands for rows[i] / dens[i] and has the entry dens[i] in its
     basic column; the objective row zrow / zden holds -z under RHS.
     Columns run over 0..ncols-1; add_row appends a fresh slack column.
+    Every simplex loop run on the tableau stops with SolverDefect past
+    max_pivots pivots.
     """
 
     def __init__(self, rows: list[dict[int, int]], dens: list[int], basis: list[int],
-                 ncols: int):
+                 ncols: int, max_pivots: int):
         self.rows = rows
         self.dens = dens            # positive
         self.basis = basis
         self.ncols = ncols
+        self.max_pivots = max_pivots
         self.zrow: dict[int, int] = {}
         self.zden: int = 1
 
     def copy(self) -> "_Tableau":
         tab = _Tableau([dict(row) for row in self.rows], list(self.dens),
-                       list(self.basis), self.ncols)
+                       list(self.basis), self.ncols, self.max_pivots)
         tab.zrow = dict(self.zrow)
         tab.zden = self.zden
         return tab
@@ -348,78 +364,61 @@ class _Tableau:
         return -Fraction(self.zrow.get(RHS, 0), self.zden)
 
 
-@dataclass(frozen=True)
-class SimplexResult:
-    """Outcome of _solve_standard_ints; values, basis, objective and the
-    final tableau are set only when status is "optimal"."""
-
-    status: str                       # "optimal", "infeasible" or "unbounded"
-    values: list[Fraction] | None
-    basis: list[int] | None           # ascending
-    objective: Fraction | None
-    pivots: int
-    dropped: int                      # redundant rows dropped after phase 1
-    tableau: _Tableau | None = field(default=None, repr=False, compare=False)
+def _dantzig_pivots(tab: _Tableau) -> int:
+    """Pivots a simplex loop prices by Dantzig's rule before it falls back to
+    Bland's rule, whose termination is unconditional (Dantzig may stall on
+    degenerate vertices)."""
+    return 3 * (len(tab.rows) + tab.ncols) + 20
 
 
-def _check_budget(pivots: list[int], max_pivots: int) -> None:
+def _check_budget(tab: _Tableau, pivots: list[int]) -> None:
     pivots[0] += 1
-    if pivots[0] > max_pivots:
-        raise SolverDefect(f"pivot budget {max_pivots} exceeded; anti-cycling defect")
+    if pivots[0] > tab.max_pivots:
+        raise SolverDefect(f"pivot budget {tab.max_pivots} exceeded; anti-cycling defect")
 
 
-def _run_simplex(tab: _Tableau, rule: str, max_pivots: int,
-                 pivots: list[int], trace) -> str:
-    """Primal simplex from a primal-feasible tableau: "optimal" or
-    "unbounded"."""
-    # Dantzig selection may stall on degenerate vertices; past a budget we
-    # fall back to Bland, whose termination is unconditional.
-    dantzig_budget = pivots[0] + 3 * (len(tab.rows) + tab.ncols) + 20
+def _run_simplex(tab: _Tableau, pivots: list[int]) -> LpStatus:
+    """Primal simplex from a primal-feasible tableau: OPTIMAL or UNBOUNDED."""
+    dantzig_until = pivots[0] + _dantzig_pivots(tab)
     while True:
-        dantzig = rule == "dantzig" and pivots[0] < dantzig_budget
-        c = tab.entering(dantzig)
+        c = tab.entering(pivots[0] < dantzig_until)
         if c is None:
-            return "optimal"
+            return LpStatus.OPTIMAL
         r = tab.leaving(c)
         if r is None:
-            return "unbounded"
-        if trace is not None:
-            trace.write(f"pivot enter={c} leave={tab.basis[r]} row={r}\n")
+            return LpStatus.UNBOUNDED
         tab.pivot(r, c)
-        _check_budget(pivots, max_pivots)
+        _check_budget(tab, pivots)
 
 
-def _run_dual_simplex(tab: _Tableau, rule: str, max_pivots: int,
-                      pivots: list[int], trace) -> str:
+def _run_dual_simplex(tab: _Tableau, pivots: list[int]) -> LpStatus:
     """Dual simplex from a dual-feasible tableau (no negative reduced cost):
-    "optimal" once every basic value is nonnegative, "infeasible" when a
-    row with a negative value has no negative entry.  Dantzig falls back to
-    Bland past the same budget as the primal loop."""
-    dantzig_budget = pivots[0] + 3 * (len(tab.rows) + tab.ncols) + 20
+    OPTIMAL once every basic value is nonnegative, INFEASIBLE when a row
+    with a negative value has no negative entry.  Pricing falls back from
+    Dantzig to Bland as in the primal loop."""
+    dantzig_until = pivots[0] + _dantzig_pivots(tab)
     while True:
-        dantzig = rule == "dantzig" and pivots[0] < dantzig_budget
-        r = tab.dual_leaving(dantzig)
+        r = tab.dual_leaving(pivots[0] < dantzig_until)
         if r is None:
-            return "optimal"
+            return LpStatus.OPTIMAL
         c = tab.dual_entering(r)
         if c is None:
-            return "infeasible"
-        if trace is not None:
-            trace.write(f"dual pivot enter={c} leave={tab.basis[r]} row={r}\n")
+            return LpStatus.INFEASIBLE
         tab.pivot(r, c)
-        _check_budget(pivots, max_pivots)
+        _check_budget(tab, pivots)
 
 
-def _solve_standard_ints(rows, cost, cost_den: int, p: int, rule: str = "bland",
-                         max_pivots: int | None = None, trace=None) -> SimplexResult:
+def _solve_standard_ints(rows, cost, cost_den: int, p: int,
+                         max_pivots: int | None = None) -> LpOutcome:
     """Exact simplex on sparse integer rows over columns 0..p-1.
 
     rows hold their nonzero entries as {column: value} maps or (column,
     value) pairs, the right-hand side under RHS; the cost is cost / cost_den
-    with cost holding integer numerators the same way.  Redundant rows
-    surviving to phase 1 are dropped exactly (and counted in the result);
-    inconsistent systems surface as "infeasible" via the phase-1 optimum.
-    An optimal result carries its final tableau, which a caller may
+    with cost holding integer numerators the same way.  The rows must be
+    linearly independent, as preprocess leaves them: an artificial left
+    basic after phase 1 on a row with no real column raises SolverDefect.
+    An infeasible system surfaces as a positive phase-1 optimum.  An
+    optimal outcome carries its final tableau, which a caller may
     re-optimize after a cost change (add_cost, then _run_simplex) or an
     appended row (add_row, then _run_dual_simplex).
     """
@@ -453,13 +452,10 @@ def _solve_standard_ints(rows, cost, cost_den: int, p: int, rule: str = "bland",
         rows[i][p + a] = 1
         basis[i] = p + a
 
-    tab = _Tableau(rows, dens, basis, ncols)
+    tab = _Tableau(rows, dens, basis, ncols, max_pivots)
     pivots = [0]
-    dropped = 0
 
     if art_rows:
-        if trace is not None:
-            trace.write(f"phase 1: rows={l} cols={ncols} artificials={len(art_rows)}\n")
         # minimize the sum of artificials, priced out over their rows
         zrow: dict[int, int] = {}
         for i in art_rows:
@@ -468,24 +464,17 @@ def _solve_standard_ints(rows, cost, cost_den: int, p: int, rule: str = "bland",
                     zrow[j] = zrow.get(j, 0) - v
         tab.zrow = zrow
         tab.zden = 1
-        status = _run_simplex(tab, rule, max_pivots, pivots, trace)
-        if status != "optimal":
+        if _run_simplex(tab, pivots) is not LpStatus.OPTIMAL:
             raise SolverDefect("phase 1 objective is bounded below; solver defect")
         if tab.zrow.get(RHS, 0) < 0:
-            return SimplexResult("infeasible", None, None, None, pivots[0], dropped)
-        # drive leftover artificials out of the basis or drop redundant rows
-        i = 0
-        while i < len(tab.rows):
+            return LpOutcome(LpStatus.INFEASIBLE, pivots=pivots[0])
+        # drive the leftover artificials, all at zero, out of the basis
+        for i in range(l):
             if tab.basis[i] >= p:
                 col = min((j for j in tab.rows[i] if 0 <= j < p), default=None)
                 if col is None:
-                    del tab.rows[i]
-                    del tab.dens[i]
-                    del tab.basis[i]
-                    dropped += 1
-                    continue
+                    raise SolverDefect(f"row {i} depends on the other rows; solver defect")
                 tab.pivot(i, col)
-            i += 1
         for row in tab.rows:
             for j in [j for j in row if j >= p]:
                 del row[j]
@@ -494,48 +483,35 @@ def _solve_standard_ints(rows, cost, cost_den: int, p: int, rule: str = "bland",
     # phase 2: price out the true cost over the current basis
     tab.zrow, tab.zden = {}, 1
     tab.add_cost(cost, cost_den)
-    if trace is not None:
-        trace.write(f"phase 2: rows={len(tab.rows)} cols={p}\n")
-    status = _run_simplex(tab, rule, max_pivots, pivots, trace)
-    if status == "unbounded":
-        return SimplexResult("unbounded", None, None, None, pivots[0], dropped)
+    if _run_simplex(tab, pivots) is LpStatus.UNBOUNDED:
+        return LpOutcome(LpStatus.UNBOUNDED, pivots=pivots[0])
     values = [Fraction(0)] * p
     for c, v in tab.values().items():
         values[c] = v
-    return SimplexResult("optimal", values, sorted(tab.basis), tab.objective(),
-                         pivots[0], dropped, tab)
+    sol = BasicFeasibleSolution(tuple(values), tuple(sorted(tab.basis)), tab.objective())
+    return LpOutcome(LpStatus.OPTIMAL, sol, pivots[0], tab)
 
 
-def solve_lp(lp: StandardFormLP, *, rule: str = "bland",
-             max_pivots: int | None = None, trace=None) -> LpOutcome:
+def solve_lp(lp: StandardFormLP, *, max_pivots: int | None = None) -> LpOutcome:
     """Two-phase simplex over exact rationals.
 
-    rule="bland" (default) never cycles; rule="dantzig" picks the most
-    negative reduced cost for speed and falls back to Bland past a pivot
-    budget.  The input is preprocessed internally, so the returned basis
-    refers to preprocess(lp)'s rows (preprocess is idempotent).  Optimal
-    outcomes are only emitted from a tableau whose reduced costs are all
-    nonnegative, which is the exactness certificate.
+    The input is preprocessed internally, so the returned basis refers to
+    preprocess(lp)'s rows (preprocess is idempotent), and so does the
+    optimal tableau the outcome carries.  Optimal outcomes are only emitted
+    from a tableau whose reduced costs are all nonnegative, which is the
+    exactness certificate.
     """
-    if rule not in ("bland", "dantzig"):
-        raise ValueError(f"unknown pivot rule {rule!r}")
     try:
         pre = preprocess(lp)
     except InconsistentRow:
         return LpOutcome(LpStatus.INFEASIBLE)
-    res = _solve_standard_ints(
-        pre.rows, pre.cost_row, pre.cost_den, pre.num_vars, rule, max_pivots, trace)
-    if res.dropped:
-        raise SolverDefect("rank drop after preprocess; solver defect")
-    if res.status == "infeasible":
-        return LpOutcome(LpStatus.INFEASIBLE, pivots=res.pivots)
-    if res.status == "unbounded":
-        return LpOutcome(LpStatus.UNBOUNDED, pivots=res.pivots)
-    check = sum((v * res.values[j] for j, v in pre.cost_row), Fraction(0)) / pre.cost_den
-    if check != res.objective:
-        raise SolverDefect("objective bookkeeping mismatch; solver defect")
-    sol = BasicFeasibleSolution(tuple(res.values), tuple(res.basis), res.objective)
-    return LpOutcome(LpStatus.OPTIMAL, sol, res.pivots)
+    out = _solve_standard_ints(pre.rows, pre.cost_row, pre.cost_den, pre.num_vars, max_pivots)
+    if out.status is LpStatus.OPTIMAL:
+        sol = out.solution
+        check = sum((v * sol.values[j] for j, v in pre.cost_row), Fraction(0)) / pre.cost_den
+        if check != sol.objective:
+            raise SolverDefect("objective bookkeeping mismatch; solver defect")
+    return out
 
 
 def verify_bfs(lp: StandardFormLP, sol: BasicFeasibleSolution) -> bool:

@@ -28,22 +28,10 @@ from .errors import (
     TrivialNullspace,
     ZeroColumn,
 )
-from .exactla import frac_rref, in_row_space, int_rank, left_nullspace, to_fraction
+from .exactla import frac_rref, in_row_space, int_matrix, int_rank, left_nullspace, to_fraction
 from .grid import MeasurementSystem, Network, flow_rows
 from .grid import incidence  # noqa: F401  not called here; the benchmark's tracer wraps it by this name
 from .security import CriticalTuple, SecurityIndexResult, _attack, _flow_target, _witness_attack
-
-
-def _int_matrix(A) -> list[list[int]]:
-    M = np.asarray(A)
-    if M.ndim != 2 or M.size == 0:
-        raise ValueError("expected a nonempty 2-D matrix")
-    if not issubclass(M.dtype.type, np.integer):
-        Mf = np.asarray(M, dtype=float)
-        if not np.array_equal(Mf, np.round(Mf)):
-            raise ValueError("expected integer entries")
-        M = Mf.astype(int)
-    return [[int(v) for v in row] for row in M]
 
 
 # --- exhaustive enumeration ----------------------------------------------
@@ -60,7 +48,7 @@ def exhaustive_min_support(A, k: int, I=frozenset(), *,
     touching everything cannot move row k (it lies in the protected row
     space); raises CapExceeded past the subset budget.
     """
-    rows = _int_matrix(A)
+    rows = int_matrix(A).tolist()
     m = len(rows)
     if not 1 <= k <= m:
         raise ValueError(f"target row {k} outside 1..{m}")
@@ -93,7 +81,7 @@ def exhaustive_min_tuple(A, k: int, *, cap: int = 200_000) -> CriticalTuple | No
     J is critical for k when the rows outside J leave the state
     undetermined while restoring row k alone determines it again.
     """
-    rows = _int_matrix(A)
+    rows = int_matrix(A).tolist()
     m, n = len(rows), len(rows[0])
     if not 1 <= k <= m:
         raise ValueError(f"target row {k} outside 1..{m}")
@@ -132,9 +120,7 @@ class MilpInstance:
     big_m: Fraction = Fraction(2)
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=int)
-        if A.ndim != 2 or A.size == 0:
-            raise ValueError("A must be a nonempty 2-D integer matrix")
+        A = int_matrix(self.A)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "protected",
                            frozenset(int(i) for i in self.protected))
@@ -158,26 +144,31 @@ class MilpInstance:
         return cls(flow_rows(net, meas), k, frozenset(meas.protected), Fraction(big_m))
 
 
-def _node_lp(inst: MilpInstance):
+def _t_columns(inst: MilpInstance) -> dict[int, int]:
+    """Column of t+_j for every free row j (unprotected, not the target), in
+    row order; t-_j and u_j follow it, after the 2n state columns."""
+    n = inst.A.shape[1]
+    free = [j for j in range(1, inst.A.shape[0] + 1) if j != inst.k and j not in inst.protected]
+    return {j: 2 * n + 3 * pos for pos, j in enumerate(free)}
+
+
+def _node_lp(inst: MilpInstance) -> lp.StandardFormLP:
     """Exact root LP relaxation of the big-M formulation.
 
     Every unprotected row j other than the target is free: it contributes
     y_j = (t+ + t-)/big_m through a link row A(j,:) d - t+ + t- = 0 and a
     box t+ + t- + u = big_m.  Protected rows are equalities and the target
     row reads 1.  States split as d = dp - dm for nonnegativity.  Branch
-    and bound keeps this layout at every node.  Returns (rows, cost,
-    cost_den, p, free, tcol) with sparse integer rows and the cost
-    cost / cost_den, as lp._solve_standard_ints takes them.
+    and bound keeps this layout at every node.  The rows are integral (the
+    box rows are scaled by big-M's denominator) and the cost 1/big_m on the
+    t columns is stored over big-M's numerator.  Dependent protected rows
+    are left to lp.preprocess.
     """
     A = inst.A
-    m, n = A.shape
-    M = inst.big_m
-    free = [j for j in range(1, m + 1) if j != inst.k and j not in inst.protected]
-    tcol = {j: 2 * n + 3 * pos for pos, j in enumerate(free)}
-    p = 2 * n + 3 * len(free)
-
-    # box rows are scaled by big-M's denominator, which makes every row integral
-    Mn, Md = M.numerator, M.denominator
+    n = A.shape[1]
+    tcol = _t_columns(inst)
+    p = 2 * n + 3 * len(tcol)
+    Mn, Md = inst.big_m.numerator, inst.big_m.denominator
     rows_A = A.tolist()
 
     def state_part(j):
@@ -189,62 +180,60 @@ def _node_lp(inst: MilpInstance):
         return row
 
     rows: list[dict[int, int]] = []
-    for j in free:
+    for j, t in tcol.items():
         link = state_part(j)
-        link[tcol[j]] = -1
-        link[tcol[j] + 1] = 1
+        link[t] = -1
+        link[t + 1] = 1
         rows.append(link)
-        rows.append({tcol[j]: Md, tcol[j] + 1: Md, tcol[j] + 2: Md, lp.RHS: Mn})
+        rows.append({t: Md, t + 1: Md, t + 2: Md, lp.RHS: Mn})
     for j in sorted(inst.protected):
         rows.append(state_part(j))
     target = state_part(inst.k)
     target[lp.RHS] = 1
     rows.append(target)
 
-    # cost 1/M = Md/Mn on the t+ and t- columns of every free row
-    cost = {}
-    for j in free:
-        cost[tcol[j]] = cost[tcol[j] + 1] = Md
-    return rows, cost, Mn, p, free, tcol
+    cost = {c: Md for t in tcol.values() for c in (t, t + 1)}
+    return lp.StandardFormLP.from_int_rows(rows, cost, p, cost_den=Mn)
 
 
-def _check_incumbent(rows, x: dict[int, Fraction], fixed0, tcol) -> None:
+def _check_incumbent(root: lp.StandardFormLP, x: dict[int, Fraction], fixed0, tcol) -> None:
     """An incumbent (nonzero values x by column) must satisfy the root rows
     and its zero fixings exactly; checked over x's common denominator."""
     nums, den = lp.scale_row(x.values())
     X = dict(zip(x, nums))
-    for row in rows:
-        lhs = sum(a * X.get(c, 0) for c, a in row.items() if c != lp.RHS)
-        if lhs != row.get(lp.RHS, 0) * den:
+    for pairs in root.rows:
+        lhs = sum(a * X.get(c, 0) for c, a in pairs if c != lp.RHS)
+        if lhs != dict(pairs).get(lp.RHS, 0) * den:
             raise SolverDefect("incumbent violates a root row; solver defect")
     if any(c in X for j in fixed0 for c in (tcol[j], tcol[j] + 1)):
         raise SolverDefect("incumbent moves a row fixed to zero; solver defect")
 
 
-def solve_milp_instance(inst: MilpInstance, *, rule: str = "dantzig",
+def solve_milp_instance(inst: MilpInstance, *,
                         trace=None) -> tuple[int, tuple[Fraction, ...], frozenset[int], int] | None:
     """Branch and bound on the big-M formulation.
 
     Depth-first, branching the lowest-index fractional binary with the
     zero branch explored first; node bounds come from exact LP
     relaxations, so a subtree is pruned only when its bound provably
-    exceeds best - 1 (the objective is integral).  Only the root LP is
-    solved from scratch; every other node re-optimizes its parent's exact
-    optimal tableau.  Fixing y_j = 1 drops the cost of t+_j and t-_j, which
-    keeps the basis primal feasible, so the primal simplex continues;
-    fixing y_j = 0 appends the row t+_j + t-_j + s = 0, which keeps it dual
-    feasible, so the dual simplex restores nonnegative values.  The zero
-    branch takes the parent's tableau in place, the one branch a copy.
-    Each node's tableau is certified optimal (basic values and reduced
-    costs nonnegative) before its bound is used, and each incumbent is
-    checked against the root rows and its fixings; failures raise
-    SolverDefect.  Returns (optimum, d, support, nodes) or None when even
-    the root is infeasible.
+    exceeds best - 1 (the objective is integral).  Only the root LP
+    (_node_lp) is solved from scratch, by lp.solve_lp, which preprocesses
+    it; every other node re-optimizes its parent's exact optimal tableau.
+    Fixing y_j = 1 drops the cost of t+_j and t-_j, which keeps the basis
+    primal feasible, so the primal simplex continues; fixing y_j = 0
+    appends the row t+_j + t-_j + s = 0, which keeps it dual feasible, so
+    the dual simplex restores nonnegative values.  The zero branch takes
+    the parent's tableau in place, the one branch a copy.  Each node's
+    tableau is certified optimal (basic values and reduced costs
+    nonnegative) before its bound is used, and each incumbent is checked
+    against the root rows and its fixings; failures raise SolverDefect.
+    trace, when given, receives one free-text line per node.  Returns
+    (optimum, d, support, nodes) or None when even the root is infeasible.
     """
     n = inst.A.shape[1]
     M = inst.big_m
-    rows, cost, cost_den, p, free, tcol = _node_lp(inst)
-    max_pivots = 10_000 + 60 * (len(rows) + p)
+    root = _node_lp(inst)
+    tcol = _t_columns(inst)
     best: int | None = None
     best_d: list[Fraction] | None = None
     nodes = 0
@@ -261,19 +250,19 @@ def solve_milp_instance(inst: MilpInstance, *, rule: str = "dantzig",
                 trace.write(f"node depth={depth} fixed1={len(fixed1)} action=prune-depth\n")
             continue
         if tab is None:
-            res = lp._solve_standard_ints(rows, cost, cost_den, p, rule=rule)
-            status, tab = res.status, res.tableau
+            out = lp.solve_lp(root)
+            status, tab = out.status, out.tableau
         elif j in fixed1:
-            tab.add_cost({c: -cost[c] for c in (tcol[j], tcol[j] + 1)}, cost_den)
-            status = lp._run_simplex(tab, rule, max_pivots, [0], None)
+            tab.add_cost({c: -M.denominator for c in (tcol[j], tcol[j] + 1)}, M.numerator)
+            status = lp._run_simplex(tab, [0])
         else:
             tab.add_row({tcol[j]: 1, tcol[j] + 1: 1})
-            status = lp._run_dual_simplex(tab, rule, max_pivots, [0], None)
-        if status == "infeasible":
+            status = lp._run_dual_simplex(tab, [0])
+        if status is lp.LpStatus.INFEASIBLE:
             if trace is not None:
                 trace.write(f"node depth={depth} action=infeasible\n")
             continue
-        if status != "optimal":
+        if status is not lp.LpStatus.OPTIMAL:
             raise SolverDefect("bounded relaxation reported unbounded; solver defect")
         tab.check_optimal()
         bound = tab.objective() + len(fixed1) + 1
@@ -283,11 +272,11 @@ def solve_milp_instance(inst: MilpInstance, *, rule: str = "dantzig",
             continue
         x = tab.values()
         # y_i = (t+_i + t-_i) / big_m on the rows still open
-        t = {i: x.get(tcol[i], 0) + x.get(tcol[i] + 1, 0)
-             for i in free if i not in fixed0 and i not in fixed1}
+        t = {i: x.get(c, 0) + x.get(c + 1, 0)
+             for i, c in tcol.items() if i not in fixed0 and i not in fixed1}
         frac = [i for i, v in t.items() if v and v != M]
         if not frac:
-            _check_incumbent(rows, x, fixed0, tcol)
+            _check_incumbent(root, x, fixed0, tcol)
             value = len(fixed1) + sum(1 for v in t.values() if v) + 1
             if best is None or value < best:
                 best = value
@@ -312,7 +301,7 @@ def solve_milp_instance(inst: MilpInstance, *, rule: str = "dantzig",
 
 
 def milp_solve(net: Network, meas: MeasurementSystem, k: int, *,
-               rule: str = "dantzig", trace=None) -> SecurityIndexResult:
+               trace=None) -> SecurityIndexResult:
     """Security index of flow meter k via the big-M reference solver.
 
     Self-contained alternative to the l1 path: same reduction to integer
@@ -321,7 +310,7 @@ def milp_solve(net: Network, meas: MeasurementSystem, k: int, *,
     """
     t0 = perf_counter()
     inst = MilpInstance.from_system(net, meas, k)
-    out = solve_milp_instance(inst, rule=rule, trace=trace)
+    out = solve_milp_instance(inst, trace=trace)
     if out is None:
         raise InfeasibleIndex(k)
     value, d, support, _ = out
@@ -394,21 +383,13 @@ def nullspace_reformulate(A, k: int, I=frozenset()) -> CsInstance:
             "full row rank: every measurement move is reachable")
     cols = [i for i in range(1, m + 1) if i not in I]
     restricted = [[row[i - 1] for i in cols] for row in L]
-    reduced = _full_row_rank(restricted)
+    reduced, _ = frac_rref(restricted)     # canonical basis of the row space
     kpos = cols.index(k)
     e_k = [Fraction(0)] * len(cols)
     e_k[kpos] = Fraction(1)
     phi = tuple(tuple(r) for r in reduced + [e_k])
     b = tuple([Fraction(0)] * len(reduced) + [Fraction(1)])
     return CsInstance(phi, b, tuple(cols), k)
-
-
-def _full_row_rank(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Canonical (reduced row echelon) basis of the row space."""
-    if not rows:
-        return []
-    reduced, _ = frac_rref(rows)
-    return reduced
 
 
 def mutual_coherence(phi) -> float:

@@ -32,7 +32,7 @@ from .errors import (
     TargetIsInjection,
     ValidationError,
 )
-from .exactla import int_rank
+from .exactla import int_matrix, int_rank
 from .grid import FLOAT_TOL, AttackVector, MeasurementMatrix, MeasurementSystem, Network, _injection_bus, flow_rows
 # not called here; the benchmark's tracer wraps them by these names
 from .grid import _exact_H_rows, incidence  # noqa: F401
@@ -121,8 +121,7 @@ def _attack(dtheta, dz, touched) -> AttackVector:
                         np.array([float(v) if v else 0.0 for v in dz]), touched)
 
 
-def security_index(net: Network, meas: MeasurementSystem, k: int, *,
-                   rule: str = "bland") -> SecurityIndexResult:
+def security_index(net: Network, meas: MeasurementSystem, k: int) -> SecurityIndexResult:
     """Exact security index of flow meter k in a flow-only system.
 
     Returns the index together with a witness attack normalized to
@@ -131,7 +130,7 @@ def security_index(net: Network, meas: MeasurementSystem, k: int, *,
     """
     t0 = time.perf_counter()
     prob = reduce_to_tu(net, meas, k)
-    sol = solve_min_support(prob, rule=rule)
+    sol = solve_min_support(prob)
     if sol is None:
         raise InfeasibleIndex(k)
     dtheta, dz, touched = _witness_attack(net, meas, k, sol.x)
@@ -241,7 +240,7 @@ def check_conditions(H, k: int, *, tol: float = FLOAT_TOL) -> tuple[bool, bool]:
     return cond1, cond2
 
 
-def min_critical_tuple(H, k: int, *, rule: str = "bland") -> CriticalTuple:
+def min_critical_tuple(H, k: int) -> CriticalTuple:
     """Minimum-cardinality critical tuple containing measurement k.
 
     H must be an integer matrix whose minimum-support problem has an
@@ -250,18 +249,13 @@ def min_critical_tuple(H, k: int, *, rule: str = "bland") -> CriticalTuple:
     unobservable and restoring k alone recovers observability, which is
     verified by exact rank computations before returning.
     """
-    A = np.asarray(H)
-    if A.dtype == object or not issubclass(A.dtype.type, np.integer):
-        Af = np.asarray(A, dtype=float)
-        if not np.array_equal(Af, np.round(Af)):
-            raise ValueError("critical tuples need integer measurement rows")
-        A = Af.astype(int)
+    A = int_matrix(H)
     cond1, cond2 = check_conditions(A, k)
     if not cond1:
         raise ConditionViolated("I")
     if not cond2:
         raise ConditionViolated("II")
-    sol = solve_min_support(TUProblem(A, k, frozenset()), rule=rule)
+    sol = solve_min_support(TUProblem(A, k, frozenset()))
     if sol is None:
         raise InfeasibleIndex(k)
     members = sol.support

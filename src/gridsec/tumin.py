@@ -21,7 +21,7 @@ import numpy as np
 
 from . import lp
 from .errors import IntegralityError, SizeLimitExceeded, SolverDefect
-from .exactla import det_int
+from .exactla import det_int, int_matrix
 
 
 @dataclass(frozen=True)
@@ -33,9 +33,7 @@ class TUProblem:
     I: frozenset[int] = frozenset()
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=int)
-        if A.ndim != 2 or A.size == 0:
-            raise ValueError("A must be a nonempty 2-D integer matrix")
+        A = int_matrix(self.A)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "I", frozenset(int(i) for i in self.I))
         m = A.shape[0]
@@ -104,14 +102,14 @@ def build_l1_lp(problem: TUProblem) -> lp.StandardFormLP:
     return lp.StandardFormLP.from_int_rows(rows, cost, width)
 
 
-def solve_min_support(problem: TUProblem, *, rule: str = "bland") -> TUSolution | None:
+def solve_min_support(problem: TUProblem) -> TUSolution | None:
     """Exact minimum-support solve; None when the constraints are infeasible.
 
     Feasibility is decided by the LP layer (inconsistency in preprocessing or
     a positive phase-1 optimum), not by a separate rank precheck.
     """
     relax = build_l1_lp(problem)
-    out = lp.solve_lp(relax, rule=rule)
+    out = lp.solve_lp(relax)
     if out.status is lp.LpStatus.INFEASIBLE:
         return None
     if out.status is not lp.LpStatus.OPTIMAL:
@@ -160,7 +158,7 @@ def verify_tu(A, max_order: int, *, budget: int = 200_000) -> bool:
     Exponential by nature; raises SizeLimitExceeded when the minor count
     would exceed the work budget.
     """
-    A = np.asarray(A, dtype=int)
+    A = int_matrix(A)
     m, n = A.shape
     if not 1 <= max_order <= min(m, n):
         raise ValueError(f"max_order must lie in 1..{min(m, n)}")

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from gridsec import Network, MeasurementSystem, TUProblem
+from gridsec import lp
 from gridsec.tumin import gen_consecutive_ones
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
@@ -55,6 +56,15 @@ def sixbus_network(scale: Fraction = Fraction(1)) -> Network:
 
 def sixbus_meas(protected=frozenset()) -> MeasurementSystem:
     return MeasurementSystem(tuple(range(1, 8)), protected=frozenset(protected))
+
+
+def price_by(monkeypatch, rule: str) -> None:
+    """Pin the simplex pricing: "dantzig" keeps the solver's own policy,
+    "bland" sets its Dantzig allowance to 0 so every loop prices by Bland's
+    rule from the first pivot."""
+    assert rule in ("bland", "dantzig")
+    if rule == "bland":
+        monkeypatch.setattr(lp, "_dantzig_pivots", lambda tab: 0)
 
 
 def random_connected_edges(rng: random.Random, max_nodes: int = 10):

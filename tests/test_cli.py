@@ -267,9 +267,8 @@ class TestMainExitCodes:
 
         real = lpmod._solve_standard_ints
 
-        def no_budget(rows, cost, cost_den, p, rule="bland",
-                      max_pivots=None, trace=None):
-            return real(rows, cost, cost_den, p, rule, 0, trace)
+        def no_budget(rows, cost, cost_den, p, max_pivots=None):
+            return real(rows, cost, cost_den, p, 0)
 
         monkeypatch.setattr(lpmod, "_solve_standard_ints", no_budget)
         rc, _, err = run_main(["solve", SIX, "-k", "6"])

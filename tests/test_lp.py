@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from conftest import SIXBUS_A
+from conftest import SIXBUS_A, price_by
 from gridsec import lp as lp_module
 from gridsec import oracle
 from gridsec.errors import DimensionMismatch, InconsistentRow, SolverDefect
@@ -71,14 +71,27 @@ def test_to_fraction_readings(value, want):
 
 def test_simplex_returns_a_frozen_record():
     # min x0 + 2 x1  s.t.  x0 + x1 = 1: column 0 is a ready-made basis
-    res = _solve_standard_ints([{0: 1, 1: 1, RHS: 1}], {0: 1, 1: 2}, 1, 2)
-    assert (res.status, res.values, res.basis, res.objective) == ("optimal", [1, 0], [0], 1)
-    assert (res.pivots, res.dropped) == (0, 0)
+    out = _solve_standard_ints([{0: 1, 1: 1, RHS: 1}], {0: 1, 1: 2}, 1, 2)
+    assert out.status is LpStatus.OPTIMAL
+    assert out.solution == BasicFeasibleSolution((1, 0), (0,), 1)
+    assert (out.pivots, out.tableau.basis) == (0, [0])
+    assert "tableau" not in repr(out)
     with pytest.raises(FrozenInstanceError):
-        res.status = "infeasible"
+        out.status = LpStatus.INFEASIBLE
     # x0 = -1 has no nonnegative solution
-    res = _solve_standard_ints([{0: 1, RHS: -1}], {0: 1}, 1, 1)
-    assert (res.status, res.values, res.basis, res.objective) == ("infeasible", None, None, None)
+    out = _solve_standard_ints([{0: 1, RHS: -1}], {0: 1}, 1, 1)
+    assert (out.status, out.solution, out.tableau) == (LpStatus.INFEASIBLE, None, None)
+
+
+def test_unpreprocessed_dependent_row_is_solver_defect():
+    # phase 1 leaves an artificial basic on the copied row with no real
+    # column to pivot in: only preprocess removes dependent rows
+    lp = StandardFormLP.create([[1, 1], [1, 1]], [1, 1], [1, 2])
+    with pytest.raises(SolverDefect, match="depends on the other rows"):
+        _solve_standard_ints(lp.rows, lp.cost_row, lp.cost_den, lp.num_vars)
+    out = solve_lp(lp)
+    assert out.status is LpStatus.OPTIMAL
+    assert out.solution == BasicFeasibleSolution((1, 0), (0,), 1)
 
 
 def test_equal_values_of_any_input_type_build_equal_lps():
@@ -174,9 +187,10 @@ def test_solution_is_exact_not_rounded():
     assert out.solution.objective == Fraction(2, 3)
 
 
-def test_beale_degenerate_instance_terminates_under_both_rules():
-    # classic cycling-prone instance; Bland must terminate, Dantzig falls
-    # back to Bland past its budget, and both land on the same optimum
+def test_beale_degenerate_instance_terminates_under_both_rules(monkeypatch):
+    # classic cycling-prone instance; the solver's Dantzig pricing falls back
+    # to Bland past its allowance, pure Bland (allowance 0) must terminate,
+    # and both land on the same optimum
     C = [
         [1, 0, 0, Fraction(1, 4), -60, Fraction(-1, 25), 9],
         [0, 1, 0, Fraction(1, 2), -90, Fraction(-1, 50), 3],
@@ -185,8 +199,9 @@ def test_beale_degenerate_instance_terminates_under_both_rules():
     d = [0, 0, 1]
     f = [0, 0, 0, Fraction(-3, 4), 150, Fraction(-1, 50), 6]
     lp = StandardFormLP.create(C, d, f)
-    out_b = solve_lp(lp, rule="bland")
-    out_d = solve_lp(lp, rule="dantzig")
+    out_d = solve_lp(lp)
+    price_by(monkeypatch, "bland")
+    out_b = solve_lp(lp)
     assert out_b.status is LpStatus.OPTIMAL
     assert out_b.solution.objective == Fraction(-1, 20)
     assert out_d.solution.objective == out_b.solution.objective
@@ -260,10 +275,10 @@ def test_float_inputs_read_as_decimals():
 # --- warm starts: an appended row re-optimized by the dual simplex --------
 
 
-def _optimal_tableau(lp, rule):
-    res = _solve_standard_ints(lp.rows, lp.cost_row, lp.cost_den, lp.num_vars, rule)
-    assert res.status == "optimal" and res.dropped == 0
-    return res.tableau
+def _optimal_tableau(lp):
+    out = _solve_standard_ints(lp.rows, lp.cost_row, lp.cost_den, lp.num_vars)
+    assert out.status is LpStatus.OPTIMAL
+    return out.tableau
 
 
 def _extended(lp, row):
@@ -275,26 +290,27 @@ def _extended(lp, row):
 
 
 @pytest.mark.parametrize("rule", ["bland", "dantzig"])
-def test_dual_simplex_matches_a_cold_solve_of_the_extended_lp(rule):
+def test_dual_simplex_matches_a_cold_solve_of_the_extended_lp(rule, monkeypatch):
+    price_by(monkeypatch, rule)
     rng = random.Random(314)
     outcomes = set()
     pivots = [0]
     for seed in range(200):
         lp = preprocess(_random_feasible_lp(random.Random(seed)))
-        tab = _optimal_tableau(lp, rule)
+        tab = _optimal_tableau(lp)
         x = tab.values()
         row = {j: rng.randint(-3, 3) for j in range(lp.num_vars)}
         # cut the current optimum off (or just touch it) most of the time
         row[RHS] = sum(a * x.get(j, 0) for j, a in row.items()).__floor__() - rng.randint(-1, 3)
         ext = _extended(lp, row)
         tab.add_row(row)
-        status = _run_dual_simplex(tab, rule, 10_000, pivots, None)
-        cold = solve_lp(ext, rule=rule)
+        status = _run_dual_simplex(tab, pivots)
+        cold = solve_lp(ext)
         outcomes.add(status)
-        if status == "infeasible":
+        if status is LpStatus.INFEASIBLE:
             assert cold.status is LpStatus.INFEASIBLE
             continue
-        assert status == "optimal"
+        assert status is LpStatus.OPTIMAL
         tab.check_optimal()
         assert cold.status is LpStatus.OPTIMAL
         assert tab.objective() == cold.solution.objective
@@ -303,7 +319,7 @@ def test_dual_simplex_matches_a_cold_solve_of_the_extended_lp(rule):
             values[j] = v
         assert verify_bfs(ext, BasicFeasibleSolution(
             tuple(values), tuple(sorted(tab.basis)), tab.objective()))
-    assert outcomes == {"optimal", "infeasible"}
+    assert outcomes == {LpStatus.OPTIMAL, LpStatus.INFEASIBLE}
     assert pivots[0] > 60
 
 
@@ -311,7 +327,7 @@ def test_dual_pivot_selection_rules():
     # x0 = -1 and x1 = -3 over columns 2, 3 with reduced costs 2 and 1
     def tableau(den1):
         tab = _Tableau([{0: 1, 2: -1, RHS: -1}, {1: den1, 2: -2, 3: -1, RHS: -3}],
-                       [1, den1], [0, 1], 4)
+                       [1, den1], [0, 1], 4, 100)
         tab.zrow = {2: 2, 3: 1}
         return tab
 
@@ -330,23 +346,24 @@ def test_dual_simplex_detects_an_infeasible_row():
     # min x0  s.t.  x0 + x1 = 1: the optimum has x1 = 1 basic
     lp = StandardFormLP.create([[1, 1]], [1], [1, 0])
     # x0 + x1 <= 0 reduces to s = -1 with no negative entry
-    tab = _optimal_tableau(lp, "bland")
+    tab = _optimal_tableau(lp)
     tab.add_row({0: 1, 1: 1})
-    assert _run_dual_simplex(tab, "bland", 100, [0], None) == "infeasible"
+    assert _run_dual_simplex(tab, [0]) is LpStatus.INFEASIBLE
     # x1 <= -1 needs one pivot (x0 enters) before x1's row shows it
-    tab = _optimal_tableau(lp, "dantzig")
+    tab = _optimal_tableau(lp)
     tab.add_row({1: 1, RHS: -1})
     pivots = [0]
-    assert _run_dual_simplex(tab, "dantzig", 100, pivots, None) == "infeasible"
+    assert _run_dual_simplex(tab, pivots) is LpStatus.INFEASIBLE
     assert pivots == [1]
 
 
 def test_dual_simplex_pivot_budget_is_solver_defect():
     lp = StandardFormLP.create([[1, 1]], [1], [1, 0])
-    tab = _optimal_tableau(lp, "bland")
+    tab = _optimal_tableau(lp)
     tab.add_row({1: 1, RHS: -1})
-    with pytest.raises(SolverDefect):
-        _run_dual_simplex(tab, "bland", 0, [0], None)
+    tab.max_pivots = 0
+    with pytest.raises(SolverDefect, match="pivot budget"):
+        _run_dual_simplex(tab, [0])
 
 
 SIXBUS_MILP = oracle.MilpInstance(SIXBUS_A, 6)
@@ -374,7 +391,7 @@ def test_forged_node_tableau_is_solver_defect(monkeypatch, forge):
 
 def test_a_dual_simplex_that_skips_its_work_is_caught(monkeypatch):
     # every zero branch then keeps the negative slack value of its new row
-    monkeypatch.setattr(lp_module, "_run_dual_simplex", lambda *args: "optimal")
+    monkeypatch.setattr(lp_module, "_run_dual_simplex", lambda *args: LpStatus.OPTIMAL)
     with pytest.raises(SolverDefect, match="basic value"):
         oracle.solve_milp_instance(SIXBUS_MILP)
 
@@ -387,7 +404,7 @@ def test_an_incumbent_off_its_zero_fixing_is_caught(monkeypatch):
         for row in tab.rows:
             if row.get(RHS, 0) < 0:
                 del row[RHS]
-        return "optimal"
+        return LpStatus.OPTIMAL
 
     monkeypatch.setattr(lp_module, "_run_dual_simplex", lying)
     with pytest.raises(SolverDefect, match="fixed to zero"):

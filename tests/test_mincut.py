@@ -98,15 +98,14 @@ def flow_systems(draw, max_buses: int = 8):
 
 
 def assert_methods_agree(net, meas, k):
-    """mincut == exhaustive == lp == milp (both rules) == networkx; returns
-    the common index (None when protection pins the target)."""
+    """mincut == exhaustive == lp == milp == networkx; returns the common
+    index (None when protection pins the target)."""
     got = index_or_none(mincut_index, net, meas, k)
     prob = reduce_to_tu(net, meas, k)
     assert got == exhaustive_min_support(prob.A, prob.k, prob.I)
     assert got == index_or_none(security_index, net, meas, k)
-    for rule in ("dantzig", "bland"):
-        # milp_solve also checks its witness touches exactly its support
-        assert got == index_or_none(lambda *a: milp_solve(*a, rule=rule), net, meas, k)
+    # milp_solve also checks its witness touches exactly its support
+    assert got == index_or_none(milp_solve, net, meas, k)
     assert got == networkx_index(net, meas, k)
     return got
 
@@ -115,7 +114,7 @@ class TestDifferential:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(flow_systems())
     def test_agrees_with_lp_exhaustive_and_networkx(self, system):
-        """The property includes milp_solve under both pivot rules."""
+        """The property includes milp_solve."""
         assert_methods_agree(*system)
 
     @pytest.mark.parametrize("pinned", [True, False])
@@ -127,16 +126,15 @@ class TestDifferential:
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(flow_systems(), st.sampled_from([Fraction(5, 2), Fraction(7, 3), Fraction(1, 2),
-                                            Fraction(2, 3)]),
-           st.sampled_from(["dantzig", "bland"]))
-    def test_warm_branch_and_bound_with_a_fractional_big_m(self, system, big_m, rule):
+                                            Fraction(2, 3)]))
+    def test_warm_branch_and_bound_with_a_fractional_big_m(self, system, big_m):
         # a big-M with a denominator scales the box rows; from 2 up it is
         # valid for incidence rows, below 2 it can only cost more support
         net, meas, k = system
         inst = replace(MilpInstance.from_system(net, meas, k), big_m=big_m)
         prob = reduce_to_tu(net, meas, k)
         want = exhaustive_min_support(prob.A, prob.k, prob.I)
-        out = solve_milp_instance(inst, rule=rule)
+        out = solve_milp_instance(inst)
         if big_m >= 2 or want is None:
             assert (None if out is None else out[0]) == want
         else:

@@ -40,7 +40,8 @@ from gridsec.errors import (
     ZeroColumn,
 )
 from gridsec.exactla import int_rank
-from gridsec.oracle import CsInstance, MilpInstance, coherence_bound, solve_milp_instance
+from gridsec import lp
+from gridsec.oracle import CsInstance, MilpInstance, _node_lp, coherence_bound, solve_milp_instance
 
 
 class TestExhaustiveMinSupport:
@@ -109,6 +110,18 @@ class TestMilp:
         milp = milp_solve(net, meas, 6)
         assert milp.index == lp.index == 3
         assert milp.attack.touched.isdisjoint({1, 4})
+
+    def test_dependent_protected_rows_go_through_preprocess(self):
+        # meters 1, 6, 3 and 5 close the cycle 1-2-5-4-1, so one of their
+        # rows depends on the others; lp.preprocess drops it from the root
+        protected = frozenset({1, 3, 5, 6})
+        for k in (2, 4, 7):
+            inst = MilpInstance(SIXBUS_A, k, protected)
+            root = _node_lp(inst)
+            assert lp.preprocess(root).num_rows == root.num_rows - 1
+            value, _, support, _ = solve_milp_instance(inst)
+            assert value == exhaustive_min_support(SIXBUS_A, k, protected)
+            assert support.isdisjoint(protected)
 
     def test_undersized_big_m_inflates_value(self):
         # with |dz| capped at 1/2 every nullspace row needs extra support,

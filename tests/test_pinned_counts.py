@@ -4,12 +4,14 @@ The pivot rules (Bland: smallest column with a negative reduced cost;
 Dantzig: most negative, smallest column on ties; ratio ties to the smallest
 basic index) fix every pivot sequence, so any simplex kernel that keeps the
 rules reproduces these counts.  A differing count means a tie-break moved.
+The solver prices by Dantzig with a Bland fallback; the Bland sequences
+are reached by setting its Dantzig allowance to 0 (conftest.price_by).
 """
 import random
 
 import pytest
 
-from conftest import IEEE14_CASE
+from conftest import IEEE14_CASE, price_by
 from gridsec import lp, oracle, security, tumin
 from gridsec.grid import parse_case
 from gridsec.oracle import MilpInstance
@@ -30,17 +32,18 @@ MILP_NODES = {4: 43, 11: 81, 16: 81}
 
 
 @pytest.mark.parametrize("rule", ["bland", "dantzig"])
-def test_ieee14_sweep_pivots(rule):
+def test_ieee14_sweep_pivots(rule, monkeypatch):
+    price_by(monkeypatch, rule)
     net, meas = parse_case(IEEE14_CASE)
-    got = [lp.solve_lp(tumin.build_l1_lp(security.reduce_to_tu(net, meas, k)),
-                       rule=rule).pivots
+    got = [lp.solve_lp(tumin.build_l1_lp(security.reduce_to_tu(net, meas, k))).pivots
            for k in range(1, 21)]
     assert got == IEEE14_SWEEP_PIVOTS[rule]
 
 
 @pytest.mark.parametrize("rule", ["bland", "dantzig"])
-def test_random_lp_pivots(rule):
-    got = [lp.solve_lp(_random_feasible_lp(random.Random(seed)), rule=rule).pivots
+def test_random_lp_pivots(rule, monkeypatch):
+    price_by(monkeypatch, rule)
+    got = [lp.solve_lp(_random_feasible_lp(random.Random(seed))).pivots
            for seed in range(20)]
     assert got == RANDOM_LP_PIVOTS[rule]
 

@@ -16,12 +16,14 @@ from gridsec import (
     build_l1_lp,
     exhaustive_min_support,
     gen_consecutive_ones,
+    min_critical_tuple,
     preprocess,
     solve_min_support,
     validate_integrality,
     verify_tu,
 )
 from gridsec.errors import SizeLimitExceeded
+from gridsec.oracle import MilpInstance
 
 
 def signed_image(A, x):
@@ -44,6 +46,20 @@ class TestProblemValidation:
     def test_empty_matrix(self):
         with pytest.raises(ValueError):
             TUProblem(np.zeros((0, 3), dtype=int), 1)
+
+
+    @pytest.mark.parametrize("build", [
+        lambda A: TUProblem(A, 1),
+        lambda A: MilpInstance(A, 1),
+        lambda A: exhaustive_min_support(A, 1),
+        lambda A: min_critical_tuple(A, 1),
+        lambda A: verify_tu(A, 1),
+    ], ids=["TUProblem", "MilpInstance", "exhaustive_min_support", "min_critical_tuple",
+            "verify_tu"])
+    @pytest.mark.parametrize("first", [1.5, 10**20], ids=["fraction", "overflow"])
+    def test_non_integer_entries_are_rejected_not_truncated(self, build, first):
+        with pytest.raises(ValueError, match="integer entries"):
+            build([[first, 0], [0, 1], [1, -1]])
 
 
 class TestRelaxationShape:
