@@ -55,7 +55,6 @@ from .security import (
 )
 from .oracle import (
     CsInstance,
-    MilpInstance,
     coherence_bound,
     exhaustive_min_card,
     exhaustive_min_support,

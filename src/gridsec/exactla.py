@@ -8,13 +8,13 @@ row-space tests behind the oracles all run on this one kernel, whose work
 follows the nonzeros rather than the dense width.  Fraction Gauss-Jordan
 (frac_rref) serves the nullspace reformulation and is the reference the
 kernel is tested against; det_int is Bareiss elimination on a dense square
-matrix.
+matrix; scale_row puts exact values over one integer denominator.
 """
 from __future__ import annotations
 
 import numbers
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -49,6 +49,22 @@ def int_matrix(A) -> np.ndarray:
         return np.array([int(v) for v in vals], dtype=int).reshape(M.shape)
     except OverflowError:
         raise ValueError("integer entries out of the 64-bit range") from None
+
+
+def scale_row(values) -> tuple[list[int], int]:
+    """Exact values as integers over their lcm denominator: (nums, den).
+
+    Python ints pass through with den 1; anything else is read exactly
+    (floats at their shortest decimal repr).
+    """
+    values = list(values)
+    if all(type(v) is int for v in values):
+        return values, 1
+    fracs = [to_fraction(v) for v in values]
+    den = 1
+    for v in fracs:
+        den = lcm(den, v.denominator)
+    return [v.numerator * (den // v.denominator) for v in fracs], den
 
 
 def _reduce(row: dict[int, int], den: int) -> int:

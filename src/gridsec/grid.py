@@ -173,14 +173,20 @@ def flow_rows(net: Network, meas: MeasurementSystem) -> np.ndarray:
     incidence transpose, built for the metered lines only."""
     pos = {bus: c for c, bus in enumerate(net.state_buses)}
     A = np.zeros((len(meas.flow_meters), net.n_states), dtype=int)
-    for i, line_id in enumerate(meas.flow_meters):
-        if not 1 <= line_id <= len(net.lines):
-            raise UnknownMeterId(f"flow meter references missing line {line_id}")
-        ln = net.lines[line_id - 1]
+    for i, ln in enumerate(_metered_lines(net, meas.flow_meters)):
         for bus, sign in ((ln.from_bus, 1), (ln.to_bus, -1)):
             if bus in pos:
                 A[i, pos[bus]] = sign
     return A
+
+
+def _metered_lines(net: Network, line_ids) -> list[Line]:
+    """The lines that flow meters on line_ids read, in order, unless one
+    falls outside the model."""
+    if line_ids and (min(line_ids) < 1 or max(line_ids) > len(net.lines)):
+        bad = next(lid for lid in line_ids if not 1 <= lid <= len(net.lines))
+        raise UnknownMeterId(f"flow meter references missing line {bad}")
+    return [net.lines[lid - 1] for lid in line_ids]
 
 
 def _injection_bus(net: Network, bus: int) -> int:
@@ -199,18 +205,14 @@ def _exact_H_rows(net: Network, meas: MeasurementSystem) -> list[list[Fraction]]
     lines at its bus, never through the whole Laplacian.
     """
     n = net.n_states
-    m_lines = len(net.lines)
     pos = {bus: c for c, bus in enumerate(net.state_buses)}
     dvals = [Fraction(1) / ln.reactance for ln in net.lines]
     rows: list[list[Fraction]] = []
-    for line_id in meas.flow_meters:
-        if not 1 <= line_id <= m_lines:
-            raise UnknownMeterId(f"flow meter references missing line {line_id}")
-        ln = net.lines[line_id - 1]
+    for ln in _metered_lines(net, meas.flow_meters):
         row = [Fraction(0)] * n
         for bus, sign in ((ln.from_bus, 1), (ln.to_bus, -1)):
             if bus in pos:
-                row[pos[bus]] = sign * dvals[line_id - 1]
+                row[pos[bus]] = sign / ln.reactance
         rows.append(row)
     for bus in meas.injection_meters:
         _injection_bus(net, bus)

@@ -32,28 +32,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from math import lcm
 
 from .errors import DimensionMismatch, InconsistentRow, SolverDefect
-from .exactla import EchelonBasis, _eliminate, _reduce, to_fraction
+from .exactla import EchelonBasis, _eliminate, _reduce, scale_row
 
 RHS = -1   # key of the right-hand side in a sparse row
-
-
-def scale_row(values) -> tuple[list[int], int]:
-    """Exact values as integers over their lcm denominator: (nums, den).
-
-    Python ints pass through with den 1; anything else is read exactly
-    (floats at their shortest decimal repr).
-    """
-    values = list(values)
-    if all(type(v) is int for v in values):
-        return values, 1
-    fracs = [to_fraction(v) for v in values]
-    den = 1
-    for v in fracs:
-        den = lcm(den, v.denominator)
-    return [v.numerator * (den // v.denominator) for v in fracs], den
 
 
 def _pairs(row: dict[int, int]) -> tuple[tuple[int, int], ...]:

@@ -25,6 +25,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import InfeasibleIndex, SolverDefect
+from .grid import _metered_lines
 
 
 @dataclass(frozen=True)
@@ -41,12 +42,13 @@ def max_flow(net, meas, k: int) -> MinCut:
     """Edmonds-Karp between the endpoints of flow meter k's line.
 
     Raises InfeasibleIndex when the flow is unbounded, i.e. protected lines
-    join the endpoints and no attack can move meter k.
+    join the endpoints and no attack can move meter k, and UnknownMeterId
+    when a flow meter references a line outside the model.
     """
     lids = meas.flow_meters
     unbounded = len(lids) + 1          # exceeds any cut of unit lines
     cap = [unbounded if i in meas.protected else 1 for i in range(1, len(lids) + 1)]
-    ends = [(net.lines[lid - 1].from_bus, net.lines[lid - 1].to_bus) for lid in lids]
+    ends = [(ln.from_bus, ln.to_bus) for ln in _metered_lines(net, lids)]
     adj: list[list[tuple[int, int, int]]] = [[] for _ in range(net.n_buses + 1)]
     for e, (a, b) in enumerate(ends):
         adj[a].append((e, b, 1))        # d = +1: along the line's direction

@@ -4,8 +4,9 @@ Everything here reaches the same answers as the production path by a
 different route: exhaustive enumeration backed by exact rank tests, a
 big-M mixed-integer formulation solved by branch and bound on exact LP
 relaxations, and compressed-sensing measures (mutual coherence, restricted
-isometry) of the nullspace reformulation.  None of it shares solver state
-with the l1 path, so agreement between the two is meaningful evidence.
+isometry) of the nullspace reformulation.  Beyond the validated input
+(tumin.TUProblem) none of it shares a formulation or solver state with
+the l1 path, so agreement between the two is meaningful evidence.
 
 Meter/row indices are 1-based, matching the measurement-system convention.
 """
@@ -28,10 +29,11 @@ from .errors import (
     TrivialNullspace,
     ZeroColumn,
 )
-from .exactla import frac_rref, in_row_space, int_matrix, int_rank, left_nullspace, to_fraction
-from .grid import MeasurementSystem, Network, flow_rows
+from .exactla import frac_rref, in_row_space, int_rank, left_nullspace, scale_row, to_fraction
+from .grid import MeasurementSystem, Network
 from .grid import incidence  # noqa: F401  not called here; the benchmark's tracer wraps it by this name
-from .security import CriticalTuple, SecurityIndexResult, _attack, _flow_target, _witness_attack
+from .security import CriticalTuple, SecurityIndexResult, _attack, _witness_attack, reduce_to_tu
+from .tumin import TUProblem, check_rows
 
 
 # --- exhaustive enumeration ----------------------------------------------
@@ -48,20 +50,13 @@ def exhaustive_min_support(A, k: int, I=frozenset(), *,
     touching everything cannot move row k (it lies in the protected row
     space); raises CapExceeded past the subset budget.
     """
-    rows = int_matrix(A).tolist()
-    m = len(rows)
-    if not 1 <= k <= m:
-        raise ValueError(f"target row {k} outside 1..{m}")
-    I = frozenset(int(i) for i in I)
-    if any(not 1 <= i <= m for i in I):
-        raise ValueError("protected row outside 1..m")
-    if k in I:
-        raise ValueError("target row cannot be protected")
+    prob = TUProblem(A, k, I)
+    rows = prob.A.tolist()
     target = rows[k - 1]
-    prot_rows = [rows[i - 1] for i in sorted(I)]
+    prot_rows = [rows[i - 1] for i in sorted(prob.I)]
     if in_row_space(target, prot_rows):
         return None
-    others = [j for j in range(1, m + 1) if j != k and j not in I]
+    others = [j for j in prob.free_rows if j != k]
     tested = 0
     for size in range(len(others) + 1):
         for S in combinations(others, size):
@@ -81,10 +76,8 @@ def exhaustive_min_tuple(A, k: int, *, cap: int = 200_000) -> CriticalTuple | No
     J is critical for k when the rows outside J leave the state
     undetermined while restoring row k alone determines it again.
     """
-    rows = int_matrix(A).tolist()
+    rows = TUProblem(A, k).A.tolist()
     m, n = len(rows), len(rows[0])
-    if not 1 <= k <= m:
-        raise ValueError(f"target row {k} outside 1..{m}")
     others = [j for j in range(1, m + 1) if j != k]
     tested = 0
     for size in range(1, m + 1):
@@ -104,79 +97,46 @@ def exhaustive_min_tuple(A, k: int, *, cap: int = 200_000) -> CriticalTuple | No
 # --- big-M mixed-integer reference solver --------------------------------
 
 
-@dataclass(frozen=True)
-class MilpInstance:
-    """Data of the big-M formulation: binaries y mark touched rows.
-
-    minimize sum(y) subject to |A(j,:) d| <= big_m * y_j on unprotected
-    rows, A(I,:) d = 0, A(k,:) d = 1.  big_m must dominate |A(j,:) d| at
-    some optimum; the max column sum of the truncated incidence works for
-    flow rows because an optimal d exists with entries in {-1,0,1}.
-    """
-
-    A: np.ndarray
-    k: int
-    protected: frozenset[int] = frozenset()
-    big_m: Fraction = Fraction(2)
-
-    def __post_init__(self):
-        A = int_matrix(self.A)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "protected",
-                           frozenset(int(i) for i in self.protected))
-        object.__setattr__(self, "big_m", Fraction(self.big_m))
-        m = A.shape[0]
-        if not 1 <= self.k <= m:
-            raise ValueError(f"target row {self.k} outside 1..{m}")
-        if any(not 1 <= i <= m for i in self.protected):
-            raise ValueError("protected row outside 1..m")
-        if self.k in self.protected:
-            raise ValueError("target row cannot be protected")
-        if self.big_m <= 0:
-            raise ValueError("big_m must be positive")
-
-    @classmethod
-    def from_system(cls, net: Network, meas: MeasurementSystem, k: int) -> "MilpInstance":
-        _flow_target(meas, k)
-        # the largest entry count of any line's truncated incidence column
-        big_m = max((ln.from_bus != net.reference_bus) + (ln.to_bus != net.reference_bus)
-                    for ln in net.lines)
-        return cls(flow_rows(net, meas), k, frozenset(meas.protected), Fraction(big_m))
+def _big_m(net: Network) -> Fraction:
+    """Big-M for the flow rows of net: the largest entry count of any
+    line's truncated incidence column.  It dominates |A(j,:) d| at some
+    optimum because an optimal d exists with entries in {-1,0,1}."""
+    return Fraction(max((ln.from_bus != net.reference_bus) + (ln.to_bus != net.reference_bus)
+                        for ln in net.lines))
 
 
-def _t_columns(inst: MilpInstance) -> dict[int, int]:
+def _t_columns(prob: TUProblem) -> dict[int, int]:
     """Column of t+_j for every free row j (unprotected, not the target), in
     row order; t-_j and u_j follow it, after the 2n state columns."""
-    n = inst.A.shape[1]
-    free = [j for j in range(1, inst.A.shape[0] + 1) if j != inst.k and j not in inst.protected]
+    n = prob.A.shape[1]
+    free = [j for j in prob.free_rows if j != prob.k]
     return {j: 2 * n + 3 * pos for pos, j in enumerate(free)}
 
 
-def _node_lp(inst: MilpInstance) -> lp.StandardFormLP:
-    """Exact root LP relaxation of the big-M formulation.
+def _node_lp(prob: TUProblem, big_m: Fraction) -> lp.StandardFormLP:
+    """Exact root LP relaxation of the big-M formulation of prob.
 
-    Every unprotected row j other than the target is free: it contributes
-    y_j = (t+ + t-)/big_m through a link row A(j,:) d - t+ + t- = 0 and a
-    box t+ + t- + u = big_m.  Protected rows are equalities and the target
-    row reads 1.  States split as d = dp - dm for nonnegativity.  Branch
-    and bound keeps this layout at every node.  The rows are integral (the
+    Binaries y mark touched rows: minimize sum(y) subject to
+    |A(j,:) d| <= big_m * y_j on unprotected rows, A(I,:) d = 0 and
+    A(k,:) d = 1.  Every unprotected row j other than the target is free:
+    it contributes y_j = (t+ + t-)/big_m through a link row
+    A(j,:) d - t+ + t- = 0 and a box t+ + t- + u = big_m.  States split as
+    d = dp - dm for nonnegativity.  Branch and bound keeps this layout at
+    every node.  The rows are integral (the
     box rows are scaled by big-M's denominator) and the cost 1/big_m on the
     t columns is stored over big-M's numerator.  Dependent protected rows
     are left to lp.preprocess.
     """
-    A = inst.A
-    n = A.shape[1]
-    tcol = _t_columns(inst)
+    n = prob.A.shape[1]
+    tcol = _t_columns(prob)
     p = 2 * n + 3 * len(tcol)
-    Mn, Md = inst.big_m.numerator, inst.big_m.denominator
-    rows_A = A.tolist()
+    Mn, Md = big_m.numerator, big_m.denominator
 
     def state_part(j):
         row = {}
-        for c, a in enumerate(rows_A[j - 1]):
-            if a:
-                row[c] = a
-                row[n + c] = -a
+        for c, a in prob.rows[j - 1]:
+            row[c] = a
+            row[n + c] = -a
         return row
 
     rows: list[dict[int, int]] = []
@@ -186,9 +146,9 @@ def _node_lp(inst: MilpInstance) -> lp.StandardFormLP:
         link[t + 1] = 1
         rows.append(link)
         rows.append({t: Md, t + 1: Md, t + 2: Md, lp.RHS: Mn})
-    for j in sorted(inst.protected):
+    for j in sorted(prob.I):
         rows.append(state_part(j))
-    target = state_part(inst.k)
+    target = state_part(prob.k)
     target[lp.RHS] = 1
     rows.append(target)
 
@@ -199,7 +159,7 @@ def _node_lp(inst: MilpInstance) -> lp.StandardFormLP:
 def _check_incumbent(root: lp.StandardFormLP, x: dict[int, Fraction], fixed0, tcol) -> None:
     """An incumbent (nonzero values x by column) must satisfy the root rows
     and its zero fixings exactly; checked over x's common denominator."""
-    nums, den = lp.scale_row(x.values())
+    nums, den = scale_row(x.values())
     X = dict(zip(x, nums))
     for pairs in root.rows:
         lhs = sum(a * X.get(c, 0) for c, a in pairs if c != lp.RHS)
@@ -209,10 +169,12 @@ def _check_incumbent(root: lp.StandardFormLP, x: dict[int, Fraction], fixed0, tc
         raise SolverDefect("incumbent moves a row fixed to zero; solver defect")
 
 
-def solve_milp_instance(inst: MilpInstance, *,
+def solve_milp_instance(prob: TUProblem, big_m=Fraction(2), *,
                         trace=None) -> tuple[int, tuple[Fraction, ...], frozenset[int], int] | None:
-    """Branch and bound on the big-M formulation.
+    """Branch and bound on the big-M formulation of prob (see _node_lp).
 
+    big_m must be positive and should dominate |A(j,:) d| at some optimum;
+    an undersized one can only raise the optimum or make it infeasible.
     Depth-first, branching the lowest-index fractional binary with the
     zero branch explored first; node bounds come from exact LP
     relaxations, so a subtree is pruned only when its bound provably
@@ -230,10 +192,12 @@ def solve_milp_instance(inst: MilpInstance, *,
     trace, when given, receives one free-text line per node.  Returns
     (optimum, d, support, nodes) or None when even the root is infeasible.
     """
-    n = inst.A.shape[1]
-    M = inst.big_m
-    root = _node_lp(inst)
-    tcol = _t_columns(inst)
+    M = Fraction(big_m)
+    if M <= 0:
+        raise ValueError("big_m must be positive")
+    n = prob.A.shape[1]
+    root = _node_lp(prob, M)
+    tcol = _t_columns(prob)
     best: int | None = None
     best_d: list[Fraction] | None = None
     nodes = 0
@@ -292,9 +256,8 @@ def solve_milp_instance(inst: MilpInstance, *,
     if best is None:
         return None
     assert best_d is not None
-    support = frozenset(
-        j for j, row in enumerate(inst.A.tolist(), start=1) if j not in inst.protected
-        and sum(a * v for a, v in zip(row, best_d) if a) != 0)
+    support = frozenset(j for j in prob.free_rows
+                        if sum(a * best_d[c] for c, a in prob.rows[j - 1]))
     if len(support) != best:
         raise AssertionError("incumbent support disagrees with the optimum")
     return best, tuple(best_d), support, nodes
@@ -304,13 +267,13 @@ def milp_solve(net: Network, meas: MeasurementSystem, k: int, *,
                trace=None) -> SecurityIndexResult:
     """Security index of flow meter k via the big-M reference solver.
 
-    Self-contained alternative to the l1 path: same reduction to integer
-    rows, entirely different search.  The witness is rescaled so meter k
+    Self-contained alternative to the l1 path: the same reduction to
+    integer rows (security.reduce_to_tu), an entirely different search,
+    with the network's big-M (_big_m).  The witness is rescaled so meter k
     reads +1 in measurement units.
     """
     t0 = perf_counter()
-    inst = MilpInstance.from_system(net, meas, k)
-    out = solve_milp_instance(inst, trace=trace)
+    out = solve_milp_instance(reduce_to_tu(net, meas, k), _big_m(net), trace=trace)
     if out is None:
         raise InfeasibleIndex(k)
     value, d, support, _ = out
@@ -370,13 +333,7 @@ def nullspace_reformulate(A, k: int, I=frozenset()) -> CsInstance:
     """
     rows = _frac_matrix(A)
     m = len(rows)
-    if not 1 <= k <= m:
-        raise ValueError(f"target row {k} outside 1..{m}")
-    I = frozenset(int(i) for i in I)
-    if any(not 1 <= i <= m for i in I):
-        raise ValueError("protected row outside 1..m")
-    if k in I:
-        raise ValueError("target row cannot be protected")
+    I = check_rows(m, k, I)
     L = left_nullspace(rows)
     if not L:
         raise TrivialNullspace(
@@ -486,7 +443,7 @@ def exhaustive_min_card(phi, b=None, *, cap: int = 200_000) -> int | None:
     m = len(rows[0]) if rows else 0
     # one integer scaling of the augmented rows; row scaling preserves
     # both ranks in the comparison
-    aug = [lp.scale_row(list(row) + [bv])[0] for row, bv in zip(rows, bvec)]
+    aug = [scale_row(list(row) + [bv])[0] for row, bv in zip(rows, bvec)]
     if all(row[-1] == 0 for row in aug):
         return 0
     tested = 0

@@ -32,11 +32,10 @@ from .errors import (
     TargetIsInjection,
     ValidationError,
 )
-from .exactla import int_matrix, int_rank
+from .exactla import int_matrix, int_rank, scale_row
 from .grid import FLOAT_TOL, AttackVector, MeasurementMatrix, MeasurementSystem, Network, _injection_bus, flow_rows
 # not called here; the benchmark's tracer wraps them by these names
 from .grid import _exact_H_rows, incidence  # noqa: F401
-from .lp import scale_row
 from .mincut import check_certificate, max_flow, witness
 from .tumin import TUProblem, solve_min_support
 

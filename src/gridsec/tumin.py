@@ -24,25 +24,31 @@ from .errors import IntegralityError, SizeLimitExceeded, SolverDefect
 from .exactla import det_int, int_matrix
 
 
+def check_rows(m: int, k: int, I=frozenset()) -> frozenset[int]:
+    """I as a frozenset of ints, once target row k and the protected rows I
+    are known to lie in 1..m with k unprotected; ValueError otherwise."""
+    I = frozenset(int(i) for i in I)
+    if not 1 <= k <= m:
+        raise ValueError(f"target row {k} outside 1..{m}")
+    if any(not 1 <= i <= m for i in I):
+        raise ValueError("protected row outside 1..m")
+    if k in I:
+        raise ValueError("target row cannot be protected")
+    return I
+
+
 @dataclass(frozen=True)
 class TUProblem:
-    """Integer constraint data with a 1-based target row and protected rows."""
+    """The one record of a minimum-support problem: integer data A, a 1-based
+    target row k and protected rows I, read by the l1 solve and the oracles."""
 
     A: np.ndarray
     k: int
     I: frozenset[int] = frozenset()
 
     def __post_init__(self):
-        A = int_matrix(self.A)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "I", frozenset(int(i) for i in self.I))
-        m = A.shape[0]
-        if not 1 <= self.k <= m:
-            raise ValueError(f"target row {self.k} outside 1..{m}")
-        if any(not 1 <= i <= m for i in self.I):
-            raise ValueError("protected row outside 1..m")
-        if self.k in self.I:
-            raise ValueError("target row cannot be protected")
+        object.__setattr__(self, "A", int_matrix(self.A))
+        object.__setattr__(self, "I", check_rows(self.A.shape[0], self.k, self.I))
 
     @cached_property
     def rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:

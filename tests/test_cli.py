@@ -2,9 +2,11 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +14,10 @@ from conftest import IEEE14_CASE, SIXBUS_CASE
 
 SIX = str(SIXBUS_CASE)
 IEEE = str(IEEE14_CASE)
+import gridsec
+from gridsec import MeasurementSystem, parse_case
 from gridsec.cli import (
+    METHODS,
     BatchReport,
     MeterEntry,
     emit,
@@ -20,7 +25,7 @@ from gridsec.cli import (
     main,
     run_batch,
 )
-from gridsec.errors import IntegralityError, MethodUnavailable, SolverDefect
+from gridsec.errors import IntegralityError, MethodUnavailable, SolverDefect, UnknownMeterId
 
 
 def run_main(argv):
@@ -276,6 +281,18 @@ class TestMainExitCodes:
         assert "pivot budget" in err
 
 
+@pytest.mark.parametrize("method", tuple(METHODS))
+@pytest.mark.parametrize("where", ["zero", "past-the-last"])
+def test_a_flow_meter_on_a_missing_line_is_unknown(method, where):
+    # line 0 must not alias the last line, whichever meter is targeted
+    net, meas = parse_case(IEEE14_CASE)
+    lid = 0 if where == "zero" else len(net.lines) + 1
+    system = MeasurementSystem((lid,) + meas.flow_meters[1:])
+    for k in (1, 2):
+        with pytest.raises(UnknownMeterId, match=f"missing line {lid}"):
+            METHODS[method](net, system, k)
+
+
 class TestAttackCommand:
     def test_stdout_json(self):
         rc, out, _ = run_main(["attack", SIX, "-k", "6"])
@@ -337,8 +354,11 @@ class TestBenchCommand:
 
 
 def test_module_entry_point():
+    # the child imports the same gridsec as the tests, installed or not
+    path = [str(Path(gridsec.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     proc = subprocess.run(
         [sys.executable, "-m", "gridsec.cli", "solve", SIX, "-k", "6"],
-        capture_output=True, text=True, timeout=60)
+        capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0
     assert "index=3" in proc.stdout

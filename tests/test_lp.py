@@ -30,6 +30,7 @@ from gridsec.lp import (
     solve_lp,
     verify_bfs,
 )
+from gridsec.tumin import TUProblem
 
 
 def test_minimize_sum_on_simplex():
@@ -366,7 +367,7 @@ def test_dual_simplex_pivot_budget_is_solver_defect():
         _run_dual_simplex(tab, [0])
 
 
-SIXBUS_MILP = oracle.MilpInstance(SIXBUS_A, 6)
+SIXBUS_MILP = TUProblem(SIXBUS_A, 6)
 
 
 @pytest.mark.parametrize("forge", ["reduced cost", "basic value"])

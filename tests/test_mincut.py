@@ -29,7 +29,7 @@ from gridsec import (
 )
 from gridsec.errors import HasInjections, InfeasibleIndex, SolverDefect, ValidationError
 from gridsec.mincut import check_certificate, max_flow, witness
-from gridsec.oracle import MilpInstance, milp_solve, solve_milp_instance
+from gridsec.oracle import milp_solve, solve_milp_instance
 
 IEEE14_INDICES = {1: 2, 2: 2, 3: 2, 4: 4, 5: 4, 6: 2, 7: 4, 8: 2, 9: 3,
                   10: 3, 11: 2, 12: 2, 13: 3, 14: 1, 15: 2, 16: 2, 17: 2,
@@ -131,17 +131,16 @@ class TestDifferential:
         # a big-M with a denominator scales the box rows; from 2 up it is
         # valid for incidence rows, below 2 it can only cost more support
         net, meas, k = system
-        inst = replace(MilpInstance.from_system(net, meas, k), big_m=big_m)
         prob = reduce_to_tu(net, meas, k)
         want = exhaustive_min_support(prob.A, prob.k, prob.I)
-        out = solve_milp_instance(inst)
+        out = solve_milp_instance(prob, big_m)
         if big_m >= 2 or want is None:
             assert (None if out is None else out[0]) == want
         else:
             assert out is None or out[0] >= want
         if out is not None:
             value, d, support, _ = out
-            Ad = [sum(a * v for a, v in zip(row, d)) for row in inst.A.tolist()]
+            Ad = [sum(a * v for a, v in zip(row, d)) for row in prob.A.tolist()]
             assert Ad[k - 1] == 1
             assert all(Ad[j - 1] == 0 for j in meas.protected)
             assert all(abs(v) <= big_m for j, v in enumerate(Ad, start=1) if j != k)

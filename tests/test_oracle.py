@@ -2,7 +2,6 @@
 import io
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +20,7 @@ from conftest import (
 from gridsec import (
     MeasurementSystem,
     Network,
+    TUProblem,
     build_H,
     exhaustive_min_card,
     exhaustive_min_support,
@@ -28,6 +28,7 @@ from gridsec import (
     milp_solve,
     mutual_coherence,
     nullspace_reformulate,
+    reduce_to_tu,
     rip_constant,
     security_index,
     solve_min_support,
@@ -40,8 +41,8 @@ from gridsec.errors import (
     ZeroColumn,
 )
 from gridsec.exactla import int_rank
-from gridsec import lp
-from gridsec.oracle import CsInstance, MilpInstance, _node_lp, coherence_bound, solve_milp_instance
+from gridsec import lp, oracle
+from gridsec.oracle import CsInstance, _big_m, _node_lp, coherence_bound, solve_milp_instance
 
 
 class TestExhaustiveMinSupport:
@@ -80,18 +81,21 @@ class TestExhaustiveMinTuple:
 
 class TestMilp:
     def test_from_system_big_m(self):
-        inst = MilpInstance.from_system(sixbus_network(), sixbus_meas(), 6)
-        assert inst.big_m == Fraction(2)
-        assert np.array_equal(inst.A, SIXBUS_A)
+        assert _big_m(sixbus_network()) == Fraction(2)
+        assert np.array_equal(reduce_to_tu(sixbus_network(), sixbus_meas(), 6).A, SIXBUS_A)
+        # a line at the reference bus has one state entry, any other two
+        assert _big_m(Network(2, ((1, 2, 1),))) == Fraction(1)
+        assert _big_m(Network(3, ((1, 2, 1), (2, 3, 1)))) == Fraction(2)
 
     def test_from_system_rejects_injections(self):
         net = Network(3, ((1, 2, 1), (2, 3, 1)))
         with pytest.raises(HasInjections):
-            MilpInstance.from_system(net, MeasurementSystem((1, 2), (2,)), 1)
+            milp_solve(net, MeasurementSystem((1, 2), (2,)), 1)
 
-    def test_rejects_protected_target(self):
-        with pytest.raises(ValueError):
-            MilpInstance(SIXBUS_A, 6, frozenset({6}))
+    @pytest.mark.parametrize("big_m", [0, Fraction(-1, 2)])
+    def test_rejects_nonpositive_big_m(self, big_m):
+        with pytest.raises(ValueError, match="big_m must be positive"):
+            solve_milp_instance(TUProblem(SIXBUS_A, 6), big_m)
 
     def test_agrees_with_lp_on_six_bus(self):
         net, meas = sixbus_network(), sixbus_meas()
@@ -116,18 +120,17 @@ class TestMilp:
         # rows depends on the others; lp.preprocess drops it from the root
         protected = frozenset({1, 3, 5, 6})
         for k in (2, 4, 7):
-            inst = MilpInstance(SIXBUS_A, k, protected)
-            root = _node_lp(inst)
+            prob = TUProblem(SIXBUS_A, k, protected)
+            root = _node_lp(prob, Fraction(2))
             assert lp.preprocess(root).num_rows == root.num_rows - 1
-            value, _, support, _ = solve_milp_instance(inst)
+            value, _, support, _ = solve_milp_instance(prob)
             assert value == exhaustive_min_support(SIXBUS_A, k, protected)
             assert support.isdisjoint(protected)
 
     def test_undersized_big_m_inflates_value(self):
         # with |dz| capped at 1/2 every nullspace row needs extra support,
         # so the binary count can only move up from the true index 3
-        inst = MilpInstance(SIXBUS_A, 6, big_m=Fraction(1, 2))
-        out = solve_milp_instance(inst)
+        out = solve_milp_instance(TUProblem(SIXBUS_A, 6), big_m=Fraction(1, 2))
         assert out is None or out[0] > 3
 
     def test_witness_from_a_half_valued_incumbent(self, monkeypatch):
@@ -135,10 +138,8 @@ class TestMilp:
         # line, so the target line 1-3 forces the incumbent d = (-1/2, -1)
         net = Network(3, ((1, 2, 2), (2, 3, 3), (1, 3, 5)))
         meas = MeasurementSystem((1, 2, 3))
-        real = MilpInstance.from_system
-        monkeypatch.setattr(MilpInstance, "from_system", classmethod(
-            lambda cls, *args: replace(real(*args), big_m=Fraction(1, 2))))
-        value, d, support, _ = solve_milp_instance(MilpInstance.from_system(net, meas, 3))
+        monkeypatch.setattr(oracle, "_big_m", lambda net: Fraction(1, 2))
+        value, d, support, _ = solve_milp_instance(reduce_to_tu(net, meas, 3), Fraction(1, 2))
         assert (value, d, support) == (3, (Fraction(-1, 2), Fraction(-1)), frozenset({1, 2, 3}))
         res = milp_solve(net, meas, 3)
         assert res.index == 3
@@ -149,9 +150,10 @@ class TestMilp:
         assert np.allclose(H @ res.attack.delta_theta, res.attack.delta_z, atol=1e-12)
 
     def test_trace_records_search(self):
-        inst = MilpInstance.from_system(sixbus_network(), sixbus_meas(), 6)
+        net = sixbus_network()
         buf = io.StringIO()
-        value, d, support, nodes = solve_milp_instance(inst, trace=buf)
+        value, d, support, nodes = solve_milp_instance(
+            reduce_to_tu(net, sixbus_meas(), 6), _big_m(net), trace=buf)
         assert value == 3
         assert sorted(support) == [5, 6, 7]
         text = buf.getvalue()

@@ -14,7 +14,6 @@ import pytest
 from conftest import IEEE14_CASE, price_by
 from gridsec import lp, oracle, security, tumin
 from gridsec.grid import parse_case
-from gridsec.oracle import MilpInstance
 from test_lp import _random_feasible_lp
 
 IEEE14_SWEEP_PIVOTS = {
@@ -50,6 +49,6 @@ def test_random_lp_pivots(rule, monkeypatch):
 
 def test_ieee14_milp_nodes():
     net, meas = parse_case(IEEE14_CASE)
-    got = {k: oracle.solve_milp_instance(MilpInstance.from_system(net, meas, k))[3]
+    got = {k: oracle.solve_milp_instance(security.reduce_to_tu(net, meas, k), oracle._big_m(net))[3]
            for k in MILP_NODES}
     assert got == MILP_NODES

@@ -23,25 +23,39 @@ from gridsec import (
     verify_tu,
 )
 from gridsec.errors import SizeLimitExceeded
-from gridsec.oracle import MilpInstance
+from gridsec.oracle import exhaustive_min_tuple, nullspace_reformulate, solve_milp_instance
 
 
 def signed_image(A, x):
     return tuple(int(sum(int(a) * v for a, v in zip(row, x))) for row in A)
 
 
+# every entry point of an index problem over (A, k, I), and whether it
+# takes a protected set
+INDEX_PROBLEMS = {
+    "TUProblem": (TUProblem, True),
+    "solve_milp_instance": (lambda *args: solve_milp_instance(TUProblem(*args)), True),
+    "exhaustive_min_support": (exhaustive_min_support, True),
+    "exhaustive_min_tuple": (exhaustive_min_tuple, False),
+    "nullspace_reformulate": (nullspace_reformulate, True),
+}
+# (k, I, message) against a 2-row matrix
+BAD_ROWS = {
+    "target-out-of-range": (3, (), "target row 3 outside 1..2"),
+    "protected-out-of-range": (1, (frozenset({5}),), "protected row outside 1..m"),
+    "protected-target": (1, (frozenset({1}),), "target row cannot be protected"),
+}
+
+
 class TestProblemValidation:
-    def test_target_out_of_range(self):
-        with pytest.raises(ValueError):
-            TUProblem(np.eye(2, dtype=int), 3)
-
-    def test_protected_target(self):
-        with pytest.raises(ValueError):
-            TUProblem(np.eye(2, dtype=int), 1, frozenset({1}))
-
-    def test_protected_out_of_range(self):
-        with pytest.raises(ValueError):
-            TUProblem(np.eye(2, dtype=int), 1, frozenset({5}))
+    @pytest.mark.parametrize("entry, case", [
+        (entry, case) for entry, (_, takes_protected) in INDEX_PROBLEMS.items()
+        for case, (_, I, _) in BAD_ROWS.items() if takes_protected or not I])
+    def test_rows_are_checked_alike(self, entry, case):
+        solve = INDEX_PROBLEMS[entry][0]
+        k, I, message = BAD_ROWS[case]
+        with pytest.raises(ValueError, match=message):
+            solve(np.eye(2, dtype=int), k, *I)
 
     def test_empty_matrix(self):
         with pytest.raises(ValueError):
@@ -50,11 +64,11 @@ class TestProblemValidation:
 
     @pytest.mark.parametrize("build", [
         lambda A: TUProblem(A, 1),
-        lambda A: MilpInstance(A, 1),
+        lambda A: solve_milp_instance(TUProblem(A, 1)),
         lambda A: exhaustive_min_support(A, 1),
         lambda A: min_critical_tuple(A, 1),
         lambda A: verify_tu(A, 1),
-    ], ids=["TUProblem", "MilpInstance", "exhaustive_min_support", "min_critical_tuple",
+    ], ids=["TUProblem", "solve_milp_instance", "exhaustive_min_support", "min_critical_tuple",
             "verify_tu"])
     @pytest.mark.parametrize("first", [1.5, 10**20], ids=["fraction", "overflow"])
     def test_non_integer_entries_are_rejected_not_truncated(self, build, first):
