@@ -31,7 +31,7 @@ from .errors import (
     SolverDefect,
 )
 from .grid import MeasurementSystem, Network, flow_rows, parse_case
-from .oracle import exhaustive_min_support, milp_solve
+from .oracle import enumerate_min_support, milp_solve
 from .security import (
     SecurityIndexResult,
     mincut_index,
@@ -47,8 +47,7 @@ CSV_HEADER = "meter,index,method,seconds"
 def _exhaustive(net: Network, meas: MeasurementSystem, k: int) -> SecurityIndexResult:
     """Index of flow meter k by subset enumeration (no witness)."""
     t0 = time.perf_counter()
-    prob = reduce_to_tu(net, meas, k)
-    value = exhaustive_min_support(prob.A, prob.k, prob.I)
+    value = enumerate_min_support(reduce_to_tu(net, meas, k))
     if value is None:
         raise InfeasibleIndex(k)
     return SecurityIndexResult(meter=k, index=value, attack=None, method="exhaustive",

@@ -166,6 +166,37 @@ def incidence(net: Network) -> tuple[np.ndarray, np.ndarray]:
     return B0, B0[keep, :]
 
 
+@dataclass(frozen=True)
+class Metering:
+    """A measurement system resolved against its network by metering():
+    the line each flow meter reads, and the 0-based slot of each metered
+    line id and bus in the combined meter list (flows first)."""
+
+    net: Network
+    meas: MeasurementSystem
+    lines: tuple[Line, ...]
+    flow_slot: dict[int, int]
+    injection_slot: dict[int, int]
+
+
+def metering(net: Network, meas: MeasurementSystem) -> Metering:
+    """The one check of meter ids against a network: a missing line or bus
+    raises UnknownMeterId, an injection at the reference bus (which the
+    truncated model has no row for) ValidationError."""
+    for lid in meas.flow_meters:
+        if not 1 <= lid <= len(net.lines):
+            raise UnknownMeterId(f"flow meter references missing line {lid}")
+    for bus in meas.injection_meters:
+        if not 1 <= bus <= net.n_buses:
+            raise UnknownMeterId(f"injection meter references missing bus {bus}")
+        if bus == net.reference_bus:
+            raise ValidationError("injection at the reference bus is outside the truncated model")
+    nf = len(meas.flow_meters)
+    return Metering(net, meas, tuple(net.lines[lid - 1] for lid in meas.flow_meters),
+                    {lid: i for i, lid in enumerate(meas.flow_meters)},
+                    {bus: j for j, bus in enumerate(meas.injection_meters, start=nf)})
+
+
 def flow_rows(net: Network, meas: MeasurementSystem) -> np.ndarray:
     """Integer flow rows with the reactances dropped: row i has +1 at the
     from-bus and -1 at the to-bus of the i-th metered line, over the
@@ -173,29 +204,11 @@ def flow_rows(net: Network, meas: MeasurementSystem) -> np.ndarray:
     incidence transpose, built for the metered lines only."""
     pos = {bus: c for c, bus in enumerate(net.state_buses)}
     A = np.zeros((len(meas.flow_meters), net.n_states), dtype=int)
-    for i, ln in enumerate(_metered_lines(net, meas.flow_meters)):
+    for i, ln in enumerate(metering(net, meas).lines):
         for bus, sign in ((ln.from_bus, 1), (ln.to_bus, -1)):
             if bus in pos:
                 A[i, pos[bus]] = sign
     return A
-
-
-def _metered_lines(net: Network, line_ids) -> list[Line]:
-    """The lines that flow meters on line_ids read, in order, unless one
-    falls outside the model."""
-    if line_ids and (min(line_ids) < 1 or max(line_ids) > len(net.lines)):
-        bad = next(lid for lid in line_ids if not 1 <= lid <= len(net.lines))
-        raise UnknownMeterId(f"flow meter references missing line {bad}")
-    return [net.lines[lid - 1] for lid in line_ids]
-
-
-def _injection_bus(net: Network, bus: int) -> int:
-    """bus, unless an injection meter there falls outside the model."""
-    if not 1 <= bus <= net.n_buses:
-        raise UnknownMeterId(f"injection meter references missing bus {bus}")
-    if bus == net.reference_bus:
-        raise ValidationError("injection at the reference bus is outside the truncated model")
-    return bus
 
 
 def _exact_H_rows(net: Network, meas: MeasurementSystem) -> list[list[Fraction]]:
@@ -208,14 +221,13 @@ def _exact_H_rows(net: Network, meas: MeasurementSystem) -> list[list[Fraction]]
     pos = {bus: c for c, bus in enumerate(net.state_buses)}
     dvals = [Fraction(1) / ln.reactance for ln in net.lines]
     rows: list[list[Fraction]] = []
-    for ln in _metered_lines(net, meas.flow_meters):
+    for ln in metering(net, meas).lines:
         row = [Fraction(0)] * n
         for bus, sign in ((ln.from_bus, 1), (ln.to_bus, -1)):
             if bus in pos:
                 row[pos[bus]] = sign / ln.reactance
         rows.append(row)
     for bus in meas.injection_meters:
-        _injection_bus(net, bus)
         # row of B D B^T: +d_j on the diagonal, -d_j toward the far end
         row = [Fraction(0)] * n
         for ln, d in zip(net.lines, dvals):
@@ -380,13 +392,6 @@ def parse_case(path) -> tuple[Network, MeasurementSystem]:
                   ref if ref is not None else 1)
     if not saw_meter:
         flows = list(range(1, len(lines) + 1))
-    for lid in flows:
-        if not 1 <= lid <= len(lines):
-            raise ValidationError(f"flow meter references missing line {lid}")
-    for bus in injections:
-        if not 1 <= bus <= n_buses:
-            raise ValidationError(f"injection meter references missing bus {bus}")
-        if bus == net.reference_bus:
-            raise ValidationError("injection at the reference bus is not representable")
     meas = MeasurementSystem(tuple(flows), tuple(injections), frozenset(protected))
+    metering(net, meas)
     return net, meas

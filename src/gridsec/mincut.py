@@ -17,7 +17,8 @@ two share a unit-capacity line, and their number equals the flow support
 of the attack that is reported, which makes both the cut and the path
 packing optimal.
 
-Lines are 1-based line ids, meters 1-based meter indices, as in grid.
+Each function reads a solve's grid.Metering; lines are 1-based line ids,
+meters 1-based meter indices, as in grid.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import InfeasibleIndex, SolverDefect
-from .grid import _metered_lines
+from .grid import Metering
 
 
 @dataclass(frozen=True)
@@ -38,22 +39,20 @@ class MinCut:
     sink_side: frozenset[int]            # buses that can reach v in the residual graph
 
 
-def max_flow(net, meas, k: int) -> MinCut:
+def max_flow(mtr: Metering, k: int) -> MinCut:
     """Edmonds-Karp between the endpoints of flow meter k's line.
 
     Raises InfeasibleIndex when the flow is unbounded, i.e. protected lines
-    join the endpoints and no attack can move meter k, and UnknownMeterId
-    when a flow meter references a line outside the model.
+    join the endpoints and no attack can move meter k.
     """
-    lids = meas.flow_meters
+    lids, protected = mtr.meas.flow_meters, mtr.meas.protected
     unbounded = len(lids) + 1          # exceeds any cut of unit lines
-    cap = [unbounded if i in meas.protected else 1 for i in range(1, len(lids) + 1)]
-    ends = [(ln.from_bus, ln.to_bus) for ln in _metered_lines(net, lids)]
-    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(net.n_buses + 1)]
-    for e, (a, b) in enumerate(ends):
-        adj[a].append((e, b, 1))        # d = +1: along the line's direction
-        adj[b].append((e, a, -1))
-    u, v = ends[k - 1]
+    cap = [unbounded if i in protected else 1 for i in range(1, len(lids) + 1)]
+    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(mtr.net.n_buses + 1)]
+    for e, ln in enumerate(mtr.lines):
+        adj[ln.from_bus].append((e, ln.to_bus, 1))     # d = +1: along the line's direction
+        adj[ln.to_bus].append((e, ln.from_bus, -1))
+    u, v = mtr.lines[k - 1].from_bus, mtr.lines[k - 1].to_bus
     flow = [0] * len(lids)               # signed, from-bus -> to-bus
     total = 0
     while True:
@@ -112,18 +111,18 @@ def _decompose(adj, flow, lids, u, v, total) -> tuple[tuple[int, ...], ...]:
     return tuple(paths)
 
 
-def witness(net, meas, k: int, side: frozenset[int]) -> tuple[int, ...]:
+def witness(mtr: Metering, k: int, side: frozenset[int]) -> tuple[int, ...]:
     """State vector of the cut `side` (which holds one endpoint of meter
     k's line): +-1 on the part away from the reference bus, 0 elsewhere,
     signed so meter k's line carries +1 from its from-bus to its to-bus."""
-    ln = net.lines[meas.flow_meters[k - 1] - 1]
+    net, ln = mtr.net, mtr.lines[k - 1]
     if net.reference_bus in side:
         side = frozenset(range(1, net.n_buses + 1)) - side
     sign = 1 if ln.from_bus in side else -1
     return tuple(sign if b in side else 0 for b in net.state_buses)
 
 
-def check_certificate(net, meas, k: int, paths, dz, touched) -> None:
+def check_certificate(mtr: Metering, k: int, paths, dz, touched) -> None:
     """Raise SolverDefect unless the paths and the reported attack prove
     each other optimal.
 
@@ -135,21 +134,18 @@ def check_certificate(net, meas, k: int, paths, dz, touched) -> None:
     Each path then crosses a distinct touched line, so no attack touches
     fewer meters than there are paths.
     """
-    lids = meas.flow_meters
-    unit = {lid for i, lid in enumerate(lids, start=1) if i not in meas.protected}
-    metered = set(lids)
-    target = net.lines[lids[k - 1] - 1]
+    slot, protected, target = mtr.flow_slot, mtr.meas.protected, mtr.lines[k - 1]
     used: set[int] = set()
     for path in paths:
         bus = target.from_bus
         for lid in path:
-            if lid not in metered:
+            if lid not in slot:
                 raise SolverDefect(f"path {path} uses unmetered line {lid}")
-            ln = net.lines[lid - 1]
+            ln = mtr.lines[slot[lid]]
             if bus not in (ln.from_bus, ln.to_bus):
                 raise SolverDefect(f"path {path} breaks at line {lid}")
             bus = ln.to_bus if bus == ln.from_bus else ln.from_bus
-            if lid in unit:
+            if slot[lid] + 1 not in protected:
                 if lid in used:
                     raise SolverDefect(f"unit line {lid} carries two paths")
                 used.add(lid)
@@ -157,9 +153,9 @@ def check_certificate(net, meas, k: int, paths, dz, touched) -> None:
             raise SolverDefect(f"path {path} does not end at bus {target.to_bus}")
     if dz[k - 1] != 1:
         raise SolverDefect("witness does not move the target meter by +1")
-    if touched & meas.protected:
-        raise SolverDefect(f"witness touches protected meters {sorted(touched & meas.protected)}")
-    flows = sum(1 for i in touched if i <= len(lids))
+    if touched & protected:
+        raise SolverDefect(f"witness touches protected meters {sorted(touched & protected)}")
+    flows = sum(1 for i in touched if i <= len(slot))
     if flows != len(paths):
         raise SolverDefect(f"{len(paths)} disjoint paths but the witness touches "
                            f"{flows} flow meters")

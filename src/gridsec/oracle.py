@@ -30,7 +30,7 @@ from .errors import (
     ZeroColumn,
 )
 from .exactla import frac_rref, in_row_space, int_rank, left_nullspace, scale_row, to_fraction
-from .grid import MeasurementSystem, Network
+from .grid import MeasurementSystem, Network, metering
 from .grid import incidence  # noqa: F401  not called here; the benchmark's tracer wraps it by this name
 from .security import CriticalTuple, SecurityIndexResult, _attack, _witness_attack, reduce_to_tu
 from .tumin import TUProblem, check_rows
@@ -41,6 +41,12 @@ from .tumin import TUProblem, check_rows
 
 def exhaustive_min_support(A, k: int, I=frozenset(), *,
                            cap: int = 200_000) -> int | None:
+    """Minimum attack cardinality against row k of A with protected rows I:
+    enumerate_min_support on their TUProblem."""
+    return enumerate_min_support(TUProblem(A, k, I), cap=cap)
+
+
+def enumerate_min_support(prob: TUProblem, *, cap: int = 200_000) -> int | None:
     """Minimum attack cardinality against row k by subset enumeration.
 
     A set S of unprotected rows (k excluded) admits an attack touching only
@@ -50,13 +56,12 @@ def exhaustive_min_support(A, k: int, I=frozenset(), *,
     touching everything cannot move row k (it lies in the protected row
     space); raises CapExceeded past the subset budget.
     """
-    prob = TUProblem(A, k, I)
     rows = prob.A.tolist()
-    target = rows[k - 1]
+    target = rows[prob.k - 1]
     prot_rows = [rows[i - 1] for i in sorted(prob.I)]
     if in_row_space(target, prot_rows):
         return None
-    others = [j for j in prob.free_rows if j != k]
+    others = [j for j in prob.free_rows if j != prob.k]
     tested = 0
     for size in range(len(others) + 1):
         for S in combinations(others, size):
@@ -277,7 +282,7 @@ def milp_solve(net: Network, meas: MeasurementSystem, k: int, *,
     if out is None:
         raise InfeasibleIndex(k)
     value, d, support, _ = out
-    dtheta, dz, touched = _witness_attack(net, meas, k, d)
+    dtheta, dz, touched = _witness_attack(metering(net, meas), k, d)
     if touched != support:
         raise AssertionError("witness support disagrees with the solver")
     return SecurityIndexResult(

@@ -11,16 +11,15 @@ integral optimum (security_index); the same index is the minimum cut
 between the line's endpoints (mincut_index).
 
 Meter indices follow the measurement-system convention: 1-based, flow
-meters first.  With injection meters present the flow-target index is
-bracketed instead of solved (lower bound from the flow-only minimum cut,
-upper bound from the meters its witness touches, evaluated on the lines
-crossing the cut rather than on built rows of H).
+meters first, resolved once per solve by grid.metering.  One certified cut
+brackets a flow target's index (security_index_bounds): the flow-only
+minimum cut below, the meters its witness touches (on the lines crossing
+the cut, not on built rows of H) above; without injections it closes.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,15 +28,17 @@ from .errors import (
     HasInjections,
     InfeasibleIndex,
     ProtectedInjection,
+    SolverDefect,
     TargetIsInjection,
     ValidationError,
 )
 from .exactla import int_matrix, int_rank, scale_row
-from .grid import FLOAT_TOL, AttackVector, MeasurementMatrix, MeasurementSystem, Network, _injection_bus, flow_rows
+from .grid import (FLOAT_TOL, AttackVector, MeasurementMatrix, MeasurementSystem, Metering,
+                   Network, flow_rows, metering)
 # not called here; the benchmark's tracer wraps them by these names
 from .grid import _exact_H_rows, incidence  # noqa: F401
 from .mincut import check_certificate, max_flow, witness
-from .tumin import TUProblem, solve_min_support
+from .tumin import TUProblem, check_rows, solve_min_support
 
 
 @dataclass(frozen=True)
@@ -86,8 +87,7 @@ def reduce_to_tu(net: Network, meas: MeasurementSystem, k: int) -> TUProblem:
     return TUProblem(flow_rows(net, meas), k, frozenset(meas.protected))
 
 
-def _witness_attack(net: Network, meas: MeasurementSystem, k: int,
-                    x) -> tuple[list, list, frozenset[int]]:
+def _witness_attack(mtr: Metering, k: int, x) -> tuple[list, list, frozenset[int]]:
     """Exact (dtheta, dz, touched) of the state move x over every meter,
     flows first, scaled so flow meter k (which x moves by +1) reads +1.
 
@@ -95,12 +95,10 @@ def _witness_attack(net: Network, meas: MeasurementSystem, k: int,
     change w * x_k / x_line, read by its flow meter, added at its from-bus
     injection and subtracted at its to-bus injection.  Exact zeros stay 0.
     """
-    nf = len(meas.flow_meters)
-    flow = {lid: i for i, lid in enumerate(meas.flow_meters)}
-    inj = {_injection_bus(net, bus): j for j, bus in enumerate(meas.injection_meters, start=nf)}
-    xk = net.lines[meas.flow_meters[k - 1] - 1].reactance
+    net, flow, inj = mtr.net, mtr.flow_slot, mtr.injection_slot
+    xk = mtr.lines[k - 1].reactance
     pot = {b: v for b, v in zip(net.state_buses, x) if v}
-    dz = [0] * (nf + len(inj))
+    dz = [0] * mtr.meas.n_meters
     for lid, ln in enumerate(net.lines, start=1):
         w = pot.get(ln.from_bus, 0) - pot.get(ln.to_bus, 0)
         if w:
@@ -132,7 +130,7 @@ def security_index(net: Network, meas: MeasurementSystem, k: int) -> SecurityInd
     sol = solve_min_support(prob)
     if sol is None:
         raise InfeasibleIndex(k)
-    dtheta, dz, touched = _witness_attack(net, meas, k, sol.x)
+    dtheta, dz, touched = _witness_attack(metering(net, meas), k, sol.x)
     if touched != sol.support:        # reactance scaling cannot move the support
         raise AssertionError("witness support disagrees with the solver")
     return SecurityIndexResult(
@@ -145,34 +143,29 @@ def mincut_index(net: Network, meas: MeasurementSystem, k: int) -> SecurityIndex
     """Exact security index of flow meter k as a certified minimum cut.
 
     Same contract as security_index (flow-only systems, witness with
-    delta_z[k] = 1, InfeasibleIndex when protection pins meter k); the
-    witness moves the buses reachable from meter k's from-bus in the
-    residual graph, and mincut.check_certificate proves it optimal.
+    delta_z[k] = 1, InfeasibleIndex when protection pins meter k).  It is
+    security_index_bounds on a flow-only system, whose bracket closes: the
+    cut's witness touches exactly as many meters as the cut has lines.
     """
-    t0 = time.perf_counter()
     _flow_target(meas, k)
-    cut = max_flow(net, meas, k)
-    x = witness(net, meas, k, cut.source_side)
-    dtheta, dz, touched = _witness_attack(net, meas, k, x)
-    check_certificate(net, meas, k, cut.paths, dz, touched)
-    return SecurityIndexResult(
-        meter=k, index=cut.value, attack=_attack(dtheta, dz, touched),
-        method="mincut", bounds=(cut.value, cut.value),
-        solve_time=time.perf_counter() - t0)
+    res = security_index_bounds(net, meas, k)
+    if res.bounds[0] != res.bounds[1]:
+        raise SolverDefect(f"flow-only bracket {res.bounds} did not close")
+    return replace(res, index=res.bounds[0], method="mincut")
 
 
 def security_index_bounds(net: Network, meas: MeasurementSystem, k: int) -> SecurityIndexResult:
-    """Bracket the index of flow meter k when injection meters exist.
+    """Bracket the index of flow meter k; the one certified-cut path.
 
     The flow-only minimum cut is a lower bound (injections only add touched
     meters); the meters its witness touches, evaluated on the lines crossing
-    the cut, are an upper bound.  Of the two canonical minimum cuts (the
-    buses reachable from meter k's from-bus in the residual graph, and the
-    complement of those that can reach its to-bus) the one touching fewer
-    meters is kept, and its certificate is checked.  Protected injections
-    would invalidate the lower bound, so they raise ProtectedInjection;
-    injection targets are not reducible and raise TargetIsInjection.
-    Injection meters outside the model raise as in build_H.
+    the cut, are an upper bound.  The witness moves the buses reachable from
+    meter k's from-bus in the residual graph; with injection meters, also
+    the complement of those that can reach its to-bus, and the one touching
+    fewer meters is kept.  mincut.check_certificate checks it.  Protected
+    injections would invalidate the lower bound, so they raise
+    ProtectedInjection; injection targets are not reducible and raise
+    TargetIsInjection.  Meter ids are checked by grid.metering.
     """
     t0 = time.perf_counter()
     kind, _ = meas.meter_kind(k)
@@ -184,54 +177,34 @@ def security_index_bounds(net: Network, meas: MeasurementSystem, k: int) -> Secu
     if k in meas.protected:
         raise ValidationError(f"meter {k} is protected and cannot be targeted")
     # every protected meter is now a flow meter, so the min cut reads meas as is
-    cut = max_flow(net, meas, k)
-    sides = dict.fromkeys((cut.source_side, frozenset(range(1, net.n_buses + 1)) - cut.sink_side))
-    moves = [_witness_attack(net, meas, k, witness(net, meas, k, side))
-             for side in sides]   # one when the cuts coincide
+    mtr = metering(net, meas)
+    cut = max_flow(mtr, k)
+    sides = [cut.source_side]
+    if meas.injection_meters:         # else every minimum cut touches cut.value meters
+        sides.append(frozenset(range(1, net.n_buses + 1)) - cut.sink_side)
+    moves = [_witness_attack(mtr, k, witness(mtr, k, side)) for side in dict.fromkeys(sides)]
     dtheta, dz, touched = min(moves, key=lambda m: len(m[2]))   # the source side on a tie
-    check_certificate(net, meas, k, cut.paths, dz, touched)
+    check_certificate(mtr, k, cut.paths, dz, touched)
     return SecurityIndexResult(
         meter=k, index=None, attack=_attack(dtheta, dz, touched),
         method="bounds", bounds=(cut.value, len(touched)),
         solve_time=time.perf_counter() - t0)
 
 
-def _exact_rows(H) -> list[list[Fraction]] | None:
-    """Rows as Fractions when H carries exact entries, else None."""
-    if isinstance(H, MeasurementMatrix):
-        return None
-    if isinstance(H, np.ndarray):
-        if issubclass(H.dtype.type, np.integer):
-            return [[Fraction(int(v)) for v in row] for row in H]
-        if H.dtype == object:
-            return [[Fraction(v) for v in row] for row in H]
-        return None
-    rows = [list(r) for r in H]
-    if all(isinstance(v, (int, Fraction)) for row in rows for v in row):
-        return [[Fraction(v) for v in row] for row in rows]
-    return None
-
-
 def check_conditions(H, k: int, *, tol: float = FLOAT_TOL) -> tuple[bool, bool]:
     """(meter row nonzero, full column rank) for 1-based row k.
 
     Both must hold for a finite index with a minimum critical tuple.
-    Integer or Fraction input is ranked exactly; float input uses singular
-    values with threshold tol * sigma_max.
+    Integer or object (Fraction) input is ranked exactly; float input uses
+    singular values with threshold tol * sigma_max.
     """
-    exact = _exact_rows(H)
-    if exact is not None:
-        m = len(exact)
-        n = len(exact[0]) if m else 0
-        if not 1 <= k <= m:
-            raise ValueError(f"row {k} outside 1..{m}")
-        cond1 = any(v != 0 for v in exact[k - 1])
-        cond2 = int_rank([scale_row(row)[0] for row in exact]) == n
-        return cond1, cond2
-    Hf = H.H if isinstance(H, MeasurementMatrix) else np.asarray(H, dtype=float)
-    m, n = Hf.shape
-    if not 1 <= k <= m:
-        raise ValueError(f"row {k} outside 1..{m}")
+    M = H.H if isinstance(H, MeasurementMatrix) else np.asarray(H)
+    m, n = M.shape
+    check_rows(m, k)
+    if M.dtype == object or issubclass(M.dtype.type, np.integer):
+        rows = M.tolist()
+        return any(rows[k - 1]), int_rank([scale_row(row)[0] for row in rows]) == n
+    Hf = np.asarray(M, dtype=float)
     scale = float(np.abs(Hf).max()) if Hf.size else 0.0
     cond1 = bool(np.abs(Hf[k - 1]).max() > tol * max(scale, 1.0)) if n else False
     sv = np.linalg.svd(Hf, compute_uv=False) if min(m, n) else np.array([])

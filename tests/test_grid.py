@@ -16,6 +16,7 @@ from gridsec import (
     flow_rows,
     incidence,
     parse_case,
+    security_index_bounds,
     wls_estimate,
 )
 from gridsec.errors import (
@@ -284,15 +285,25 @@ protect 1
 
     @pytest.mark.parametrize("text,err", [
         ("buses 2\n", ValidationError),                               # no lines
-        ("buses 2\nline 1 2 1\nmeter flow 9\n", ValidationError),     # bad line id
-        ("buses 2\nline 1 2 1\nmeter injection 9\n", ValidationError),
+        ("buses 2\nline 1 2 1\nmeter flow 9\n", UnknownMeterId),      # bad line id
+        ("buses 2\nline 1 2 1\nmeter injection 9\n", UnknownMeterId),
         ("buses 2\nline 1 2 1\nmeter injection 1\n", ValidationError),  # ref bus
         ("buses 2\nline 1 2 1\nprotect 5\n", ValidationError),
         ("buses 4\nline 1 2 1\nline 3 4 1\n", DisconnectedGraph),
     ])
     def test_semantic_errors(self, tmp_path, text, err):
-        with pytest.raises(err):
+        with pytest.raises(err) as raised:
             self._parse_text(tmp_path, text)
+        assert type(raised.value) is err
+
+    def test_reference_bus_injection_reads_as_at_solve_time(self, tmp_path):
+        with pytest.raises(ValidationError) as parsed:
+            self._parse_text(tmp_path, "buses 2\nline 1 2 1\nmeter injection 1\n")
+        net = Network(2, ((1, 2, 1),))
+        with pytest.raises(ValidationError) as solved:
+            security_index_bounds(net, MeasurementSystem((1,), (1,)), 1)
+        assert type(parsed.value) is type(solved.value) is ValidationError
+        assert str(parsed.value) == str(solved.value)
 
     def test_missing_file(self):
         with pytest.raises(ParseError):

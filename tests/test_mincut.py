@@ -28,6 +28,7 @@ from gridsec import (
     security_index_bounds,
 )
 from gridsec.errors import HasInjections, InfeasibleIndex, SolverDefect, ValidationError
+from gridsec.grid import metering
 from gridsec.mincut import check_certificate, max_flow, witness
 from gridsec.oracle import milp_solve, solve_milp_instance
 
@@ -171,6 +172,33 @@ class TestDifferential:
                 assert np.max(np.abs(r1 - r0)) <= 1e-8
             checked += 1
 
+    def test_flow_only_bracket_closes_on_the_mincut_attack(self):
+        rng = random.Random(11)
+        checked = 0
+        while checked < 150:
+            net, meas, k = random_flow_system(rng)
+            try:
+                cut = mincut_index(net, meas, k)
+            except InfeasibleIndex:
+                with pytest.raises(InfeasibleIndex):
+                    security_index_bounds(net, meas, k)
+                continue
+            i = cut.index
+            assert i == security_index(net, meas, k).index
+            res = security_index_bounds(net, meas, k)
+            assert res.bounds == (i, i)
+            assert np.array_equal(res.attack.delta_z, cut.attack.delta_z)
+            assert res.attack.touched == cut.attack.touched
+            checked += 1
+
+    def test_an_open_flow_only_bracket_is_a_defect(self, monkeypatch):
+        bounds = security.security_index_bounds
+        monkeypatch.setattr(security, "security_index_bounds",
+                            lambda *args: replace(bounds(*args), bounds=(2, 3)))
+        net, meas = sixbus_network(), sixbus_meas()
+        with pytest.raises(SolverDefect, match="did not close"):
+            mincut_index(net, meas, 1)
+
     def test_ieee14_published_indices(self):
         net, meas = parse_case(IEEE14_CASE)
         got = {k: mincut_index(net, meas, k).index for k in range(1, 21)}
@@ -232,14 +260,15 @@ class TestCertificate:
     def setup_method(self):
         self.net = Network(4, ((1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 1, 1), (1, 3, 1)))
         self.meas = MeasurementSystem((1, 2, 3, 4, 5))
-        cut = max_flow(self.net, self.meas, 1)
-        self.x = witness(self.net, self.meas, 1, cut.source_side)
+        mtr = metering(self.net, self.meas)
+        cut = max_flow(mtr, 1)
+        self.x = witness(mtr, 1, cut.source_side)
         self.paths = cut.paths
 
     def check(self, paths, x=None, meas=None):
-        meas = meas or self.meas
-        _, dz, touched = security._witness_attack(self.net, meas, 1, self.x if x is None else x)
-        check_certificate(self.net, meas, 1, paths, dz, touched)
+        mtr = metering(self.net, meas or self.meas)
+        _, dz, touched = security._witness_attack(mtr, 1, self.x if x is None else x)
+        check_certificate(mtr, 1, paths, dz, touched)
 
     def test_solver_output_passes(self):
         assert len(self.paths) == 2

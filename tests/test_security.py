@@ -34,7 +34,7 @@ from gridsec.errors import (
     UnknownMeterId,
     ValidationError,
 )
-from gridsec.grid import _exact_H_rows, build_H
+from gridsec.grid import _exact_H_rows, build_H, metering
 from gridsec.mincut import max_flow, witness
 from gridsec.security import _witness_attack
 
@@ -174,7 +174,7 @@ def random_move(rng: random.Random, net, meas, k):
 
 class TestWitnessEvaluator:
     def assert_matches_rows(self, net, meas, k, x):
-        dtheta, dz, touched = _witness_attack(net, meas, k, x)
+        dtheta, dz, touched = _witness_attack(metering(net, meas), k, x)
         xk = net.lines[meas.flow_meters[k - 1] - 1].reactance
         assert dtheta == [xk * v for v in x]
         image = [sum((a * d for a, d in zip(row, dtheta)), Fraction(0))
@@ -192,12 +192,12 @@ class TestWitnessEvaluator:
             if x is not None:
                 self.assert_matches_rows(net, meas, k, x)
             try:
-                cut = max_flow(net, MeasurementSystem(meas.flow_meters, (), meas.protected), k)
+                cut = max_flow(metering(net, MeasurementSystem(meas.flow_meters, (), meas.protected)), k)
             except InfeasibleIndex:
                 continue
             cuts += 1
             for side in (cut.source_side, frozenset(range(1, net.n_buses + 1)) - cut.sink_side):
-                self.assert_matches_rows(net, meas, k, witness(net, meas, k, side))
+                self.assert_matches_rows(net, meas, k, witness(metering(net, meas), k, side))
         assert cuts > 100
 
     def test_bounds_attack_is_the_image_of_its_state_move(self):
@@ -249,8 +249,20 @@ class TestConditions:
         assert check_conditions(H, 6) == check_conditions(SIXBUS_A, 6)
 
     def test_row_out_of_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^target row 8 outside 1\.\.7$"):
             check_conditions(SIXBUS_A, 8)
+        with pytest.raises(ValueError, match=r"^target row 0 outside 1\.\.7$"):
+            check_conditions(build_H(sixbus_network(), sixbus_meas()), 0)
+
+    def test_fraction_entries_are_ranked_exactly(self):
+        # exact rank 2; in floats the second singular value (about 5e-13)
+        # falls under the 1e-9 relative threshold
+        H = np.array([[Fraction(1), Fraction(1)],
+                      [Fraction(1), 1 + Fraction(1, 10**12)],
+                      [Fraction(0), Fraction(0)]], dtype=object)
+        assert check_conditions(H, 2) == (True, True)
+        assert check_conditions(H, 3) == (False, True)
+        assert check_conditions(H.astype(float), 2) == (True, False)
 
 
 class TestCriticalTuples:
