@@ -64,4 +64,14 @@ from .oracle import (
     nullspace_reformulate,
     rip_constant,
 )
-from .cli import BatchReport, emit, load_report, run_batch
+
+# the batch front end loads on first use, so that running the gridsec.cli
+# module (python -m gridsec.cli) does not find it imported already
+_CLI_NAMES = ("BatchReport", "emit", "load_report", "run_batch")
+
+
+def __getattr__(name):
+    if name in _CLI_NAMES:
+        from . import cli
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -134,8 +134,8 @@ class BatchReport:
 
 
 def _solve_one(case: tuple[Network, MeasurementSystem], method: str, k: int) -> MeterEntry:
-    """One (meter, method) cell of a parsed case; runs in worker processes
-    during batches.  An internal error fails this cell only."""
+    """One (meter, method) cell of a parsed case.  An internal error fails
+    this cell only."""
     net, meas = case
     t0 = time.perf_counter()
     try:
@@ -148,14 +148,23 @@ def _solve_one(case: tuple[Network, MeasurementSystem], method: str, k: int) -> 
     return MeterEntry(k, method, res.index, res.solve_time)
 
 
+def _solve_chunk(case: tuple[Network, MeasurementSystem], cells) -> list[MeterEntry]:
+    """Consecutive (method, meter) cells of a parsed case.  A worker process
+    gets the case pickled once with its whole chunk, so the cells share one
+    system and what it keeps (grid.metering)."""
+    return [_solve_one(case, method, k) for method, k in cells]
+
+
 def run_batch(case_path, methods=("lp",), jobs: int | None = None) -> BatchReport:
     """Index of every unprotected flow meter, per method, cross-checked.
 
-    The case is parsed once.  jobs > 1 fans the (meter, method) grid over
-    worker processes, at most one per CPU; the default is the machine's
-    CPU count.  Meters where the methods give different answers land in
-    `mismatches`; a cell that fails with an internal error records it and
-    takes no part in that comparison, and the other cells still run.
+    The case is parsed once.  jobs > 1 splits the (method, meter) grid
+    into one contiguous chunk per worker process, at most one per CPU; the
+    default is the machine's CPU count.  Entries come out in the same
+    order whatever the job count.  Meters where the methods give different
+    answers land in `mismatches`; a cell that fails with an internal error
+    records it and takes no part in that comparison, and the other cells
+    still run.
     """
     case_path = str(case_path)
     methods = tuple(methods)
@@ -168,18 +177,23 @@ def run_batch(case_path, methods=("lp",), jobs: int | None = None) -> BatchRepor
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     cpus = os.cpu_count() or 1
     jobs = cpus if jobs is None else min(jobs, cpus)
-    net, meas = parse_case(case_path)
+    case = parse_case(case_path)
+    meas = case[1]
     targets = [k for k in range(1, len(meas.flow_meters) + 1)
                if k not in meas.protected]
-    tasks = [((net, meas), method, k) for method in methods for k in targets]
-    if jobs > 1 and len(tasks) > 1:
+    cells = [(method, k) for method in methods for k in targets]
+    workers = min(jobs, len(cells))
+    if workers > 1:
         # imported only here: the pool's multiprocessing stack would add
         # about 2 MB to every process that imports gridsec
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            entries = list(pool.map(_solve_one, *zip(*tasks)))
+        cuts = [len(cells) * w // workers for w in range(workers + 1)]
+        chunks = [cells[a:b] for a, b in zip(cuts, cuts[1:])]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = pool.map(_solve_chunk, [case] * workers, chunks)
+            entries = [e for part in parts for e in part]
     else:
-        entries = [_solve_one(*t) for t in tasks]
+        entries = _solve_chunk(case, cells)
     by_meter: dict[int, set] = {}
     for e in entries:
         if e.error is None:

@@ -28,6 +28,8 @@ from .errors import (
     ValidationError,
 )
 from .exactla import to_fraction
+from .lp import PackedTableau
+from .tumin import solve_l1_base
 
 FLOAT_TOL = 1e-9
 
@@ -93,6 +95,17 @@ class Network:
         """Buses carrying a state variable (all but the reference), ascending."""
         return tuple(b for b in range(1, self.n_buses + 1) if b != self.reference_bus)
 
+    @cached_property
+    def _meterings(self) -> dict:
+        """metering()'s records of this network, by measurement system."""
+        return {}
+
+    def __getstate__(self):
+        # the records and what they solved stay with this object
+        state = dict(self.__dict__)
+        state.pop("_meterings", None)
+        return state
+
 
 @dataclass(frozen=True)
 class MeasurementSystem:
@@ -144,7 +157,7 @@ class MeasurementMatrix:
     row_labels: tuple[tuple[str, int], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AttackVector:
     delta_theta: np.ndarray
     delta_z: np.ndarray
@@ -168,9 +181,11 @@ def incidence(net: Network) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class Metering:
-    """A measurement system resolved against its network by metering():
-    the line each flow meter reads, and the 0-based slot of each metered
-    line id and bus in the combined meter list (flows first)."""
+    """A measurement system resolved against its network by metering(),
+    once per (network, measurement system) pair: the line each flow meter
+    reads, the 0-based slot of each metered line id and bus in the combined
+    meter list (flows first), and what the solvers derive from them on
+    first use, all kept with the network."""
 
     net: Network
     meas: MeasurementSystem
@@ -178,11 +193,47 @@ class Metering:
     flow_slot: dict[int, int]
     injection_slot: dict[int, int]
 
+    @cached_property
+    def adjacency(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+        """Per bus (index 0 unused), the metered lines at it as (flow slot,
+        far bus, d) with d = +1 along the line's direction, -1 against it."""
+        adj: list[list[tuple[int, int, int]]] = [[] for _ in range(self.net.n_buses + 1)]
+        for e, ln in enumerate(self.lines):
+            adj[ln.from_bus].append((e, ln.to_bus, 1))
+            adj[ln.to_bus].append((e, ln.from_bus, -1))
+        return tuple(map(tuple, adj))
+
+    @cached_property
+    def capacity(self) -> tuple[int, ...]:
+        """Cut weight of each metered line, by flow slot: 1, or on a protected
+        line one more than the flow meter count, more than any cut of
+        unprotected lines."""
+        unbounded = len(self.lines) + 1
+        return tuple(unbounded if i in self.meas.protected else 1
+                     for i in range(1, len(self.lines) + 1))
+
+    @cached_property
+    def l1_base(self) -> PackedTableau:
+        """The solved target-free l1 LP of the flow rows and the protected
+        meters (tumin.solve_l1_base), built on the first LP solve of a
+        flow-only system, never at parse time."""
+        return solve_l1_base(flow_rows(self.net, self.meas), self.meas.protected)
+
 
 def metering(net: Network, meas: MeasurementSystem) -> Metering:
     """The one check of meter ids against a network: a missing line or bus
     raises UnknownMeterId, an injection at the reference bus (which the
-    truncated model has no row for) ValidationError."""
+    truncated model has no row for) ValidationError.  The record is built
+    once and kept on net, by meas, for as long as net lives; it does not
+    travel when net is pickled."""
+    table = net._meterings
+    mtr = table.get(meas)
+    if mtr is None:
+        mtr = table[meas] = _resolve(net, meas)
+    return mtr
+
+
+def _resolve(net: Network, meas: MeasurementSystem) -> Metering:
     for lid in meas.flow_meters:
         if not 1 <= lid <= len(net.lines):
             raise UnknownMeterId(f"flow meter references missing line {lid}")

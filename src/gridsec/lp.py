@@ -25,13 +25,18 @@ dependent rows; the simplex expects independent ones.
 A solve returns an LpOutcome; an optimal one carries its tableau, which
 can be re-optimized in place rather than solved again: by the primal
 simplex after a cost change, and by the dual simplex after an appended
-row.  The MILP oracle's branch and bound does so at every node.
+row.  The MILP oracle's branch and bound does so at every node, and the
+l1 sweep of a measurement system (tumin.solve_l1_base) keeps one packed
+optimal tableau (PackedTableau) to re-optimize for each target row.
 """
 from __future__ import annotations
 
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import islice
 
 from .errors import DimensionMismatch, InconsistentRow, SolverDefect
 from .exactla import EchelonBasis, _eliminate, _reduce, scale_row
@@ -199,6 +204,14 @@ class _Tableau:
         tab.zden = self.zden
         return tab
 
+    def pack(self) -> "PackedTableau":
+        rows = self.rows + [self.zrow]
+        return PackedTableau(_narrow([j for row in rows for j in row]),
+                             _narrow([v for row in rows for v in row.values()]),
+                             _narrow(list(map(len, rows))),
+                             _narrow(self.dens), _narrow(self.basis), self.zden,
+                             self.ncols, self.max_pivots)
+
     def price_out(self, r: int) -> None:
         """Clear row r's basic column from the objective row."""
         c = self.basis[r]
@@ -345,6 +358,42 @@ class _Tableau:
 
     def objective(self) -> Fraction:
         return -Fraction(self.zrow.get(RHS, 0), self.zden)
+
+
+def _narrow(values: list[int]) -> Sequence[int]:
+    """values in the narrowest array type that holds them all, else a tuple."""
+    for code in "bhiq":
+        try:
+            return array(code, values)
+        except OverflowError:
+            pass
+    return tuple(values)
+
+
+@dataclass(frozen=True)
+class PackedTableau:
+    """A tableau kept for re-use in little memory: the nonzero columns and
+    values of every row, then of the objective row, concatenated, with
+    each row's length in lens; each sequence in the narrowest integer
+    array that holds it.  unpack() gives a fresh _Tableau to re-optimize,
+    leaving the stored one as it was."""
+
+    cols: Sequence[int]
+    vals: Sequence[int]
+    lens: Sequence[int]
+    dens: Sequence[int]
+    basis: Sequence[int]
+    zden: int
+    ncols: int
+    max_pivots: int
+
+    def unpack(self) -> _Tableau:
+        cells = zip(self.cols, self.vals)
+        rows = [dict(islice(cells, n)) for n in self.lens]
+        zrow = rows.pop()
+        tab = _Tableau(rows, list(self.dens), list(self.basis), self.ncols, self.max_pivots)
+        tab.zrow, tab.zden = zrow, self.zden
+        return tab
 
 
 def _dantzig_pivots(tab: _Tableau) -> int:

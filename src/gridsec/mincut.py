@@ -17,8 +17,9 @@ two share a unit-capacity line, and their number equals the flow support
 of the attack that is reported, which makes both the cut and the path
 packing optimal.
 
-Each function reads a solve's grid.Metering; lines are 1-based line ids,
-meters 1-based meter indices, as in grid.
+Each function reads the system's grid.Metering, whose metered-line graph
+(adjacency, capacity) is built once per system; lines are 1-based line
+ids, meters 1-based meter indices, as in grid.
 """
 from __future__ import annotations
 
@@ -45,13 +46,7 @@ def max_flow(mtr: Metering, k: int) -> MinCut:
     Raises InfeasibleIndex when the flow is unbounded, i.e. protected lines
     join the endpoints and no attack can move meter k.
     """
-    lids, protected = mtr.meas.flow_meters, mtr.meas.protected
-    unbounded = len(lids) + 1          # exceeds any cut of unit lines
-    cap = [unbounded if i in protected else 1 for i in range(1, len(lids) + 1)]
-    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(mtr.net.n_buses + 1)]
-    for e, ln in enumerate(mtr.lines):
-        adj[ln.from_bus].append((e, ln.to_bus, 1))     # d = +1: along the line's direction
-        adj[ln.to_bus].append((e, ln.from_bus, -1))
+    lids, cap, adj = mtr.meas.flow_meters, mtr.capacity, mtr.adjacency
     u, v = mtr.lines[k - 1].from_bus, mtr.lines[k - 1].to_bus
     flow = [0] * len(lids)               # signed, from-bus -> to-bus
     total = 0
@@ -76,7 +71,7 @@ def max_flow(mtr: Metering, k: int) -> MinCut:
         for e, d in path:
             flow[e] += d * push
         total += push
-        if total >= unbounded:
+        if total > len(lids):            # more than any cut of unprotected lines
             raise InfeasibleIndex(k)
     sink = {v}
     queue = deque([v])

@@ -11,7 +11,7 @@ integral optimum (security_index); the same index is the minimum cut
 between the line's endpoints (mincut_index).
 
 Meter indices follow the measurement-system convention: 1-based, flow
-meters first, resolved once per solve by grid.metering.  One certified cut
+meters first, resolved once per system by grid.metering.  One certified cut
 brackets a flow target's index (security_index_bounds): the flow-only
 minimum cut below, the meters its witness touches (on the lines crossing
 the cut, not on built rows of H) above; without injections it closes.
@@ -38,10 +38,10 @@ from .grid import (FLOAT_TOL, AttackVector, MeasurementMatrix, MeasurementSystem
 # not called here; the benchmark's tracer wraps them by these names
 from .grid import _exact_H_rows, incidence  # noqa: F401
 from .mincut import check_certificate, max_flow, witness
-from .tumin import TUProblem, check_rows, solve_min_support
+from .tumin import TUProblem, check_rows, solve_min_support, solve_warm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SecurityIndexResult:
     meter: int
     index: int | None                 # exact value, or None when only bracketed
@@ -122,15 +122,20 @@ def security_index(net: Network, meas: MeasurementSystem, k: int) -> SecurityInd
     """Exact security index of flow meter k in a flow-only system.
 
     Returns the index together with a witness attack normalized to
-    delta_z[k] = 1.  Raises InfeasibleIndex when protected meters pin
-    meter k (no unobservable attack reaches it).
+    delta_z[k] = 1: a certified minimum-support attack, which may differ
+    from the vertex the cold solve (tumin.solve_min_support) lands on.
+    The system's target-free l1 LP is solved on its first call and kept
+    with its grid.Metering; each call re-optimizes a copy of it with meter
+    k's row appended (tumin.solve_warm).  Raises InfeasibleIndex when
+    protected meters pin meter k (no unobservable attack reaches it).
     """
     t0 = time.perf_counter()
     prob = reduce_to_tu(net, meas, k)
-    sol = solve_min_support(prob)
+    mtr = metering(net, meas)
+    sol = solve_warm(mtr.l1_base, prob)
     if sol is None:
         raise InfeasibleIndex(k)
-    dtheta, dz, touched = _witness_attack(metering(net, meas), k, sol.x)
+    dtheta, dz, touched = _witness_attack(mtr, k, sol.x)
     if touched != sol.support:        # reactance scaling cannot move the support
         raise AssertionError("witness support disagrees with the solver")
     return SecurityIndexResult(

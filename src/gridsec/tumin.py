@@ -5,7 +5,10 @@ set I, find x minimizing the number of nonzero entries of A(unprotected,:)x
 subject to A(k,:)x = 1 and A(I,:)x = 0.  For totally unimodular A the l1
 relaxation, posed as a standard-form LP and solved exactly, attains the
 same optimum and an integral witness, so the combinatorial answer comes out
-of a single polynomial-time solve.
+of a single polynomial-time solve.  solve_min_support is the cold solve;
+a sweep over the targets of one row set solves the target-free LP once
+(solve_l1_base) and re-optimizes it per target row (solve_warm).  Both
+certify their witness in one place.
 
 Row indices (k, I, supports) are 1-based throughout this module.
 """
@@ -53,13 +56,20 @@ class TUProblem:
     @cached_property
     def rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Each row's nonzero (column, value) pairs, as Python ints."""
-        return tuple(tuple((c, a) for c, a in enumerate(row) if a)
-                     for row in self.A.tolist())
+        return _sparse_rows(self.A)
 
     @property
     def free_rows(self) -> tuple[int, ...]:
         """Unprotected rows (1-based, ascending); note k is one of them."""
         return tuple(j for j in range(1, self.A.shape[0] + 1) if j not in self.I)
+
+
+def _sparse_rows(A: np.ndarray) -> tuple[tuple[tuple[int, int], ...], ...]:
+    r, c = np.nonzero(A)
+    out: list[list[tuple[int, int]]] = [[] for _ in range(A.shape[0])]
+    for i, j, a in zip(r.tolist(), c.tolist(), A[r, c].tolist()):
+        out[i].append((j, a))
+    return tuple(map(tuple, out))
 
 
 @dataclass(frozen=True)
@@ -74,6 +84,32 @@ class TUSolution:
             raise ValueError("cardinality must equal |support|")
 
 
+def _state_part(row, n: int) -> dict[int, int]:
+    """Integer row (column, value) pairs as the l1 LP's x+ and x- columns."""
+    out = {}
+    for c, a in row:
+        out[c] = a
+        out[n + c] = -a
+    return out
+
+
+def _target_free_lp(rows, n: int, I: frozenset[int]) -> tuple[list, dict, int]:
+    """(constraint rows, cost, width) of the l1 LP without its target row:
+    for each unprotected row j, A(j,:)(x+ - x-) - y+ + y- = 0, then the
+    protected rows A(I,:)(x+ - x-) = 0 in ascending order; the cost is
+    sum(y+) + sum(y-)."""
+    free = [j for j in range(1, len(rows) + 1) if j not in I]
+    r = len(free)
+    out: list[dict[int, int]] = []
+    for pos, j in enumerate(free):
+        row = _state_part(rows[j - 1], n)
+        row[2 * n + pos] = -1
+        row[2 * n + r + pos] = 1
+        out.append(row)
+    out += [_state_part(rows[j - 1], n) for j in sorted(I)]
+    return out, {c: 1 for c in range(2 * n, 2 * n + 2 * r)}, 2 * n + 2 * r
+
+
 def build_l1_lp(problem: TUProblem) -> lp.StandardFormLP:
     """Standard-form l1 relaxation.
 
@@ -84,52 +120,92 @@ def build_l1_lp(problem: TUProblem) -> lp.StandardFormLP:
     lp.preprocess, which keeps the same rows a greedy pass over them would.
     """
     n = problem.A.shape[1]
-    free = problem.free_rows
-    r = len(free)
-
-    def state_part(j: int) -> dict[int, int]:
-        row = {}
-        for c, a in problem.rows[j - 1]:
-            row[c] = a
-            row[n + c] = -a
-        return row
-
-    rows: list[dict[int, int]] = []
-    for pos, j in enumerate(free):
-        row = state_part(j)
-        row[2 * n + pos] = -1
-        row[2 * n + r + pos] = 1
-        rows.append(row)
-    for j in sorted(problem.I) + [problem.k]:
-        rows.append(state_part(j))
-    rows[-1][lp.RHS] = 1
-    width = 2 * n + 2 * r
-    cost = {c: 1 for c in range(2 * n, width)}
+    rows, cost, width = _target_free_lp(problem.rows, n, problem.I)
+    target = _state_part(problem.rows[problem.k - 1], n)
+    target[lp.RHS] = 1
+    rows.append(target)
     return lp.StandardFormLP.from_int_rows(rows, cost, width)
 
 
 def solve_min_support(problem: TUProblem) -> TUSolution | None:
     """Exact minimum-support solve; None when the constraints are infeasible.
 
+    The cold reference solve: build_l1_lp, then lp.solve_lp from scratch.
     Feasibility is decided by the LP layer (inconsistency in preprocessing or
     a positive phase-1 optimum), not by a separate rank precheck.
     """
-    relax = build_l1_lp(problem)
-    out = lp.solve_lp(relax)
+    out = lp.solve_lp(build_l1_lp(problem))
     if out.status is lp.LpStatus.INFEASIBLE:
         return None
     if out.status is not lp.LpStatus.OPTIMAL:
         raise SolverDefect("l1 relaxation cannot be unbounded; solver defect")
+    return _certified_solution(problem, out.tableau)
+
+
+def solve_l1_base(A, I=frozenset()) -> lp.PackedTableau:
+    """The l1 LP of integer matrix A and protected rows I without a target
+    row, solved once for every target of a TUProblem with the same A and I.
+
+    It is optimal at x = 0 with objective 0, and its final tableau is dual
+    feasible, which is what solve_warm re-optimizes from.
+    """
+    A = int_matrix(A)
+    relax = _target_free_lp(_sparse_rows(A), A.shape[1], frozenset(I))
+    out = lp.solve_lp(lp.StandardFormLP.from_int_rows(*relax))
+    if out.status is not lp.LpStatus.OPTIMAL or out.solution.objective != 0:
+        raise SolverDefect("the target-free l1 LP is not optimal at zero; solver defect")
+    return out.tableau.pack()
+
+
+def solve_warm(base: lp.PackedTableau, problem: TUProblem) -> TUSolution | None:
+    """solve_min_support by re-optimizing base, the solve_l1_base tableau of
+    problem's rows and protection; None when the constraints are infeasible.
+
+    A copy of base gains the row -A(k,:)(x+ - x-) + s = -1, i.e. A(k,:)x >= 1,
+    and the dual simplex restores nonnegative values.  The objective is
+    positively homogeneous and at least |A(k,:)x|, so every optimum has
+    A(k,:)x = 1 and s = 0: the same optimum as the cold solve, though
+    possibly at another optimal vertex.
+    """
     n = problem.A.shape[1]
-    vals = out.solution.values
-    x_frac = [vals[c] - vals[n + c] for c in range(n)]
+    tab = base.unpack()
+    target = {c: -a for c, a in _state_part(problem.rows[problem.k - 1], n).items()}
+    target[lp.RHS] = -1
+    tab.add_row(target)
+    if lp._run_dual_simplex(tab, [0]) is lp.LpStatus.INFEASIBLE:
+        return None
+    return _certified_solution(problem, tab)
+
+
+def _certified_solution(problem: TUProblem, tab: lp._Tableau) -> TUSolution:
+    """The minimum-support solution at an optimal l1 tableau, checked.
+
+    The tableau must read optimal, every column past the y block (the warm
+    solve's slack) must be zero, and the objective must equal the y sum.
+    The state move x = x+ - x- must be integral, satisfy A(I,:)x = 0 and
+    A(k,:)x = 1 on problem's integer rows, and touch as many rows as the
+    objective, in the unimodular pattern.  SolverDefect or IntegralityError
+    otherwise.
+    """
+    tab.check_optimal()
+    n = problem.A.shape[1]
+    ycols = 2 * n + 2 * len(problem.free_rows)
+    vals = tab.values()
+    if any(c >= ycols for c in vals):
+        raise SolverDefect("the target row's slack is not zero; solver defect")
+    objective = tab.objective()
+    if objective != sum(v for c, v in vals.items() if c >= 2 * n):
+        raise SolverDefect("objective bookkeeping mismatch; solver defect")
+    x_frac = [vals.get(c, 0) - vals.get(n + c, 0) for c in range(n)]
     if any(v.denominator != 1 for v in x_frac):
         raise IntegralityError(f"fractional witness {x_frac}")
     x = tuple(int(v) for v in x_frac)
+    moved = [sum(a * x[c] for c, a in problem.rows[j - 1]) for j in (problem.k, *problem.I)]
+    if moved[0] != 1 or any(moved[1:]):
+        raise SolverDefect("witness breaks the target or a protected row; solver defect")
     sol = _solution_from_x(problem, x)
-    if sol.cardinality != out.solution.objective:
-        raise IntegralityError(
-            f"objective {out.solution.objective} != support {sol.cardinality}")
+    if sol.cardinality != objective:
+        raise IntegralityError(f"objective {objective} != support {sol.cardinality}")
     if not validate_integrality(sol, problem):
         raise IntegralityError(f"witness violates the unimodular pattern: {sol}")
     return sol

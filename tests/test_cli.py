@@ -58,6 +58,51 @@ class TestRunBatch:
         strip = lambda r: sorted((e.meter, e.method, e.index) for e in r.entries)
         assert strip(serial) == strip(parallel)
 
+    def test_parallel_entries_keep_the_serial_order(self):
+        serial = run_batch(SIXBUS_CASE, methods=("lp", "mincut"), jobs=1)
+        parallel = run_batch(SIXBUS_CASE, methods=("lp", "mincut"), jobs=2)
+        cells = lambda r: [(e.meter, e.method, e.index, e.error) for e in r.entries]
+        assert cells(parallel) == cells(serial)
+
+    def test_a_worker_chunk_unpickles_the_case_once(self, monkeypatch):
+        import concurrent.futures
+        import pickle
+
+        import gridsec.cli as climod
+        import gridsec.lp as lpmod
+
+        class PicklingPool:
+            # runs each chunk in this process behind a pickle round trip of
+            # its arguments, as the process boundary does
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return [fn(*pickle.loads(pickle.dumps(args))) for args in zip(*iterables)]
+
+        solves = [0]
+        real = lpmod._solve_standard_ints
+
+        def counted(*args, **kwargs):
+            solves[0] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(lpmod, "_solve_standard_ints", counted)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PicklingPool)
+        monkeypatch.setattr(climod.os, "cpu_count", lambda: 2)
+        serial = run_batch(IEEE14_CASE, methods=("lp",), jobs=1)
+        assert solves == [1]
+        parallel = run_batch(IEEE14_CASE, methods=("lp",), jobs=2)
+        assert solves == [3]      # one target-free LP per chunk, 20 meters
+        assert [(e.meter, e.index) for e in parallel.entries] == \
+            [(e.meter, e.index) for e in serial.entries]
+
     def test_unknown_method(self):
         with pytest.raises(MethodUnavailable):
             run_batch(SIXBUS_CASE, methods=("simplex",))
@@ -354,11 +399,14 @@ class TestBenchCommand:
 
 
 def test_module_entry_point():
-    # the child imports the same gridsec as the tests, installed or not
+    # the child imports the same gridsec as the tests, installed or not;
+    # any warning (say, the package importing gridsec.cli before runpy
+    # runs it) is an error there
     path = [str(Path(gridsec.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     proc = subprocess.run(
-        [sys.executable, "-m", "gridsec.cli", "solve", SIX, "-k", "6"],
+        [sys.executable, "-W", "error", "-m", "gridsec.cli", "solve", SIX, "-k", "6"],
         capture_output=True, text=True, timeout=60, env=env)
+    assert proc.stderr == ""
     assert proc.returncode == 0
     assert "index=3" in proc.stdout

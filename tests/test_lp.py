@@ -324,6 +324,25 @@ def test_dual_simplex_matches_a_cold_solve_of_the_extended_lp(rule, monkeypatch)
     assert pivots[0] > 60
 
 
+def _fields(tab):
+    return (tab.rows, tab.dens, tab.basis, tab.zrow, tab.zden, tab.ncols, tab.max_pivots)
+
+
+def test_packed_tableau_round_trip():
+    for seed in range(40):
+        tab = _optimal_tableau(preprocess(_random_feasible_lp(random.Random(seed))))
+        assert _fields(tab.pack().unpack()) == _fields(tab)
+    # entries past every array width are kept exactly, in a tuple
+    big = _Tableau([{0: 3, 1: -(2 ** 70), RHS: 2 ** 40}, {1: 1, 2: 300, RHS: 5}],
+                   [7, 2 ** 65], [0, 1], 400, 999)
+    big.zrow, big.zden = {2: 2 ** 20, RHS: -1}, 3
+    packed = big.pack()
+    assert _fields(packed.unpack()) == _fields(big)
+    copy = packed.unpack()
+    copy.pivot(1, 2)
+    assert _fields(packed.unpack()) == _fields(big)
+
+
 def test_dual_pivot_selection_rules():
     # x0 = -1 and x1 = -3 over columns 2, 3 with reduced costs 2 and 1
     def tableau(den1):

@@ -1,5 +1,8 @@
 """Security indices, bounds with injections, and critical tuples."""
+import gc
+import pickle
 import random
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -8,28 +11,35 @@ import pytest
 from conftest import (
     SIXBUS_A,
     SIXBUS_A_FULL,
+    SIXBUS_CASE,
     incidence_transpose,
     random_connected_edges,
     sixbus_meas,
     sixbus_network,
 )
 from oracle_helpers import full_h_min_support
+from test_mincut import random_flow_system
 from gridsec import (
     MeasurementSystem,
     Network,
     check_conditions,
     exhaustive_min_support,
     exhaustive_min_tuple,
+    lp,
     min_critical_tuple,
+    mincut_index,
+    parse_case,
     reduce_to_tu,
     security_index,
     security_index_bounds,
+    solve_min_support,
 )
 from gridsec.errors import (
     ConditionViolated,
     HasInjections,
     InfeasibleIndex,
     ProtectedInjection,
+    SolverDefect,
     TargetIsInjection,
     UnknownMeterId,
     ValidationError,
@@ -37,6 +47,7 @@ from gridsec.errors import (
 from gridsec.grid import _exact_H_rows, build_H, metering
 from gridsec.mincut import max_flow, witness
 from gridsec.security import _witness_attack
+from gridsec.tumin import solve_warm
 
 
 class TestReduction:
@@ -304,3 +315,100 @@ class TestCriticalTuples:
             et = exhaustive_min_tuple(A, k)
             s = exhaustive_min_support(A, k)
             assert ct.cardinality == et.cardinality == s
+
+
+def count_simplex_solves(monkeypatch) -> list[int]:
+    """Count the from-scratch simplex solves (lp._solve_standard_ints)."""
+    calls = [0]
+    real = lp._solve_standard_ints
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "_solve_standard_ints", counted)
+    return calls
+
+
+class TestWarmSweep:
+    """security_index solves a system's target-free l1 LP once and prices
+    each meter by re-optimizing it (tumin.solve_warm)."""
+
+    def test_every_meter_matches_the_cold_solve_and_the_cut(self):
+        rng = random.Random(23)
+        feasible = pinned = 0
+        for _ in range(60):
+            net, meas, _ = random_flow_system(rng)
+            mtr = metering(net, meas)
+            for k in range(1, len(meas.flow_meters) + 1):
+                if k in meas.protected:
+                    continue
+                prob = reduce_to_tu(net, meas, k)
+                cold = solve_min_support(prob)
+                try:
+                    res = security_index(net, meas, k)
+                except InfeasibleIndex:
+                    assert cold is None
+                    with pytest.raises(InfeasibleIndex):
+                        mincut_index(net, meas, k)
+                    pinned += 1
+                    continue
+                assert res.index == cold.cardinality == mincut_index(net, meas, k).index
+                assert res.attack.touched == solve_warm(mtr.l1_base, prob).support
+                assert len(res.attack.touched) == res.index
+                assert res.attack.delta_z[k - 1] == 1.0
+                assert res.attack.touched.isdisjoint(meas.protected)
+                feasible += 1
+        assert feasible > 100 and pinned > 0
+
+    def test_a_second_call_solves_nothing_from_scratch(self, monkeypatch):
+        calls = count_simplex_solves(monkeypatch)
+        net, meas = sixbus_network(), sixbus_meas({1})
+        first = security_index(net, meas, 6)
+        assert calls == [1]
+        again = security_index(net, meas, 6)
+        assert (again.index, again.attack.touched) == (first.index, first.attack.touched)
+        for k in (2, 3, 5, 7):
+            security_index(net, meas, k)
+        assert calls == [1]
+
+    def test_each_system_builds_its_own_base(self, monkeypatch):
+        calls = count_simplex_solves(monkeypatch)
+        net = sixbus_network()
+        security_index(net, sixbus_meas(), 6)
+        security_index(net, sixbus_meas(), 6)     # an equal system shares the base
+        assert calls == [1]
+        security_index(net, sixbus_meas({1, 4}), 6)
+        assert calls == [2]
+        net2, meas2 = parse_case(SIXBUS_CASE)
+        security_index(net2, meas2, 6)
+        net3, meas3 = parse_case(SIXBUS_CASE)
+        security_index(net3, meas3, 6)
+        assert calls == [4]
+
+    def test_a_pinned_meter_is_infeasible_on_the_warm_path(self, monkeypatch):
+        calls = count_simplex_solves(monkeypatch)
+        net = Network(3, ((1, 2, 1), (1, 2, 2), (2, 3, 1)))
+        meas = MeasurementSystem((1, 2, 3), protected=frozenset({2}))
+        assert security_index(net, meas, 3).index == 1
+        with pytest.raises(InfeasibleIndex) as err:
+            security_index(net, meas, 1)
+        assert err.value.meter == 1
+        assert calls == [1]
+
+    def test_an_unfinished_warm_solve_is_a_defect(self, monkeypatch):
+        # the appended row's slack stays basic at -1 unless the dual simplex runs
+        monkeypatch.setattr(lp, "_run_dual_simplex", lambda tab, pivots: lp.LpStatus.OPTIMAL)
+        with pytest.raises(SolverDefect, match="negative basic value"):
+            security_index(sixbus_network(), sixbus_meas(), 6)
+
+    def test_the_base_stays_with_its_objects(self):
+        net, meas = parse_case(SIXBUS_CASE)
+        security_index(net, meas, 6)
+        assert "_meterings" not in pickle.loads(pickle.dumps(net)).__dict__
+        res = pickle.loads(pickle.dumps(security_index(net, meas, 6)))
+        assert (res.index, res.attack.touched) == (3, security_index(net, meas, 6).attack.touched)
+        gone = weakref.ref(metering(net, meas))
+        del net, meas
+        gc.collect()
+        assert gone() is None
