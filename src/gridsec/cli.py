@@ -25,17 +25,16 @@ from typing import Callable
 from .errors import (
     GridsecError,
     InfeasibleIndex,
-    IntegralityError,
     MethodUnavailable,
     ParseError,
     SolverDefect,
 )
 from .grid import MeasurementSystem, Network, flow_rows, parse_case
-from .oracle import enumerate_min_support, milp_solve
+from .oracle import exhaustive_min_support, milp_solve
 from .security import (
     SecurityIndexResult,
+    _flow_target,
     mincut_index,
-    reduce_to_tu,
     security_index,
     security_index_bounds,
 )
@@ -47,7 +46,8 @@ CSV_HEADER = "meter,index,method,seconds"
 def _exhaustive(net: Network, meas: MeasurementSystem, k: int) -> SecurityIndexResult:
     """Index of flow meter k by subset enumeration (no witness)."""
     t0 = time.perf_counter()
-    value = enumerate_min_support(reduce_to_tu(net, meas, k))
+    _flow_target(meas, k)
+    value = exhaustive_min_support(flow_rows(net, meas), k, meas.protected)
     if value is None:
         raise InfeasibleIndex(k)
     return SecurityIndexResult(meter=k, index=value, attack=None, method="exhaustive",
@@ -65,8 +65,8 @@ METHODS: dict[str, Callable[[Network, MeasurementSystem, int], SecurityIndexResu
 }
 # bounds bracket the index instead of solving it, so bench cannot cross-check them
 BATCH_METHODS = tuple(m for m in METHODS if m != "bounds")
-# a broken exact invariant or a solver defect: exit 4, or one failed batch cell
-INTERNAL_ERRORS = (IntegralityError, SolverDefect, AssertionError)
+# a solver defect, or a bug outside the package's checks: exit 4, or one failed batch cell
+INTERNAL_ERRORS = (SolverDefect, AssertionError)
 
 
 @dataclass(frozen=True)
@@ -237,10 +237,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _jobs(text: str) -> int:
-    jobs = int(text)
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
-    return jobs
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a whole number of at least 1, got {text!r}")
+    return int(text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -278,6 +277,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(text: str, out: str | None) -> None:
+    """text to the file out, or to stdout when out is not given."""
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _cmd_solve(args) -> int:
     net, meas = parse_case(args.case)
     k = args.meter
@@ -305,12 +313,7 @@ def _cmd_attack(args) -> int:
         "delta_z": [float(v) for v in atk.delta_z],
         "touched": sorted(atk.touched),
     }
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     return 0
 
 
@@ -328,12 +331,7 @@ def _cmd_verify_tu(args) -> int:
 def _cmd_bench(args) -> int:
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     report = run_batch(args.case, methods, jobs=args.jobs)
-    text = emit(report, args.format)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(emit(report, args.format), args.out)
     for e in report.failures:
         print(f"internal mismatch: meter {e.meter} ({e.method}): {e.error}", file=sys.stderr)
     if report.mismatches:

@@ -16,9 +16,9 @@ class DimensionMismatch(GridsecError):
 
 
 class SolverDefect(GridsecError):
-    """A solver broke one of its own exact invariants (pivot budget, phase-1
-    outcome, a dependent row past preprocess, objective bookkeeping): a bug,
-    not a property of the input."""
+    """A solver broke one of its own exact invariants (pivot budget, a row
+    past preprocess, integrality, a witness's support or rank): a bug, not
+    a property of the input.  The command line exits 4 on it."""
 
 
 # --- TU minimization / minor enumeration ---
@@ -27,8 +27,8 @@ class SizeLimitExceeded(GridsecError):
     """An exhaustive enumeration would exceed its work budget."""
 
 
-class IntegralityError(GridsecError):
-    """An LP optimum violated the guaranteed integrality pattern (solver defect)."""
+class IntegralityError(SolverDefect):
+    """An l1 optimum broke the integrality that total unimodularity guarantees."""
 
 
 # --- grid model ---

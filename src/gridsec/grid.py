@@ -168,8 +168,9 @@ def incidence(net: Network) -> tuple[np.ndarray, np.ndarray]:
     """(B0, B): directed bus-line incidence and its reference-row truncation.
 
     B0 is (n_buses x n_lines) with +1 at the from-bus and -1 at the to-bus;
-    B drops the reference bus row.  Raises DisconnectedGraph for networks
-    that do not connect (normally caught at construction already).
+    B drops the reference bus row.  The one place this sign rule is
+    written: the flow rows, the exact rows of H and the oracle's big-M all
+    read it from here.
     """
     B0 = np.zeros((net.n_buses, len(net.lines)), dtype=int)
     for j, ln in enumerate(net.lines):
@@ -249,17 +250,11 @@ def _resolve(net: Network, meas: MeasurementSystem) -> Metering:
 
 
 def flow_rows(net: Network, meas: MeasurementSystem) -> np.ndarray:
-    """Integer flow rows with the reactances dropped: row i has +1 at the
-    from-bus and -1 at the to-bus of the i-th metered line, over the
-    states (the reference bus carries none).  The rows of the truncated
-    incidence transpose, built for the metered lines only."""
-    pos = {bus: c for c, bus in enumerate(net.state_buses)}
-    A = np.zeros((len(meas.flow_meters), net.n_states), dtype=int)
-    for i, ln in enumerate(metering(net, meas).lines):
-        for bus, sign in ((ln.from_bus, 1), (ln.to_bus, -1)):
-            if bus in pos:
-                A[i, pos[bus]] = sign
-    return A
+    """Integer flow rows with the reactances dropped: the rows of the
+    truncated incidence transpose (incidence(net)[1].T) of the metered
+    lines, in meter order.  Meter ids are checked by metering()."""
+    metering(net, meas)
+    return incidence(net)[1].T[[lid - 1 for lid in meas.flow_meters]]
 
 
 def _exact_H_rows(net: Network, meas: MeasurementSystem) -> list[list[Fraction]]:
@@ -271,13 +266,8 @@ def _exact_H_rows(net: Network, meas: MeasurementSystem) -> list[list[Fraction]]
     n = net.n_states
     pos = {bus: c for c, bus in enumerate(net.state_buses)}
     dvals = [Fraction(1) / ln.reactance for ln in net.lines]
-    rows: list[list[Fraction]] = []
-    for ln in metering(net, meas).lines:
-        row = [Fraction(0)] * n
-        for bus, sign in ((ln.from_bus, 1), (ln.to_bus, -1)):
-            if bus in pos:
-                row[pos[bus]] = sign / ln.reactance
-        rows.append(row)
+    rows = [[a / ln.reactance for a in row]
+            for row, ln in zip(flow_rows(net, meas).tolist(), metering(net, meas).lines)]
     for bus in meas.injection_meters:
         # row of B D B^T: +d_j on the diagonal, -d_j toward the far end
         row = [Fraction(0)] * n

@@ -30,9 +30,8 @@ from .errors import (
     ZeroColumn,
 )
 from .exactla import frac_rref, in_row_space, int_rank, left_nullspace, scale_row, to_fraction
-from .grid import MeasurementSystem, Network, metering
-from .grid import incidence  # noqa: F401  not called here; the benchmark's tracer wraps it by this name
-from .security import CriticalTuple, SecurityIndexResult, _attack, _witness_attack, reduce_to_tu
+from .grid import MeasurementSystem, Network, incidence, metering
+from .security import CriticalTuple, SecurityIndexResult, _exact_result, reduce_to_tu
 from .tumin import TUProblem, check_rows
 
 
@@ -41,13 +40,8 @@ from .tumin import TUProblem, check_rows
 
 def exhaustive_min_support(A, k: int, I=frozenset(), *,
                            cap: int = 200_000) -> int | None:
-    """Minimum attack cardinality against row k of A with protected rows I:
-    enumerate_min_support on their TUProblem."""
-    return enumerate_min_support(TUProblem(A, k, I), cap=cap)
-
-
-def enumerate_min_support(prob: TUProblem, *, cap: int = 200_000) -> int | None:
-    """Minimum attack cardinality against row k by subset enumeration.
+    """Minimum attack cardinality against row k of A with protected rows I,
+    by subset enumeration.
 
     A set S of unprotected rows (k excluded) admits an attack touching only
     S and k exactly when row k is outside the row space of the protected
@@ -56,6 +50,7 @@ def enumerate_min_support(prob: TUProblem, *, cap: int = 200_000) -> int | None:
     touching everything cannot move row k (it lies in the protected row
     space); raises CapExceeded past the subset budget.
     """
+    prob = TUProblem(A, k, I)
     rows = prob.A.tolist()
     target = rows[prob.k - 1]
     prot_rows = [rows[i - 1] for i in sorted(prob.I)]
@@ -103,11 +98,11 @@ def exhaustive_min_tuple(A, k: int, *, cap: int = 200_000) -> CriticalTuple | No
 
 
 def _big_m(net: Network) -> Fraction:
-    """Big-M for the flow rows of net: the largest entry count of any
-    line's truncated incidence column.  It dominates |A(j,:) d| at some
-    optimum because an optimal d exists with entries in {-1,0,1}."""
-    return Fraction(max((ln.from_bus != net.reference_bus) + (ln.to_bus != net.reference_bus)
-                        for ln in net.lines))
+    """Big-M for the flow rows of net: the largest column sum of |B|, B the
+    truncated incidence (grid.incidence), i.e. the most nonzero entries of
+    any line's column.  It dominates |A(j,:) d| at some optimum because an
+    optimal d exists with entries in {-1,0,1}."""
+    return Fraction(int(np.abs(incidence(net)[1]).sum(axis=0).max()))
 
 
 def _t_columns(prob: TUProblem) -> dict[int, int]:
@@ -260,11 +255,10 @@ def solve_milp_instance(prob: TUProblem, big_m=Fraction(2), *,
         stack.append((tab, fixed0 | {j}, fixed1, j))
     if best is None:
         return None
-    assert best_d is not None
     support = frozenset(j for j in prob.free_rows
                         if sum(a * best_d[c] for c, a in prob.rows[j - 1]))
     if len(support) != best:
-        raise AssertionError("incumbent support disagrees with the optimum")
+        raise SolverDefect("incumbent support disagrees with the optimum")
     return best, tuple(best_d), support, nodes
 
 
@@ -281,13 +275,8 @@ def milp_solve(net: Network, meas: MeasurementSystem, k: int, *,
     out = solve_milp_instance(reduce_to_tu(net, meas, k), _big_m(net), trace=trace)
     if out is None:
         raise InfeasibleIndex(k)
-    value, d, support, _ = out
-    dtheta, dz, touched = _witness_attack(metering(net, meas), k, d)
-    if touched != support:
-        raise AssertionError("witness support disagrees with the solver")
-    return SecurityIndexResult(
-        meter=k, index=value, attack=_attack(dtheta, dz, touched), method="milp",
-        bounds=(value, value), solve_time=perf_counter() - t0)
+    _, d, support, _ = out
+    return _exact_result(metering(net, meas), k, "milp", d, support, t0)
 
 
 # --- compressed-sensing diagnostics --------------------------------------

@@ -69,8 +69,7 @@ def _flow_target(meas: MeasurementSystem, k: int) -> None:
     flow-only system."""
     if meas.injection_meters:
         raise HasInjections(f"{len(meas.injection_meters)} injection meters present")
-    kind, _ = meas.meter_kind(k)      # validates the index range
-    assert kind == "flow"
+    meas.meter_kind(k)                # validates the index range
     if k in meas.protected:
         raise ValidationError(f"meter {k} is protected and cannot be targeted")
 
@@ -118,6 +117,17 @@ def _attack(dtheta, dz, touched) -> AttackVector:
                         np.array([float(v) if v else 0.0 for v in dz]), touched)
 
 
+def _exact_result(mtr: Metering, k: int, method: str, x, support, t0) -> SecurityIndexResult:
+    """An exact solve's result, timed from t0: its state move x (moving flow
+    meter k by +1) must touch the meters of the solver's support."""
+    dtheta, dz, touched = _witness_attack(mtr, k, x)
+    if touched != support:            # reactance scaling cannot move the support
+        raise SolverDefect("witness support disagrees with the solver")
+    i = len(touched)
+    return SecurityIndexResult(meter=k, index=i, attack=_attack(dtheta, dz, touched),
+                               method=method, bounds=(i, i), solve_time=time.perf_counter() - t0)
+
+
 def security_index(net: Network, meas: MeasurementSystem, k: int) -> SecurityIndexResult:
     """Exact security index of flow meter k in a flow-only system.
 
@@ -135,13 +145,7 @@ def security_index(net: Network, meas: MeasurementSystem, k: int) -> SecurityInd
     sol = solve_warm(mtr.l1_base, prob)
     if sol is None:
         raise InfeasibleIndex(k)
-    dtheta, dz, touched = _witness_attack(mtr, k, sol.x)
-    if touched != sol.support:        # reactance scaling cannot move the support
-        raise AssertionError("witness support disagrees with the solver")
-    return SecurityIndexResult(
-        meter=k, index=sol.cardinality, attack=_attack(dtheta, dz, touched),
-        method="lp", bounds=(sol.cardinality, sol.cardinality),
-        solve_time=time.perf_counter() - t0)
+    return _exact_result(mtr, k, "lp", sol.x, sol.support, t0)
 
 
 def mincut_index(net: Network, meas: MeasurementSystem, k: int) -> SecurityIndexResult:
@@ -239,7 +243,7 @@ def min_critical_tuple(H, k: int) -> CriticalTuple:
     m, n = A.shape
     outside = [A[i].tolist() for i in range(m) if (i + 1) not in members]
     if int_rank(outside) >= n:
-        raise AssertionError("complement of the tuple stayed observable")
+        raise SolverDefect("complement of the tuple stayed observable")
     if int_rank(outside + [A[k - 1].tolist()]) != n:
-        raise AssertionError("target row does not restore observability")
+        raise SolverDefect("target row does not restore observability")
     return CriticalTuple(members, len(members), k)

@@ -184,8 +184,8 @@ def _certified_solution(problem: TUProblem, tab: lp._Tableau) -> TUSolution:
     solve's slack) must be zero, and the objective must equal the y sum.
     The state move x = x+ - x- must be integral, satisfy A(I,:)x = 0 and
     A(k,:)x = 1 on problem's integer rows, and touch as many rows as the
-    objective, in the unimodular pattern.  SolverDefect or IntegralityError
-    otherwise.
+    objective, in the unimodular pattern.  SolverDefect otherwise (its
+    subclass IntegralityError for a broken integrality pattern).
     """
     tab.check_optimal()
     n = problem.A.shape[1]

@@ -287,6 +287,10 @@ class TestMainExitCodes:
         assert run_main(["solve", SIX, "-k", "1", "--method", "magic"])[0] == 1
         assert run_main(["bench", SIX, "--jobs", "0"])[0] == 1
         assert run_main(["bench", SIX, "--jobs", "-2"])[0] == 1
+        rc, _, err = run_main(["bench", SIX, "--jobs", "abc"])
+        assert rc == 1
+        assert "argument --jobs: must be a whole number of at least 1, got 'abc'" in err
+        assert "_jobs" not in err
 
     def test_meter_out_of_range(self):
         rc, _, err = run_main(["solve", SIX, "-k", "99"])

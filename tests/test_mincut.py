@@ -304,10 +304,16 @@ class TestCertificate:
         with pytest.raises(SolverDefect, match="protected"):
             self.check(self.paths, meas=meas)
 
-    @pytest.mark.parametrize("solve", [mincut_index, security_index_bounds])
-    def test_rejects_a_reported_attack_with_an_extra_meter(self, monkeypatch, solve):
-        # the certificate checks the attack that is reported, so an
-        # evaluator that adds an untouched flow meter must not get through
+    @pytest.mark.parametrize("solve, match", [
+        (mincut_index, "disjoint paths"),
+        (security_index_bounds, "disjoint paths"),
+        (security_index, "witness support"),
+        (milp_solve, "witness support"),
+    ], ids=["mincut_index", "security_index_bounds", "security_index", "milp_solve"])
+    def test_rejects_a_reported_attack_with_an_extra_meter(self, monkeypatch, solve, match):
+        # the certificate (the cut paths, or the exact solver's support)
+        # checks the attack that is reported, so an evaluator that adds an
+        # untouched flow meter must not get through
         evaluate = security._witness_attack
 
         def padded(*args):
@@ -316,5 +322,5 @@ class TestCertificate:
             return dtheta, dz, touched | {extra}
 
         monkeypatch.setattr(security, "_witness_attack", padded)
-        with pytest.raises(SolverDefect, match="disjoint paths"):
+        with pytest.raises(SolverDefect, match=match):
             solve(self.net, self.meas, 1)

@@ -22,7 +22,7 @@ from gridsec import (
     validate_integrality,
     verify_tu,
 )
-from gridsec.errors import SizeLimitExceeded
+from gridsec.errors import SizeLimitExceeded, SolverDefect
 from gridsec.oracle import exhaustive_min_tuple, nullspace_reformulate, solve_milp_instance
 
 
@@ -203,6 +203,12 @@ class TestValidateIntegrality:
         sol = solve_min_support(prob)
         bad = type(sol)((2, 0), sol.support, sol.cardinality, sol.image)
         assert not validate_integrality(bad, prob)
+
+    def test_fractional_optimum_is_a_solver_defect(self):
+        # an odd cycle is not totally unimodular: its l1 optimum is the
+        # fractional x = (1/2, 1/2, -1/2), which the certificate rejects
+        with pytest.raises(SolverDefect, match="fractional witness"):
+            solve_min_support(TUProblem([[1, 1, 0], [0, 1, 1], [1, 0, 1]], 1))
 
 
 class TestVerifyTu:
