@@ -280,8 +280,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _write(text: str, out: str | None) -> None:
     """text to the file out, or to stdout when out is not given."""
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise GridsecError(f"cannot write {out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -13,23 +13,35 @@ matrix; scale_row puts exact values over one integer denominator.
 from __future__ import annotations
 
 import numbers
+import re
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 
 import numpy as np
 
 
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+_MAX_EXPONENT = sys.int_info.default_max_str_digits
+
+
 def to_fraction(x) -> Fraction:
     """x as an exact Fraction.  Floats, numpy's included, are read at their
     shortest decimal repr, so 0.1 means 1/10; integers, numpy's included,
     go through int(); strings, decimals and other rationals through the
-    Fraction constructor."""
+    Fraction constructor.  A string whose decimal exponent is past
+    +-sys.int_info.default_max_str_digits, the cap Python puts on digit
+    strings, raises ValueError before its power of ten is formed."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (float, np.floating)):
         return Fraction(repr(float(x)))
     if isinstance(x, numbers.Integral):
         return Fraction(int(x))
+    if isinstance(x, str):
+        exp = _EXPONENT.search(x)
+        if exp and abs(int(exp[1])) > _MAX_EXPONENT:
+            raise ValueError(f"decimal exponent {exp[1]} is past +-{_MAX_EXPONENT}")
     return Fraction(x)
 
 
@@ -194,7 +206,7 @@ def frac_rref(rows) -> tuple[list[list[Fraction]], list[int]]:
 
     Zero rows are dropped from the result.
     """
-    work = [[Fraction(v) for v in row] for row in rows]
+    work = [[to_fraction(v) for v in row] for row in rows]
     if not work:
         return [], []
     ncols = len(work[0])
@@ -230,7 +242,7 @@ def left_nullspace(matrix) -> list[list[Fraction]]:
     rows = [list(r) for r in matrix]
     m = len(rows)
     ncols = len(rows[0]) if m else 0
-    transpose = [[Fraction(rows[i][j]) for i in range(m)] for j in range(ncols)]
+    transpose = [[to_fraction(rows[i][j]) for i in range(m)] for j in range(ncols)]
     red, pivots = frac_rref(transpose)
     free = [j for j in range(m) if j not in pivots]
     basis = []

@@ -28,10 +28,11 @@ from .errors import (
     ValidationError,
 )
 from .exactla import to_fraction
-from .lp import PackedTableau
 from .tumin import solve_l1_base
 
 FLOAT_TOL = 1e-9
+# any ratio of two reactances in this range is a finite float64
+_MIN_REACTANCE, _MAX_REACTANCE = Fraction(1, 10 ** 150), 10 ** 150
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,7 @@ class Line:
 
 @dataclass(frozen=True)
 class Network:
-    """Connected set of buses joined by lines with positive reactance."""
+    """Connected set of buses joined by lines with reactances in [1e-150, 1e150]."""
 
     n_buses: int
     lines: tuple[Line, ...]
@@ -66,6 +67,8 @@ class Network:
                 raise ValidationError(f"line {i} is a self-loop")
             if ln.reactance <= 0:
                 raise ValidationError(f"line {i} has nonpositive reactance")
+            if not _MIN_REACTANCE <= ln.reactance <= _MAX_REACTANCE:
+                raise ValidationError(f"line {i} has a reactance outside [1e-150, 1e150]")
         # L lines connect at most L + 1 buses; checked before the O(N) union-find
         if self.n_buses > len(lines) + 1:
             raise DisconnectedGraph(f"{len(lines)} lines cannot connect {self.n_buses} buses")
@@ -214,10 +217,11 @@ class Metering:
                      for i in range(1, len(self.lines) + 1))
 
     @cached_property
-    def l1_base(self) -> PackedTableau:
+    def l1_base(self) -> bytes:
         """The solved target-free l1 LP of the flow rows and the protected
-        meters (tumin.solve_l1_base), built on the first LP solve of a
-        flow-only system, never at parse time."""
+        meters as tumin.solve_l1_base's marshal bytes, built on the first LP
+        solve of a flow-only system, never at parse time.  The bytes never
+        leave the process: Network.__getstate__ drops every Metering."""
         return solve_l1_base(flow_rows(self.net, self.meas), self.meas.protected)
 
 
@@ -407,7 +411,7 @@ def parse_case(path) -> tuple[Network, MeasurementSystem]:
                     raise ParseError("line before buses directive", lineno)
                 if len(tokens) != 4:
                     raise ParseError("expected: line <from> <to> <reactance>", lineno)
-                lines.append((int(tokens[1]), int(tokens[2]), Fraction(tokens[3])))
+                lines.append((int(tokens[1]), int(tokens[2]), to_fraction(tokens[3])))
             elif kind == "meter":
                 saw_meter = True
                 if len(tokens) != 3 or tokens[1] not in ("flow", "injection"):

@@ -26,17 +26,15 @@ A solve returns an LpOutcome; an optimal one carries its tableau, which
 can be re-optimized in place rather than solved again: by the primal
 simplex after a cost change, and by the dual simplex after an appended
 row.  The MILP oracle's branch and bound does so at every node, and the
-l1 sweep of a measurement system (tumin.solve_l1_base) keeps one packed
-optimal tableau (PackedTableau) to re-optimize for each target row.
+l1 sweep of a measurement system (tumin.solve_l1_base) keeps one optimal
+tableau as marshal bytes (_Tableau.pack) to re-optimize for each target row.
 """
 from __future__ import annotations
 
-from array import array
-from collections.abc import Sequence
+import marshal
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import islice
 
 from .errors import DimensionMismatch, InconsistentRow, SolverDefect
 from .exactla import EchelonBasis, _eliminate, _reduce, scale_row
@@ -184,33 +182,38 @@ class _Tableau:
     basic column; the objective row zrow / zden holds -z under RHS.
     Columns run over 0..ncols-1; add_row appends a fresh slack column.
     Every simplex loop run on the tableau stops with SolverDefect past
-    max_pivots pivots.
+    _pivot_budget(tab) pivots.
     """
 
     def __init__(self, rows: list[dict[int, int]], dens: list[int], basis: list[int],
-                 ncols: int, max_pivots: int):
+                 ncols: int):
         self.rows = rows
         self.dens = dens            # positive
         self.basis = basis
         self.ncols = ncols
-        self.max_pivots = max_pivots
         self.zrow: dict[int, int] = {}
         self.zden: int = 1
 
     def copy(self) -> "_Tableau":
         tab = _Tableau([dict(row) for row in self.rows], list(self.dens),
-                       list(self.basis), self.ncols, self.max_pivots)
+                       list(self.basis), self.ncols)
         tab.zrow = dict(self.zrow)
         tab.zden = self.zden
         return tab
 
-    def pack(self) -> "PackedTableau":
-        rows = self.rows + [self.zrow]
-        return PackedTableau(_narrow([j for row in rows for j in row]),
-                             _narrow([v for row in rows for v in row.values()]),
-                             _narrow(list(map(len, rows))),
-                             _narrow(self.dens), _narrow(self.basis), self.zden,
-                             self.ncols, self.max_pivots)
+    def pack(self) -> bytes:
+        """The tableau as marshal bytes, for keeping in the process that
+        made them: marshal is no format for bytes from elsewhere."""
+        return marshal.dumps((self.rows, self.dens, self.basis, self.ncols,
+                              self.zrow, self.zden))
+
+    @staticmethod
+    def unpack(data: bytes) -> "_Tableau":
+        """A fresh tableau from pack()'s bytes, to re-optimize at will."""
+        rows, dens, basis, ncols, zrow, zden = marshal.loads(data)
+        tab = _Tableau(rows, dens, basis, ncols)
+        tab.zrow, tab.zden = zrow, zden
+        return tab
 
     def price_out(self, r: int) -> None:
         """Clear row r's basic column from the objective row."""
@@ -360,42 +363,6 @@ class _Tableau:
         return -Fraction(self.zrow.get(RHS, 0), self.zden)
 
 
-def _narrow(values: list[int]) -> Sequence[int]:
-    """values in the narrowest array type that holds them all, else a tuple."""
-    for code in "bhiq":
-        try:
-            return array(code, values)
-        except OverflowError:
-            pass
-    return tuple(values)
-
-
-@dataclass(frozen=True)
-class PackedTableau:
-    """A tableau kept for re-use in little memory: the nonzero columns and
-    values of every row, then of the objective row, concatenated, with
-    each row's length in lens; each sequence in the narrowest integer
-    array that holds it.  unpack() gives a fresh _Tableau to re-optimize,
-    leaving the stored one as it was."""
-
-    cols: Sequence[int]
-    vals: Sequence[int]
-    lens: Sequence[int]
-    dens: Sequence[int]
-    basis: Sequence[int]
-    zden: int
-    ncols: int
-    max_pivots: int
-
-    def unpack(self) -> _Tableau:
-        cells = zip(self.cols, self.vals)
-        rows = [dict(islice(cells, n)) for n in self.lens]
-        zrow = rows.pop()
-        tab = _Tableau(rows, list(self.dens), list(self.basis), self.ncols, self.max_pivots)
-        tab.zrow, tab.zden = zrow, self.zden
-        return tab
-
-
 def _dantzig_pivots(tab: _Tableau) -> int:
     """Pivots a simplex loop prices by Dantzig's rule before it falls back to
     Bland's rule, whose termination is unconditional (Dantzig may stall on
@@ -403,15 +370,22 @@ def _dantzig_pivots(tab: _Tableau) -> int:
     return 3 * (len(tab.rows) + tab.ncols) + 20
 
 
-def _check_budget(tab: _Tableau, pivots: list[int]) -> None:
+def _pivot_budget(tab: _Tableau) -> int:
+    """Pivots past which a simplex loop on tab raises SolverDefect, far more
+    than the Bland fallback needs: reaching it is an anti-cycling defect."""
+    return 10_000 + 60 * (len(tab.rows) + tab.ncols)
+
+
+def _count_pivot(pivots: list[int], budget: int) -> None:
     pivots[0] += 1
-    if pivots[0] > tab.max_pivots:
-        raise SolverDefect(f"pivot budget {tab.max_pivots} exceeded; anti-cycling defect")
+    if pivots[0] > budget:
+        raise SolverDefect(f"pivot budget {budget} exceeded; anti-cycling defect")
 
 
 def _run_simplex(tab: _Tableau, pivots: list[int]) -> LpStatus:
     """Primal simplex from a primal-feasible tableau: OPTIMAL or UNBOUNDED."""
     dantzig_until = pivots[0] + _dantzig_pivots(tab)
+    budget = _pivot_budget(tab)
     while True:
         c = tab.entering(pivots[0] < dantzig_until)
         if c is None:
@@ -420,7 +394,7 @@ def _run_simplex(tab: _Tableau, pivots: list[int]) -> LpStatus:
         if r is None:
             return LpStatus.UNBOUNDED
         tab.pivot(r, c)
-        _check_budget(tab, pivots)
+        _count_pivot(pivots, budget)
 
 
 def _run_dual_simplex(tab: _Tableau, pivots: list[int]) -> LpStatus:
@@ -429,6 +403,7 @@ def _run_dual_simplex(tab: _Tableau, pivots: list[int]) -> LpStatus:
     with a negative value has no negative entry.  Pricing falls back from
     Dantzig to Bland as in the primal loop."""
     dantzig_until = pivots[0] + _dantzig_pivots(tab)
+    budget = _pivot_budget(tab)
     while True:
         r = tab.dual_leaving(pivots[0] < dantzig_until)
         if r is None:
@@ -437,11 +412,10 @@ def _run_dual_simplex(tab: _Tableau, pivots: list[int]) -> LpStatus:
         if c is None:
             return LpStatus.INFEASIBLE
         tab.pivot(r, c)
-        _check_budget(tab, pivots)
+        _count_pivot(pivots, budget)
 
 
-def _solve_standard_ints(rows, cost, cost_den: int, p: int,
-                         max_pivots: int | None = None) -> LpOutcome:
+def _solve_standard_ints(rows, cost, cost_den: int, p: int) -> LpOutcome:
     """Exact simplex on sparse integer rows over columns 0..p-1.
 
     rows hold their nonzero entries as {column: value} maps or (column,
@@ -456,8 +430,6 @@ def _solve_standard_ints(rows, cost, cost_den: int, p: int,
     """
     rows = [dict(r) for r in rows]
     l = len(rows)
-    if max_pivots is None:
-        max_pivots = 10_000 + 60 * (l + p)
     for row in rows:
         if row.get(RHS, 0) < 0:
             for j in row:
@@ -484,7 +456,7 @@ def _solve_standard_ints(rows, cost, cost_den: int, p: int,
         rows[i][p + a] = 1
         basis[i] = p + a
 
-    tab = _Tableau(rows, dens, basis, ncols, max_pivots)
+    tab = _Tableau(rows, dens, basis, ncols)
     pivots = [0]
 
     if art_rows:
@@ -524,7 +496,7 @@ def _solve_standard_ints(rows, cost, cost_den: int, p: int,
     return LpOutcome(LpStatus.OPTIMAL, sol, pivots[0], tab)
 
 
-def solve_lp(lp: StandardFormLP, *, max_pivots: int | None = None) -> LpOutcome:
+def solve_lp(lp: StandardFormLP) -> LpOutcome:
     """Two-phase simplex over exact rationals.
 
     The input is preprocessed internally, so the returned basis refers to
@@ -537,7 +509,7 @@ def solve_lp(lp: StandardFormLP, *, max_pivots: int | None = None) -> LpOutcome:
         pre = preprocess(lp)
     except InconsistentRow:
         return LpOutcome(LpStatus.INFEASIBLE)
-    out = _solve_standard_ints(pre.rows, pre.cost_row, pre.cost_den, pre.num_vars, max_pivots)
+    out = _solve_standard_ints(pre.rows, pre.cost_row, pre.cost_den, pre.num_vars)
     if out.status is LpStatus.OPTIMAL:
         sol = out.solution
         check = sum((v * sol.values[j] for j, v in pre.cost_row), Fraction(0)) / pre.cost_den

@@ -102,7 +102,7 @@ def _big_m(net: Network) -> Fraction:
     truncated incidence (grid.incidence), i.e. the most nonzero entries of
     any line's column.  It dominates |A(j,:) d| at some optimum because an
     optimal d exists with entries in {-1,0,1}."""
-    return Fraction(int(np.abs(incidence(net)[1]).sum(axis=0).max()))
+    return to_fraction(np.abs(incidence(net)[1]).sum(axis=0).max())
 
 
 def _t_columns(prob: TUProblem) -> dict[int, int]:
@@ -192,7 +192,7 @@ def solve_milp_instance(prob: TUProblem, big_m=Fraction(2), *,
     trace, when given, receives one free-text line per node.  Returns
     (optimum, d, support, nodes) or None when even the root is infeasible.
     """
-    M = Fraction(big_m)
+    M = to_fraction(big_m)
     if M <= 0:
         raise ValueError("big_m must be positive")
     n = prob.A.shape[1]
@@ -244,7 +244,7 @@ def solve_milp_instance(prob: TUProblem, big_m=Fraction(2), *,
             value = len(fixed1) + sum(1 for v in t.values() if v) + 1
             if best is None or value < best:
                 best = value
-                best_d = [Fraction(x.get(c, 0) - x.get(n + c, 0)) for c in range(n)]
+                best_d = [to_fraction(x.get(c, 0) - x.get(n + c, 0)) for c in range(n)]
                 if trace is not None:
                     trace.write(f"node depth={depth} value={value} action=incumbent\n")
             continue
@@ -303,9 +303,9 @@ class CsInstance:
     target: int
 
     def __post_init__(self):
-        phi = tuple(tuple(Fraction(v) for v in row) for row in self.phi)
+        phi = tuple(tuple(to_fraction(v) for v in row) for row in self.phi)
         object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "b", tuple(Fraction(v) for v in self.b))
+        object.__setattr__(self, "b", tuple(to_fraction(v) for v in self.b))
         object.__setattr__(self, "columns", tuple(int(c) for c in self.columns))
         if len(self.b) != len(phi):
             raise ValueError("b length must match the row count")

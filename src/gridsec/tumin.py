@@ -142,12 +142,12 @@ def solve_min_support(problem: TUProblem) -> TUSolution | None:
     return _certified_solution(problem, out.tableau)
 
 
-def solve_l1_base(A, I=frozenset()) -> lp.PackedTableau:
+def solve_l1_base(A, I=frozenset()) -> bytes:
     """The l1 LP of integer matrix A and protected rows I without a target
     row, solved once for every target of a TUProblem with the same A and I.
 
-    It is optimal at x = 0 with objective 0, and its final tableau is dual
-    feasible, which is what solve_warm re-optimizes from.
+    It is optimal at x = 0 with objective 0, and its final tableau, returned
+    as lp._Tableau.pack() bytes, is dual feasible: solve_warm re-optimizes it.
     """
     A = int_matrix(A)
     relax = _target_free_lp(_sparse_rows(A), A.shape[1], frozenset(I))
@@ -157,18 +157,18 @@ def solve_l1_base(A, I=frozenset()) -> lp.PackedTableau:
     return out.tableau.pack()
 
 
-def solve_warm(base: lp.PackedTableau, problem: TUProblem) -> TUSolution | None:
-    """solve_min_support by re-optimizing base, the solve_l1_base tableau of
+def solve_warm(base: bytes, problem: TUProblem) -> TUSolution | None:
+    """solve_min_support by re-optimizing base, the solve_l1_base bytes of
     problem's rows and protection; None when the constraints are infeasible.
 
-    A copy of base gains the row -A(k,:)(x+ - x-) + s = -1, i.e. A(k,:)x >= 1,
-    and the dual simplex restores nonnegative values.  The objective is
-    positively homogeneous and at least |A(k,:)x|, so every optimum has
-    A(k,:)x = 1 and s = 0: the same optimum as the cold solve, though
-    possibly at another optimal vertex.
+    A tableau unpacked from base gains the row -A(k,:)(x+ - x-) + s = -1,
+    i.e. A(k,:)x >= 1, and the dual simplex restores nonnegative values.
+    The objective is positively homogeneous and at least |A(k,:)x|, so every
+    optimum has A(k,:)x = 1 and s = 0: the same optimum as the cold solve,
+    though possibly at another optimal vertex.
     """
     n = problem.A.shape[1]
-    tab = base.unpack()
+    tab = lp._Tableau.unpack(base)
     target = {c: -a for c, a in _state_part(problem.rows[problem.k - 1], n).items()}
     target[lp.RHS] = -1
     tab.add_row(target)

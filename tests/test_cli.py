@@ -292,6 +292,21 @@ class TestMainExitCodes:
         assert "argument --jobs: must be a whole number of at least 1, got 'abc'" in err
         assert "_jobs" not in err
 
+    def test_reactance_past_the_float_range_is_exit_2(self, tmp_path):
+        case = tmp_path / "big.case"
+        case.write_text("buses 2\nline 1 2 1e400\nline 1 2 1\n")
+        rc, _, err = run_main(["solve", str(case), "-k", "1", "--method", "mincut"])
+        assert rc == 2
+        assert "line 1 has a reactance outside [1e-150, 1e150]" in err
+
+    @pytest.mark.parametrize("argv", [["attack", SIX, "-k", "6"],
+                                      ["bench", SIX, "--methods", "lp", "--jobs", "1"]])
+    def test_unwritable_out_is_exit_2(self, tmp_path, argv):
+        dest = tmp_path / "missing" / "dir" / "a.json"
+        rc, _, err = run_main(argv + ["--out", str(dest)])
+        assert rc == 2
+        assert err == f"error: cannot write {dest}: No such file or directory\n"
+
     def test_meter_out_of_range(self):
         rc, _, err = run_main(["solve", SIX, "-k", "99"])
         assert rc == 2
@@ -319,12 +334,7 @@ class TestMainExitCodes:
     def test_solver_defect_is_exit_4(self, monkeypatch):
         import gridsec.lp as lpmod
 
-        real = lpmod._solve_standard_ints
-
-        def no_budget(rows, cost, cost_den, p, max_pivots=None):
-            return real(rows, cost, cost_den, p, 0)
-
-        monkeypatch.setattr(lpmod, "_solve_standard_ints", no_budget)
+        monkeypatch.setattr(lpmod, "_pivot_budget", lambda tab: 0)
         rc, _, err = run_main(["solve", SIX, "-k", "6"])
         assert rc == 4
         assert "pivot budget" in err

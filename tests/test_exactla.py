@@ -4,14 +4,29 @@ int_rank, in_row_space and lp.preprocess all run on exactla.EchelonBasis;
 frac_rref is the independent reference.
 """
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from gridsec.errors import InconsistentRow
-from gridsec.exactla import frac_rref, in_row_space, int_rank
+from gridsec.exactla import frac_rref, in_row_space, int_rank, to_fraction
 from gridsec.lp import RHS, StandardFormLP, preprocess
+
+
+def test_to_fraction_refuses_a_decimal_exponent_past_the_digit_cap():
+    cap = sys.int_info.default_max_str_digits
+    assert to_fraction(f"1e{cap}") == 10 ** cap
+    assert to_fraction(f"1e-{cap}") == Fraction(1, 10 ** cap)
+    assert to_fraction("2.5E+1") == 25
+    for text in (f"1e{cap + 1}", f"1e-{cap + 1}", "1e999999999", " 1E1_000_000 "):
+        with pytest.raises(ValueError, match="exponent"):
+            to_fraction(text)
+
+
+def test_frac_rref_reads_floats_as_decimals():
+    assert frac_rref([[0.1, 0.3]]) == ([[Fraction(1), Fraction(3)]], [0])
 
 
 def ref_rank(rows) -> int:

@@ -308,3 +308,25 @@ protect 1
     def test_missing_file(self):
         with pytest.raises(ParseError):
             parse_case("/nonexistent/grid.case")
+
+    def test_huge_decimal_exponent_is_a_parse_error_at_once(self, tmp_path):
+        t0 = time.perf_counter()
+        with pytest.raises(ParseError) as err:
+            self._parse_text(tmp_path, "buses 2\nline 1 2 1e5000000\n")
+        assert time.perf_counter() - t0 < 1.0
+        assert err.value.line == 2
+        assert "exponent" in str(err.value)
+
+    @pytest.mark.parametrize("reactance", ["1e400", "1e-400", "1" + "0" * 399],
+                             ids=["1e400", "1e-400", "400-digits"])
+    def test_reactance_past_the_float_range_is_rejected(self, tmp_path, reactance):
+        with pytest.raises(ValidationError, match=r"outside \[1e-150, 1e150\]"):
+            self._parse_text(tmp_path, f"buses 2\nline 1 2 {reactance}\n")
+
+    @pytest.mark.parametrize("reactance,value", [
+        ("0.05917", Fraction(5917, 100000)), ("1/3", Fraction(1, 3)),
+        ("1e150", Fraction(10 ** 150)), ("1e-150", Fraction(1, 10 ** 150)),
+    ])
+    def test_reactance_in_range_parses(self, tmp_path, reactance, value):
+        net, _ = self._parse_text(tmp_path, f"buses 2\nline 1 2 {reactance}\n")
+        assert net.lines[0].reactance == value

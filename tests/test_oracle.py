@@ -281,6 +281,12 @@ class TestExhaustiveMinCard:
         phi = np.array([[1.0, 0.0], [0.0, 0.0]])
         assert exhaustive_min_card(phi, np.array([0.0, 1.0])) is None
 
+    def test_a_cs_instance_reads_floats_as_decimals(self):
+        # 0.1 and 0.3 are 1/10 and 3/10 exactly, so b = (1, 3) is one column
+        # scaled by 10, as in the plain-matrix form
+        assert exhaustive_min_card([[0.1], [0.3]], [1, 3]) == 1
+        assert exhaustive_min_card(CsInstance([[0.1], [0.3]], [1, 3], (1,), 1)) == 1
+
     def test_cap(self):
         # unreachable b forces the full enumeration past any small cap
         phi = np.vstack([np.ones((1, 12)), np.zeros((1, 12))])
