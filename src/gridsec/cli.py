@@ -333,6 +333,8 @@ def _cmd_verify_tu(args) -> int:
 
 def _cmd_bench(args) -> int:
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
+    if args.out:
+        _write("", args.out)          # an unwritable --out fails before any solve
     report = run_batch(args.case, methods, jobs=args.jobs)
     _write(emit(report, args.format), args.out)
     for e in report.failures:

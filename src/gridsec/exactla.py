@@ -15,6 +15,7 @@ from __future__ import annotations
 import numbers
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -29,9 +30,10 @@ def to_fraction(x) -> Fraction:
     """x as an exact Fraction.  Floats, numpy's included, are read at their
     shortest decimal repr, so 0.1 means 1/10; integers, numpy's included,
     go through int(); strings, decimals and other rationals through the
-    Fraction constructor.  A string whose decimal exponent is past
-    +-sys.int_info.default_max_str_digits, the cap Python puts on digit
-    strings, raises ValueError before its power of ten is formed."""
+    Fraction constructor.  A string or Decimal whose decimal exponent is
+    past +-sys.int_info.default_max_str_digits, the cap Python puts on digit
+    strings, raises ValueError before its power of ten is formed, and so
+    does a NaN or infinite Decimal."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (float, np.floating)):
@@ -42,6 +44,12 @@ def to_fraction(x) -> Fraction:
         exp = _EXPONENT.search(x)
         if exp and abs(int(exp[1])) > _MAX_EXPONENT:
             raise ValueError(f"decimal exponent {exp[1]} is past +-{_MAX_EXPONENT}")
+    if isinstance(x, Decimal):
+        if not x.is_finite():
+            raise ValueError(f"cannot read {x} as a fraction")
+        if abs(x.as_tuple().exponent) > _MAX_EXPONENT:
+            raise ValueError(f"decimal exponent {x.as_tuple().exponent} is past "
+                             f"+-{_MAX_EXPONENT}")
     return Fraction(x)
 
 

@@ -28,7 +28,7 @@ from .errors import (
     ValidationError,
 )
 from .exactla import to_fraction
-from .tumin import solve_l1_base
+from .tumin import solve_l1_base, sparse_rows
 
 FLOAT_TOL = 1e-9
 # any ratio of two reactances in this range is a finite float64
@@ -217,12 +217,26 @@ class Metering:
                      for i in range(1, len(self.lines) + 1))
 
     @cached_property
+    def flow_matrix(self) -> np.ndarray:
+        """The integer flow rows (see flow_rows) as a read-only int8 array,
+        exact for entries in {-1, 0, 1}; widened, the A of every flow
+        target's tumin.TUProblem."""
+        A = incidence(self.net)[1].T[[lid - 1 for lid in self.meas.flow_meters]].astype(np.int8)
+        A.setflags(write=False)
+        return A
+
+    @cached_property
+    def flow_pairs(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """flow_matrix's rows as tumin.sparse_rows pairs."""
+        return sparse_rows(self.flow_matrix)
+
+    @cached_property
     def l1_base(self) -> bytes:
         """The solved target-free l1 LP of the flow rows and the protected
         meters as tumin.solve_l1_base's marshal bytes, built on the first LP
         solve of a flow-only system, never at parse time.  The bytes never
         leave the process: Network.__getstate__ drops every Metering."""
-        return solve_l1_base(flow_rows(self.net, self.meas), self.meas.protected)
+        return solve_l1_base(self.flow_matrix, self.meas.protected)
 
 
 def metering(net: Network, meas: MeasurementSystem) -> Metering:
@@ -257,8 +271,7 @@ def flow_rows(net: Network, meas: MeasurementSystem) -> np.ndarray:
     """Integer flow rows with the reactances dropped: the rows of the
     truncated incidence transpose (incidence(net)[1].T) of the metered
     lines, in meter order.  Meter ids are checked by metering()."""
-    metering(net, meas)
-    return incidence(net)[1].T[[lid - 1 for lid in meas.flow_meters]]
+    return metering(net, meas).flow_matrix.astype(int)
 
 
 def _exact_H_rows(net: Network, meas: MeasurementSystem) -> list[list[Fraction]]:

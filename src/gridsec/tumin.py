@@ -7,14 +7,15 @@ relaxation, posed as a standard-form LP and solved exactly, attains the
 same optimum and an integral witness, so the combinatorial answer comes out
 of a single polynomial-time solve.  solve_min_support is the cold solve;
 a sweep over the targets of one row set solves the target-free LP once
-(solve_l1_base) and re-optimizes it per target row (solve_warm).  Both
-certify their witness in one place.
+(solve_l1_base), makes its state columns free, and re-optimizes it per
+target row (solve_warm) by a dual simplex over the rows that constrain.
+Both certify their witness in one place.
 
 Row indices (k, I, supports) are 1-based throughout this module.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 import math
@@ -43,32 +44,41 @@ def check_rows(m: int, k: int, I=frozenset()) -> frozenset[int]:
 @dataclass(frozen=True)
 class TUProblem:
     """The one record of a minimum-support problem: integer data A, a 1-based
-    target row k and protected rows I, read by the l1 solve and the oracles."""
+    target row k and protected rows I, read by the l1 solve and the oracles.
+
+    rows holds each row's nonzero (column, value) pairs as Python ints.  A
+    caller that keeps an integer array and its sparse_rows (as grid.Metering
+    does for every target of a measurement system) passes both, and neither
+    is read again; otherwise A is read by int_matrix and rows are built from
+    it.  k and I are checked either way.
+    """
 
     A: np.ndarray
     k: int
     I: frozenset[int] = frozenset()
+    rows: tuple[tuple[tuple[int, int], ...], ...] | None = field(default=None, repr=False,
+                                                                 compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "A", int_matrix(self.A))
+        if self.rows is None:
+            object.__setattr__(self, "A", int_matrix(self.A))
+            object.__setattr__(self, "rows", sparse_rows(self.A))
         object.__setattr__(self, "I", check_rows(self.A.shape[0], self.k, self.I))
 
     @cached_property
-    def rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Each row's nonzero (column, value) pairs, as Python ints."""
-        return _sparse_rows(self.A)
-
-    @property
     def free_rows(self) -> tuple[int, ...]:
         """Unprotected rows (1-based, ascending); note k is one of them."""
         return tuple(j for j in range(1, self.A.shape[0] + 1) if j not in self.I)
 
 
-def _sparse_rows(A: np.ndarray) -> tuple[tuple[tuple[int, int], ...], ...]:
+def sparse_rows(A: np.ndarray) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Each row of the integer array A as its nonzero (column, value) pairs;
+    equal pairs are one tuple."""
     r, c = np.nonzero(A)
     out: list[list[tuple[int, int]]] = [[] for _ in range(A.shape[0])]
+    pairs: dict[tuple[int, int], tuple[int, int]] = {}
     for i, j, a in zip(r.tolist(), c.tolist(), A[r, c].tolist()):
-        out[i].append((j, a))
+        out[i].append(pairs.setdefault((j, a), (j, a)))
     return tuple(map(tuple, out))
 
 
@@ -146,14 +156,19 @@ def solve_l1_base(A, I=frozenset()) -> bytes:
     """The l1 LP of integer matrix A and protected rows I without a target
     row, solved once for every target of a TUProblem with the same A and I.
 
-    It is optimal at x = 0 with objective 0, and its final tableau, returned
-    as lp._Tableau.pack() bytes, is dual feasible: solve_warm re-optimizes it.
+    It is optimal at x = 0 with objective 0, and its final tableau is dual
+    feasible.  Its split columns x+ - x- then become free columns, each basic
+    in an aside row or, when the other state columns span it, fixed at 0
+    (lp._Tableau.free_columns).  The tableau is returned as
+    lp._Tableau.pack() bytes, which solve_warm re-optimizes.
     """
     A = int_matrix(A)
-    relax = _target_free_lp(_sparse_rows(A), A.shape[1], frozenset(I))
+    n = A.shape[1]
+    relax = _target_free_lp(sparse_rows(A), n, frozenset(I))
     out = lp.solve_lp(lp.StandardFormLP.from_int_rows(*relax))
     if out.status is not lp.LpStatus.OPTIMAL or out.solution.objective != 0:
         raise SolverDefect("the target-free l1 LP is not optimal at zero; solver defect")
+    out.tableau.free_columns([(c, n + c) for c in range(n)])
     return out.tableau.pack()
 
 
@@ -161,15 +176,15 @@ def solve_warm(base: bytes, problem: TUProblem) -> TUSolution | None:
     """solve_min_support by re-optimizing base, the solve_l1_base bytes of
     problem's rows and protection; None when the constraints are infeasible.
 
-    A tableau unpacked from base gains the row -A(k,:)(x+ - x-) + s = -1,
-    i.e. A(k,:)x >= 1, and the dual simplex restores nonnegative values.
+    A tableau unpacked from base gains the row -A(k,:)x + s = -1, i.e.
+    A(k,:)x >= 1, over its free state columns (reduced over their aside
+    rows first), and the dual simplex restores nonnegative values.
     The objective is positively homogeneous and at least |A(k,:)x|, so every
     optimum has A(k,:)x = 1 and s = 0: the same optimum as the cold solve,
     though possibly at another optimal vertex.
     """
-    n = problem.A.shape[1]
     tab = lp._Tableau.unpack(base)
-    target = {c: -a for c, a in _state_part(problem.rows[problem.k - 1], n).items()}
+    target = {c: -a for c, a in problem.rows[problem.k - 1]}
     target[lp.RHS] = -1
     tab.add_row(target)
     if lp._run_dual_simplex(tab, [0]) is lp.LpStatus.INFEASIBLE:
@@ -182,7 +197,8 @@ def _certified_solution(problem: TUProblem, tab: lp._Tableau) -> TUSolution:
 
     The tableau must read optimal, every column past the y block (the warm
     solve's slack) must be zero, and the objective must equal the y sum.
-    The state move x = x+ - x- must be integral, satisfy A(I,:)x = 0 and
+    The state move x (x+ - x-, or the free column under x+ of a warm solve,
+    read from its aside row) must be integral, satisfy A(I,:)x = 0 and
     A(k,:)x = 1 on problem's integer rows, and touch as many rows as the
     objective, in the unimodular pattern.  SolverDefect otherwise (its
     subclass IntegralityError for a broken integrality pattern).
@@ -206,32 +222,37 @@ def _certified_solution(problem: TUProblem, tab: lp._Tableau) -> TUSolution:
     sol = _solution_from_x(problem, x)
     if sol.cardinality != objective:
         raise IntegralityError(f"objective {objective} != support {sol.cardinality}")
-    if not validate_integrality(sol, problem):
+    if not _unimodular_pattern(sol):
         raise IntegralityError(f"witness violates the unimodular pattern: {sol}")
     return sol
 
 
 def _solution_from_x(problem: TUProblem, x: tuple[int, ...]) -> TUSolution:
     image = []
-    support = set()
+    support = []
+    rows = problem.rows
     for j in problem.free_rows:
-        v = sum(a * x[c] for c, a in problem.rows[j - 1])
+        v = 0
+        for c, a in rows[j - 1]:
+            v += a * x[c]
         image.append(abs(v))
         if v:
-            support.add(j)
+            support.append(j)
     return TUSolution(x, frozenset(support), len(support), tuple(image))
 
 
+def _unimodular_pattern(sol: TUSolution) -> bool:
+    """x in {-1,0,1}^n and image in {0,1}, as total unimodularity guarantees."""
+    return all(v in (-1, 0, 1) for v in sol.x) and all(v in (0, 1) for v in sol.image)
+
+
 def validate_integrality(sol: TUSolution, problem: TUProblem) -> bool:
-    """Check the guaranteed pattern: x in {-1,0,1}^n and image in {0,1}."""
-    if len(sol.x) != problem.A.shape[1]:
-        return False
-    if any(v not in (-1, 0, 1) for v in sol.x):
+    """Check the guaranteed pattern, x in {-1,0,1}^n and image in {0,1}, on
+    the image recomputed from sol.x."""
+    if len(sol.x) != problem.A.shape[1] or not _unimodular_pattern(sol):
         return False
     recomputed = _solution_from_x(problem, sol.x)
-    if recomputed.image != sol.image or recomputed.support != sol.support:
-        return False
-    return all(v in (0, 1) for v in sol.image)
+    return recomputed.image == sol.image and recomputed.support == sol.support
 
 
 def verify_tu(A, max_order: int, *, budget: int = 200_000) -> bool:

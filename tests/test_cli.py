@@ -15,7 +15,7 @@ from conftest import IEEE14_CASE, SIXBUS_CASE
 SIX = str(SIXBUS_CASE)
 IEEE = str(IEEE14_CASE)
 import gridsec
-from gridsec import MeasurementSystem, parse_case
+from gridsec import MeasurementSystem, cli, parse_case
 from gridsec.cli import (
     METHODS,
     BatchReport,
@@ -301,7 +301,11 @@ class TestMainExitCodes:
 
     @pytest.mark.parametrize("argv", [["attack", SIX, "-k", "6"],
                                       ["bench", SIX, "--methods", "lp", "--jobs", "1"]])
-    def test_unwritable_out_is_exit_2(self, tmp_path, argv):
+    def test_unwritable_out_is_exit_2(self, tmp_path, argv, monkeypatch):
+        def no_batch(*args, **kwargs):
+            raise AssertionError("bench solved before it checked --out")
+
+        monkeypatch.setattr(cli, "run_batch", no_batch)
         dest = tmp_path / "missing" / "dir" / "a.json"
         rc, _, err = run_main(argv + ["--out", str(dest)])
         assert rc == 2

@@ -5,6 +5,8 @@ frac_rref is the independent reference.
 """
 import random
 import sys
+import time
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -17,12 +19,19 @@ from gridsec.lp import RHS, StandardFormLP, preprocess
 
 def test_to_fraction_refuses_a_decimal_exponent_past_the_digit_cap():
     cap = sys.int_info.default_max_str_digits
-    assert to_fraction(f"1e{cap}") == 10 ** cap
-    assert to_fraction(f"1e-{cap}") == Fraction(1, 10 ** cap)
-    assert to_fraction("2.5E+1") == 25
-    for text in (f"1e{cap + 1}", f"1e-{cap + 1}", "1e999999999", " 1E1_000_000 "):
-        with pytest.raises(ValueError, match="exponent"):
-            to_fraction(text)
+    for kind in (str, Decimal):
+        assert to_fraction(kind(f"1e{cap}")) == 10 ** cap
+        assert to_fraction(kind(f"1e-{cap}")) == Fraction(1, 10 ** cap)
+        assert to_fraction(kind("2.5E+1")) == 25
+        t0 = time.perf_counter()
+        for text in (f"1e{cap + 1}", f"1e-{cap + 1}", "1e999999999", " 1E1_000_000 ",
+                     f"25e-{cap + 1}"):
+            with pytest.raises(ValueError, match="exponent"):
+                to_fraction(kind(text))
+        assert time.perf_counter() - t0 < 1.0
+    for text in ("NaN", "sNaN", "Infinity", "-Infinity"):
+        with pytest.raises(ValueError):
+            to_fraction(Decimal(text))
 
 
 def test_frac_rref_reads_floats_as_decimals():

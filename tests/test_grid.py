@@ -1,6 +1,7 @@
 """Network model, measurement matrices, estimation, and the case parser."""
 import random
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -70,6 +71,12 @@ class TestNetwork:
         net = Network(2, ((1, 2, np.float64(0.1)), (1, 2, np.float32(0.5))))
         assert [ln.reactance for ln in net.lines] == [Fraction(1, 10), Fraction(1, 2)]
 
+    def test_rejects_a_huge_decimal_exponent_at_once(self):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="exponent"):
+            Network(2, ((1, 2, Decimal("1e999999999")),))
+        assert time.perf_counter() - t0 < 1.0
+
     def test_rejects_more_buses_than_lines_connect_before_allocating(self):
         t0 = time.perf_counter()
         with pytest.raises(DisconnectedGraph):
@@ -101,8 +108,11 @@ class TestIncidence:
             lids = rng.sample(range(1, len(edges) + 1), rng.randint(1, len(edges)))
             _, B = incidence(net)
             A = flow_rows(net, MeasurementSystem(lids))
-            assert A.dtype.kind == "i"
+            assert A.dtype == np.dtype(int)
             assert np.array_equal(A, B.T[[lid - 1 for lid in lids], :])
+            A[:] = 7                  # each call hands out its own array
+            assert np.array_equal(flow_rows(net, MeasurementSystem(lids)),
+                                  B.T[[lid - 1 for lid in lids], :])
 
     def test_flow_rows_reject_a_missing_line(self):
         with pytest.raises(UnknownMeterId):

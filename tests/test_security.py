@@ -44,6 +44,7 @@ from gridsec.errors import (
     UnknownMeterId,
     ValidationError,
 )
+from gridsec import grid, tumin
 from gridsec.grid import _exact_H_rows, build_H, metering
 from gridsec.mincut import max_flow, witness
 from gridsec.security import _witness_attack
@@ -360,6 +361,37 @@ class TestWarmSweep:
                 assert res.attack.touched.isdisjoint(meas.protected)
                 feasible += 1
         assert feasible > 100 and pinned > 0
+
+    def test_unmetered_buses_leave_their_state_columns_fixed(self):
+        # bus 4 has no metered line; buses 5 and 6 meet one metered line,
+        # which the reference cannot reach through metered lines
+        net = Network(6, ((1, 2, 1), (2, 3, 2), (1, 3, 3), (3, 4, 1), (4, 5, 1),
+                          (5, 6, 2), (4, 6, 1), (2, 5, 3)))
+        meas = MeasurementSystem((1, 2, 3, 6))
+        aside = lp._Tableau.unpack(metering(net, meas).l1_base).aside
+        assert aside[2] is None       # bus 4's column (buses 2..6 are columns 0..4)
+        assert sum(entry is None for entry in aside.values()) == 2
+        for k, index in ((1, 2), (2, 2), (3, 2), (4, 1)):
+            res = security_index(net, meas, k)
+            assert res.index == index == mincut_index(net, meas, k).index
+            assert res.index == solve_min_support(reduce_to_tu(net, meas, k)).cardinality
+            assert len(res.attack.touched) == index and res.attack.delta_z[k - 1] == 1.0
+
+    def test_a_target_reads_the_kept_flow_rows(self, monkeypatch):
+        net, meas = sixbus_network(), sixbus_meas({1})
+        security_index(net, meas, 6)
+        calls = []
+        for module, name in ((grid, "incidence"), (grid, "sparse_rows"),
+                             (tumin, "int_matrix"), (tumin, "sparse_rows")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *a, real=real, name=name: calls.append(name) or real(*a))
+        for k in (2, 3, 5, 6, 7):
+            prob = reduce_to_tu(net, meas, k)
+            assert prob.A.dtype == np.dtype(int)
+            assert prob.rows is metering(net, meas).flow_pairs
+            security_index(net, meas, k)
+        assert calls == []
 
     def test_a_second_call_solves_nothing_from_scratch(self, monkeypatch):
         calls = count_simplex_solves(monkeypatch)

@@ -23,7 +23,9 @@ from gridsec import (
     verify_tu,
 )
 from gridsec.errors import SizeLimitExceeded, SolverDefect
+from gridsec.lp import RHS, _Tableau
 from gridsec.oracle import exhaustive_min_tuple, nullspace_reformulate, solve_milp_instance
+from gridsec.tumin import solve_l1_base, solve_warm
 
 
 def signed_image(A, x):
@@ -209,6 +211,46 @@ class TestValidateIntegrality:
         # fractional x = (1/2, 1/2, -1/2), which the certificate rejects
         with pytest.raises(SolverDefect, match="fractional witness"):
             solve_min_support(TUProblem([[1, 1, 0], [0, 1, 1], [1, 0, 1]], 1))
+
+
+class TestWarmFreeColumns:
+    """solve_warm re-optimizes a base whose state columns are free: each
+    basic one sits in an aside row, each dependent one is fixed at 0."""
+
+    def test_warm_matches_cold_on_interval_matrices(self):
+        rng = random.Random(14)
+        feasible = infeasible = fixed = 0
+        for seed in range(80):
+            m, n = rng.randint(2, 9), rng.randint(1, 8)
+            A = gen_consecutive_ones(m, n, seed)
+            A[:, rng.sample(range(n), rng.randint(0, n // 2))] = 0
+            I = frozenset(rng.sample(range(1, m + 1), rng.randint(0, m - 1)))
+            base = solve_l1_base(A, I)
+            aside = _Tableau.unpack(base).aside
+            assert sorted(aside) == list(range(n))
+            fixed += sum(entry is None for entry in aside.values())
+            for k in sorted(set(range(1, m + 1)) - I):
+                prob = TUProblem(A, k, I)
+                cold, warm = solve_min_support(prob), solve_warm(base, prob)
+                if cold is None:
+                    assert warm is None
+                    infeasible += 1
+                    continue
+                assert warm.cardinality == cold.cardinality
+                assert validate_integrality(warm, prob)
+                feasible += 1
+        assert feasible > 150 and infeasible > 50 and fixed > 100
+
+    @pytest.mark.parametrize("forge", [
+        lambda c, den, row: (2 * den, row),
+        lambda c, den, row: (den, {**row, RHS: 1}),
+    ], ids=["denominator", "value"])
+    def test_a_forged_aside_row_is_a_solver_defect(self, forge):
+        base = _Tableau.unpack(solve_l1_base(SIXBUS_A))
+        assert base.aside and None not in base.aside.values()
+        base.aside = {c: forge(c, *entry) for c, entry in base.aside.items()}
+        with pytest.raises(SolverDefect):
+            solve_warm(base.pack(), TUProblem(SIXBUS_A, 6))
 
 
 class TestVerifyTu:
