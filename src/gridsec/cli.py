@@ -236,7 +236,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _jobs(text: str) -> int:
+def _whole(text: str) -> int:
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be a whole number of at least 1, got {text!r}")
     return int(text)
@@ -261,15 +261,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-tu", help="check flow rows for total unimodularity")
     p.add_argument("case")
-    p.add_argument("--max-order", type=int, default=3)
-    p.add_argument("--budget", type=int, default=200_000)
+    p.add_argument("--max-order", type=_whole, default=3)
+    p.add_argument("--budget", type=_whole, default=200_000)
     p.set_defaults(func=_cmd_verify_tu)
 
     p = sub.add_parser("bench", help="index every unprotected flow meter")
     p.add_argument("case")
     p.add_argument("--methods", default="mincut",
                    help=f"comma-separated subset of {','.join(BATCH_METHODS)}")
-    p.add_argument("--jobs", type=_jobs, default=None,
+    p.add_argument("--jobs", type=_whole, default=None,
                    help="worker processes (at least 1, capped at the CPU count)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", help="write the report here instead of stdout")
@@ -325,7 +325,7 @@ def _cmd_verify_tu(args) -> int:
     if meas.injection_meters:
         raise MethodUnavailable("total unimodularity applies to the flow rows only")
     A = flow_rows(net, meas)
-    order = max(1, min(args.max_order, min(A.shape)))
+    order = min(args.max_order, min(A.shape))
     ok = verify_tu(A, order, budget=args.budget)
     print(f"totally-unimodular<=order-{order}: {'yes' if ok else 'no'}")
     return 0

@@ -395,6 +395,8 @@ def parse_case(path) -> tuple[Network, MeasurementSystem]:
             raw = fh.readlines()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: not UTF-8 text") from exc
 
     n_buses = None
     ref = None

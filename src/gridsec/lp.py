@@ -28,10 +28,6 @@ simplex after a cost change, and by the dual simplex after an appended
 row.  The MILP oracle's branch and bound does so at every node, and the
 l1 sweep of a measurement system (tumin.solve_l1_base) keeps one optimal
 tableau as marshal bytes (_Tableau.pack) to re-optimize for each target row.
-Before it is kept, that tableau's split state columns x+ - x- become free
-columns (_Tableau.free_columns): each is basic in a row set aside, which
-defines it and which the dual simplex never pivots, so a re-optimization
-makes no sign-flip pivots and updates only the rows that constrain.
 """
 from __future__ import annotations
 
@@ -39,7 +35,6 @@ import marshal
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from math import lcm
 
 from .errors import DimensionMismatch, InconsistentRow, SolverDefect
 from .exactla import EchelonBasis, _eliminate, _reduce, scale_row
@@ -188,11 +183,6 @@ class _Tableau:
     Columns run over 0..ncols-1; add_row appends a fresh slack column.
     Every simplex loop run on the tableau stops with SolverDefect past
     _pivot_budget(tab) pivots.
-
-    free_columns turns split variables into free basic columns and sets
-    their rows aside: aside maps each free column to (den, row), the row
-    that defines it, or to None when it is fixed at 0.  Aside rows are
-    frozen; the simplex loops see only the active rows.
     """
 
     def __init__(self, rows: list[dict[int, int]], dens: list[int], basis: list[int],
@@ -203,80 +193,27 @@ class _Tableau:
         self.ncols = ncols
         self.zrow: dict[int, int] = {}
         self.zden: int = 1
-        self.aside: dict[int, tuple[int, dict[int, int]] | None] = {}
 
     def copy(self) -> "_Tableau":
         tab = _Tableau([dict(row) for row in self.rows], list(self.dens),
                        list(self.basis), self.ncols)
         tab.zrow = dict(self.zrow)
         tab.zden = self.zden
-        tab.aside = self.aside          # frozen, so shared
         return tab
 
     def pack(self) -> bytes:
         """The tableau as marshal bytes, for keeping in the process that
         made them: marshal is no format for bytes from elsewhere."""
         return marshal.dumps((self.rows, self.dens, self.basis, self.ncols,
-                              self.zrow, self.zden, self.aside))
+                              self.zrow, self.zden))
 
     @staticmethod
     def unpack(data: bytes) -> "_Tableau":
         """A fresh tableau from pack()'s bytes, to re-optimize at will."""
-        rows, dens, basis, ncols, zrow, zden, aside = marshal.loads(data)
+        rows, dens, basis, ncols, zrow, zden = marshal.loads(data)
         tab = _Tableau(rows, dens, basis, ncols)
-        tab.zrow, tab.zden, tab.aside = zrow, zden, aside
+        tab.zrow, tab.zden = zrow, zden
         return tab
-
-    def free_columns(self, pairs) -> None:
-        """Make each split variable x = x+ - x- of pairs, given as (x+, x-)
-        column pairs, one free column under x+ and set its row aside.
-
-        Valid at a vertex where every value is 0 (an optimum of a
-        homogeneous LP), where every split column's reduced cost is 0 and
-        each x- column is the negated x+ column; SolverDefect otherwise.
-        Each x- column is folded into x+ (the row where x- is basic is
-        negated), every free column is pivoted into the basis by a
-        degenerate pivot that leaves the objective row alone, and a free
-        column that no row with a nonfree basic column holds, a combination
-        of the basic free columns, is fixed at 0.  The free basic rows then
-        leave the active rows for aside.
-        """
-        if any(RHS in row for row in self.rows):
-            raise SolverDefect("free columns need a vertex at zero; solver defect")
-        minus_of = dict(pairs)
-        plus_of = {m: p for p, m in minus_of.items()}
-        if any(self.zrow.get(j) for pair in minus_of.items() for j in pair):
-            raise SolverDefect("a free column has a nonzero reduced cost; solver defect")
-        for i, row in enumerate(self.rows):
-            for p in {plus_of.get(j, j) for j in row if j in minus_of or j in plus_of}:
-                if row.pop(minus_of[p], 0) != -row.get(p, 0):
-                    raise SolverDefect("an x- column is not the negated x+ column; "
-                                       "solver defect")
-            if self.basis[i] in plus_of:
-                for j in row:
-                    row[j] = -row[j]
-                self.basis[i] = plus_of[self.basis[i]]
-        where = {c: i for i, c in enumerate(self.basis) if c in minus_of}
-        aside: dict[int, tuple[int, dict[int, int]] | None] = {}
-        for c in minus_of:
-            if c in where:
-                continue
-            r = next((i for i, row in enumerate(self.rows)
-                      if c in row and self.basis[i] not in minus_of), None)
-            if r is not None:
-                self.pivot(r, c)
-                where[c] = r
-            else:
-                aside[c] = None
-                for i in where.values():
-                    self.rows[i].pop(c, None)
-        keep = [i for i, c in enumerate(self.basis) if c not in minus_of]
-        for c, i in where.items():
-            aside[c] = (self.dens[i], self.rows[i])
-        self.rows = [self.rows[i] for i in keep]
-        self.dens = [self.dens[i] for i in keep]
-        self.basis = [self.basis[i] for i in keep]
-        self.aside = aside
 
     def price_out(self, r: int) -> None:
         """Clear row r's basic column from the objective row."""
@@ -310,21 +247,12 @@ class _Tableau:
     def add_row(self, row: dict[int, int]) -> None:
         """Append the constraint row . x + s = rhs (integer entries, the
         right-hand side under RHS) with a fresh slack s made basic, reduced
-        over the aside rows (a free column fixed at 0 drops out), then over
-        the current basis.  Dual feasibility is kept; the slack's value may
-        come out negative."""
+        over the current basis.  Dual feasibility is kept; the slack's value
+        may come out negative."""
         s = self.ncols
         self.ncols += 1
         new = {j: v for j, v in row.items() if v}
         new[s] = den = 1
-        for c in [j for j in new if j in self.aside]:
-            entry = self.aside[c]
-            if entry is None:
-                del new[c]
-                continue
-            pv, arow = entry
-            _eliminate(new, pv, new[c], arow)
-            den = _reduce(new, den * pv)
         for i, c in enumerate(self.basis):
             f = new.get(c)
             if f:
@@ -427,26 +355,9 @@ class _Tableau:
             raise SolverDefect("negative reduced cost in an optimal tableau; solver defect")
 
     def values(self) -> dict[int, Fraction]:
-        """Exact nonzero values at the current basis, by column.  A free
-        column's value comes from its aside row and the active rows' values,
-        over the lcm of the denominators involved."""
-        basic = {c: (row[RHS], den)
-                 for row, den, c in zip(self.rows, self.dens, self.basis) if RHS in row}
-        out = {c: Fraction(vn, vd) for c, (vn, vd) in basic.items()}
-        for c, entry in self.aside.items():
-            if entry is None:
-                continue
-            den, row = entry
-            num, d = row.get(RHS, 0), 1
-            for j, (vn, vd) in basic.items():
-                a = row.get(j)
-                if a:
-                    m = lcm(d, vd)
-                    num = num * (m // d) - a * vn * (m // vd)
-                    d = m
-            if num:
-                out[c] = Fraction(num, den * d)
-        return out
+        """Exact nonzero values at the current basis, by column."""
+        return {c: Fraction(row[RHS], den)
+                for row, den, c in zip(self.rows, self.dens, self.basis) if RHS in row}
 
     def objective(self) -> Fraction:
         return -Fraction(self.zrow.get(RHS, 0), self.zden)

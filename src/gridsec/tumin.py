@@ -6,18 +6,20 @@ subject to A(k,:)x = 1 and A(I,:)x = 0.  For totally unimodular A the l1
 relaxation, posed as a standard-form LP and solved exactly, attains the
 same optimum and an integral witness, so the combinatorial answer comes out
 of a single polynomial-time solve.  solve_min_support is the cold solve;
-a sweep over the targets of one row set solves the target-free LP once
-(solve_l1_base), makes its state columns free, and re-optimizes it per
-target row (solve_warm) by a dual simplex over the rows that constrain.
-Both certify their witness in one place.
+a sweep over the targets of one row set eliminates the state from the
+target-free LP, solves the rest once (solve_l1_base), and re-optimizes it
+per target row (solve_warm) by a dual simplex.  Both certify their witness
+in one place.
 
 Row indices (k, I, supports) are 1-based throughout this module.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+import marshal
 import math
 import random
 
@@ -25,7 +27,7 @@ import numpy as np
 
 from . import lp
 from .errors import IntegralityError, SizeLimitExceeded, SolverDefect
-from .exactla import det_int, int_matrix
+from .exactla import _eliminate, _reduce, det_int, int_matrix
 
 
 def check_rows(m: int, k: int, I=frozenset()) -> frozenset[int]:
@@ -50,20 +52,29 @@ class TUProblem:
     caller that keeps an integer array and its sparse_rows (as grid.Metering
     does for every target of a measurement system) passes both, and neither
     is read again; otherwise A is read by int_matrix and rows are built from
-    it.  k and I are checked either way.
+    it.  k and I are checked either way.  Problems compare and hash by
+    value: the shape of A, rows, k and I.
     """
 
     A: np.ndarray
     k: int
     I: frozenset[int] = frozenset()
-    rows: tuple[tuple[tuple[int, int], ...], ...] | None = field(default=None, repr=False,
-                                                                 compare=False)
+    rows: tuple[tuple[tuple[int, int], ...], ...] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.rows is None:
             object.__setattr__(self, "A", int_matrix(self.A))
             object.__setattr__(self, "rows", sparse_rows(self.A))
         object.__setattr__(self, "I", check_rows(self.A.shape[0], self.k, self.I))
+
+    def _key(self):
+        return self.A.shape, self.rows, self.k, self.I
+
+    def __eq__(self, other):
+        return isinstance(other, TUProblem) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @cached_property
     def free_rows(self) -> tuple[int, ...]:
@@ -154,54 +165,93 @@ def solve_min_support(problem: TUProblem) -> TUSolution | None:
 
 def solve_l1_base(A, I=frozenset()) -> bytes:
     """The l1 LP of integer matrix A and protected rows I without a target
-    row, solved once for every target of a TUProblem with the same A and I.
+    row and with its free state x eliminated, solved once for every target
+    of a TUProblem with the same A and I.
 
-    It is optimal at x = 0 with objective 0, and its final tableau is dual
-    feasible.  Its split columns x+ - x- then become free columns, each basic
-    in an aside row or, when the other state columns span it, fixed at 0
-    (lp._Tableau.free_columns).  The tableau is returned as
-    lp._Tableau.pack() bytes, which solve_warm re-optimizes.
+    Gauss-Jordan over the state columns (x- never enters) makes each row
+    that still holds one after reduction the state row of its smallest,
+    which is then eliminated from the earlier state rows.  The other rows,
+    over y only, go to lp.solve_lp, which must stop optimal at y = 0.  The
+    base is the marshal bytes of (its tableau's pack() bytes, state), state
+    mapping each column c with a state row to (den, row): den x_c + row . y
+    = 0, each other state column (none has a state row) taken as 0.
     """
     A = int_matrix(A)
     n = A.shape[1]
-    relax = _target_free_lp(sparse_rows(A), n, frozenset(I))
-    out = lp.solve_lp(lp.StandardFormLP.from_int_rows(*relax))
+    rows, cost, width = _target_free_lp(sparse_rows(A), n, frozenset(I))
+    state: dict[int, dict[int, int]] = {}
+    yrows = []
+    for row in rows:
+        row = {j: v for j, v in row.items() if not n <= j < 2 * n}
+        for c, srow in state.items():
+            f = row.get(c)
+            if f:
+                _eliminate(row, srow[c], f, srow)
+                _reduce(row, 0)
+        c = min(row, default=n)
+        if c >= n:
+            yrows.append(row)
+            continue
+        for srow in state.values():
+            f = srow.get(c)
+            if f:
+                _eliminate(srow, row[c], f, row)
+                _reduce(srow, 0)
+        state[c] = row
+    out = lp.solve_lp(lp.StandardFormLP.from_int_rows(yrows, cost, width))
     if out.status is not lp.LpStatus.OPTIMAL or out.solution.objective != 0:
         raise SolverDefect("the target-free l1 LP is not optimal at zero; solver defect")
-    out.tableau.free_columns([(c, n + c) for c in range(n)])
-    return out.tableau.pack()
+    state = {c: (row[c], {j: v for j, v in row.items() if j >= 2 * n})
+             for c, row in state.items()}
+    return marshal.dumps((out.tableau.pack(), state))
 
 
 def solve_warm(base: bytes, problem: TUProblem) -> TUSolution | None:
     """solve_min_support by re-optimizing base, the solve_l1_base bytes of
     problem's rows and protection; None when the constraints are infeasible.
 
-    A tableau unpacked from base gains the row -A(k,:)x + s = -1, i.e.
-    A(k,:)x >= 1, over its free state columns (reduced over their aside
-    rows first), and the dual simplex restores nonnegative values.
-    The objective is positively homogeneous and at least |A(k,:)x|, so every
-    optimum has A(k,:)x = 1 and s = 0: the same optimum as the cold solve,
-    though possibly at another optimal vertex.
+    A tableau unpacked from base gains the row -y+_k + y-_k + s = -1, i.e.
+    A(k,:)x >= 1, as the target's own row reads A(k,:)x - y+_k + y-_k = 0,
+    and the dual simplex restores nonnegative values.  The objective is
+    positively homogeneous and at least |A(k,:)x|, so every optimum has
+    A(k,:)x = 1 and s = 0: the same optimum as the cold solve, though
+    possibly at another optimal vertex.  x is read from base's state rows.
     """
-    tab = lp._Tableau.unpack(base)
-    target = {c: -a for c, a in problem.rows[problem.k - 1]}
-    target[lp.RHS] = -1
-    tab.add_row(target)
+    packed, state = marshal.loads(base)
+    tab = lp._Tableau.unpack(packed)
+    y = 2 * problem.A.shape[1] + problem.free_rows.index(problem.k)
+    tab.add_row({y: -1, y + len(problem.free_rows): 1, lp.RHS: -1})
     if lp._run_dual_simplex(tab, [0]) is lp.LpStatus.INFEASIBLE:
         return None
-    return _certified_solution(problem, tab)
+    return _certified_solution(problem, tab, state)
 
 
-def _certified_solution(problem: TUProblem, tab: lp._Tableau) -> TUSolution:
+def _state_values(tab: lp._Tableau, state, n: int) -> list:
+    """x at tab's basis from solve_l1_base's state rows, in integer
+    arithmetic over the lcm of the basic values' denominators: each entry
+    an int, or a Fraction when it is not integral."""
+    D = math.lcm(*(den for row, den in zip(tab.rows, tab.dens) if lp.RHS in row))
+    y = {c: row[lp.RHS] * (D // den)
+         for row, den, c in zip(tab.rows, tab.dens, tab.basis) if lp.RHS in row}
+    x = []
+    for c in range(n):
+        den, row = state.get(c, (1, {}))
+        num = -sum(v * row.get(j, 0) for j, v in y.items())
+        q, r = divmod(num, den * D)
+        x.append(Fraction(num, den * D) if r else q)
+    return x
+
+
+def _certified_solution(problem: TUProblem, tab: lp._Tableau, state=None) -> TUSolution:
     """The minimum-support solution at an optimal l1 tableau, checked.
 
     The tableau must read optimal, every column past the y block (the warm
     solve's slack) must be zero, and the objective must equal the y sum.
-    The state move x (x+ - x-, or the free column under x+ of a warm solve,
-    read from its aside row) must be integral, satisfy A(I,:)x = 0 and
-    A(k,:)x = 1 on problem's integer rows, and touch as many rows as the
-    objective, in the unimodular pattern.  SolverDefect otherwise (its
-    subclass IntegralityError for a broken integrality pattern).
+    The state move x (x+ - x- of a cold solve, or read from the state rows
+    of a warm one) must be integral, satisfy A(I,:)x = 0 and A(k,:)x = 1 on
+    problem's integer rows, and touch as many rows as the objective, in the
+    unimodular pattern.  SolverDefect otherwise (its subclass
+    IntegralityError for a broken integrality pattern).
     """
     tab.check_optimal()
     n = problem.A.shape[1]
@@ -212,7 +262,10 @@ def _certified_solution(problem: TUProblem, tab: lp._Tableau) -> TUSolution:
     objective = tab.objective()
     if objective != sum(v for c, v in vals.items() if c >= 2 * n):
         raise SolverDefect("objective bookkeeping mismatch; solver defect")
-    x_frac = [vals.get(c, 0) - vals.get(n + c, 0) for c in range(n)]
+    if state is None:
+        x_frac = [vals.get(c, 0) - vals.get(n + c, 0) for c in range(n)]
+    else:
+        x_frac = _state_values(tab, state, n)
     if any(v.denominator != 1 for v in x_frac):
         raise IntegralityError(f"fractional witness {x_frac}")
     x = tuple(int(v) for v in x_frac)

@@ -256,6 +256,14 @@ class TestMainExitCodes:
         assert rc == 2
         assert err
 
+    @pytest.mark.parametrize("argv", [["solve", "-k", "1"], ["bench"]])
+    def test_non_utf8_case_is_exit_2(self, tmp_path, argv):
+        bad = tmp_path / "bad.case"
+        bad.write_bytes(b"\xff\xfe\x00")
+        rc, out, err = run_main([argv[0], str(bad), *argv[1:]])
+        assert rc == 2 and not out
+        assert err == f"error: cannot read {bad}: not UTF-8 text\n"
+
     def test_malformed_case(self, tmp_path):
         bad = tmp_path / "bad.case"
         bad.write_text("buses 2\nline 1 2 oops\nmeter flow 1\n")
@@ -290,7 +298,12 @@ class TestMainExitCodes:
         rc, _, err = run_main(["bench", SIX, "--jobs", "abc"])
         assert rc == 1
         assert "argument --jobs: must be a whole number of at least 1, got 'abc'" in err
-        assert "_jobs" not in err
+        assert "_whole" not in err
+        for flag in ("--max-order", "--budget"):
+            for value in ("0", "-3"):
+                rc, out, err = run_main(["verify-tu", SIX, flag, value])
+                assert rc == 1 and not out
+                assert f"argument {flag}: must be a whole number of at least 1" in err
 
     def test_reactance_past_the_float_range_is_exit_2(self, tmp_path):
         case = tmp_path / "big.case"

@@ -242,6 +242,12 @@ class TestParser:
         assert net.lines[6] == Line(4, 5, Fraction("0.04211"))
         assert meas.n_meters == 20
 
+    def test_non_utf8_file_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "case.txt"
+        path.write_bytes(b"\xff\xfe\x00")
+        with pytest.raises(ParseError, match="not UTF-8 text"):
+            parse_case(path)
+
     def _parse_text(self, tmp_path, text):
         path = tmp_path / "case.txt"
         path.write_text(text)

@@ -30,7 +30,7 @@ from gridsec.lp import (
     solve_lp,
     verify_bfs,
 )
-from gridsec.tumin import TUProblem, solve_l1_base
+from gridsec.tumin import TUProblem
 
 
 def test_minimize_sum_on_simplex():
@@ -326,18 +326,14 @@ def test_dual_simplex_matches_a_cold_solve_of_the_extended_lp(rule, monkeypatch)
 
 
 def _fields(tab):
-    return (tab.rows, tab.dens, tab.basis, tab.zrow, tab.zden, tab.ncols, tab.aside)
+    return (tab.rows, tab.dens, tab.basis, tab.zrow, tab.zden, tab.ncols)
 
 
 def test_packed_tableau_round_trip():
     for seed in range(40):
         tab = _optimal_tableau(preprocess(_random_feasible_lp(random.Random(seed))))
         assert _fields(_Tableau.unpack(tab.pack())) == _fields(tab)
-    # free columns: the aside rows travel with the tableau, and copies share them
-    free = _Tableau.unpack(solve_l1_base(SIXBUS_A))
-    assert len(free.aside) == SIXBUS_A.shape[1]
-    assert _fields(_Tableau.unpack(free.pack())) == _fields(free)
-    assert _fields(free.copy()) == _fields(free)
+        assert _fields(tab.copy()) == _fields(tab)
     # entries past 64 bits are kept exactly
     big = _Tableau([{0: 3, 1: -(2 ** 70), RHS: 2 ** 40}, {1: 1, 2: 300, RHS: 5}],
                    [7, 2 ** 65], [0, 1], 400)
@@ -347,36 +343,6 @@ def test_packed_tableau_round_trip():
     copy = _Tableau.unpack(packed)
     copy.pivot(1, 2)
     assert _fields(_Tableau.unpack(packed)) == _fields(big)
-
-
-def test_free_columns_fold_pivot_and_fix():
-    # min y0 + y1 s.t. x0 - x1 = y0 and x0 = y1 (columns x+ 0, 1; x- 2, 3;
-    # y 4, 5), optimal at zero with x-1 and x+0 basic
-    def tableau():
-        tab = _Tableau([{3: 1, 1: -1, 4: -1, 5: 1}, {0: 1, 2: -1, 5: -1}],
-                       [1, 1], [3, 0], 6)
-        tab.zrow = {4: 1, 5: 1}
-        return tab
-
-    tab = tableau()
-    tab.free_columns([(0, 2), (1, 3)])
-    assert tab.aside == {1: (1, {1: 1, 4: 1, 5: -1}), 0: (1, {0: 1, 5: -1})}
-    assert tab.rows == [] and tab.basis == []
-    tab.add_row({0: 1, 1: 1, RHS: 3})        # x0 + x1 <= 3 in y: 2 y1 - y0 + s = 3
-    assert tab.rows == [{4: -1, 5: 2, 6: 1, RHS: 3}]
-    assert tab.values() == {6: 3}
-    # a free column with a nonzero value or reduced cost is a defect
-    for spoil in (lambda t: t.rows[0].update({RHS: 1}), lambda t: t.zrow.update({0: 1})):
-        tab = tableau()
-        spoil(tab)
-        with pytest.raises(SolverDefect):
-            tab.free_columns([(0, 2), (1, 3)])
-    # a column no active row holds is fixed at 0, and drops out of new rows
-    tab = _Tableau([{0: 1, 1: 1, 2: -1, 3: -1, 4: -1}], [1], [0], 5)
-    tab.free_columns([(0, 3), (1, 4)])
-    assert tab.aside == {0: (1, {0: 1, 2: -1}), 1: None}
-    tab.add_row({1: 5, RHS: 1})
-    assert tab.rows == [{5: 1, RHS: 1}]
 
 
 def test_dual_pivot_selection_rules():

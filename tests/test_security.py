@@ -1,5 +1,6 @@
 """Security indices, bounds with injections, and critical tuples."""
 import gc
+import marshal
 import pickle
 import random
 import weakref
@@ -368,14 +369,26 @@ class TestWarmSweep:
         net = Network(6, ((1, 2, 1), (2, 3, 2), (1, 3, 3), (3, 4, 1), (4, 5, 1),
                           (5, 6, 2), (4, 6, 1), (2, 5, 3)))
         meas = MeasurementSystem((1, 2, 3, 6))
-        aside = lp._Tableau.unpack(metering(net, meas).l1_base).aside
-        assert aside[2] is None       # bus 4's column (buses 2..6 are columns 0..4)
-        assert sum(entry is None for entry in aside.values()) == 2
+        _, state = marshal.loads(metering(net, meas).l1_base)
+        assert 2 not in state         # bus 4's column (buses 2..6 are columns 0..4)
+        assert len(state) == 3        # two columns have no state row: they stay 0
         for k, index in ((1, 2), (2, 2), (3, 2), (4, 1)):
             res = security_index(net, meas, k)
             assert res.index == index == mincut_index(net, meas, k).index
             assert res.index == solve_min_support(reduce_to_tu(net, meas, k)).cardinality
             assert len(res.attack.touched) == index and res.attack.delta_z[k - 1] == 1.0
+
+    def test_a_radial_network_is_all_state_rows(self):
+        # every line of a tree metered: each flow row is a state row, and
+        # the LP left over y has no rows
+        net = Network(5, ((1, 2, 1), (2, 3, 2), (2, 4, 1), (4, 5, 3)))
+        meas = MeasurementSystem((1, 2, 3, 4))
+        packed, state = marshal.loads(metering(net, meas).l1_base)
+        assert lp._Tableau.unpack(packed).rows == [] and sorted(state) == [0, 1, 2, 3]
+        for k in range(1, 5):
+            res = security_index(net, meas, k)
+            assert res.index == 1 == mincut_index(net, meas, k).index
+            assert res.attack.touched == {k} and res.attack.delta_z[k - 1] == 1.0
 
     def test_a_target_reads_the_kept_flow_rows(self, monkeypatch):
         net, meas = sixbus_network(), sixbus_meas({1})

@@ -1,4 +1,5 @@
 """Minimum-support solver against frozen values and the enumeration oracle."""
+import marshal
 import random
 
 import numpy as np
@@ -23,9 +24,8 @@ from gridsec import (
     verify_tu,
 )
 from gridsec.errors import SizeLimitExceeded, SolverDefect
-from gridsec.lp import RHS, _Tableau
 from gridsec.oracle import exhaustive_min_tuple, nullspace_reformulate, solve_milp_instance
-from gridsec.tumin import solve_l1_base, solve_warm
+from gridsec.tumin import solve_l1_base, solve_warm, sparse_rows
 
 
 def signed_image(A, x):
@@ -76,6 +76,19 @@ class TestProblemValidation:
     def test_non_integer_entries_are_rejected_not_truncated(self, build, first):
         with pytest.raises(ValueError, match="integer entries"):
             build([[first, 0], [0, 1], [1, -1]])
+
+    def test_problems_compare_and_hash_by_value(self):
+        A = np.array([[1, 0], [1, 1], [0, 1]])
+        prob = TUProblem(A, 1, {3})
+        same = TUProblem(A.tolist(), 1, [3])
+        assert prob == same and hash(prob) == hash(same) and len({prob, same}) == 1
+        assert TUProblem(A, 1, {3}, sparse_rows(A)) == prob
+        entry = A.copy()
+        entry[1, 0] = -1
+        for other in (TUProblem(A, 2, {3}), TUProblem(A, 1), TUProblem(entry, 1, {3}),
+                      TUProblem(np.hstack([A, np.zeros((3, 1), dtype=int)]), 1, {3})):
+            assert prob != other and not prob == other
+        assert prob != A and prob != (A, 1, {3})
 
 
 class TestRelaxationShape:
@@ -213,9 +226,9 @@ class TestValidateIntegrality:
             solve_min_support(TUProblem([[1, 1, 0], [0, 1, 1], [1, 0, 1]], 1))
 
 
-class TestWarmFreeColumns:
-    """solve_warm re-optimizes a base whose state columns are free: each
-    basic one sits in an aside row, each dependent one is fixed at 0."""
+class TestWarmStateRows:
+    """solve_warm re-optimizes a base whose state is eliminated: each state
+    column with a state row is read from it, each other one is 0."""
 
     def test_warm_matches_cold_on_interval_matrices(self):
         rng = random.Random(14)
@@ -226,9 +239,9 @@ class TestWarmFreeColumns:
             A[:, rng.sample(range(n), rng.randint(0, n // 2))] = 0
             I = frozenset(rng.sample(range(1, m + 1), rng.randint(0, m - 1)))
             base = solve_l1_base(A, I)
-            aside = _Tableau.unpack(base).aside
-            assert sorted(aside) == list(range(n))
-            fixed += sum(entry is None for entry in aside.values())
+            _, state = marshal.loads(base)
+            assert set(state) <= set(range(n))
+            fixed += n - len(state)
             for k in sorted(set(range(1, m + 1)) - I):
                 prob = TUProblem(A, k, I)
                 cold, warm = solve_min_support(prob), solve_warm(base, prob)
@@ -242,15 +255,15 @@ class TestWarmFreeColumns:
         assert feasible > 150 and infeasible > 50 and fixed > 100
 
     @pytest.mark.parametrize("forge", [
-        lambda c, den, row: (2 * den, row),
-        lambda c, den, row: (den, {**row, RHS: 1}),
-    ], ids=["denominator", "value"])
-    def test_a_forged_aside_row_is_a_solver_defect(self, forge):
-        base = _Tableau.unpack(solve_l1_base(SIXBUS_A))
-        assert base.aside and None not in base.aside.values()
-        base.aside = {c: forge(c, *entry) for c, entry in base.aside.items()}
+        lambda den, row: (2 * den, row),
+        lambda den, row: (den, {j: 2 * a for j, a in row.items()}),
+    ], ids=["denominator", "entry"])
+    def test_a_forged_state_row_is_a_solver_defect(self, forge):
+        packed, state = marshal.loads(solve_l1_base(SIXBUS_A))
+        assert state
+        state = {c: forge(*entry) for c, entry in state.items()}
         with pytest.raises(SolverDefect):
-            solve_warm(base.pack(), TUProblem(SIXBUS_A, 6))
+            solve_warm(marshal.dumps((packed, state)), TUProblem(SIXBUS_A, 6))
 
 
 class TestVerifyTu:
