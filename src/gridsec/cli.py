@@ -155,6 +155,16 @@ def _solve_chunk(case: tuple[Network, MeasurementSystem], cells) -> list[MeterEn
     return [_solve_one(case, method, k) for method, k in cells]
 
 
+def _batch_methods(methods) -> tuple[str, ...]:
+    """methods as a tuple, once it names batch methods, at least one and
+    none twice; MethodUnavailable otherwise."""
+    methods = tuple(methods)
+    if not methods or len(set(methods)) < len(methods) or not set(methods) <= set(BATCH_METHODS):
+        raise MethodUnavailable(f"need distinct methods of {','.join(BATCH_METHODS)}, "
+                                f"got {','.join(methods) or 'none'}")
+    return methods
+
+
 def run_batch(case_path, methods=("lp",), jobs: int | None = None) -> BatchReport:
     """Index of every unprotected flow meter, per method, cross-checked.
 
@@ -167,12 +177,7 @@ def run_batch(case_path, methods=("lp",), jobs: int | None = None) -> BatchRepor
     still run.
     """
     case_path = str(case_path)
-    methods = tuple(methods)
-    for m in methods:
-        if m not in BATCH_METHODS:
-            raise MethodUnavailable(f"{m!r} is not a batch method")
-    if not methods:
-        raise MethodUnavailable("no methods requested")
+    methods = _batch_methods(methods)
     if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     cpus = os.cpu_count() or 1
@@ -242,6 +247,13 @@ def _whole(text: str) -> int:
     return int(text)
 
 
+def _method_list(text: str) -> tuple[str, ...]:
+    try:
+        return _batch_methods(m.strip() for m in text.split(",") if m.strip())
+    except MethodUnavailable as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="gridsec",
                      description="Exact security indices for DC state estimation.")
@@ -267,7 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="index every unprotected flow meter")
     p.add_argument("case")
-    p.add_argument("--methods", default="mincut",
+    p.add_argument("--methods", type=_method_list, default="mincut",
                    help=f"comma-separated subset of {','.join(BATCH_METHODS)}")
     p.add_argument("--jobs", type=_whole, default=None,
                    help="worker processes (at least 1, capped at the CPU count)")
@@ -332,10 +344,9 @@ def _cmd_verify_tu(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     if args.out:
         _write("", args.out)          # an unwritable --out fails before any solve
-    report = run_batch(args.case, methods, jobs=args.jobs)
+    report = run_batch(args.case, args.methods, jobs=args.jobs)
     _write(emit(report, args.format), args.out)
     for e in report.failures:
         print(f"internal mismatch: meter {e.meter} ({e.method}): {e.error}", file=sys.stderr)

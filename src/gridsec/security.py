@@ -133,12 +133,12 @@ def security_index(net: Network, meas: MeasurementSystem, k: int) -> SecurityInd
     """Exact security index of flow meter k in a flow-only system.
 
     Returns the index together with a witness attack normalized to
-    delta_z[k] = 1: a certified minimum-support attack, which may differ
-    from the vertex the cold solve (tumin.solve_min_support) lands on.
-    The system's target-free l1 LP is solved on its first call and kept
-    with its grid.Metering; each call re-optimizes a copy of it with meter
-    k's row appended (tumin.solve_warm).  Raises InfeasibleIndex when
-    protected meters pin meter k (no unobservable attack reaches it).
+    delta_z[k] = 1: a certified minimum-support attack.  The system's
+    target-free l1 LP (tumin.solve_l1_base) is solved on its first call
+    and kept with its grid.Metering; each call re-optimizes a copy of it
+    with meter k's row appended (tumin.solve_warm), as
+    tumin.solve_min_support does on a fresh one.  Raises InfeasibleIndex
+    when protected meters pin meter k (no unobservable attack reaches it).
     """
     t0 = time.perf_counter()
     prob = reduce_to_tu(net, meas, k)

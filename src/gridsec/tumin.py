@@ -5,11 +5,12 @@ set I, find x minimizing the number of nonzero entries of A(unprotected,:)x
 subject to A(k,:)x = 1 and A(I,:)x = 0.  For totally unimodular A the l1
 relaxation, posed as a standard-form LP and solved exactly, attains the
 same optimum and an integral witness, so the combinatorial answer comes out
-of a single polynomial-time solve.  solve_min_support is the cold solve;
-a sweep over the targets of one row set eliminates the state from the
-target-free LP, solves the rest once (solve_l1_base), and re-optimizes it
-per target row (solve_warm) by a dual simplex.  Both certify their witness
-in one place.
+of a single polynomial-time solve.  The LP is written once, in meter space:
+the state x is eliminated by Gauss-Jordan, leaving rows over the row
+slacks y plus state rows that give x back (_meter_space).  solve_l1_base
+solves it without a target row once per (A, I), solve_warm re-optimizes
+that per target row by a dual simplex and certifies the witness, and
+solve_min_support is the two on a fresh base.
 
 Row indices (k, I, supports) are 1-based throughout this module.
 """
@@ -105,84 +106,28 @@ class TUSolution:
             raise ValueError("cardinality must equal |support|")
 
 
-def _state_part(row, n: int) -> dict[int, int]:
-    """Integer row (column, value) pairs as the l1 LP's x+ and x- columns."""
-    out = {}
-    for c, a in row:
-        out[c] = a
-        out[n + c] = -a
-    return out
+def _meter_space(rows, n: int, I: frozenset[int]) -> tuple[list, dict, int]:
+    """(rows over y, state rows, width) of the l1 LP of integer rows over n
+    state columns, without a target row and with its state x eliminated.
 
-
-def _target_free_lp(rows, n: int, I: frozenset[int]) -> tuple[list, dict, int]:
-    """(constraint rows, cost, width) of the l1 LP without its target row:
-    for each unprotected row j, A(j,:)(x+ - x-) - y+ + y- = 0, then the
-    protected rows A(I,:)(x+ - x-) = 0 in ascending order; the cost is
-    sum(y+) + sum(y-)."""
+    The LP reads A(j,:)x - y+_j + y-_j = 0 for each unprotected row j, then
+    A(I,:)x = 0 in ascending order, with cost sum(y+) + sum(y-) over its
+    width columns y = (y+, y-).  Gauss-Jordan makes each row that still
+    holds a state column after reduction the state row of its smallest,
+    then eliminates that column from the earlier state rows; the other rows
+    are over y only (a dependent protected row reduces to nothing and is
+    dropped).  state maps each column c with a state row to (den, row):
+    den x_c + row . y = 0; each other state column is 0.
+    """
     free = [j for j in range(1, len(rows) + 1) if j not in I]
     r = len(free)
-    out: list[dict[int, int]] = []
-    for pos, j in enumerate(free):
-        row = _state_part(rows[j - 1], n)
-        row[2 * n + pos] = -1
-        row[2 * n + r + pos] = 1
-        out.append(row)
-    out += [_state_part(rows[j - 1], n) for j in sorted(I)]
-    return out, {c: 1 for c in range(2 * n, 2 * n + 2 * r)}, 2 * n + 2 * r
-
-
-def build_l1_lp(problem: TUProblem) -> lp.StandardFormLP:
-    """Standard-form l1 relaxation.
-
-    Variables are (x+, x-, y+, y-) with y ranging over the unprotected rows;
-    constraint rows are the unprotected block A(j,:)(x+ - x-) - y+ + y- = 0,
-    then the protected rows pinned to zero, then the target row pinned to
-    one.  Cost is sum(y+) + sum(y-).  Dependent protected rows are left to
-    lp.preprocess, which keeps the same rows a greedy pass over them would.
-    """
-    n = problem.A.shape[1]
-    rows, cost, width = _target_free_lp(problem.rows, n, problem.I)
-    target = _state_part(problem.rows[problem.k - 1], n)
-    target[lp.RHS] = 1
-    rows.append(target)
-    return lp.StandardFormLP.from_int_rows(rows, cost, width)
-
-
-def solve_min_support(problem: TUProblem) -> TUSolution | None:
-    """Exact minimum-support solve; None when the constraints are infeasible.
-
-    The cold reference solve: build_l1_lp, then lp.solve_lp from scratch.
-    Feasibility is decided by the LP layer (inconsistency in preprocessing or
-    a positive phase-1 optimum), not by a separate rank precheck.
-    """
-    out = lp.solve_lp(build_l1_lp(problem))
-    if out.status is lp.LpStatus.INFEASIBLE:
-        return None
-    if out.status is not lp.LpStatus.OPTIMAL:
-        raise SolverDefect("l1 relaxation cannot be unbounded; solver defect")
-    return _certified_solution(problem, out.tableau)
-
-
-def solve_l1_base(A, I=frozenset()) -> bytes:
-    """The l1 LP of integer matrix A and protected rows I without a target
-    row and with its free state x eliminated, solved once for every target
-    of a TUProblem with the same A and I.
-
-    Gauss-Jordan over the state columns (x- never enters) makes each row
-    that still holds one after reduction the state row of its smallest,
-    which is then eliminated from the earlier state rows.  The other rows,
-    over y only, go to lp.solve_lp, which must stop optimal at y = 0.  The
-    base is the marshal bytes of (its tableau's pack() bytes, state), state
-    mapping each column c with a state row to (den, row): den x_c + row . y
-    = 0, each other state column (none has a state row) taken as 0.
-    """
-    A = int_matrix(A)
-    n = A.shape[1]
-    rows, cost, width = _target_free_lp(sparse_rows(A), n, frozenset(I))
     state: dict[int, dict[int, int]] = {}
     yrows = []
-    for row in rows:
-        row = {j: v for j, v in row.items() if not n <= j < 2 * n}
+    for pos, j in enumerate(free + sorted(I)):
+        row = dict(rows[j - 1])
+        if pos < r:
+            row[n + pos] = -1
+            row[n + r + pos] = 1
         for c, srow in state.items():
             f = row.get(c)
             if f:
@@ -190,7 +135,8 @@ def solve_l1_base(A, I=frozenset()) -> bytes:
                 _reduce(row, 0)
         c = min(row, default=n)
         if c >= n:
-            yrows.append(row)
+            if row:
+                yrows.append({j - n: v for j, v in row.items()})
             continue
         for srow in state.values():
             f = srow.get(c)
@@ -198,28 +144,58 @@ def solve_l1_base(A, I=frozenset()) -> bytes:
                 _eliminate(srow, row[c], f, row)
                 _reduce(srow, 0)
         state[c] = row
-    out = lp.solve_lp(lp.StandardFormLP.from_int_rows(yrows, cost, width))
+    state = {c: (row[c], {j - n: v for j, v in row.items() if j >= n})
+             for c, row in state.items()}
+    return yrows, state, 2 * r
+
+
+def build_l1_lp(problem: TUProblem) -> lp.StandardFormLP:
+    """The l1 relaxation of problem in one piece: _meter_space's rows, then
+    the target row y+_k - y-_k = 1, i.e. A(k,:)x = 1.  The solve path builds
+    the same LP in two steps (solve_l1_base, then solve_warm's row)."""
+    rows, _, width = _meter_space(problem.rows, problem.A.shape[1], problem.I)
+    y = problem.free_rows.index(problem.k)
+    rows.append({y: 1, y + width // 2: -1, lp.RHS: 1})
+    return lp.StandardFormLP.from_int_rows(rows, dict.fromkeys(range(width), 1), width)
+
+
+def solve_min_support(problem: TUProblem) -> TUSolution | None:
+    """Exact minimum-support solve; None when the constraints are infeasible:
+    solve_warm on a base solved for problem's rows and protection alone."""
+    return solve_warm(solve_l1_base(problem.A, problem.I), problem)
+
+
+def solve_l1_base(A, I=frozenset()) -> bytes:
+    """The l1 LP of integer matrix A and protected rows I without a target
+    row, in meter space (_meter_space), solved once for every target of a
+    TUProblem with the same A and I.
+
+    lp.solve_lp must stop optimal at y = 0.  The base is the marshal bytes
+    of (its tableau's pack() bytes, state rows).
+    """
+    A = int_matrix(A)
+    rows, state, width = _meter_space(sparse_rows(A), A.shape[1], frozenset(I))
+    out = lp.solve_lp(lp.StandardFormLP.from_int_rows(rows, dict.fromkeys(range(width), 1), width))
     if out.status is not lp.LpStatus.OPTIMAL or out.solution.objective != 0:
         raise SolverDefect("the target-free l1 LP is not optimal at zero; solver defect")
-    state = {c: (row[c], {j: v for j, v in row.items() if j >= 2 * n})
-             for c, row in state.items()}
     return marshal.dumps((out.tableau.pack(), state))
 
 
 def solve_warm(base: bytes, problem: TUProblem) -> TUSolution | None:
-    """solve_min_support by re-optimizing base, the solve_l1_base bytes of
-    problem's rows and protection; None when the constraints are infeasible.
+    """Minimum-support solve by re-optimizing base, the solve_l1_base bytes
+    of problem's rows and protection; None when the constraints are
+    infeasible, i.e. when the dual simplex finds no basis.
 
     A tableau unpacked from base gains the row -y+_k + y-_k + s = -1, i.e.
     A(k,:)x >= 1, as the target's own row reads A(k,:)x - y+_k + y-_k = 0,
     and the dual simplex restores nonnegative values.  The objective is
     positively homogeneous and at least |A(k,:)x|, so every optimum has
-    A(k,:)x = 1 and s = 0: the same optimum as the cold solve, though
-    possibly at another optimal vertex.  x is read from base's state rows.
+    A(k,:)x = 1 and s = 0, an optimum of build_l1_lp(problem).  x is read
+    from base's state rows.
     """
     packed, state = marshal.loads(base)
     tab = lp._Tableau.unpack(packed)
-    y = 2 * problem.A.shape[1] + problem.free_rows.index(problem.k)
+    y = problem.free_rows.index(problem.k)
     tab.add_row({y: -1, y + len(problem.free_rows): 1, lp.RHS: -1})
     if lp._run_dual_simplex(tab, [0]) is lp.LpStatus.INFEASIBLE:
         return None
@@ -242,30 +218,25 @@ def _state_values(tab: lp._Tableau, state, n: int) -> list:
     return x
 
 
-def _certified_solution(problem: TUProblem, tab: lp._Tableau, state=None) -> TUSolution:
+def _certified_solution(problem: TUProblem, tab: lp._Tableau, state) -> TUSolution:
     """The minimum-support solution at an optimal l1 tableau, checked.
 
-    The tableau must read optimal, every column past the y block (the warm
-    solve's slack) must be zero, and the objective must equal the y sum.
-    The state move x (x+ - x- of a cold solve, or read from the state rows
-    of a warm one) must be integral, satisfy A(I,:)x = 0 and A(k,:)x = 1 on
-    problem's integer rows, and touch as many rows as the objective, in the
-    unimodular pattern.  SolverDefect otherwise (its subclass
-    IntegralityError for a broken integrality pattern).
+    The tableau must read optimal, every column past the y block (the
+    target row's slack) must be zero, and the objective must equal the y
+    sum.  The state move x, read from solve_l1_base's state rows, must be
+    integral, satisfy A(I,:)x = 0 and A(k,:)x = 1 on problem's integer
+    rows, and touch as many rows as the objective, in the unimodular
+    pattern.  SolverDefect otherwise (its subclass IntegralityError for a
+    broken integrality pattern).
     """
     tab.check_optimal()
-    n = problem.A.shape[1]
-    ycols = 2 * n + 2 * len(problem.free_rows)
     vals = tab.values()
-    if any(c >= ycols for c in vals):
+    if any(c >= 2 * len(problem.free_rows) for c in vals):
         raise SolverDefect("the target row's slack is not zero; solver defect")
     objective = tab.objective()
-    if objective != sum(v for c, v in vals.items() if c >= 2 * n):
+    if objective != sum(vals.values()):
         raise SolverDefect("objective bookkeeping mismatch; solver defect")
-    if state is None:
-        x_frac = [vals.get(c, 0) - vals.get(n + c, 0) for c in range(n)]
-    else:
-        x_frac = _state_values(tab, state, n)
+    x_frac = _state_values(tab, state, problem.A.shape[1])
     if any(v.denominator != 1 for v in x_frac):
         raise IntegralityError(f"fractional witness {x_frac}")
     x = tuple(int(v) for v in x_frac)

@@ -115,6 +115,10 @@ class TestRunBatch:
         with pytest.raises(MethodUnavailable):
             run_batch(SIXBUS_CASE, methods=())
 
+    def test_duplicate_methods(self):
+        with pytest.raises(MethodUnavailable, match="got lp,mincut,lp"):
+            run_batch(SIXBUS_CASE, methods=("lp", "mincut", "lp"))
+
     def test_case_parsed_once_per_batch(self, monkeypatch):
         import gridsec.cli as climod
 
@@ -304,6 +308,23 @@ class TestMainExitCodes:
                 rc, out, err = run_main(["verify-tu", SIX, flag, value])
                 assert rc == 1 and not out
                 assert f"argument {flag}: must be a whole number of at least 1" in err
+
+    @pytest.mark.parametrize("methods, got", [
+        ("magic", "magic"), ("lp,bounds", "lp,bounds"), ("", "none"), (" , ", "none"),
+        ("lp, mincut,lp", "lp,mincut,lp"),
+    ], ids=["unknown", "bounds", "empty", "blank", "duplicate"])
+    def test_bad_bench_methods_are_usage_errors(self, tmp_path, methods, got, monkeypatch):
+        def no_batch(*args, **kwargs):
+            raise AssertionError("bench ran with bad --methods")
+
+        monkeypatch.setattr(cli, "run_batch", no_batch)
+        dest = tmp_path / "kept.csv"
+        dest.write_text("earlier report\n")
+        rc, out, err = run_main(["bench", SIX, "--methods", methods, "--out", str(dest)])
+        assert rc == 1 and not out
+        assert (f"argument --methods: need distinct methods of lp,mincut,milp,exhaustive, "
+                f"got {got}\n") in err
+        assert dest.read_text() == "earlier report\n"
 
     def test_reactance_past_the_float_range_is_exit_2(self, tmp_path):
         case = tmp_path / "big.case"

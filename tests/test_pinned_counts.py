@@ -16,11 +16,12 @@ from gridsec import lp, oracle, security, tumin
 from gridsec.grid import parse_case
 from test_lp import _random_feasible_lp
 
+# lp.solve_lp on tumin.build_l1_lp, the meter-space l1 LP, per ieee14 meter
 IEEE14_SWEEP_PIVOTS = {
-    "bland": [16, 17, 27, 25, 33, 23, 18, 25, 32, 25,
-              30, 29, 27, 32, 22, 26, 36, 25, 23, 29],
-    "dantzig": [16, 18, 27, 20, 17, 14, 14, 22, 28, 25,
-                20, 17, 19, 31, 17, 18, 21, 16, 16, 15],
+    "bland": [4, 5, 4, 7, 5, 4, 9, 4, 6, 6,
+              4, 4, 8, 3, 4, 3, 3, 3, 4, 7],
+    "dantzig": [4, 5, 4, 6, 5, 4, 6, 4, 6, 6,
+                4, 4, 8, 3, 4, 3, 3, 3, 4, 7],
 }
 # one _random_feasible_lp(random.Random(seed)) per seed 0..19
 RANDOM_LP_PIVOTS = {

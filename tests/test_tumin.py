@@ -1,11 +1,14 @@
 """Minimum-support solver against frozen values and the enumeration oracle."""
 import marshal
 import random
+from itertools import product
 
 import numpy as np
 import pytest
 
 from conftest import (
+    IEEE14_CASE,
+    PAPER_L,
     SIXBUS_A,
     SIXBUS_A_FULL,
     SIXBUS_OPTIMA,
@@ -24,7 +27,11 @@ from gridsec import (
     verify_tu,
 )
 from gridsec.errors import SizeLimitExceeded, SolverDefect
+from gridsec.exactla import int_rank
+from gridsec.grid import parse_case
+from gridsec.lp import LpStatus, solve_lp
 from gridsec.oracle import exhaustive_min_tuple, nullspace_reformulate, solve_milp_instance
+from gridsec.security import reduce_to_tu
 from gridsec.tumin import solve_l1_base, solve_warm, sparse_rows
 
 
@@ -91,47 +98,95 @@ class TestProblemValidation:
         assert prob != A and prob != (A, 1, {3})
 
 
-class TestRelaxationShape:
-    def test_six_bus_full_dimensions(self):
-        relax = build_l1_lp(TUProblem(SIXBUS_A_FULL, 6))
-        assert relax.num_vars == 26
-        assert relax.num_rows == 8
-        assert relax.rhs[-1] == 1
-        assert all(b == 0 for b in relax.rhs[:-1])
+def lp_blocks(relax):
+    """The y+ and y- blocks of each row of a meter-space l1 LP, dense."""
+    r = relax.num_vars // 2
+    dense = [[int(v) for v in row] for row in relax.constraint_matrix]
+    return [row[:r] for row in dense], [row[r:] for row in dense]
 
-    def test_six_bus_truncated_dimensions(self):
-        relax = build_l1_lp(TUProblem(SIXBUS_A, 6))
-        assert relax.num_vars == 24
-        assert relax.num_rows == 8
+
+class TestRelaxationShape:
+    """build_l1_lp is over y = (y+, y-), one pair per unprotected row: the
+    target-free rows left once the state is eliminated, then the target."""
+
+    @pytest.mark.parametrize("A", [SIXBUS_A_FULL, SIXBUS_A], ids=["full", "truncated"])
+    def test_six_bus_rows_span_the_left_nullspace(self, A):
+        relax = build_l1_lp(TUProblem(A, 6))
+        assert relax.num_vars == 2 * 7
+        assert relax.num_rows == 2 + 1      # a cycle basis, then the target
+        assert relax.rhs == (0, 0, 1)
+        plus, minus = lp_blocks(relax)
+        assert minus == [[-v for v in row] for row in plus]
+        assert plus[-1] == [0, 0, 0, 0, 0, 1, 0]
+        cycles = plus[:-1]
+        assert int_rank(cycles) == int_rank(cycles + [list(r) for r in PAPER_L]) == 2
 
     def test_unit_matrix_dimensions_and_value(self):
         prob = TUProblem(np.array([[1]]), 1)
         relax = build_l1_lp(prob)
-        # the target row appears both in the slack block and as the pin row
-        assert relax.num_vars == 4
-        assert relax.num_rows == 2
+        # the only row is eliminated with the state: the target row is left
+        assert relax.num_vars == 2
+        assert relax.num_rows == 1
         sol = solve_min_support(prob)
         assert sol.cardinality == 1
         assert sol.support == frozenset({1})
 
-    def test_cost_covers_slack_block_only(self):
+    def test_cost_covers_every_column(self):
         relax = build_l1_lp(TUProblem(SIXBUS_A, 3, frozenset({1, 7})))
-        n, r = 5, 5
-        assert relax.cost == tuple([0] * (2 * n) + [1] * (2 * r))
+        assert relax.cost == tuple([1] * (2 * 5))
 
     def test_dependent_protected_rows_collapse(self):
-        # protecting the same physical constraint twice adds one pinned row
-        # once lp.preprocess has dropped the dependent pin
+        # protecting the same physical constraint twice gives the LP of
+        # protecting it once: the dependent pin reduces to nothing and is
+        # dropped, not left for lp.preprocess
         A = np.array([[1, 0], [1, 0], [0, 1]])
-        relax = preprocess(build_l1_lp(TUProblem(A, 3, frozenset({1, 2}))))
-        assert relax.num_rows == 1 + 1 + 1   # free block, one pin, target
+        relax = build_l1_lp(TUProblem(A, 3, frozenset({1, 2})))
+        assert relax == build_l1_lp(TUProblem(A[[0, 2]], 2, frozenset({1})))
+        assert relax.num_rows == 1 and preprocess(relax) == relax
+
+
+class TestOnePieceLp:
+    """No solve path calls build_l1_lp: solve_l1_base and solve_warm build
+    the same LP in two steps.  Solved cold, it must agree with them."""
+
+    @staticmethod
+    def agree(prob) -> bool:
+        """Assert that the one-piece LP, solved cold, agrees with
+        solve_min_support on prob; return whether prob is feasible."""
+        out, sol = solve_lp(build_l1_lp(prob)), solve_min_support(prob)
+        if sol is None:
+            assert out.status is LpStatus.INFEASIBLE
+            return False
+        assert out.status is LpStatus.OPTIMAL
+        assert out.solution.objective == sol.cardinality
+        return True
+
+    def test_ieee14_sweep(self):
+        net, meas = parse_case(IEEE14_CASE)
+        assert all(self.agree(reduce_to_tu(net, meas, k)) for k in range(1, 21))
+
+    def test_random_tu_problems(self):
+        rng = random.Random(1616)
+        feasible = [self.agree(random_tu_problem(rng)) for _ in range(120)]
+        assert 0 < feasible.count(False) < feasible.count(True)
+
+
+def min_support_images(A, k):
+    """Every signed image A x with (A x)_k = 1 and the least support, over
+    x in {-1,0,1}^n; the index is that support by total unimodularity."""
+    images = {signed_image(A, x) for x in product((-1, 0, 1), repeat=A.shape[1])}
+    images = [im for im in images if im[k - 1] == 1]
+    least = min(sum(v != 0 for v in im) for im in images)
+    return {im for im in images if sum(v != 0 for v in im) == least}
 
 
 class TestFrozenInstances:
     def test_six_bus_counterexample(self):
+        optima = min_support_images(SIXBUS_A_FULL, 6)
+        assert set(SIXBUS_OPTIMA) <= optima
         sol = solve_min_support(TUProblem(SIXBUS_A_FULL, 6))
         assert sol.cardinality == 3
-        assert signed_image(SIXBUS_A_FULL, sol.x) in SIXBUS_OPTIMA
+        assert signed_image(SIXBUS_A_FULL, sol.x) in optima
 
     def test_six_bus_truncated_same_value(self):
         sol = solve_min_support(TUProblem(SIXBUS_A, 6))
@@ -230,7 +285,9 @@ class TestWarmStateRows:
     """solve_warm re-optimizes a base whose state is eliminated: each state
     column with a state row is read from it, each other one is 0."""
 
-    def test_warm_matches_cold_on_interval_matrices(self):
+    def test_warm_matches_the_oracles_on_interval_matrices(self):
+        # one base per (A, I), re-optimized per target, against enumeration
+        # (cardinality) and a rank test (feasibility), neither an LP
         rng = random.Random(14)
         feasible = infeasible = fixed = 0
         for seed in range(80):
@@ -244,12 +301,12 @@ class TestWarmStateRows:
             fixed += n - len(state)
             for k in sorted(set(range(1, m + 1)) - I):
                 prob = TUProblem(A, k, I)
-                cold, warm = solve_min_support(prob), solve_warm(base, prob)
-                if cold is None:
+                warm = solve_warm(base, prob)
+                if not feasibility_by_rank(A, k, I):
                     assert warm is None
                     infeasible += 1
                     continue
-                assert warm.cardinality == cold.cardinality
+                assert warm.cardinality == exhaustive_min_support(A, k, I)
                 assert validate_integrality(warm, prob)
                 feasible += 1
         assert feasible > 150 and infeasible > 50 and fixed > 100
