@@ -232,11 +232,12 @@ class Metering:
 
     @cached_property
     def l1_base(self) -> bytes:
-        """The solved target-free l1 LP of the flow rows and the protected
-        meters as tumin.solve_l1_base's marshal bytes, built on the first LP
-        solve of a flow-only system, never at parse time.  The bytes never
-        leave the process: Network.__getstate__ drops every Metering."""
-        return solve_l1_base(self.flow_matrix, self.meas.protected)
+        """The solved target-free l1 LP of flow_pairs and the protected
+        meters as tumin.solve_l1_base's marshal bytes (its tableau in
+        ternary form, and the state rows), built on the first LP solve of a
+        flow-only system, never at parse time.  The bytes never leave the
+        process: Network.__getstate__ drops every Metering."""
+        return solve_l1_base(self.flow_pairs, self.flow_matrix.shape[1], self.meas.protected)
 
 
 def metering(net: Network, meas: MeasurementSystem) -> Metering:

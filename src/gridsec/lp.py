@@ -25,18 +25,19 @@ dependent rows; the simplex expects independent ones.
 A solve returns an LpOutcome; an optimal one carries its tableau, which
 can be re-optimized in place rather than solved again: by the primal
 simplex after a cost change, and by the dual simplex after an appended
-row.  The MILP oracle's branch and bound does so at every node, and the
-l1 sweep of a measurement system (tumin.solve_l1_base) keeps one optimal
-tableau as marshal bytes (_Tableau.pack) to re-optimize for each target row.
+row.  The MILP oracle's branch and bound does so at every node.  The l1
+sweep of a measurement system (tumin.solve_l1_base) converts one optimal
+tableau to a _TernaryTableau, whose entries are all -1, 0 or 1 (total
+unimodularity), each row two bitmasks, and the same dual simplex loop
+re-optimizes a fresh copy of it for each target row by the same rules.
 """
 from __future__ import annotations
 
-import marshal
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from .errors import DimensionMismatch, InconsistentRow, SolverDefect
+from .errors import DimensionMismatch, InconsistentRow, IntegralityError, SolverDefect
 from .exactla import EchelonBasis, _eliminate, _reduce, scale_row
 
 RHS = -1   # key of the right-hand side in a sparse row
@@ -201,20 +202,6 @@ class _Tableau:
         tab.zden = self.zden
         return tab
 
-    def pack(self) -> bytes:
-        """The tableau as marshal bytes, for keeping in the process that
-        made them: marshal is no format for bytes from elsewhere."""
-        return marshal.dumps((self.rows, self.dens, self.basis, self.ncols,
-                              self.zrow, self.zden))
-
-    @staticmethod
-    def unpack(data: bytes) -> "_Tableau":
-        """A fresh tableau from pack()'s bytes, to re-optimize at will."""
-        rows, dens, basis, ncols, zrow, zden = marshal.loads(data)
-        tab = _Tableau(rows, dens, basis, ncols)
-        tab.zrow, tab.zden = zrow, zden
-        return tab
-
     def price_out(self, r: int) -> None:
         """Clear row r's basic column from the objective row."""
         c = self.basis[r]
@@ -363,17 +350,162 @@ class _Tableau:
         return -Fraction(self.zrow.get(RHS, 0), self.zden)
 
 
-def _dantzig_pivots(tab: _Tableau) -> int:
+def _bits(mask: int):
+    """The set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _add_ternary(p: int, n: int, bp: int, bn: int) -> tuple[int, int]:
+    """The row (p, n) plus the row (bp, bn), rows as ternary bitmask pairs;
+    IntegralityError when an entry would reach -2 or 2."""
+    if p & bp or n & bn:
+        raise IntegralityError("a tableau entry left {-1, 0, 1}: the data is not totally unimodular")
+    cancel = p & bn | n & bp
+    return (p | bp) ^ cancel, (n | bn) ^ cancel
+
+
+class _TernaryTableau:
+    """Simplex tableau whose entries are all -1, 0 or 1, as every tableau of
+    a totally unimodular LP is.
+
+    Row i is the pair of bitmasks pos[i] (its +1 columns) and neg[i] (its -1
+    columns) with value rhs[i] and a +1 in its basic column basis[i]; z
+    holds the reduced costs by column and zrhs holds -z.  A pivot adds the
+    signed pivot row to each row holding the pivot column, a few integer
+    operations per row; an entry that would leave {-1, 0, 1} raises
+    IntegralityError.  _run_dual_simplex runs it by _Tableau's rules.
+    """
+
+    def __init__(self, pos: list[int], neg: list[int], rhs: list[int], basis: list[int],
+                 z: list[int], zrhs: int = 0):
+        self.pos = pos
+        self.neg = neg
+        self.rhs = rhs
+        self.basis = basis
+        self.z = z
+        self.zrhs = zrhs
+
+    @staticmethod
+    def of(tab: _Tableau) -> "_TernaryTableau":
+        """tab in ternary form; IntegralityError when a denominator is not 1
+        or an entry lies outside {-1, 0, 1}."""
+        if tab.zden != 1 or any(den != 1 for den in tab.dens):
+            raise IntegralityError("a tableau denominator is not 1: the data is not totally unimodular")
+        pos, neg = [], []
+        for row in tab.rows:
+            p = n = 0
+            for j, v in row.items():
+                if j == RHS:
+                    continue
+                if v == 1:
+                    p |= 1 << j
+                elif v == -1:
+                    n |= 1 << j
+                else:
+                    raise IntegralityError(f"tableau entry {v}: the data is not totally unimodular")
+            pos.append(p)
+            neg.append(n)
+        return _TernaryTableau(pos, neg, [row.get(RHS, 0) for row in tab.rows], list(tab.basis),
+                               [tab.zrow.get(j, 0) for j in range(tab.ncols)], tab.zrow.get(RHS, 0))
+
+    @property
+    def ncols(self) -> int:
+        return len(self.z)
+
+    def add_row(self, pos: int, neg: int, rhs: int) -> None:
+        """Append the constraint row . x + s = rhs (entries as bitmasks) with
+        a fresh slack s made basic, reduced over the current basis, as
+        _Tableau.add_row does."""
+        s = len(self.z)
+        self.z.append(0)
+        pos |= 1 << s
+        for i, c in enumerate(self.basis):
+            if pos >> c & 1:
+                pos, neg = _add_ternary(pos, neg, self.neg[i], self.pos[i])
+                rhs -= self.rhs[i]
+            elif neg >> c & 1:
+                pos, neg = _add_ternary(pos, neg, self.pos[i], self.neg[i])
+                rhs += self.rhs[i]
+        self.pos.append(pos)
+        self.neg.append(neg)
+        self.rhs.append(rhs)
+        self.basis.append(s)
+
+    def pivot(self, r: int, c: int) -> None:
+        pos, neg, rhs = self.pos, self.neg, self.rhs
+        bit = 1 << c
+        bp, bn, b = pos[r], neg[r], rhs[r]
+        if bn & bit:
+            bp, bn, b = bn, bp, -b
+            pos[r], neg[r], rhs[r] = bp, bn, b
+        for i, p in enumerate(pos):
+            if p & bit:
+                if i != r:
+                    pos[i], neg[i] = _add_ternary(p, neg[i], bn, bp)
+                    rhs[i] -= b
+            elif neg[i] & bit:
+                pos[i], neg[i] = _add_ternary(p, neg[i], bp, bn)
+                rhs[i] += b
+        self.basis[r] = c
+        z = self.z
+        f = z[c]
+        if f:
+            for j in _bits(bp):
+                z[j] -= f
+            for j in _bits(bn):
+                z[j] += f
+            self.zrhs -= f * b
+
+    def dual_leaving(self, dantzig: bool) -> int | None:
+        """As _Tableau.dual_leaving: Dantzig takes the most negative value,
+        Bland the smallest basic index, either with ties to the smallest
+        basic index."""
+        rhs, basis = self.rhs, self.basis
+        low = min(rhs, default=0)
+        if low >= 0:
+            return None
+        if dantzig:
+            if rhs.count(low) == 1:
+                return rhs.index(low)
+            rows = [i for i, v in enumerate(rhs) if v == low]
+        else:
+            rows = [i for i, v in enumerate(rhs) if v < 0]
+        return min(rows, key=basis.__getitem__)
+
+    def dual_entering(self, r: int) -> int | None:
+        """As _Tableau.dual_entering: every negative entry is -1, so the
+        column with the minimum reduced cost, smallest column on ties."""
+        return min(_bits(self.neg[r]), key=self.z.__getitem__, default=None)
+
+    def check_optimal(self) -> None:
+        """The certificate of _Tableau.check_optimal, read in integers."""
+        if min(self.rhs, default=0) < 0:
+            raise SolverDefect("negative basic value in an optimal tableau; solver defect")
+        if min(self.z, default=0) < 0:
+            raise SolverDefect("negative reduced cost in an optimal tableau; solver defect")
+
+    def values(self) -> dict[int, int]:
+        """Nonzero values at the current basis, by column."""
+        return {c: v for c, v in zip(self.basis, self.rhs) if v}
+
+    def objective(self) -> int:
+        return -self.zrhs
+
+
+def _dantzig_pivots(tab: _Tableau | _TernaryTableau) -> int:
     """Pivots a simplex loop prices by Dantzig's rule before it falls back to
     Bland's rule, whose termination is unconditional (Dantzig may stall on
     degenerate vertices)."""
-    return 3 * (len(tab.rows) + tab.ncols) + 20
+    return 3 * (len(tab.basis) + tab.ncols) + 20
 
 
-def _pivot_budget(tab: _Tableau) -> int:
+def _pivot_budget(tab: _Tableau | _TernaryTableau) -> int:
     """Pivots past which a simplex loop on tab raises SolverDefect, far more
     than the Bland fallback needs: reaching it is an anti-cycling defect."""
-    return 10_000 + 60 * (len(tab.rows) + tab.ncols)
+    return 10_000 + 60 * (len(tab.basis) + tab.ncols)
 
 
 def _count_pivot(pivots: list[int], budget: int) -> None:
@@ -397,11 +529,11 @@ def _run_simplex(tab: _Tableau, pivots: list[int]) -> LpStatus:
         _count_pivot(pivots, budget)
 
 
-def _run_dual_simplex(tab: _Tableau, pivots: list[int]) -> LpStatus:
-    """Dual simplex from a dual-feasible tableau (no negative reduced cost):
-    OPTIMAL once every basic value is nonnegative, INFEASIBLE when a row
-    with a negative value has no negative entry.  Pricing falls back from
-    Dantzig to Bland as in the primal loop."""
+def _run_dual_simplex(tab: _Tableau | _TernaryTableau, pivots: list[int]) -> LpStatus:
+    """Dual simplex from a dual-feasible tableau of either kind (no negative
+    reduced cost): OPTIMAL once every basic value is nonnegative, INFEASIBLE
+    when a row with a negative value has no negative entry.  Pricing falls
+    back from Dantzig to Bland as in the primal loop."""
     dantzig_until = pivots[0] + _dantzig_pivots(tab)
     budget = _pivot_budget(tab)
     while True:

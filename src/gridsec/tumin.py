@@ -12,6 +12,15 @@ solves it without a target row once per (A, I), solve_warm re-optimizes
 that per target row by a dual simplex and certifies the witness, and
 solve_min_support is the two on a fresh base.
 
+For totally unimodular A every tableau of that LP is totally unimodular
+too, so the kept base and the warm step hold only -1, 0 and 1
+(lp._TernaryTableau: each row two bitmasks), and the state rows are
+bitmasks keyed by y column.  Data outside total unimodularity is an
+IntegralityError as soon as it shows: a base denominator or entry, a
+state row entry or a warm pivot leaving {-1, 0, 1}, or a witness the
+certificate rejects.  Such data may still have an integral l1 optimum,
+but l1 = cardinality is proved only under total unimodularity.
+
 Row indices (k, I, supports) are 1-based throughout this module.
 """
 from __future__ import annotations
@@ -162,23 +171,48 @@ def build_l1_lp(problem: TUProblem) -> lp.StandardFormLP:
 def solve_min_support(problem: TUProblem) -> TUSolution | None:
     """Exact minimum-support solve; None when the constraints are infeasible:
     solve_warm on a base solved for problem's rows and protection alone."""
-    return solve_warm(solve_l1_base(problem.A, problem.I), problem)
+    return solve_warm(solve_l1_base(problem.rows, problem.A.shape[1], problem.I), problem)
 
 
-def solve_l1_base(A, I=frozenset()) -> bytes:
-    """The l1 LP of integer matrix A and protected rows I without a target
-    row, in meter space (_meter_space), solved once for every target of a
-    TUProblem with the same A and I.
+def solve_l1_base(rows, n: int, I=frozenset()) -> bytes:
+    """The l1 LP of integer rows (sparse_rows pairs) over n state columns
+    and protected rows I without a target row, in meter space
+    (_meter_space), solved once for every target of a TUProblem with the
+    same rows and I.
 
-    lp.solve_lp must stop optimal at y = 0.  The base is the marshal bytes
-    of (its tableau's pack() bytes, state rows).
+    lp.solve_lp must stop optimal at y = 0, so every basic value and the
+    objective are 0 and need no keeping.  The base is the marshal bytes of
+    the tableau's ternary rows, basis and reduced costs (lp._TernaryTableau)
+    and the state rows (_ternary_state): a few lists of ints.  Data that is
+    not totally unimodular can raise IntegralityError here.
     """
-    A = int_matrix(A)
-    rows, state, width = _meter_space(sparse_rows(A), A.shape[1], frozenset(I))
-    out = lp.solve_lp(lp.StandardFormLP.from_int_rows(rows, dict.fromkeys(range(width), 1), width))
+    yrows, state, width = _meter_space(rows, n, frozenset(I))
+    out = lp.solve_lp(lp.StandardFormLP.from_int_rows(yrows, dict.fromkeys(range(width), 1), width))
     if out.status is not lp.LpStatus.OPTIMAL or out.solution.objective != 0:
         raise SolverDefect("the target-free l1 LP is not optimal at zero; solver defect")
-    return marshal.dumps((out.tableau.pack(), state))
+    tab = lp._TernaryTableau.of(out.tableau)
+    return marshal.dumps(((tab.pos, tab.neg, tab.basis, tab.z), _ternary_state(state, width // 2)))
+
+
+def _ternary_state(state, r: int) -> tuple[dict[int, int], list[int], list[int]]:
+    """_meter_space's state rows over r free rows as (dens, pos, neg):
+    dens[c] is the den of column c's state row, and pos[j] / neg[j] are
+    bitmasks of the columns whose state row holds +1 / -1 at y+_j.  Each
+    state row starts as A(j,:)x - y+_j + y-_j, so its entry at y-_j is the
+    negative of that at y+_j.  IntegralityError for an entry outside
+    {-1, 0, 1}.
+    """
+    pos, neg = [0] * r, [0] * r
+    for c, (_, row) in state.items():
+        for j, v in row.items():
+            if j < r:
+                if v == 1:
+                    pos[j] |= 1 << c
+                elif v == -1:
+                    neg[j] |= 1 << c
+                else:
+                    raise IntegralityError(f"state row entry {v}: the data is not totally unimodular")
+    return {c: den for c, (den, _) in state.items()}, pos, neg
 
 
 def solve_warm(base: bytes, problem: TUProblem) -> TUSolution | None:
@@ -186,39 +220,44 @@ def solve_warm(base: bytes, problem: TUProblem) -> TUSolution | None:
     of problem's rows and protection; None when the constraints are
     infeasible, i.e. when the dual simplex finds no basis.
 
-    A tableau unpacked from base gains the row -y+_k + y-_k + s = -1, i.e.
-    A(k,:)x >= 1, as the target's own row reads A(k,:)x - y+_k + y-_k = 0,
-    and the dual simplex restores nonnegative values.  The objective is
-    positively homogeneous and at least |A(k,:)x|, so every optimum has
+    The ternary tableau read from base gains the row -y+_k + y-_k + s = -1,
+    i.e. A(k,:)x >= 1, as the target's own row reads A(k,:)x - y+_k + y-_k
+    = 0, and lp's dual simplex restores nonnegative values.  The objective
+    is positively homogeneous and at least |A(k,:)x|, so every optimum has
     A(k,:)x = 1 and s = 0, an optimum of build_l1_lp(problem).  x is read
     from base's state rows.
     """
-    packed, state = marshal.loads(base)
-    tab = lp._Tableau.unpack(packed)
+    (pos, neg, basis, z), state = marshal.loads(base)
+    tab = lp._TernaryTableau(pos, neg, [0] * len(basis), basis, z)
     y = problem.free_rows.index(problem.k)
-    tab.add_row({y: -1, y + len(problem.free_rows): 1, lp.RHS: -1})
+    tab.add_row(1 << (y + len(problem.free_rows)), 1 << y, -1)
     if lp._run_dual_simplex(tab, [0]) is lp.LpStatus.INFEASIBLE:
         return None
     return _certified_solution(problem, tab, state)
 
 
-def _state_values(tab: lp._Tableau, state, n: int) -> list:
-    """x at tab's basis from solve_l1_base's state rows, in integer
-    arithmetic over the lcm of the basic values' denominators: each entry
-    an int, or a Fraction when it is not integral."""
-    D = math.lcm(*(den for row, den in zip(tab.rows, tab.dens) if lp.RHS in row))
-    y = {c: row[lp.RHS] * (D // den)
-         for row, den, c in zip(tab.rows, tab.dens, tab.basis) if lp.RHS in row}
-    x = []
-    for c in range(n):
-        den, row = state.get(c, (1, {}))
-        num = -sum(v * row.get(j, 0) for j, v in y.items())
-        q, r = divmod(num, den * D)
-        x.append(Fraction(num, den * D) if r else q)
+def _state_values(vals: dict[int, int], state, n: int) -> list:
+    """x at the y values vals (by column) from solve_l1_base's state rows,
+    touching only the state columns of the nonzero y: each entry an int,
+    or a Fraction when it is not integral."""
+    dens, pos, neg = state
+    r = len(pos)
+    num: dict[int, int] = {}
+    for j, v in vals.items():
+        if j >= r:                      # y-_j: the entries of y+_j negated
+            j, v = j - r, -v
+        for c in lp._bits(pos[j]):
+            num[c] = num.get(c, 0) - v
+        for c in lp._bits(neg[j]):
+            num[c] = num.get(c, 0) + v
+    x = [0] * n
+    for c, v in num.items():
+        q, rem = divmod(v, dens[c])
+        x[c] = Fraction(v, dens[c]) if rem else q
     return x
 
 
-def _certified_solution(problem: TUProblem, tab: lp._Tableau, state) -> TUSolution:
+def _certified_solution(problem: TUProblem, tab: lp._TernaryTableau, state) -> TUSolution:
     """The minimum-support solution at an optimal l1 tableau, checked.
 
     The tableau must read optimal, every column past the y block (the
@@ -236,7 +275,7 @@ def _certified_solution(problem: TUProblem, tab: lp._Tableau, state) -> TUSoluti
     objective = tab.objective()
     if objective != sum(vals.values()):
         raise SolverDefect("objective bookkeeping mismatch; solver defect")
-    x_frac = _state_values(tab, state, problem.A.shape[1])
+    x_frac = _state_values(vals, state, problem.A.shape[1])
     if any(v.denominator != 1 for v in x_frac):
         raise IntegralityError(f"fractional witness {x_frac}")
     x = tuple(int(v) for v in x_frac)

@@ -16,7 +16,7 @@ import scipy.optimize
 from conftest import SIXBUS_A, price_by
 from gridsec import lp as lp_module
 from gridsec import oracle
-from gridsec.errors import DimensionMismatch, InconsistentRow, SolverDefect
+from gridsec.errors import DimensionMismatch, InconsistentRow, IntegralityError, SolverDefect
 from gridsec.exactla import to_fraction
 from gridsec.lp import (
     RHS,
@@ -24,6 +24,7 @@ from gridsec.lp import (
     LpStatus,
     StandardFormLP,
     _Tableau,
+    _TernaryTableau,
     _run_dual_simplex,
     _solve_standard_ints,
     preprocess,
@@ -329,20 +330,28 @@ def _fields(tab):
     return (tab.rows, tab.dens, tab.basis, tab.zrow, tab.zden, tab.ncols)
 
 
-def test_packed_tableau_round_trip():
+def test_tableau_copy():
     for seed in range(40):
         tab = _optimal_tableau(preprocess(_random_feasible_lp(random.Random(seed))))
-        assert _fields(_Tableau.unpack(tab.pack())) == _fields(tab)
         assert _fields(tab.copy()) == _fields(tab)
-    # entries past 64 bits are kept exactly
+    # entries past 64 bits are kept exactly, and a pivot on the copy leaves
+    # the original as it was
     big = _Tableau([{0: 3, 1: -(2 ** 70), RHS: 2 ** 40}, {1: 1, 2: 300, RHS: 5}],
                    [7, 2 ** 65], [0, 1], 400)
     big.zrow, big.zden = {2: 2 ** 20, RHS: -1}, 3
-    packed = big.pack()
-    assert _fields(_Tableau.unpack(packed)) == _fields(big)
-    copy = _Tableau.unpack(packed)
+    before = _fields(big)
+    copy = big.copy()
+    assert _fields(copy) == before
     copy.pivot(1, 2)
-    assert _fields(_Tableau.unpack(packed)) == _fields(big)
+    assert _fields(big) == before
+
+
+def test_a_ternary_pivot_that_reaches_two_is_an_integrality_error():
+    # row 0 pivoted on column 2 reads -x0 + x2 - x3 = 1; row 1 minus it
+    # holds 1 - (-1) = 2 in column 3
+    tern = _TernaryTableau([0b01001, 0b01110], [0b00100, 0], [-1, 0], [0, 1], [0, 0, 1, 0])
+    with pytest.raises(IntegralityError, match=r"left \{-1, 0, 1\}"):
+        tern.pivot(0, 2)
 
 
 def test_dual_pivot_selection_rules():

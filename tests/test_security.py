@@ -336,7 +336,7 @@ class TestWarmSweep:
     """security_index solves a system's target-free l1 LP once and prices
     each meter by re-optimizing it (tumin.solve_warm)."""
 
-    def test_every_meter_matches_the_cold_solve_and_the_cut(self):
+    def test_every_meter_matches_enumeration_and_the_cut(self):
         rng = random.Random(23)
         feasible = pinned = 0
         for _ in range(60):
@@ -346,16 +346,16 @@ class TestWarmSweep:
                 if k in meas.protected:
                     continue
                 prob = reduce_to_tu(net, meas, k)
-                cold = solve_min_support(prob)
+                enumerated = exhaustive_min_support(prob.A, k, prob.I)
                 try:
                     res = security_index(net, meas, k)
                 except InfeasibleIndex:
-                    assert cold is None
+                    assert enumerated is None
                     with pytest.raises(InfeasibleIndex):
                         mincut_index(net, meas, k)
                     pinned += 1
                     continue
-                assert res.index == cold.cardinality == mincut_index(net, meas, k).index
+                assert res.index == enumerated == mincut_index(net, meas, k).index
                 assert res.attack.touched == solve_warm(mtr.l1_base, prob).support
                 assert len(res.attack.touched) == res.index
                 assert res.attack.delta_z[k - 1] == 1.0
@@ -369,9 +369,9 @@ class TestWarmSweep:
         net = Network(6, ((1, 2, 1), (2, 3, 2), (1, 3, 3), (3, 4, 1), (4, 5, 1),
                           (5, 6, 2), (4, 6, 1), (2, 5, 3)))
         meas = MeasurementSystem((1, 2, 3, 6))
-        _, state = marshal.loads(metering(net, meas).l1_base)
-        assert 2 not in state         # bus 4's column (buses 2..6 are columns 0..4)
-        assert len(state) == 3        # two columns have no state row: they stay 0
+        _, (dens, _, _) = marshal.loads(metering(net, meas).l1_base)
+        assert 2 not in dens          # bus 4's column (buses 2..6 are columns 0..4)
+        assert len(dens) == 3         # two columns have no state row: they stay 0
         for k, index in ((1, 2), (2, 2), (3, 2), (4, 1)):
             res = security_index(net, meas, k)
             assert res.index == index == mincut_index(net, meas, k).index
@@ -383,8 +383,8 @@ class TestWarmSweep:
         # the LP left over y has no rows
         net = Network(5, ((1, 2, 1), (2, 3, 2), (2, 4, 1), (4, 5, 3)))
         meas = MeasurementSystem((1, 2, 3, 4))
-        packed, state = marshal.loads(metering(net, meas).l1_base)
-        assert lp._Tableau.unpack(packed).rows == [] and sorted(state) == [0, 1, 2, 3]
+        (pos, neg, basis, _), (dens, _, _) = marshal.loads(metering(net, meas).l1_base)
+        assert pos == neg == basis == [] and sorted(dens) == [0, 1, 2, 3]
         for k in range(1, 5):
             res = security_index(net, meas, k)
             assert res.index == 1 == mincut_index(net, meas, k).index
@@ -442,10 +442,14 @@ class TestWarmSweep:
         assert calls == [1]
 
     def test_an_unfinished_warm_solve_is_a_defect(self, monkeypatch):
-        # the appended row's slack stays basic at -1 unless the dual simplex runs
-        monkeypatch.setattr(lp, "_run_dual_simplex", lambda tab, pivots: lp.LpStatus.OPTIMAL)
+        # the appended row's slack stays basic at -1 unless the dual simplex
+        # runs on the ternary tableau
+        skipped = []
+        monkeypatch.setattr(lp, "_run_dual_simplex",
+                            lambda tab, pivots: skipped.append(type(tab)) or lp.LpStatus.OPTIMAL)
         with pytest.raises(SolverDefect, match="negative basic value"):
             security_index(sixbus_network(), sixbus_meas(), 6)
+        assert skipped == [lp._TernaryTableau]
 
     def test_the_base_stays_with_its_objects(self):
         net, meas = parse_case(SIXBUS_CASE)

@@ -12,6 +12,7 @@ from conftest import (
     SIXBUS_A,
     SIXBUS_A_FULL,
     SIXBUS_OPTIMA,
+    price_by,
     random_tu_problem,
 )
 from oracle_helpers import feasibility_by_rank
@@ -26,13 +27,14 @@ from gridsec import (
     validate_integrality,
     verify_tu,
 )
-from gridsec.errors import SizeLimitExceeded, SolverDefect
+from gridsec import lp
+from gridsec.errors import IntegralityError, SizeLimitExceeded, SolverDefect
 from gridsec.exactla import int_rank
 from gridsec.grid import parse_case
-from gridsec.lp import LpStatus, solve_lp
+from gridsec.lp import LpStatus, StandardFormLP, solve_lp
 from gridsec.oracle import exhaustive_min_tuple, nullspace_reformulate, solve_milp_instance
 from gridsec.security import reduce_to_tu
-from gridsec.tumin import solve_l1_base, solve_warm, sparse_rows
+from gridsec.tumin import _meter_space, solve_l1_base, solve_warm, sparse_rows
 
 
 def signed_image(A, x):
@@ -295,10 +297,10 @@ class TestWarmStateRows:
             A = gen_consecutive_ones(m, n, seed)
             A[:, rng.sample(range(n), rng.randint(0, n // 2))] = 0
             I = frozenset(rng.sample(range(1, m + 1), rng.randint(0, m - 1)))
-            base = solve_l1_base(A, I)
-            _, state = marshal.loads(base)
-            assert set(state) <= set(range(n))
-            fixed += n - len(state)
+            base = solve_l1_base(sparse_rows(A), n, I)
+            _, (dens, _, _) = marshal.loads(base)
+            assert set(dens) <= set(range(n))
+            fixed += n - len(dens)
             for k in sorted(set(range(1, m + 1)) - I):
                 prob = TUProblem(A, k, I)
                 warm = solve_warm(base, prob)
@@ -312,15 +314,78 @@ class TestWarmStateRows:
         assert feasible > 150 and infeasible > 50 and fixed > 100
 
     @pytest.mark.parametrize("forge", [
-        lambda den, row: (2 * den, row),
-        lambda den, row: (den, {j: 2 * a for j, a in row.items()}),
+        lambda dens, pos, neg: ({c: 2 * den for c, den in dens.items()}, pos, neg),
+        lambda dens, pos, neg: (dens, neg, pos),
     ], ids=["denominator", "entry"])
     def test_a_forged_state_row_is_a_solver_defect(self, forge):
-        packed, state = marshal.loads(solve_l1_base(SIXBUS_A))
-        assert state
-        state = {c: forge(*entry) for c, entry in state.items()}
+        # doubled denominators halve x; entries of the opposite sign negate it
+        tableau, state = marshal.loads(solve_l1_base(sparse_rows(SIXBUS_A), 5))
+        assert state[0]
         with pytest.raises(SolverDefect):
-            solve_warm(marshal.dumps((packed, state)), TUProblem(SIXBUS_A, 6))
+            solve_warm(marshal.dumps((tableau, forge(*state))), TUProblem(SIXBUS_A, 6))
+
+
+class TestTernaryWarmStep:
+    """solve_warm re-optimizes the base as a ternary tableau: rows of -1, 0
+    and 1 as two bitmasks, which total unimodularity guarantees."""
+
+    @pytest.mark.parametrize("rule", ["bland", "dantzig"])
+    def test_it_pivots_as_the_dict_tableau(self, rule, monkeypatch):
+        # the same target row on both forms of the same base tableau: equal
+        # status, pivot count, basis, values and reduced costs
+        price_by(monkeypatch, rule)
+        rng = random.Random(1717)
+        outcomes = set()
+        total = 0
+        for _ in range(150):
+            prob = random_tu_problem(rng)
+            rows, _, width = _meter_space(prob.rows, prob.A.shape[1], prob.I)
+            tab = solve_lp(StandardFormLP.from_int_rows(
+                rows, dict.fromkeys(range(width), 1), width)).tableau
+            tern = lp._TernaryTableau.of(tab)
+            y, r = prob.free_rows.index(prob.k), width // 2
+            tab.add_row({y: -1, y + r: 1, lp.RHS: -1})
+            tern.add_row(1 << (y + r), 1 << y, -1)
+            pivots = [[0], [0]]
+            status = lp._run_dual_simplex(tab, pivots[0])
+            assert lp._run_dual_simplex(tern, pivots[1]) is status
+            assert pivots[0] == pivots[1]
+            assert tern.basis == tab.basis and tern.values() == tab.values()
+            assert tern.z == [tab.zrow.get(j, 0) for j in range(tab.ncols)]
+            assert tern.objective() == tab.objective()
+            outcomes.add(status)
+            total += pivots[0][0]
+        assert outcomes == {LpStatus.OPTIMAL, LpStatus.INFEASIBLE} and total > 100
+
+    def test_data_outside_total_unimodularity_is_an_integrality_error(self):
+        # the l1 optimum of meters 3 and 4 happens to be integral (3), but
+        # the base tableau is not unimodular, so no answer is certified
+        A = np.array([[1, 1], [1, -1], [1, 0], [0, 1]])
+        assert not verify_tu(A, 2)
+        for k in range(1, 5):
+            with pytest.raises(IntegralityError, match="not totally unimodular"):
+                solve_min_support(TUProblem(A, k))
+
+    @pytest.mark.parametrize("forge", ["entry", "denominator", "objective denominator"])
+    def test_a_forged_base_tableau_is_an_integrality_error(self, forge, monkeypatch):
+        real = lp.solve_lp
+
+        def forged(*args):
+            out = real(*args)
+            tab = out.tableau
+            if forge == "entry":
+                row = tab.rows[0]
+                j = next(j for j in row if j != lp.RHS and j != tab.basis[0])
+                row[j] *= 2
+            elif forge == "denominator":
+                tab.dens[0] = 2
+            else:
+                tab.zden = 2
+            return out
+
+        monkeypatch.setattr(lp, "solve_lp", forged)
+        with pytest.raises(IntegralityError, match="not totally unimodular"):
+            solve_min_support(TUProblem(SIXBUS_A, 6))
 
 
 class TestVerifyTu:
