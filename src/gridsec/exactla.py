@@ -17,6 +17,7 @@ import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 import numpy as np
@@ -125,20 +126,41 @@ class EchelonBasis:
     the pivot choice.  The LP builders number a row's own slack columns
     after the shared state columns, so such a row pivots on a column no
     other row holds and adds no fill to the rows reduced after it.
+
+    The kept rows are indexed by pivot column, so a reduction visits only
+    the kept rows whose pivot the row holds, in arrival order, as fill
+    brings them in: its work follows its own nonzeros, not the rank.
     """
 
     def __init__(self):
         self.rows: list[tuple[int, dict[int, int]]] = []   # (pivot column, reduced row)
+        self._arrival: dict[int, int] = {}                  # pivot column -> index in rows
 
     def reduce(self, row) -> dict[int, int]:
         """A reduced copy of row (a map or (column, value) pairs): zero in
-        every pivot column, divided by its own gcd."""
+        every pivot column, divided by its own gcd.
+
+        A kept row holds no earlier pivot column, so eliminating kept row i
+        brings fill only into the pivots of later rows; a min-heap of
+        arrival indices takes those in order, each once."""
         row = dict(row)
-        for pc, base in self.rows:
+        arrival, kept = self._arrival, self.rows
+        queue = [arrival[c] for c in row if c in arrival]
+        heapify(queue)
+        last = -1
+        while queue:
+            i = heappop(queue)
+            if i == last:               # queued twice
+                continue
+            last = i
+            pc, base = kept[i]
             f = row.get(pc)
             if f:
                 _eliminate(row, base[pc], f, base)
                 _reduce(row, 0)
+                for c in base:
+                    if c in arrival and c != pc:
+                        heappush(queue, arrival[c])
         return row
 
     def add(self, row) -> dict[int, int] | None:
@@ -149,6 +171,7 @@ class EchelonBasis:
         pivot = max(red, default=-1)
         if pivot < 0:
             return red
+        self._arrival[pivot] = len(self.rows)
         self.rows.append((pivot, red))
         return None
 

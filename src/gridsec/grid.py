@@ -28,7 +28,7 @@ from .errors import (
     ValidationError,
 )
 from .exactla import to_fraction
-from .tumin import solve_l1_base, sparse_rows
+from .tumin import L1Base, solve_l1_base, sparse_rows
 
 FLOAT_TOL = 1e-9
 # any ratio of two reactances in this range is a finite float64
@@ -217,10 +217,20 @@ class Metering:
                      for i in range(1, len(self.lines) + 1))
 
     @cached_property
+    def bus_lines(self) -> tuple[tuple[int, ...], ...]:
+        """Per bus (index 0 unused), the 1-based ids of every line at it,
+        metered or not."""
+        at: list[list[int]] = [[] for _ in range(self.net.n_buses + 1)]
+        for lid, ln in enumerate(self.net.lines, start=1):
+            at[ln.from_bus].append(lid)
+            at[ln.to_bus].append(lid)
+        return tuple(map(tuple, at))
+
+    @cached_property
     def flow_matrix(self) -> np.ndarray:
         """The integer flow rows (see flow_rows) as a read-only int8 array,
-        exact for entries in {-1, 0, 1}; widened, the A of every flow
-        target's tumin.TUProblem."""
+        exact for entries in {-1, 0, 1}: the A of every flow target's
+        tumin.TUProblem in security_index, read for its shape only."""
         A = incidence(self.net)[1].T[[lid - 1 for lid in self.meas.flow_meters]].astype(np.int8)
         A.setflags(write=False)
         return A
@@ -231,12 +241,12 @@ class Metering:
         return sparse_rows(self.flow_matrix)
 
     @cached_property
-    def l1_base(self) -> bytes:
+    def l1_base(self) -> L1Base:
         """The solved target-free l1 LP of flow_pairs and the protected
-        meters as tumin.solve_l1_base's marshal bytes (its tableau in
-        ternary form, and the state rows), built on the first LP solve of a
-        flow-only system, never at parse time.  The bytes never leave the
-        process: Network.__getstate__ drops every Metering."""
+        meters (tumin.solve_l1_base: its tableau in ternary form, its state
+        rows and a column index, all live lists of ints that every target
+        copies or only reads), built on the first LP solve of a flow-only
+        system, never at parse time."""
         return solve_l1_base(self.flow_pairs, self.flow_matrix.shape[1], self.meas.protected)
 
 

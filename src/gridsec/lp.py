@@ -358,11 +358,14 @@ def _bits(mask: int):
         mask ^= low
 
 
+_LEFT_TERNARY = "a tableau entry left {-1, 0, 1}: the data is not totally unimodular"
+
+
 def _add_ternary(p: int, n: int, bp: int, bn: int) -> tuple[int, int]:
     """The row (p, n) plus the row (bp, bn), rows as ternary bitmask pairs;
     IntegralityError when an entry would reach -2 or 2."""
     if p & bp or n & bn:
-        raise IntegralityError("a tableau entry left {-1, 0, 1}: the data is not totally unimodular")
+        raise IntegralityError(_LEFT_TERNARY)
     cancel = p & bn | n & bp
     return (p | bp) ^ cancel, (n | bn) ^ cancel
 
@@ -418,23 +421,28 @@ class _TernaryTableau:
     def add_row(self, pos: int, neg: int, rhs: int) -> None:
         """Append the constraint row . x + s = rhs (entries as bitmasks) with
         a fresh slack s made basic, reduced over the current basis, as
-        _Tableau.add_row does."""
+        _Tableau.add_row does.  A row basic in column c holds no other
+        basic column, so only the rows basic in the new row's own columns
+        take part, found through the basis and reduced in row order."""
         s = len(self.z)
         self.z.append(0)
+        basis = self.basis
+        rows = sorted(basis.index(c) for c in _bits(pos | neg) if c in basis)
         pos |= 1 << s
-        for i, c in enumerate(self.basis):
-            if pos >> c & 1:
+        for i in rows:
+            if pos >> basis[i] & 1:
                 pos, neg = _add_ternary(pos, neg, self.neg[i], self.pos[i])
                 rhs -= self.rhs[i]
-            elif neg >> c & 1:
+            else:
                 pos, neg = _add_ternary(pos, neg, self.pos[i], self.neg[i])
                 rhs += self.rhs[i]
         self.pos.append(pos)
         self.neg.append(neg)
         self.rhs.append(rhs)
-        self.basis.append(s)
+        basis.append(s)
 
     def pivot(self, r: int, c: int) -> None:
+        # _add_ternary and _bits written out: this loop is the warm step
         pos, neg, rhs = self.pos, self.neg, self.rhs
         bit = 1 << c
         bp, bn, b = pos[r], neg[r], rhs[r]
@@ -442,21 +450,30 @@ class _TernaryTableau:
             bp, bn, b = bn, bp, -b
             pos[r], neg[r], rhs[r] = bp, bn, b
         for i, p in enumerate(pos):
-            if p & bit:
-                if i != r:
-                    pos[i], neg[i] = _add_ternary(p, neg[i], bn, bp)
-                    rhs[i] -= b
-            elif neg[i] & bit:
-                pos[i], neg[i] = _add_ternary(p, neg[i], bp, bn)
-                rhs[i] += b
+            n = neg[i]
+            if p & bit:                 # row i minus the pivot row
+                if i == r:
+                    continue
+                ap, an, d = bn, bp, -b
+            elif n & bit:               # row i plus the pivot row
+                ap, an, d = bp, bn, b
+            else:
+                continue
+            if p & ap or n & an:
+                raise IntegralityError(_LEFT_TERNARY)
+            cancel = p & an | n & ap
+            pos[i] = (p | ap) ^ cancel
+            neg[i] = (n | an) ^ cancel
+            rhs[i] += d
         self.basis[r] = c
         z = self.z
         f = z[c]
         if f:
-            for j in _bits(bp):
-                z[j] -= f
-            for j in _bits(bn):
-                z[j] += f
+            for m, g in ((bp, f), (bn, -f)):
+                while m:
+                    low = m & -m
+                    z[low.bit_length() - 1] -= g
+                    m ^= low
             self.zrhs -= f * b
 
     def dual_leaving(self, dantzig: bool) -> int | None:
@@ -467,18 +484,31 @@ class _TernaryTableau:
         low = min(rhs, default=0)
         if low >= 0:
             return None
-        if dantzig:
-            if rhs.count(low) == 1:
-                return rhs.index(low)
-            rows = [i for i, v in enumerate(rhs) if v == low]
-        else:
-            rows = [i for i, v in enumerate(rhs) if v < 0]
-        return min(rows, key=basis.__getitem__)
+        if not dantzig:
+            return min((i for i, v in enumerate(rhs) if v < 0), key=basis.__getitem__)
+        i = best = rhs.index(low)
+        for _ in range(rhs.count(low) - 1):     # the ties, found by C scans
+            i = rhs.index(low, i + 1)
+            if basis[i] < basis[best]:
+                best = i
+        return best
 
     def dual_entering(self, r: int) -> int | None:
         """As _Tableau.dual_entering: every negative entry is -1, so the
-        column with the minimum reduced cost, smallest column on ties."""
-        return min(_bits(self.neg[r]), key=self.z.__getitem__, default=None)
+        column with the minimum reduced cost, smallest column on ties.  No
+        reduced cost is negative in the dual simplex, so the first 0 ends
+        the walk."""
+        z, m = self.z, self.neg[r]
+        best = None
+        while m:
+            low = m & -m
+            j = low.bit_length() - 1
+            if best is None or z[j] < zmin:
+                best, zmin = j, z[j]
+                if not zmin:
+                    break
+            m ^= low
+        return best
 
     def check_optimal(self) -> None:
         """The certificate of _Tableau.check_optimal, read in integers."""

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -80,7 +81,8 @@ def reduce_to_tu(net: Network, meas: MeasurementSystem, k: int) -> TUProblem:
     Row i of A is the (from +1 / to -1) incidence of the i-th metered
     line over the non-reference buses; reactances cancel out of the
     support.  Only pure flow metering reduces this way, so injection
-    meters raise HasInjections.
+    meters raise HasInjections.  A is an int copy of the system's kept
+    flow matrix, for the oracles; security_index reads the kept one.
     """
     _flow_target(meas, k)
     mtr = metering(net, meas)
@@ -91,31 +93,40 @@ def _witness_attack(mtr: Metering, k: int, x) -> tuple[list, list, frozenset[int
     """Exact (dtheta, dz, touched) of the state move x over every meter,
     flows first, scaled so flow meter k (which x moves by +1) reads +1.
 
-    Only lines whose ends x moves are visited: each carries the flow
-    change w * x_k / x_line, read by its flow meter, added at its from-bus
-    injection and subtracted at its to-bus injection.  Exact zeros stay 0.
+    Only the lines at buses x moves are visited (mtr.bus_lines): each whose
+    ends x moves apart carries the flow change w * x_k / x_line, read by
+    its flow meter, added at its from-bus injection and subtracted at its
+    to-bus injection.  Exact zeros stay 0.
     """
     net, flow, inj = mtr.net, mtr.flow_slot, mtr.injection_slot
     xk = mtr.lines[k - 1].reactance
+    num, den = xk.numerator, xk.denominator
     pot = {b: v for b, v in zip(net.state_buses, x) if v}
     dz = [0] * mtr.meas.n_meters
-    for lid, ln in enumerate(net.lines, start=1):
+    touched = set()
+    for lid in {lid for b in pot for lid in mtr.bus_lines[b]}:
+        ln = net.lines[lid - 1]
         w = pot.get(ln.from_bus, 0) - pot.get(ln.to_bus, 0)
         if w:
-            f = w * xk / ln.reactance
+            f = Fraction(w * num * ln.reactance.denominator, den * ln.reactance.numerator)
             if lid in flow:
                 dz[flow[lid]] = f
+                touched.add(flow[lid])
             if ln.from_bus in inj:
                 dz[inj[ln.from_bus]] += f
+                touched.add(inj[ln.from_bus])
             if ln.to_bus in inj:
                 dz[inj[ln.to_bus]] -= f
-    touched = frozenset(i + 1 for i, v in enumerate(dz) if v)
+                touched.add(inj[ln.to_bus])
+    touched = frozenset(i + 1 for i in touched if dz[i])
     return [xk * v if v else 0 for v in x], dz, touched
 
 
 def _attack(dtheta, dz, touched) -> AttackVector:
-    return AttackVector(np.array([float(v) if v else 0.0 for v in dtheta]),
-                        np.array([float(v) if v else 0.0 for v in dz]), touched)
+    dz_f = np.zeros(len(dz))
+    for i in touched:
+        dz_f[i - 1] = float(dz[i - 1])
+    return AttackVector(np.array([float(v) if v else 0.0 for v in dtheta]), dz_f, touched)
 
 
 def _exact_result(mtr: Metering, k: int, method: str, x, support, t0) -> SecurityIndexResult:
@@ -137,13 +148,14 @@ def security_index(net: Network, meas: MeasurementSystem, k: int) -> SecurityInd
     target-free l1 LP (tumin.solve_l1_base) is solved on its first call
     and kept with its grid.Metering; each call re-optimizes a copy of it
     with meter k's row appended (tumin.solve_warm), as
-    tumin.solve_min_support does on a fresh one.  Raises InfeasibleIndex
-    when protected meters pin meter k (no unobservable attack reaches it).
+    tumin.solve_min_support does on a fresh one, on the Metering's kept
+    rows and matrix (no per-call copy).  Raises InfeasibleIndex when
+    protected meters pin meter k (no unobservable attack reaches it).
     """
     t0 = time.perf_counter()
-    prob = reduce_to_tu(net, meas, k)
+    _flow_target(meas, k)
     mtr = metering(net, meas)
-    sol = solve_warm(mtr.l1_base, prob)
+    sol = solve_warm(mtr.l1_base, TUProblem(mtr.flow_matrix, k, meas.protected, mtr.flow_pairs))
     if sol is None:
         raise InfeasibleIndex(k)
     return _exact_result(mtr, k, "lp", sol.x, sol.support, t0)

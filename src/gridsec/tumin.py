@@ -8,9 +8,13 @@ same optimum and an integral witness, so the combinatorial answer comes out
 of a single polynomial-time solve.  The LP is written once, in meter space:
 the state x is eliminated by Gauss-Jordan, leaving rows over the row
 slacks y plus state rows that give x back (_meter_space).  solve_l1_base
-solves it without a target row once per (A, I), solve_warm re-optimizes
-that per target row by a dual simplex and certifies the witness, and
-solve_min_support is the two on a fresh base.
+solves it without a target row once per (A, I) and keeps it as live lists
+(L1Base); solve_warm re-optimizes a shallow copy of it per target row by
+a dual simplex and certifies the witness, and solve_min_support is the
+two on a fresh base.  A target pays for its pivots and for the rows its
+witness moves: its row is reduced over the two rows basic in its own
+columns, and the certificate reads A(j,:)x only on the rows that hold a
+column x moves (L1Base.columns).
 
 For totally unimodular A every tableau of that LP is totally unimodular
 too, so the kept base and the warm step hold only -1, 0 and 1
@@ -29,9 +33,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-import marshal
 import math
 import random
+from typing import NamedTuple
 
 import numpy as np
 
@@ -163,7 +167,7 @@ def build_l1_lp(problem: TUProblem) -> lp.StandardFormLP:
     the target row y+_k - y-_k = 1, i.e. A(k,:)x = 1.  The solve path builds
     the same LP in two steps (solve_l1_base, then solve_warm's row)."""
     rows, _, width = _meter_space(problem.rows, problem.A.shape[1], problem.I)
-    y = problem.free_rows.index(problem.k)
+    y = _y_column(problem.I, problem.k)
     rows.append({y: 1, y + width // 2: -1, lp.RHS: 1})
     return lp.StandardFormLP.from_int_rows(rows, dict.fromkeys(range(width), 1), width)
 
@@ -174,24 +178,48 @@ def solve_min_support(problem: TUProblem) -> TUSolution | None:
     return solve_warm(solve_l1_base(problem.rows, problem.A.shape[1], problem.I), problem)
 
 
-def solve_l1_base(rows, n: int, I=frozenset()) -> bytes:
+class L1Base(NamedTuple):
+    """solve_l1_base's solved target-free l1 LP, as live lists of ints.
+
+    pos, neg, basis and z are its optimal tableau in ternary form
+    (lp._TernaryTableau; every basic value is 0); dens, spos and sneg are
+    its state rows (_ternary_state); columns[c] holds the rows of the data
+    with a nonzero in state column c.  solve_warm copies the
+    tableau lists shallowly (their ints are immutable) and only reads the
+    rest, so a base serves every target unchanged.
+    """
+
+    pos: list[int]
+    neg: list[int]
+    basis: list[int]
+    z: list[int]
+    dens: dict[int, int]
+    spos: list[int]
+    sneg: list[int]
+    columns: tuple[tuple[int, ...], ...]
+
+
+def solve_l1_base(rows, n: int, I=frozenset()) -> L1Base:
     """The l1 LP of integer rows (sparse_rows pairs) over n state columns
     and protected rows I without a target row, in meter space
     (_meter_space), solved once for every target of a TUProblem with the
     same rows and I.
 
     lp.solve_lp must stop optimal at y = 0, so every basic value and the
-    objective are 0 and need no keeping.  The base is the marshal bytes of
-    the tableau's ternary rows, basis and reduced costs (lp._TernaryTableau)
-    and the state rows (_ternary_state): a few lists of ints.  Data that is
-    not totally unimodular can raise IntegralityError here.
+    objective are 0 and need no keeping.  Data that is not totally
+    unimodular can raise IntegralityError here.
     """
     yrows, state, width = _meter_space(rows, n, frozenset(I))
     out = lp.solve_lp(lp.StandardFormLP.from_int_rows(yrows, dict.fromkeys(range(width), 1), width))
     if out.status is not lp.LpStatus.OPTIMAL or out.solution.objective != 0:
         raise SolverDefect("the target-free l1 LP is not optimal at zero; solver defect")
     tab = lp._TernaryTableau.of(out.tableau)
-    return marshal.dumps(((tab.pos, tab.neg, tab.basis, tab.z), _ternary_state(state, width // 2)))
+    columns: list[list[int]] = [[] for _ in range(n)]
+    for j, row in enumerate(rows, start=1):
+        for c, _ in row:
+            columns[c].append(j)
+    return L1Base(tab.pos, tab.neg, tab.basis, tab.z, *_ternary_state(state, width // 2),
+                  tuple(map(tuple, columns)))
 
 
 def _ternary_state(state, r: int) -> tuple[dict[int, int], list[int], list[int]]:
@@ -215,32 +243,38 @@ def _ternary_state(state, r: int) -> tuple[dict[int, int], list[int], list[int]]
     return {c: den for c, (den, _) in state.items()}, pos, neg
 
 
-def solve_warm(base: bytes, problem: TUProblem) -> TUSolution | None:
-    """Minimum-support solve by re-optimizing base, the solve_l1_base bytes
-    of problem's rows and protection; None when the constraints are
+def _y_column(I: frozenset[int], j: int) -> int:
+    """The column of y+_j in the meter-space LP: unprotected row j's place
+    among the unprotected rows, 0-based."""
+    return j - 1 - sum(i < j for i in I)
+
+
+def solve_warm(base: L1Base, problem: TUProblem) -> TUSolution | None:
+    """Minimum-support solve by re-optimizing base, solve_l1_base of
+    problem's rows and protection; None when the constraints are
     infeasible, i.e. when the dual simplex finds no basis.
 
-    The ternary tableau read from base gains the row -y+_k + y-_k + s = -1,
-    i.e. A(k,:)x >= 1, as the target's own row reads A(k,:)x - y+_k + y-_k
-    = 0, and lp's dual simplex restores nonnegative values.  The objective
-    is positively homogeneous and at least |A(k,:)x|, so every optimum has
-    A(k,:)x = 1 and s = 0, an optimum of build_l1_lp(problem).  x is read
-    from base's state rows.
+    A ternary tableau copied from base gains the row -y+_k + y-_k + s =
+    -1, i.e. A(k,:)x >= 1, as the target's own row reads A(k,:)x - y+_k +
+    y-_k = 0, and lp's dual simplex restores nonnegative values.  The
+    objective is positively homogeneous and at least |A(k,:)x|, so every
+    optimum has A(k,:)x = 1 and s = 0, an optimum of build_l1_lp(problem).
+    x is read from base's state rows.
     """
-    (pos, neg, basis, z), state = marshal.loads(base)
-    tab = lp._TernaryTableau(pos, neg, [0] * len(basis), basis, z)
-    y = problem.free_rows.index(problem.k)
-    tab.add_row(1 << (y + len(problem.free_rows)), 1 << y, -1)
+    tab = lp._TernaryTableau(base.pos[:], base.neg[:], [0] * len(base.basis), base.basis[:],
+                             base.z[:])
+    y = _y_column(problem.I, problem.k)
+    tab.add_row(1 << (y + len(base.spos)), 1 << y, -1)
     if lp._run_dual_simplex(tab, [0]) is lp.LpStatus.INFEASIBLE:
         return None
-    return _certified_solution(problem, tab, state)
+    return _certified_solution(problem, tab, base)
 
 
-def _state_values(vals: dict[int, int], state, n: int) -> list:
-    """x at the y values vals (by column) from solve_l1_base's state rows,
-    touching only the state columns of the nonzero y: each entry an int,
-    or a Fraction when it is not integral."""
-    dens, pos, neg = state
+def _state_values(vals: dict[int, int], base: L1Base) -> dict[int, int | Fraction]:
+    """The nonzero entries of x, by column, at the y values vals (by
+    column) from base's state rows, touching only the state columns of the
+    nonzero y: each an int, or a Fraction when it is not integral."""
+    dens, pos, neg = base.dens, base.spos, base.sneg
     r = len(pos)
     num: dict[int, int] = {}
     for j, v in vals.items():
@@ -250,58 +284,74 @@ def _state_values(vals: dict[int, int], state, n: int) -> list:
             num[c] = num.get(c, 0) - v
         for c in lp._bits(neg[j]):
             num[c] = num.get(c, 0) + v
-    x = [0] * n
+    x: dict[int, int | Fraction] = {}
     for c, v in num.items():
-        q, rem = divmod(v, dens[c])
-        x[c] = Fraction(v, dens[c]) if rem else q
+        if v:
+            q, rem = divmod(v, dens[c])
+            x[c] = Fraction(v, dens[c]) if rem else q
     return x
 
 
-def _certified_solution(problem: TUProblem, tab: lp._TernaryTableau, state) -> TUSolution:
+def _certified_solution(problem: TUProblem, tab: lp._TernaryTableau, base: L1Base) -> TUSolution:
     """The minimum-support solution at an optimal l1 tableau, checked.
 
     The tableau must read optimal, every column past the y block (the
     target row's slack) must be zero, and the objective must equal the y
-    sum.  The state move x, read from solve_l1_base's state rows, must be
-    integral, satisfy A(I,:)x = 0 and A(k,:)x = 1 on problem's integer
-    rows, and touch as many rows as the objective, in the unimodular
-    pattern.  SolverDefect otherwise (its subclass IntegralityError for a
-    broken integrality pattern).
+    sum.  The state move x, read from base's state rows, must be integral,
+    satisfy A(I,:)x = 0 and A(k,:)x = 1 on problem's integer rows, and
+    touch as many rows as the objective, in the unimodular pattern.
+    A(j,:)x is evaluated on the rows that hold a column x moves (base's
+    column index); every other row reads 0.  SolverDefect otherwise (its
+    subclass IntegralityError for a broken integrality pattern).
     """
     tab.check_optimal()
     vals = tab.values()
-    if any(c >= 2 * len(problem.free_rows) for c in vals):
+    if any(c >= 2 * len(base.spos) for c in vals):
         raise SolverDefect("the target row's slack is not zero; solver defect")
     objective = tab.objective()
     if objective != sum(vals.values()):
         raise SolverDefect("objective bookkeeping mismatch; solver defect")
-    x_frac = _state_values(vals, state, problem.A.shape[1])
-    if any(v.denominator != 1 for v in x_frac):
-        raise IntegralityError(f"fractional witness {x_frac}")
-    x = tuple(int(v) for v in x_frac)
-    moved = [sum(a * x[c] for c, a in problem.rows[j - 1]) for j in (problem.k, *problem.I)]
-    if moved[0] != 1 or any(moved[1:]):
+    moved = _state_values(vals, base)
+    x = [0] * problem.A.shape[1]
+    for c, v in moved.items():
+        x[c] = v
+    if any(type(v) is Fraction for v in moved.values()):
+        raise IntegralityError(f"fractional witness {x}")
+    image = _image(problem, x, {j for c in moved for j in base.columns[c]})
+    if image.get(problem.k) != 1 or any(j in problem.I for j in image):
         raise SolverDefect("witness breaks the target or a protected row; solver defect")
-    sol = _solution_from_x(problem, x)
+    sol = _solution(problem, x, image)
     if sol.cardinality != objective:
         raise IntegralityError(f"objective {objective} != support {sol.cardinality}")
-    if not _unimodular_pattern(sol):
+    if any(v not in (-1, 1) for v in moved.values()) or any(v not in (-1, 1) for v in image.values()):
         raise IntegralityError(f"witness violates the unimodular pattern: {sol}")
     return sol
 
 
-def _solution_from_x(problem: TUProblem, x: tuple[int, ...]) -> TUSolution:
-    image = []
-    support = []
-    rows = problem.rows
-    for j in problem.free_rows:
+def _image(problem: TUProblem, x, rows) -> dict[int, int]:
+    """A(j,:)x by row j among rows, where it is nonzero."""
+    data = problem.rows
+    out = {}
+    for j in rows:
         v = 0
-        for c, a in rows[j - 1]:
+        for c, a in data[j - 1]:
             v += a * x[c]
-        image.append(abs(v))
         if v:
+            out[j] = v
+    return out
+
+
+def _solution(problem: TUProblem, x, image: dict[int, int]) -> TUSolution:
+    """The TUSolution of x, whose nonzero A(j,:)x are image (by row; a
+    protected row is left out)."""
+    I = problem.I
+    dense = [0] * (problem.A.shape[0] - len(I))
+    support = []
+    for j, v in image.items():
+        if j not in I:
+            dense[_y_column(I, j)] = abs(v)
             support.append(j)
-    return TUSolution(x, frozenset(support), len(support), tuple(image))
+    return TUSolution(tuple(x), frozenset(support), len(support), tuple(dense))
 
 
 def _unimodular_pattern(sol: TUSolution) -> bool:
@@ -314,7 +364,7 @@ def validate_integrality(sol: TUSolution, problem: TUProblem) -> bool:
     the image recomputed from sol.x."""
     if len(sol.x) != problem.A.shape[1] or not _unimodular_pattern(sol):
         return False
-    recomputed = _solution_from_x(problem, sol.x)
+    recomputed = _solution(problem, sol.x, _image(problem, sol.x, range(1, problem.A.shape[0] + 1)))
     return recomputed.image == sol.image and recomputed.support == sol.support
 
 

@@ -121,6 +121,28 @@ def random_tu_problem(rng: random.Random) -> TUProblem:
     return random_interval_problem(rng)
 
 
+def mesh_grid(seed: int, rows: int = 6, cols: int = 7, chords: int = 12, protect: int = 3):
+    """Seeded flow-only mesh-plus-chords grid: a rows x cols mesh, `chords`
+    extra distinct bus pairs, a random reference bus and reactances, every
+    line metered and `protect` random flow meters protected."""
+    rng = random.Random(seed)
+    n = rows * cols
+    edges = [(r * cols + c + 1, r * cols + c + 2) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c + 1, (r + 1) * cols + c + 1) for r in range(rows - 1) for c in range(cols)]
+    seen = {frozenset(e) for e in edges}
+    while chords:
+        u, v = rng.sample(range(1, n + 1), 2)
+        if frozenset((u, v)) not in seen:
+            seen.add(frozenset((u, v)))
+            edges.append((u, v))
+            chords -= 1
+    rng.shuffle(edges)
+    lines = tuple((u, v, Fraction(rng.randint(1000, 60000), 100000)) for u, v in edges)
+    net = Network(n, lines, rng.randint(1, n))
+    protected = frozenset(rng.sample(range(1, len(lines) + 1), protect))
+    return net, MeasurementSystem(tuple(range(1, len(lines) + 1)), protected=protected)
+
+
 def random_injection_system(rng: random.Random, max_nodes: int = 5):
     """Small network with all flows metered plus at least one injection."""
     n, edges = random_connected_edges(rng, max_nodes)

@@ -13,8 +13,9 @@ from itertools import combinations
 
 from gridsec import lp
 from gridsec.errors import CapExceeded
-from gridsec.exactla import in_row_space
+from gridsec.exactla import _eliminate, _reduce, in_row_space
 from gridsec.oracle import exhaustive_min_support
+from gridsec.tumin import TUSolution
 
 
 def box_feasible(A, k: int, I, S) -> bool:
@@ -104,3 +105,51 @@ def feasibility_by_rank(A, k: int, I) -> bool:
     rows = [[int(v) for v in row] for row in A]
     prot = [rows[i - 1] for i in sorted(I)]
     return not in_row_space(rows[k - 1], prot)
+
+
+def reduce_by_scan(kept, row) -> dict[int, int]:
+    """row reduced over kept ((pivot column, row) pairs, arrival order) by
+    probing every kept row's pivot column in turn: the loop
+    exactla.EchelonBasis.reduce ran before it indexed its pivots."""
+    row = dict(row)
+    for pc, base in kept:
+        f = row.get(pc)
+        if f:
+            _eliminate(row, base[pc], f, base)
+            _reduce(row, 0)
+    return row
+
+
+def solution_from_x(problem, x) -> TUSolution:
+    """The TUSolution of x by a dense walk: A(j,:)x on every unprotected row
+    in order, as tumin's certificate read it before it visited only the
+    rows holding a column x moves."""
+    image = []
+    support = []
+    for j in problem.free_rows:
+        v = sum(a * x[c] for c, a in problem.rows[j - 1])
+        image.append(abs(v))
+        if v:
+            support.append(j)
+    return TUSolution(tuple(x), frozenset(support), len(support), tuple(image))
+
+
+def witness_attack_all_lines(mtr, k, x):
+    """security._witness_attack by a walk over every line of the network,
+    as it read before it visited only the lines at buses x moves."""
+    net, flow, inj = mtr.net, mtr.flow_slot, mtr.injection_slot
+    xk = mtr.lines[k - 1].reactance
+    pot = {b: v for b, v in zip(net.state_buses, x) if v}
+    dz = [0] * mtr.meas.n_meters
+    for lid, ln in enumerate(net.lines, start=1):
+        w = pot.get(ln.from_bus, 0) - pot.get(ln.to_bus, 0)
+        if w:
+            f = w * xk / ln.reactance
+            if lid in flow:
+                dz[flow[lid]] = f
+            if ln.from_bus in inj:
+                dz[inj[ln.from_bus]] += f
+            if ln.to_bus in inj:
+                dz[inj[ln.to_bus]] -= f
+    touched = frozenset(i + 1 for i, v in enumerate(dz) if v)
+    return [xk * v if v else 0 for v in x], dz, touched

@@ -11,10 +11,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridsec.errors import InconsistentRow
-from gridsec.exactla import frac_rref, in_row_space, int_rank, to_fraction
+from gridsec.exactla import EchelonBasis, frac_rref, in_row_space, int_rank, to_fraction
 from gridsec.lp import RHS, StandardFormLP, preprocess
+
+from oracle_helpers import reduce_by_scan
 
 
 def test_to_fraction_refuses_a_decimal_exponent_past_the_digit_cap():
@@ -124,3 +128,29 @@ def test_preprocess_matches_a_greedy_fraction_rank_pass(seed):
         assert pre.dens == (1,) * len(want)
         outcomes.add("dropped" if len(want) < len(C) else "full rank")
     assert outcomes == {"inconsistent", "dropped", "full rank"}
+
+
+# sparse rows over columns -1 (a right-hand side) .. 7, entries in -3..3
+_sparse_rows = st.lists(
+    st.dictionaries(st.integers(-1, 7), st.integers(-3, 3).filter(bool), max_size=5),
+    min_size=1, max_size=12)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_sparse_rows)
+def test_the_pivot_index_reduces_as_the_scan_over_every_kept_row(rows):
+    # each row reduced by the indexed basis and by the old probe of every
+    # kept pivot: equal leftovers (in key order too), equal kept rows
+    basis = EchelonBasis()
+    for row in rows:
+        expected = reduce_by_scan(list(basis.rows), row)
+        got = basis.reduce(row)
+        assert list(got.items()) == list(expected.items())
+        left = basis.add(row)
+        assert left is None or left == expected
+    kept = []
+    for row in rows:
+        red = reduce_by_scan(kept, row)
+        if max(red, default=-1) >= 0:
+            kept.append((max(red), red))
+    assert basis.rows == kept

@@ -346,10 +346,12 @@ def test_tableau_copy():
     assert _fields(big) == before
 
 
-def test_a_ternary_pivot_that_reaches_two_is_an_integrality_error():
+@pytest.mark.parametrize("pos1, neg1", [(0b01110, 0), (0b00010, 0b01100)],
+                         ids=["row holds +1", "row holds -1"])
+def test_a_ternary_pivot_that_reaches_two_is_an_integrality_error(pos1, neg1):
     # row 0 pivoted on column 2 reads -x0 + x2 - x3 = 1; row 1 minus it
-    # holds 1 - (-1) = 2 in column 3
-    tern = _TernaryTableau([0b01001, 0b01110], [0b00100, 0], [-1, 0], [0, 1], [0, 0, 1, 0])
+    # holds 1 - (-1) = 2 in column 3, or row 1 plus it -1 + (-1) = -2
+    tern = _TernaryTableau([0b01001, pos1], [0b00100, neg1], [-1, 0], [0, 1], [0, 0, 1, 0])
     with pytest.raises(IntegralityError, match=r"left \{-1, 0, 1\}"):
         tern.pivot(0, 2)
 

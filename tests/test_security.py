@@ -1,6 +1,6 @@
 """Security indices, bounds with injections, and critical tuples."""
+import copy
 import gc
-import marshal
 import pickle
 import random
 import weakref
@@ -14,11 +14,12 @@ from conftest import (
     SIXBUS_A_FULL,
     SIXBUS_CASE,
     incidence_transpose,
+    mesh_grid,
     random_connected_edges,
     sixbus_meas,
     sixbus_network,
 )
-from oracle_helpers import full_h_min_support
+from oracle_helpers import full_h_min_support, witness_attack_all_lines
 from test_mincut import random_flow_system
 from gridsec import (
     MeasurementSystem,
@@ -39,13 +40,14 @@ from gridsec.errors import (
     ConditionViolated,
     HasInjections,
     InfeasibleIndex,
+    IntegralityError,
     ProtectedInjection,
     SolverDefect,
     TargetIsInjection,
     UnknownMeterId,
     ValidationError,
 )
-from gridsec import grid, tumin
+from gridsec import grid, security, tumin
 from gridsec.grid import _exact_H_rows, build_H, metering
 from gridsec.mincut import max_flow, witness
 from gridsec.security import _witness_attack
@@ -232,6 +234,42 @@ class TestWitnessEvaluator:
             assert res.attack.delta_z[k - 1] == 1.0
         assert checked > 100
 
+    def test_the_walk_at_moved_buses_is_the_walk_over_every_line(self, monkeypatch):
+        # through security_index_bounds on partially metered systems with
+        # injections and a random reference bus, and on random exact moves;
+        # the moves must carry flow on unmetered lines and on lines at the
+        # reference bus, and touch injection meters
+        rng = random.Random(507)
+        kinds = set()
+
+        def both(mtr, k, x):
+            got = witness_attack_all_lines(mtr, k, x)
+            assert evaluate(mtr, k, x) == got
+            pot = dict(zip(mtr.net.state_buses, x))
+            for lid, ln in enumerate(mtr.net.lines, start=1):
+                if pot.get(ln.from_bus, 0) != pot.get(ln.to_bus, 0):
+                    kinds.add(("unmetered", lid not in mtr.flow_slot))
+                    kinds.add(("at reference", mtr.net.reference_bus in (ln.from_bus, ln.to_bus)))
+            kinds.add(("injection", any(i > len(mtr.meas.flow_meters) for i in got[2])))
+            return got
+
+        evaluate = security._witness_attack
+        monkeypatch.setattr(security, "_witness_attack", both)
+        bounded = 0
+        for _ in range(200):
+            net, meas, k = random_injection_system(rng)
+            x = random_move(rng, net, meas, k)
+            if x is not None:
+                both(metering(net, meas), k, x)
+            try:
+                security_index_bounds(net, meas, k)
+                bounded += 1
+            except InfeasibleIndex:
+                pass
+        assert bounded > 100
+        assert kinds == {(kind, flag) for kind in ("unmetered", "at reference", "injection")
+                         for flag in (False, True)}
+
     def test_bounds_rejects_injection_at_missing_bus(self):
         net = Network(3, ((1, 2, 1), (2, 3, 1)))
         with pytest.raises(UnknownMeterId):
@@ -369,7 +407,7 @@ class TestWarmSweep:
         net = Network(6, ((1, 2, 1), (2, 3, 2), (1, 3, 3), (3, 4, 1), (4, 5, 1),
                           (5, 6, 2), (4, 6, 1), (2, 5, 3)))
         meas = MeasurementSystem((1, 2, 3, 6))
-        _, (dens, _, _) = marshal.loads(metering(net, meas).l1_base)
+        dens = metering(net, meas).l1_base.dens
         assert 2 not in dens          # bus 4's column (buses 2..6 are columns 0..4)
         assert len(dens) == 3         # two columns have no state row: they stay 0
         for k, index in ((1, 2), (2, 2), (3, 2), (4, 1)):
@@ -383,8 +421,8 @@ class TestWarmSweep:
         # the LP left over y has no rows
         net = Network(5, ((1, 2, 1), (2, 3, 2), (2, 4, 1), (4, 5, 3)))
         meas = MeasurementSystem((1, 2, 3, 4))
-        (pos, neg, basis, _), (dens, _, _) = marshal.loads(metering(net, meas).l1_base)
-        assert pos == neg == basis == [] and sorted(dens) == [0, 1, 2, 3]
+        base = metering(net, meas).l1_base
+        assert base.pos == base.neg == base.basis == [] and sorted(base.dens) == [0, 1, 2, 3]
         for k in range(1, 5):
             res = security_index(net, meas, k)
             assert res.index == 1 == mincut_index(net, meas, k).index
@@ -405,6 +443,46 @@ class TestWarmSweep:
             assert prob.rows is metering(net, meas).flow_pairs
             security_index(net, meas, k)
         assert calls == []
+
+    def test_no_target_changes_the_kept_base(self, monkeypatch):
+        # a 42-bus grid whose meter k0 is pinned by a protected parallel line
+        net0, meas0 = mesh_grid(1)
+        k0 = min(set(range(1, 84)) - meas0.protected)
+        net = Network(net0.n_buses, net0.lines + (net0.lines[k0 - 1],), net0.reference_bus)
+        meas = MeasurementSystem(tuple(range(1, 85)), protected=meas0.protected | {84})
+        base = metering(net, meas).l1_base
+        kept = copy.deepcopy(base)
+        assert base.pos and base.basis and base.dens
+        first = {}
+        for k in sorted(set(range(1, 85)) - meas.protected):
+            try:
+                res = security_index(net, meas, k)
+                first[k] = (res.index, res.attack.touched, res.attack.delta_z.tolist())
+            except InfeasibleIndex:
+                first[k] = None
+            assert base == kept
+        assert first[k0] is None and sum(v is None for v in first.values()) == 1
+        # a target that raises mid-pivot: the copy gains a row whose sum
+        # with the pivot row reaches 2
+        real = lp._TernaryTableau.pivot
+
+        def forged(tab, r, c):
+            i = r - 1 if r else r + 1
+            tab.pos[i], tab.neg[i] = 1 << c | tab.pos[r], 0
+            real(tab, r, c)
+
+        with monkeypatch.context() as m:
+            m.setattr(lp._TernaryTableau, "pivot", forged)
+            with pytest.raises(IntegralityError, match="left"):
+                security_index(net, meas, max(first))
+        assert base == kept
+        for k, answer in first.items():
+            try:
+                res = security_index(net, meas, k)
+                assert (res.index, res.attack.touched, res.attack.delta_z.tolist()) == answer
+            except InfeasibleIndex:
+                assert answer is None
+        assert base == kept
 
     def test_a_second_call_solves_nothing_from_scratch(self, monkeypatch):
         calls = count_simplex_solves(monkeypatch)

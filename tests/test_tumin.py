@@ -1,5 +1,4 @@
 """Minimum-support solver against frozen values and the enumeration oracle."""
-import marshal
 import random
 from itertools import product
 
@@ -15,7 +14,7 @@ from conftest import (
     price_by,
     random_tu_problem,
 )
-from oracle_helpers import feasibility_by_rank
+from oracle_helpers import feasibility_by_rank, solution_from_x
 from gridsec import (
     TUProblem,
     build_l1_lp,
@@ -34,7 +33,7 @@ from gridsec.grid import parse_case
 from gridsec.lp import LpStatus, StandardFormLP, solve_lp
 from gridsec.oracle import exhaustive_min_tuple, nullspace_reformulate, solve_milp_instance
 from gridsec.security import reduce_to_tu
-from gridsec.tumin import _meter_space, solve_l1_base, solve_warm, sparse_rows
+from gridsec.tumin import _image, _meter_space, _solution, solve_l1_base, solve_warm, sparse_rows
 
 
 def signed_image(A, x):
@@ -283,6 +282,42 @@ class TestValidateIntegrality:
             solve_min_support(TUProblem([[1, 1, 0], [0, 1, 1], [1, 0, 1]], 1))
 
 
+class TestSparseCertificate:
+    """The certificate evaluates A(j,:)x only on the rows holding a column x
+    moves (the base's column index); the dense walk over every unprotected
+    row (oracle_helpers.solution_from_x) must read the same solution."""
+
+    def test_the_certified_solution_matches_the_dense_walk(self):
+        rng = random.Random(1818)
+        solved = 0
+        for _ in range(150):
+            prob = random_tu_problem(rng)
+            sol = solve_min_support(prob)
+            if sol is None:
+                continue
+            assert sol == solution_from_x(prob, sol.x)
+            solved += 1
+        assert solved > 100
+
+    def test_every_row_read_sparsely_is_the_dense_walk_on_any_x(self):
+        # validate_integrality's recomputation, on moves that break the
+        # pattern too
+        rng = random.Random(1819)
+        for _ in range(150):
+            prob = random_tu_problem(rng)
+            x = [rng.randint(-2, 2) for _ in range(prob.A.shape[1])]
+            assert _solution(prob, x, _image(prob, x, range(1, prob.A.shape[0] + 1))) == \
+                solution_from_x(prob, x)
+
+    def test_the_column_index_holds_every_row_of_each_column(self):
+        rng = random.Random(1820)
+        for _ in range(50):
+            prob = random_tu_problem(rng)
+            base = solve_l1_base(prob.rows, prob.A.shape[1], prob.I)
+            assert base.columns == tuple(tuple((np.flatnonzero(prob.A[:, c]) + 1).tolist())
+                                         for c in range(prob.A.shape[1]))
+
+
 class TestWarmStateRows:
     """solve_warm re-optimizes a base whose state is eliminated: each state
     column with a state row is read from it, each other one is 0."""
@@ -298,9 +333,8 @@ class TestWarmStateRows:
             A[:, rng.sample(range(n), rng.randint(0, n // 2))] = 0
             I = frozenset(rng.sample(range(1, m + 1), rng.randint(0, m - 1)))
             base = solve_l1_base(sparse_rows(A), n, I)
-            _, (dens, _, _) = marshal.loads(base)
-            assert set(dens) <= set(range(n))
-            fixed += n - len(dens)
+            assert set(base.dens) <= set(range(n))
+            fixed += n - len(base.dens)
             for k in sorted(set(range(1, m + 1)) - I):
                 prob = TUProblem(A, k, I)
                 warm = solve_warm(base, prob)
@@ -314,15 +348,15 @@ class TestWarmStateRows:
         assert feasible > 150 and infeasible > 50 and fixed > 100
 
     @pytest.mark.parametrize("forge", [
-        lambda dens, pos, neg: ({c: 2 * den for c, den in dens.items()}, pos, neg),
-        lambda dens, pos, neg: (dens, neg, pos),
+        lambda base: base._replace(dens={c: 2 * den for c, den in base.dens.items()}),
+        lambda base: base._replace(spos=base.sneg, sneg=base.spos),
     ], ids=["denominator", "entry"])
     def test_a_forged_state_row_is_a_solver_defect(self, forge):
         # doubled denominators halve x; entries of the opposite sign negate it
-        tableau, state = marshal.loads(solve_l1_base(sparse_rows(SIXBUS_A), 5))
-        assert state[0]
+        base = solve_l1_base(sparse_rows(SIXBUS_A), 5)
+        assert base.dens
         with pytest.raises(SolverDefect):
-            solve_warm(marshal.dumps((tableau, forge(*state))), TUProblem(SIXBUS_A, 6))
+            solve_warm(forge(base), TUProblem(SIXBUS_A, 6))
 
 
 class TestTernaryWarmStep:
