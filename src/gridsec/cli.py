@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import (
+    CapExceeded,
     GridsecError,
     InfeasibleIndex,
     MethodUnavailable,
@@ -73,9 +74,10 @@ INTERNAL_ERRORS = (SolverDefect, AssertionError)
 class MeterEntry:
     meter: int
     method: str
-    index: int | None        # None marks an infeasible target or a failed cell
+    index: int | None        # None marks an infeasible target, a capped or a failed cell
     seconds: float
     error: str | None = None  # why the cell failed (an internal error), else None
+    capped: bool = False      # the solve used up its work cap without an answer
 
 
 @dataclass(frozen=True)
@@ -98,12 +100,18 @@ class BatchReport:
         return out
 
     @property
+    def capped(self) -> tuple[MeterEntry, ...]:
+        """Cells whose solve used up its work cap."""
+        return tuple(e for e in self.entries if e.capped)
+
+    @property
     def sorted_indices(self) -> dict[str, tuple]:
-        """Per method, the index multiset of the cells that did not fail, in
-        ascending order (None, an infeasible target, last)."""
+        """Per method, the index multiset of the cells that answered (neither
+        failed nor capped), in ascending order (None, an infeasible target,
+        last)."""
         out: dict[str, list] = {}
         for e in self.entries:
-            if e.error is None:
+            if e.error is None and not e.capped:
                 out.setdefault(e.method, []).append(e.index)
         return {m: tuple(sorted(v, key=lambda x: (x is None, x if x is not None else 0)))
                 for m, v in out.items()}
@@ -113,7 +121,8 @@ class BatchReport:
             "case": self.case,
             "entries": [
                 {"meter": e.meter, "method": e.method,
-                 "index": e.index, "seconds": e.seconds, "error": e.error}
+                 "index": e.index, "seconds": e.seconds, "error": e.error,
+                 "capped": e.capped}
                 for e in self.entries
             ],
             "mismatches": list(self.mismatches),
@@ -126,7 +135,7 @@ class BatchReport:
         entries = tuple(
             MeterEntry(int(e["meter"]), str(e["method"]),
                        None if e["index"] is None else int(e["index"]),
-                       float(e["seconds"]), e.get("error"))
+                       float(e["seconds"]), e.get("error"), bool(e.get("capped", False)))
             for e in data["entries"]
         )
         return cls(str(data["case"]), entries,
@@ -135,13 +144,15 @@ class BatchReport:
 
 def _solve_one(case: tuple[Network, MeasurementSystem], method: str, k: int) -> MeterEntry:
     """One (meter, method) cell of a parsed case.  An internal error fails
-    this cell only."""
+    this cell only, and a used-up work cap caps it only."""
     net, meas = case
     t0 = time.perf_counter()
     try:
         res = METHODS[method](net, meas, k)
     except InfeasibleIndex:
         return MeterEntry(k, method, None, time.perf_counter() - t0)
+    except CapExceeded:
+        return MeterEntry(k, method, None, time.perf_counter() - t0, capped=True)
     except INTERNAL_ERRORS as exc:
         return MeterEntry(k, method, None, time.perf_counter() - t0,
                           f"{type(exc).__name__}: {exc}")
@@ -173,8 +184,9 @@ def run_batch(case_path, methods=("lp",), jobs: int | None = None) -> BatchRepor
     default is the machine's CPU count.  Entries come out in the same
     order whatever the job count.  Meters where the methods give different
     answers land in `mismatches`; a cell that fails with an internal error
-    records it and takes no part in that comparison, and the other cells
-    still run.
+    records it, and a cell whose solve uses up its work cap (CapExceeded)
+    is marked capped; neither takes part in that comparison, and the other
+    cells still run.
     """
     case_path = str(case_path)
     methods = _batch_methods(methods)
@@ -201,7 +213,7 @@ def run_batch(case_path, methods=("lp",), jobs: int | None = None) -> BatchRepor
         entries = _solve_chunk(case, cells)
     by_meter: dict[int, set] = {}
     for e in entries:
-        if e.error is None:
+        if e.error is None and not e.capped:
             by_meter.setdefault(e.meter, set()).add(e.index)
     mismatches = tuple(sorted(k for k, vals in by_meter.items() if len(vals) > 1))
     return BatchReport(case_path, tuple(entries), mismatches)
@@ -350,6 +362,9 @@ def _cmd_bench(args) -> int:
     _write(emit(report, args.format), args.out)
     for e in report.failures:
         print(f"internal mismatch: meter {e.meter} ({e.method}): {e.error}", file=sys.stderr)
+    for e in report.capped:
+        print(f"capped: meter {e.meter} ({e.method}): no answer within its work cap",
+              file=sys.stderr)
     if report.mismatches:
         print(f"mismatch on meters: {','.join(map(str, report.mismatches))}",
               file=sys.stderr)

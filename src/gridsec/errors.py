@@ -92,11 +92,14 @@ class ConditionViolated(GridsecError):
 # --- oracles ---
 
 class CapExceeded(GridsecError):
-    """Exhaustive search exceeded its support-size cap without an answer."""
+    """A search used up its work cap (the supports an exhaustive
+    enumeration tests, or the nodes a branch and bound visits) without an
+    answer.  The cap is a work budget, so this says nothing about the
+    index itself."""
 
     def __init__(self, cap, message=None):
         self.cap = cap
-        super().__init__(message or f"no feasible support within cap {cap}")
+        super().__init__(message or f"no answer within a cap of {cap}")
 
 
 class ZeroColumn(GridsecError):

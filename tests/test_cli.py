@@ -193,6 +193,36 @@ class TestRunBatch:
         assert f"meter 3 (milp): {error.__name__}: forged defect" in err
         assert len(load_report(str(dest)).failures) == 1
 
+    def test_a_capped_cell_is_marked_alone(self, monkeypatch, tmp_path):
+        import functools
+
+        from gridsec import oracle
+
+        # 50 subsets settle every index-2 meter of ieee14, none above
+        monkeypatch.setattr(cli, "exhaustive_min_support",
+                            functools.partial(oracle.exhaustive_min_support, cap=50))
+        report = run_batch(IEEE14_CASE, ("lp", "exhaustive"), jobs=1)
+        capped = [e.meter for e in report.capped]
+        assert capped == [4, 5, 7, 9, 10, 13]
+        assert all(e.method == "exhaustive" and e.index is None and e.error is None
+                   for e in report.capped)
+        assert report.failures == ()
+        assert report.mismatches == ()
+        assert report.sorted_indices["exhaustive"] == (1,) + (2,) * 13
+        data = json.loads(emit(report, "json"))
+        flags = {(e["method"], e["meter"]): (e["index"], e["error"], e["capped"])
+                 for e in data["entries"]}
+        assert flags[("exhaustive", 4)] == (None, None, True)
+        assert flags[("exhaustive", 1)] == (2, None, False)
+        assert load_report(io.StringIO(emit(report, "json"))) == report
+        assert "\n4,,exhaustive," in emit(report)
+        dest = tmp_path / "r.json"
+        rc, _, err = run_main(["bench", IEEE, "--methods", "lp,exhaustive", "--jobs", "1",
+                               "--out", str(dest)])
+        assert rc == 0
+        assert err.count("capped: ") == 6
+        assert "capped: meter 13 (exhaustive)" in err
+
     def test_jobs_below_one_rejected(self):
         with pytest.raises(ValueError):
             run_batch(SIXBUS_CASE, jobs=0)

@@ -444,6 +444,23 @@ def test_an_incumbent_off_its_zero_fixing_is_caught(monkeypatch):
         oracle.solve_milp_instance(SIXBUS_MILP)
 
 
+def test_a_forged_node_vertex_is_caught(monkeypatch):
+    # values() swaps t+_j and t-_j on every free row: each box row and the
+    # objective still hold, but the link rows A(j,:) d = t+_j - t-_j do not
+    real = lp_module._Tableau.values
+    tcol = oracle._t_columns(SIXBUS_MILP)
+
+    def swapped(tab):
+        x = real(tab)
+        for c in tcol.values():
+            x[c], x[c + 1] = x.get(c + 1, 0), x.get(c, 0)
+        return {c: v for c, v in x.items() if v}
+
+    monkeypatch.setattr(lp_module._Tableau, "values", swapped)
+    with pytest.raises(SolverDefect, match="root row"):
+        oracle.solve_milp_instance(SIXBUS_MILP)
+
+
 def test_an_incumbent_off_the_root_rows_is_caught(monkeypatch):
     # a re-optimization that doubles one positive basic value keeps the
     # certificate (values and reduced costs nonnegative) but breaks a row

@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 from conftest import (
+    IEEE14_CASE,
     PAPER_B,
     PAPER_L,
     PAPER_PHI,
     SIXBUS_A,
     SIXBUS_A_FULL,
+    mesh_grid,
     random_tu_problem,
     sixbus_meas,
     sixbus_network,
@@ -26,8 +28,10 @@ from gridsec import (
     exhaustive_min_support,
     exhaustive_min_tuple,
     milp_solve,
+    mincut_index,
     mutual_coherence,
     nullspace_reformulate,
+    parse_case,
     reduce_to_tu,
     rip_constant,
     security_index,
@@ -155,11 +159,32 @@ class TestMilp:
         value, d, support, nodes = solve_milp_instance(
             reduce_to_tu(net, sixbus_meas(), 6), _big_m(net), trace=buf)
         assert value == 3
-        assert sorted(support) == [5, 6, 7]
+        assert sorted(support) == [2, 3, 6]
         text = buf.getvalue()
         assert "branch=" in text
         assert "incumbent" in text
         assert nodes >= text.count("node depth=0")
+
+    def test_node_cap(self):
+        # ieee14 meter 4 takes 21 nodes (test_pinned_counts.MILP_NODES)
+        net, meas = parse_case(IEEE14_CASE)
+        prob = reduce_to_tu(net, meas, 4)
+        with pytest.raises(CapExceeded) as exc:
+            solve_milp_instance(prob, _big_m(net), cap=1)
+        assert exc.value.cap == 1
+        with pytest.raises(CapExceeded):
+            solve_milp_instance(prob, _big_m(net), cap=20)
+        assert solve_milp_instance(prob, _big_m(net), cap=21)[::3] == (4, 21)
+
+    def test_agrees_with_min_cut_on_a_seeded_mesh(self):
+        # 42 buses, 83 lines, 3 protected; every meter of this grid settles
+        # in at most 37 nodes
+        net, meas = mesh_grid(1)
+        targets = [k for k in range(1, len(meas.flow_meters) + 1) if k not in meas.protected]
+        for k in random.Random(1).sample(targets, 10):
+            value, _, support, _ = solve_milp_instance(reduce_to_tu(net, meas, k),
+                                                       _big_m(net), cap=100)
+            assert value == len(support) == mincut_index(net, meas, k).index
 
 
 class TestCoherence:
