@@ -229,8 +229,8 @@ class Metering:
     @cached_property
     def flow_matrix(self) -> np.ndarray:
         """The integer flow rows (see flow_rows) as a read-only int8 array,
-        exact for entries in {-1, 0, 1}: the A of every flow target's
-        tumin.TUProblem in security_index, read for its shape only."""
+        exact for entries in {-1, 0, 1}, copied to int as the A of
+        security.reduce_to_tu's tumin.TUProblem."""
         A = incidence(self.net)[1].T[[lid - 1 for lid in self.meas.flow_meters]].astype(np.int8)
         A.setflags(write=False)
         return A
@@ -245,7 +245,8 @@ class Metering:
         """The solved target-free l1 LP of flow_pairs and the protected
         meters (tumin.solve_l1_base: its tableau in ternary form, its state
         rows and a column index, all live lists of ints that every target
-        copies or only reads), built on the first LP solve of a flow-only
+        copies or only reads, and flow_pairs itself, no copy, with the
+        protected meters), built on the first LP solve of a flow-only
         system, never at parse time."""
         return solve_l1_base(self.flow_pairs, self.flow_matrix.shape[1], self.meas.protected)
 

@@ -82,7 +82,7 @@ def reduce_to_tu(net: Network, meas: MeasurementSystem, k: int) -> TUProblem:
     line over the non-reference buses; reactances cancel out of the
     support.  Only pure flow metering reduces this way, so injection
     meters raise HasInjections.  A is an int copy of the system's kept
-    flow matrix, for the oracles; security_index reads the kept one.
+    flow matrix, for the oracles; security_index reads the kept l1 base.
     """
     _flow_target(meas, k)
     mtr = metering(net, meas)
@@ -146,16 +146,16 @@ def security_index(net: Network, meas: MeasurementSystem, k: int) -> SecurityInd
     Returns the index together with a witness attack normalized to
     delta_z[k] = 1: a certified minimum-support attack.  The system's
     target-free l1 LP (tumin.solve_l1_base) is solved on its first call
-    and kept with its grid.Metering; each call re-optimizes a copy of it
-    with meter k's row appended (tumin.solve_warm), as
-    tumin.solve_min_support does on a fresh one, on the Metering's kept
-    rows and matrix (no per-call copy).  Raises InfeasibleIndex when
-    protected meters pin meter k (no unobservable attack reaches it).
+    and kept, with the flow rows it was solved for, by its grid.Metering;
+    each call re-optimizes a copy of it with meter k's row appended
+    (tumin.solve_warm), as tumin.solve_min_support does on a fresh one.
+    Raises InfeasibleIndex when protected meters pin meter k (no
+    unobservable attack reaches it).
     """
     t0 = time.perf_counter()
     _flow_target(meas, k)
     mtr = metering(net, meas)
-    sol = solve_warm(mtr.l1_base, TUProblem(mtr.flow_matrix, k, meas.protected, mtr.flow_pairs))
+    sol = solve_warm(mtr.l1_base, k)
     if sol is None:
         raise InfeasibleIndex(k)
     return _exact_result(mtr, k, "lp", sol.x, sol.support, t0)

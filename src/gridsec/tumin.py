@@ -8,9 +8,10 @@ same optimum and an integral witness, so the combinatorial answer comes out
 of a single polynomial-time solve.  The LP is written once, in meter space:
 the state x is eliminated by Gauss-Jordan, leaving rows over the row
 slacks y plus state rows that give x back (_meter_space).  solve_l1_base
-solves it without a target row once per (A, I) and keeps it as live lists
-(L1Base); solve_warm re-optimizes a shallow copy of it per target row by
-a dual simplex and certifies the witness, and solve_min_support is the
+solves it without a target row once per (A, I) and keeps it as live
+lists with the rows and I it was solved for (L1Base); solve_warm(base, k)
+re-optimizes a shallow copy of it per target row k by a dual simplex and
+certifies the witness on base's own rows, and solve_min_support is the
 two on a fresh base.  A target pays for its pivots and for the rows its
 witness moves: its row is reduced over the two rows basic in its own
 columns, and the certificate reads A(j,:)x only on the rows that hold a
@@ -18,19 +19,19 @@ column x moves (L1Base.columns).
 
 For totally unimodular A every tableau of that LP is totally unimodular
 too, so the kept base and the warm step hold only -1, 0 and 1
-(lp._TernaryTableau: each row two bitmasks), and the state rows are
-bitmasks keyed by y column.  Data outside total unimodularity is an
-IntegralityError as soon as it shows: a base denominator or entry, a
-state row entry or a warm pivot leaving {-1, 0, 1}, or a witness the
-certificate rejects.  Such data may still have an integral l1 optimum,
-but l1 = cardinality is proved only under total unimodularity.
+(lp._TernaryTableau: each row two bitmasks), and so do the state rows,
+kept as bitmasks keyed by y column with their pivot signs folded in.
+Data outside total unimodularity is an IntegralityError as soon as it
+shows: a state pivot or entry, a base denominator or entry or a warm
+pivot leaving {-1, 0, 1}, or a witness the certificate rejects.  Such
+data may still have an integral l1 optimum, but l1 = cardinality is
+proved only under total unimodularity.
 
 Row indices (k, I, supports) are 1-based throughout this module.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 import math
@@ -47,13 +48,19 @@ from .exactla import _eliminate, _reduce, det_int, int_matrix
 def check_rows(m: int, k: int, I=frozenset()) -> frozenset[int]:
     """I as a frozenset of ints, once target row k and the protected rows I
     are known to lie in 1..m with k unprotected; ValueError otherwise."""
-    I = frozenset(int(i) for i in I)
     if not 1 <= k <= m:
         raise ValueError(f"target row {k} outside 1..{m}")
-    if any(not 1 <= i <= m for i in I):
-        raise ValueError("protected row outside 1..m")
+    I = _protected_rows(m, I)
     if k in I:
         raise ValueError("target row cannot be protected")
+    return I
+
+
+def _protected_rows(m: int, I) -> frozenset[int]:
+    """I as a frozenset of ints in 1..m; ValueError otherwise."""
+    I = frozenset(int(i) for i in I)
+    if any(not 1 <= i <= m for i in I):
+        raise ValueError("protected row outside 1..m")
     return I
 
 
@@ -119,8 +126,8 @@ class TUSolution:
             raise ValueError("cardinality must equal |support|")
 
 
-def _meter_space(rows, n: int, I: frozenset[int]) -> tuple[list, dict, int]:
-    """(rows over y, state rows, width) of the l1 LP of integer rows over n
+def _meter_space(rows, n: int, I: frozenset[int]) -> tuple[list, list[int], list[int], int]:
+    """(rows over y, spos, sneg, width) of the l1 LP of integer rows over n
     state columns, without a target row and with its state x eliminated.
 
     The LP reads A(j,:)x - y+_j + y-_j = 0 for each unprotected row j, then
@@ -129,8 +136,10 @@ def _meter_space(rows, n: int, I: frozenset[int]) -> tuple[list, dict, int]:
     holds a state column after reduction the state row of its smallest,
     then eliminates that column from the earlier state rows; the other rows
     are over y only (a dependent protected row reduces to nothing and is
-    dropped).  state maps each column c with a state row to (den, row):
-    den x_c + row . y = 0; each other state column is 0.
+    dropped).  Column c's state row p x_c + row . y = 0 has p = +-1, so
+    x_c = -p row . y: spos[j] / sneg[j] are bitmasks of the columns whose p
+    row holds +1 / -1 at y+_j (and the negative at y-_j); any other state
+    column is 0.  IntegralityError for a p or entry outside {-1, 0, 1}.
     """
     free = [j for j in range(1, len(rows) + 1) if j not in I]
     r = len(free)
@@ -157,16 +166,23 @@ def _meter_space(rows, n: int, I: frozenset[int]) -> tuple[list, dict, int]:
                 _eliminate(srow, row[c], f, row)
                 _reduce(srow, 0)
         state[c] = row
-    state = {c: (row[c], {j - n: v for j, v in row.items() if j >= n})
-             for c, row in state.items()}
-    return yrows, state, 2 * r
+    spos, sneg = [0] * r, [0] * r
+    for c, row in state.items():            # a final state row: c and y only
+        if any(v not in (-1, 1) for v in row.values()):
+            raise IntegralityError(f"state row {c} leaves {{-1, 0, 1}}: "
+                                   "the data is not totally unimodular")
+        p = row[c]
+        for j, v in row.items():
+            if n <= j < n + r:
+                (spos if v == p else sneg)[j - n] |= 1 << c
+    return yrows, spos, sneg, 2 * r
 
 
 def build_l1_lp(problem: TUProblem) -> lp.StandardFormLP:
     """The l1 relaxation of problem in one piece: _meter_space's rows, then
     the target row y+_k - y-_k = 1, i.e. A(k,:)x = 1.  The solve path builds
     the same LP in two steps (solve_l1_base, then solve_warm's row)."""
-    rows, _, width = _meter_space(problem.rows, problem.A.shape[1], problem.I)
+    rows, _, _, width = _meter_space(problem.rows, problem.A.shape[1], problem.I)
     y = _y_column(problem.I, problem.k)
     rows.append({y: 1, y + width // 2: -1, lp.RHS: 1})
     return lp.StandardFormLP.from_int_rows(rows, dict.fromkeys(range(width), 1), width)
@@ -175,72 +191,56 @@ def build_l1_lp(problem: TUProblem) -> lp.StandardFormLP:
 def solve_min_support(problem: TUProblem) -> TUSolution | None:
     """Exact minimum-support solve; None when the constraints are infeasible:
     solve_warm on a base solved for problem's rows and protection alone."""
-    return solve_warm(solve_l1_base(problem.rows, problem.A.shape[1], problem.I), problem)
+    return solve_warm(solve_l1_base(problem.rows, problem.A.shape[1], problem.I), problem.k)
 
 
 class L1Base(NamedTuple):
-    """solve_l1_base's solved target-free l1 LP, as live lists of ints.
+    """solve_l1_base's solved target-free l1 LP of rows and I, as live lists.
 
     pos, neg, basis and z are its optimal tableau in ternary form
-    (lp._TernaryTableau; every basic value is 0); dens, spos and sneg are
-    its state rows (_ternary_state); columns[c] holds the rows of the data
-    with a nonzero in state column c.  solve_warm copies the
-    tableau lists shallowly (their ints are immutable) and only reads the
-    rest, so a base serves every target unchanged.
+    (lp._TernaryTableau; every basic value is 0); spos and sneg are its
+    state rows (_meter_space); columns[c] holds the rows with a nonzero in
+    state column c.  solve_warm copies the tableau lists shallowly (their
+    ints are immutable) and only reads the rest, so a base serves every
+    target unchanged.
     """
 
     pos: list[int]
     neg: list[int]
     basis: list[int]
     z: list[int]
-    dens: dict[int, int]
     spos: list[int]
     sneg: list[int]
     columns: tuple[tuple[int, ...], ...]
+    rows: tuple[tuple[tuple[int, int], ...], ...]
+    I: frozenset[int]
 
 
 def solve_l1_base(rows, n: int, I=frozenset()) -> L1Base:
     """The l1 LP of integer rows (sparse_rows pairs) over n state columns
     and protected rows I without a target row, in meter space
-    (_meter_space), solved once for every target of a TUProblem with the
-    same rows and I.
+    (_meter_space), solved once for every target row of that data;
+    ValueError for a protected row or a column outside the data.
 
     lp.solve_lp must stop optimal at y = 0, so every basic value and the
     objective are 0 and need no keeping.  Data that is not totally
     unimodular can raise IntegralityError here.
     """
-    yrows, state, width = _meter_space(rows, n, frozenset(I))
+    rows = tuple(rows)
+    I = _protected_rows(len(rows), I)
+    columns: list[list[int]] = [[] for _ in range(n)]
+    for j, row in enumerate(rows, start=1):
+        for c, _ in row:
+            if not 0 <= c < n:
+                raise ValueError(f"column {c} outside 0..{n - 1}")
+            columns[c].append(j)
+    yrows, spos, sneg, width = _meter_space(rows, n, I)
     out = lp.solve_lp(lp.StandardFormLP.from_int_rows(yrows, dict.fromkeys(range(width), 1), width))
     if out.status is not lp.LpStatus.OPTIMAL or out.solution.objective != 0:
         raise SolverDefect("the target-free l1 LP is not optimal at zero; solver defect")
     tab = lp._TernaryTableau.of(out.tableau)
-    columns: list[list[int]] = [[] for _ in range(n)]
-    for j, row in enumerate(rows, start=1):
-        for c, _ in row:
-            columns[c].append(j)
-    return L1Base(tab.pos, tab.neg, tab.basis, tab.z, *_ternary_state(state, width // 2),
-                  tuple(map(tuple, columns)))
-
-
-def _ternary_state(state, r: int) -> tuple[dict[int, int], list[int], list[int]]:
-    """_meter_space's state rows over r free rows as (dens, pos, neg):
-    dens[c] is the den of column c's state row, and pos[j] / neg[j] are
-    bitmasks of the columns whose state row holds +1 / -1 at y+_j.  Each
-    state row starts as A(j,:)x - y+_j + y-_j, so its entry at y-_j is the
-    negative of that at y+_j.  IntegralityError for an entry outside
-    {-1, 0, 1}.
-    """
-    pos, neg = [0] * r, [0] * r
-    for c, (_, row) in state.items():
-        for j, v in row.items():
-            if j < r:
-                if v == 1:
-                    pos[j] |= 1 << c
-                elif v == -1:
-                    neg[j] |= 1 << c
-                else:
-                    raise IntegralityError(f"state row entry {v}: the data is not totally unimodular")
-    return {c: den for c, (den, _) in state.items()}, pos, neg
+    return L1Base(tab.pos, tab.neg, tab.basis, tab.z, spos, sneg, tuple(map(tuple, columns)),
+                  rows, I)
 
 
 def _y_column(I: frozenset[int], j: int) -> int:
@@ -249,60 +249,55 @@ def _y_column(I: frozenset[int], j: int) -> int:
     return j - 1 - sum(i < j for i in I)
 
 
-def solve_warm(base: L1Base, problem: TUProblem) -> TUSolution | None:
-    """Minimum-support solve by re-optimizing base, solve_l1_base of
-    problem's rows and protection; None when the constraints are
-    infeasible, i.e. when the dual simplex finds no basis.
+def solve_warm(base: L1Base, k: int) -> TUSolution | None:
+    """Minimum-support solve of target row k by re-optimizing base; None
+    when the constraints are infeasible, i.e. when the dual simplex finds
+    no basis.  ValueError for a k outside base's rows or protected.
 
     A ternary tableau copied from base gains the row -y+_k + y-_k + s =
     -1, i.e. A(k,:)x >= 1, as the target's own row reads A(k,:)x - y+_k +
     y-_k = 0, and lp's dual simplex restores nonnegative values.  The
     objective is positively homogeneous and at least |A(k,:)x|, so every
-    optimum has A(k,:)x = 1 and s = 0, an optimum of build_l1_lp(problem).
-    x is read from base's state rows.
+    optimum has A(k,:)x = 1 and s = 0, an optimum of build_l1_lp of the
+    same data.  x is read from base's state rows.
     """
+    y = _y_column(check_rows(len(base.rows), k, base.I), k)
     tab = lp._TernaryTableau(base.pos[:], base.neg[:], [0] * len(base.basis), base.basis[:],
                              base.z[:])
-    y = _y_column(problem.I, problem.k)
     tab.add_row(1 << (y + len(base.spos)), 1 << y, -1)
     if lp._run_dual_simplex(tab, [0]) is lp.LpStatus.INFEASIBLE:
         return None
-    return _certified_solution(problem, tab, base)
+    return _certified_solution(tab, base, k)
 
 
-def _state_values(vals: dict[int, int], base: L1Base) -> dict[int, int | Fraction]:
+def _state_values(vals: dict[int, int], base: L1Base) -> dict[int, int]:
     """The nonzero entries of x, by column, at the y values vals (by
     column) from base's state rows, touching only the state columns of the
-    nonzero y: each an int, or a Fraction when it is not integral."""
-    dens, pos, neg = base.dens, base.spos, base.sneg
+    nonzero y."""
+    pos, neg = base.spos, base.sneg
     r = len(pos)
-    num: dict[int, int] = {}
+    x: dict[int, int] = {}
     for j, v in vals.items():
         if j >= r:                      # y-_j: the entries of y+_j negated
             j, v = j - r, -v
         for c in lp._bits(pos[j]):
-            num[c] = num.get(c, 0) - v
+            x[c] = x.get(c, 0) - v
         for c in lp._bits(neg[j]):
-            num[c] = num.get(c, 0) + v
-    x: dict[int, int | Fraction] = {}
-    for c, v in num.items():
-        if v:
-            q, rem = divmod(v, dens[c])
-            x[c] = Fraction(v, dens[c]) if rem else q
-    return x
+            x[c] = x.get(c, 0) + v
+    return {c: v for c, v in x.items() if v}
 
 
-def _certified_solution(problem: TUProblem, tab: lp._TernaryTableau, base: L1Base) -> TUSolution:
-    """The minimum-support solution at an optimal l1 tableau, checked.
+def _certified_solution(tab: lp._TernaryTableau, base: L1Base, k: int) -> TUSolution:
+    """The minimum-support solution of row k at base's optimal tableau, checked.
 
     The tableau must read optimal, every column past the y block (the
     target row's slack) must be zero, and the objective must equal the y
-    sum.  The state move x, read from base's state rows, must be integral,
-    satisfy A(I,:)x = 0 and A(k,:)x = 1 on problem's integer rows, and
-    touch as many rows as the objective, in the unimodular pattern.
-    A(j,:)x is evaluated on the rows that hold a column x moves (base's
-    column index); every other row reads 0.  SolverDefect otherwise (its
-    subclass IntegralityError for a broken integrality pattern).
+    sum.  The state move x, read from base's state rows, must satisfy
+    A(I,:)x = 0 and A(k,:)x = 1 on base's integer rows, and touch as many
+    rows as the objective, in the unimodular pattern.  A(j,:)x is
+    evaluated on the rows that hold a column x moves (base's column
+    index); every other row reads 0.  SolverDefect otherwise (its subclass
+    IntegralityError for a broken integrality pattern).
     """
     tab.check_optimal()
     vals = tab.values()
@@ -312,15 +307,13 @@ def _certified_solution(problem: TUProblem, tab: lp._TernaryTableau, base: L1Bas
     if objective != sum(vals.values()):
         raise SolverDefect("objective bookkeeping mismatch; solver defect")
     moved = _state_values(vals, base)
-    x = [0] * problem.A.shape[1]
+    x = [0] * len(base.columns)
     for c, v in moved.items():
         x[c] = v
-    if any(type(v) is Fraction for v in moved.values()):
-        raise IntegralityError(f"fractional witness {x}")
-    image = _image(problem, x, {j for c in moved for j in base.columns[c]})
-    if image.get(problem.k) != 1 or any(j in problem.I for j in image):
+    image = _image(base.rows, x, {j for c in moved for j in base.columns[c]})
+    if image.get(k) != 1 or any(j in base.I for j in image):
         raise SolverDefect("witness breaks the target or a protected row; solver defect")
-    sol = _solution(problem, x, image)
+    sol = _solution(base.I, len(base.rows), x, image)
     if sol.cardinality != objective:
         raise IntegralityError(f"objective {objective} != support {sol.cardinality}")
     if any(v not in (-1, 1) for v in moved.values()) or any(v not in (-1, 1) for v in image.values()):
@@ -328,24 +321,22 @@ def _certified_solution(problem: TUProblem, tab: lp._TernaryTableau, base: L1Bas
     return sol
 
 
-def _image(problem: TUProblem, x, rows) -> dict[int, int]:
-    """A(j,:)x by row j among rows, where it is nonzero."""
-    data = problem.rows
+def _image(rows, x, which) -> dict[int, int]:
+    """A(j,:)x by row j among which, where it is nonzero (A by its rows)."""
     out = {}
-    for j in rows:
+    for j in which:
         v = 0
-        for c, a in data[j - 1]:
+        for c, a in rows[j - 1]:
             v += a * x[c]
         if v:
             out[j] = v
     return out
 
 
-def _solution(problem: TUProblem, x, image: dict[int, int]) -> TUSolution:
-    """The TUSolution of x, whose nonzero A(j,:)x are image (by row; a
-    protected row is left out)."""
-    I = problem.I
-    dense = [0] * (problem.A.shape[0] - len(I))
+def _solution(I: frozenset[int], m: int, x, image: dict[int, int]) -> TUSolution:
+    """The TUSolution of x over m rows with protected rows I, whose nonzero
+    A(j,:)x are image (by row; a protected row is left out)."""
+    dense = [0] * (m - len(I))
     support = []
     for j, v in image.items():
         if j not in I:
@@ -364,7 +355,8 @@ def validate_integrality(sol: TUSolution, problem: TUProblem) -> bool:
     the image recomputed from sol.x."""
     if len(sol.x) != problem.A.shape[1] or not _unimodular_pattern(sol):
         return False
-    recomputed = _solution(problem, sol.x, _image(problem, sol.x, range(1, problem.A.shape[0] + 1)))
+    m = problem.A.shape[0]
+    recomputed = _solution(problem.I, m, sol.x, _image(problem.rows, sol.x, range(1, m + 1)))
     return recomputed.image == sol.image and recomputed.support == sol.support
 
 

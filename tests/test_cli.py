@@ -285,6 +285,13 @@ class TestMainExitCodes:
         assert rc == 0
         assert "bounds=2,2" in out
 
+    def test_solve_bounds_on_a_protected_target_is_exit_2(self, tmp_path):
+        case = tmp_path / "protected.case"
+        case.write_text(SIXBUS_CASE.read_text() + "protect 1\n")
+        rc, out, err = run_main(["solve", str(case), "-k", "1", "--method", "bounds"])
+        assert rc == 2 and not out
+        assert "meter 1 is protected" in err
+
     def test_missing_case(self):
         rc, _, err = run_main(["solve", "/nonexistent.case", "-k", "1"])
         assert rc == 2

@@ -50,7 +50,7 @@ from gridsec.errors import (
 from gridsec import grid, security, tumin
 from gridsec.grid import _exact_H_rows, build_H, metering
 from gridsec.mincut import max_flow, witness
-from gridsec.security import _witness_attack
+from gridsec.security import CriticalTuple, _witness_attack
 from gridsec.tumin import solve_warm
 
 
@@ -149,6 +149,12 @@ class TestBounds:
         net = Network(3, ((1, 2, 1), (2, 3, 1)))
         meas = MeasurementSystem((1, 2), (2,), protected=frozenset({3}))
         with pytest.raises(ProtectedInjection):
+            security_index_bounds(net, meas, 1)
+
+    def test_rejects_protected_flow_target(self):
+        net = Network(3, ((1, 2, 1), (2, 3, 1)))
+        meas = MeasurementSystem((1, 2), (2,), protected=frozenset({1}))
+        with pytest.raises(ValidationError, match="meter 1 is protected"):
             security_index_bounds(net, meas, 1)
 
     def test_witness_is_unobservable_on_full_h(self):
@@ -333,6 +339,14 @@ class TestCriticalTuples:
         A = np.array([[1, -1, 0, 0], [0, 1, -1, 0], [0, 0, 1, -1], [-1, 0, 0, 1]])[:, 1:]
         assert min_critical_tuple(A, 1).cardinality == 2
 
+    @pytest.mark.parametrize("members, cardinality, target, message", [
+        ({1, 2}, 3, 1, "cardinality disagrees"),
+        ({1, 2}, 2, 3, "target not contained"),
+    ], ids=["cardinality", "target"])
+    def test_an_inconsistent_tuple_is_rejected(self, members, cardinality, target, message):
+        with pytest.raises(ValueError, match=message):
+            CriticalTuple(frozenset(members), cardinality, target)
+
     def test_condition_violations(self):
         with pytest.raises(ConditionViolated) as err:
             min_critical_tuple(np.array([[0, 0], [1, -1], [0, 1]]), 1)
@@ -394,7 +408,7 @@ class TestWarmSweep:
                     pinned += 1
                     continue
                 assert res.index == enumerated == mincut_index(net, meas, k).index
-                assert res.attack.touched == solve_warm(mtr.l1_base, prob).support
+                assert res.attack.touched == solve_warm(mtr.l1_base, k).support
                 assert len(res.attack.touched) == res.index
                 assert res.attack.delta_z[k - 1] == 1.0
                 assert res.attack.touched.isdisjoint(meas.protected)
@@ -407,9 +421,10 @@ class TestWarmSweep:
         net = Network(6, ((1, 2, 1), (2, 3, 2), (1, 3, 3), (3, 4, 1), (4, 5, 1),
                           (5, 6, 2), (4, 6, 1), (2, 5, 3)))
         meas = MeasurementSystem((1, 2, 3, 6))
-        dens = metering(net, meas).l1_base.dens
-        assert 2 not in dens          # bus 4's column (buses 2..6 are columns 0..4)
-        assert len(dens) == 3         # two columns have no state row: they stay 0
+        base = metering(net, meas).l1_base
+        moved = {c for mask in base.spos + base.sneg for c in lp._bits(mask)}
+        assert 2 not in moved         # bus 4's column (buses 2..6 are columns 0..4)
+        assert len(moved) == 3        # two columns have no state row: they stay 0
         for k, index in ((1, 2), (2, 2), (3, 2), (4, 1)):
             res = security_index(net, meas, k)
             assert res.index == index == mincut_index(net, meas, k).index
@@ -422,7 +437,8 @@ class TestWarmSweep:
         net = Network(5, ((1, 2, 1), (2, 3, 2), (2, 4, 1), (4, 5, 3)))
         meas = MeasurementSystem((1, 2, 3, 4))
         base = metering(net, meas).l1_base
-        assert base.pos == base.neg == base.basis == [] and sorted(base.dens) == [0, 1, 2, 3]
+        assert base.pos == base.neg == base.basis == []
+        assert sorted({c for mask in base.spos + base.sneg for c in lp._bits(mask)}) == [0, 1, 2, 3]
         for k in range(1, 5):
             res = security_index(net, meas, k)
             assert res.index == 1 == mincut_index(net, meas, k).index
@@ -452,7 +468,7 @@ class TestWarmSweep:
         meas = MeasurementSystem(tuple(range(1, 85)), protected=meas0.protected | {84})
         base = metering(net, meas).l1_base
         kept = copy.deepcopy(base)
-        assert base.pos and base.basis and base.dens
+        assert base.pos and base.basis and any(base.spos + base.sneg)
         first = {}
         for k in sorted(set(range(1, 85)) - meas.protected):
             try:

@@ -1,6 +1,8 @@
 """Minimum-support solver against frozen values and the enumeration oracle."""
+import ast
 import random
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,14 +28,15 @@ from gridsec import (
     validate_integrality,
     verify_tu,
 )
-from gridsec import lp
+from gridsec import lp, tumin
 from gridsec.errors import IntegralityError, SizeLimitExceeded, SolverDefect
 from gridsec.exactla import int_rank
 from gridsec.grid import parse_case
 from gridsec.lp import LpStatus, StandardFormLP, solve_lp
 from gridsec.oracle import exhaustive_min_tuple, nullspace_reformulate, solve_milp_instance
 from gridsec.security import reduce_to_tu
-from gridsec.tumin import _image, _meter_space, _solution, solve_l1_base, solve_warm, sparse_rows
+from gridsec.tumin import (TUSolution, _image, _meter_space, _solution, solve_l1_base, solve_warm,
+                           sparse_rows)
 
 
 def signed_image(A, x):
@@ -48,11 +51,15 @@ INDEX_PROBLEMS = {
     "exhaustive_min_support": (exhaustive_min_support, True),
     "exhaustive_min_tuple": (exhaustive_min_tuple, False),
     "nullspace_reformulate": (nullspace_reformulate, True),
+    "solve_warm": (lambda A, k, I=(): solve_warm(solve_l1_base(sparse_rows(A), A.shape[1], I), k),
+                   True),
 }
 # (k, I, message) against a 2-row matrix
 BAD_ROWS = {
     "target-out-of-range": (3, (), "target row 3 outside 1..2"),
     "protected-out-of-range": (1, (frozenset({5}),), "protected row outside 1..m"),
+    "protected-row-zero": (1, (frozenset({0}),), "protected row outside 1..m"),
+    "protected-row-negative": (1, (frozenset({-1}),), "protected row outside 1..m"),
     "protected-target": (1, (frozenset({1}),), "target row cannot be protected"),
 }
 
@@ -84,6 +91,10 @@ class TestProblemValidation:
     def test_non_integer_entries_are_rejected_not_truncated(self, build, first):
         with pytest.raises(ValueError, match="integer entries"):
             build([[first, 0], [0, 1], [1, -1]])
+
+    def test_a_solution_whose_cardinality_is_not_its_support_is_rejected(self):
+        with pytest.raises(ValueError, match="cardinality must equal"):
+            TUSolution((1, 0), frozenset({1, 2}), 1, (1, 1))
 
     def test_problems_compare_and_hash_by_value(self):
         A = np.array([[1, 0], [1, 1], [0, 1]])
@@ -277,8 +288,9 @@ class TestValidateIntegrality:
 
     def test_fractional_optimum_is_a_solver_defect(self):
         # an odd cycle is not totally unimodular: its l1 optimum is the
-        # fractional x = (1/2, 1/2, -1/2), which the certificate rejects
-        with pytest.raises(SolverDefect, match="fractional witness"):
+        # fractional x = (1/2, 1/2, -1/2), and its state elimination pivots
+        # on 2
+        with pytest.raises(SolverDefect, match="not totally unimodular"):
             solve_min_support(TUProblem([[1, 1, 0], [0, 1, 1], [1, 0, 1]], 1))
 
 
@@ -306,7 +318,8 @@ class TestSparseCertificate:
         for _ in range(150):
             prob = random_tu_problem(rng)
             x = [rng.randint(-2, 2) for _ in range(prob.A.shape[1])]
-            assert _solution(prob, x, _image(prob, x, range(1, prob.A.shape[0] + 1))) == \
+            m = prob.A.shape[0]
+            assert _solution(prob.I, m, x, _image(prob.rows, x, range(1, m + 1))) == \
                 solution_from_x(prob, x)
 
     def test_the_column_index_holds_every_row_of_each_column(self):
@@ -316,6 +329,9 @@ class TestSparseCertificate:
             base = solve_l1_base(prob.rows, prob.A.shape[1], prob.I)
             assert base.columns == tuple(tuple((np.flatnonzero(prob.A[:, c]) + 1).tolist())
                                          for c in range(prob.A.shape[1]))
+        # a column past n is refused, not read as a slack column of the LP
+        with pytest.raises(ValueError, match="column 1 outside 0..0"):
+            solve_l1_base(sparse_rows(np.eye(2, dtype=int)), 1)
 
 
 class TestWarmStateRows:
@@ -333,11 +349,12 @@ class TestWarmStateRows:
             A[:, rng.sample(range(n), rng.randint(0, n // 2))] = 0
             I = frozenset(rng.sample(range(1, m + 1), rng.randint(0, m - 1)))
             base = solve_l1_base(sparse_rows(A), n, I)
-            assert set(base.dens) <= set(range(n))
-            fixed += n - len(base.dens)
+            moved = {c for mask in base.spos + base.sneg for c in lp._bits(mask)}
+            assert moved <= set(range(n))
+            fixed += n - len(moved)
             for k in sorted(set(range(1, m + 1)) - I):
                 prob = TUProblem(A, k, I)
-                warm = solve_warm(base, prob)
+                warm = solve_warm(base, k)
                 if not feasibility_by_rank(A, k, I):
                     assert warm is None
                     infeasible += 1
@@ -348,15 +365,27 @@ class TestWarmStateRows:
         assert feasible > 150 and infeasible > 50 and fixed > 100
 
     @pytest.mark.parametrize("forge", [
-        lambda base: base._replace(dens={c: 2 * den for c, den in base.dens.items()}),
         lambda base: base._replace(spos=base.sneg, sneg=base.spos),
-    ], ids=["denominator", "entry"])
+    ], ids=["entry"])
     def test_a_forged_state_row_is_a_solver_defect(self, forge):
-        # doubled denominators halve x; entries of the opposite sign negate it
+        # entries of the opposite sign negate x
         base = solve_l1_base(sparse_rows(SIXBUS_A), 5)
-        assert base.dens
+        assert any(base.spos + base.sneg)
         with pytest.raises(SolverDefect):
-            solve_warm(forge(base), TUProblem(SIXBUS_A, 6))
+            solve_warm(forge(base), 6)
+
+
+def test_the_warm_sweep_imports_nothing_from_fractions():
+    # the state rows carry their pivot signs, so x is read back by integer
+    # sums; an import of fractions would mean a rational path came back
+    tree = ast.parse(Path(tumin.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module.split(".")[0])
+    assert imported and "fractions" not in imported
 
 
 class TestTernaryWarmStep:
@@ -373,7 +402,7 @@ class TestTernaryWarmStep:
         total = 0
         for _ in range(150):
             prob = random_tu_problem(rng)
-            rows, _, width = _meter_space(prob.rows, prob.A.shape[1], prob.I)
+            rows, _, _, width = _meter_space(prob.rows, prob.A.shape[1], prob.I)
             tab = solve_lp(StandardFormLP.from_int_rows(
                 rows, dict.fromkeys(range(width), 1), width)).tableau
             tern = lp._TernaryTableau.of(tab)
