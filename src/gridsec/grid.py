@@ -189,7 +189,8 @@ class Metering:
     once per (network, measurement system) pair: the line each flow meter
     reads, the 0-based slot of each metered line id and bus in the combined
     meter list (flows first), and what the solvers derive from them on
-    first use, all kept with the network."""
+    first use (among them the l1 base and the MILP root, each solved once
+    for every target of the system), all kept with the network."""
 
     net: Network
     meas: MeasurementSystem
@@ -249,6 +250,17 @@ class Metering:
         protected meters), built on the first LP solve of a flow-only
         system, never at parse time."""
         return solve_l1_base(self.flow_pairs, self.flow_matrix.shape[1], self.meas.protected)
+
+    @cached_property
+    def milp_root(self):
+        """The solved target-free big-M root of flow_pairs and the protected
+        meters, with the network's big-M (oracle.MilpRoot: its optimal
+        tableau, which every target copies, and the data it was solved
+        for), built on the first MILP solve of a flow-only system, never at
+        parse time."""
+        from .oracle import _big_m, _milp_root      # oracle imports this module
+        return _milp_root(self.flow_pairs, self.flow_matrix.shape[1], self.meas.protected,
+                          _big_m(self.net))
 
 
 def metering(net: Network, meas: MeasurementSystem) -> Metering:

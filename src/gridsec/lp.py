@@ -25,9 +25,11 @@ dependent rows; the simplex expects independent ones.
 A solve returns an LpOutcome; an optimal one carries its tableau, which
 can be re-optimized in place rather than solved again: by the primal
 simplex after a cost change, and by the dual simplex after an appended
-row.  The MILP oracle's branch and bound does so at every node.  The l1
-sweep of a measurement system (tumin.solve_l1_base) converts one optimal
-tableau to a _TernaryTableau, whose entries are all -1, 0 or 1 (total
+row.  The MILP oracle keeps one optimal tableau per measurement system,
+its target-free root, re-optimizes a copy of it for each target, and
+then does so at every branch-and-bound node.  The l1 sweep of a
+measurement system (tumin.solve_l1_base) converts one optimal tableau to
+a _TernaryTableau, whose entries are all -1, 0 or 1 (total
 unimodularity), each row two bitmasks, and the same dual simplex loop
 re-optimizes a fresh copy of it for each target row by the same rules.
 """

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from time import perf_counter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .errors import (
 )
 from .exactla import frac_rref, in_row_space, int_rank, left_nullspace, scale_row, to_fraction
 from .grid import MeasurementSystem, Network, incidence, metering
-from .security import CriticalTuple, SecurityIndexResult, _exact_result, reduce_to_tu
+from .security import CriticalTuple, SecurityIndexResult, _exact_result, _flow_target
 from .tumin import TUProblem, check_rows
 
 
@@ -105,115 +106,136 @@ def _big_m(net: Network) -> Fraction:
     return to_fraction(np.abs(incidence(net)[1]).sum(axis=0).max())
 
 
-def _t_columns(prob: TUProblem) -> dict[int, int]:
-    """Column of t+_j for every free row j (unprotected, not the target), in
-    row order; t-_j and u_j follow it, after the 2n state columns."""
-    n = prob.A.shape[1]
-    free = [j for j in prob.free_rows if j != prob.k]
+def _t_columns(m: int, n: int, I: frozenset[int]) -> dict[int, int]:
+    """Column of t+_j for every unprotected row j of m rows over n states,
+    in row order; t-_j and u_j follow it, after the 2n state columns."""
+    free = [j for j in range(1, m + 1) if j not in I]
     return {j: 2 * n + 3 * pos for pos, j in enumerate(free)}
 
 
-def _node_lp(prob: TUProblem, big_m: Fraction) -> lp.StandardFormLP:
-    """Exact root LP relaxation of the big-M formulation of prob.
+def _node_lp(rows, n: int, I: frozenset[int], big_m: Fraction) -> lp.StandardFormLP:
+    """Exact target-free root LP relaxation of the big-M formulation of
+    integer rows (sparse pairs) over n states with protected rows I.
 
     Binaries y mark touched rows: minimize sum(y) subject to
-    |A(j,:) d| <= big_m * y_j on unprotected rows, A(I,:) d = 0 and
-    A(k,:) d = 1.  Every unprotected row j other than the target is free:
-    it contributes y_j = (t+ + t-)/big_m through a link row
-    A(j,:) d - t+ + t- = 0 and a box t+ + t- + u = big_m.  States split as
-    d = dp - dm for nonnegativity.  Branch and bound keeps this layout at
-    every node.  The rows are integral (the
-    box rows are scaled by big-M's denominator) and the cost 1/big_m on the
-    t columns is stored over big-M's numerator.  Dependent protected rows
-    are left to lp.preprocess.
+    |A(j,:) d| <= big_m * y_j on unprotected rows and A(I,:) d = 0.  Every
+    unprotected row j is free: it contributes y_j = (t+ + t-)/big_m through
+    a link row A(j,:) d - t+ + t- = 0 and a box t+ + t- + u = big_m.
+    States split as d = dp - dm for nonnegativity.  A target adds its own
+    rows (_target_tableau) and branch and bound keeps this layout at every
+    node.  The rows are integral (the box rows are scaled by big-M's
+    denominator) and the cost 1/big_m on the t columns is stored over
+    big-M's numerator.  Dependent protected rows are left to lp.preprocess.
     """
-    n = prob.A.shape[1]
-    tcol = _t_columns(prob)
-    p = 2 * n + 3 * len(tcol)
+    tcol = _t_columns(len(rows), n, I)
     Mn, Md = big_m.numerator, big_m.denominator
 
     def state_part(j):
         row = {}
-        for c, a in prob.rows[j - 1]:
+        for c, a in rows[j - 1]:
             row[c] = a
             row[n + c] = -a
         return row
 
-    rows: list[dict[int, int]] = []
+    out: list[dict[int, int]] = []
     for j, t in tcol.items():
         link = state_part(j)
         link[t] = -1
         link[t + 1] = 1
-        rows.append(link)
-        rows.append({t: Md, t + 1: Md, t + 2: Md, lp.RHS: Mn})
-    for j in sorted(prob.I):
-        rows.append(state_part(j))
-    target = state_part(prob.k)
-    target[lp.RHS] = 1
-    rows.append(target)
-
+        out.append(link)
+        out.append({t: Md, t + 1: Md, t + 2: Md, lp.RHS: Mn})
+    for j in sorted(I):
+        out.append(state_part(j))
     cost = {c: Md for t in tcol.values() for c in (t, t + 1)}
-    return lp.StandardFormLP.from_int_rows(rows, cost, p, cost_den=Mn)
+    return lp.StandardFormLP.from_int_rows(out, cost, 2 * n + 3 * len(tcol), cost_den=Mn)
 
 
-def _check_incumbent(root: lp.StandardFormLP, x: dict[int, Fraction]) -> None:
-    """An incumbent (nonzero values x by column) must satisfy the root rows
-    exactly; checked over x's common denominator."""
-    nums, den = scale_row(x.values())
-    X = dict(zip(x, nums))
-    for pairs in root.rows:
-        lhs = sum(a * X.get(c, 0) for c, a in pairs if c != lp.RHS)
-        if lhs != dict(pairs).get(lp.RHS, 0) * den:
-            raise SolverDefect("incumbent violates a root row; solver defect")
+class MilpRoot(NamedTuple):
+    """_milp_root's solved target-free big-M root of rows, n, I and big_m:
+    its optimal tableau (d = 0), which every target copies and none
+    changes, and _t_columns of the data."""
+
+    tab: lp._Tableau
+    tcol: dict[int, int]
+    rows: tuple[tuple[tuple[int, int], ...], ...]
+    n: int
+    I: frozenset[int]
+    big_m: Fraction
 
 
-def solve_milp_instance(prob: TUProblem, big_m=Fraction(2), *, cap: int = 100_000,
-                        trace=None) -> tuple[int, tuple[Fraction, ...], frozenset[int], int] | None:
-    """Branch and bound on the big-M formulation of prob (see _node_lp).
-
-    big_m must be positive and should dominate |A(j,:) d| at some optimum;
-    an undersized one can only raise the optimum or make it infeasible.
-    Depth-first, branching the lowest-index fractional binary with the
-    zero branch explored first; node bounds come from exact LP
-    relaxations, so a subtree is pruned only when its bound provably
-    exceeds best - 1 (the objective is integral).  Only the root LP
-    (_node_lp) is solved from scratch, by lp.solve_lp, which preprocesses
-    it; every other node re-optimizes its parent's exact optimal tableau.
-    Fixing y_j = 1 drops the cost of t+_j and t-_j, which keeps the basis
-    primal feasible, so the primal simplex continues; fixing y_j = 0
-    appends the row t+_j + t-_j + s = 0, which keeps it dual feasible, so
-    the dual simplex restores nonnegative values.  The zero branch takes
-    the parent's tableau in place, the one branch a copy.  Each node's
-    tableau is certified optimal (basic values and reduced costs
-    nonnegative), and its vertex checked against its zero fixings, before
-    it is used.
-
-    Every node's relaxation is itself an attack: d = dp - dm meets the
-    root rows and the node's fixings, and the link rows give
-    A(j,:) d = t+_j - t-_j, so d moves the target plus exactly the free
-    rows with t+_j != t-_j.  When that count beats the best so far, d
-    becomes the incumbent, once the vertex passes an exact check against
-    the root rows (_check_incumbent).  At a leaf (no fractional binary)
-    the count is at most the leaf's objective, so leaves need no rule of
-    their own.  Failed certificates and checks raise SolverDefect.
-
-    More than cap nodes raise CapExceeded(cap); the default is over a
-    hundred times the most nodes any meter of the bundled cases or of a
-    seeded 118-bus synthetic grid needs.  trace, when given, receives one
-    free-text line per node.  Returns (optimum, d, support, nodes) or None
-    when even the root is infeasible.
-    """
+def _milp_root(rows, n: int, I: frozenset[int], big_m) -> MilpRoot:
+    """The root LP (_node_lp) of checked integer rows over n states and
+    protected rows I, solved once by lp.solve_lp for every target row of
+    that data; ValueError unless big_m is positive.  The solve must stop
+    optimal at zero with a certified tableau; SolverDefect otherwise."""
     M = to_fraction(big_m)
     if M <= 0:
         raise ValueError("big_m must be positive")
-    n = prob.A.shape[1]
-    root = _node_lp(prob, M)
-    tcol = _t_columns(prob)
+    rows = tuple(rows)
+    out = lp.solve_lp(_node_lp(rows, n, I, M))
+    if out.status is not lp.LpStatus.OPTIMAL or out.solution.objective != 0:
+        raise SolverDefect("the target-free big-M root is not optimal at zero; solver defect")
+    out.tableau.check_optimal()
+    # a copy holds its rows in dicts of their final size
+    return MilpRoot(out.tableau.copy(), _t_columns(len(rows), n, I), rows, n, I, M)
+
+
+def _fix_one(tab: lp._Tableau, root: MilpRoot, j: int) -> lp.LpStatus:
+    """y_j = 1 on tab: t+_j and t-_j cost nothing, and the primal simplex
+    continues."""
+    t, M = root.tcol[j], root.big_m
+    tab.add_cost({t: -M.denominator, t + 1: -M.denominator}, M.numerator)
+    return lp._run_simplex(tab, [0])
+
+
+def _target_tableau(root: MilpRoot, k: int) -> tuple[lp._Tableau, lp.LpStatus]:
+    """A copy of root's tableau re-optimized for target row k: y_k = 1
+    (_fix_one), then t+_k - t-_k, which k's link row holds at A(k,:) d, is
+    held at 1 by two appended rows, <= and >=, and the dual simplex
+    restores nonnegative values.  A >= row alone would admit zero-cost
+    optima with A(k,:) d > 1."""
+    t = root.tcol[k]
+    tab = root.tab.copy()
+    status = _fix_one(tab, root, k)
+    if status is lp.LpStatus.OPTIMAL:
+        tab.add_row({t: 1, t + 1: -1, lp.RHS: 1})
+        tab.add_row({t: -1, t + 1: 1, lp.RHS: -1})
+        status = lp._run_dual_simplex(tab, [0])
+    return tab, status
+
+
+def _check_incumbent(root: MilpRoot, k: int, x: dict[int, Fraction]) -> None:
+    """An incumbent (nonzero values x by column) must satisfy every root
+    row of _node_lp (links, boxes, protected rows) and the target's
+    A(k,:) d = 1 exactly; checked over x's common denominator."""
+    nums, den = scale_row(x.values())
+    X = dict(zip(x, nums))
+    n, M = root.n, root.big_m
+
+    def image(j):                     # den * A(j,:) d
+        return sum(a * (X.get(c, 0) - X.get(n + c, 0)) for c, a in root.rows[j - 1])
+
+    ok = image(k) == den and not any(image(i) for i in root.I)
+    for j, t in root.tcol.items():
+        tp, tm, u = X.get(t, 0), X.get(t + 1, 0), X.get(t + 2, 0)
+        ok = (ok and image(j) == tp - tm
+              and (tp + tm + u) * M.denominator == M.numerator * den)
+    if not ok:
+        raise SolverDefect("incumbent violates a root row; solver defect")
+
+
+def _branch_and_bound(root: MilpRoot, k: int, *, cap: int = 100_000, trace=None):
+    """Branch and bound for target row k on root; see solve_milp_instance.
+    ValueError for a k outside root's rows or protected."""
+    check_rows(len(root.rows), k, root.I)
+    M, n = root.big_m, root.n
+    # every unprotected row but the target, whose binary is fixed to 1
+    free = {j: c for j, c in root.tcol.items() if j != k}
     best: int | None = None
     best_d: list[Fraction] | None = None
     nodes = 0
     # (tableau, rows fixed to 0, rows fixed to 1, the row fixed last); the
-    # root has neither a tableau nor a fixing yet
+    # target's node has neither a tableau nor a fixing yet
     stack: list[tuple] = [(None, frozenset(), frozenset(), None)]
     while stack:
         tab, fixed0, fixed1, j = stack.pop()
@@ -221,19 +243,17 @@ def solve_milp_instance(prob: TUProblem, big_m=Fraction(2), *, cap: int = 100_00
         if nodes > cap:
             raise CapExceeded(cap, f"branch and bound exceeded its cap of {cap} nodes")
         depth = len(fixed0) + len(fixed1)
-        # the target row always counts: |A(k,:) d| = 1 forces its binary to 1
+        # the target row always counts: its binary is fixed to 1
         if best is not None and len(fixed1) + 1 > best - 1:
             if trace is not None:
                 trace.write(f"node depth={depth} fixed1={len(fixed1)} action=prune-depth\n")
             continue
         if tab is None:
-            out = lp.solve_lp(root)
-            status, tab = out.status, out.tableau
+            tab, status = _target_tableau(root, k)
         elif j in fixed1:
-            tab.add_cost({c: -M.denominator for c in (tcol[j], tcol[j] + 1)}, M.numerator)
-            status = lp._run_simplex(tab, [0])
+            status = _fix_one(tab, root, j)
         else:
-            tab.add_row({tcol[j]: 1, tcol[j] + 1: 1})
+            tab.add_row({free[j]: 1, free[j] + 1: 1})
             status = lp._run_dual_simplex(tab, [0])
         if status is lp.LpStatus.INFEASIBLE:
             if trace is not None:
@@ -243,11 +263,11 @@ def solve_milp_instance(prob: TUProblem, big_m=Fraction(2), *, cap: int = 100_00
             raise SolverDefect("bounded relaxation reported unbounded; solver defect")
         tab.check_optimal()
         x = tab.values()
-        value = 1 + sum(1 for c in tcol.values() if x.get(c, 0) != x.get(c + 1, 0))
-        if any(c in x for i in fixed0 for c in (tcol[i], tcol[i] + 1)):
+        value = 1 + sum(1 for c in free.values() if x.get(c, 0) != x.get(c + 1, 0))
+        if any(c in x for i in fixed0 for c in (free[i], free[i] + 1)):
             raise SolverDefect("node vertex moves a row fixed to zero; solver defect")
         if best is None or value < best:
-            _check_incumbent(root, x)
+            _check_incumbent(root, k, x)
             best = value
             best_d = [to_fraction(x.get(c, 0) - x.get(n + c, 0)) for c in range(n)]
             if trace is not None:
@@ -259,7 +279,7 @@ def solve_milp_instance(prob: TUProblem, big_m=Fraction(2), *, cap: int = 100_00
             continue
         # y_i = (t+_i + t-_i) / big_m on the rows still open (the check
         # above holds the rows fixed to zero at 0)
-        frac = [i for i, c in tcol.items()
+        frac = [i for i, c in free.items()
                 if i not in fixed1 and x.get(c, 0) + x.get(c + 1, 0) not in (0, M)]
         if not frac:
             continue
@@ -270,28 +290,79 @@ def solve_milp_instance(prob: TUProblem, big_m=Fraction(2), *, cap: int = 100_00
         stack.append((tab, fixed0 | {j}, fixed1, j))
     if best is None:
         return None
-    support = frozenset(j for j in prob.free_rows
-                        if sum(a * best_d[c] for c, a in prob.rows[j - 1]))
+    nums, _ = scale_row(best_d)       # d over its common denominator
+    support = frozenset(j for j in root.tcol
+                        if sum(a * nums[c] for c, a in root.rows[j - 1]))
     if len(support) != best:
         raise SolverDefect("incumbent support disagrees with the optimum")
     return best, tuple(best_d), support, nodes
+
+
+def solve_milp_instance(prob: TUProblem, big_m=Fraction(2), *, cap: int = 100_000,
+                        trace=None) -> tuple[int, tuple[Fraction, ...], frozenset[int], int] | None:
+    """Branch and bound on the big-M formulation of prob (see _node_lp):
+    a fresh root for prob's rows, protected rows and big_m (_milp_root),
+    then target row prob.k on it, as milp_solve does on a system's kept
+    root.
+
+    big_m must be positive and should dominate |A(j,:) d| at some optimum;
+    an undersized one can only raise the optimum or make it infeasible
+    (below 1 the target row itself cannot reach 1).
+    Depth-first, branching the lowest-index fractional binary with the
+    zero branch explored first; node bounds come from exact LP
+    relaxations, so a subtree is pruned only when its bound provably
+    exceeds best - 1 (the objective is integral).  Only the target-free
+    root is solved from scratch, by lp.solve_lp, which preprocesses it;
+    each target re-optimizes a copy of its exact optimal tableau
+    (_target_tableau), and every other node its parent's.  Fixing y_j = 1
+    drops the cost of t+_j and t-_j, which keeps the basis primal
+    feasible, so the primal simplex continues; fixing y_j = 0 appends the
+    row t+_j + t-_j + s = 0, which keeps it dual feasible, so the dual
+    simplex restores nonnegative values.  The zero branch takes the
+    parent's tableau in place, the one branch a copy.  Each node's
+    tableau is certified optimal (basic values and reduced costs
+    nonnegative), and its vertex checked against its zero fixings, before
+    it is used.
+
+    Every node's relaxation is itself an attack: d = dp - dm meets the
+    root rows and the node's fixings, and the link rows give
+    A(j,:) d = t+_j - t-_j, so d moves the target plus exactly the free
+    rows with t+_j != t-_j.  When that count beats the best so far, d
+    becomes the incumbent, once the vertex passes an exact check against
+    the root rows and A(k,:) d = 1 (_check_incumbent).  At a leaf (no
+    fractional binary) the count is at most the leaf's objective, so
+    leaves need no rule of their own.  Failed certificates and checks
+    raise SolverDefect.
+
+    More than cap nodes raise CapExceeded(cap); the default is over a
+    hundred times the most nodes any meter of the bundled cases or of a
+    seeded 118-bus synthetic grid needs.  trace, when given, receives one
+    free-text line per node.  Returns (optimum, d, support, nodes) or None
+    when even the target's node is infeasible.
+    """
+    root = _milp_root(prob.rows, prob.A.shape[1], prob.I, big_m)
+    return _branch_and_bound(root, prob.k, cap=cap, trace=trace)
 
 
 def milp_solve(net: Network, meas: MeasurementSystem, k: int, *,
                trace=None) -> SecurityIndexResult:
     """Security index of flow meter k via the big-M reference solver.
 
-    Self-contained alternative to the l1 path: the same reduction to
-    integer rows (security.reduce_to_tu), an entirely different search,
-    with the network's big-M (_big_m).  The witness is rescaled so meter k
-    reads +1 in measurement units.
+    Self-contained alternative to the l1 path: the same integer flow rows,
+    an entirely different search.  The system's target-free root, with the
+    network's big-M (_big_m), is solved on its first MILP solve and kept
+    by its grid.Metering (milp_root); each call runs branch and bound for
+    meter k on a copy of it, as solve_milp_instance does on a fresh one.
+    The witness is rescaled so meter k reads +1 in measurement units.
     """
     t0 = perf_counter()
-    out = solve_milp_instance(reduce_to_tu(net, meas, k), _big_m(net), trace=trace)
+    _flow_target(meas, k)
+    mtr = metering(net, meas)
+    out = _branch_and_bound(mtr.milp_root, k, trace=trace)
     if out is None:
         raise InfeasibleIndex(k)
     _, d, support, _ = out
-    return _exact_result(metering(net, meas), k, "milp", d, support, t0)
+    return _exact_result(mtr, k, "milp", d, support, t0)
 
 
 # --- compressed-sensing diagnostics --------------------------------------

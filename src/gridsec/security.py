@@ -82,7 +82,8 @@ def reduce_to_tu(net: Network, meas: MeasurementSystem, k: int) -> TUProblem:
     line over the non-reference buses; reactances cancel out of the
     support.  Only pure flow metering reduces this way, so injection
     meters raise HasInjections.  A is an int copy of the system's kept
-    flow matrix, for the oracles; security_index reads the kept l1 base.
+    flow matrix, for the oracles on one problem; security_index and
+    oracle.milp_solve read the system's kept l1 base and MILP root.
     """
     _flow_target(meas, k)
     mtr = metering(net, meas)

@@ -430,17 +430,37 @@ def test_a_dual_simplex_that_skips_its_work_is_caught(monkeypatch):
 
 
 
-def test_an_incumbent_off_its_zero_fixing_is_caught(monkeypatch):
-    # the dual simplex drops the new rows' negative values instead of
-    # pivoting: every tableau still reads optimal, the fixings fail
+def _lying_dual_simplex(monkeypatch, honest_calls):
+    # past its first honest_calls runs, the dual simplex drops the new rows'
+    # negative values instead of pivoting: every tableau still reads optimal
+    real = lp_module._run_dual_simplex
+    calls = [0]
+
     def lying(tab, *args):
+        calls[0] += 1
+        if calls[0] <= honest_calls:
+            return real(tab, *args)
         for row in tab.rows:
             if row.get(RHS, 0) < 0:
                 del row[RHS]
         return LpStatus.OPTIMAL
 
     monkeypatch.setattr(lp_module, "_run_dual_simplex", lying)
+
+
+def test_an_incumbent_off_its_zero_fixing_is_caught(monkeypatch):
+    # the target's own rows are honestly re-optimized, the zero branches'
+    # fixings fail
+    _lying_dual_simplex(monkeypatch, 1)
     with pytest.raises(SolverDefect, match="fixed to zero"):
+        oracle.solve_milp_instance(SIXBUS_MILP)
+
+
+def test_an_incumbent_off_the_target_row_is_caught(monkeypatch):
+    # the target's node keeps t+_k - t-_k at 0, so its vertex misses
+    # A(k,:) d = 1
+    _lying_dual_simplex(monkeypatch, 0)
+    with pytest.raises(SolverDefect, match="root row"):
         oracle.solve_milp_instance(SIXBUS_MILP)
 
 
@@ -448,7 +468,7 @@ def test_a_forged_node_vertex_is_caught(monkeypatch):
     # values() swaps t+_j and t-_j on every free row: each box row and the
     # objective still hold, but the link rows A(j,:) d = t+_j - t-_j do not
     real = lp_module._Tableau.values
-    tcol = oracle._t_columns(SIXBUS_MILP)
+    tcol = oracle._t_columns(*SIXBUS_A.shape, SIXBUS_MILP.I)
 
     def swapped(tab):
         x = real(tab)
@@ -474,4 +494,49 @@ def test_an_incumbent_off_the_root_rows_is_caught(monkeypatch):
 
     monkeypatch.setattr(lp_module, "_run_simplex", doubling)
     with pytest.raises(SolverDefect, match="root row"):
+        oracle.solve_milp_instance(SIXBUS_MILP)
+
+
+def _root_point(root, d):
+    """The point of root's layout at the state move d: d = dp - dm, each
+    free row's t+_j - t-_j = A(j,:) d, and u_j the rest of its box."""
+    n, x = root.n, {}
+    for c, v in enumerate(d):
+        x[c if v > 0 else n + c] = abs(v)
+    for j, t in root.tcol.items():
+        a = sum(v * d[c] for c, v in root.rows[j - 1])
+        x[t if a > 0 else t + 1] = abs(a)
+        x[t + 2] = root.big_m - abs(a)
+    return {c: Fraction(v) for c, v in x.items() if v}
+
+
+def test_an_incumbent_off_a_protected_row_is_caught():
+    # the optimal d of meter 6 moves rows 2, 3 and 6: a point of the
+    # unprotected root, but not of a root that protects row 2
+    d = oracle.solve_milp_instance(SIXBUS_MILP)[1]
+    root = oracle._milp_root(SIXBUS_MILP.rows, 5, frozenset(), Fraction(2))
+    oracle._check_incumbent(root, 6, _root_point(root, d))
+    root = oracle._milp_root(SIXBUS_MILP.rows, 5, frozenset({2}), Fraction(2))
+    with pytest.raises(SolverDefect, match="root row"):
+        oracle._check_incumbent(root, 6, _root_point(root, d))
+
+
+def test_a_miscounted_incumbent_is_caught_by_its_support(monkeypatch):
+    # with the incumbent check off, a vertex whose t columns hide one moved
+    # row counts one row fewer than its d moves
+    real = lp_module._Tableau.values
+    tcol = oracle._t_columns(*SIXBUS_A.shape, SIXBUS_MILP.I)
+
+    def hiding(tab):
+        x = real(tab)
+        for j, c in tcol.items():
+            if j != SIXBUS_MILP.k and x.get(c, 0) != x.get(c + 1, 0):
+                x.pop(c, None)
+                x.pop(c + 1, None)
+                break
+        return x
+
+    monkeypatch.setattr(oracle, "_check_incumbent", lambda *args: None)
+    monkeypatch.setattr(lp_module._Tableau, "values", hiding)
+    with pytest.raises(SolverDefect, match="support disagrees"):
         oracle.solve_milp_instance(SIXBUS_MILP)

@@ -1,8 +1,10 @@
 """Exhaustive oracles, big-M branch and bound, and sparse-recovery diagnostics."""
+import ast
 import io
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,13 +42,16 @@ from gridsec import (
 from gridsec.errors import (
     CapExceeded,
     HasInjections,
+    InfeasibleIndex,
     SizeLimitExceeded,
     TrivialNullspace,
     ZeroColumn,
 )
 from gridsec.exactla import int_rank
+from gridsec.grid import metering
 from gridsec import lp, oracle
 from gridsec.oracle import CsInstance, _big_m, _node_lp, coherence_bound, solve_milp_instance
+from gridsec.security import _exact_result
 
 
 class TestExhaustiveMinSupport:
@@ -125,7 +130,7 @@ class TestMilp:
         protected = frozenset({1, 3, 5, 6})
         for k in (2, 4, 7):
             prob = TUProblem(SIXBUS_A, k, protected)
-            root = _node_lp(prob, Fraction(2))
+            root = _node_lp(prob.rows, 5, prob.I, Fraction(2))
             assert lp.preprocess(root).num_rows == root.num_rows - 1
             value, _, support, _ = solve_milp_instance(prob)
             assert value == exhaustive_min_support(SIXBUS_A, k, protected)
@@ -137,15 +142,25 @@ class TestMilp:
         out = solve_milp_instance(TUProblem(SIXBUS_A, 6), big_m=Fraction(1, 2))
         assert out is None or out[0] > 3
 
-    def test_witness_from_a_half_valued_incumbent(self, monkeypatch):
-        # with big-M 1/2 the detour 1-2-3 may carry at most half a unit per
-        # line, so the target line 1-3 forces the incumbent d = (-1/2, -1)
+    def test_big_m_below_one_leaves_the_target_unreachable(self, monkeypatch):
+        # the target row has a box like every free row, so t+_k - t-_k = 1
+        # cannot fit under a big-M of 1/2
         net = Network(3, ((1, 2, 2), (2, 3, 3), (1, 3, 5)))
         meas = MeasurementSystem((1, 2, 3))
+        assert solve_milp_instance(reduce_to_tu(net, meas, 3), Fraction(2))[0] == 2
+        assert solve_milp_instance(reduce_to_tu(net, meas, 3), Fraction(1, 2)) is None
         monkeypatch.setattr(oracle, "_big_m", lambda net: Fraction(1, 2))
-        value, d, support, _ = solve_milp_instance(reduce_to_tu(net, meas, 3), Fraction(1, 2))
-        assert (value, d, support) == (3, (Fraction(-1, 2), Fraction(-1)), frozenset({1, 2, 3}))
-        res = milp_solve(net, meas, 3)
+        with pytest.raises(InfeasibleIndex):
+            milp_solve(net, meas, 3)
+
+    def test_witness_from_a_half_valued_incumbent(self):
+        # the rescaling milp_solve applies to its incumbent d, on the
+        # half-valued d = (-1/2, -1) that moves the target line 1-3 by 1
+        # and the detour 1-2-3 by 1/2 per line
+        net = Network(3, ((1, 2, 2), (2, 3, 3), (1, 3, 5)))
+        meas = MeasurementSystem((1, 2, 3))
+        res = _exact_result(metering(net, meas), 3, "milp", (Fraction(-1, 2), Fraction(-1)),
+                            frozenset({1, 2, 3}), 0.0)
         assert res.index == 3
         assert res.attack.touched == frozenset({1, 2, 3})
         assert res.attack.delta_theta.tolist() == [-2.5, -5.0]
@@ -185,6 +200,80 @@ class TestMilp:
             value, _, support, _ = solve_milp_instance(reduce_to_tu(net, meas, k),
                                                        _big_m(net), cap=100)
             assert value == len(support) == mincut_index(net, meas, k).index
+
+
+def _index_or_none(solve, *args):
+    try:
+        return solve(*args).index
+    except InfeasibleIndex:
+        return None
+
+
+class TestKeptRoot:
+    """milp_solve runs every target on its system's kept root
+    (grid.Metering.milp_root), solved once, target-free."""
+
+    @staticmethod
+    def _snapshot(root):
+        tab = root.tab
+        return ([dict(row) for row in tab.rows], list(tab.dens), list(tab.basis),
+                dict(tab.zrow), tab.zden, tab.ncols)
+
+    def test_a_sweep_leaves_the_kept_root_unchanged(self):
+        net, meas = parse_case(IEEE14_CASE)
+        root = metering(net, meas).milp_root
+        before = self._snapshot(root)
+        first = [milp_solve(net, meas, k) for k in range(1, 21)]
+        again = milp_solve(net, meas, 4)
+        assert self._snapshot(root) == before
+        assert metering(net, meas).milp_root is root
+        assert (again.index, again.attack.touched) == (first[3].index, first[3].attack.touched)
+        assert again.attack.delta_z.tolist() == first[3].attack.delta_z.tolist()
+
+    def test_kept_roots_agree_with_fresh_ones_and_the_cut(self):
+        # one Network, unprotected and under 3 seeded plans: each system
+        # keeps its own root, built for its rows, protection and big-M
+        net, meas = parse_case(IEEE14_CASE)
+        rng = random.Random(21)
+        plans = [frozenset()] + [frozenset(rng.sample(range(1, 21), 3)) for _ in range(3)]
+        roots = []
+        for plan in plans:
+            system = MeasurementSystem(meas.flow_meters, protected=plan)
+            mtr = metering(net, system)
+            for k in range(1, 21):
+                if k in plan:
+                    continue
+                fresh = solve_milp_instance(reduce_to_tu(net, system, k), _big_m(net))
+                want = _index_or_none(mincut_index, net, system, k)
+                assert (None if fresh is None else fresh[0]) == want
+                assert _index_or_none(milp_solve, net, system, k) == want
+            root = mtr.milp_root
+            assert root.rows is mtr.flow_pairs
+            assert (root.I, root.big_m) == (plan, _big_m(net))
+            roots.append(root)
+            for k in plan:
+                with pytest.raises(ValueError, match="cannot be protected"):
+                    oracle._branch_and_bound(root, k)
+            with pytest.raises(ValueError, match="outside"):
+                oracle._branch_and_bound(root, 21)
+        assert len({id(root) for root in roots}) == len(plans)
+
+
+def test_the_milp_shares_only_the_problem_record_with_the_l1_path():
+    # aim: an independent route; it may share the lp kernel, never the l1
+    # base or formulation of gridsec.tumin
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported = {a.name for a in node.names}
+            if node.module in ("tumin", "gridsec.tumin"):
+                names |= imported
+            elif node.module in (None, "gridsec"):
+                assert "tumin" not in imported
+        elif isinstance(node, ast.Import):
+            assert all("tumin" not in a.name for a in node.names)
+    assert names == {"TUProblem", "check_rows"}
 
 
 class TestCoherence:

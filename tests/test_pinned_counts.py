@@ -34,6 +34,9 @@ RANDOM_LP_PIVOTS = {
     "dantzig": [5, 2, 0, 1, 2, 4, 1, 3, 2, 7, 1, 5, 4, 3, 0, 1, 3, 4, 2, 0],
 }
 MILP_NODES = {4: 21, 11: 1, 16: 1}
+# branch and bound on the kept root (grid.Metering.milp_root), all 20 ieee14
+# meters
+IEEE14_MILP_NODE_TOTAL = 94
 
 
 @pytest.mark.parametrize("rule", ["bland", "dantzig"])
@@ -75,3 +78,9 @@ def test_ieee14_milp_nodes():
     got = {k: oracle.solve_milp_instance(security.reduce_to_tu(net, meas, k), oracle._big_m(net))[3]
            for k in MILP_NODES}
     assert got == MILP_NODES
+
+
+def test_ieee14_milp_node_total():
+    net, meas = parse_case(IEEE14_CASE)
+    root = metering(net, meas).milp_root
+    assert sum(oracle._branch_and_bound(root, k)[3] for k in range(1, 21)) == IEEE14_MILP_NODE_TOTAL
