@@ -244,7 +244,7 @@ class Metering:
     @cached_property
     def l1_base(self) -> L1Base:
         """The solved target-free l1 LP of flow_pairs and the protected
-        meters (tumin.solve_l1_base: its tableau in ternary form, its state
+        meters (tumin.solve_l1_base: its ternary tableau, its state
         rows and a column index, all live lists of ints that every target
         copies or only reads, and flow_pairs itself, no copy, with the
         protected meters), built on the first LP solve of a flow-only

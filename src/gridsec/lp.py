@@ -28,9 +28,9 @@ simplex after a cost change, and by the dual simplex after an appended
 row.  The MILP oracle keeps one optimal tableau per measurement system,
 its target-free root, re-optimizes a copy of it for each target, and
 then does so at every branch-and-bound node.  The l1 sweep of a
-measurement system (tumin.solve_l1_base) converts one optimal tableau to
-a _TernaryTableau, whose entries are all -1, 0 or 1 (total
-unimodularity), each row two bitmasks, and the same dual simplex loop
+measurement system (tumin.solve_l1_base) runs on a _TernaryTableau, whose
+entries are all -1, 0 or 1 (total unimodularity), each row two bitmasks:
+the primal loop solves its base from a crash basis, and the dual loop
 re-optimizes a fresh copy of it for each target row by the same rules.
 """
 from __future__ import annotations
@@ -378,43 +378,20 @@ class _TernaryTableau:
 
     Row i is the pair of bitmasks pos[i] (its +1 columns) and neg[i] (its -1
     columns) with value rhs[i] and a +1 in its basic column basis[i]; z
-    holds the reduced costs by column and zrhs holds -z.  A pivot adds the
+    holds the reduced costs and zrhs -z (0 when built).  A pivot adds the
     signed pivot row to each row holding the pivot column, a few integer
     operations per row; an entry that would leave {-1, 0, 1} raises
-    IntegralityError.  _run_dual_simplex runs it by _Tableau's rules.
+    IntegralityError.  Both simplex loops run it by _Tableau's rules.
     """
 
     def __init__(self, pos: list[int], neg: list[int], rhs: list[int], basis: list[int],
-                 z: list[int], zrhs: int = 0):
+                 z: list[int]):
         self.pos = pos
         self.neg = neg
         self.rhs = rhs
         self.basis = basis
         self.z = z
-        self.zrhs = zrhs
-
-    @staticmethod
-    def of(tab: _Tableau) -> "_TernaryTableau":
-        """tab in ternary form; IntegralityError when a denominator is not 1
-        or an entry lies outside {-1, 0, 1}."""
-        if tab.zden != 1 or any(den != 1 for den in tab.dens):
-            raise IntegralityError("a tableau denominator is not 1: the data is not totally unimodular")
-        pos, neg = [], []
-        for row in tab.rows:
-            p = n = 0
-            for j, v in row.items():
-                if j == RHS:
-                    continue
-                if v == 1:
-                    p |= 1 << j
-                elif v == -1:
-                    n |= 1 << j
-                else:
-                    raise IntegralityError(f"tableau entry {v}: the data is not totally unimodular")
-            pos.append(p)
-            neg.append(n)
-        return _TernaryTableau(pos, neg, [row.get(RHS, 0) for row in tab.rows], list(tab.basis),
-                               [tab.zrow.get(j, 0) for j in range(tab.ncols)], tab.zrow.get(RHS, 0))
+        self.zrhs = 0
 
     @property
     def ncols(self) -> int:
@@ -477,6 +454,19 @@ class _TernaryTableau:
                     z[low.bit_length() - 1] -= g
                     m ^= low
             self.zrhs -= f * b
+
+    def entering(self, dantzig: bool) -> int | None:
+        """As _Tableau.entering, read from the list of reduced costs."""
+        low = min(self.z, default=0)
+        if low < 0:
+            return self.z.index(low) if dantzig else next(j for j, v in enumerate(self.z) if v < 0)
+        return None
+
+    def leaving(self, c: int) -> int | None:
+        """As _Tableau.leaving; every positive entry is 1, so the ratio is the value."""
+        bit, rhs, basis = 1 << c, self.rhs, self.basis
+        return min([i for i, p in enumerate(self.pos) if p & bit],
+                   key=lambda i: (rhs[i], basis[i]), default=None)
 
     def dual_leaving(self, dantzig: bool) -> int | None:
         """As _Tableau.dual_leaving: Dantzig takes the most negative value,
@@ -546,7 +536,7 @@ def _count_pivot(pivots: list[int], budget: int) -> None:
         raise SolverDefect(f"pivot budget {budget} exceeded; anti-cycling defect")
 
 
-def _run_simplex(tab: _Tableau, pivots: list[int]) -> LpStatus:
+def _run_simplex(tab: _Tableau | _TernaryTableau, pivots: list[int]) -> LpStatus:
     """Primal simplex from a primal-feasible tableau: OPTIMAL or UNBOUNDED."""
     dantzig_until = pivots[0] + _dantzig_pivots(tab)
     budget = _pivot_budget(tab)

@@ -18,12 +18,12 @@ columns, and the certificate reads A(j,:)x only on the rows that hold a
 column x moves (L1Base.columns).
 
 For totally unimodular A every tableau of that LP is totally unimodular
-too, so the kept base and the warm step hold only -1, 0 and 1
+too, so the base and the warm step hold only -1, 0 and 1
 (lp._TernaryTableau: each row two bitmasks), and so do the state rows,
 kept as bitmasks keyed by y column with their pivot signs folded in.
 Data outside total unimodularity is an IntegralityError as soon as it
-shows: a state pivot or entry, a base denominator or entry or a warm
-pivot leaving {-1, 0, 1}, or a witness the certificate rejects.  Such
+shows: a state pivot or a meter-space entry outside {-1, 0, 1}, a pivot
+reaching +-2, or a witness the certificate rejects.  Such
 data may still have an integral l1 optimum, but l1 = cardinality is
 proved only under total unimodularity.
 
@@ -130,24 +130,26 @@ def _meter_space(rows, n: int, I: frozenset[int]) -> tuple[list, list[int], list
     """(rows over y, spos, sneg, width) of the l1 LP of integer rows over n
     state columns, without a target row and with its state x eliminated.
 
-    The LP reads A(j,:)x - y+_j + y-_j = 0 for each unprotected row j, then
-    A(I,:)x = 0 in ascending order, with cost sum(y+) + sum(y-) over its
+    The LP reads A(I,:)x = 0 in ascending order, then A(j,:)x - y+_j + y-_j
+    = 0 for each unprotected row j, with cost sum(y+) + sum(y-) over its
     width columns y = (y+, y-).  Gauss-Jordan makes each row that still
     holds a state column after reduction the state row of its smallest,
     then eliminates that column from the earlier state rows; the other rows
-    are over y only (a dependent protected row reduces to nothing and is
-    dropped).  Column c's state row p x_c + row . y = 0 has p = +-1, so
-    x_c = -p row . y: spos[j] / sneg[j] are bitmasks of the columns whose p
-    row holds +1 / -1 at y+_j (and the negative at y-_j); any other state
-    column is 0.  IntegralityError for a p or entry outside {-1, 0, 1}.
+    are over y only.  Taken first, a protected row becomes a state row or
+    reduces to nothing and is dropped, so each row over y is an unprotected
+    row j, the only one holding y+_j and y-_j: a crash basis covers it.
+    Column c's state row p x_c + row . y = 0 has p = +-1, so x_c = -p row
+    . y: spos[j] / sneg[j] are bitmasks of the columns whose p row holds
+    +1 / -1 at y+_j (the negative at y-_j); any other state column is 0.
+    IntegralityError for a p or entry outside {-1, 0, 1}.
     """
     free = [j for j in range(1, len(rows) + 1) if j not in I]
     r = len(free)
     state: dict[int, dict[int, int]] = {}
     yrows = []
-    for pos, j in enumerate(free + sorted(I)):
+    for pos, j in enumerate(sorted(I) + free, start=-len(I)):
         row = dict(rows[j - 1])
-        if pos < r:
+        if pos >= 0:
             row[n + pos] = -1
             row[n + r + pos] = 1
         for c, srow in state.items():
@@ -158,7 +160,7 @@ def _meter_space(rows, n: int, I: frozenset[int]) -> tuple[list, list[int], list
         c = min(row, default=n)
         if c >= n:
             if row:
-                yrows.append({j - n: v for j, v in row.items()})
+                yrows.append(row)
             continue
         for srow in state.values():
             f = srow.get(c)
@@ -166,16 +168,17 @@ def _meter_space(rows, n: int, I: frozenset[int]) -> tuple[list, list[int], list
                 _eliminate(srow, row[c], f, row)
                 _reduce(srow, 0)
         state[c] = row
-    spos, sneg = [0] * r, [0] * r
-    for c, row in state.items():            # a final state row: c and y only
+    for row in [*state.values(), *yrows]:     # the final rows: a state column and y only
         if any(v not in (-1, 1) for v in row.values()):
-            raise IntegralityError(f"state row {c} leaves {{-1, 0, 1}}: "
+            raise IntegralityError("a meter-space entry leaves {-1, 0, 1}: "
                                    "the data is not totally unimodular")
+    spos, sneg = [0] * r, [0] * r
+    for c, row in state.items():
         p = row[c]
         for j, v in row.items():
             if n <= j < n + r:
                 (spos if v == p else sneg)[j - n] |= 1 << c
-    return yrows, spos, sneg, 2 * r
+    return [{j - n: v for j, v in row.items()} for row in yrows], spos, sneg, 2 * r
 
 
 def build_l1_lp(problem: TUProblem) -> lp.StandardFormLP:
@@ -197,12 +200,11 @@ def solve_min_support(problem: TUProblem) -> TUSolution | None:
 class L1Base(NamedTuple):
     """solve_l1_base's solved target-free l1 LP of rows and I, as live lists.
 
-    pos, neg, basis and z are its optimal tableau in ternary form
-    (lp._TernaryTableau; every basic value is 0); spos and sneg are its
-    state rows (_meter_space); columns[c] holds the rows with a nonzero in
-    state column c.  solve_warm copies the tableau lists shallowly (their
-    ints are immutable) and only reads the rest, so a base serves every
-    target unchanged.
+    pos, neg, basis and z are its optimal ternary tableau (lp._TernaryTableau,
+    every basic value 0); spos and sneg are its state rows (_meter_space);
+    columns[c] holds the rows with a nonzero in state column c.  solve_warm
+    copies the tableau lists shallowly (their ints are immutable) and only
+    reads the rest, so a base serves every target unchanged.
     """
 
     pos: list[int]
@@ -222,9 +224,10 @@ def solve_l1_base(rows, n: int, I=frozenset()) -> L1Base:
     (_meter_space), solved once for every target row of that data;
     ValueError for a protected row or a column outside the data.
 
-    lp.solve_lp must stop optimal at y = 0, so every basic value and the
-    objective are 0 and need no keeping.  Data that is not totally
-    unimodular can raise IntegralityError here.
+    Each row is basic in lp's crash column (its smallest +1 column that no
+    other row holds) at value 0, lp's primal simplex runs on that ternary
+    tableau, and its optimality is checked (an unbounded stop fails it too).
+    Data that is not totally unimodular can raise IntegralityError here.
     """
     rows = tuple(rows)
     I = _protected_rows(len(rows), I)
@@ -235,10 +238,17 @@ def solve_l1_base(rows, n: int, I=frozenset()) -> L1Base:
                 raise ValueError(f"column {c} outside 0..{n - 1}")
             columns[c].append(j)
     yrows, spos, sneg, width = _meter_space(rows, n, I)
-    out = lp.solve_lp(lp.StandardFormLP.from_int_rows(yrows, dict.fromkeys(range(width), 1), width))
-    if out.status is not lp.LpStatus.OPTIMAL or out.solution.objective != 0:
-        raise SolverDefect("the target-free l1 LP is not optimal at zero; solver defect")
-    tab = lp._TernaryTableau.of(out.tableau)
+    z, count, pos, neg = [1] * width, [0] * width, [], []     # z: reduced costs
+    for row in yrows:
+        for j, v in row.items():
+            z[j] -= v
+            count[j] += 1
+        pos.append(sum(1 << j for j, v in row.items() if v == 1))
+        neg.append(sum(1 << j for j, v in row.items() if v == -1))
+    basis = [min(j for j, v in row.items() if v == 1 and count[j] == 1) for row in yrows]
+    tab = lp._TernaryTableau(pos, neg, [0] * len(yrows), basis, z)
+    lp._run_simplex(tab, [0])
+    tab.check_optimal()
     return L1Base(tab.pos, tab.neg, tab.basis, tab.z, spos, sneg, tuple(map(tuple, columns)),
                   rows, I)
 

@@ -69,7 +69,7 @@ class TestRunBatch:
         import pickle
 
         import gridsec.cli as climod
-        import gridsec.lp as lpmod
+        import gridsec.grid as gridmod
 
         class PicklingPool:
             # runs each chunk in this process behind a pickle round trip of
@@ -86,14 +86,14 @@ class TestRunBatch:
             def map(self, fn, *iterables):
                 return [fn(*pickle.loads(pickle.dumps(args))) for args in zip(*iterables)]
 
-        solves = [0]
-        real = lpmod._solve_standard_ints
+        solves = [0]       # l1 base builds
+        real = gridmod.solve_l1_base
 
         def counted(*args, **kwargs):
             solves[0] += 1
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(lpmod, "_solve_standard_ints", counted)
+        monkeypatch.setattr(gridmod, "solve_l1_base", counted)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PicklingPool)
         monkeypatch.setattr(climod.os, "cpu_count", lambda: 2)
         serial = run_batch(IEEE14_CASE, methods=("lp",), jobs=1)

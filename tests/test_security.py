@@ -16,6 +16,7 @@ from conftest import (
     incidence_transpose,
     mesh_grid,
     random_connected_edges,
+    random_tu_problem,
     sixbus_meas,
     sixbus_network,
 )
@@ -371,16 +372,17 @@ class TestCriticalTuples:
             assert ct.cardinality == et.cardinality == s
 
 
-def count_simplex_solves(monkeypatch) -> list[int]:
-    """Count the from-scratch simplex solves (lp._solve_standard_ints)."""
+def count_base_builds(monkeypatch) -> list[int]:
+    """Count the l1 base builds (tumin.solve_l1_base, as grid.Metering
+    calls it): the only from-scratch solve on the LP path."""
     calls = [0]
-    real = lp._solve_standard_ints
+    real = grid.solve_l1_base
 
     def counted(*args, **kwargs):
         calls[0] += 1
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(lp, "_solve_standard_ints", counted)
+    monkeypatch.setattr(grid, "solve_l1_base", counted)
     return calls
 
 
@@ -501,7 +503,7 @@ class TestWarmSweep:
         assert base == kept
 
     def test_a_second_call_solves_nothing_from_scratch(self, monkeypatch):
-        calls = count_simplex_solves(monkeypatch)
+        calls = count_base_builds(monkeypatch)
         net, meas = sixbus_network(), sixbus_meas({1})
         first = security_index(net, meas, 6)
         assert calls == [1]
@@ -512,7 +514,7 @@ class TestWarmSweep:
         assert calls == [1]
 
     def test_each_system_builds_its_own_base(self, monkeypatch):
-        calls = count_simplex_solves(monkeypatch)
+        calls = count_base_builds(monkeypatch)
         net = sixbus_network()
         security_index(net, sixbus_meas(), 6)
         security_index(net, sixbus_meas(), 6)     # an equal system shares the base
@@ -526,7 +528,7 @@ class TestWarmSweep:
         assert calls == [4]
 
     def test_a_pinned_meter_is_infeasible_on_the_warm_path(self, monkeypatch):
-        calls = count_simplex_solves(monkeypatch)
+        calls = count_base_builds(monkeypatch)
         net = Network(3, ((1, 2, 1), (1, 2, 2), (2, 3, 1)))
         meas = MeasurementSystem((1, 2, 3), protected=frozenset({2}))
         assert security_index(net, meas, 3).index == 1
@@ -534,6 +536,24 @@ class TestWarmSweep:
             security_index(net, meas, 1)
         assert err.value.meter == 1
         assert calls == [1]
+
+    def test_the_l1_path_never_enters_the_dict_kernel(self, monkeypatch):
+        # the base is built and solved on the ternary tableau, with no
+        # phase 1, no artificial column and no preprocess
+        def refuse(*args):
+            raise AssertionError("the l1 path entered the dict kernel")
+
+        monkeypatch.setattr(lp, "solve_lp", refuse)
+        monkeypatch.setattr(lp, "_solve_standard_ints", refuse)
+        monkeypatch.setattr(lp, "preprocess", refuse)
+        net, meas = mesh_grid(5)
+        assert meas.protected
+        indices = [security_index(net, meas, k).index
+                   for k in sorted(set(range(1, 84)) - meas.protected)]
+        assert sum(indices) > 80
+        rng = random.Random(2222)
+        solved = [solve_min_support(random_tu_problem(rng)) for _ in range(100)]
+        assert 0 < solved.count(None) < 50
 
     def test_an_unfinished_warm_solve_is_a_defect(self, monkeypatch):
         # the appended row's slack stays basic at -1 unless the dual simplex

@@ -13,6 +13,7 @@ from conftest import (
     SIXBUS_A,
     SIXBUS_A_FULL,
     SIXBUS_OPTIMA,
+    mesh_grid,
     price_by,
     random_tu_problem,
 )
@@ -31,7 +32,7 @@ from gridsec import (
 from gridsec import lp, tumin
 from gridsec.errors import IntegralityError, SizeLimitExceeded, SolverDefect
 from gridsec.exactla import int_rank
-from gridsec.grid import parse_case
+from gridsec.grid import metering, parse_case
 from gridsec.lp import LpStatus, StandardFormLP, solve_lp
 from gridsec.oracle import exhaustive_min_tuple, nullspace_reformulate, solve_milp_instance
 from gridsec.security import reduce_to_tu
@@ -389,24 +390,53 @@ def test_the_warm_sweep_imports_nothing_from_fractions():
 
 
 class TestTernaryWarmStep:
-    """solve_warm re-optimizes the base as a ternary tableau: rows of -1, 0
-    and 1 as two bitmasks, which total unimodularity guarantees."""
+    """solve_l1_base solves the base as a ternary tableau, and solve_warm
+    re-optimizes it as one: rows of -1, 0 and 1 as two bitmasks, which
+    total unimodularity guarantees.  The dict tableau of lp.solve_lp is
+    the reference for both."""
+
+    @staticmethod
+    def same_base(rows, n, I, monkeypatch):
+        """Assert that solve_l1_base and lp.solve_lp on _meter_space's rows
+        stop at the same tableau after the same number of primal pivots;
+        return the dict tableau, the base and that number."""
+        primal = []
+        real = lp._run_simplex
+        with monkeypatch.context() as m:
+            m.setattr(lp, "_run_simplex",
+                      lambda tab, pivots: (real(tab, pivots), primal.append(pivots[0]))[0])
+            base = solve_l1_base(rows, n, I)
+        yrows, _, _, width = _meter_space(rows, n, I)
+        out = solve_lp(StandardFormLP.from_int_rows(yrows, dict.fromkeys(range(width), 1), width))
+        tab = out.tableau
+        assert primal == [out.pivots]
+        assert tab.dens == [1] * len(base.pos) and tab.zden == 1
+        assert base.basis == tab.basis
+        assert base.z == [tab.zrow.get(j, 0) for j in range(tab.ncols)]
+        assert base.pos == [sum(1 << j for j, v in row.items() if j != lp.RHS and v == 1)
+                            for row in tab.rows]
+        assert base.neg == [sum(1 << j for j, v in row.items() if v == -1) for row in tab.rows]
+        return tab, base, out.pivots
 
     @pytest.mark.parametrize("rule", ["bland", "dantzig"])
     def test_it_pivots_as_the_dict_tableau(self, rule, monkeypatch):
-        # the same target row on both forms of the same base tableau: equal
-        # status, pivot count, basis, values and reduced costs
+        # the base of the same meter-space rows on both kernels (same_base);
+        # then the same target row on both: equal status, pivot count,
+        # basis, values and reduced costs
         price_by(monkeypatch, rule)
         rng = random.Random(1717)
         outcomes = set()
-        total = 0
-        for _ in range(150):
+        protected = total = base_pivots = 0
+        while protected < 150:
             prob = random_tu_problem(rng)
-            rows, _, _, width = _meter_space(prob.rows, prob.A.shape[1], prob.I)
-            tab = solve_lp(StandardFormLP.from_int_rows(
-                rows, dict.fromkeys(range(width), 1), width)).tableau
-            tern = lp._TernaryTableau.of(tab)
-            y, r = prob.free_rows.index(prob.k), width // 2
+            if not prob.I:
+                continue
+            protected += 1
+            tab, base, primal = self.same_base(prob.rows, prob.A.shape[1], prob.I, monkeypatch)
+            base_pivots += primal
+            tern = lp._TernaryTableau(base.pos[:], base.neg[:], [0] * len(base.basis),
+                                      base.basis[:], base.z[:])
+            y, r = prob.free_rows.index(prob.k), len(base.spos)
             tab.add_row({y: -1, y + r: 1, lp.RHS: -1})
             tern.add_row(1 << (y + r), 1 << y, -1)
             pivots = [[0], [0]]
@@ -418,7 +448,19 @@ class TestTernaryWarmStep:
             assert tern.objective() == tab.objective()
             outcomes.add(status)
             total += pivots[0][0]
-        assert outcomes == {LpStatus.OPTIMAL, LpStatus.INFEASIBLE} and total > 100
+        assert outcomes == {LpStatus.OPTIMAL, LpStatus.INFEASIBLE}
+        assert total > 100 and base_pivots > 10
+
+    @pytest.mark.parametrize("rule", ["bland", "dantzig"])
+    def test_a_protected_grid_base_pivots_as_the_dict_tableau(self, rule, monkeypatch):
+        # 42-bus grids with 3 protected meters: tens of primal pivots each
+        price_by(monkeypatch, rule)
+        for seed in (1, 2):
+            net, meas = mesh_grid(seed)
+            mtr = metering(net, meas)
+            _, _, primal = self.same_base(mtr.flow_pairs, mtr.flow_matrix.shape[1],
+                                          meas.protected, monkeypatch)
+            assert primal > 10
 
     def test_data_outside_total_unimodularity_is_an_integrality_error(self):
         # the l1 optimum of meters 3 and 4 happens to be integral (3), but
@@ -429,26 +471,21 @@ class TestTernaryWarmStep:
             with pytest.raises(IntegralityError, match="not totally unimodular"):
                 solve_min_support(TUProblem(A, k))
 
-    @pytest.mark.parametrize("forge", ["entry", "denominator", "objective denominator"])
-    def test_a_forged_base_tableau_is_an_integrality_error(self, forge, monkeypatch):
-        real = lp.solve_lp
-
-        def forged(*args):
-            out = real(*args)
-            tab = out.tableau
-            if forge == "entry":
-                row = tab.rows[0]
-                j = next(j for j in row if j != lp.RHS and j != tab.basis[0])
-                row[j] *= 2
-            elif forge == "denominator":
-                tab.dens[0] = 2
-            else:
-                tab.zden = 2
-            return out
-
-        monkeypatch.setattr(lp, "solve_lp", forged)
+    def test_a_meter_space_entry_of_two_is_an_integrality_error(self):
+        # the first row is the state row of x_0, so the second reduces to
+        # the row over y 2 y+_1 - y+_2 - 2 y-_1 + y-_2: its base is refused
+        # before the ternary kernel reads it
         with pytest.raises(IntegralityError, match="not totally unimodular"):
-            solve_min_support(TUProblem(SIXBUS_A, 6))
+            solve_l1_base(sparse_rows(np.array([[1], [2]])), 1)
+
+    def test_a_base_that_is_not_optimal_is_a_solver_defect(self, monkeypatch):
+        # the base's simplex stopped at its crash basis, where a reduced
+        # cost is still negative
+        rows = sparse_rows(SIXBUS_A_FULL)
+        assert min(solve_l1_base(rows, 6).z) >= 0
+        monkeypatch.setattr(lp, "_run_simplex", lambda tab, pivots: LpStatus.OPTIMAL)
+        with pytest.raises(SolverDefect, match="negative reduced cost"):
+            solve_l1_base(rows, 6)
 
 
 class TestVerifyTu:
