@@ -5,15 +5,17 @@ exact rational.  No floating point enters the solve path, so the returned
 basic feasible solutions are exact and the Infeasible/Unbounded/Optimal
 trichotomy is decided, not estimated.
 
-Rows are kept as sparse integer rows with per-row denominators: a row maps
-column -> nonzero integer numerator (the right-hand side sits under the key
-RHS), all over one positive denominator.  Integer input goes straight into
-that form and reaches the tableau without a Fraction detour; a pivot is an
-integer cross-multiplication over the pivot row's nonzeros, applied to the
-rows whose pivot-column entry is nonzero, followed by a gcd sweep (the
-elimination kernel of exactla, which preprocess and verify_bfs share).  On the
-unimodular-style instances this package cares about the denominators stay
-tiny and the rows short, which is what makes exact arithmetic affordable.
+Rows are kept as sparse integer rows: a row maps column -> nonzero integer
+numerator (the right-hand side sits under the key RHS), all over one
+positive denominator, a tableau row's own entry in its basic column; a
+vertex is read as integer numerators over one common denominator.  Integer
+input goes straight into that form and reaches the tableau without a
+Fraction detour; a pivot is an integer cross-multiplication over the pivot
+row's nonzeros, applied to the rows whose pivot-column entry is nonzero,
+followed by a gcd sweep (the elimination kernel of exactla, which
+preprocess and verify_bfs share).  On the unimodular-style instances this
+package cares about the denominators stay tiny and the rows short, which
+is what makes exact arithmetic affordable.
 
 One pivot policy serves every loop: Dantzig pricing (most negative reduced
 cost) for speed, falling back to Bland's rule past a pivot allowance so
@@ -38,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 
 from .errors import DimensionMismatch, InconsistentRow, IntegralityError, SolverDefect
 from .exactla import EchelonBasis, _eliminate, _reduce, scale_row
@@ -179,27 +182,25 @@ def preprocess(lp: StandardFormLP) -> StandardFormLP:
 
 
 class _Tableau:
-    """Simplex tableau over sparse integer rows with per-row denominators.
+    """Simplex tableau over sparse integer rows.
 
-    Row i stands for rows[i] / dens[i] and has the entry dens[i] in its
-    basic column; the objective row zrow / zden holds -z under RHS.
-    Columns run over 0..ncols-1; add_row appends a fresh slack column.
-    Every simplex loop run on the tableau stops with SolverDefect past
-    _pivot_budget(tab) pivots.
+    Row i's entry in its basic column basis[i] is positive and is the row's
+    denominator: row i stands for rows[i] / rows[i][basis[i]].  The
+    objective row zrow / zden holds -z under RHS.  Columns run over
+    0..ncols-1; add_row appends a fresh slack column.  Every simplex loop
+    run on the tableau stops with SolverDefect past _pivot_budget(tab)
+    pivots.
     """
 
-    def __init__(self, rows: list[dict[int, int]], dens: list[int], basis: list[int],
-                 ncols: int):
+    def __init__(self, rows: list[dict[int, int]], basis: list[int], ncols: int):
         self.rows = rows
-        self.dens = dens            # positive
         self.basis = basis
         self.ncols = ncols
         self.zrow: dict[int, int] = {}
         self.zden: int = 1
 
     def copy(self) -> "_Tableau":
-        tab = _Tableau([dict(row) for row in self.rows], list(self.dens),
-                       list(self.basis), self.ncols)
+        tab = _Tableau([dict(row) for row in self.rows], list(self.basis), self.ncols)
         tab.zrow = dict(self.zrow)
         tab.zden = self.zden
         return tab
@@ -209,7 +210,7 @@ class _Tableau:
         c = self.basis[r]
         f = self.zrow.get(c)
         if f:
-            pv = self.dens[r]
+            pv = self.rows[r][c]
             _eliminate(self.zrow, pv, f, self.rows[r])
             self.zden = _reduce(self.zrow, self.zden * pv)
 
@@ -241,15 +242,13 @@ class _Tableau:
         s = self.ncols
         self.ncols += 1
         new = {j: v for j, v in row.items() if v}
-        new[s] = den = 1
+        new[s] = 1
         for i, c in enumerate(self.basis):
             f = new.get(c)
             if f:
-                pv = self.dens[i]
-                _eliminate(new, pv, f, self.rows[i])
-                den = _reduce(new, den * pv)
+                _eliminate(new, self.rows[i][c], f, self.rows[i])
+                _reduce(new, 0)
         self.rows.append(new)
-        self.dens.append(den)
         self.basis.append(s)
 
     def pivot(self, r: int, c: int) -> None:
@@ -260,13 +259,12 @@ class _Tableau:
                 prow[j] = -prow[j]
             pv = -pv
         pv = _reduce(prow, pv)
-        self.dens[r] = pv
         for i, row in enumerate(self.rows):
             if i != r:
                 f = row.get(c)
                 if f:
                     _eliminate(row, pv, f, prow)
-                    self.dens[i] = _reduce(row, self.dens[i] * pv)
+                    _reduce(row, 0)
         self.basis[r] = c
         self.price_out(r)
 
@@ -305,17 +303,18 @@ class _Tableau:
         for i, row in enumerate(self.rows):
             rn = row.get(RHS, 0)
             if rn < 0:
+                den = row[self.basis[i]]
                 if best is None:
-                    best, bn, bd = i, rn, self.dens[i]
+                    best, bn, bd = i, rn, den
                     continue
                 if dantzig:
                     lhs = rn * bd
-                    rhs = bn * self.dens[i]
+                    rhs = bn * den
                     better = lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[best])
                 else:
                     better = self.basis[i] < self.basis[best]
                 if better:
-                    best, bn, bd = i, rn, self.dens[i]
+                    best, bn, bd = i, rn, den
         return best
 
     def dual_entering(self, r: int) -> int | None:
@@ -343,10 +342,13 @@ class _Tableau:
         if any(v < 0 for j, v in self.zrow.items() if j != RHS):
             raise SolverDefect("negative reduced cost in an optimal tableau; solver defect")
 
-    def values(self) -> dict[int, Fraction]:
-        """Exact nonzero values at the current basis, by column."""
-        return {c: Fraction(row[RHS], den)
-                for row, den, c in zip(self.rows, self.dens, self.basis) if RHS in row}
+    def values(self) -> tuple[dict[int, int], int]:
+        """(nums, den): the nonzero values at the current basis as integer
+        numerators by column over one positive denominator, the lcm of the
+        basic entries of the rows with a nonzero value."""
+        held = [(c, row[RHS], row[c]) for row, c in zip(self.rows, self.basis) if RHS in row]
+        den = lcm(*(d for _, _, d in held))
+        return {c: v * (den // d) for c, v, d in held}, den
 
     def objective(self) -> Fraction:
         return -Fraction(self.zrow.get(RHS, 0), self.zden)
@@ -509,9 +511,9 @@ class _TernaryTableau:
         if min(self.z, default=0) < 0:
             raise SolverDefect("negative reduced cost in an optimal tableau; solver defect")
 
-    def values(self) -> dict[int, int]:
-        """Nonzero values at the current basis, by column."""
-        return {c: v for c, v in zip(self.basis, self.rhs) if v}
+    def values(self) -> tuple[dict[int, int], int]:
+        """As _Tableau.values; the denominator is always 1."""
+        return {c: v for c, v in zip(self.basis, self.rhs) if v}, 1
 
     def objective(self) -> int:
         return -self.zrhs
@@ -596,12 +598,10 @@ def _solve_standard_ints(rows, cost, cost_den: int, p: int) -> LpOutcome:
             if j != RHS:
                 col_count[j] += 1
     basis = [-1] * l
-    dens = [1] * l
     for i, row in enumerate(rows):
         for j in sorted(row):
             if j != RHS and col_count[j] == 1 and row[j] > 0:
                 basis[i] = j
-                dens[i] = row[j]
                 break
 
     art_rows = [i for i in range(l) if basis[i] == -1]
@@ -610,7 +610,7 @@ def _solve_standard_ints(rows, cost, cost_den: int, p: int) -> LpOutcome:
         rows[i][p + a] = 1
         basis[i] = p + a
 
-    tab = _Tableau(rows, dens, basis, ncols)
+    tab = _Tableau(rows, basis, ncols)
     pivots = [0]
 
     if art_rows:
@@ -644,8 +644,9 @@ def _solve_standard_ints(rows, cost, cost_den: int, p: int) -> LpOutcome:
     if _run_simplex(tab, pivots) is LpStatus.UNBOUNDED:
         return LpOutcome(LpStatus.UNBOUNDED, pivots=pivots[0])
     values = [Fraction(0)] * p
-    for c, v in tab.values().items():
-        values[c] = v
+    nums, den = tab.values()
+    for c, v in nums.items():
+        values[c] = Fraction(v, den)
     sol = BasicFeasibleSolution(tuple(values), tuple(sorted(tab.basis)), tab.objective())
     return LpOutcome(LpStatus.OPTIMAL, sol, pivots[0], tab)
 

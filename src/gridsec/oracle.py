@@ -204,12 +204,10 @@ def _target_tableau(root: MilpRoot, k: int) -> tuple[lp._Tableau, lp.LpStatus]:
     return tab, status
 
 
-def _check_incumbent(root: MilpRoot, k: int, x: dict[int, Fraction]) -> None:
-    """An incumbent (nonzero values x by column) must satisfy every root
-    row of _node_lp (links, boxes, protected rows) and the target's
-    A(k,:) d = 1 exactly; checked over x's common denominator."""
-    nums, den = scale_row(x.values())
-    X = dict(zip(x, nums))
+def _check_incumbent(root: MilpRoot, k: int, X: dict[int, int], den: int) -> None:
+    """An incumbent (nonzero values X by column over the denominator den)
+    must satisfy every root row of _node_lp (links, boxes, protected rows)
+    and the target's A(k,:) d = 1 exactly; checked in integers."""
     n, M = root.n, root.big_m
 
     def image(j):                     # den * A(j,:) d
@@ -232,7 +230,8 @@ def _branch_and_bound(root: MilpRoot, k: int, *, cap: int = 100_000, trace=None)
     # every unprotected row but the target, whose binary is fixed to 1
     free = {j: c for j, c in root.tcol.items() if j != k}
     best: int | None = None
-    best_d: list[Fraction] | None = None
+    best_d: list[int] | None = None     # numerators over best_den
+    best_den = 1
     nodes = 0
     # (tableau, rows fixed to 0, rows fixed to 1, the row fixed last); the
     # target's node has neither a tableau nor a fixing yet
@@ -262,14 +261,14 @@ def _branch_and_bound(root: MilpRoot, k: int, *, cap: int = 100_000, trace=None)
         if status is not lp.LpStatus.OPTIMAL:
             raise SolverDefect("bounded relaxation reported unbounded; solver defect")
         tab.check_optimal()
-        x = tab.values()
-        value = 1 + sum(1 for c in free.values() if x.get(c, 0) != x.get(c + 1, 0))
-        if any(c in x for i in fixed0 for c in (free[i], free[i] + 1)):
+        X, den = tab.values()
+        value = 1 + sum(1 for c in free.values() if X.get(c, 0) != X.get(c + 1, 0))
+        if any(c in X for i in fixed0 for c in (free[i], free[i] + 1)):
             raise SolverDefect("node vertex moves a row fixed to zero; solver defect")
         if best is None or value < best:
-            _check_incumbent(root, k, x)
-            best = value
-            best_d = [to_fraction(x.get(c, 0) - x.get(n + c, 0)) for c in range(n)]
+            _check_incumbent(root, k, X, den)
+            best, best_den = value, den
+            best_d = [X.get(c, 0) - X.get(n + c, 0) for c in range(n)]
             if trace is not None:
                 trace.write(f"node depth={depth} value={value} action=incumbent\n")
         bound = tab.objective() + len(fixed1) + 1
@@ -279,8 +278,8 @@ def _branch_and_bound(root: MilpRoot, k: int, *, cap: int = 100_000, trace=None)
             continue
         # y_i = (t+_i + t-_i) / big_m on the rows still open (the check
         # above holds the rows fixed to zero at 0)
-        frac = [i for i, c in free.items()
-                if i not in fixed1 and x.get(c, 0) + x.get(c + 1, 0) not in (0, M)]
+        frac = [i for i, c in free.items() if i not in fixed1
+                and (X.get(c, 0) + X.get(c + 1, 0)) * M.denominator not in (0, M.numerator * den)]
         if not frac:
             continue
         j = frac[0]
@@ -290,12 +289,11 @@ def _branch_and_bound(root: MilpRoot, k: int, *, cap: int = 100_000, trace=None)
         stack.append((tab, fixed0 | {j}, fixed1, j))
     if best is None:
         return None
-    nums, _ = scale_row(best_d)       # d over its common denominator
     support = frozenset(j for j in root.tcol
-                        if sum(a * nums[c] for c, a in root.rows[j - 1]))
+                        if sum(a * best_d[c] for c, a in root.rows[j - 1]))
     if len(support) != best:
         raise SolverDefect("incumbent support disagrees with the optimum")
-    return best, tuple(best_d), support, nodes
+    return best, tuple(Fraction(v, best_den) for v in best_d), support, nodes
 
 
 def solve_milp_instance(prob: TUProblem, big_m=Fraction(2), *, cap: int = 100_000,

@@ -152,11 +152,10 @@ def _meter_space(rows, n: int, I: frozenset[int]) -> tuple[list, list[int], list
         if pos >= 0:
             row[n + pos] = -1
             row[n + r + pos] = 1
-        for c, srow in state.items():
-            f = row.get(c)
-            if f:
-                _eliminate(row, srow[c], f, srow)
-                _reduce(row, 0)
+        for c in [c for c in row if c in state]:    # a state row holds no other pivot
+            srow = state[c]
+            _eliminate(row, srow[c], row[c], srow)
+            _reduce(row, 0)
         c = min(row, default=n)
         if c >= n:
             if row:
@@ -310,7 +309,7 @@ def _certified_solution(tab: lp._TernaryTableau, base: L1Base, k: int) -> TUSolu
     IntegralityError for a broken integrality pattern).
     """
     tab.check_optimal()
-    vals = tab.values()
+    vals, _ = tab.values()
     if any(c >= 2 * len(base.spos) for c in vals):
         raise SolverDefect("the target row's slack is not zero; solver defect")
     objective = tab.objective()

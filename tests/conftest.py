@@ -143,6 +143,25 @@ def mesh_grid(seed: int, rows: int = 6, cols: int = 7, chords: int = 12, protect
     return net, MeasurementSystem(tuple(range(1, len(lines) + 1)), protected=protected)
 
 
+def paper_stand_in(buses: int, lines: int, seed: int = 1):
+    """Seeded synthetic stand-in for a paper-scale grid (the IEEE 118- and
+    300-bus cases are not bundled): a random spanning tree plus distinct
+    random chords up to `lines` lines, shuffled, random reactances,
+    reference bus 1, every line metered and none protected."""
+    rng = random.Random(seed)
+    edges = [(rng.randint(1, i - 1), i) for i in range(2, buses + 1)]
+    seen = {frozenset(e) for e in edges}
+    while len(edges) < lines:
+        u, v = rng.sample(range(1, buses + 1), 2)
+        if frozenset((u, v)) not in seen:
+            seen.add(frozenset((u, v)))
+            edges.append((u, v))
+    rng.shuffle(edges)
+    net = Network(buses, tuple((u, v, Fraction(rng.randint(1000, 60000), 100000))
+                               for u, v in edges), 1)
+    return net, MeasurementSystem(tuple(range(1, lines + 1)))
+
+
 def random_injection_system(rng: random.Random, max_nodes: int = 5):
     """Small network with all flows metered plus at least one injection."""
     n, edges = random_connected_edges(rng, max_nodes)

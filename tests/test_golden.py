@@ -13,17 +13,36 @@ same rules.  The protected digest moved with it: the protected rows are
 now eliminated before the unprotected ones, so the base starts from
 other rows and stops at another optimal basis.  No index changed; 36 of
 the 320 witnesses did, each to another witness of min-cut size.
+
+The MILP digest takes the same answers from oracle.milp_solve on every
+unprotected ieee14 meter, with no protection and under 3 seeded plans, so
+a change to the branch and bound's arithmetic must leave its node
+sequence and witnesses as they were.
 """
 import hashlib
+import random
 
-from gridsec import security_index
+from gridsec import MeasurementSystem, parse_case, security_index
 from gridsec.errors import InfeasibleIndex
+from gridsec.oracle import milp_solve
 
-from conftest import mesh_grid
+from conftest import IEEE14_CASE, mesh_grid
 
 SEEDS = (1, 2, 3, 4)
 GOLDEN = "e1ad29e2b82801f28cde025abd953bca4467ab9d89103da98a2452cb282e7c62"
 GOLDEN_UNPROTECTED = "7143893eed95ec7c6d787326b15f19bddcd11456db9e100eab4da008341391ef"
+GOLDEN_MILP = "f1be5ae48b78c7a40c12ae5882c98ab1049479304d5a19521bb61ed513143e59"
+
+
+def _answer(solve, net, meas, k):
+    """(index, sorted touched, delta_z, delta_theta) of meter k, floats by
+    repr, or (None,) when no attack reaches it."""
+    try:
+        res = solve(net, meas, k)
+    except InfeasibleIndex:
+        return (None,)
+    a = res.attack
+    return res.index, sorted(a.touched), a.delta_z.tolist(), a.delta_theta.tolist()
 
 
 def _answers(protect):
@@ -31,16 +50,8 @@ def _answers(protect):
     for seed in SEEDS:
         net, meas = mesh_grid(seed, protect=protect)
         for k in range(1, len(meas.flow_meters) + 1):
-            if k in meas.protected:
-                continue
-            try:
-                res = security_index(net, meas, k)
-            except InfeasibleIndex:
-                out.append((seed, k, None))
-                continue
-            a = res.attack
-            out.append((seed, k, res.index, sorted(a.touched),
-                        a.delta_z.tolist(), a.delta_theta.tolist()))
+            if k not in meas.protected:
+                out.append((seed, k) + _answer(security_index, net, meas, k))
     return out
 
 
@@ -56,3 +67,18 @@ def test_the_sweep_gives_the_golden_answers():
 
 def test_the_unprotected_sweep_gives_the_golden_answers():
     assert _digest(0) == GOLDEN_UNPROTECTED
+
+
+def test_the_milp_gives_the_golden_answers():
+    # every unprotected ieee14 meter by the MILP oracle, with no protection
+    # and under 3 seeded plans of 3 protected meters
+    net, meas = parse_case(IEEE14_CASE)
+    rng = random.Random(1)
+    plans = [frozenset()] + [frozenset(rng.sample(range(1, 21), 3)) for _ in range(3)]
+    answers = []
+    for plan in plans:
+        system = MeasurementSystem(meas.flow_meters, protected=plan)
+        answers += [(sorted(plan), k) + _answer(milp_solve, net, system, k)
+                    for k in range(1, 21) if k not in plan]
+    assert len(answers) == 20 + 3 * 17
+    assert hashlib.sha256(repr(answers).encode()).hexdigest() == GOLDEN_MILP

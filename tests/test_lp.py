@@ -7,6 +7,7 @@ verification, and randomized cross-checks against scipy's HiGHS solver
 from dataclasses import FrozenInstanceError
 from decimal import Decimal
 from fractions import Fraction
+import math
 import random
 
 import numpy as np
@@ -17,7 +18,7 @@ from conftest import SIXBUS_A, price_by
 from gridsec import lp as lp_module
 from gridsec import oracle
 from gridsec.errors import DimensionMismatch, InconsistentRow, IntegralityError, SolverDefect
-from gridsec.exactla import to_fraction
+from gridsec.exactla import scale_row, to_fraction
 from gridsec.lp import (
     RHS,
     BasicFeasibleSolution,
@@ -301,10 +302,10 @@ def test_dual_simplex_matches_a_cold_solve_of_the_extended_lp(rule, monkeypatch)
     for seed in range(200):
         lp = preprocess(_random_feasible_lp(random.Random(seed)))
         tab = _optimal_tableau(lp)
-        x = tab.values()
+        x, den = tab.values()
         row = {j: rng.randint(-3, 3) for j in range(lp.num_vars)}
         # cut the current optimum off (or just touch it) most of the time
-        row[RHS] = sum(a * x.get(j, 0) for j, a in row.items()).__floor__() - rng.randint(-1, 3)
+        row[RHS] = sum(a * x.get(j, 0) for j, a in row.items()) // den - rng.randint(-1, 3)
         ext = _extended(lp, row)
         tab.add_row(row)
         status = _run_dual_simplex(tab, pivots)
@@ -318,8 +319,9 @@ def test_dual_simplex_matches_a_cold_solve_of_the_extended_lp(rule, monkeypatch)
         assert cold.status is LpStatus.OPTIMAL
         assert tab.objective() == cold.solution.objective
         values = [Fraction(0)] * ext.num_vars
-        for j, v in tab.values().items():
-            values[j] = v
+        x, den = tab.values()
+        for j, v in x.items():
+            values[j] = Fraction(v, den)
         assert verify_bfs(ext, BasicFeasibleSolution(
             tuple(values), tuple(sorted(tab.basis)), tab.objective()))
     assert outcomes == {LpStatus.OPTIMAL, LpStatus.INFEASIBLE}
@@ -327,7 +329,22 @@ def test_dual_simplex_matches_a_cold_solve_of_the_extended_lp(rule, monkeypatch)
 
 
 def _fields(tab):
-    return (tab.rows, tab.dens, tab.basis, tab.zrow, tab.zden, tab.ncols)
+    return (tab.rows, tab.basis, tab.zrow, tab.zden, tab.ncols)
+
+
+def test_values_are_the_rows_over_their_basic_entries():
+    # (nums, den): each nonzero basic value over the lcm of the basic
+    # entries, and every basic entry positive
+    dens = set()
+    for seed in range(40):
+        tab = _optimal_tableau(preprocess(_random_feasible_lp(random.Random(seed))))
+        assert all(row[c] > 0 for row, c in zip(tab.rows, tab.basis))
+        nums, den = tab.values()
+        want = {c: Fraction(row[RHS], row[c]) for row, c in zip(tab.rows, tab.basis) if RHS in row}
+        assert {c: Fraction(v, den) for c, v in nums.items()} == want
+        assert den == math.lcm(*(row[c] for row, c in zip(tab.rows, tab.basis) if RHS in row))
+        dens.add(den)
+    assert max(dens) > 1
 
 
 def test_tableau_copy():
@@ -336,8 +353,8 @@ def test_tableau_copy():
         assert _fields(tab.copy()) == _fields(tab)
     # entries past 64 bits are kept exactly, and a pivot on the copy leaves
     # the original as it was
-    big = _Tableau([{0: 3, 1: -(2 ** 70), RHS: 2 ** 40}, {1: 1, 2: 300, RHS: 5}],
-                   [7, 2 ** 65], [0, 1], 400)
+    big = _Tableau([{0: 7, 1: -(2 ** 70), RHS: 2 ** 40}, {1: 2 ** 65, 2: 300, RHS: 5}],
+                   [0, 1], 400)
     big.zrow, big.zden = {2: 2 ** 20, RHS: -1}, 3
     before = _fields(big)
     copy = big.copy()
@@ -360,7 +377,7 @@ def test_dual_pivot_selection_rules():
     # x0 = -1 and x1 = -3 over columns 2, 3 with reduced costs 2 and 1
     def tableau(den1):
         tab = _Tableau([{0: 1, 2: -1, RHS: -1}, {1: den1, 2: -2, 3: -1, RHS: -3}],
-                       [1, den1], [0, 1], 4)
+                       [0, 1], 4)
         tab.zrow = {2: 2, 3: 1}
         return tab
 
@@ -450,10 +467,10 @@ def _lying_dual_simplex(monkeypatch, honest_calls):
 
 def test_an_incumbent_off_its_zero_fixing_is_caught(monkeypatch):
     # the target's own rows are honestly re-optimized, the zero branches'
-    # fixings fail
+    # fixings fail; a search that misses the lie ends at the cap, quickly
     _lying_dual_simplex(monkeypatch, 1)
     with pytest.raises(SolverDefect, match="fixed to zero"):
-        oracle.solve_milp_instance(SIXBUS_MILP)
+        oracle.solve_milp_instance(SIXBUS_MILP, cap=1000)
 
 
 def test_an_incumbent_off_the_target_row_is_caught(monkeypatch):
@@ -471,10 +488,10 @@ def test_a_forged_node_vertex_is_caught(monkeypatch):
     tcol = oracle._t_columns(*SIXBUS_A.shape, SIXBUS_MILP.I)
 
     def swapped(tab):
-        x = real(tab)
+        x, den = real(tab)
         for c in tcol.values():
             x[c], x[c + 1] = x.get(c + 1, 0), x.get(c, 0)
-        return {c: v for c, v in x.items() if v}
+        return {c: v for c, v in x.items() if v}, den
 
     monkeypatch.setattr(lp_module._Tableau, "values", swapped)
     with pytest.raises(SolverDefect, match="root row"):
@@ -498,8 +515,9 @@ def test_an_incumbent_off_the_root_rows_is_caught(monkeypatch):
 
 
 def _root_point(root, d):
-    """The point of root's layout at the state move d: d = dp - dm, each
-    free row's t+_j - t-_j = A(j,:) d, and u_j the rest of its box."""
+    """The point of root's layout at the state move d, as (numerators by
+    column, common denominator): d = dp - dm, each free row's t+_j - t-_j
+    = A(j,:) d, and u_j the rest of its box."""
     n, x = root.n, {}
     for c, v in enumerate(d):
         x[c if v > 0 else n + c] = abs(v)
@@ -507,7 +525,9 @@ def _root_point(root, d):
         a = sum(v * d[c] for c, v in root.rows[j - 1])
         x[t if a > 0 else t + 1] = abs(a)
         x[t + 2] = root.big_m - abs(a)
-    return {c: Fraction(v) for c, v in x.items() if v}
+    x = {c: v for c, v in x.items() if v}
+    nums, den = scale_row(x.values())
+    return dict(zip(x, nums)), den
 
 
 def test_an_incumbent_off_a_protected_row_is_caught():
@@ -515,10 +535,10 @@ def test_an_incumbent_off_a_protected_row_is_caught():
     # unprotected root, but not of a root that protects row 2
     d = oracle.solve_milp_instance(SIXBUS_MILP)[1]
     root = oracle._milp_root(SIXBUS_MILP.rows, 5, frozenset(), Fraction(2))
-    oracle._check_incumbent(root, 6, _root_point(root, d))
+    oracle._check_incumbent(root, 6, *_root_point(root, d))
     root = oracle._milp_root(SIXBUS_MILP.rows, 5, frozenset({2}), Fraction(2))
     with pytest.raises(SolverDefect, match="root row"):
-        oracle._check_incumbent(root, 6, _root_point(root, d))
+        oracle._check_incumbent(root, 6, *_root_point(root, d))
 
 
 def test_a_miscounted_incumbent_is_caught_by_its_support(monkeypatch):
@@ -528,13 +548,13 @@ def test_a_miscounted_incumbent_is_caught_by_its_support(monkeypatch):
     tcol = oracle._t_columns(*SIXBUS_A.shape, SIXBUS_MILP.I)
 
     def hiding(tab):
-        x = real(tab)
+        x, den = real(tab)
         for j, c in tcol.items():
             if j != SIXBUS_MILP.k and x.get(c, 0) != x.get(c + 1, 0):
                 x.pop(c, None)
                 x.pop(c + 1, None)
                 break
-        return x
+        return x, den
 
     monkeypatch.setattr(oracle, "_check_incumbent", lambda *args: None)
     monkeypatch.setattr(lp_module._Tableau, "values", hiding)

@@ -216,8 +216,8 @@ class TestKeptRoot:
     @staticmethod
     def _snapshot(root):
         tab = root.tab
-        return ([dict(row) for row in tab.rows], list(tab.dens), list(tab.basis),
-                dict(tab.zrow), tab.zden, tab.ncols)
+        return ([dict(row) for row in tab.rows], list(tab.basis), dict(tab.zrow), tab.zden,
+                tab.ncols)
 
     def test_a_sweep_leaves_the_kept_root_unchanged(self):
         net, meas = parse_case(IEEE14_CASE)

@@ -15,6 +15,7 @@ from conftest import (
     SIXBUS_CASE,
     incidence_transpose,
     mesh_grid,
+    paper_stand_in,
     random_connected_edges,
     random_tu_problem,
     sixbus_meas,
@@ -416,6 +417,15 @@ class TestWarmSweep:
                 assert res.attack.touched.isdisjoint(meas.protected)
                 feasible += 1
         assert feasible > 100 and pinned > 0
+
+    @pytest.mark.parametrize("buses, lines, total", [(118, 186, 537), (300, 411, 960)])
+    def test_paper_scale_stand_ins_match_the_cut(self, buses, lines, total):
+        # synthetic grids of the paper's IEEE 118 and 300 sizes (the cases
+        # themselves are not bundled): every meter's LP index is the cut's
+        net, meas = paper_stand_in(buses, lines)
+        got = [security_index(net, meas, k).index for k in range(1, lines + 1)]
+        assert got == [mincut_index(net, meas, k).index for k in range(1, lines + 1)]
+        assert sum(got) == total
 
     def test_unmetered_buses_leave_their_state_columns_fixed(self):
         # bus 4 has no metered line; buses 5 and 6 meet one metered line,

@@ -410,7 +410,8 @@ class TestTernaryWarmStep:
         out = solve_lp(StandardFormLP.from_int_rows(yrows, dict.fromkeys(range(width), 1), width))
         tab = out.tableau
         assert primal == [out.pivots]
-        assert tab.dens == [1] * len(base.pos) and tab.zden == 1
+        assert [row[c] for row, c in zip(tab.rows, tab.basis)] == [1] * len(base.pos)
+        assert tab.zden == 1
         assert base.basis == tab.basis
         assert base.z == [tab.zrow.get(j, 0) for j in range(tab.ncols)]
         assert base.pos == [sum(1 << j for j, v in row.items() if j != lp.RHS and v == 1)
