@@ -84,7 +84,16 @@ class MeterEntry:
 class BatchReport:
     case: str
     entries: tuple[MeterEntry, ...]
-    mismatches: tuple[int, ...]   # meters whose methods disagree, ascending
+
+    @property
+    def mismatches(self) -> tuple[int, ...]:
+        """Meters whose answered cells (neither failed nor capped) disagree,
+        ascending."""
+        by_meter: dict[int, set] = {}
+        for e in self.entries:
+            if e.error is None and not e.capped:
+                by_meter.setdefault(e.meter, set()).add(e.index)
+        return tuple(sorted(k for k, vals in by_meter.items() if len(vals) > 1))
 
     @property
     def failures(self) -> tuple[MeterEntry, ...]:
@@ -138,8 +147,7 @@ class BatchReport:
                        float(e["seconds"]), e.get("error"), bool(e.get("capped", False)))
             for e in data["entries"]
         )
-        return cls(str(data["case"]), entries,
-                   tuple(int(m) for m in data.get("mismatches", [])))
+        return cls(str(data["case"]), entries)
 
 
 def _solve_one(case: tuple[Network, MeasurementSystem], method: str, k: int) -> MeterEntry:
@@ -183,10 +191,10 @@ def run_batch(case_path, methods=("lp",), jobs: int | None = None) -> BatchRepor
     into one contiguous chunk per worker process, at most one per CPU; the
     default is the machine's CPU count.  Entries come out in the same
     order whatever the job count.  Meters where the methods give different
-    answers land in `mismatches`; a cell that fails with an internal error
-    records it, and a cell whose solve uses up its work cap (CapExceeded)
-    is marked capped; neither takes part in that comparison, and the other
-    cells still run.
+    answers are the report's `mismatches`; a cell that fails with an
+    internal error records it, and a cell whose solve uses up its work cap
+    (CapExceeded) is marked capped; neither takes part in that comparison,
+    and the other cells still run.
     """
     case_path = str(case_path)
     methods = _batch_methods(methods)
@@ -211,12 +219,7 @@ def run_batch(case_path, methods=("lp",), jobs: int | None = None) -> BatchRepor
             entries = [e for part in parts for e in part]
     else:
         entries = _solve_chunk(case, cells)
-    by_meter: dict[int, set] = {}
-    for e in entries:
-        if e.error is None and not e.capped:
-            by_meter.setdefault(e.meter, set()).add(e.index)
-    mismatches = tuple(sorted(k for k, vals in by_meter.items() if len(vals) > 1))
-    return BatchReport(case_path, tuple(entries), mismatches)
+    return BatchReport(case_path, tuple(entries))
 
 
 def emit(report: BatchReport, fmt: str = "csv") -> str:

@@ -571,6 +571,19 @@ def _run_dual_simplex(tab: _Tableau | _TernaryTableau, pivots: list[int]) -> LpS
         _count_pivot(pivots, budget)
 
 
+def _crash_basis(rows, p: int) -> list[int]:
+    """Each {column: value} row's crash column, a ready-made basic column:
+    its smallest positive column in 0..p-1 that no other row holds, or -1
+    where it has none."""
+    count = [0] * p
+    for row in rows:
+        for j in row:
+            if j != RHS:
+                count[j] += 1
+    return [min((j for j, v in row.items() if j != RHS and v > 0 and count[j] == 1), default=-1)
+            for row in rows]
+
+
 def _solve_standard_ints(rows, cost, cost_den: int, p: int) -> LpOutcome:
     """Exact simplex on sparse integer rows over columns 0..p-1.
 
@@ -591,19 +604,7 @@ def _solve_standard_ints(rows, cost, cost_den: int, p: int) -> LpOutcome:
             for j in row:
                 row[j] = -row[j]
 
-    # crash basis: singleton positive columns serve as ready-made basic vars
-    col_count = [0] * p
-    for row in rows:
-        for j in row:
-            if j != RHS:
-                col_count[j] += 1
-    basis = [-1] * l
-    for i, row in enumerate(rows):
-        for j in sorted(row):
-            if j != RHS and col_count[j] == 1 and row[j] > 0:
-                basis[i] = j
-                break
-
+    basis = _crash_basis(rows, p)
     art_rows = [i for i in range(l) if basis[i] == -1]
     ncols = p + len(art_rows)
     for a, i in enumerate(art_rows):

@@ -91,7 +91,7 @@ def exhaustive_min_tuple(A, k: int, *, cap: int = 200_000) -> CriticalTuple | No
             if int_rank(outside) >= n:
                 continue
             if int_rank(outside + [rows[k - 1]]) == n:
-                return CriticalTuple(J, size, k)
+                return CriticalTuple(J, k)
     return None
 
 
@@ -342,8 +342,7 @@ def solve_milp_instance(prob: TUProblem, big_m=Fraction(2), *, cap: int = 100_00
     return _branch_and_bound(root, prob.k, cap=cap, trace=trace)
 
 
-def milp_solve(net: Network, meas: MeasurementSystem, k: int, *,
-               trace=None) -> SecurityIndexResult:
+def milp_solve(net: Network, meas: MeasurementSystem, k: int) -> SecurityIndexResult:
     """Security index of flow meter k via the big-M reference solver.
 
     Self-contained alternative to the l1 path: the same integer flow rows,
@@ -356,7 +355,7 @@ def milp_solve(net: Network, meas: MeasurementSystem, k: int, *,
     t0 = perf_counter()
     _flow_target(meas, k)
     mtr = metering(net, meas)
-    out = _branch_and_bound(mtr.milp_root, k, trace=trace)
+    out = _branch_and_bound(mtr.milp_root, k)
     if out is None:
         raise InfeasibleIndex(k)
     _, d, support, _ = out
@@ -463,9 +462,9 @@ def coherence_bound(phi) -> float:
 def rip_constant(phi, s: int, *, budget: int = 200_000) -> float:
     """Restricted isometry constant of order s, by support enumeration.
 
-    For each column subset T with |T| <= s the Gram spectrum of phi_T is
-    compared against 1; subsets up to size 2 use closed-form eigenvalues
-    on exact Gram entries, larger ones use floating eigendecomposition.
+    For each column subset T with |T| <= s the Gram spectrum of phi_T,
+    its entries exact and its eigenvalues in floating point (eigvalsh), is
+    compared against 1.
     """
     rows = _frac_matrix(phi)
     if not rows:
@@ -482,20 +481,7 @@ def rip_constant(phi, s: int, *, budget: int = 200_000) -> float:
         return sum(a * b for a, b in zip(cols[i], cols[j]))
 
     delta = 0.0
-    for i in range(m):
-        g = dot(i, i)
-        delta = max(delta, abs(float(g) - 1.0))
-    if s >= 2:
-        for i in range(m):
-            for j in range(i + 1, m):
-                a, b, c = dot(i, i), dot(i, j), dot(j, j)
-                mean = Fraction(a + c, 2)
-                disc2 = Fraction(a - c, 2) ** 2 + b * b
-                root = math.sqrt(disc2)
-                lam_hi = float(mean) + root
-                lam_lo = float(mean) - root
-                delta = max(delta, lam_hi - 1.0, 1.0 - lam_lo)
-    for t in range(3, s + 1):
+    for t in range(1, s + 1):
         for T in combinations(range(m), t):
             G = np.array([[float(dot(i, j)) for j in T] for i in T])
             lam = np.linalg.eigvalsh(G)

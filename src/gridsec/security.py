@@ -55,14 +55,15 @@ class SecurityIndexResult:
 @dataclass(frozen=True)
 class CriticalTuple:
     members: frozenset[int]           # 1-based meter indices, target included
-    cardinality: int
     target: int
 
     def __post_init__(self):
-        if self.cardinality != len(self.members):
-            raise ValueError("cardinality disagrees with member count")
         if self.target not in self.members:
             raise ValueError("target not contained in the tuple")
+
+    @property
+    def cardinality(self) -> int:
+        return len(self.members)
 
 
 def _flow_target(meas: MeasurementSystem, k: int) -> None:
@@ -260,4 +261,4 @@ def min_critical_tuple(H, k: int) -> CriticalTuple:
         raise SolverDefect("complement of the tuple stayed observable")
     if int_rank(outside + [A[k - 1].tolist()]) != n:
         raise SolverDefect("target row does not restore observability")
-    return CriticalTuple(members, len(members), k)
+    return CriticalTuple(members, k)

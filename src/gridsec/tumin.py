@@ -118,12 +118,10 @@ def sparse_rows(A: np.ndarray) -> tuple[tuple[tuple[int, int], ...], ...]:
 class TUSolution:
     x: tuple[int, ...]
     support: frozenset[int]        # unprotected rows where A(j,:)x != 0
-    cardinality: int
-    image: tuple[int, ...]         # |A(j,:)x| over the unprotected rows, in order
 
-    def __post_init__(self):
-        if self.cardinality != len(self.support):
-            raise ValueError("cardinality must equal |support|")
+    @property
+    def cardinality(self) -> int:
+        return len(self.support)
 
 
 def _meter_space(rows, n: int, I: frozenset[int]) -> tuple[list, list[int], list[int], int]:
@@ -223,9 +221,9 @@ def solve_l1_base(rows, n: int, I=frozenset()) -> L1Base:
     (_meter_space), solved once for every target row of that data;
     ValueError for a protected row or a column outside the data.
 
-    Each row is basic in lp's crash column (its smallest +1 column that no
-    other row holds) at value 0, lp's primal simplex runs on that ternary
-    tableau, and its optimality is checked (an unbounded stop fails it too).
+    Each row is basic in its lp._crash_basis column at value 0, lp's
+    primal simplex runs on that ternary tableau, and its optimality is
+    checked (an unbounded stop fails it too).
     Data that is not totally unimodular can raise IntegralityError here.
     """
     rows = tuple(rows)
@@ -237,15 +235,13 @@ def solve_l1_base(rows, n: int, I=frozenset()) -> L1Base:
                 raise ValueError(f"column {c} outside 0..{n - 1}")
             columns[c].append(j)
     yrows, spos, sneg, width = _meter_space(rows, n, I)
-    z, count, pos, neg = [1] * width, [0] * width, [], []     # z: reduced costs
+    z, pos, neg = [1] * width, [], []     # z: reduced costs
     for row in yrows:
         for j, v in row.items():
             z[j] -= v
-            count[j] += 1
         pos.append(sum(1 << j for j, v in row.items() if v == 1))
         neg.append(sum(1 << j for j, v in row.items() if v == -1))
-    basis = [min(j for j, v in row.items() if v == 1 and count[j] == 1) for row in yrows]
-    tab = lp._TernaryTableau(pos, neg, [0] * len(yrows), basis, z)
+    tab = lp._TernaryTableau(pos, neg, [0] * len(yrows), lp._crash_basis(yrows, width), z)
     lp._run_simplex(tab, [0])
     tab.check_optimal()
     return L1Base(tab.pos, tab.neg, tab.basis, tab.z, spos, sneg, tuple(map(tuple, columns)),
@@ -303,9 +299,9 @@ def _certified_solution(tab: lp._TernaryTableau, base: L1Base, k: int) -> TUSolu
     target row's slack) must be zero, and the objective must equal the y
     sum.  The state move x, read from base's state rows, must satisfy
     A(I,:)x = 0 and A(k,:)x = 1 on base's integer rows, and touch as many
-    rows as the objective, in the unimodular pattern.  A(j,:)x is
-    evaluated on the rows that hold a column x moves (base's column
-    index); every other row reads 0.  SolverDefect otherwise (its subclass
+    rows as the objective, in the unimodular pattern: x and every nonzero
+    A(j,:)x in {-1, 1}.  A(j,:)x is evaluated on the rows that hold a
+    column x moves (base's column index); every other row reads 0.  SolverDefect otherwise (its subclass
     IntegralityError for a broken integrality pattern).
     """
     tab.check_optimal()
@@ -322,7 +318,7 @@ def _certified_solution(tab: lp._TernaryTableau, base: L1Base, k: int) -> TUSolu
     image = _image(base.rows, x, {j for c in moved for j in base.columns[c]})
     if image.get(k) != 1 or any(j in base.I for j in image):
         raise SolverDefect("witness breaks the target or a protected row; solver defect")
-    sol = _solution(base.I, len(base.rows), x, image)
+    sol = TUSolution(tuple(x), frozenset(image))
     if sol.cardinality != objective:
         raise IntegralityError(f"objective {objective} != support {sol.cardinality}")
     if any(v not in (-1, 1) for v in moved.values()) or any(v not in (-1, 1) for v in image.values()):
@@ -342,31 +338,15 @@ def _image(rows, x, which) -> dict[int, int]:
     return out
 
 
-def _solution(I: frozenset[int], m: int, x, image: dict[int, int]) -> TUSolution:
-    """The TUSolution of x over m rows with protected rows I, whose nonzero
-    A(j,:)x are image (by row; a protected row is left out)."""
-    dense = [0] * (m - len(I))
-    support = []
-    for j, v in image.items():
-        if j not in I:
-            dense[_y_column(I, j)] = abs(v)
-            support.append(j)
-    return TUSolution(tuple(x), frozenset(support), len(support), tuple(dense))
-
-
-def _unimodular_pattern(sol: TUSolution) -> bool:
-    """x in {-1,0,1}^n and image in {0,1}, as total unimodularity guarantees."""
-    return all(v in (-1, 0, 1) for v in sol.x) and all(v in (0, 1) for v in sol.image)
-
-
 def validate_integrality(sol: TUSolution, problem: TUProblem) -> bool:
-    """Check the guaranteed pattern, x in {-1,0,1}^n and image in {0,1}, on
-    the image recomputed from sol.x."""
-    if len(sol.x) != problem.A.shape[1] or not _unimodular_pattern(sol):
+    """Check the pattern total unimodularity guarantees on A(j,:)x
+    recomputed from sol.x over the unprotected rows: x in {-1,0,1}^n,
+    every nonzero A(j,:)x in {-1, 1}, and sol.support exactly the rows
+    where it is nonzero."""
+    if len(sol.x) != problem.A.shape[1] or any(v not in (-1, 0, 1) for v in sol.x):
         return False
-    m = problem.A.shape[0]
-    recomputed = _solution(problem.I, m, sol.x, _image(problem.rows, sol.x, range(1, m + 1)))
-    return recomputed.image == sol.image and recomputed.support == sol.support
+    image = _image(problem.rows, sol.x, problem.free_rows)
+    return all(v in (-1, 1) for v in image.values()) and frozenset(image) == sol.support
 
 
 def verify_tu(A, max_order: int, *, budget: int = 200_000) -> bool:

@@ -9,7 +9,8 @@ reported as
 - killed: the suite fails;
 - survived: the suite passes (``survives=True`` marks a known survivor);
 - stale: an old text is not found exactly once, so the patch no longer
-  applies and must be rewritten against the code.
+  applies and must be rewritten against the code (tier-1's
+  test_mutant_patches.py fails on it too, without running a mutant).
 
 Usage, from anywhere (stdlib only; pytest does not collect this file):
 
@@ -105,6 +106,23 @@ MUTANTS = (
         (TUMIN, "        if pos >= 0:\n", "        if pos < r:\n"))),
     _one("warm step pivots the kept base in place", TUMIN,
          "lp._TernaryTableau(base.pos[:], base.neg[:],", "lp._TernaryTableau(base.pos, base.neg,"),
+    # the warm step's certificate and validate_integrality
+    _one("certificate without the target clause", TUMIN,
+         "if image.get(k) != 1 or any(", "if any("),
+    _one("certificate without the protected clause", TUMIN,
+         "if image.get(k) != 1 or any(j in base.I for j in image):", "if image.get(k) != 1:"),
+    _one("certificate without the slack check", TUMIN,
+         "    if any(c >= 2 * len(base.spos) for c in vals):\n"
+         "        raise SolverDefect(\"the target row's slack is not zero; solver defect\")\n", ""),
+    _one("certificate without the pattern check", TUMIN,
+         "    if any(v not in (-1, 1) for v in moved.values()) or any(v not in (-1, 1) for v in image.values()):\n"
+         "        raise IntegralityError(f\"witness violates the unimodular pattern: {sol}\")\n", ""),
+    _one("validate_integrality without the x check", TUMIN,
+         " or any(v not in (-1, 0, 1) for v in sol.x):", ":"),
+    _one("validate_integrality without the image check", TUMIN,
+         "return all(v in (-1, 1) for v in image.values()) and ", "return "),
+    _one("validate_integrality without the support comparison", TUMIN,
+         " and frozenset(image) == sol.support", ""),
 )
 
 
@@ -119,9 +137,11 @@ def _copy_repo(dest: Path) -> None:
 def _suite_passes(work: Path) -> bool:
     """Tier-1 on the copy in work, stopping at the first failure; no
     bytecode is written, so a patched module is never read from a stale
-    cache."""
+    cache.  test_mutant_patches is left out: it checks that each patch
+    applies to the unpatched code, so it fails on every patched copy."""
     env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
-    done = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
+    done = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                           "--ignore=tests/test_mutant_patches.py"],
                           cwd=work, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     return done.returncode == 0
 

@@ -124,14 +124,9 @@ def solution_from_x(problem, x) -> TUSolution:
     """The TUSolution of x by a dense walk: A(j,:)x on every unprotected row
     in order, as tumin's certificate read it before it visited only the
     rows holding a column x moves."""
-    image = []
-    support = []
-    for j in problem.free_rows:
-        v = sum(a * x[c] for c, a in problem.rows[j - 1])
-        image.append(abs(v))
-        if v:
-            support.append(j)
-    return TUSolution(tuple(x), frozenset(support), len(support), tuple(image))
+    support = [j for j in problem.free_rows
+               if sum(a * x[c] for c, a in problem.rows[j - 1])]
+    return TUSolution(tuple(x), frozenset(support))
 
 
 def witness_attack_all_lines(mtr, k, x):

@@ -235,7 +235,7 @@ class TestEmit:
             MeterEntry(1, "lp", None, 0.25),
             MeterEntry(1, "exhaustive", 2, 0.0001239),
         )
-        return BatchReport("toy.case", entries, ())
+        return BatchReport("toy.case", entries)
 
     def test_csv_layout(self):
         lines = emit(self.make_report()).splitlines()

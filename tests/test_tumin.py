@@ -36,7 +36,7 @@ from gridsec.grid import metering, parse_case
 from gridsec.lp import LpStatus, StandardFormLP, solve_lp
 from gridsec.oracle import exhaustive_min_tuple, nullspace_reformulate, solve_milp_instance
 from gridsec.security import reduce_to_tu
-from gridsec.tumin import (TUSolution, _image, _meter_space, _solution, solve_l1_base, solve_warm,
+from gridsec.tumin import (TUSolution, _image, _meter_space, solve_l1_base, solve_warm,
                            sparse_rows)
 
 
@@ -92,10 +92,6 @@ class TestProblemValidation:
     def test_non_integer_entries_are_rejected_not_truncated(self, build, first):
         with pytest.raises(ValueError, match="integer entries"):
             build([[first, 0], [0, 1], [1, -1]])
-
-    def test_a_solution_whose_cardinality_is_not_its_support_is_rejected(self):
-        with pytest.raises(ValueError, match="cardinality must equal"):
-            TUSolution((1, 0), frozenset({1, 2}), 1, (1, 1))
 
     def test_problems_compare_and_hash_by_value(self):
         A = np.array([[1, 0], [1, 1], [0, 1]])
@@ -278,14 +274,22 @@ class TestValidateIntegrality:
     def test_rejects_wrong_length(self):
         prob = TUProblem(SIXBUS_A, 6)
         sol = solve_min_support(prob)
-        bad = type(sol)(sol.x + (0,), sol.support, sol.cardinality, sol.image)
+        bad = TUSolution(sol.x + (0,), sol.support)
         assert not validate_integrality(bad, prob)
 
     def test_rejects_oversized_entries(self):
         prob = TUProblem(np.array([[1, 0], [0, 1]]), 1)
         sol = solve_min_support(prob)
-        bad = type(sol)((2, 0), sol.support, sol.cardinality, sol.image)
+        bad = TUSolution((2, 0), sol.support)
         assert not validate_integrality(bad, prob)
+
+    @pytest.mark.parametrize("A, x, support", [
+        ([[1], [1]], (1,), {1}),        # A x touches rows 1 and 2
+        ([[1, 1]], (1, 1), {1}),        # x on the pattern, but A(1,:)x = 2
+        ([[1, 0]], (1, 2), {1}),        # A(1,:)x = 1, but x moves the empty column by 2
+    ], ids=["support", "image", "x"])
+    def test_rejects_a_solution_only_one_check_refuses(self, A, x, support):
+        assert not validate_integrality(TUSolution(x, frozenset(support)), TUProblem(A, 1))
 
     def test_fractional_optimum_is_a_solver_defect(self):
         # an odd cycle is not totally unimodular: its l1 optimum is the
@@ -293,6 +297,50 @@ class TestValidateIntegrality:
         # on 2
         with pytest.raises(SolverDefect, match="not totally unimodular"):
             solve_min_support(TUProblem([[1, 1, 0], [0, 1, 1], [1, 0, 1]], 1))
+
+
+# 4 buses, reference bus 1, state (theta2, theta3, theta4); lines 1-2, 2-3,
+# 3-4, 4-1 and the protected 1-3, each row theta_from - theta_to
+FOUR_CYCLE_CHORD = [[-1, 0, 0], [1, -1, 0], [0, 1, -1], [0, 0, 1], [0, -1, 0]]
+
+
+class TestForgedCertificate:
+    """_certified_solution on a real warm tableau whose state move or values
+    are forged, each forgery passing every check but the one named."""
+
+    def test_a_move_touching_a_protected_row(self, monkeypatch):
+        base = solve_l1_base(sparse_rows(np.array(FOUR_CYCLE_CHORD)), 3, {5})
+        assert solve_warm(base, 1).cardinality == 2
+        # theta = (-1, -1, 0) touches rows 1 and 3, as many as the index,
+        # and the protected row 5
+        monkeypatch.setattr(tumin, "_state_values", lambda vals, base: {0: -1, 1: -1})
+        with pytest.raises(SolverDefect, match="breaks the target or a protected row"):
+            solve_warm(base, 1)
+
+    def test_a_move_off_the_pattern_in_an_empty_column(self, monkeypatch):
+        base = solve_l1_base(sparse_rows(np.array([[1, 0], [1, 0]])), 2)
+        assert solve_warm(base, 1) == TUSolution((1, 0), frozenset({1, 2}))
+        real = tumin._state_values
+        # moving the empty column by 2 changes no row
+        monkeypatch.setattr(tumin, "_state_values", lambda vals, base: {**real(vals, base), 1: 2})
+        with pytest.raises(IntegralityError, match="unimodular pattern"):
+            solve_warm(base, 1)
+
+    def test_a_nonzero_slack(self, monkeypatch):
+        base = solve_l1_base(sparse_rows(np.array([[1]])), 1)
+        real = lp._TernaryTableau.values
+        assert solve_warm(base, 1) == TUSolution((1,), frozenset({1}))
+
+        def slack_for_y(tab):
+            # y+_1 = 1 read as the target row's slack (column 2): the
+            # objective still equals the sum of the values
+            vals, den = real(tab)
+            assert vals == {0: 1}
+            return {2: 1}, den
+
+        monkeypatch.setattr(lp._TernaryTableau, "values", slack_for_y)
+        with pytest.raises(SolverDefect, match="slack is not zero"):
+            solve_warm(base, 1)
 
 
 class TestSparseCertificate:
@@ -319,8 +367,7 @@ class TestSparseCertificate:
         for _ in range(150):
             prob = random_tu_problem(rng)
             x = [rng.randint(-2, 2) for _ in range(prob.A.shape[1])]
-            m = prob.A.shape[0]
-            assert _solution(prob.I, m, x, _image(prob.rows, x, range(1, m + 1))) == \
+            assert TUSolution(tuple(x), frozenset(_image(prob.rows, x, prob.free_rows))) == \
                 solution_from_x(prob, x)
 
     def test_the_column_index_holds_every_row_of_each_column(self):
