@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import index
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .errors import (
     ValidationError,
 )
 from .exactla import to_fraction
-from .tumin import L1Base, solve_l1_base, sparse_rows
+from .tumin import L1Base, solve_l1_base
 
 FLOAT_TOL = 1e-9
 # any ratio of two reactances in this range is a finite float64
@@ -44,17 +45,20 @@ class Line:
 
 @dataclass(frozen=True)
 class Network:
-    """Connected set of buses joined by lines with reactances in [1e-150, 1e150]."""
+    """Connected set of buses joined by lines with reactances in [1e-150, 1e150];
+    bus ids are read by operator.index, so a non-integral one is a TypeError."""
 
     n_buses: int
     lines: tuple[Line, ...]
     reference_bus: int = 1
 
     def __post_init__(self):
+        object.__setattr__(self, "n_buses", index(self.n_buses))
+        object.__setattr__(self, "reference_bus", index(self.reference_bus))
         if self.n_buses < 2:
             raise ValidationError("a network needs at least two buses")
         lines = tuple(
-            ln if isinstance(ln, Line) else Line(int(ln[0]), int(ln[1]), to_fraction(ln[2]))
+            ln if isinstance(ln, Line) else Line(index(ln[0]), index(ln[1]), to_fraction(ln[2]))
             for ln in self.lines
         )
         object.__setattr__(self, "lines", lines)
@@ -115,7 +119,8 @@ class MeasurementSystem:
     """Which quantities are metered, which meters are protected.
 
     flow_meters hold 1-based line ids, injection_meters hold bus ids.
-    protected holds 1-based indices into the combined meter list.
+    protected holds 1-based indices into the combined meter list.  Ids
+    are read by operator.index, so a non-integral one is a TypeError.
     """
 
     flow_meters: tuple[int, ...]
@@ -123,10 +128,9 @@ class MeasurementSystem:
     protected: frozenset[int] = frozenset()
 
     def __post_init__(self):
-        object.__setattr__(self, "flow_meters", tuple(int(v) for v in self.flow_meters))
-        object.__setattr__(self, "injection_meters",
-                           tuple(int(v) for v in self.injection_meters))
-        object.__setattr__(self, "protected", frozenset(int(v) for v in self.protected))
+        object.__setattr__(self, "flow_meters", tuple(map(index, self.flow_meters)))
+        object.__setattr__(self, "injection_meters", tuple(map(index, self.injection_meters)))
+        object.__setattr__(self, "protected", frozenset(map(index, self.protected)))
         if len(set(self.flow_meters)) != len(self.flow_meters):
             raise ValidationError("duplicate flow meter")
         if len(set(self.injection_meters)) != len(self.injection_meters):
@@ -168,12 +172,11 @@ class AttackVector:
 
 
 def incidence(net: Network) -> tuple[np.ndarray, np.ndarray]:
-    """(B0, B): directed bus-line incidence and its reference-row truncation.
+    """(B0, B): dense directed bus-line incidence of every line and its
+    reference-row truncation, the source of the oracle's big-M.
 
     B0 is (n_buses x n_lines) with +1 at the from-bus and -1 at the to-bus;
-    B drops the reference bus row.  The one place this sign rule is
-    written: the flow rows, the exact rows of H and the oracle's big-M all
-    read it from here.
+    B drops the reference bus row.
     """
     B0 = np.zeros((net.n_buses, len(net.lines)), dtype=int)
     for j, ln in enumerate(net.lines):
@@ -200,8 +203,8 @@ class Metering:
 
     @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-        """Per bus (index 0 unused), the metered lines at it as (flow slot,
-        far bus, d) with d = +1 along the line's direction, -1 against it."""
+        """The metered-line graph: per bus (index 0 unused), the metered lines
+        at it as (flow slot, far bus, d), d = +1 at the from-bus, -1 at the to-bus."""
         adj: list[list[tuple[int, int, int]]] = [[] for _ in range(self.net.n_buses + 1)]
         for e, ln in enumerate(self.lines):
             adj[ln.from_bus].append((e, ln.to_bus, 1))
@@ -228,18 +231,15 @@ class Metering:
         return tuple(map(tuple, at))
 
     @cached_property
-    def flow_matrix(self) -> np.ndarray:
-        """The integer flow rows (see flow_rows) as a read-only int8 array,
-        exact for entries in {-1, 0, 1}, copied to int as the A of
-        security.reduce_to_tu's tumin.TUProblem."""
-        A = incidence(self.net)[1].T[[lid - 1 for lid in self.meas.flow_meters]].astype(np.int8)
-        A.setflags(write=False)
-        return A
-
-    @cached_property
     def flow_pairs(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """flow_matrix's rows as tumin.sparse_rows pairs."""
-        return sparse_rows(self.flow_matrix)
+        """The one form of the integer flow rows, read off adjacency: slot e
+        holds d at the state column of each end of its line, the state buses
+        walked in ascending order (tumin.sparse_rows pairs)."""
+        rows: list[list[tuple[int, int]]] = [[] for _ in self.lines]
+        for c, bus in enumerate(self.net.state_buses):
+            for e, _, d in self.adjacency[bus]:
+                rows[e].append((c, d))
+        return tuple(map(tuple, rows))
 
     @cached_property
     def l1_base(self) -> L1Base:
@@ -249,7 +249,7 @@ class Metering:
         copies or only reads, and flow_pairs itself, no copy, with the
         protected meters), built on the first LP solve of a flow-only
         system, never at parse time."""
-        return solve_l1_base(self.flow_pairs, self.flow_matrix.shape[1], self.meas.protected)
+        return solve_l1_base(self.flow_pairs, self.net.n_states, self.meas.protected)
 
     @cached_property
     def milp_root(self):
@@ -259,7 +259,7 @@ class Metering:
         for), built on the first MILP solve of a flow-only system, never at
         parse time."""
         from .oracle import _big_m, _milp_root      # oracle imports this module
-        return _milp_root(self.flow_pairs, self.flow_matrix.shape[1], self.meas.protected,
+        return _milp_root(self.flow_pairs, self.net.n_states, self.meas.protected,
                           _big_m(self.net))
 
 
@@ -292,33 +292,34 @@ def _resolve(net: Network, meas: MeasurementSystem) -> Metering:
 
 
 def flow_rows(net: Network, meas: MeasurementSystem) -> np.ndarray:
-    """Integer flow rows with the reactances dropped: the rows of the
-    truncated incidence transpose (incidence(net)[1].T) of the metered
-    lines, in meter order.  Meter ids are checked by metering()."""
-    return metering(net, meas).flow_matrix.astype(int)
+    """Integer flow rows with the reactances dropped, in meter order:
+    Metering.flow_pairs densified, the metered lines' rows of the truncated
+    incidence transpose.  Meter ids are checked by metering()."""
+    pairs = metering(net, meas).flow_pairs
+    A = np.zeros((len(pairs), net.n_states), dtype=int)
+    for i, row in enumerate(pairs):
+        for c, d in row:
+            A[i, c] = d
+    return A
 
 
 def _exact_H_rows(net: Network, meas: MeasurementSystem) -> list[list[Fraction]]:
-    """Measurement matrix rows over exact rationals (same order as build_H).
-
-    Only the metered rows are built: an injection row is summed over the
-    lines at its bus, never through the whole Laplacian.
-    """
-    n = net.n_states
+    """Measurement matrix rows over exact rationals (same order as build_H):
+    flow_pairs over each line's reactance, then each injection row summed
+    over the lines at its bus (Metering.bus_lines)."""
+    mtr = metering(net, meas)
     pos = {bus: c for c, bus in enumerate(net.state_buses)}
-    dvals = [Fraction(1) / ln.reactance for ln in net.lines]
-    rows = [[a / ln.reactance for a in row]
-            for row, ln in zip(flow_rows(net, meas).tolist(), metering(net, meas).lines)]
-    for bus in meas.injection_meters:
-        # row of B D B^T: +d_j on the diagonal, -d_j toward the far end
-        row = [Fraction(0)] * n
-        for ln, d in zip(net.lines, dvals):
-            if bus in (ln.from_bus, ln.to_bus):
-                row[pos[bus]] += d
-                far = ln.to_bus if ln.from_bus == bus else ln.from_bus
-                if far in pos:
-                    row[pos[far]] -= d
-        rows.append(row)
+    rows = [[Fraction(0)] * net.n_states for _ in range(meas.n_meters)]
+    for row, pairs, ln in zip(rows, mtr.flow_pairs, mtr.lines):
+        for c, d in pairs:
+            row[c] = d / ln.reactance
+    for row, bus in zip(rows[len(mtr.lines):], meas.injection_meters):
+        for lid in mtr.bus_lines[bus]:    # +1/x on the diagonal, -1/x toward the far end
+            ln = net.lines[lid - 1]
+            far = ln.to_bus if ln.from_bus == bus else ln.from_bus
+            row[pos[bus]] += 1 / ln.reactance
+            if far in pos:
+                row[pos[far]] -= 1 / ln.reactance
     return rows
 
 

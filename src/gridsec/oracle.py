@@ -39,6 +39,18 @@ from .tumin import TUProblem, check_rows
 # --- exhaustive enumeration ----------------------------------------------
 
 
+def _subsets(items, smallest: int, cap: int):
+    """Subsets of items, as tuples, by increasing size from smallest up to
+    all of them; CapExceeded(cap) in place of the (cap + 1)-th."""
+    tested = 0
+    for size in range(smallest, len(items) + 1):
+        for S in combinations(items, size):
+            tested += 1
+            if tested > cap:
+                raise CapExceeded(cap)
+            yield S
+
+
 def exhaustive_min_support(A, k: int, I=frozenset(), *,
                            cap: int = 200_000) -> int | None:
     """Minimum attack cardinality against row k of A with protected rows I,
@@ -58,16 +70,9 @@ def exhaustive_min_support(A, k: int, I=frozenset(), *,
     if in_row_space(target, prot_rows):
         return None
     others = [j for j in prob.free_rows if j != prob.k]
-    tested = 0
-    for size in range(len(others) + 1):
-        for S in combinations(others, size):
-            tested += 1
-            if tested > cap:
-                raise CapExceeded(cap)
-            silent = set(others) - set(S)
-            basis_rows = prot_rows + [rows[j - 1] for j in sorted(silent)]
-            if not in_row_space(target, basis_rows):
-                return size + 1
+    for S in _subsets(others, 0, cap):
+        if not in_row_space(target, prot_rows + [rows[j - 1] for j in others if j not in S]):
+            return len(S) + 1
     return None
 
 
@@ -77,21 +82,14 @@ def exhaustive_min_tuple(A, k: int, *, cap: int = 200_000) -> CriticalTuple | No
     J is critical for k when the rows outside J leave the state
     undetermined while restoring row k alone determines it again.
     """
-    rows = TUProblem(A, k).A.tolist()
+    prob = TUProblem(A, k)
+    rows, k = prob.A.tolist(), prob.k
     m, n = len(rows), len(rows[0])
-    others = [j for j in range(1, m + 1) if j != k]
-    tested = 0
-    for size in range(1, m + 1):
-        for rest in combinations(others, size - 1):
-            tested += 1
-            if tested > cap:
-                raise CapExceeded(cap)
-            J = frozenset(rest) | {k}
-            outside = [rows[j - 1] for j in range(1, m + 1) if j not in J]
-            if int_rank(outside) >= n:
-                continue
-            if int_rank(outside + [rows[k - 1]]) == n:
-                return CriticalTuple(J, k)
+    for rest in _subsets([j for j in range(1, m + 1) if j != k], 0, cap):
+        J = frozenset(rest) | {k}
+        outside = [rows[j - 1] for j in range(1, m + 1) if j not in J]
+        if int_rank(outside) < n and int_rank(outside + [rows[k - 1]]) == n:
+            return CriticalTuple(J, k)
     return None
 
 
@@ -225,7 +223,7 @@ def _check_incumbent(root: MilpRoot, k: int, X: dict[int, int], den: int) -> Non
 def _branch_and_bound(root: MilpRoot, k: int, *, cap: int = 100_000, trace=None):
     """Branch and bound for target row k on root; see solve_milp_instance.
     ValueError for a k outside root's rows or protected."""
-    check_rows(len(root.rows), k, root.I)
+    k, _ = check_rows(len(root.rows), k, root.I)
     M, n = root.big_m, root.n
     # every unprotected row but the target, whose binary is fixed to 1
     free = {j: c for j, c in root.tcol.items() if j != k}
@@ -410,7 +408,7 @@ def nullspace_reformulate(A, k: int, I=frozenset()) -> CsInstance:
     """
     rows = _frac_matrix(A)
     m = len(rows)
-    I = check_rows(m, k, I)
+    k, I = check_rows(m, k, I)
     L = left_nullspace(rows)
     if not L:
         raise TrivialNullspace(
@@ -510,14 +508,9 @@ def exhaustive_min_card(phi, b=None, *, cap: int = 200_000) -> int | None:
     aug = [scale_row(list(row) + [bv])[0] for row, bv in zip(rows, bvec)]
     if all(row[-1] == 0 for row in aug):
         return 0
-    tested = 0
-    for size in range(1, m + 1):
-        for T in combinations(range(m), size):
-            tested += 1
-            if tested > cap:
-                raise CapExceeded(cap)
-            sub = [[row[c] for c in T] for row in aug]
-            sub_b = [[row[c] for c in T] + [row[-1]] for row in aug]
-            if int_rank(sub) == int_rank(sub_b):
-                return size
+    for T in _subsets(range(m), 1, cap):
+        sub = [[row[c] for c in T] for row in aug]
+        sub_b = [[row[c] for c in T] + [row[-1]] for row in aug]
+        if int_rank(sub) == int_rank(sub_b):
+            return len(T)
     return None

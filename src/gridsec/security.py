@@ -35,7 +35,7 @@ from .errors import (
 )
 from .exactla import int_matrix, int_rank, scale_row
 from .grid import (FLOAT_TOL, AttackVector, MeasurementMatrix, MeasurementSystem, Metering,
-                   Network, metering)
+                   Network, flow_rows, metering)
 # not called here; the benchmark's tracer wraps them by these names
 from .grid import _exact_H_rows, incidence  # noqa: F401
 from .mincut import check_certificate, max_flow, witness
@@ -77,18 +77,14 @@ def _flow_target(meas: MeasurementSystem, k: int) -> None:
 
 
 def reduce_to_tu(net: Network, meas: MeasurementSystem, k: int) -> TUProblem:
-    """Cast a flow-metered system as integer minimum-support data.
-
-    Row i of A is the (from +1 / to -1) incidence of the i-th metered
-    line over the non-reference buses; reactances cancel out of the
-    support.  Only pure flow metering reduces this way, so injection
-    meters raise HasInjections.  A is an int copy of the system's kept
-    flow matrix, for the oracles on one problem; security_index and
-    oracle.milp_solve read the system's kept l1 base and MILP root.
-    """
+    """Cast a flow-metered system as integer minimum-support data for the
+    oracles: A is grid.flow_rows, row i the (from +1 / to -1) incidence of
+    the i-th metered line over the non-reference buses (reactances cancel
+    out of the support).  Injection meters raise HasInjections.
+    security_index and oracle.milp_solve read the system's kept l1 base
+    and MILP root instead."""
     _flow_target(meas, k)
-    mtr = metering(net, meas)
-    return TUProblem(mtr.flow_matrix.astype(int), k, meas.protected, mtr.flow_pairs)
+    return TUProblem(flow_rows(net, meas), k, meas.protected)
 
 
 def _witness_attack(mtr: Metering, k: int, x) -> tuple[list, list, frozenset[int]]:
@@ -224,7 +220,7 @@ def check_conditions(H, k: int, *, tol: float = FLOAT_TOL) -> tuple[bool, bool]:
     """
     M = H.H if isinstance(H, MeasurementMatrix) else np.asarray(H)
     m, n = M.shape
-    check_rows(m, k)
+    k, _ = check_rows(m, k)
     if M.dtype == object or issubclass(M.dtype.type, np.integer):
         rows = M.tolist()
         return any(rows[k - 1]), int_rank([scale_row(row)[0] for row in rows]) == n

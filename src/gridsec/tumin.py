@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 import math
+from operator import index
 import random
 from typing import NamedTuple
 
@@ -45,20 +46,22 @@ from .errors import IntegralityError, SizeLimitExceeded, SolverDefect
 from .exactla import _eliminate, _reduce, det_int, int_matrix
 
 
-def check_rows(m: int, k: int, I=frozenset()) -> frozenset[int]:
-    """I as a frozenset of ints, once target row k and the protected rows I
-    are known to lie in 1..m with k unprotected; ValueError otherwise."""
+def check_rows(m: int, k: int, I=frozenset()) -> tuple[int, frozenset[int]]:
+    """(k, I) as an int and a frozenset of ints, once target row k and the
+    protected rows I are known to lie in 1..m with k unprotected;
+    TypeError for a non-integral id, ValueError otherwise."""
+    k = index(k)
     if not 1 <= k <= m:
         raise ValueError(f"target row {k} outside 1..{m}")
     I = _protected_rows(m, I)
     if k in I:
         raise ValueError("target row cannot be protected")
-    return I
+    return k, I
 
 
 def _protected_rows(m: int, I) -> frozenset[int]:
-    """I as a frozenset of ints in 1..m; ValueError otherwise."""
-    I = frozenset(int(i) for i in I)
+    """I as a frozenset of ints in 1..m, read by operator.index; ValueError otherwise."""
+    I = frozenset(map(index, I))
     if any(not 1 <= i <= m for i in I):
         raise ValueError("protected row outside 1..m")
     return I
@@ -69,24 +72,23 @@ class TUProblem:
     """The one record of a minimum-support problem: integer data A, a 1-based
     target row k and protected rows I, read by the l1 solve and the oracles.
 
-    rows holds each row's nonzero (column, value) pairs as Python ints.  A
-    caller that keeps an integer array and its sparse_rows (as grid.Metering
-    does for every target of a measurement system) passes both, and neither
-    is read again; otherwise A is read by int_matrix and rows are built from
-    it.  k and I are checked either way.  Problems compare and hash by
-    value: the shape of A, rows, k and I.
+    A is read by int_matrix, and rows, each row's nonzero (column, value)
+    pairs as Python ints, are always built from it (sparse_rows); k and I
+    are checked by check_rows.  Problems compare and hash by value: the
+    shape of A, rows, k and I.
     """
 
     A: np.ndarray
     k: int
     I: frozenset[int] = frozenset()
-    rows: tuple[tuple[tuple[int, int], ...], ...] | None = field(default=None, repr=False)
+    rows: tuple[tuple[tuple[int, int], ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.rows is None:
-            object.__setattr__(self, "A", int_matrix(self.A))
-            object.__setattr__(self, "rows", sparse_rows(self.A))
-        object.__setattr__(self, "I", check_rows(self.A.shape[0], self.k, self.I))
+        object.__setattr__(self, "A", int_matrix(self.A))
+        object.__setattr__(self, "rows", sparse_rows(self.A))
+        k, I = check_rows(self.A.shape[0], self.k, self.I)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "I", I)
 
     def _key(self):
         return self.A.shape, self.rows, self.k, self.I
@@ -104,13 +106,11 @@ class TUProblem:
 
 
 def sparse_rows(A: np.ndarray) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Each row of the integer array A as its nonzero (column, value) pairs;
-    equal pairs are one tuple."""
+    """Each row of the integer array A as its nonzero (column, value) pairs."""
     r, c = np.nonzero(A)
     out: list[list[tuple[int, int]]] = [[] for _ in range(A.shape[0])]
-    pairs: dict[tuple[int, int], tuple[int, int]] = {}
     for i, j, a in zip(r.tolist(), c.tolist(), A[r, c].tolist()):
-        out[i].append(pairs.setdefault((j, a), (j, a)))
+        out[i].append((j, a))
     return tuple(map(tuple, out))
 
 
@@ -266,7 +266,8 @@ def solve_warm(base: L1Base, k: int) -> TUSolution | None:
     optimum has A(k,:)x = 1 and s = 0, an optimum of build_l1_lp of the
     same data.  x is read from base's state rows.
     """
-    y = _y_column(check_rows(len(base.rows), k, base.I), k)
+    k, I = check_rows(len(base.rows), k, base.I)
+    y = _y_column(I, k)
     tab = lp._TernaryTableau(base.pos[:], base.neg[:], [0] * len(base.basis), base.basis[:],
                              base.z[:])
     tab.add_row(1 << (y + len(base.spos)), 1 << y, -1)

@@ -53,8 +53,8 @@ MUTANTS = (
     _one("target_tableau re-optimizes the kept root in place", ORACLE,
          "tab = root.tab.copy()", "tab = root.tab"),
     _one("milp_root ignores the protection", GRID,
-         "_milp_root(self.flow_pairs, self.flow_matrix.shape[1], self.meas.protected,",
-         "_milp_root(self.flow_pairs, self.flow_matrix.shape[1], frozenset(),"),
+         "_milp_root(self.flow_pairs, self.net.n_states, self.meas.protected,",
+         "_milp_root(self.flow_pairs, self.net.n_states, frozenset(),"),
     _one("no incumbent check", ORACLE,
          "            _check_incumbent(root, k, X, den)\n", ""),
     _one("incumbent check without the target clause", ORACLE,
@@ -123,6 +123,12 @@ MUTANTS = (
          "return all(v in (-1, 1) for v in image.values()) and ", "return "),
     _one("validate_integrality without the support comparison", TUMIN,
          " and frozenset(image) == sol.support", ""),
+    # the one flow-row form and the LP's column check
+    _one("flow rows with their signs flipped", GRID,
+         "rows[e].append((c, d))", "rows[e].append((c, -d))"),
+    _one("from_int_rows without its column check", LP,
+         "        if any(not 0 <= j < num_vars for j in cols):\n"
+         "            raise DimensionMismatch(f\"a column outside 0..{num_vars - 1}\")\n", ""),
 )
 
 

@@ -8,6 +8,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import IEEE14_CASE, SIXBUS_CASE
@@ -226,6 +227,20 @@ class TestRunBatch:
     def test_jobs_below_one_rejected(self):
         with pytest.raises(ValueError):
             run_batch(SIXBUS_CASE, jobs=0)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_every_method_reads_a_numpy_meter_id_as_its_int(method):
+    net, meas = parse_case(SIXBUS_CASE)
+    meas = MeasurementSystem(meas.flow_meters, protected={np.int64(1)})
+    for k in range(2, 8):
+        want, got = METHODS[method](net, meas, k), METHODS[method](net, meas, np.int64(k))
+        assert (got.index, got.bounds) == (want.index, want.bounds)
+        assert (got.attack is None) == (want.attack is None)
+        if want.attack is not None:
+            assert got.attack.touched == want.attack.touched
+    with pytest.raises(TypeError):
+        METHODS[method](net, meas, 2.0)
 
 
 class TestEmit:

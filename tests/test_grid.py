@@ -27,7 +27,25 @@ from gridsec.errors import (
     UnknownMeterId,
     ValidationError,
 )
-from gridsec.grid import Line, full_flow_metering
+from gridsec.grid import Line, _exact_H_rows, full_flow_metering, metering
+from gridsec.tumin import sparse_rows
+
+
+def random_metered_system(rng: random.Random, max_buses: int = 8):
+    """A connected network whose lines run either way, with a few parallel
+    pairs and a random reference bus, some of its lines flow-metered in
+    random order and some of its non-reference buses injection-metered."""
+    n = rng.randint(2, max_buses)
+    ends = [(rng.randint(1, b - 1), b) for b in range(2, n + 1)]
+    ends += [tuple(rng.sample(range(1, n + 1), 2)) for _ in range(rng.randint(0, n))]
+    ends += rng.sample(ends, rng.randint(0, min(2, len(ends))))
+    rng.shuffle(ends)
+    lines = tuple((u, v) if rng.random() < 0.5 else (v, u) for u, v in ends)
+    net = Network(n, tuple((u, v, Fraction(rng.randint(1, 50), rng.randint(1, 20)))
+                           for u, v in lines), rng.randint(1, n))
+    flows = rng.sample(range(1, len(lines) + 1), rng.randint(0, len(lines)))
+    buses = [b for b in range(1, n + 1) if b != net.reference_bus]
+    return net, MeasurementSystem(tuple(flows), tuple(rng.sample(buses, rng.randint(0, n - 1))))
 
 
 class TestNetwork:
@@ -83,6 +101,14 @@ class TestNetwork:
             Network(10**12, ((1, 2, 1),))
         assert time.perf_counter() - t0 < 1.0
 
+    def test_bus_ids_are_integers_not_truncated(self):
+        net = Network(np.int64(3), ((np.int64(1), np.int64(2), 1), (2, 3, 1)), np.int64(2))
+        assert net.lines[0] == Line(1, 2, Fraction(1)) and net.state_buses == (1, 3)
+        for args in ((2, ((1.6, 2, 1),)), (2, ((1, 2.0, 1),)), (2.0, ((1, 2, 1),)),
+                     (2, ((1, 2, 1),), 1.5)):
+            with pytest.raises(TypeError):
+                Network(*args)
+
 
 class TestIncidence:
     def test_three_bus_columns(self):
@@ -118,6 +144,28 @@ class TestIncidence:
         with pytest.raises(UnknownMeterId):
             flow_rows(sixbus_network(), MeasurementSystem((1, 8)))
 
+    def test_the_kept_flow_rows_and_exact_H_match_dense_references(self):
+        # the metered-line graph's flow_pairs against the metered rows of
+        # the incidence transpose, and the exact rows of H against B D B^T,
+        # on systems with parallel lines, lines in either direction, a
+        # random reference bus, partial flow metering and injections
+        rng = random.Random(2024)
+        for _ in range(3000):
+            net, meas = random_metered_system(rng)
+            B0, B = incidence(net)
+            metered = [lid - 1 for lid in meas.flow_meters]
+            assert metering(net, meas).flow_pairs == sparse_rows(B.T[metered])
+            A = flow_rows(net, meas)
+            assert A.dtype == np.dtype(int) and np.array_equal(A, B.T[metered])
+            B0, B = B0.tolist(), B.tolist()
+            d = [1 / ln.reactance for ln in net.lines]
+            cols = range(len(d))
+            want = [[B[c][j] and B[c][j] * d[j] for c in range(net.n_states)] for j in metered]
+            want += [[sum(B0[bus - 1][j] * B[c][j] * d[j] for j in cols
+                          if B0[bus - 1][j] * B[c][j])
+                      for c in range(net.n_states)] for bus in meas.injection_meters]
+            assert _exact_H_rows(net, meas) == want
+
 
 class TestMeasurementSystem:
     def test_meter_kind_ordering(self):
@@ -137,6 +185,14 @@ class TestMeasurementSystem:
     def test_rejects_protected_out_of_range(self):
         with pytest.raises(ValidationError):
             MeasurementSystem((1, 2), protected=frozenset({3}))
+
+    def test_meter_ids_are_integers_not_truncated(self):
+        meas = MeasurementSystem(np.array([1, 2]), (np.int64(3),), {np.int64(1)})
+        assert meas == MeasurementSystem((1, 2), (3,), {1})
+        for kwargs in ({"flow_meters": (1.9, 2)}, {"flow_meters": (1,), "injection_meters": (2.5,)},
+                       {"flow_meters": (1, 2), "protected": {1.7}}):
+            with pytest.raises(TypeError):
+                MeasurementSystem(**kwargs)
 
     def test_full_flow_metering(self):
         meas = full_flow_metering(sixbus_network())

@@ -183,6 +183,24 @@ def test_verify_bfs_dimension_mismatch():
         verify_bfs(lp, sol)
 
 
+@pytest.mark.parametrize("rows, cost", [
+    ([{5: 1, RHS: 1}], {0: 1}),
+    ([{2: 1, RHS: 1}], {0: 1}),
+    ([{0: 1, RHS: 1}], {2: 1}),
+    ([{0: 1, RHS: 1}], {RHS: 1}),
+    ([{-2: 1, RHS: 1}], {0: 1}),
+], ids=["row-past", "row-at-width", "cost-at-width", "cost-rhs", "row-negative"])
+def test_from_int_rows_rejects_a_column_outside_the_width(rows, cost):
+    with pytest.raises(DimensionMismatch, match="outside 0..1"):
+        StandardFormLP.from_int_rows(rows, cost, 2)
+
+
+def test_from_int_rows_takes_the_rhs_key_and_every_column_in_range():
+    lp = StandardFormLP.from_int_rows([{0: 1, 1: 1, RHS: 1}], {0: 1, 1: 2}, 2)
+    assert lp.constraint_matrix == ((1, 1),) and lp.rhs == (1,)
+    assert solve_lp(lp).solution.values == (1, 0)
+
+
 def test_solution_is_exact_not_rounded():
     # optimum sits at x = (1/3, 1/3): exact rational values expected
     lp = StandardFormLP.create([[3, 0], [0, 3]], [1, 1], [1, 1])

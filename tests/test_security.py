@@ -459,15 +459,11 @@ class TestWarmSweep:
         net, meas = sixbus_network(), sixbus_meas({1})
         security_index(net, meas, 6)
         calls = []
-        for module, name in ((grid, "incidence"), (grid, "sparse_rows"),
-                             (tumin, "int_matrix"), (tumin, "sparse_rows")):
+        for module, name in ((grid, "incidence"), (tumin, "int_matrix"), (tumin, "sparse_rows")):
             real = getattr(module, name)
             monkeypatch.setattr(module, name,
                                 lambda *a, real=real, name=name: calls.append(name) or real(*a))
         for k in (2, 3, 5, 6, 7):
-            prob = reduce_to_tu(net, meas, k)
-            assert prob.A.dtype == np.dtype(int)
-            assert prob.rows is metering(net, meas).flow_pairs
             security_index(net, meas, k)
         assert calls == []
 

@@ -79,6 +79,28 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             TUProblem(np.zeros((0, 3), dtype=int), 1)
 
+    @pytest.mark.parametrize("entry", INDEX_PROBLEMS)
+    def test_row_ids_are_integers_not_truncated(self, entry):
+        solve, takes_protected = INDEX_PROBLEMS[entry]
+        A = np.array([[1, 0], [1, -1], [0, 1]])
+        I = (frozenset({3}),) if takes_protected else ()
+        numpy_I = (frozenset({np.int64(3)}),) if takes_protected else ()
+        assert solve(A, np.int64(1), *numpy_I) == solve(A, 1, *I)
+        bad = [(1.0, I), (1.5, I)] + [(1, ({2.5},)), (1, ({3.0},))] * takes_protected
+        for k, bad_I in bad:
+            with pytest.raises(TypeError):
+                solve(A, k, *bad_I)
+
+    def test_rows_are_always_read_off_A(self):
+        # rows contradicting A once certified index 1 where A has index 2
+        A = np.array([[1, 0], [1, -1], [0, 1]])
+        with pytest.raises(TypeError):
+            TUProblem(A, 1, frozenset(), (((0, 1),), (), ((1, 1),)))
+        prob = TUProblem(A, 1)
+        assert prob.rows == sparse_rows(prob.A) == (((0, 1),), ((0, 1), (1, -1)), ((1, 1),))
+        assert solve_min_support(prob).cardinality == exhaustive_min_support(A, 1) == 2
+        assert solve_milp_instance(prob)[0] == 2
+
 
     @pytest.mark.parametrize("build", [
         lambda A: TUProblem(A, 1),
@@ -98,7 +120,6 @@ class TestProblemValidation:
         prob = TUProblem(A, 1, {3})
         same = TUProblem(A.tolist(), 1, [3])
         assert prob == same and hash(prob) == hash(same) and len({prob, same}) == 1
-        assert TUProblem(A, 1, {3}, sparse_rows(A)) == prob
         entry = A.copy()
         entry[1, 0] = -1
         for other in (TUProblem(A, 2, {3}), TUProblem(A, 1), TUProblem(entry, 1, {3}),
@@ -506,7 +527,7 @@ class TestTernaryWarmStep:
         for seed in (1, 2):
             net, meas = mesh_grid(seed)
             mtr = metering(net, meas)
-            _, _, primal = self.same_base(mtr.flow_pairs, mtr.flow_matrix.shape[1],
+            _, _, primal = self.same_base(mtr.flow_pairs, net.n_states,
                                           meas.protected, monkeypatch)
             assert primal > 10
 
