@@ -191,6 +191,23 @@ class TestMilp:
             solve_milp_instance(prob, _big_m(net), cap=20)
         assert solve_milp_instance(prob, _big_m(net), cap=21)[::3] == (4, 21)
 
+    def test_agrees_with_exhaustive_on_non_tu_data(self):
+        # general integer rows, entries in -2..2, with up to 2 protected
+        # rows: the formulation may not assume total unimodularity
+        rng = random.Random(5)
+        for _ in range(200):
+            m, n = rng.randint(3, 6), rng.randint(2, 4)
+            A = np.array([[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)])
+            k = rng.randint(1, m)
+            I = frozenset(rng.sample([j for j in range(1, m + 1) if j != k], rng.randint(0, 2)))
+            out = solve_milp_instance(TUProblem(A, k, I), Fraction(20))
+            want = exhaustive_min_support(A, k, I)
+            assert (None if out is None else out[0]) == want
+            if out is not None:
+                value, d, support, _ = out
+                assert len(support) == value and k in support and support.isdisjoint(I)
+                assert (A @ np.array(d, dtype=object))[k - 1] == 1
+
     def test_agrees_with_min_cut_on_a_seeded_mesh(self):
         # 42 buses, 83 lines, 3 protected; every meter of this grid settles
         # in at most 37 nodes
