@@ -57,9 +57,11 @@ class Network:
         object.__setattr__(self, "reference_bus", index(self.reference_bus))
         if self.n_buses < 2:
             raise ValidationError("a network needs at least two buses")
+        # a Line is read like a (from, to, reactance) tuple
         lines = tuple(
-            ln if isinstance(ln, Line) else Line(index(ln[0]), index(ln[1]), to_fraction(ln[2]))
-            for ln in self.lines
+            Line(index(a), index(b), to_fraction(x)) for a, b, x in
+            ((ln.from_bus, ln.to_bus, ln.reactance) if isinstance(ln, Line) else ln
+             for ln in self.lines)
         )
         object.__setattr__(self, "lines", lines)
         if not 1 <= self.reference_bus <= self.n_buses:
@@ -254,9 +256,11 @@ class Metering:
     @cached_property
     def milp_root(self):
         """The solved target-free big-M root of flow_pairs and the protected
-        meters, with the network's big-M (oracle.MilpRoot: its optimal
-        tableau, which every target copies, and the data it was solved
-        for), built on the first MILP solve of a flow-only system, never at
+        meters, with the network's big-M, on the state-eliminated rows
+        (oracle.MilpRoot: its optimal tableau, solved from a crash basis
+        with no phase 1 and copied by every target, its state rows, which
+        give each incumbent's d back, and the data it was solved for),
+        built on the first MILP solve of a flow-only system, never at
         parse time."""
         from .oracle import _big_m, _milp_root      # oracle imports this module
         return _milp_root(self.flow_pairs, self.net.n_states, self.meas.protected,

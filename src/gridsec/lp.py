@@ -27,9 +27,12 @@ dependent rows; the simplex expects independent ones.
 A solve returns an LpOutcome; an optimal one carries its tableau, which
 can be re-optimized in place rather than solved again: by the primal
 simplex after a cost change, and by the dual simplex after an appended
-row.  The MILP oracle keeps one optimal tableau per measurement system,
-its target-free root, re-optimizes a copy of it for each target, and
-then does so at every branch-and-bound node.  The l1 sweep of a
+row.  solve_lp, with StandardFormLP, preprocess and phase 1, is the
+public two-phase solve; the package's own solves bypass it.  The MILP
+oracle builds a _Tableau at a crash basis of its own, so its root runs
+the primal loop alone, keeps that optimal tableau per measurement
+system, re-optimizes a copy of it for each target, and then does so at
+every branch-and-bound node.  The l1 sweep of a
 measurement system (tumin.solve_l1_base) runs on a _TernaryTableau, whose
 entries are all -1, 0 or 1 (total unimodularity), each row two bitmasks:
 the primal loop solves its base from a crash basis, and the dual loop

@@ -5,8 +5,13 @@ different route: exhaustive enumeration backed by exact rank tests, a
 big-M mixed-integer formulation solved by branch and bound on exact LP
 relaxations, and compressed-sensing measures (mutual coherence, restricted
 isometry) of the nullspace reformulation.  Beyond the validated input
-(tumin.TUProblem) none of it shares a formulation or solver state with
-the l1 path, so agreement between the two is meaningful evidence.
+(tumin.TUProblem), the big-M root shares one step with the l1 path: the
+Gauss-Jordan elimination of the state (tumin._eliminate_states), in
+general integers.  Its search, its LP and its solver state are its own,
+and every incumbent is checked on the rows before elimination, so a
+defect in the shared step shows as a failed check, not as agreement.
+Exhaustive enumeration and min cut (gridsec.mincut) share nothing with
+either.
 
 Meter/row indices are 1-based, matching the measurement-system convention.
 """
@@ -30,10 +35,19 @@ from .errors import (
     TrivialNullspace,
     ZeroColumn,
 )
-from .exactla import frac_rref, in_row_space, int_rank, left_nullspace, scale_row, to_fraction
+from .exactla import (
+    _eliminate,
+    _reduce,
+    frac_rref,
+    in_row_space,
+    int_rank,
+    left_nullspace,
+    scale_row,
+    to_fraction,
+)
 from .grid import MeasurementSystem, Network, incidence, metering
 from .security import CriticalTuple, SecurityIndexResult, _exact_result, _flow_target
-from .tumin import TUProblem, check_rows
+from .tumin import TUProblem, _eliminate_states, check_rows
 
 
 # --- exhaustive enumeration ----------------------------------------------
@@ -104,56 +118,66 @@ def _big_m(net: Network) -> Fraction:
     return to_fraction(np.abs(incidence(net)[1]).sum(axis=0).max())
 
 
-def _t_columns(m: int, n: int, I: frozenset[int]) -> dict[int, int]:
-    """Column of t+_j for every unprotected row j of m rows over n states,
-    in row order; t-_j and u_j follow it, after the 2n state columns."""
+def _t_columns(m: int, I: frozenset[int]) -> dict[int, int]:
+    """Column of t+_j for every unprotected row j of m rows, in row order;
+    t-_j and u_j follow it."""
     free = [j for j in range(1, m + 1) if j not in I]
-    return {j: 2 * n + 3 * pos for pos, j in enumerate(free)}
+    return {j: 3 * pos for pos, j in enumerate(free)}
 
 
-def _node_lp(rows, n: int, I: frozenset[int], big_m: Fraction) -> lp.StandardFormLP:
-    """Exact target-free root LP relaxation of the big-M formulation of
-    integer rows (sparse pairs) over n states with protected rows I.
+def _node_lp(rows, n: int, I: frozenset[int], big_m: Fraction) -> tuple[lp._Tableau, tuple]:
+    """The target-free root LP relaxation of the big-M formulation of
+    integer rows (sparse pairs) over n states with protected rows I, at its
+    crash basis, and the state rows that give d back.
 
     Binaries y mark touched rows: minimize sum(y) subject to
     |A(j,:) d| <= big_m * y_j on unprotected rows and A(I,:) d = 0.  Every
     unprotected row j is free: it contributes y_j = (t+ + t-)/big_m through
-    a link row A(j,:) d - t+ + t- = 0 and a box t+ + t- + u = big_m.
-    States split as d = dp - dm for nonnegativity.  A target adds its own
-    rows (_target_tableau) and branch and bound keeps this layout at every
-    node.  The rows are integral (the box rows are scaled by big-M's
-    denominator) and the cost 1/big_m on the t columns is stored over
-    big-M's numerator.  Dependent protected rows are left to lp.preprocess.
+    a link row A(j,:) d - t+ + t- = 0 and a box t+ + t- + u = big_m.  The
+    state d is eliminated from the protected and link rows first
+    (tumin._eliminate_states, with t+_j / t-_j as its y+_j / y-_j), which
+    drops dependent protected rows; the root keeps the cycle rows over t
+    and the boxes, its columns t+_j, t-_j, u_j at _t_columns.  Each cycle
+    row is basic in whichever of its own t+_j, t-_j holds its positive
+    entry, and box row j, reduced by that row, in u_j: every t is 0 and
+    every u is big_m, a feasible basis.  The rows are integral (the box
+    rows are scaled by big-M's denominator) and the cost 1/big_m on the t
+    columns, stored over big-M's numerator, is priced out.  A target adds
+    its own rows (_target_tableau) and branch and bound keeps this layout
+    at every node.  State row (c, p, pairs) reads p d_c + pairs . t = 0.
     """
-    tcol = _t_columns(len(rows), n, I)
+    r = len(rows) - len(I)
     Mn, Md = big_m.numerator, big_m.denominator
+    state, yrows = _eliminate_states(rows, n, I)
 
-    def state_part(j):
-        row = {}
-        for c, a in rows[j - 1]:
-            row[c] = a
-            row[n + c] = -a
-        return row
+    def over_t(row):                # y+_pos -> t+_pos, y-_pos -> t-_pos; x dropped
+        return {3 * (c - n) if c < n + r else 3 * (c - n - r) + 1: v
+                for c, v in row.items() if c >= n}
 
-    out: list[dict[int, int]] = []
-    for j, t in tcol.items():
-        link = state_part(j)
-        link[t] = -1
-        link[t + 1] = 1
-        out.append(link)
-        out.append({t: Md, t + 1: Md, t + 2: Md, lp.RHS: Mn})
-    for j in sorted(I):
-        out.append(state_part(j))
-    cost = {c: Md for t in tcol.values() for c in (t, t + 1)}
-    return lp.StandardFormLP.from_int_rows(out, cost, 2 * n + 3 * len(tcol), cost_den=Mn)
+    boxes = [{3 * pos: Md, 3 * pos + 1: Md, 3 * pos + 2: Md, lp.RHS: Mn} for pos in range(r)]
+    out, basis = [], []
+    for pos, row in yrows.items():
+        row = over_t(row)
+        t = 3 * pos if row[3 * pos] > 0 else 3 * pos + 1
+        out.append(row)
+        basis.append(t)
+        _eliminate(boxes[pos], row[t], Md, row)
+        _reduce(boxes[pos], 0)
+    out += boxes
+    basis += range(2, 3 * r, 3)
+    tab = lp._Tableau(out, basis, 3 * r)
+    tab.add_cost({c: Md for pos in range(r) for c in (3 * pos, 3 * pos + 1)}, Mn)
+    state = tuple((c, row[c], tuple(over_t(row).items())) for c, row in state.items())
+    return tab, state
 
 
 class MilpRoot(NamedTuple):
     """_milp_root's solved target-free big-M root of rows, n, I and big_m:
-    its optimal tableau (d = 0), which every target copies and none
-    changes, and _t_columns of the data."""
+    its optimal tableau (every t at 0), which every target copies and none
+    changes, its state rows (_node_lp) and _t_columns of the data."""
 
     tab: lp._Tableau
+    state: tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]
     tcol: dict[int, int]
     rows: tuple[tuple[tuple[int, int], ...], ...]
     n: int
@@ -163,19 +187,20 @@ class MilpRoot(NamedTuple):
 
 def _milp_root(rows, n: int, I: frozenset[int], big_m) -> MilpRoot:
     """The root LP (_node_lp) of checked integer rows over n states and
-    protected rows I, solved once by lp.solve_lp for every target row of
-    that data; ValueError unless big_m is positive.  The solve must stop
-    optimal at zero with a certified tableau; SolverDefect otherwise."""
+    protected rows I, solved once by lp's primal simplex from its crash
+    basis for every target row of that data; ValueError unless big_m is
+    positive.  The solve must stop optimal at zero with a certified
+    tableau; SolverDefect otherwise."""
     M = to_fraction(big_m)
     if M <= 0:
         raise ValueError("big_m must be positive")
     rows = tuple(rows)
-    out = lp.solve_lp(_node_lp(rows, n, I, M))
-    if out.status is not lp.LpStatus.OPTIMAL or out.solution.objective != 0:
+    tab, state = _node_lp(rows, n, I, M)
+    if lp._run_simplex(tab, [0]) is not lp.LpStatus.OPTIMAL or tab.objective() != 0:
         raise SolverDefect("the target-free big-M root is not optimal at zero; solver defect")
-    out.tableau.check_optimal()
+    tab.check_optimal()
     # a copy holds its rows in dicts of their final size
-    return MilpRoot(out.tableau.copy(), _t_columns(len(rows), n, I), rows, n, I, M)
+    return MilpRoot(tab.copy(), state, _t_columns(len(rows), I), rows, n, I, M)
 
 
 def _fix_one(tab: lp._Tableau, root: MilpRoot, j: int) -> lp.LpStatus:
@@ -202,19 +227,32 @@ def _target_tableau(root: MilpRoot, k: int) -> tuple[lp._Tableau, lp.LpStatus]:
     return tab, status
 
 
-def _check_incumbent(root: MilpRoot, k: int, X: dict[int, int], den: int) -> None:
-    """An incumbent (nonzero values X by column over the denominator den)
-    must satisfy every root row of _node_lp (links, boxes, protected rows)
-    and the target's A(k,:) d = 1 exactly; checked in integers."""
-    n, M = root.n, root.big_m
+def _state_move(root: MilpRoot, X: dict[int, int], den: int) -> tuple[list[int], int]:
+    """(numerators, denominator) of the state move d at the t values X
+    (nonzero values by column over den), read from root's state rows:
+    d_c = -(pairs . t) / p, every state column without a row 0."""
+    scale = math.lcm(*(abs(p) for _, p, _ in root.state))
+    d = [0] * root.n
+    for c, p, pairs in root.state:
+        d[c] = -sum(v * X.get(t, 0) for t, v in pairs) * (scale // p)
+    return d, den * scale
 
-    def image(j):                     # den * A(j,:) d
-        return sum(a * (X.get(c, 0) - X.get(n + c, 0)) for c, a in root.rows[j - 1])
 
-    ok = image(k) == den and not any(image(i) for i in root.I)
+def _check_incumbent(root: MilpRoot, k: int, X: dict[int, int], den: int,
+                     d: list[int], dden: int) -> None:
+    """An incumbent (nonzero t and u values X by column over den, and its
+    state move d over dden) must satisfy every row of the formulation
+    before elimination (_node_lp: links, boxes, protected rows) and the
+    target's A(k,:) d = 1 exactly; checked in integers."""
+    M = root.big_m
+
+    def image(j):                     # dden * A(j,:) d
+        return sum(a * d[c] for c, a in root.rows[j - 1])
+
+    ok = image(k) == dden and not any(image(i) for i in root.I)
     for j, t in root.tcol.items():
         tp, tm, u = X.get(t, 0), X.get(t + 1, 0), X.get(t + 2, 0)
-        ok = (ok and image(j) == tp - tm
+        ok = (ok and image(j) * den == (tp - tm) * dden
               and (tp + tm + u) * M.denominator == M.numerator * den)
     if not ok:
         raise SolverDefect("incumbent violates a root row; solver defect")
@@ -224,7 +262,7 @@ def _branch_and_bound(root: MilpRoot, k: int, *, cap: int = 100_000, trace=None)
     """Branch and bound for target row k on root; see solve_milp_instance.
     ValueError for a k outside root's rows or protected."""
     k, _ = check_rows(len(root.rows), k, root.I)
-    M, n = root.big_m, root.n
+    M = root.big_m
     # every unprotected row but the target, whose binary is fixed to 1
     free = {j: c for j, c in root.tcol.items() if j != k}
     best: int | None = None
@@ -264,9 +302,9 @@ def _branch_and_bound(root: MilpRoot, k: int, *, cap: int = 100_000, trace=None)
         if any(c in X for i in fixed0 for c in (free[i], free[i] + 1)):
             raise SolverDefect("node vertex moves a row fixed to zero; solver defect")
         if best is None or value < best:
-            _check_incumbent(root, k, X, den)
-            best, best_den = value, den
-            best_d = [X.get(c, 0) - X.get(n + c, 0) for c in range(n)]
+            d, dden = _state_move(root, X, den)
+            _check_incumbent(root, k, X, den, d, dden)
+            best, best_d, best_den = value, d, dden
             if trace is not None:
                 trace.write(f"node depth={depth} value={value} action=incumbent\n")
         bound = tab.objective() + len(fixed1) + 1
@@ -308,7 +346,8 @@ def solve_milp_instance(prob: TUProblem, big_m=Fraction(2), *, cap: int = 100_00
     zero branch explored first; node bounds come from exact LP
     relaxations, so a subtree is pruned only when its bound provably
     exceeds best - 1 (the objective is integral).  Only the target-free
-    root is solved from scratch, by lp.solve_lp, which preprocesses it;
+    root is solved from scratch, by the primal simplex from its crash
+    basis (_node_lp), with no artificial column and no phase 1;
     each target re-optimizes a copy of its exact optimal tableau
     (_target_tableau), and every other node its parent's.  Fixing y_j = 1
     drops the cost of t+_j and t-_j, which keeps the basis primal
@@ -320,14 +359,15 @@ def solve_milp_instance(prob: TUProblem, big_m=Fraction(2), *, cap: int = 100_00
     nonnegative), and its vertex checked against its zero fixings, before
     it is used.
 
-    Every node's relaxation is itself an attack: d = dp - dm meets the
-    root rows and the node's fixings, and the link rows give
+    Every node's relaxation is itself an attack: d, read from the state
+    rows over the vertex's denominator (_state_move), meets the protected
+    rows and the node's fixings, and the eliminated link rows give
     A(j,:) d = t+_j - t-_j, so d moves the target plus exactly the free
     rows with t+_j != t-_j.  When that count beats the best so far, d
     becomes the incumbent, once the vertex passes an exact check against
-    the root rows and A(k,:) d = 1 (_check_incumbent).  At a leaf (no
-    fractional binary) the count is at most the leaf's objective, so
-    leaves need no rule of their own.  Failed certificates and checks
+    the rows before elimination and A(k,:) d = 1 (_check_incumbent).  At
+    a leaf (no fractional binary) the count is at most the leaf's
+    objective, so leaves need no rule of their own.  Failed certificates and checks
     raise SolverDefect.
 
     More than cap nodes raise CapExceeded(cap); the default is over a
@@ -343,8 +383,9 @@ def solve_milp_instance(prob: TUProblem, big_m=Fraction(2), *, cap: int = 100_00
 def milp_solve(net: Network, meas: MeasurementSystem, k: int) -> SecurityIndexResult:
     """Security index of flow meter k via the big-M reference solver.
 
-    Self-contained alternative to the l1 path: the same integer flow rows,
-    an entirely different search.  The system's target-free root, with the
+    Alternative to the l1 path: the same integer flow rows and the same
+    state elimination, an entirely different search, checked on the rows
+    before elimination.  The system's target-free root, with the
     network's big-M (_big_m), is solved on its first MILP solve and kept
     by its grid.Metering (milp_root); each call runs branch and bound for
     meter k on a copy of it, as solve_milp_instance does on a fresh one.

@@ -124,27 +124,28 @@ class TUSolution:
         return len(self.support)
 
 
-def _meter_space(rows, n: int, I: frozenset[int]) -> tuple[list, list[int], list[int], int]:
-    """(rows over y, spos, sneg, width) of the l1 LP of integer rows over n
-    state columns, without a target row and with its state x eliminated.
+def _eliminate_states(rows, n: int, I: frozenset[int]) -> tuple[dict, dict]:
+    """(state, yrows): the rows A(I,:)x = 0, in ascending order, then
+    A(j,:)x - y+_j + y-_j = 0 for each unprotected row j, over n state
+    columns x and y+ / y- at columns n + pos / n + r + pos (pos the row's
+    place among the r unprotected rows), with x eliminated by Gauss-Jordan
+    in integers.  The data may be any integer rows.
 
-    The LP reads A(I,:)x = 0 in ascending order, then A(j,:)x - y+_j + y-_j
-    = 0 for each unprotected row j, with cost sum(y+) + sum(y-) over its
-    width columns y = (y+, y-).  Gauss-Jordan makes each row that still
-    holds a state column after reduction the state row of its smallest,
-    then eliminates that column from the earlier state rows; the other rows
-    are over y only.  Taken first, a protected row becomes a state row or
-    reduces to nothing and is dropped, so each row over y is an unprotected
-    row j, the only one holding y+_j and y-_j: a crash basis covers it.
-    Column c's state row p x_c + row . y = 0 has p = +-1, so x_c = -p row
-    . y: spos[j] / sneg[j] are bitmasks of the columns whose p row holds
-    +1 / -1 at y+_j (the negative at y-_j); any other state column is 0.
-    IntegralityError for a p or entry outside {-1, 0, 1}.
+    Each row that still holds a state column after reduction becomes the
+    state row of its smallest, state[c], and that column is eliminated
+    from the earlier state rows that hold it (found through a column
+    index); the other rows are over y only.  Taken first, a protected row
+    becomes a state row or reduces to nothing and is dropped, so each row
+    over y is an unprotected row's, the only row holding its y+ and y-
+    (with opposite entries): yrows[pos].  A state row reads p x_c + (free
+    state columns) + row . y = 0 with p any nonzero integer; a solution
+    sets every state column without a row to 0.
     """
     free = [j for j in range(1, len(rows) + 1) if j not in I]
     r = len(free)
     state: dict[int, dict[int, int]] = {}
-    yrows = []
+    holders: dict[int, set[int]] = {}       # state column -> state rows holding it
+    yrows = {}
     for pos, j in enumerate(sorted(I) + free, start=-len(I)):
         row = dict(rows[j - 1])
         if pos >= 0:
@@ -157,15 +158,38 @@ def _meter_space(rows, n: int, I: frozenset[int]) -> tuple[list, list[int], list
         c = min(row, default=n)
         if c >= n:
             if row:
-                yrows.append(row)
+                yrows[pos] = row
             continue
-        for srow in state.values():
-            f = srow.get(c)
-            if f:
-                _eliminate(srow, row[c], f, row)
-                _reduce(srow, 0)
+        others = [s for s in row if s < n and s != c]
+        for q in holders.pop(c, ()):
+            srow = state[q]
+            _eliminate(srow, row[c], srow[c], row)
+            _reduce(srow, 0)
+            for s in others:
+                if s in srow:
+                    holders.setdefault(s, set()).add(q)
+                else:
+                    holders[s].discard(q)
+        for s in others:
+            holders.setdefault(s, set()).add(c)
         state[c] = row
-    for row in [*state.values(), *yrows]:     # the final rows: a state column and y only
+    return state, yrows
+
+
+def _meter_space(rows, n: int, I: frozenset[int]) -> tuple[list, list[int], list[int], int]:
+    """(rows over y, spos, sneg, width) of the l1 LP of integer rows over n
+    state columns, without a target row and with its state x eliminated
+    (_eliminate_states): cost sum(y+) + sum(y-) over its width columns
+    y = (y+, y-).  Each row over y is an unprotected row j, the only one
+    holding y+_j and y-_j: a crash basis covers it.  Column c's state row
+    p x_c + row . y = 0 has p = +-1, so x_c = -p row . y: spos[j] /
+    sneg[j] are bitmasks of the columns whose p row holds +1 / -1 at y+_j
+    (the negative at y-_j); any other state column is 0.
+    IntegralityError for a p or entry outside {-1, 0, 1}.
+    """
+    state, yrows = _eliminate_states(rows, n, I)
+    r = len(rows) - len(I)
+    for row in [*state.values(), *yrows.values()]:     # the final rows: a state column and y only
         if any(v not in (-1, 1) for v in row.values()):
             raise IntegralityError("a meter-space entry leaves {-1, 0, 1}: "
                                    "the data is not totally unimodular")
@@ -175,7 +199,7 @@ def _meter_space(rows, n: int, I: frozenset[int]) -> tuple[list, list[int], list
         for j, v in row.items():
             if n <= j < n + r:
                 (spos if v == p else sneg)[j - n] |= 1 << c
-    return [{j - n: v for j, v in row.items()} for row in yrows], spos, sneg, 2 * r
+    return [{j - n: v for j, v in row.items()} for row in yrows.values()], spos, sneg, 2 * r
 
 
 def build_l1_lp(problem: TUProblem) -> lp.StandardFormLP:

@@ -56,19 +56,21 @@ MUTANTS = (
          "_milp_root(self.flow_pairs, self.net.n_states, self.meas.protected,",
          "_milp_root(self.flow_pairs, self.net.n_states, frozenset(),"),
     _one("no incumbent check", ORACLE,
-         "            _check_incumbent(root, k, X, den)\n", ""),
+         "            _check_incumbent(root, k, X, den, d, dden)\n", ""),
     _one("incumbent check without the target clause", ORACLE,
-         "ok = image(k) == den and not any(", "ok = not any("),
+         "ok = image(k) == dden and not any(", "ok = not any("),
     _one("incumbent check without the protected clause", ORACLE,
-         "ok = image(k) == den and not any(image(i) for i in root.I)", "ok = image(k) == den"),
+         "ok = image(k) == dden and not any(image(i) for i in root.I)", "ok = image(k) == dden"),
     _one("incumbent check without the link clause", ORACLE,
-         "ok = (ok and image(j) == tp - tm\n              and", "ok = (ok\n              and"),
+         "ok = (ok and image(j) * den == (tp - tm) * dden\n              and", "ok = (ok\n              and"),
     _one("incumbent check without the box clause", ORACLE,
          "\n              and (tp + tm + u) * M.denominator == M.numerator * den)", ")"),
     _one("incumbent check reads d over 1", ORACLE,
-         "ok = image(k) == den and", "ok = image(k) == 1 and"),
+         "ok = image(k) == dden and", "ok = image(k) == 1 and"),
     _one("milp_root without its certificate", ORACLE,
-         "    out.tableau.check_optimal()\n", ""),
+         "    tab.check_optimal()\n    # a copy", "    # a copy"),
+    _one("the MILP reads d from the state rows with the wrong sign", ORACLE,
+         "d[c] = -sum(v * X.get(t, 0) for t, v in pairs)", "d[c] = sum(v * X.get(t, 0) for t, v in pairs)"),
     _one("branch and bound branches the target", ORACLE,
          "free = {j: c for j, c in root.tcol.items() if j != k}", "free = dict(root.tcol)"),
     _one("target tableau without its <= 1 row", ORACLE,
@@ -100,7 +102,10 @@ MUTANTS = (
     _one("solve_l1_base without its certificate", TUMIN,
          "    lp._run_simplex(tab, [0])\n    tab.check_optimal()\n", "    lp._run_simplex(tab, [0])\n"),
     _one("meter space checks the state rows only", TUMIN,
-         "for row in [*state.values(), *yrows]:", "for row in state.values():"),
+         "for row in [*state.values(), *yrows.values()]:", "for row in state.values():"),
+    _one("the elimination drops a y-row", TUMIN,
+         "            if row:\n                yrows[pos] = row\n",
+         "            if row and pos != r - 1:\n                yrows[pos] = row\n"),
     Mutant("meter space takes the protected rows last", (
         (TUMIN, "enumerate(sorted(I) + free, start=-len(I))", "enumerate(free + sorted(I))"),
         (TUMIN, "        if pos >= 0:\n", "        if pos < r:\n"))),

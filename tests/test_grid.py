@@ -17,6 +17,7 @@ from gridsec import (
     flow_rows,
     incidence,
     parse_case,
+    security_index,
     security_index_bounds,
     wls_estimate,
 )
@@ -100,6 +101,22 @@ class TestNetwork:
         with pytest.raises(DisconnectedGraph):
             Network(10**12, ((1, 2, 1),))
         assert time.perf_counter() - t0 < 1.0
+
+    def test_line_objects_are_read_like_tuples(self):
+        # float reactances and numpy bus ids inside Line objects are coerced
+        # as in the tuple form, so both networks are equal and solve alike
+        tuples = Network(3, ((1, 2, 0.1), (2, 3, 0.2), (1, 3, 0.3)))
+        lines = Network(3, (Line(1, 2, 0.1), Line(np.int64(2), 3, 0.2), Line(1, 3, 0.3)))
+        assert lines == tuples
+        assert [ln.reactance for ln in lines.lines] == [Fraction(1, 10), Fraction(1, 5),
+                                                        Fraction(3, 10)]
+        meas = full_flow_metering(tuples)
+        for k in (1, 2, 3):
+            a, b = security_index(tuples, meas, k), security_index(lines, meas, k)
+            assert a.index == b.index == 2 and a.attack.touched == b.attack.touched
+            assert a.attack.delta_z.tolist() == b.attack.delta_z.tolist()
+        with pytest.raises(TypeError):
+            Network(2, (Line(1.5, 2, 1),))
 
     def test_bus_ids_are_integers_not_truncated(self):
         net = Network(np.int64(3), ((np.int64(1), np.int64(2), 1), (2, 3, 1)), np.int64(2))

@@ -32,7 +32,7 @@ from gridsec.lp import (
     solve_lp,
     verify_bfs,
 )
-from gridsec.tumin import TUProblem
+from gridsec.tumin import TUProblem, _eliminate_states
 
 
 def test_minimize_sum_on_simplex():
@@ -438,21 +438,24 @@ SIXBUS_MILP = TUProblem(SIXBUS_A, 6)
 
 
 @pytest.mark.parametrize("forge", ["reduced cost", "basic value"])
-def test_forged_node_tableau_is_solver_defect(monkeypatch, forge):
-    real = lp_module._solve_standard_ints
+def test_forged_root_tableau_is_solver_defect(monkeypatch, forge):
+    # the root's primal simplex, its first run, hands back a forged tableau
+    real = lp_module._run_simplex
+    calls = [0]
 
-    def forged(*args, **kwargs):
-        res = real(*args, **kwargs)
-        tab = res.tableau
-        if forge == "reduced cost":
-            c = next(j for j in range(tab.ncols) if j not in tab.basis)
-            tab.zrow[c] = -1
-        else:
-            tab.rows[0][RHS] = -1
-        return res
+    def forged(tab, *args):
+        status = real(tab, *args)
+        calls[0] += 1
+        if calls[0] == 1:
+            if forge == "reduced cost":
+                c = next(j for j in range(tab.ncols) if j not in tab.basis)
+                tab.zrow[c] = -1
+            else:
+                tab.rows[0][RHS] = -1
+        return status
 
     assert oracle.solve_milp_instance(SIXBUS_MILP)[0] == 3
-    monkeypatch.setattr(lp_module, "_solve_standard_ints", forged)
+    monkeypatch.setattr(lp_module, "_run_simplex", forged)
     with pytest.raises(SolverDefect, match=forge):
         oracle.solve_milp_instance(SIXBUS_MILP)
 
@@ -501,14 +504,34 @@ def test_an_incumbent_off_the_target_row_is_caught(monkeypatch):
 
 def test_a_forged_node_vertex_is_caught(monkeypatch):
     # values() swaps t+_j and t-_j on every free row: each box row and the
-    # objective still hold, but the link rows A(j,:) d = t+_j - t-_j do not
+    # objective still hold, but the d read from the state rows flips sign
+    # and misses A(k,:) d = 1
     real = lp_module._Tableau.values
-    tcol = oracle._t_columns(*SIXBUS_A.shape, SIXBUS_MILP.I)
+    tcol = oracle._t_columns(len(SIXBUS_A), SIXBUS_MILP.I)
 
     def swapped(tab):
         x, den = real(tab)
         for c in tcol.values():
             x[c], x[c + 1] = x.get(c + 1, 0), x.get(c, 0)
+        return {c: v for c, v in x.items() if v}, den
+
+    monkeypatch.setattr(lp_module._Tableau, "values", swapped)
+    with pytest.raises(SolverDefect, match="root row"):
+        oracle.solve_milp_instance(SIXBUS_MILP)
+
+
+def test_a_vertex_off_a_cycle_row_is_caught(monkeypatch):
+    # rows 1-5 of the six-bus system are a spanning tree and rows 6 and 7
+    # close its cycles, so d, read from the tree rows' t, never sees row
+    # 7's t; values() swaps t+_7 and t-_7, which keeps every box row, the
+    # objective and d, and only the link row A(7,:) d = t+_7 - t-_7 fails
+    assert _eliminate_states(SIXBUS_MILP.rows, 5, SIXBUS_MILP.I)[1].keys() == {5, 6}
+    real = lp_module._Tableau.values
+    t = oracle._t_columns(len(SIXBUS_A), SIXBUS_MILP.I)[7]
+
+    def swapped(tab):
+        x, den = real(tab)
+        x[t], x[t + 1] = x.get(t + 1, 0), x.get(t, 0)
         return {c: v for c, v in x.items() if v}, den
 
     monkeypatch.setattr(lp_module._Tableau, "values", swapped)
@@ -533,28 +556,26 @@ def test_an_incumbent_off_the_root_rows_is_caught(monkeypatch):
 
 
 def _root_point(root, d):
-    """The point of root's layout at the state move d, as (numerators by
-    column, common denominator): d = dp - dm, each free row's t+_j - t-_j
-    = A(j,:) d, and u_j the rest of its box."""
-    n, x = root.n, {}
-    for c, v in enumerate(d):
-        x[c if v > 0 else n + c] = abs(v)
+    """The point of root's layout at the state move d, as (t and u values
+    by column, their denominator, d's numerators, d's denominator): each
+    free row's t+_j - t-_j = A(j,:) d, and u_j the rest of its box."""
+    x = {}
     for j, t in root.tcol.items():
         a = sum(v * d[c] for c, v in root.rows[j - 1])
         x[t if a > 0 else t + 1] = abs(a)
         x[t + 2] = root.big_m - abs(a)
-    x = {c: v for c, v in x.items() if v}
-    nums, den = scale_row(x.values())
-    return dict(zip(x, nums)), den
+    nums, den = scale_row([*x.values(), *d])
+    return {c: v for c, v in zip(x, nums) if v}, den, nums[len(x):], den
 
 
 def test_an_incumbent_off_a_protected_row_is_caught():
-    # the optimal d of meter 6 moves rows 2, 3 and 6: a point of the
-    # unprotected root, but not of a root that protects row 2
-    d = oracle.solve_milp_instance(SIXBUS_MILP)[1]
+    # the optimal d of meter 6 moves rows 1, 6 and 7: a point of the
+    # unprotected root, but not of a root that protects row 1
+    _, d, support, _ = oracle.solve_milp_instance(SIXBUS_MILP)
+    assert support == {1, 6, 7}
     root = oracle._milp_root(SIXBUS_MILP.rows, 5, frozenset(), Fraction(2))
     oracle._check_incumbent(root, 6, *_root_point(root, d))
-    root = oracle._milp_root(SIXBUS_MILP.rows, 5, frozenset({2}), Fraction(2))
+    root = oracle._milp_root(SIXBUS_MILP.rows, 5, frozenset({1}), Fraction(2))
     with pytest.raises(SolverDefect, match="root row"):
         oracle._check_incumbent(root, 6, *_root_point(root, d))
 
@@ -563,7 +584,7 @@ def test_a_miscounted_incumbent_is_caught_by_its_support(monkeypatch):
     # with the incumbent check off, a vertex whose t columns hide one moved
     # row counts one row fewer than its d moves
     real = lp_module._Tableau.values
-    tcol = oracle._t_columns(*SIXBUS_A.shape, SIXBUS_MILP.I)
+    tcol = oracle._t_columns(len(SIXBUS_A), SIXBUS_MILP.I)
 
     def hiding(tab):
         x, den = real(tab)

@@ -124,17 +124,32 @@ class TestMilp:
         assert milp.index == lp.index == 3
         assert milp.attack.touched.isdisjoint({1, 4})
 
-    def test_dependent_protected_rows_go_through_preprocess(self):
+    def test_dependent_protected_rows_are_dropped_by_the_elimination(self):
         # meters 1, 6, 3 and 5 close the cycle 1-2-5-4-1, so one of their
-        # rows depends on the others; lp.preprocess drops it from the root
+        # rows depends on the others; the elimination drops it from the root
         protected = frozenset({1, 3, 5, 6})
         for k in (2, 4, 7):
             prob = TUProblem(SIXBUS_A, k, protected)
-            root = _node_lp(prob.rows, 5, prob.I, Fraction(2))
-            assert lp.preprocess(root).num_rows == root.num_rows - 1
+            tab, state = _node_lp(prob.rows, 5, prob.I, Fraction(2))
+            boxes = len(prob.free_rows)
+            assert len(state) + len(tab.rows) - boxes == len(prob.rows) - 1
             value, _, support, _ = solve_milp_instance(prob)
             assert value == exhaustive_min_support(SIXBUS_A, k, protected)
             assert support.isdisjoint(protected)
+
+    def test_the_milp_path_runs_no_two_phase_solve(self, monkeypatch):
+        # every root starts from its crash basis: no lp.solve_lp, no
+        # preprocess and no phase 1 (which only _solve_standard_ints runs)
+        def refuse(*args, **kwargs):
+            raise AssertionError("the MILP path entered the two-phase solve")
+
+        for name in ("solve_lp", "preprocess", "_solve_standard_ints"):
+            monkeypatch.setattr(lp, name, refuse)
+        net, meas = parse_case(IEEE14_CASE)
+        assert ([milp_solve(net, meas, k).index for k in range(1, 21)]
+                == [mincut_index(net, meas, k).index for k in range(1, 21)])
+        prob = TUProblem(SIXBUS_A, 2, frozenset({1, 3, 5, 6}))
+        assert solve_milp_instance(prob)[0] == exhaustive_min_support(SIXBUS_A, 2, prob.I)
 
     def test_undersized_big_m_inflates_value(self):
         # with |dz| capped at 1/2 every nullspace row needs extra support,
@@ -173,8 +188,8 @@ class TestMilp:
         buf = io.StringIO()
         value, d, support, nodes = solve_milp_instance(
             reduce_to_tu(net, sixbus_meas(), 6), _big_m(net), trace=buf)
-        assert value == 3
-        assert sorted(support) == [2, 3, 6]
+        assert value == len(support) == 3
+        assert support == {j for j, v in enumerate(SIXBUS_A @ np.array(d), start=1) if v}
         text = buf.getvalue()
         assert "branch=" in text
         assert "incumbent" in text
@@ -276,9 +291,10 @@ class TestKeptRoot:
         assert len({id(root) for root in roots}) == len(plans)
 
 
-def test_the_milp_shares_only_the_problem_record_with_the_l1_path():
-    # aim: an independent route; it may share the lp kernel, never the l1
-    # base or formulation of gridsec.tumin
+def test_the_milp_shares_only_the_problem_record_and_the_elimination_with_the_l1_path():
+    # aim: an independent route; it may share the lp kernel and the state
+    # elimination, never the l1 base or its meter-space formulation; its
+    # incumbents are checked on the rows before elimination
     tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
     names = set()
     for node in ast.walk(tree):
@@ -290,7 +306,7 @@ def test_the_milp_shares_only_the_problem_record_with_the_l1_path():
                 assert "tumin" not in imported
         elif isinstance(node, ast.Import):
             assert all("tumin" not in a.name for a in node.names)
-    assert names == {"TUProblem", "check_rows"}
+    assert names == {"TUProblem", "_eliminate_states", "check_rows"}
 
 
 class TestCoherence:
