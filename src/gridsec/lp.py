@@ -27,12 +27,15 @@ dependent rows; the simplex expects independent ones.
 A solve returns an LpOutcome; an optimal one carries its tableau, which
 can be re-optimized in place rather than solved again: by the primal
 simplex after a cost change, and by the dual simplex after an appended
-row.  solve_lp, with StandardFormLP, preprocess and phase 1, is the
-public two-phase solve; the package's own solves bypass it.  The MILP
-oracle builds a _Tableau at a crash basis of its own, so its root runs
-the primal loop alone, keeps that optimal tableau per measurement
-system, re-optimizes a copy of it for each target, and then does so at
-every branch-and-bound node.  The l1 sweep of a
+row or a fixed column.  solve_lp, with StandardFormLP, preprocess and
+phase 1, is the public two-phase solve; the package's own solves bypass
+it, and its tableau carries no bounds.  A _Tableau may bound its columns
+above by integers (Dantzig's upper-bounding technique: a column at its
+bound is complemented), which costs no rows.  The MILP oracle builds a
+bounded _Tableau at a crash basis of its own, so its root runs the
+primal loop alone, keeps that optimal tableau per measurement system,
+re-optimizes a copy of it for each target, and then does so at every
+branch-and-bound node, fixing binaries by their bounds.  The l1 sweep of a
 measurement system (tumin.solve_l1_base) runs on a _TernaryTableau, whose
 entries are all -1, 0 or 1 (total unimodularity), each row two bitmasks:
 the primal loop solves its base from a crash basis, and the dual loop
@@ -55,6 +58,15 @@ def _pairs(row: dict[int, int]) -> tuple[tuple[int, int], ...]:
     """Canonical storage of a sparse row: nonzero (column, value) pairs in
     column order, so the right-hand side (column RHS) comes first."""
     return tuple(sorted((j, v) for j, v in row.items() if v))
+
+
+def _add_rhs(row: dict[int, int], w: int) -> None:
+    """Add w to row's right-hand side, storing no zero."""
+    w += row.get(RHS, 0)
+    if w:
+        row[RHS] = w
+    else:
+        row.pop(RHS, None)
 
 
 @dataclass(frozen=True)
@@ -188,7 +200,8 @@ def preprocess(lp: StandardFormLP) -> StandardFormLP:
 
 
 class _Tableau:
-    """Simplex tableau over sparse integer rows.
+    """Simplex tableau over sparse integer rows, its columns optionally
+    bounded above.
 
     Row i's entry in its basic column basis[i] is positive and is the row's
     denominator: row i stands for rows[i] / rows[i][basis[i]].  The
@@ -196,20 +209,62 @@ class _Tableau:
     0..ncols-1; add_row appends a fresh slack column.  Every simplex loop
     run on the tableau stops with SolverDefect past _pivot_budget(tab)
     pivots.
+
+    upper maps a column to its integer upper bound (no entry: none), which
+    costs no row (the upper-bounding technique).  A column at its bound is
+    complemented, x_j = upper[j] - x'_j, and the tableau holds x'_j in its
+    place; flipped holds the complemented columns.  So every column stays
+    in [0, upper], the simplex loops keep their rules, and only the ratio
+    tests, check_optimal and values() read the bounds.  A column bounded
+    by 0 is fixed: it never enters the basis.  With no bounds the tableau
+    is the plain one, pivot for pivot.
     """
 
-    def __init__(self, rows: list[dict[int, int]], basis: list[int], ncols: int):
+    def __init__(self, rows: list[dict[int, int]], basis: list[int], ncols: int,
+                 upper: dict[int, int] | None = None):
         self.rows = rows
         self.basis = basis
         self.ncols = ncols
         self.zrow: dict[int, int] = {}
         self.zden: int = 1
+        self.upper: dict[int, int] = {} if upper is None else upper
+        self.flipped: set[int] = set()
 
     def copy(self) -> "_Tableau":
-        tab = _Tableau([dict(row) for row in self.rows], list(self.basis), self.ncols)
+        tab = _Tableau([dict(row) for row in self.rows], list(self.basis), self.ncols,
+                       dict(self.upper))
         tab.zrow = dict(self.zrow)
         tab.zden = self.zden
+        tab.flipped = set(self.flipped)
         return tab
+
+    def _complement(self, j: int) -> None:
+        """Substitute x_j = upper[j] - x'_j (or back) in every row and the
+        objective row.  A basic column's row is then negated, so that its
+        basic entry stays positive and its value reads the distance to the
+        bound."""
+        bound = self.upper[j]
+        for i, row in enumerate(self.rows):
+            a = row.get(j)
+            if a:
+                _add_rhs(row, -a * bound)
+                row[j] = -a
+                if self.basis[i] == j:
+                    for c in row:
+                        row[c] = -row[c]
+        f = self.zrow.get(j)
+        if f:
+            _add_rhs(self.zrow, -f * bound)
+            self.zrow[j] = -f
+        self.flipped ^= {j}
+
+    def fix(self, j: int) -> None:
+        """Fix column j at 0: its upper bound becomes 0, a complemented
+        column first taken back to x_j.  Dual feasibility is kept (a fixed
+        column never enters); a basic value may come out above 0."""
+        if j in self.flipped:
+            self._complement(j)
+        self.upper[j] = 0
 
     def price_out(self, r: int) -> None:
         """Clear row r's basic column from the objective row."""
@@ -230,7 +285,11 @@ class _Tableau:
             for j in zrow:
                 zrow[j] *= cost_den
         for j, v in cost.items():
-            w = zrow.get(j, 0) + v * self.zden
+            v *= self.zden
+            if j in self.flipped:       # v x_j = v upper[j] - v x'_j
+                _add_rhs(zrow, -v * self.upper[j])
+                v = -v
+            w = zrow.get(j, 0) + v
             if w:
                 zrow[j] = w
             else:
@@ -241,13 +300,17 @@ class _Tableau:
                 self.price_out(i)
 
     def add_row(self, row: dict[int, int]) -> None:
-        """Append the constraint row . x + s = rhs (integer entries, the
+        """Append the constraint row . x + s = rhs (integer entries over
+        the original columns, complemented ones substituted; the
         right-hand side under RHS) with a fresh slack s made basic, reduced
         over the current basis.  Dual feasibility is kept; the slack's value
         may come out negative."""
         s = self.ncols
         self.ncols += 1
         new = {j: v for j, v in row.items() if v}
+        for j in self.flipped.intersection(new):     # a x_j = a upper[j] - a x'_j
+            _add_rhs(new, -new[j] * self.upper[j])
+            new[j] = -new[j]
         new[s] = 1
         for i, c in enumerate(self.basis):
             f = new.get(c)
@@ -276,8 +339,10 @@ class _Tableau:
 
     def entering(self, dantzig: bool) -> int | None:
         """Bland: smallest column with a negative reduced cost.  Dantzig:
-        most negative reduced cost, smallest column on ties."""
-        neg = [(v, j) for j, v in self.zrow.items() if v < 0 and j != RHS]
+        most negative reduced cost, smallest column on ties.  Fixed columns
+        never enter."""
+        upper = self.upper
+        neg = [(v, j) for j, v in self.zrow.items() if v < 0 and j != RHS and upper.get(j) != 0]
         if not neg:
             return None
         if dantzig:
@@ -285,51 +350,79 @@ class _Tableau:
         return min(j for _, j in neg)
 
     def leaving(self, c: int) -> int | None:
-        """Minimum-ratio row; ties broken by smallest basic variable index."""
+        """Minimum-ratio row; ties broken by smallest basic variable index.
+        A basic column also leaves when it rises to its upper bound, and is
+        then complemented before the pivot; None when c rises without
+        limit.  When c reaches its own upper bound first (ties go to the
+        rows), c is complemented and -1 returned: no pivot is due."""
         best = None
         bn = bd = 0
+        upper, basis = self.upper, self.basis
         for i, row in enumerate(self.rows):
             a = row.get(c, 0)
             if a > 0:
                 rn = row.get(RHS, 0)
-                if best is None:
-                    best, bn, bd = i, rn, a
-                    continue
-                lhs = rn * bd
-                rhs = bn * a
-                if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[best]):
-                    best, bn, bd = i, rn, a
+            elif a < 0 and basis[i] in upper:
+                rn = upper[basis[i]] * row[basis[i]] - row.get(RHS, 0)
+                a = -a
+            else:
+                continue
+            if best is None:
+                best, bn, bd = i, rn, a
+                continue
+            lhs = rn * bd
+            rhs = bn * a
+            if lhs < rhs or (lhs == rhs and basis[i] < basis[best]):
+                best, bn, bd = i, rn, a
+        if c in upper and (best is None or upper[c] * bd < bn):
+            self._complement(c)
+            return -1
+        if best is not None and self.rows[best][c] < 0:
+            self._complement(basis[best])
         return best
 
     def dual_leaving(self, dantzig: bool) -> int | None:
-        """Row with a negative basic value to leave.  Dantzig: most negative
-        value, smallest basic index on ties.  Bland: smallest basic index."""
+        """Row with a basic value out of its bounds to leave.  Dantzig: the
+        value farthest out, smallest basic index on ties.  Bland: smallest
+        basic index.  A value above its bound is complemented first, so
+        that the row reads its (negative) distance to the bound."""
         best = None
         bn = bd = 0
+        upper, basis = self.upper, self.basis
         for i, row in enumerate(self.rows):
             rn = row.get(RHS, 0)
-            if rn < 0:
-                den = row[self.basis[i]]
-                if best is None:
-                    best, bn, bd = i, rn, den
+            if rn >= 0:
+                b = basis[i]
+                if b not in upper:
                     continue
-                if dantzig:
-                    lhs = rn * bd
-                    rhs = bn * den
-                    better = lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[best])
-                else:
-                    better = self.basis[i] < self.basis[best]
-                if better:
-                    best, bn, bd = i, rn, den
+                rn = upper[b] * row[b] - rn
+                if rn >= 0:
+                    continue
+            den = row[basis[i]]
+            if best is None:
+                best, bn, bd = i, rn, den
+                continue
+            if dantzig:
+                lhs = rn * bd
+                rhs = bn * den
+                better = lhs < rhs or (lhs == rhs and basis[i] < basis[best])
+            else:
+                better = basis[i] < basis[best]
+            if better:
+                best, bn, bd = i, rn, den
+        if best is not None and self.rows[best].get(RHS, 0) > 0:
+            self._complement(basis[best])
         return best
 
     def dual_entering(self, r: int) -> int | None:
         """Column with the minimum ratio z_c / |a_rc| over the negative
-        entries of row r, smallest column on ties; None when there is none."""
+        entries of row r, smallest column on ties; None when there is none.
+        Fixed columns never enter."""
         best = None
         bz = ba = 0
+        upper = self.upper
         for c, a in self.rows[r].items():
-            if a < 0 and c != RHS:
+            if a < 0 and c != RHS and upper.get(c) != 0:
                 z = self.zrow.get(c, 0)
                 if best is None:
                     best, bz, ba = c, z, -a
@@ -341,20 +434,35 @@ class _Tableau:
         return best
 
     def check_optimal(self) -> None:
-        """Certificate of an optimal basis: every basic value and every
-        reduced cost nonnegative; SolverDefect otherwise."""
-        if any(row.get(RHS, 0) < 0 for row in self.rows):
-            raise SolverDefect("negative basic value in an optimal tableau; solver defect")
-        if any(v < 0 for j, v in self.zrow.items() if j != RHS):
+        """Certificate of an optimal basis: every basic value within its
+        bounds and the reduced cost of every movable (not fixed) column
+        nonnegative; SolverDefect otherwise."""
+        upper = self.upper
+        for row, b in zip(self.rows, self.basis):
+            v = row.get(RHS, 0)
+            if v < 0:
+                raise SolverDefect("negative basic value in an optimal tableau; solver defect")
+            if b in upper and v > upper[b] * row[b]:
+                raise SolverDefect("basic value above its bound in an optimal tableau; "
+                                   "solver defect")
+        if any(upper.get(j) != 0 for j, v in self.zrow.items() if v < 0 and j != RHS):
             raise SolverDefect("negative reduced cost in an optimal tableau; solver defect")
 
     def values(self) -> tuple[dict[int, int], int]:
         """(nums, den): the nonzero values at the current basis as integer
         numerators by column over one positive denominator, the lcm of the
-        basic entries of the rows with a nonzero value."""
+        basic entries of the rows with a nonzero value; a complemented
+        column reads upper[j] - x'_j."""
         held = [(c, row[RHS], row[c]) for row, c in zip(self.rows, self.basis) if RHS in row]
         den = lcm(*(d for _, _, d in held))
-        return {c: v * (den // d) for c, v, d in held}, den
+        nums = {c: v * (den // d) for c, v, d in held}
+        for j in self.flipped:
+            v = self.upper[j] * den - nums.get(j, 0)
+            if v:
+                nums[j] = v
+            else:
+                nums.pop(j, None)
+        return nums, den
 
     def objective(self) -> Fraction:
         return -Fraction(self.zrow.get(RHS, 0), self.zden)
@@ -555,7 +663,8 @@ def _run_simplex(tab: _Tableau | _TernaryTableau, pivots: list[int]) -> LpStatus
         r = tab.leaving(c)
         if r is None:
             return LpStatus.UNBOUNDED
-        tab.pivot(r, c)
+        if r >= 0:                  # else c moved to its bound, no pivot
+            tab.pivot(r, c)
         _count_pivot(pivots, budget)
 
 

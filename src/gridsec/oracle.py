@@ -36,8 +36,6 @@ from .errors import (
     ZeroColumn,
 )
 from .exactla import (
-    _eliminate,
-    _reduce,
     frac_rref,
     in_row_space,
     int_rank,
@@ -119,10 +117,10 @@ def _big_m(net: Network) -> Fraction:
 
 
 def _t_columns(m: int, I: frozenset[int]) -> dict[int, int]:
-    """Column of t+_j for every unprotected row j of m rows, in row order;
-    t-_j and u_j follow it."""
+    """Column of t'+_j for every unprotected row j of m rows, in row order;
+    t'-_j follows it."""
     free = [j for j in range(1, m + 1) if j not in I]
-    return {j: 3 * pos for pos, j in enumerate(free)}
+    return {j: 2 * pos for pos, j in enumerate(free)}
 
 
 def _node_lp(rows, n: int, I: frozenset[int], big_m: Fraction) -> tuple[lp._Tableau, tuple]:
@@ -132,48 +130,44 @@ def _node_lp(rows, n: int, I: frozenset[int], big_m: Fraction) -> tuple[lp._Tabl
 
     Binaries y mark touched rows: minimize sum(y) subject to
     |A(j,:) d| <= big_m * y_j on unprotected rows and A(I,:) d = 0.  Every
-    unprotected row j is free: it contributes y_j = (t+ + t-)/big_m through
-    a link row A(j,:) d - t+ + t- = 0 and a box t+ + t- + u = big_m.  The
-    state d is eliminated from the protected and link rows first
-    (tumin._eliminate_states, with t+_j / t-_j as its y+_j / y-_j), which
-    drops dependent protected rows; the root keeps the cycle rows over t
-    and the boxes, its columns t+_j, t-_j, u_j at _t_columns.  Each cycle
-    row is basic in whichever of its own t+_j, t-_j holds its positive
-    entry, and box row j, reduced by that row, in u_j: every t is 0 and
-    every u is big_m, a feasible basis.  The rows are integral (the box
-    rows are scaled by big-M's denominator) and the cost 1/big_m on the t
-    columns, stored over big-M's numerator, is priced out.  A target adds
-    its own rows (_target_tableau) and branch and bound keeps this layout
-    at every node.  State row (c, p, pairs) reads p d_c + pairs . t = 0.
+    unprotected row j is free: with big_m = Mn / Md, a link row
+    Md A(j,:) d - t'+_j + t'-_j = 0 splits its move into t'+_j, t'-_j in
+    [0, Mn] (t' = Md t, upper bounds of the tableau, no rows), and
+    y_j = (t'+_j + t'-_j) / Mn.  No row bounds t'+_j + t'-_j: at an
+    optimum a free row's positive cost keeps one of the two at 0, and
+    |A(j,:) d| <= big_m holds either way.  The state d is eliminated from
+    the protected and link rows first (tumin._eliminate_states, with
+    t'+_j / t'-_j as its y+_j / y-_j; the link rows are homogeneous, so
+    the scaling by Md leaves the cycle rows as they are), which drops
+    dependent protected rows; the root keeps only the cycle rows over t',
+    its columns t'+_j, t'-_j at _t_columns.  Each cycle row is basic in
+    whichever of its own t'+_j, t'-_j holds its positive entry: every t'
+    is 0, a feasible basis.  The cost, 1 on every t' column (Mn sum(y)),
+    is priced out.  A target adds its own row (_target_tableau) and branch
+    and bound fixes binaries by bounds, so every node keeps this layout.
+    State row (c, p, pairs) reads p Md d_c + pairs . t' = 0.
     """
     r = len(rows) - len(I)
-    Mn, Md = big_m.numerator, big_m.denominator
     state, yrows = _eliminate_states(rows, n, I)
 
-    def over_t(row):                # y+_pos -> t+_pos, y-_pos -> t-_pos; x dropped
-        return {3 * (c - n) if c < n + r else 3 * (c - n - r) + 1: v
+    def over_t(row):                # y+_pos -> t'+_pos, y-_pos -> t'-_pos; x dropped
+        return {2 * (c - n) if c < n + r else 2 * (c - n - r) + 1: v
                 for c, v in row.items() if c >= n}
 
-    boxes = [{3 * pos: Md, 3 * pos + 1: Md, 3 * pos + 2: Md, lp.RHS: Mn} for pos in range(r)]
     out, basis = [], []
     for pos, row in yrows.items():
         row = over_t(row)
-        t = 3 * pos if row[3 * pos] > 0 else 3 * pos + 1
         out.append(row)
-        basis.append(t)
-        _eliminate(boxes[pos], row[t], Md, row)
-        _reduce(boxes[pos], 0)
-    out += boxes
-    basis += range(2, 3 * r, 3)
-    tab = lp._Tableau(out, basis, 3 * r)
-    tab.add_cost({c: Md for pos in range(r) for c in (3 * pos, 3 * pos + 1)}, Mn)
+        basis.append(2 * pos if row[2 * pos] > 0 else 2 * pos + 1)
+    tab = lp._Tableau(out, basis, 2 * r, dict.fromkeys(range(2 * r), big_m.numerator))
+    tab.add_cost(dict.fromkeys(range(2 * r), 1), 1)
     state = tuple((c, row[c], tuple(over_t(row).items())) for c, row in state.items())
     return tab, state
 
 
 class MilpRoot(NamedTuple):
     """_milp_root's solved target-free big-M root of rows, n, I and big_m:
-    its optimal tableau (every t at 0), which every target copies and none
+    its optimal tableau (every t' at 0), which every target copies and none
     changes, its state rows (_node_lp) and _t_columns of the data."""
 
     tab: lp._Tableau
@@ -204,65 +198,67 @@ def _milp_root(rows, n: int, I: frozenset[int], big_m) -> MilpRoot:
 
 
 def _fix_one(tab: lp._Tableau, root: MilpRoot, j: int) -> lp.LpStatus:
-    """y_j = 1 on tab: t+_j and t-_j cost nothing, and the primal simplex
+    """y_j = 1 on tab: t'+_j and t'-_j cost nothing, and the primal simplex
     continues."""
-    t, M = root.tcol[j], root.big_m
-    tab.add_cost({t: -M.denominator, t + 1: -M.denominator}, M.numerator)
+    t = root.tcol[j]
+    tab.add_cost({t: -1, t + 1: -1}, 1)
     return lp._run_simplex(tab, [0])
 
 
 def _target_tableau(root: MilpRoot, k: int) -> tuple[lp._Tableau, lp.LpStatus]:
     """A copy of root's tableau re-optimized for target row k: y_k = 1
-    (_fix_one), then t+_k - t-_k, which k's link row holds at A(k,:) d, is
-    held at 1 by two appended rows, <= and >=, and the dual simplex
-    restores nonnegative values.  A >= row alone would admit zero-cost
-    optima with A(k,:) d > 1."""
+    (_fix_one), then t'+_k - t'-_k, which k's link row holds at
+    Md A(k,:) d, is held at Md (A(k,:) d = 1) by one appended row whose
+    slack is fixed at 0, and the dual simplex restores the bounds."""
     t = root.tcol[k]
     tab = root.tab.copy()
     status = _fix_one(tab, root, k)
     if status is lp.LpStatus.OPTIMAL:
-        tab.add_row({t: 1, t + 1: -1, lp.RHS: 1})
-        tab.add_row({t: -1, t + 1: 1, lp.RHS: -1})
+        tab.add_row({t: 1, t + 1: -1, lp.RHS: root.big_m.denominator})
+        tab.fix(tab.ncols - 1)
         status = lp._run_dual_simplex(tab, [0])
     return tab, status
 
 
 def _state_move(root: MilpRoot, X: dict[int, int], den: int) -> tuple[list[int], int]:
-    """(numerators, denominator) of the state move d at the t values X
+    """(numerators, denominator) of the state move d at the t' values X
     (nonzero values by column over den), read from root's state rows:
-    d_c = -(pairs . t) / p, every state column without a row 0."""
+    d_c = -(pairs . t') / (p Md), every state column without a row 0."""
     scale = math.lcm(*(abs(p) for _, p, _ in root.state))
     d = [0] * root.n
     for c, p, pairs in root.state:
         d[c] = -sum(v * X.get(t, 0) for t, v in pairs) * (scale // p)
-    return d, den * scale
+    return d, den * scale * root.big_m.denominator
 
 
 def _check_incumbent(root: MilpRoot, k: int, X: dict[int, int], den: int,
                      d: list[int], dden: int) -> None:
-    """An incumbent (nonzero t and u values X by column over den, and its
-    state move d over dden) must satisfy every row of the formulation
-    before elimination (_node_lp: links, boxes, protected rows) and the
-    target's A(k,:) d = 1 exactly; checked in integers."""
-    M = root.big_m
+    """An incumbent (nonzero t' values X by column over den, and its state
+    move d over dden) must satisfy every row of the formulation before
+    elimination (_node_lp: links, the bounds 0 <= t' <= Mn, protected
+    rows) and the target's A(k,:) d = 1 exactly; checked in integers."""
+    Md = root.big_m.denominator
+    top = root.big_m.numerator * den
 
     def image(j):                     # dden * A(j,:) d
         return sum(a * d[c] for c, a in root.rows[j - 1])
 
     ok = image(k) == dden and not any(image(i) for i in root.I)
     for j, t in root.tcol.items():
-        tp, tm, u = X.get(t, 0), X.get(t + 1, 0), X.get(t + 2, 0)
-        ok = (ok and image(j) * den == (tp - tm) * dden
-              and (tp + tm + u) * M.denominator == M.numerator * den)
+        tp, tm = X.get(t, 0), X.get(t + 1, 0)
+        ok = (ok and image(j) * den * Md == (tp - tm) * dden
+              and 0 <= tp <= top and 0 <= tm <= top)
     if not ok:
         raise SolverDefect("incumbent violates a root row; solver defect")
 
 
 def _branch_and_bound(root: MilpRoot, k: int, *, cap: int = 100_000, trace=None):
     """Branch and bound for target row k on root; see solve_milp_instance.
-    ValueError for a k outside root's rows or protected."""
+    Returns (optimum, (d, den), support, nodes), d as integer numerators
+    over den, or None; ValueError for a k outside root's rows or
+    protected."""
     k, _ = check_rows(len(root.rows), k, root.I)
-    M = root.big_m
+    Mn = root.big_m.numerator
     # every unprotected row but the target, whose binary is fixed to 1
     free = {j: c for j, c in root.tcol.items() if j != k}
     best: int | None = None
@@ -270,7 +266,8 @@ def _branch_and_bound(root: MilpRoot, k: int, *, cap: int = 100_000, trace=None)
     best_den = 1
     nodes = 0
     # (tableau, rows fixed to 0, rows fixed to 1, the row fixed last); the
-    # target's node has neither a tableau nor a fixing yet
+    # target's node has no fixing yet, and a node the depth rule will
+    # prune no tableau
     stack: list[tuple] = [(None, frozenset(), frozenset(), None)]
     while stack:
         tab, fixed0, fixed1, j = stack.pop()
@@ -283,12 +280,13 @@ def _branch_and_bound(root: MilpRoot, k: int, *, cap: int = 100_000, trace=None)
             if trace is not None:
                 trace.write(f"node depth={depth} fixed1={len(fixed1)} action=prune-depth\n")
             continue
-        if tab is None:
+        if j is None:
             tab, status = _target_tableau(root, k)
         elif j in fixed1:
             status = _fix_one(tab, root, j)
         else:
-            tab.add_row({free[j]: 1, free[j] + 1: 1})
+            tab.fix(free[j])
+            tab.fix(free[j] + 1)
             status = lp._run_dual_simplex(tab, [0])
         if status is lp.LpStatus.INFEASIBLE:
             if trace is not None:
@@ -298,38 +296,50 @@ def _branch_and_bound(root: MilpRoot, k: int, *, cap: int = 100_000, trace=None)
             raise SolverDefect("bounded relaxation reported unbounded; solver defect")
         tab.check_optimal()
         X, den = tab.values()
-        value = 1 + sum(1 for c in free.values() if X.get(c, 0) != X.get(c + 1, 0))
-        if any(c in X for i in fixed0 for c in (free[i], free[i] + 1)):
-            raise SolverDefect("node vertex moves a row fixed to zero; solver defect")
+        # one pass over the free rows: the rows the vertex moves, the zero
+        # fixings, and the first fractional binary y_i = (t'+_i + t'-_i) / Mn
+        value, frac, full = 1, None, Mn * den
+        for i, c in free.items():
+            tp, tm = X.get(c, 0), X.get(c + 1, 0)
+            value += tp != tm
+            if i in fixed0:
+                if tp or tm:
+                    raise SolverDefect("node vertex moves a row fixed to zero; solver defect")
+            elif frac is None and tp + tm not in (0, full) and i not in fixed1:
+                frac = i
         if best is None or value < best:
             d, dden = _state_move(root, X, den)
             _check_incumbent(root, k, X, den, d, dden)
             best, best_d, best_den = value, d, dden
             if trace is not None:
                 trace.write(f"node depth={depth} value={value} action=incumbent\n")
-        bound = tab.objective() + len(fixed1) + 1
-        if bound > best - 1:
+        # the node's bound, z / Mn + len(fixed1) + 1, against best - 1
+        if -tab.zrow.get(lp.RHS, 0) > (best - 2 - len(fixed1)) * tab.zden * Mn:
             if trace is not None:
-                trace.write(f"node depth={depth} bound={bound} best={best} action=prune-bound\n")
+                trace.write(f"node depth={depth} bound={_bound(tab, Mn, fixed1)} best={best} "
+                            "action=prune-bound\n")
             continue
-        # y_i = (t+_i + t-_i) / big_m on the rows still open (the check
-        # above holds the rows fixed to zero at 0)
-        frac = [i for i, c in free.items() if i not in fixed1
-                and (X.get(c, 0) + X.get(c + 1, 0)) * M.denominator not in (0, M.numerator * den)]
-        if not frac:
+        if frac is None:
             continue
-        j = frac[0]
         if trace is not None:
-            trace.write(f"node depth={depth} bound={bound} branch={j}\n")
-        stack.append((tab.copy(), fixed0, fixed1 | {j}, j))
-        stack.append((tab, fixed0 | {j}, fixed1, j))
+            trace.write(f"node depth={depth} bound={_bound(tab, Mn, fixed1)} branch={frac}\n")
+        # the one branch is pruned by depth when popped if it would be now
+        one = tab.copy() if len(fixed1) + 2 <= best - 1 else None
+        stack.append((one, fixed0, fixed1 | {frac}, frac))
+        stack.append((tab, fixed0 | {frac}, fixed1, frac))
     if best is None:
         return None
     support = frozenset(j for j in root.tcol
                         if sum(a * best_d[c] for c, a in root.rows[j - 1]))
     if len(support) != best:
         raise SolverDefect("incumbent support disagrees with the optimum")
-    return best, tuple(Fraction(v, best_den) for v in best_d), support, nodes
+    return best, (best_d, best_den), support, nodes
+
+
+def _bound(tab: lp._Tableau, Mn: int, fixed1) -> Fraction:
+    """A node's bound for trace text: its objective over Mn plus its
+    binaries fixed to 1, the target's included."""
+    return tab.objective() / Mn + len(fixed1) + 1
 
 
 def solve_milp_instance(prob: TUProblem, big_m=Fraction(2), *, cap: int = 100_000,
@@ -350,25 +360,27 @@ def solve_milp_instance(prob: TUProblem, big_m=Fraction(2), *, cap: int = 100_00
     basis (_node_lp), with no artificial column and no phase 1;
     each target re-optimizes a copy of its exact optimal tableau
     (_target_tableau), and every other node its parent's.  Fixing y_j = 1
-    drops the cost of t+_j and t-_j, which keeps the basis primal
-    feasible, so the primal simplex continues; fixing y_j = 0 appends the
-    row t+_j + t-_j + s = 0, which keeps it dual feasible, so the dual
-    simplex restores nonnegative values.  The zero branch takes the
-    parent's tableau in place, the one branch a copy.  Each node's
-    tableau is certified optimal (basic values and reduced costs
-    nonnegative), and its vertex checked against its zero fixings, before
-    it is used.
+    drops the cost of t'+_j and t'-_j, which keeps the basis primal
+    feasible, so the primal simplex continues; fixing y_j = 0 fixes both
+    at 0 by their upper bounds, which keeps it dual feasible and appends no
+    row, so the dual simplex restores the bounds.  The zero branch takes
+    the parent's tableau in place, the one branch a copy, unless the
+    depth rule will prune it when it is popped.  Each node's tableau is
+    certified optimal (basic values within their bounds, the reduced
+    costs of the columns not fixed nonnegative), and its vertex checked
+    against its zero fixings, before it is used.
 
     Every node's relaxation is itself an attack: d, read from the state
     rows over the vertex's denominator (_state_move), meets the protected
     rows and the node's fixings, and the eliminated link rows give
-    A(j,:) d = t+_j - t-_j, so d moves the target plus exactly the free
-    rows with t+_j != t-_j.  When that count beats the best so far, d
-    becomes the incumbent, once the vertex passes an exact check against
-    the rows before elimination and A(k,:) d = 1 (_check_incumbent).  At
-    a leaf (no fractional binary) the count is at most the leaf's
-    objective, so leaves need no rule of their own.  Failed certificates and checks
-    raise SolverDefect.
+    Md A(j,:) d = t'+_j - t'-_j, so d moves the target plus exactly the
+    free rows with t'+_j != t'-_j.  When that count beats the best so
+    far, d becomes the incumbent, once the vertex passes an exact check
+    against the rows before elimination and A(k,:) d = 1
+    (_check_incumbent).  At a leaf (no fractional binary) the count is at
+    most the leaf's objective, so leaves need no rule of their own.
+    Every node test reads the vertex in integers over its denominator.
+    Failed certificates and checks raise SolverDefect.
 
     More than cap nodes raise CapExceeded(cap); the default is over a
     hundred times the most nodes any meter of the bundled cases or of a
@@ -377,7 +389,11 @@ def solve_milp_instance(prob: TUProblem, big_m=Fraction(2), *, cap: int = 100_00
     when even the target's node is infeasible.
     """
     root = _milp_root(prob.rows, prob.A.shape[1], prob.I, big_m)
-    return _branch_and_bound(root, prob.k, cap=cap, trace=trace)
+    out = _branch_and_bound(root, prob.k, cap=cap, trace=trace)
+    if out is None:
+        return None
+    value, (d, den), support, nodes = out
+    return value, tuple(Fraction(v, den) for v in d), support, nodes
 
 
 def milp_solve(net: Network, meas: MeasurementSystem, k: int) -> SecurityIndexResult:
@@ -397,8 +413,8 @@ def milp_solve(net: Network, meas: MeasurementSystem, k: int) -> SecurityIndexRe
     out = _branch_and_bound(mtr.milp_root, k)
     if out is None:
         raise InfeasibleIndex(k)
-    _, d, support, _ = out
-    return _exact_result(mtr, k, "milp", d, support, t0)
+    _, (d, den), support, _ = out
+    return _exact_result(mtr, k, "milp", d, support, t0, den)
 
 
 # --- compressed-sensing diagnostics --------------------------------------

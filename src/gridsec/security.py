@@ -87,18 +87,20 @@ def reduce_to_tu(net: Network, meas: MeasurementSystem, k: int) -> TUProblem:
     return TUProblem(flow_rows(net, meas), k, meas.protected)
 
 
-def _witness_attack(mtr: Metering, k: int, x) -> tuple[list, list, frozenset[int]]:
-    """Exact (dtheta, dz, touched) of the state move x over every meter,
-    flows first, scaled so flow meter k (which x moves by +1) reads +1.
+def _witness_attack(mtr: Metering, k: int, x, den: int = 1) -> tuple[list, list, frozenset[int]]:
+    """Exact (dtheta, dz, touched) of the state move x / den over every
+    meter, flows first, scaled so flow meter k (which it moves by +1)
+    reads +1.
 
     Only the lines at buses x moves are visited (mtr.bus_lines): each whose
     ends x moves apart carries the flow change w * x_k / x_line, read by
     its flow meter, added at its from-bus injection and subtracted at its
-    to-bus injection.  Exact zeros stay 0.
+    to-bus injection; integer x costs one Fraction per moved line.  Exact
+    zeros stay 0.
     """
     net, flow, inj = mtr.net, mtr.flow_slot, mtr.injection_slot
     xk = mtr.lines[k - 1].reactance
-    num, den = xk.numerator, xk.denominator
+    num, den = xk.numerator, xk.denominator * den
     pot = {b: v for b, v in zip(net.state_buses, x) if v}
     dz = [0] * mtr.meas.n_meters
     touched = set()
@@ -117,7 +119,7 @@ def _witness_attack(mtr: Metering, k: int, x) -> tuple[list, list, frozenset[int
                 dz[inj[ln.to_bus]] -= f
                 touched.add(inj[ln.to_bus])
     touched = frozenset(i + 1 for i in touched if dz[i])
-    return [xk * v if v else 0 for v in x], dz, touched
+    return [Fraction(v * num, den) if v else 0 for v in x], dz, touched
 
 
 def _attack(dtheta, dz, touched) -> AttackVector:
@@ -127,10 +129,12 @@ def _attack(dtheta, dz, touched) -> AttackVector:
     return AttackVector(np.array([float(v) if v else 0.0 for v in dtheta]), dz_f, touched)
 
 
-def _exact_result(mtr: Metering, k: int, method: str, x, support, t0) -> SecurityIndexResult:
-    """An exact solve's result, timed from t0: its state move x (moving flow
-    meter k by +1) must touch the meters of the solver's support."""
-    dtheta, dz, touched = _witness_attack(mtr, k, x)
+def _exact_result(mtr: Metering, k: int, method: str, x, support, t0,
+                  den: int = 1) -> SecurityIndexResult:
+    """An exact solve's result, timed from t0: its state move x / den
+    (moving flow meter k by +1) must touch the meters of the solver's
+    support."""
+    dtheta, dz, touched = _witness_attack(mtr, k, x, den)
     if touched != support:            # reactance scaling cannot move the support
         raise SolverDefect("witness support disagrees with the solver")
     i = len(touched)

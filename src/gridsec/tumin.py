@@ -31,6 +31,7 @@ Row indices (k, I, supports) are 1-based throughout this module.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
@@ -375,20 +376,26 @@ def validate_integrality(sol: TUSolution, problem: TUProblem) -> bool:
 
 
 def verify_tu(A, max_order: int, *, budget: int = 200_000) -> bool:
-    """Exhaustively test all square minors up to max_order for dets in {-1,0,1}.
+    """Do all square minors of A up to max_order have determinants in {-1,0,1}?
 
-    Exponential by nature; raises SizeLimitExceeded when the minor count
-    would exceed the work budget.
+    Entries outside {-1, 0, 1} fail at order 1.  When every row, or every
+    column, holds at most two nonzeros (a flow matrix's rows do) the answer
+    is exact and cheap (_two_per_line).  Other matrices are enumerated,
+    exponential by nature: SizeLimitExceeded when the minor count would
+    exceed the work budget.
     """
     A = int_matrix(A)
     m, n = A.shape
     if not 1 <= max_order <= min(m, n):
         raise ValueError(f"max_order must lie in 1..{min(m, n)}")
+    if np.any(np.abs(A) > 1):
+        return False  # order-1 minors already fail
+    for lines in (A, A.T):
+        if np.count_nonzero(lines, axis=1).max() <= 2:
+            return _two_per_line(lines) > max_order
     total = sum(math.comb(m, r) * math.comb(n, r) for r in range(1, max_order + 1))
     if total > budget:
         raise SizeLimitExceeded(f"{total} minors exceeds budget {budget}")
-    if np.any(np.abs(A) > 1):
-        return False  # order-1 minors already fail
     rows_list = A.tolist()
     for order in range(2, max_order + 1):
         for rows in combinations(range(m), order):
@@ -398,6 +405,71 @@ def verify_tu(A, max_order: int, *, budget: int = 200_000) -> bool:
                 if det_int(minor) not in (-1, 0, 1):
                     return False
     return True
+
+
+def _two_per_line(lines: np.ndarray) -> float:
+    """The smallest order of a minor outside {-1, 0, 1} of a {-1, 0, 1}
+    matrix whose lines (rows) hold at most two nonzeros each; inf when it
+    is totally unimodular.
+
+    Each two-entry line is an edge between its columns, odd when its
+    entries agree in sign.  By Heller and Tompkins the matrix is totally
+    unimodular exactly when the columns 2-colour with the odd edges
+    across the classes and the others within them, which one BFS decides
+    in O(nnz).  A square submatrix with a nonzero determinant splits into
+    blocks that are each a tree plus one one-entry line (determinant
+    +-1) or one cycle with pendant trees (0, or +-2 for a cycle with an
+    odd count of odd edges), so a failing minor holds such a cycle, whose
+    own minor fails: the shortest one, found by a BFS over
+    (column, parity) from each column, is the answer.
+    """
+    width = lines.shape[1]
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(width)]
+    for line in lines:
+        nz = np.flatnonzero(line)
+        if len(nz) == 2:
+            u, w = nz.tolist()
+            odd = int(line[u] == line[w])
+            adj[u].append((w, odd))
+            adj[w].append((u, odd))
+    colour = [-1] * width
+    for s in range(width):
+        if colour[s] >= 0:
+            continue
+        colour[s], queue = 0, deque([s])
+        while queue:
+            u = queue.popleft()
+            for w, odd in adj[u]:
+                if colour[w] < 0:
+                    colour[w] = colour[u] ^ odd
+                    queue.append(w)
+                elif colour[w] != colour[u] ^ odd:
+                    return _shortest_odd_cycle(adj)
+    return math.inf
+
+
+def _shortest_odd_cycle(adj: list[list[tuple[int, int]]]) -> int:
+    """Length of the shortest cycle with an odd count of odd edges in the
+    signed graph adj (one exists): the shortest closed walk of odd parity
+    through any column, which is such a cycle."""
+    best = len(adj) + 1
+    for s in range(len(adj)):
+        dist = {(s, 0): 0}
+        queue = deque([(s, 0)])
+        while queue:
+            u, p = queue.popleft()
+            d = dist[u, p] + 1
+            if d >= best:
+                break
+            for w, odd in adj[u]:
+                state = (w, p ^ odd)
+                if state not in dist:
+                    if state == (s, 1):
+                        best = d
+                        break
+                    dist[state] = d
+                    queue.append(state)
+    return best
 
 
 def gen_consecutive_ones(m: int, n: int, seed: int) -> np.ndarray:

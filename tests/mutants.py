@@ -62,9 +62,9 @@ MUTANTS = (
     _one("incumbent check without the protected clause", ORACLE,
          "ok = image(k) == dden and not any(image(i) for i in root.I)", "ok = image(k) == dden"),
     _one("incumbent check without the link clause", ORACLE,
-         "ok = (ok and image(j) * den == (tp - tm) * dden\n              and", "ok = (ok\n              and"),
-    _one("incumbent check without the box clause", ORACLE,
-         "\n              and (tp + tm + u) * M.denominator == M.numerator * den)", ")"),
+         "ok = (ok and image(j) * den * Md == (tp - tm) * dden\n              and", "ok = (ok\n              and"),
+    _one("incumbent check without the bound clause", ORACLE,
+         "\n              and 0 <= tp <= top and 0 <= tm <= top)", ")"),
     _one("incumbent check reads d over 1", ORACLE,
          "ok = image(k) == dden and", "ok = image(k) == 1 and"),
     _one("milp_root without its certificate", ORACLE,
@@ -73,12 +73,12 @@ MUTANTS = (
          "d[c] = -sum(v * X.get(t, 0) for t, v in pairs)", "d[c] = sum(v * X.get(t, 0) for t, v in pairs)"),
     _one("branch and bound branches the target", ORACLE,
          "free = {j: c for j, c in root.tcol.items() if j != k}", "free = dict(root.tcol)"),
-    _one("target tableau without its <= 1 row", ORACLE,
-         "        tab.add_row({t: 1, t + 1: -1, lp.RHS: 1})\n", "", survives=True),
     _one("no zero-fixing check", ORACLE,
-         "        if any(c in X for i in fixed0 for c in (free[i], free[i] + 1)):\n"
-         "            raise SolverDefect(\"node vertex moves a row fixed to zero; solver defect\")\n",
-         ""),
+         "                if tp or tm:\n"
+         "                    raise SolverDefect(\"node vertex moves a row fixed to zero; solver defect\")\n",
+         "                pass\n"),
+    _one("a zero-fixing bounds only t'+_j", ORACLE,
+         "            tab.fix(free[j] + 1)\n", ""),
     _one("node cap off by one", ORACLE, "if nodes > cap:", "if nodes > cap + 1:"),
     _one("no final support check", ORACLE,
          "    if len(support) != best:\n"
@@ -86,10 +86,23 @@ MUTANTS = (
     # the dict tableau's denominators: each row's entry in its basic column
     _one("values ignores the row denominators", LP,
          "        den = lcm(*(d for _, _, d in held))\n"
-         "        return {c: v * (den // d) for c, v, d in held}, den",
-         "        return {c: v for c, v, _ in held}, 1"),
+         "        nums = {c: v * (den // d) for c, v, d in held}\n",
+         "        den = 1\n"
+         "        nums = {c: v for c, v, _ in held}\n"),
     _one("dual_leaving reads every denominator as 1", LP,
-         "den = row[self.basis[i]]", "den = 1"),
+         "den = row[basis[i]]", "den = 1"),
+    # the dict tableau's upper bounds
+    _one("check_optimal accepts a basic value above its bound", LP,
+         "            if b in upper and v > upper[b] * row[b]:\n"
+         "                raise SolverDefect(\"basic value above its bound in an optimal tableau; \"\n"
+         "                                   \"solver defect\")\n", ""),
+    _one("values() reads a complemented column uncomplemented", LP,
+         "        for j in self.flipped:\n"
+         "            v = self.upper[j] * den - nums.get(j, 0)\n"
+         "            if v:\n"
+         "                nums[j] = v\n"
+         "            else:\n"
+         "                nums.pop(j, None)\n", ""),
     # the ternary kernel and the l1 base
     _one("ternary pivot without its +-2 guard", LP,
          "            if p & ap or n & an:\n                raise IntegralityError(_LEFT_TERNARY)\n",

@@ -18,11 +18,11 @@ from gridsec.oracle import exhaustive_min_support
 from gridsec.tumin import TUSolution
 
 
-def box_feasible(A, k: int, I, S) -> bool:
-    """Is there x with A(k)x = 1, A(I)x = 0, A(j)x = 0 off S, |A(j)x| <= 1 on S?
+def box_feasible(A, k: int, I, S, bound=1) -> bool:
+    """Is there x with A(k)x = 1, A(I)x = 0, A(j)x = 0 off S, |A(j)x| <= bound on S?
 
     Feasibility only; decided by the exact LP layer (phase-1).  Rows in S
-    get the split |A(j)x| <= 1 via t+ - t- = A(j)x, t+ + t- + w = 1.
+    get the split |A(j)x| <= bound via t+ - t- = A(j)x, t+ + t- + w = bound.
     """
     rows = [[int(v) for v in row] for row in A]
     m, n = len(rows), len(rows[0])
@@ -50,7 +50,7 @@ def box_feasible(A, k: int, I, S) -> bool:
         box = [0] * p
         box[base] = box[base + 1] = box[base + 2] = 1
         C.append(box)
-        d.append(1)
+        d.append(bound)
     for j in silent + sorted(I):
         C.append(state_row(j))
         d.append(0)
@@ -81,6 +81,20 @@ def box_restricted_matches(A, k: int, I, *, cap: int = 200_000) -> bool:
         if box_feasible(rows, k, I, S):
             return True
     return False
+
+
+def big_m_min_support(A, k: int, I, big_m) -> int | None:
+    """The optimum of the big-M formulation by enumeration: 1 + the fewest
+    unprotected rows S besides k for which some x moves row k by 1, no row
+    off S and by at most big_m each row of S (box_feasible); None when
+    even every row cannot.  For big_m >= 1 the target's own box holds."""
+    m = len(A)
+    others = [j for j in range(1, m + 1) if j != k and j not in I]
+    for size in range(len(others) + 1):
+        for S in combinations(others, size):
+            if box_feasible(A, k, I, S, big_m):
+                return size + 1
+    return None
 
 
 def full_h_min_support(h_rows, k: int, I, *, cap: int = 200_000) -> int | None:

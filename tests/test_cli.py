@@ -15,6 +15,7 @@ from conftest import IEEE14_CASE, SIXBUS_CASE
 
 SIX = str(SIXBUS_CASE)
 IEEE = str(IEEE14_CASE)
+README = Path(__file__).resolve().parent.parent / "README.md"
 import gridsec
 from gridsec import MeasurementSystem, cli, parse_case
 from gridsec.cli import (
@@ -470,6 +471,15 @@ class TestVerifyTuCommand:
         rc, out, _ = run_main(["verify-tu", IEEE, "--max-order", "2"])
         assert rc == 0
         assert "yes" in out
+
+    def test_the_readme_line_runs(self, monkeypatch):
+        # the flow rows' 341120 minors up to order 3 exceed the default
+        # enumeration budget; two nonzeros per row are decided without it
+        line = next(line for line in README.read_text(encoding="utf-8").splitlines()
+                    if line.startswith("gridsec verify-tu "))
+        monkeypatch.chdir(README.parent)
+        rc, out, err = run_main(line.split("#")[0].split()[1:])
+        assert (rc, out, err) == (0, "totally-unimodular<=order-3: yes\n", "")
 
 
 class TestBenchCommand:

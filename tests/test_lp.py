@@ -346,6 +346,102 @@ def test_dual_simplex_matches_a_cold_solve_of_the_extended_lp(rule, monkeypatch)
     assert pivots[0] > 60
 
 
+# --- upper bounds: the bounded tableau against bounds written as rows -----
+
+
+def _random_bounded_lp(rng):
+    """min cost . x  s.t.  C x + s = b,  x, s >= 0,  x_j <= upper[j] on the
+    bounded columns, with b >= 0, so that the slacks s are a feasible
+    basis: (rows with their slack columns, that basis, the column count,
+    the cost and the bounds).  Columns without a bound may leave it
+    unbounded; a bound of 0 fixes its column."""
+    l, p = rng.randint(1, 4), rng.randint(1, 5)
+    rows = []
+    for i in range(l):
+        row = {j: rng.randint(-3, 3) for j in range(p)}
+        row[p + i] = 1
+        row[RHS] = rng.randint(0, 6)
+        rows.append({j: v for j, v in row.items() if v})
+    cost = {j: rng.randint(-4, 3) for j in range(p)}
+    upper = {j: rng.randint(0, 4) for j in range(p) if rng.random() < 0.8}
+    return rows, list(range(p, p + l)), p + l, cost, upper
+
+
+def _bounds_as_rows(rows, ncols, cost, upper):
+    """The same LP for solve_lp: each bound x_j <= u written as the row
+    x_j + w = u over a fresh slack column w."""
+    width = ncols + len(upper)
+    C = [[row.get(j, 0) for j in range(width)] for row in rows]
+    d = [row.get(RHS, 0) for row in rows]
+    for w, (j, u) in enumerate(upper.items(), start=ncols):
+        C.append([int(c in (j, w)) for c in range(width)])
+        d.append(u)
+    return StandardFormLP.create(C, d, [cost.get(j, 0) for j in range(width)])
+
+
+def _agrees(tab, status, rows, cost, upper):
+    """tab's outcome against solve_lp on the bounds written as rows: the
+    same status, the same optimum, and a vertex within every bound that
+    meets every row."""
+    cold = solve_lp(_bounds_as_rows(rows, tab.ncols, cost, upper))
+    assert status is cold.status
+    if status is not LpStatus.OPTIMAL:
+        return
+    tab.check_optimal()
+    assert tab.objective() == cold.solution.objective
+    x, den = tab.values()
+    assert all(0 <= x.get(j, 0) <= u * den for j, u in upper.items())
+    for row in rows:
+        assert sum(a * x.get(j, 0) for j, a in row.items() if j != RHS) == row.get(RHS, 0) * den
+    assert sum(v * x.get(j, 0) for j, v in cost.items()) == tab.objective() * den
+
+
+@pytest.mark.parametrize("rule", ["bland", "dantzig"])
+def test_bounded_tableau_matches_bounds_written_as_rows(rule, monkeypatch):
+    # the primal loop from the slack basis, then the dual loop after a
+    # fixed column and an appended row, against the two-phase solve of
+    # the same LPs with each bound an explicit row and slack
+    price_by(monkeypatch, rule)
+    rng = random.Random(271)
+    outcomes, flipped = set(), 0
+    for _ in range(300):
+        rows, basis, ncols, cost, upper = _random_bounded_lp(rng)
+        tab = _Tableau([dict(row) for row in rows], basis, ncols, dict(upper))
+        tab.add_cost(cost, 1)
+        status = lp_module._run_simplex(tab, [0])
+        _agrees(tab, status, rows, cost, upper)
+        outcomes.add(status)
+        if status is not LpStatus.OPTIMAL:
+            continue
+        flipped += bool(tab.flipped)
+        if rng.random() < 0.5:
+            j = rng.randrange(len(cost))
+            upper[j] = 0
+            tab.fix(j)
+        x, den = tab.values()
+        row = {j: rng.randint(-3, 3) for j in range(ncols)}
+        # cut the current optimum off (or just touch it) most of the time
+        row[RHS] = sum(a * x.get(j, 0) for j, a in row.items()) // den - rng.randint(-1, 3)
+        tab.add_row(row)
+        row[ncols] = 1
+        status = _run_dual_simplex(tab, [0])
+        _agrees(tab, status, rows + [row], cost, upper)
+        outcomes.add(status)
+    assert outcomes == {LpStatus.OPTIMAL, LpStatus.INFEASIBLE, LpStatus.UNBOUNDED}
+    assert flipped > 30
+
+
+def test_an_empty_bound_map_is_the_plain_tableau():
+    # the solve_lp tableau carries no bounds, and a copy keeps them apart
+    tab = _optimal_tableau(preprocess(_random_feasible_lp(random.Random(3))))
+    assert (tab.upper, tab.flipped) == ({}, set())
+    bounded = _Tableau([{0: 1, 1: 1, RHS: 3}], [0], 2, {0: 2})
+    bounded.zrow = {1: 1}
+    copy = bounded.copy()
+    copy.fix(1)
+    assert (bounded.upper, copy.upper) == ({0: 2}, {0: 2, 1: 0})
+
+
 def _fields(tab):
     return (tab.rows, tab.basis, tab.zrow, tab.zden, tab.ncols)
 
@@ -468,42 +564,40 @@ def test_a_dual_simplex_that_skips_its_work_is_caught(monkeypatch):
 
 
 
-def _lying_dual_simplex(monkeypatch, honest_calls):
-    # past its first honest_calls runs, the dual simplex drops the new rows'
-    # negative values instead of pivoting: every tableau still reads optimal
-    real = lp_module._run_dual_simplex
+def test_an_incumbent_off_its_zero_fixing_is_caught(monkeypatch):
+    # the target's slack is honestly fixed at 0, the zero branches' bounds
+    # are dropped; a search that misses the lie ends at the cap, quickly
+    real = lp_module._Tableau.fix
     calls = [0]
 
-    def lying(tab, *args):
+    def dropping(tab, j):
         calls[0] += 1
-        if calls[0] <= honest_calls:
-            return real(tab, *args)
-        for row in tab.rows:
-            if row.get(RHS, 0) < 0:
-                del row[RHS]
-        return LpStatus.OPTIMAL
+        if calls[0] == 1:
+            real(tab, j)
 
-    monkeypatch.setattr(lp_module, "_run_dual_simplex", lying)
-
-
-def test_an_incumbent_off_its_zero_fixing_is_caught(monkeypatch):
-    # the target's own rows are honestly re-optimized, the zero branches'
-    # fixings fail; a search that misses the lie ends at the cap, quickly
-    _lying_dual_simplex(monkeypatch, 1)
+    monkeypatch.setattr(lp_module._Tableau, "fix", dropping)
     with pytest.raises(SolverDefect, match="fixed to zero"):
         oracle.solve_milp_instance(SIXBUS_MILP, cap=1000)
 
 
 def test_an_incumbent_off_the_target_row_is_caught(monkeypatch):
-    # the target's node keeps t+_k - t-_k at 0, so its vertex misses
-    # A(k,:) d = 1
-    _lying_dual_simplex(monkeypatch, 0)
+    # the dual simplex drops every value out of its bounds instead of
+    # pivoting: the target's node then reads optimal with its slack at 0
+    # and t'+_k - t'-_k at 0, so its vertex misses A(k,:) d = 1
+    def lying(tab, *args):
+        for row, b in zip(tab.rows, tab.basis):
+            v = row.get(RHS, 0)
+            if v < 0 or v > tab.upper.get(b, v) * row[b]:
+                del row[RHS]
+        return LpStatus.OPTIMAL
+
+    monkeypatch.setattr(lp_module, "_run_dual_simplex", lying)
     with pytest.raises(SolverDefect, match="root row"):
         oracle.solve_milp_instance(SIXBUS_MILP)
 
 
 def test_a_forged_node_vertex_is_caught(monkeypatch):
-    # values() swaps t+_j and t-_j on every free row: each box row and the
+    # values() swaps t'+_j and t'-_j on every free row: each bound and the
     # objective still hold, but the d read from the state rows flips sign
     # and misses A(k,:) d = 1
     real = lp_module._Tableau.values
@@ -522,9 +616,10 @@ def test_a_forged_node_vertex_is_caught(monkeypatch):
 
 def test_a_vertex_off_a_cycle_row_is_caught(monkeypatch):
     # rows 1-5 of the six-bus system are a spanning tree and rows 6 and 7
-    # close its cycles, so d, read from the tree rows' t, never sees row
-    # 7's t; values() swaps t+_7 and t-_7, which keeps every box row, the
-    # objective and d, and only the link row A(7,:) d = t+_7 - t-_7 fails
+    # close its cycles, so d, read from the tree rows' t', never sees row
+    # 7's t'; values() swaps t'+_7 and t'-_7, which keeps every bound, the
+    # objective and d, and only the link row Md A(7,:) d = t'+_7 - t'-_7
+    # fails
     assert _eliminate_states(SIXBUS_MILP.rows, 5, SIXBUS_MILP.I)[1].keys() == {5, 6}
     real = lp_module._Tableau.values
     t = oracle._t_columns(len(SIXBUS_A), SIXBUS_MILP.I)[7]
@@ -540,30 +635,33 @@ def test_a_vertex_off_a_cycle_row_is_caught(monkeypatch):
 
 
 def test_an_incumbent_off_the_root_rows_is_caught(monkeypatch):
-    # a re-optimization that doubles one positive basic value keeps the
-    # certificate (values and reduced costs nonnegative) but breaks a row
-    real = lp_module._run_simplex
+    # a re-optimization, by either loop, that halves one positive basic
+    # value keeps the certificate (values within their bounds, reduced
+    # costs nonnegative) but breaks a row
+    def halving(real):
+        def run(tab, *args):
+            status = real(tab, *args)
+            for row, b in zip(tab.rows, tab.basis):
+                if row.get(RHS, 0) > 0:
+                    row[b] *= 2
+                    break
+            return status
+        return run
 
-    def doubling(tab, *args):
-        status = real(tab, *args)
-        row = next(row for row in tab.rows if row.get(RHS, 0) > 0)
-        row[RHS] *= 2
-        return status
-
-    monkeypatch.setattr(lp_module, "_run_simplex", doubling)
+    for name in ("_run_simplex", "_run_dual_simplex"):
+        monkeypatch.setattr(lp_module, name, halving(getattr(lp_module, name)))
     with pytest.raises(SolverDefect, match="root row"):
         oracle.solve_milp_instance(SIXBUS_MILP)
 
 
 def _root_point(root, d):
-    """The point of root's layout at the state move d, as (t and u values
-    by column, their denominator, d's numerators, d's denominator): each
-    free row's t+_j - t-_j = A(j,:) d, and u_j the rest of its box."""
+    """The point of root's layout at the state move d, as (t' values by
+    column, their denominator, d's numerators, d's denominator): each free
+    row's t'+_j - t'-_j = Md A(j,:) d, big_m = Mn / Md."""
     x = {}
     for j, t in root.tcol.items():
-        a = sum(v * d[c] for c, v in root.rows[j - 1])
+        a = sum(v * d[c] for c, v in root.rows[j - 1]) * root.big_m.denominator
         x[t if a > 0 else t + 1] = abs(a)
-        x[t + 2] = root.big_m - abs(a)
     nums, den = scale_row([*x.values(), *d])
     return {c: v for c, v in zip(x, nums) if v}, den, nums[len(x):], den
 
@@ -576,6 +674,18 @@ def test_an_incumbent_off_a_protected_row_is_caught():
     root = oracle._milp_root(SIXBUS_MILP.rows, 5, frozenset(), Fraction(2))
     oracle._check_incumbent(root, 6, *_root_point(root, d))
     root = oracle._milp_root(SIXBUS_MILP.rows, 5, frozenset({1}), Fraction(2))
+    with pytest.raises(SolverDefect, match="root row"):
+        oracle._check_incumbent(root, 6, *_root_point(root, d))
+
+
+def test_an_incumbent_past_its_bounds_is_caught():
+    # d moves rows 1, 6 and 7 by 1 each: within a big-M of 1 (t' = Mn = 1),
+    # past one of 2/3 (t' = 3 against Mn = 2), links and target intact
+    _, d, _, _ = oracle.solve_milp_instance(SIXBUS_MILP)
+    assert {abs(v) for v in SIXBUS_A @ np.array(d, dtype=object)} == {0, 1}
+    root = oracle._milp_root(SIXBUS_MILP.rows, 5, frozenset(), Fraction(1))
+    oracle._check_incumbent(root, 6, *_root_point(root, d))
+    root = oracle._milp_root(SIXBUS_MILP.rows, 5, frozenset(), Fraction(2, 3))
     with pytest.raises(SolverDefect, match="root row"):
         oracle._check_incumbent(root, 6, *_root_point(root, d))
 

@@ -51,6 +51,7 @@ from gridsec.exactla import int_rank
 from gridsec.grid import metering
 from gridsec import lp, oracle
 from gridsec.oracle import CsInstance, _big_m, _node_lp, coherence_bound, solve_milp_instance
+from oracle_helpers import big_m_min_support
 from gridsec.security import _exact_result
 
 
@@ -131,8 +132,7 @@ class TestMilp:
         for k in (2, 4, 7):
             prob = TUProblem(SIXBUS_A, k, protected)
             tab, state = _node_lp(prob.rows, 5, prob.I, Fraction(2))
-            boxes = len(prob.free_rows)
-            assert len(state) + len(tab.rows) - boxes == len(prob.rows) - 1
+            assert len(state) + len(tab.rows) == len(prob.rows) - 1
             value, _, support, _ = solve_milp_instance(prob)
             assert value == exhaustive_min_support(SIXBUS_A, k, protected)
             assert support.isdisjoint(protected)
@@ -158,8 +158,8 @@ class TestMilp:
         assert out is None or out[0] > 3
 
     def test_big_m_below_one_leaves_the_target_unreachable(self, monkeypatch):
-        # the target row has a box like every free row, so t+_k - t-_k = 1
-        # cannot fit under a big-M of 1/2
+        # the target's t' is bounded like every free row's, so
+        # t'+_k - t'-_k = Md = 2 cannot fit under Mn = 1 (a big-M of 1/2)
         net = Network(3, ((1, 2, 2), (2, 3, 3), (1, 3, 5)))
         meas = MeasurementSystem((1, 2, 3))
         assert solve_milp_instance(reduce_to_tu(net, meas, 3), Fraction(2))[0] == 2
@@ -222,6 +222,22 @@ class TestMilp:
                 value, d, support, _ = out
                 assert len(support) == value and k in support and support.isdisjoint(I)
                 assert (A @ np.array(d, dtype=object))[k - 1] == 1
+
+    def test_agrees_with_enumeration_under_a_rational_big_m(self):
+        # the data of the test above, under a big-M of 7/2 (t' = 2 t, up to
+        # 7), which need not dominate |A(j,:) d|: the optimum is then the
+        # formulation's own, the fewest rows whose moves fit the box
+        rng = random.Random(5)
+        for _ in range(200):
+            m, n = rng.randint(3, 6), rng.randint(2, 4)
+            A = np.array([[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)])
+            k = rng.randint(1, m)
+            I = frozenset(rng.sample([j for j in range(1, m + 1) if j != k], rng.randint(0, 2)))
+            out = solve_milp_instance(TUProblem(A, k, I), Fraction(7, 2))
+            assert (None if out is None else out[0]) == big_m_min_support(A, k, I, Fraction(7, 2))
+            if out is not None:
+                image = A @ np.array(out[1], dtype=object)
+                assert image[k - 1] == 1 and max(abs(v) for v in image) <= Fraction(7, 2)
 
     def test_agrees_with_min_cut_on_a_seeded_mesh(self):
         # 42 buses, 83 lines, 3 protected; every meter of this grid settles

@@ -1,7 +1,7 @@
 """Minimum-support solver against frozen values and the enumeration oracle."""
 import ast
 import random
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
@@ -31,8 +31,8 @@ from gridsec import (
 )
 from gridsec import lp, tumin
 from gridsec.errors import IntegralityError, SizeLimitExceeded, SolverDefect
-from gridsec.exactla import int_rank
-from gridsec.grid import metering, parse_case
+from gridsec.exactla import det_int, int_rank
+from gridsec.grid import flow_rows, metering, parse_case
 from gridsec.lp import LpStatus, StandardFormLP, solve_lp
 from gridsec.oracle import exhaustive_min_tuple, nullspace_reformulate, solve_milp_instance
 from gridsec.security import reduce_to_tu
@@ -575,6 +575,44 @@ class TestVerifyTu:
         A = np.ones((10, 10), dtype=int)
         with pytest.raises(SizeLimitExceeded):
             verify_tu(A, 5, budget=10)
+
+    def test_odd_cycle_fails_at_its_length(self):
+        # three rows closing a cycle with three like-signed pairs: the
+        # matrix itself has determinant 2, every 2 x 2 minor is fine
+        A = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+        assert verify_tu(A, 2)
+        assert not verify_tu(A, 3)
+        assert not verify_tu(A.T, 3)
+
+    def test_two_nonzeros_per_line_agree_with_enumeration(self):
+        # random signed rows (or columns) of at most two entries, every
+        # order, against a determinant for every minor
+        def every_minor_unimodular(A, order):
+            m, n = A.shape
+            return all(det_int([[A[i][j] for j in cols] for i in rows]) in (-1, 0, 1)
+                       for r in range(1, order + 1)
+                       for rows in combinations(range(m), r) for cols in combinations(range(n), r))
+
+        rng = random.Random(9)
+        failed = 0
+        for _ in range(300):
+            m, n = rng.randint(1, 6), rng.randint(2, 6)
+            A = np.zeros((m, n), dtype=int)
+            for row in A:
+                for c in rng.sample(range(n), rng.randint(0, 2)):
+                    row[c] = rng.choice((-1, 1))
+            if rng.random() < 0.5:
+                A = A.T
+            for order in range(1, min(A.shape) + 1):
+                want = every_minor_unimodular(A, order)
+                assert verify_tu(A, order, budget=1) == want
+                failed += not want
+        assert failed > 30
+
+    def test_flow_rows_need_no_enumeration(self):
+        # ieee14's 20 x 13 flow rows hold 341120 minors up to order 3
+        A = flow_rows(*parse_case(IEEE14_CASE))
+        assert verify_tu(A, 3, budget=1)
 
     def test_order_validation(self):
         with pytest.raises(ValueError):
