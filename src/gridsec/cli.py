@@ -289,7 +289,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-tu", help="check flow rows for total unimodularity")
     p.add_argument("case")
     p.add_argument("--max-order", type=_whole, default=3)
-    p.add_argument("--budget", type=_whole, default=200_000)
     p.set_defaults(func=_cmd_verify_tu)
 
     p = sub.add_parser("bench", help="index every unprotected flow meter")
@@ -353,7 +352,7 @@ def _cmd_verify_tu(args) -> int:
         raise MethodUnavailable("total unimodularity applies to the flow rows only")
     A = flow_rows(net, meas)
     order = min(args.max_order, min(A.shape))
-    ok = verify_tu(A, order, budget=args.budget)
+    ok = verify_tu(A, order)
     print(f"totally-unimodular<=order-{order}: {'yes' if ok else 'no'}")
     return 0
 

@@ -10,12 +10,11 @@ at u and v, so every u-v path carries a line whose flow it changes; a cut
 crossing it.
 
 The solve is a unit-capacity Edmonds-Karp max-flow on the standard library
-alone.  Beside the cut it returns the flow decomposed into unit u -> v
-paths (walks, should the flow hold a cycle), and check_certificate()
-confirms weak duality on every solve: the paths run over metered lines, no
-two share a unit-capacity line, and their number equals the flow support
-of the attack that is reported, which makes both the cut and the path
-packing optimal.
+alone.  Beside the cut it returns the flow itself, and check_certificate()
+confirms weak duality on every solve: the flow respects the capacities, is
+conserved away from u and v and carries its value from u to v, and the
+attack that is reported touches exactly that many flow meters, which makes
+both the cut and the flow optimal (Ford & Fulkerson 1956).
 
 Each function reads the system's grid.Metering, whose metered-line graph
 (adjacency, capacity) is built once per system; lines are 1-based line
@@ -34,8 +33,8 @@ from .grid import Metering
 class MinCut:
     """Maximum u -> v flow of a flow meter and its two canonical cuts."""
 
-    value: int                           # cut size = number of paths
-    paths: tuple[tuple[int, ...], ...]   # u -> v walks as line ids
+    value: int                           # flow value = cut size
+    flow: dict[int, int]                 # nonzero flow by flow slot, signed from-bus -> to-bus
     source_side: frozenset[int]          # buses reachable from u in the residual graph
     sink_side: frozenset[int]            # buses that can reach v in the residual graph
 
@@ -49,6 +48,7 @@ def max_flow(mtr: Metering, k: int) -> MinCut:
     lids, cap, adj = mtr.meas.flow_meters, mtr.capacity, mtr.adjacency
     u, v = mtr.lines[k - 1].from_bus, mtr.lines[k - 1].to_bus
     flow = [0] * len(lids)               # signed, from-bus -> to-bus
+    used: set[int] = set()               # slots some augmenting path crossed
     total = 0
     while True:
         prev: dict[int, tuple[int, int, int] | None] = {u: None}
@@ -70,6 +70,7 @@ def max_flow(mtr: Metering, k: int) -> MinCut:
         push = min(cap[e] - d * flow[e] for e, d in path)
         for e, d in path:
             flow[e] += d * push
+            used.add(e)
         total += push
         if total > len(lids):            # more than any cut of unprotected lines
             raise InfeasibleIndex(k)
@@ -82,28 +83,7 @@ def max_flow(mtr: Metering, k: int) -> MinCut:
             if b not in sink and cap[e] + d * flow[e] > 0:
                 sink.add(b)
                 queue.append(b)
-    paths = _decompose(adj, flow, lids, u, v, total)
-    return MinCut(total, paths, frozenset(prev), frozenset(sink))
-
-
-def _decompose(adj, flow, lids, u, v, total) -> tuple[tuple[int, ...], ...]:
-    """Split the flow into `total` unit u -> v walks.
-
-    Each step spends one unit of flow along its direction.  A walk standing
-    at a bus other than v has spent one more unit into it than out of it,
-    so flow conservation leaves an unspent arc to continue on.
-    """
-    left = [abs(f) for f in flow]
-    paths = []
-    for _ in range(total):
-        walk = []
-        a = u
-        while a != v:
-            e, a = next((e, b) for e, b, d in adj[a] if left[e] and d * flow[e] > 0)
-            left[e] -= 1
-            walk.append(lids[e])
-        paths.append(tuple(walk))
-    return tuple(paths)
+    return MinCut(total, {e: flow[e] for e in used if flow[e]}, frozenset(prev), frozenset(sink))
 
 
 def witness(mtr: Metering, k: int, side: frozenset[int]) -> tuple[int, ...]:
@@ -117,40 +97,43 @@ def witness(mtr: Metering, k: int, side: frozenset[int]) -> tuple[int, ...]:
     return tuple(sign if b in side else 0 for b in net.state_buses)
 
 
-def check_certificate(mtr: Metering, k: int, paths, dz, touched) -> None:
-    """Raise SolverDefect unless the paths and the reported attack prove
+def check_certificate(mtr: Metering, k: int, flow, value, dz, touched) -> None:
+    """Raise SolverDefect unless the flow and the reported attack prove
     each other optimal.
 
-    dz and touched are the attack's measurement change and support, flow
-    meters first, as security._witness_attack returns them.  Every path
-    must be a u -> v walk over metered lines and no two paths may share an
-    unprotected line; the attack must move meter k by +1, touch no
-    protected meter, and touch as many flow meters as there are paths.
-    Each path then crosses a distinct touched line, so no attack touches
-    fewer meters than there are paths.
+    flow maps flow slots to signed flow (from-bus -> to-bus), as
+    max_flow returns it; dz and touched are the attack's measurement change
+    and support, flow meters first, as security._witness_attack returns
+    them.  No unprotected line may carry more than 1, and the flow must be
+    conserved at every bus but the ends u, v of meter k's line, leaving u
+    and reaching v with `value`; the attack must move meter k by +1, touch
+    no protected meter, and touch exactly `value` flow meters.
+
+    That is weak duality.  An attack that moves meter k gives u and v
+    different potentials, so no u-v path runs over metered lines it leaves
+    untouched: the buses it reaches from u that way exclude v, and every
+    metered line leaving them is touched.  Protected lines are untouched,
+    so the whole flow crosses out on touched unprotected lines, at most 1
+    on each: every attack touches at least `value` flow meters, and one
+    that touches `value` is a minimum.
     """
-    slot, protected, target = mtr.flow_slot, mtr.meas.protected, mtr.lines[k - 1]
-    used: set[int] = set()
-    for path in paths:
-        bus = target.from_bus
-        for lid in path:
-            if lid not in slot:
-                raise SolverDefect(f"path {path} uses unmetered line {lid}")
-            ln = mtr.lines[slot[lid]]
-            if bus not in (ln.from_bus, ln.to_bus):
-                raise SolverDefect(f"path {path} breaks at line {lid}")
-            bus = ln.to_bus if bus == ln.from_bus else ln.from_bus
-            if slot[lid] + 1 not in protected:
-                if lid in used:
-                    raise SolverDefect(f"unit line {lid} carries two paths")
-                used.add(lid)
-        if bus != target.to_bus:
-            raise SolverDefect(f"path {path} does not end at bus {target.to_bus}")
+    lines, protected = mtr.lines, mtr.meas.protected
+    excess = [0] * (mtr.net.n_buses + 1)     # flow out of each bus, less what enters
+    for e, f in flow.items():
+        if abs(f) > 1 and e + 1 not in protected:
+            raise SolverDefect(f"unit line {mtr.meas.flow_meters[e]} carries {abs(f)}")
+        excess[lines[e].from_bus] += f
+        excess[lines[e].to_bus] -= f
+    target = lines[k - 1]
+    excess[target.from_bus] -= value
+    excess[target.to_bus] += value
+    if any(excess):
+        bus = next(b for b, x in enumerate(excess) if x)
+        raise SolverDefect(f"a flow of {value} is not conserved at bus {bus}")
     if dz[k - 1] != 1:
         raise SolverDefect("witness does not move the target meter by +1")
     if touched & protected:
         raise SolverDefect(f"witness touches protected meters {sorted(touched & protected)}")
-    flows = sum(1 for i in touched if i <= len(slot))
-    if flows != len(paths):
-        raise SolverDefect(f"{len(paths)} disjoint paths but the witness touches "
-                           f"{flows} flow meters")
+    flows = sum(1 for i in touched if i <= len(lines))
+    if flows != value:
+        raise SolverDefect(f"a flow of {value} but the witness touches {flows} flow meters")

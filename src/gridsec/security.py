@@ -208,7 +208,7 @@ def security_index_bounds(net: Network, meas: MeasurementSystem, k: int) -> Secu
         sides.append(frozenset(range(1, net.n_buses + 1)) - cut.sink_side)
     moves = [_witness_attack(mtr, k, witness(mtr, k, side)) for side in dict.fromkeys(sides)]
     dtheta, dz, touched = min(moves, key=lambda m: len(m[2]))   # the source side on a tie
-    check_certificate(mtr, k, cut.paths, dz, touched)
+    check_certificate(mtr, k, cut.flow, cut.value, dz, touched)
     return SecurityIndexResult(
         meter=k, index=None, attack=_attack(dtheta, dz, touched),
         method="bounds", bounds=(cut.value, len(touched)),

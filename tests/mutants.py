@@ -46,7 +46,7 @@ def _one(name, path, old, new, survives=False):
     return Mutant(name, ((path, old, new),), survives)
 
 
-LP, ORACLE, TUMIN, GRID = (f"src/gridsec/{m}.py" for m in ("lp", "oracle", "tumin", "grid"))
+LP, ORACLE, TUMIN, GRID, MINCUT = (f"src/gridsec/{m}.py" for m in ("lp", "oracle", "tumin", "grid", "mincut"))
 
 MUTANTS = (
     # the MILP's kept root and its incumbent checks
@@ -141,6 +141,17 @@ MUTANTS = (
          "return all(v in (-1, 1) for v in image.values()) and ", "return "),
     _one("validate_integrality without the support comparison", TUMIN,
          " and frozenset(image) == sol.support", ""),
+    # the min cut's flow certificate
+    _one("flow certificate without the capacity clause", MINCUT,
+         "        if abs(f) > 1 and e + 1 not in protected:\n"
+         "            raise SolverDefect(f\"unit line {mtr.meas.flow_meters[e]} carries {abs(f)}\")\n", ""),
+    _one("flow certificate without the conservation clause", MINCUT,
+         "    if any(excess):\n"
+         "        bus = next(b for b, x in enumerate(excess) if x)\n"
+         "        raise SolverDefect(f\"a flow of {value} is not conserved at bus {bus}\")\n", ""),
+    _one("flow certificate without the value clause", MINCUT,
+         "    if flows != value:\n"
+         "        raise SolverDefect(f\"a flow of {value} but the witness touches {flows} flow meters\")\n", ""),
     # the one flow-row form and the LP's column check
     _one("flow rows with their signs flipped", GRID,
          "rows[e].append((c, d))", "rows[e].append((c, -d))"),

@@ -356,11 +356,10 @@ class TestMainExitCodes:
         assert rc == 1
         assert "argument --jobs: must be a whole number of at least 1, got 'abc'" in err
         assert "_whole" not in err
-        for flag in ("--max-order", "--budget"):
-            for value in ("0", "-3"):
-                rc, out, err = run_main(["verify-tu", SIX, flag, value])
-                assert rc == 1 and not out
-                assert f"argument {flag}: must be a whole number of at least 1" in err
+        for value in ("0", "-3"):
+            rc, out, err = run_main(["verify-tu", SIX, "--max-order", value])
+            assert rc == 1 and not out
+            assert "argument --max-order: must be a whole number of at least 1" in err
 
     @pytest.mark.parametrize("methods, got", [
         ("magic", "magic"), ("lp,bounds", "lp,bounds"), ("", "none"), (" , ", "none"),

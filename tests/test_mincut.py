@@ -1,4 +1,4 @@
-"""Min-cut security indices: differential checks and the path certificate."""
+"""Min-cut security indices: differential checks and the flow certificate."""
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     IEEE14_CASE,
+    mesh_grid,
     random_connected_edges,
     sixbus_meas,
     sixbus_network,
@@ -255,63 +256,93 @@ class TestContract:
 
 
 class TestCertificate:
-    """A square 1-2-3-4 with diagonal 1-3; meter 1 is line 1 (1 -> 2)."""
+    """A square 1-2-3-4 with diagonal 1-3; meter 1 is line 1 (1 -> 2).
+    Flows are keyed by flow slot (meter index - 1), signed from-bus ->
+    to-bus; the maximum flow from bus 1 to bus 2 is 2."""
 
     def setup_method(self):
         self.net = Network(4, ((1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 1, 1), (1, 3, 1)))
         self.meas = MeasurementSystem((1, 2, 3, 4, 5))
         mtr = metering(self.net, self.meas)
-        cut = max_flow(mtr, 1)
-        self.x = witness(mtr, 1, cut.source_side)
-        self.paths = cut.paths
+        self.cut = max_flow(mtr, 1)
+        self.x = witness(mtr, 1, self.cut.source_side)
 
-    def check(self, paths, x=None, meas=None):
+    def check(self, flow, value, x=None, meas=None):
         mtr = metering(self.net, meas or self.meas)
         _, dz, touched = security._witness_attack(mtr, 1, self.x if x is None else x)
-        check_certificate(mtr, 1, paths, dz, touched)
+        check_certificate(mtr, 1, flow, value, dz, touched)
 
     def test_solver_output_passes(self):
-        assert len(self.paths) == 2
-        self.check(self.paths)
+        assert self.cut.value == 2
+        assert all(self.cut.flow.values())
+        self.check(self.cut.flow, self.cut.value)
 
-    def test_rejects_shared_unit_line(self):
-        # both paths leave through line 5 and reach bus 2 over line 2
-        with pytest.raises(SolverDefect, match="two paths"):
-            self.check(((1,), (5, 2), (5, 2)))
+    def test_rejects_a_unit_line_carrying_two(self):
+        # conserved, of the witness's value, but line 1 carries both units
+        with pytest.raises(SolverDefect, match="unit line 1 carries 2"):
+            self.check({0: 2}, 2)
 
-    def test_rejects_path_missing_an_edge(self):
-        with pytest.raises(SolverDefect, match="breaks"):
-            self.check(((1,), (2,)))
-        with pytest.raises(SolverDefect, match="does not end"):
-            self.check(((1,), (5,)))
+    def test_rejects_a_flow_not_conserved(self):
+        # the unit over the diagonal stops at bus 3
+        with pytest.raises(SolverDefect, match="not conserved at bus 2"):
+            self.check({0: 1, 4: 1}, 2)
+        # a conserved flow of 2 reported as 3
+        with pytest.raises(SolverDefect, match="not conserved at bus 1"):
+            self.check(self.cut.flow, 3)
 
-    def test_rejects_count_mismatch(self):
-        with pytest.raises(SolverDefect, match="disjoint paths"):
-            self.check(((1,),))
+    def test_rejects_a_value_that_disagrees_with_the_witness(self):
+        # a valid flow of 1 over line 1 alone, but the witness touches 2
+        with pytest.raises(SolverDefect, match="a flow of 1 but the witness touches 2"):
+            self.check({0: 1}, 1)
 
-    def test_rejects_unmetered_line(self):
-        meas = MeasurementSystem((1, 2, 3, 4))
-        with pytest.raises(SolverDefect, match="unmetered"):
-            self.check(((1,), (5, 2)), x=(-1, 0, 0), meas=meas)
+    def test_a_protected_line_may_carry_more_than_one(self):
+        # line 5 protected: two units cross it, one goes on to bus 2 over
+        # line 2 and one returns to bus 1 over lines 3 and 4
+        meas = replace(self.meas, protected=frozenset({5}))
+        mtr = metering(self.net, meas)
+        x = witness(mtr, 1, max_flow(mtr, 1).source_side)
+        self.check({0: 1, 4: 2, 1: -1, 2: 1, 3: 1}, 2, x=x, meas=meas)
+        with pytest.raises(SolverDefect, match="unit line 1 carries 2"):
+            self.check({0: 2, 4: 2, 1: -1, 2: 1, 3: 1}, 3, x=x, meas=meas)
 
     def test_rejects_a_witness_that_misses_the_target(self):
         with pytest.raises(SolverDefect, match="target"):
-            self.check(self.paths, x=(0, 0, 0))
+            self.check(self.cut.flow, self.cut.value, x=(0, 0, 0))
 
     def test_rejects_a_witness_that_touches_a_protected_meter(self):
-        # with line 2 protected the paths stay valid, but the witness moves it
+        # with line 2 protected the flow stays valid, but the witness moves it
         meas = replace(self.meas, protected=frozenset({2}))
         with pytest.raises(SolverDefect, match="protected"):
-            self.check(self.paths, meas=meas)
+            self.check(self.cut.flow, self.cut.value, meas=meas)
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_every_mesh_grid_flow_passes_and_a_padded_one_fails(self, seed):
+        # conftest.mesh_grid protects 3 meters; a protected line may carry
+        # several units, an unprotected one at most 1
+        net, meas = mesh_grid(seed)
+        mtr = metering(net, meas)
+        heavy = 0
+        for k in range(1, len(meas.flow_meters) + 1):
+            if k in meas.protected:
+                continue
+            cut = max_flow(mtr, k)
+            _, dz, touched = security._witness_attack(mtr, k, witness(mtr, k, cut.source_side))
+            check_certificate(mtr, k, cut.flow, cut.value, dz, touched)
+            heavy += any(abs(f) > 1 for f in cut.flow.values())
+            e = min(e for e in cut.flow if e + 1 not in meas.protected)
+            padded = {**cut.flow, e: cut.flow[e] + 1}
+            with pytest.raises(SolverDefect):
+                check_certificate(mtr, k, padded, cut.value, dz, touched)
+        assert heavy
 
     @pytest.mark.parametrize("solve, match", [
-        (mincut_index, "disjoint paths"),
-        (security_index_bounds, "disjoint paths"),
+        (mincut_index, "but the witness touches"),
+        (security_index_bounds, "but the witness touches"),
         (security_index, "witness support"),
         (milp_solve, "witness support"),
     ], ids=["mincut_index", "security_index_bounds", "security_index", "milp_solve"])
     def test_rejects_a_reported_attack_with_an_extra_meter(self, monkeypatch, solve, match):
-        # the certificate (the cut paths, or the exact solver's support)
+        # the certificate (the max-flow, or the exact solver's support)
         # checks the attack that is reported, so an evaluator that adds an
         # untouched flow meter must not get through
         evaluate = security._witness_attack
