@@ -2,10 +2,11 @@
 Fraction reference.
 
 Integer rows are sparse {column: value} maps, reduced by cross-
-multiplication and a gcd sweep without ever forming a fraction.  lp's
-simplex pivots and preprocessing, lp.verify_bfs, and the rank and
-row-space tests behind the oracles all run on this one kernel, whose work
-follows the nonzeros rather than the dense width.  Fraction Gauss-Jordan
+multiplication (_eliminate) and a gcd sweep (_reduce) without ever forming
+a fraction, so the work follows the nonzeros rather than the dense width.
+lp's simplex tableaux pivot on those two steps; EchelonBasis builds on them
+for lp.preprocess, lp.verify_bfs, and the rank and row-space tests
+(int_rank, in_row_space) behind the oracles.  Fraction Gauss-Jordan
 (frac_rref) serves the nullspace reformulation and is the reference the
 kernel is tested against; det_int is Bareiss elimination on a dense square
 matrix; scale_row puts exact values over one integer denominator.
@@ -17,7 +18,6 @@ import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 import numpy as np
@@ -123,44 +123,23 @@ class EchelonBasis:
     the rows kept before it, in arrival order, and pivots on its largest
     nonnegative key; negative keys (lp's right-hand side) ride along but
     never pivot.  Which rows are kept depends only on their span, not on
-    the pivot choice.  The LP builders number a row's own slack columns
-    after the shared state columns, so such a row pivots on a column no
-    other row holds and adds no fill to the rows reduced after it.
-
-    The kept rows are indexed by pivot column, so a reduction visits only
-    the kept rows whose pivot the row holds, in arrival order, as fill
-    brings them in: its work follows its own nonzeros, not the rank.
+    the pivot choice.
     """
 
     def __init__(self):
         self.rows: list[tuple[int, dict[int, int]]] = []   # (pivot column, reduced row)
-        self._arrival: dict[int, int] = {}                  # pivot column -> index in rows
 
     def reduce(self, row) -> dict[int, int]:
         """A reduced copy of row (a map or (column, value) pairs): zero in
-        every pivot column, divided by its own gcd.
-
-        A kept row holds no earlier pivot column, so eliminating kept row i
-        brings fill only into the pivots of later rows; a min-heap of
-        arrival indices takes those in order, each once."""
+        every pivot column, divided by its own gcd.  A kept row holds no
+        pivot column of an earlier row, so one pass over the kept rows in
+        arrival order clears every pivot."""
         row = dict(row)
-        arrival, kept = self._arrival, self.rows
-        queue = [arrival[c] for c in row if c in arrival]
-        heapify(queue)
-        last = -1
-        while queue:
-            i = heappop(queue)
-            if i == last:               # queued twice
-                continue
-            last = i
-            pc, base = kept[i]
+        for pc, base in self.rows:
             f = row.get(pc)
             if f:
                 _eliminate(row, base[pc], f, base)
                 _reduce(row, 0)
-                for c in base:
-                    if c in arrival and c != pc:
-                        heappush(queue, arrival[c])
         return row
 
     def add(self, row) -> dict[int, int] | None:
@@ -171,7 +150,6 @@ class EchelonBasis:
         pivot = max(red, default=-1)
         if pivot < 0:
             return red
-        self._arrival[pivot] = len(self.rows)
         self.rows.append((pivot, red))
         return None
 

@@ -175,7 +175,7 @@ class AttackVector:
 
 def incidence(net: Network) -> tuple[np.ndarray, np.ndarray]:
     """(B0, B): dense directed bus-line incidence of every line and its
-    reference-row truncation, the source of the oracle's big-M.
+    reference-row truncation; the oracle's big-M is its largest |B| column sum.
 
     B0 is (n_buses x n_lines) with +1 at the from-bus and -1 at the to-bus;
     B drops the reference bus row.

@@ -730,14 +730,8 @@ def _solve_standard_ints(rows, cost, cost_den: int, p: int) -> LpOutcome:
     pivots = [0]
 
     if art_rows:
-        # minimize the sum of artificials, priced out over their rows
-        zrow: dict[int, int] = {}
-        for i in art_rows:
-            for j, v in rows[i].items():
-                if j < p:
-                    zrow[j] = zrow.get(j, 0) - v
-        tab.zrow = zrow
-        tab.zden = 1
+        # minimize the sum of artificials
+        tab.add_cost(dict.fromkeys(range(p, ncols), 1), 1)
         if _run_simplex(tab, pivots) is not LpStatus.OPTIMAL:
             raise SolverDefect("phase 1 objective is bounded below; solver defect")
         if tab.zrow.get(RHS, 0) < 0:

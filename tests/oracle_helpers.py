@@ -123,8 +123,8 @@ def feasibility_by_rank(A, k: int, I) -> bool:
 
 def reduce_by_scan(kept, row) -> dict[int, int]:
     """row reduced over kept ((pivot column, row) pairs, arrival order) by
-    probing every kept row's pivot column in turn: the loop
-    exactla.EchelonBasis.reduce ran before it indexed its pivots."""
+    probing every kept row's pivot column in turn, written apart from
+    exactla.EchelonBasis.reduce as the reference it is checked against."""
     row = dict(row)
     for pc, base in kept:
         f = row.get(pc)

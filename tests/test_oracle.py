@@ -17,6 +17,7 @@ from conftest import (
     SIXBUS_A,
     SIXBUS_A_FULL,
     mesh_grid,
+    random_connected_edges,
     random_tu_problem,
     sixbus_meas,
     sixbus_network,
@@ -47,8 +48,8 @@ from gridsec.errors import (
     TrivialNullspace,
     ZeroColumn,
 )
-from gridsec.exactla import int_rank
-from gridsec.grid import metering
+from gridsec.exactla import EchelonBasis, int_rank
+from gridsec.grid import incidence, metering
 from gridsec import lp, oracle
 from gridsec.oracle import CsInstance, _big_m, _node_lp, coherence_bound, solve_milp_instance
 from oracle_helpers import big_m_min_support
@@ -97,6 +98,26 @@ class TestMilp:
         assert _big_m(Network(2, ((1, 2, 1),))) == Fraction(1)
         assert _big_m(Network(3, ((1, 2, 1), (2, 3, 1)))) == Fraction(2)
 
+    def test_big_m_is_the_largest_truncated_incidence_column_sum(self):
+        # the count of line ends off the reference bus against the dense
+        # |B| column sums: seeded multigraphs with a random reference bus,
+        # then stars centred on the reference bus with every spoke doubled
+        rng = random.Random(2929)
+        nets = []
+        for _ in range(300):
+            n, edges = random_connected_edges(rng)
+            nets.append(Network(n, tuple((u, v, 1) for u, v in edges), rng.randint(1, n)))
+        for n in range(2, 8):
+            ref = rng.randint(1, n)
+            spokes = [(ref, b, 1) if rng.random() < 0.5 else (b, ref, 2)
+                      for b in range(1, n + 1) if b != ref]
+            nets.append(Network(n, tuple(spokes * 2), ref))
+        values = [_big_m(net) for net in nets]
+        assert values == [Fraction(int(np.abs(incidence(net)[1]).sum(axis=0).max()))
+                          for net in nets]
+        assert values[-6:] == [Fraction(1)] * 6
+        assert any(v == 1 for v in values[:-6]) and any(v == 2 for v in values)
+
     def test_from_system_rejects_injections(self):
         net = Network(3, ((1, 2, 1), (2, 3, 1)))
         with pytest.raises(HasInjections):
@@ -139,17 +160,20 @@ class TestMilp:
 
     def test_the_milp_path_runs_no_two_phase_solve(self, monkeypatch):
         # every root starts from its crash basis: no lp.solve_lp, no
-        # preprocess and no phase 1 (which only _solve_standard_ints runs)
+        # preprocess, no phase 1 (which only _solve_standard_ints runs)
+        # and no echelon basis
         def refuse(*args, **kwargs):
             raise AssertionError("the MILP path entered the two-phase solve")
 
+        prob = TUProblem(SIXBUS_A, 2, frozenset({1, 3, 5, 6}))
+        want = exhaustive_min_support(SIXBUS_A, 2, prob.I)
         for name in ("solve_lp", "preprocess", "_solve_standard_ints"):
             monkeypatch.setattr(lp, name, refuse)
+        monkeypatch.setattr(EchelonBasis, "reduce", refuse)
         net, meas = parse_case(IEEE14_CASE)
         assert ([milp_solve(net, meas, k).index for k in range(1, 21)]
                 == [mincut_index(net, meas, k).index for k in range(1, 21)])
-        prob = TUProblem(SIXBUS_A, 2, frozenset({1, 3, 5, 6}))
-        assert solve_milp_instance(prob)[0] == exhaustive_min_support(SIXBUS_A, 2, prob.I)
+        assert solve_milp_instance(prob)[0] == want
 
     def test_undersized_big_m_inflates_value(self):
         # with |dz| capped at 1/2 every nullspace row needs extra support,

@@ -50,6 +50,7 @@ from gridsec.errors import (
     ValidationError,
 )
 from gridsec import grid, security, tumin
+from gridsec.exactla import EchelonBasis
 from gridsec.grid import _exact_H_rows, build_H, metering
 from gridsec.mincut import max_flow, witness
 from gridsec.security import CriticalTuple, _witness_attack
@@ -544,13 +545,14 @@ class TestWarmSweep:
 
     def test_the_l1_path_never_enters_the_dict_kernel(self, monkeypatch):
         # the base is built and solved on the ternary tableau, with no
-        # phase 1, no artificial column and no preprocess
+        # phase 1, no artificial column, no preprocess and no echelon basis
         def refuse(*args):
             raise AssertionError("the l1 path entered the dict kernel")
 
         monkeypatch.setattr(lp, "solve_lp", refuse)
         monkeypatch.setattr(lp, "_solve_standard_ints", refuse)
         monkeypatch.setattr(lp, "preprocess", refuse)
+        monkeypatch.setattr(EchelonBasis, "reduce", refuse)
         net, meas = mesh_grid(5)
         assert meas.protected
         indices = [security_index(net, meas, k).index
