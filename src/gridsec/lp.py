@@ -17,8 +17,10 @@ preprocess and verify_bfs share).  On the unimodular-style instances this
 package cares about the denominators stay tiny and the rows short, which
 is what makes exact arithmetic affordable.
 
-One pivot policy serves every loop: Dantzig pricing (most negative reduced
-cost) for speed, falling back to Bland's rule past a pivot allowance so
+One pivot policy serves every loop: the primal loop enters by Dantzig's
+rule (most negative reduced cost), the dual loop leaves by steepest edge
+(the largest value² over the row's squared norm, read exactly off the
+tableau), and both fall back to Bland's rule past a pivot allowance so
 that degenerate cycling cannot stall a solve.  Any rule that reaches an
 optimal vertex gives the same optimum, so the policy is a speed choice,
 not a correctness one.  preprocess is the one place that removes
@@ -47,6 +49,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .errors import DimensionMismatch, InconsistentRow, IntegralityError, SolverDefect
 from .exactla import EchelonBasis, _eliminate, _reduce, scale_row
@@ -67,6 +70,12 @@ def _add_rhs(row: dict[int, int], w: int) -> None:
         row[RHS] = w
     else:
         row.pop(RHS, None)
+
+
+def _square_norm(row: dict[int, int]) -> int:
+    """The sum of squares of row's entries, its right-hand side left out."""
+    a = row.values()
+    return sum(map(mul, a, a)) - row.get(RHS, 0) ** 2
 
 
 @dataclass(frozen=True)
@@ -381,15 +390,20 @@ class _Tableau:
             self._complement(basis[best])
         return best
 
-    def dual_leaving(self, dantzig: bool) -> int | None:
-        """Row with a basic value out of its bounds to leave.  Dantzig: the
-        value farthest out, smallest basic index on ties.  Bland: smallest
-        basic index.  A value above its bound is complemented first, so
-        that the row reads its (negative) distance to the bound."""
+    def dual_leaving(self, steepest: bool) -> int | None:
+        """Row with a basic value out of its bounds to leave.  Steepest edge
+        (Forrest and Goldfarb 1992): the largest v² / ‖row‖², v the amount
+        out of bounds and ‖row‖² the sum of squares of the row's entries,
+        basic entry included, smallest basic index on ties.  The row's
+        denominator divides v and every entry, so it cancels and the
+        integer numerators compare by cross-multiplication.  Norms are
+        summed only when two or more rows are out.  Bland: smallest basic
+        index.  A value above its bound is complemented first, so that the
+        row reads its (negative) distance to the bound."""
         best = None
-        bn = bd = 0
-        upper, basis = self.upper, self.basis
-        for i, row in enumerate(self.rows):
+        bn = bs = 0
+        upper, basis, rows = self.upper, self.basis, self.rows
+        for i, row in enumerate(rows):
             rn = row.get(RHS, 0)
             if rn >= 0:
                 b = basis[i]
@@ -398,19 +412,20 @@ class _Tableau:
                 rn = upper[b] * row[b] - rn
                 if rn >= 0:
                     continue
-            den = row[basis[i]]
             if best is None:
-                best, bn, bd = i, rn, den
+                best, bn = i, rn
                 continue
-            if dantzig:
-                lhs = rn * bd
-                rhs = bn * den
-                better = lhs < rhs or (lhs == rhs and basis[i] < basis[best])
-            else:
-                better = basis[i] < basis[best]
-            if better:
-                best, bn, bd = i, rn, den
-        if best is not None and self.rows[best].get(RHS, 0) > 0:
+            if not steepest:
+                if basis[i] < basis[best]:
+                    best = i
+                continue
+            if not bs:
+                bs = _square_norm(rows[best])
+            s = _square_norm(row)
+            lhs, rhs = rn * rn * bs, bn * bn * s
+            if lhs > rhs or (lhs == rhs and basis[i] < basis[best]):
+                best, bn, bs = i, rn, s
+        if best is not None and rows[best].get(RHS, 0) > 0:
             self._complement(basis[best])
         return best
 
@@ -584,21 +599,21 @@ class _TernaryTableau:
         return min([i for i, p in enumerate(self.pos) if p & bit],
                    key=lambda i: (rhs[i], basis[i]), default=None)
 
-    def dual_leaving(self, dantzig: bool) -> int | None:
-        """As _Tableau.dual_leaving: Dantzig takes the most negative value,
-        Bland the smallest basic index, either with ties to the smallest
-        basic index."""
+    def dual_leaving(self, steepest: bool) -> int | None:
+        """As _Tableau.dual_leaving; a row's squared norm is the count of its
+        nonzero entries, the popcount of its two bitmasks."""
         rhs, basis = self.rhs, self.basis
-        low = min(rhs, default=0)
-        if low >= 0:
-            return None
-        if not dantzig:
-            return min((i for i, v in enumerate(rhs) if v < 0), key=basis.__getitem__)
-        i = best = rhs.index(low)
-        for _ in range(rhs.count(low) - 1):     # the ties, found by C scans
-            i = rhs.index(low, i + 1)
-            if basis[i] < basis[best]:
-                best = i
+        out = [i for i, v in enumerate(rhs) if v < 0]
+        if len(out) < 2:
+            return out[0] if out else None
+        if not steepest:
+            return min(out, key=basis.__getitem__)
+        pos, neg = self.pos, self.neg
+        best, bv, bs = None, 0, 1
+        for i in out:
+            v, s = rhs[i] * rhs[i], pos[i].bit_count() + neg[i].bit_count()
+            if v * bs > bv * s or (v * bs == bv * s and basis[i] < basis[best]):
+                best, bv, bs = i, v, s
         return best
 
     def dual_entering(self, r: int) -> int | None:
@@ -634,9 +649,10 @@ class _TernaryTableau:
 
 
 def _dantzig_pivots(tab: _Tableau | _TernaryTableau) -> int:
-    """Pivots a simplex loop prices by Dantzig's rule before it falls back to
-    Bland's rule, whose termination is unconditional (Dantzig may stall on
-    degenerate vertices)."""
+    """Pivots a simplex loop prices by its rule (Dantzig's in the primal
+    loop, steepest edge in the dual) before it falls back to Bland's rule,
+    whose termination is unconditional (either may stall on degenerate
+    vertices)."""
     return 3 * (len(tab.basis) + tab.ncols) + 20
 
 
@@ -671,8 +687,9 @@ def _run_simplex(tab: _Tableau | _TernaryTableau, pivots: list[int]) -> LpStatus
 def _run_dual_simplex(tab: _Tableau | _TernaryTableau, pivots: list[int]) -> LpStatus:
     """Dual simplex from a dual-feasible tableau of either kind (no negative
     reduced cost): OPTIMAL once every basic value is nonnegative, INFEASIBLE
-    when a row with a negative value has no negative entry.  Pricing falls
-    back from Dantzig to Bland as in the primal loop."""
+    when a row with a negative value has no negative entry.  The leaving
+    row is priced by steepest edge, falling back to Bland after the same
+    allowance as the primal loop's Dantzig pricing."""
     dantzig_until = pivots[0] + _dantzig_pivots(tab)
     budget = _pivot_budget(tab)
     while True:

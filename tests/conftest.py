@@ -59,12 +59,27 @@ def sixbus_meas(protected=frozenset()) -> MeasurementSystem:
 
 
 def price_by(monkeypatch, rule: str) -> None:
-    """Pin the simplex pricing: "dantzig" keeps the solver's own policy,
-    "bland" sets its Dantzig allowance to 0 so every loop prices by Bland's
-    rule from the first pivot."""
+    """Pin the simplex pricing: "dantzig" keeps the solver's own policy
+    (primal loops by Dantzig's rule, dual loops by steepest edge), "bland"
+    sets its pricing allowance (lp._dantzig_pivots) to 0 so every loop
+    prices by Bland's rule from the first pivot."""
     assert rule in ("bland", "dantzig")
     if rule == "bland":
         monkeypatch.setattr(lp, "_dantzig_pivots", lambda tab: 0)
+
+
+def count_pivots(monkeypatch) -> list[int]:
+    """A one-element counter of the simplex pivots made from here on, by
+    every loop of either kernel (lp._count_pivot wrapped)."""
+    pivots = [0]
+    real = lp._count_pivot
+
+    def counted(p, budget):
+        pivots[0] += 1
+        real(p, budget)
+
+    monkeypatch.setattr(lp, "_count_pivot", counted)
+    return pivots
 
 
 def random_connected_edges(rng: random.Random, max_nodes: int = 10):

@@ -89,8 +89,14 @@ MUTANTS = (
          "        nums = {c: v * (den // d) for c, v, d in held}\n",
          "        den = 1\n"
          "        nums = {c: v for c, v, _ in held}\n"),
-    _one("dual_leaving reads every denominator as 1", LP,
-         "den = row[basis[i]]", "den = 1"),
+    # the dual loops' steepest-edge pricing
+    Mutant("dual_leaving's norm leaves out the basic entry", (
+        (LP, "bs = _square_norm(rows[best])", "bs = _square_norm(rows[best]) - rows[best][basis[best]] ** 2"),
+        (LP, "s = _square_norm(row)", "s = _square_norm(row) - row[basis[i]] ** 2"))),
+    _one("ternary dual leaving ignores the row norm", LP,
+         "v, s = rhs[i] * rhs[i], pos[i].bit_count() + neg[i].bit_count()", "v, s = rhs[i] * rhs[i], 1"),
+    _one("ternary steepest edge compares unsquared values", LP,
+         "v, s = rhs[i] * rhs[i], pos[i]", "v, s = -rhs[i], pos[i]"),
     # the dict tableau's upper bounds
     _one("check_optimal accepts a basic value above its bound", LP,
          "            if b in upper and v > upper[b] * row[b]:\n"

@@ -14,6 +14,14 @@ now eliminated before the unprotected ones, so the base starts from
 other rows and stops at another optimal basis.  No index changed; 36 of
 the 320 witnesses did, each to another witness of min-cut size.
 
+Both sweep digests moved when the dual simplex came to leave by steepest
+edge: the warm step stops at other optimal bases.  No index changed; 20
+of the 320 protected and 19 of the 332 unprotected witnesses did, each to
+another witness of min-cut size (checked against mincut_index).  The
+sweeps also pin the warm step's total dual pivots, the bases' own pivots
+left out: 3381 and 3383 under the old leaving rule (smallest basic index
+among the values farthest out), 2342 and 2412 by steepest edge.
+
 The MILP digest takes the same answers from oracle.milp_solve on every
 unprotected ieee14 meter, with no protection and under 3 seeded plans, so
 a change to the branch and bound's arithmetic must leave its node
@@ -28,13 +36,15 @@ import random
 
 from gridsec import MeasurementSystem, parse_case, security_index
 from gridsec.errors import InfeasibleIndex
+from gridsec.grid import metering
 from gridsec.oracle import milp_solve
 
-from conftest import IEEE14_CASE, mesh_grid
+from conftest import IEEE14_CASE, count_pivots, mesh_grid
 
 SEEDS = (1, 2, 3, 4)
-GOLDEN = "e1ad29e2b82801f28cde025abd953bca4467ab9d89103da98a2452cb282e7c62"
-GOLDEN_UNPROTECTED = "7143893eed95ec7c6d787326b15f19bddcd11456db9e100eab4da008341391ef"
+GOLDEN = "e12dd4943f4b3ec005f5a174756b395afb9d1a7e68432bc8a75ef399fcde4bc4"
+GOLDEN_UNPROTECTED = "56453f25ee5bfe246465613925384f6b42b8e3912f8008d67a533ffd4e5fbf85"
+WARM_PIVOTS = {3: 2342, 0: 2412}      # by the number of protected meters
 GOLDEN_MILP = "dc91641dd721e2e4a1939f975bed8c6acb3a080b1d1056c76fdd0c8d99ebd8be"
 
 
@@ -49,28 +59,29 @@ def _answer(solve, net, meas, k):
     return res.index, sorted(a.touched), a.delta_z.tolist(), a.delta_theta.tolist()
 
 
-def _answers(protect):
-    out = []
+def _sweep(protect, monkeypatch):
+    """The digest of the sweep's answers and its warm pivots, counted
+    after each grid's base is built."""
+    pivots = count_pivots(monkeypatch)
+    answers, warm = [], 0
     for seed in SEEDS:
         net, meas = mesh_grid(seed, protect=protect)
+        metering(net, meas).l1_base
+        pivots[0] = 0
         for k in range(1, len(meas.flow_meters) + 1):
             if k not in meas.protected:
-                out.append((seed, k) + _answer(security_index, net, meas, k))
-    return out
-
-
-def _digest(protect):
-    answers = _answers(protect)
+                answers.append((seed, k) + _answer(security_index, net, meas, k))
+        warm += pivots[0]
     assert len(answers) == 4 * (83 - protect)
-    return hashlib.sha256(repr(answers).encode()).hexdigest()
+    return hashlib.sha256(repr(answers).encode()).hexdigest(), warm
 
 
-def test_the_sweep_gives_the_golden_answers():
-    assert _digest(3) == GOLDEN
+def test_the_sweep_gives_the_golden_answers(monkeypatch):
+    assert _sweep(3, monkeypatch) == (GOLDEN, WARM_PIVOTS[3])
 
 
-def test_the_unprotected_sweep_gives_the_golden_answers():
-    assert _digest(0) == GOLDEN_UNPROTECTED
+def test_the_unprotected_sweep_gives_the_golden_answers(monkeypatch):
+    assert _sweep(0, monkeypatch) == (GOLDEN_UNPROTECTED, WARM_PIVOTS[0])
 
 
 def test_the_milp_gives_the_golden_answers():

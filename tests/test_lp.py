@@ -495,15 +495,57 @@ def test_dual_pivot_selection_rules():
         tab.zrow = {2: 2, 3: 1}
         return tab
 
+    # steepest edge compares value² over the row's sum of squares
     tab = tableau(1)
-    assert tab.dual_leaving(dantzig=True) == 1      # the most negative value
-    assert tab.dual_leaving(dantzig=False) == 0     # Bland: smallest basic index
-    assert tableau(3).dual_leaving(dantzig=True) == 0   # -1 against -1: basic index
+    assert tab.dual_leaving(steepest=True) == 1     # 9/6 against 1/2
+    assert tab.dual_leaving(steepest=False) == 0    # Bland: smallest basic index
+    assert tableau(3).dual_leaving(steepest=True) == 1  # 9/14 against 1/2
     assert tab.dual_entering(1) == 2                # ratios 2/2 and 1/1 tie
     tab.zrow[2] = 4
     assert tab.dual_entering(1) == 3                # ratios 4/2 and 1/1
     tab.rows[1] = {1: 1, RHS: -3}
     assert tab.dual_entering(1) is None
+
+
+def test_steepest_edge_is_not_dantzig():
+    # x0 = -1 on a row of squared norm 2 against x1 = -2 on one of
+    # 1 + 9 + 9: Dantzig would take x1, farthest out; 1/2 > 4/19 takes x0
+    tab = _Tableau([{0: 1, 2: -1, RHS: -1}, {1: 1, 2: -3, 3: -3, RHS: -2}], [0, 1], 4)
+    assert tab.dual_leaving(steepest=True) == 0
+    # the basic entry is part of the norm: 3 x1 - x2 = -2 scores 4/10 < 1/2
+    # (4/1 without it)
+    tab.rows[1] = {1: 3, 2: -1, RHS: -2}
+    assert tab.dual_leaving(steepest=True) == 0
+    # x1 = 5 above its bound 2 is 3 out on a row of squared norm 3: it
+    # leaves (9/3 > 1/2), complemented to read its distance to the bound
+    tab = _Tableau([{0: 1, 2: -1, RHS: -1}, {1: 1, 2: 1, 3: 1, RHS: 5}], [0, 1], 4, {1: 2})
+    assert tab.dual_leaving(steepest=True) == 1
+    assert tab.rows[1] == {1: 1, 2: -1, 3: -1, RHS: -3} and tab.flipped == {1}
+
+
+def _ternary_pair(v0, n0, v1, n1, basis=(0, 1)):
+    """Two ternary rows at values v0 and v1, basic in the columns basis,
+    with n0 and n1 nonzeros: +1 in the basic column, -1 in columns 2 on."""
+    neg = [((1 << n - 1) - 1) << 2 for n in (n0, n1)]
+    return _TernaryTableau([1 << b for b in basis], neg, [v0, v1], list(basis), [0] * 10)
+
+
+@pytest.mark.parametrize("v0, n0, v1, n1, basis, want", [
+    (-1, 5, -1, 2, (0, 1), 1),      # 1/5 against 1/2: the sparser row
+    (-2, 9, -1, 2, (0, 1), 1),      # 4/9 against 1/2: not the value farthest out
+    (-2, 5, -1, 2, (0, 1), 0),      # 4/5 against 1/2: the values squared
+    (-2, 8, -1, 2, (1, 0), 1),      # 4/8 against 1/2: a tie, to basic column 0
+    (-1, 2, 0, 5, (0, 1), 0),       # one row out: no norm compared
+    (0, 2, 1, 5, (0, 1), None),     # none out: optimal
+], ids=["sparser row", "farther value, denser row", "values squared", "tie to basic index",
+        "one row", "none"])
+def test_ternary_dual_leaving_is_steepest_edge(v0, n0, v1, n1, basis, want):
+    assert _ternary_pair(v0, n0, v1, n1, basis).dual_leaving(steepest=True) == want
+
+
+def test_ternary_bland_dual_leaving_ignores_the_norms():
+    assert _ternary_pair(-1, 5, -1, 2).dual_leaving(steepest=False) == 0
+    assert _ternary_pair(-1, 5, -1, 2, (1, 0)).dual_leaving(steepest=False) == 1
 
 
 def test_dual_simplex_detects_an_infeasible_row():

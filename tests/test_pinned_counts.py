@@ -1,17 +1,20 @@
 """Pinned pivot and node counts.
 
-The pivot rules (Bland: smallest column with a negative reduced cost;
-Dantzig: most negative, smallest column on ties; ratio ties to the smallest
-basic index) fix every pivot sequence, so any simplex kernel that keeps the
-rules reproduces these counts.  A differing count means a tie-break moved.
-The solver prices by Dantzig with a Bland fallback; the Bland sequences
-are reached by setting its Dantzig allowance to 0 (conftest.price_by).
+The pivot rules fix every pivot sequence, so any simplex kernel that keeps
+them reproduces these counts; a differing count means a rule or a
+tie-break moved.  Primal loops enter by Dantzig's rule (most negative
+reduced cost, smallest column on ties), dual loops leave by steepest edge
+(largest value² over the row's squared norm, smallest basic index on
+ties), ratio tests tie to the smallest basic index, and both fall back to
+Bland's rule (smallest column, smallest basic index).  The Bland sequences
+are reached by setting the pricing allowance to 0 (conftest.price_by).
+The warm-pivot totals of the golden sweeps are pinned in test_golden.
 """
 import random
 
 import pytest
 
-from conftest import IEEE14_CASE, price_by
+from conftest import IEEE14_CASE, count_pivots, price_by
 from gridsec import lp, oracle, security, tumin
 from gridsec.grid import metering, parse_case
 from test_lp import _random_feasible_lp
@@ -24,10 +27,13 @@ IEEE14_SWEEP_PIVOTS = {
                 4, 4, 8, 3, 4, 3, 3, 3, 4, 7],
 }
 # the warm step's dual simplex (security_index on the kept base) per ieee14
-# meter; equal under both rules, since every Dantzig choice here is also
-# Bland's
-IEEE14_WARM_PIVOTS = [2, 3, 3, 4, 4, 1, 5, 2, 4, 4,
-                      2, 2, 3, 1, 1, 4, 3, 4, 1, 3]
+# meter; steepest edge saves a pivot on meters 2, 16 and 18
+IEEE14_WARM_PIVOTS = {
+    "bland": [2, 3, 3, 4, 4, 1, 5, 2, 4, 4,
+              2, 2, 3, 1, 1, 4, 3, 4, 1, 3],
+    "dantzig": [2, 2, 3, 4, 4, 1, 5, 2, 4, 4,
+                2, 2, 3, 1, 1, 3, 3, 3, 1, 3],
+}
 # one _random_feasible_lp(random.Random(seed)) per seed 0..19
 RANDOM_LP_PIVOTS = {
     "bland": [5, 2, 0, 2, 2, 4, 1, 3, 3, 8, 1, 6, 4, 3, 0, 1, 6, 5, 2, 0],
@@ -53,16 +59,13 @@ def test_ieee14_warm_pivots(rule, monkeypatch):
     price_by(monkeypatch, rule)
     net, meas = parse_case(IEEE14_CASE)
     metering(net, meas).l1_base
-    pivots = [0]
-    real = lp._count_pivot
-    monkeypatch.setattr(lp, "_count_pivot",
-                        lambda p, budget: pivots.__setitem__(0, pivots[0] + 1) or real(p, budget))
+    pivots = count_pivots(monkeypatch)
     got = []
     for k in range(1, 21):
         pivots[0] = 0
         security.security_index(net, meas, k)
         got.append(pivots[0])
-    assert got == IEEE14_WARM_PIVOTS
+    assert got == IEEE14_WARM_PIVOTS[rule]
 
 
 @pytest.mark.parametrize("rule", ["bland", "dantzig"])

@@ -13,6 +13,7 @@ from conftest import (
     SIXBUS_A,
     SIXBUS_A_FULL,
     SIXBUS_CASE,
+    count_pivots,
     incidence_transpose,
     mesh_grid,
     paper_stand_in,
@@ -55,6 +56,11 @@ from gridsec.grid import _exact_H_rows, build_H, metering
 from gridsec.mincut import max_flow, witness
 from gridsec.security import CriticalTuple, _witness_attack
 from gridsec.tumin import solve_warm
+
+# the warm step's dual pivots over every meter of the paper-scale stand-ins,
+# counted after the base build: steepest edge (1638 and 4514 when the
+# dual simplex left on the smallest basic index among the values out)
+STAND_IN_WARM_PIVOTS = {118: 1050, 300: 2426}
 
 
 class TestReduction:
@@ -419,11 +425,15 @@ class TestWarmSweep:
         assert feasible > 100 and pinned > 0
 
     @pytest.mark.parametrize("buses, lines, total", [(118, 186, 537), (300, 411, 960)])
-    def test_paper_scale_stand_ins_match_the_cut(self, buses, lines, total):
+    def test_paper_scale_stand_ins_match_the_cut(self, buses, lines, total, monkeypatch):
         # synthetic grids of the paper's IEEE 118 and 300 sizes (the cases
-        # themselves are not bundled): every meter's LP index is the cut's
+        # themselves are not bundled): every meter's LP index is the cut's,
+        # and the warm pivots pin the dual simplex's pricing
         net, meas = paper_stand_in(buses, lines)
+        metering(net, meas).l1_base
+        pivots = count_pivots(monkeypatch)
         got = [security_index(net, meas, k).index for k in range(1, lines + 1)]
+        assert pivots[0] == STAND_IN_WARM_PIVOTS[buses]
         assert got == [mincut_index(net, meas, k).index for k in range(1, lines + 1)]
         assert sum(got) == total
 
