@@ -33,14 +33,14 @@ row or a fixed column.  solve_lp, with StandardFormLP, preprocess and
 phase 1, is the public two-phase solve; the package's own solves bypass
 it, and its tableau carries no bounds.  A _Tableau may bound its columns
 above by integers (Dantzig's upper-bounding technique: a column at its
-bound is complemented), which costs no rows.  The MILP oracle builds a
-bounded _Tableau at a crash basis of its own, so its root runs the
-primal loop alone, keeps that optimal tableau per measurement system,
-re-optimizes a copy of it for each target, and then does so at every
-branch-and-bound node, fixing binaries by their bounds.  The l1 sweep of a
-measurement system (tumin.solve_l1_base) runs on a _TernaryTableau, whose
-entries are all -1, 0 or 1 (total unimodularity), each row two bitmasks:
-the primal loop solves its base from a crash basis, and the dual loop
+bound is complemented), which costs no rows.  The two roots a
+measurement system keeps hold the same rows over the row slacks
+(tumin._eliminate_states) from the one crash rule (_crash_basis), so each
+runs the primal loop alone.  The MILP oracle's is a bounded _Tableau: a
+copy of its optimum is re-optimized for each target, and then at every
+branch-and-bound node, fixing binaries by their bounds.  The l1 sweep's
+(tumin.solve_l1_base) is a _TernaryTableau, whose entries are all -1, 0
+or 1 (total unimodularity), each row two bitmasks; the dual loop
 re-optimizes a fresh copy of it for each target row by the same rules.
 """
 from __future__ import annotations
@@ -284,15 +284,12 @@ class _Tableau:
             _eliminate(self.zrow, pv, f, self.rows[r])
             self.zden = _reduce(self.zrow, self.zden * pv)
 
-    def add_cost(self, cost, cost_den: int) -> None:
-        """Re-price: add cost / cost_den (integer numerators as a {column:
-        value} map or pairs) to the objective and clear the basic columns
-        it touches, so the row holds the new reduced costs."""
+    def add_cost(self, cost) -> None:
+        """Re-price: add the integer cost (a {column: value} map or pairs)
+        to the objective and clear the basic columns it touches, so the row
+        holds the new reduced costs."""
         cost = dict(cost)
         zrow = self.zrow
-        if cost_den != 1:
-            for j in zrow:
-                zrow[j] *= cost_den
         for j, v in cost.items():
             v *= self.zden
             if j in self.flipped:       # v x_j = v upper[j] - v x'_j
@@ -303,7 +300,7 @@ class _Tableau:
                 zrow[j] = w
             else:
                 zrow.pop(j, None)
-        self.zden = _reduce(zrow, self.zden * cost_den)
+        self.zden = _reduce(zrow, self.zden)
         for i, c in enumerate(self.basis):
             if c in cost:
                 self.price_out(i)
@@ -706,7 +703,7 @@ def _run_dual_simplex(tab: _Tableau | _TernaryTableau, pivots: list[int]) -> LpS
 def _crash_basis(rows, p: int) -> list[int]:
     """Each {column: value} row's crash column, a ready-made basic column:
     its smallest positive column in 0..p-1 that no other row holds, or -1
-    where it has none."""
+    where it has none.  The one crash rule: every cold start begins here."""
     count = [0] * p
     for row in rows:
         for j in row:
@@ -721,12 +718,13 @@ def _solve_standard_ints(rows, cost, cost_den: int, p: int) -> LpOutcome:
 
     rows hold their nonzero entries as {column: value} maps or (column,
     value) pairs, the right-hand side under RHS; the cost is cost / cost_den
-    with cost holding integer numerators the same way.  The rows must be
-    linearly independent, as preprocess leaves them: an artificial left
-    basic after phase 1 on a row with no real column raises SolverDefect.
-    An infeasible system surfaces as a positive phase-1 optimum.  An
-    optimal outcome carries its final tableau, which a caller may
-    re-optimize after a cost change (add_cost, then _run_simplex) or an
+    with cost holding integer numerators the same way, and the tableau is
+    priced by those alone (the same pivots, cost_den times the objective).
+    The rows must be linearly independent, as preprocess leaves them: an
+    artificial left basic after phase 1 on a row with no real column raises
+    SolverDefect.  An infeasible system surfaces as a positive phase-1
+    optimum.  An optimal outcome carries its final tableau, which a caller
+    may re-optimize after a cost change (add_cost, then _run_simplex) or an
     appended row (add_row, then _run_dual_simplex).
     """
     rows = [dict(r) for r in rows]
@@ -748,7 +746,7 @@ def _solve_standard_ints(rows, cost, cost_den: int, p: int) -> LpOutcome:
 
     if art_rows:
         # minimize the sum of artificials
-        tab.add_cost(dict.fromkeys(range(p, ncols), 1), 1)
+        tab.add_cost(dict.fromkeys(range(p, ncols), 1))
         if _run_simplex(tab, pivots) is not LpStatus.OPTIMAL:
             raise SolverDefect("phase 1 objective is bounded below; solver defect")
         if tab.zrow.get(RHS, 0) < 0:
@@ -765,16 +763,16 @@ def _solve_standard_ints(rows, cost, cost_den: int, p: int) -> LpOutcome:
                 del row[j]
         tab.ncols = p
 
-    # phase 2: price out the true cost over the current basis
+    # phase 2: price out the cost numerators over the current basis
     tab.zrow, tab.zden = {}, 1
-    tab.add_cost(cost, cost_den)
+    tab.add_cost(cost)
     if _run_simplex(tab, pivots) is LpStatus.UNBOUNDED:
         return LpOutcome(LpStatus.UNBOUNDED, pivots=pivots[0])
     values = [Fraction(0)] * p
     nums, den = tab.values()
     for c, v in nums.items():
         values[c] = Fraction(v, den)
-    sol = BasicFeasibleSolution(tuple(values), tuple(sorted(tab.basis)), tab.objective())
+    sol = BasicFeasibleSolution(tuple(values), tuple(sorted(tab.basis)), tab.objective() / cost_den)
     return LpOutcome(LpStatus.OPTIMAL, sol, pivots[0], tab)
 
 

@@ -7,9 +7,10 @@ relaxations, and compressed-sensing measures (mutual coherence, restricted
 isometry) of the nullspace reformulation.  Beyond the validated input
 (tumin.TUProblem), the big-M root shares one step with the l1 path: the
 Gauss-Jordan elimination of the state (tumin._eliminate_states), in
-general integers.  Its search, its LP and its solver state are its own,
-and every incumbent is checked on the rows before elimination, so a
-defect in the shared step shows as a failed check, not as agreement.
+general integers, which leaves it the l1 base's rows, started at the same
+lp._crash_basis.  Its bounds, search and solver state are its own, and
+every incumbent is checked on the rows before elimination, so a defect in
+the shared step shows as a failed check, not as agreement.
 Exhaustive enumeration and min cut (gridsec.mincut) share nothing with
 either.
 
@@ -119,17 +120,10 @@ def _big_m(net: Network) -> Fraction:
     return to_fraction(max(2 - (ref in (ln.from_bus, ln.to_bus)) for ln in net.lines))
 
 
-def _t_columns(m: int, I: frozenset[int]) -> dict[int, int]:
-    """Column of t'+_j for every unprotected row j of m rows, in row order;
-    t'-_j follows it."""
-    free = [j for j in range(1, m + 1) if j not in I]
-    return {j: 2 * pos for pos, j in enumerate(free)}
-
-
 def _node_lp(rows, n: int, I: frozenset[int], big_m: Fraction) -> tuple[lp._Tableau, tuple]:
     """The target-free root LP relaxation of the big-M formulation of
-    integer rows (sparse pairs) over n states with protected rows I, at its
-    crash basis, and the state rows that give d back.
+    integer rows (sparse pairs) over n states with protected rows I, at the
+    l1 base's crash basis, and the state rows that give d back.
 
     Binaries y mark touched rows: minimize sum(y) subject to
     |A(j,:) d| <= big_m * y_j on unprotected rows and A(I,:) d = 0.  Every
@@ -143,35 +137,30 @@ def _node_lp(rows, n: int, I: frozenset[int], big_m: Fraction) -> tuple[lp._Tabl
     t'+_j / t'-_j as its y+_j / y-_j; the link rows are homogeneous, so
     the scaling by Md leaves the cycle rows as they are), which drops
     dependent protected rows; the root keeps only the cycle rows over t',
-    its columns t'+_j, t'-_j at _t_columns.  Each cycle row is basic in
-    whichever of its own t'+_j, t'-_j holds its positive entry: every t'
-    is 0, a feasible basis.  The cost, 1 on every t' column (Mn sum(y)),
-    is priced out.  A target adds its own row (_target_tableau) and branch
-    and bound fixes binaries by bounds, so every node keeps this layout.
-    State row (c, p, pairs) reads p Md d_c + pairs . t' = 0.
+    the l1 base's rows (tumin._meter_space): t'+_j / t'-_j at column pos /
+    pos + r, pos j's place among the r unprotected rows.  Like that base it
+    starts at lp._crash_basis, which covers every cycle row (by its own
+    t'+_j or t'-_j at worst): every t' is 0, a feasible basis.  The cost,
+    1 on every t' column (Mn sum(y)), is priced out.  A target adds its own
+    row (_target_tableau) and branch and bound fixes binaries by bounds, so
+    every node keeps this layout.  State row (c, p, pairs) reads
+    p Md d_c + pairs . t' = 0.
     """
-    r = len(rows) - len(I)
+    width = 2 * (len(rows) - len(I))
     state, yrows = _eliminate_states(rows, n, I)
-
-    def over_t(row):                # y+_pos -> t'+_pos, y-_pos -> t'-_pos; x dropped
-        return {2 * (c - n) if c < n + r else 2 * (c - n - r) + 1: v
-                for c, v in row.items() if c >= n}
-
-    out, basis = [], []
-    for pos, row in yrows.items():
-        row = over_t(row)
-        out.append(row)
-        basis.append(2 * pos if row[2 * pos] > 0 else 2 * pos + 1)
-    tab = lp._Tableau(out, basis, 2 * r, dict.fromkeys(range(2 * r), big_m.numerator))
-    tab.add_cost(dict.fromkeys(range(2 * r), 1), 1)
-    state = tuple((c, row[c], tuple(over_t(row).items())) for c, row in state.items())
-    return tab, state
+    cycle = list(yrows.values())
+    tab = lp._Tableau(cycle, lp._crash_basis(cycle, width), width,
+                      dict.fromkeys(range(width), big_m.numerator))
+    tab.add_cost(dict.fromkeys(range(width), 1))
+    return tab, tuple((c, row[c], tuple((j - n, v) for j, v in row.items() if j >= n))
+                      for c, row in state.items())
 
 
 class MilpRoot(NamedTuple):
     """_milp_root's solved target-free big-M root of rows, n, I and big_m:
     its optimal tableau (every t' at 0), which every target copies and none
-    changes, its state rows (_node_lp) and _t_columns of the data."""
+    changes, its state rows (_node_lp) and tcol, t'+_j's column by free
+    row j, with t'-_j len(tcol) columns on."""
 
     tab: lp._Tableau
     state: tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]
@@ -192,19 +181,20 @@ def _milp_root(rows, n: int, I: frozenset[int], big_m) -> MilpRoot:
     if M <= 0:
         raise ValueError("big_m must be positive")
     rows = tuple(rows)
+    tcol = {j: pos for pos, j in enumerate(j for j in range(1, len(rows) + 1) if j not in I)}
     tab, state = _node_lp(rows, n, I, M)
     if lp._run_simplex(tab, [0]) is not lp.LpStatus.OPTIMAL or tab.objective() != 0:
         raise SolverDefect("the target-free big-M root is not optimal at zero; solver defect")
     tab.check_optimal()
     # a copy holds its rows in dicts of their final size
-    return MilpRoot(tab.copy(), state, _t_columns(len(rows), I), rows, n, I, M)
+    return MilpRoot(tab.copy(), state, tcol, rows, n, I, M)
 
 
 def _fix_one(tab: lp._Tableau, root: MilpRoot, j: int) -> lp.LpStatus:
     """y_j = 1 on tab: t'+_j and t'-_j cost nothing, and the primal simplex
     continues."""
     t = root.tcol[j]
-    tab.add_cost({t: -1, t + 1: -1}, 1)
+    tab.add_cost({t: -1, t + len(root.tcol): -1})
     return lp._run_simplex(tab, [0])
 
 
@@ -217,7 +207,7 @@ def _target_tableau(root: MilpRoot, k: int) -> tuple[lp._Tableau, lp.LpStatus]:
     tab = root.tab.copy()
     status = _fix_one(tab, root, k)
     if status is lp.LpStatus.OPTIMAL:
-        tab.add_row({t: 1, t + 1: -1, lp.RHS: root.big_m.denominator})
+        tab.add_row({t: 1, t + len(root.tcol): -1, lp.RHS: root.big_m.denominator})
         tab.fix(tab.ncols - 1)
         status = lp._run_dual_simplex(tab, [0])
     return tab, status
@@ -240,7 +230,7 @@ def _check_incumbent(root: MilpRoot, k: int, X: dict[int, int], den: int,
     move d over dden) must satisfy every row of the formulation before
     elimination (_node_lp: links, the bounds 0 <= t' <= Mn, protected
     rows) and the target's A(k,:) d = 1 exactly; checked in integers."""
-    Md = root.big_m.denominator
+    Md, r = root.big_m.denominator, len(root.tcol)
     top = root.big_m.numerator * den
 
     def image(j):                     # dden * A(j,:) d
@@ -248,7 +238,7 @@ def _check_incumbent(root: MilpRoot, k: int, X: dict[int, int], den: int,
 
     ok = image(k) == dden and not any(image(i) for i in root.I)
     for j, t in root.tcol.items():
-        tp, tm = X.get(t, 0), X.get(t + 1, 0)
+        tp, tm = X.get(t, 0), X.get(t + r, 0)
         ok = (ok and image(j) * den * Md == (tp - tm) * dden
               and 0 <= tp <= top and 0 <= tm <= top)
     if not ok:
@@ -261,7 +251,7 @@ def _branch_and_bound(root: MilpRoot, k: int, *, cap: int = 100_000, trace=None)
     over den, or None; ValueError for a k outside root's rows or
     protected."""
     k, _ = check_rows(len(root.rows), k, root.I)
-    Mn = root.big_m.numerator
+    Mn, r = root.big_m.numerator, len(root.tcol)
     # every unprotected row but the target, whose binary is fixed to 1
     free = {j: c for j, c in root.tcol.items() if j != k}
     best: int | None = None
@@ -289,7 +279,7 @@ def _branch_and_bound(root: MilpRoot, k: int, *, cap: int = 100_000, trace=None)
             status = _fix_one(tab, root, j)
         else:
             tab.fix(free[j])
-            tab.fix(free[j] + 1)
+            tab.fix(free[j] + r)
             status = lp._run_dual_simplex(tab, [0])
         if status is lp.LpStatus.INFEASIBLE:
             if trace is not None:
@@ -303,7 +293,7 @@ def _branch_and_bound(root: MilpRoot, k: int, *, cap: int = 100_000, trace=None)
         # fixings, and the first fractional binary y_i = (t'+_i + t'-_i) / Mn
         value, frac, full = 1, None, Mn * den
         for i, c in free.items():
-            tp, tm = X.get(c, 0), X.get(c + 1, 0)
+            tp, tm = X.get(c, 0), X.get(c + r, 0)
             value += tp != tm
             if i in fixed0:
                 if tp or tm:

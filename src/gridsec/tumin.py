@@ -138,9 +138,11 @@ def _eliminate_states(rows, n: int, I: frozenset[int]) -> tuple[dict, dict]:
     index); the other rows are over y only.  Taken first, a protected row
     becomes a state row or reduces to nothing and is dropped, so each row
     over y is an unprotected row's, the only row holding its y+ and y-
-    (with opposite entries): yrows[pos].  A state row reads p x_c + (free
-    state columns) + row . y = 0 with p any nonzero integer; a solution
-    sets every state column without a row to 0.
+    (with opposite entries): yrows[pos], returned with y+ / y- shifted to
+    pos / r + pos, the rows of both kept roots (_meter_space,
+    oracle._node_lp).  A state row reads p x_c + (free state columns) +
+    row . y = 0 with p any nonzero integer; a solution sets every state
+    column without a row to 0.
     """
     free = [j for j in range(1, len(rows) + 1) if j not in I]
     r = len(free)
@@ -174,7 +176,7 @@ def _eliminate_states(rows, n: int, I: frozenset[int]) -> tuple[dict, dict]:
         for s in others:
             holders.setdefault(s, set()).add(c)
         state[c] = row
-    return state, yrows
+    return state, {pos: {j - n: v for j, v in row.items()} for pos, row in yrows.items()}
 
 
 def _meter_space(rows, n: int, I: frozenset[int]) -> tuple[list, list[int], list[int], int]:
@@ -200,7 +202,7 @@ def _meter_space(rows, n: int, I: frozenset[int]) -> tuple[list, list[int], list
         for j, v in row.items():
             if n <= j < n + r:
                 (spos if v == p else sneg)[j - n] |= 1 << c
-    return [{j - n: v for j, v in row.items()} for row in yrows.values()], spos, sneg, 2 * r
+    return list(yrows.values()), spos, sneg, 2 * r
 
 
 def build_l1_lp(problem: TUProblem) -> lp.StandardFormLP:

@@ -78,7 +78,12 @@ MUTANTS = (
          "                    raise SolverDefect(\"node vertex moves a row fixed to zero; solver defect\")\n",
          "                pass\n"),
     _one("a zero-fixing bounds only t'+_j", ORACLE,
-         "            tab.fix(free[j] + 1)\n", ""),
+         "            tab.fix(free[j] + r)\n", ""),
+    Mutant("the MILP reads t'-_j at t + 1", (
+        (ORACLE, "tab.add_cost({t: -1, t + len(root.tcol): -1})", "tab.add_cost({t: -1, t + 1: -1})"),
+        (ORACLE, "tab.add_row({t: 1, t + len(root.tcol): -1,", "tab.add_row({t: 1, t + 1: -1,"),
+        (ORACLE, "Md, r = root.big_m.denominator, len(root.tcol)", "Md, r = root.big_m.denominator, 1"),
+        (ORACLE, "Mn, r = root.big_m.numerator, len(root.tcol)", "Mn, r = root.big_m.numerator, 1"))),
     _one("node cap off by one", ORACLE, "if nodes > cap:", "if nodes > cap + 1:"),
     _one("no final support check", ORACLE,
          "    if len(support) != best:\n"

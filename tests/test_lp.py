@@ -407,7 +407,7 @@ def test_bounded_tableau_matches_bounds_written_as_rows(rule, monkeypatch):
     for _ in range(300):
         rows, basis, ncols, cost, upper = _random_bounded_lp(rng)
         tab = _Tableau([dict(row) for row in rows], basis, ncols, dict(upper))
-        tab.add_cost(cost, 1)
+        tab.add_cost(cost)
         status = lp_module._run_simplex(tab, [0])
         _agrees(tab, status, rows, cost, upper)
         outcomes.add(status)
@@ -575,6 +575,13 @@ def test_dual_simplex_pivot_budget_is_solver_defect(monkeypatch):
 SIXBUS_MILP = TUProblem(SIXBUS_A, 6)
 
 
+def _sixbus_layout():
+    """(tcol, r) of SIXBUS_MILP's root, read from the root itself: the
+    column of t'+_j by free row j, and the offset of t'-_j from it."""
+    root = oracle._milp_root(SIXBUS_MILP.rows, 5, SIXBUS_MILP.I, Fraction(2))
+    return root.tcol, len(root.tcol)
+
+
 @pytest.mark.parametrize("forge", ["reduced cost", "basic value"])
 def test_forged_root_tableau_is_solver_defect(monkeypatch, forge):
     # the root's primal simplex, its first run, hands back a forged tableau
@@ -643,12 +650,12 @@ def test_a_forged_node_vertex_is_caught(monkeypatch):
     # objective still hold, but the d read from the state rows flips sign
     # and misses A(k,:) d = 1
     real = lp_module._Tableau.values
-    tcol = oracle._t_columns(len(SIXBUS_A), SIXBUS_MILP.I)
+    tcol, r = _sixbus_layout()
 
     def swapped(tab):
         x, den = real(tab)
         for c in tcol.values():
-            x[c], x[c + 1] = x.get(c + 1, 0), x.get(c, 0)
+            x[c], x[c + r] = x.get(c + r, 0), x.get(c, 0)
         return {c: v for c, v in x.items() if v}, den
 
     monkeypatch.setattr(lp_module._Tableau, "values", swapped)
@@ -658,17 +665,21 @@ def test_a_forged_node_vertex_is_caught(monkeypatch):
 
 def test_a_vertex_off_a_cycle_row_is_caught(monkeypatch):
     # rows 1-5 of the six-bus system are a spanning tree and rows 6 and 7
-    # close its cycles, so d, read from the tree rows' t', never sees row
-    # 7's t'; values() swaps t'+_7 and t'-_7, which keeps every bound, the
-    # objective and d, and only the link row Md A(7,:) d = t'+_7 - t'-_7
-    # fails
-    assert _eliminate_states(SIXBUS_MILP.rows, 5, SIXBUS_MILP.I)[1].keys() == {5, 6}
+    # close its cycles: the elimination leaves only the cycle rows over t',
+    # so d, read from the tree rows' t', never sees theirs.  values() swaps
+    # t'+_j and t'-_j on both cycle rows, which keeps every bound, the
+    # objective and d, and only the link rows Md A(j,:) d = t'+_j - t'-_j
+    # fail: every vertex moves the target's row 6
+    free = SIXBUS_MILP.free_rows
+    cycle = [free[pos] for pos in _eliminate_states(SIXBUS_MILP.rows, 5, SIXBUS_MILP.I)[1]]
+    assert cycle == [6, 7]
     real = lp_module._Tableau.values
-    t = oracle._t_columns(len(SIXBUS_A), SIXBUS_MILP.I)[7]
+    tcol, r = _sixbus_layout()
 
     def swapped(tab):
         x, den = real(tab)
-        x[t], x[t + 1] = x.get(t + 1, 0), x.get(t, 0)
+        for t in map(tcol.get, cycle):
+            x[t], x[t + r] = x.get(t + r, 0), x.get(t, 0)
         return {c: v for c, v in x.items() if v}, den
 
     monkeypatch.setattr(lp_module._Tableau, "values", swapped)
@@ -703,25 +714,26 @@ def _root_point(root, d):
     x = {}
     for j, t in root.tcol.items():
         a = sum(v * d[c] for c, v in root.rows[j - 1]) * root.big_m.denominator
-        x[t if a > 0 else t + 1] = abs(a)
+        x[t if a > 0 else t + len(root.tcol)] = abs(a)
     nums, den = scale_row([*x.values(), *d])
     return {c: v for c, v in zip(x, nums) if v}, den, nums[len(x):], den
 
 
 def test_an_incumbent_off_a_protected_row_is_caught():
-    # the optimal d of meter 6 moves rows 1, 6 and 7: a point of the
-    # unprotected root, but not of a root that protects row 1
+    # the optimal d of meter 6 moves meter 6 and two other rows: a point
+    # of the unprotected root, but not of a root that protects either
     _, d, support, _ = oracle.solve_milp_instance(SIXBUS_MILP)
-    assert support == {1, 6, 7}
+    assert len(support) == 3 and 6 in support
     root = oracle._milp_root(SIXBUS_MILP.rows, 5, frozenset(), Fraction(2))
     oracle._check_incumbent(root, 6, *_root_point(root, d))
-    root = oracle._milp_root(SIXBUS_MILP.rows, 5, frozenset({1}), Fraction(2))
-    with pytest.raises(SolverDefect, match="root row"):
-        oracle._check_incumbent(root, 6, *_root_point(root, d))
+    for j in support - {6}:
+        root = oracle._milp_root(SIXBUS_MILP.rows, 5, frozenset({j}), Fraction(2))
+        with pytest.raises(SolverDefect, match="root row"):
+            oracle._check_incumbent(root, 6, *_root_point(root, d))
 
 
 def test_an_incumbent_past_its_bounds_is_caught():
-    # d moves rows 1, 6 and 7 by 1 each: within a big-M of 1 (t' = Mn = 1),
+    # d moves its 3 rows by 1 each: within a big-M of 1 (t' = Mn = 1),
     # past one of 2/3 (t' = 3 against Mn = 2), links and target intact
     _, d, _, _ = oracle.solve_milp_instance(SIXBUS_MILP)
     assert {abs(v) for v in SIXBUS_A @ np.array(d, dtype=object)} == {0, 1}
@@ -736,14 +748,14 @@ def test_a_miscounted_incumbent_is_caught_by_its_support(monkeypatch):
     # with the incumbent check off, a vertex whose t columns hide one moved
     # row counts one row fewer than its d moves
     real = lp_module._Tableau.values
-    tcol = oracle._t_columns(len(SIXBUS_A), SIXBUS_MILP.I)
+    tcol, r = _sixbus_layout()
 
     def hiding(tab):
         x, den = real(tab)
         for j, c in tcol.items():
-            if j != SIXBUS_MILP.k and x.get(c, 0) != x.get(c + 1, 0):
+            if j != SIXBUS_MILP.k and x.get(c, 0) != x.get(c + r, 0):
                 x.pop(c, None)
-                x.pop(c + 1, None)
+                x.pop(c + r, None)
                 break
         return x, den
 

@@ -17,6 +17,7 @@ from conftest import (
     SIXBUS_A,
     SIXBUS_A_FULL,
     mesh_grid,
+    paper_stand_in,
     random_connected_edges,
     random_tu_problem,
     sixbus_meas,
@@ -44,6 +45,7 @@ from gridsec.errors import (
     CapExceeded,
     HasInjections,
     InfeasibleIndex,
+    IntegralityError,
     SizeLimitExceeded,
     TrivialNullspace,
     ZeroColumn,
@@ -54,6 +56,7 @@ from gridsec import lp, oracle
 from gridsec.oracle import CsInstance, _big_m, _node_lp, coherence_bound, solve_milp_instance
 from oracle_helpers import big_m_min_support
 from gridsec.security import _exact_result
+from gridsec.tumin import _eliminate_states, _meter_space, solve_l1_base
 
 
 class TestExhaustiveMinSupport:
@@ -220,15 +223,18 @@ class TestMilp:
         assert nodes >= text.count("node depth=0")
 
     def test_node_cap(self):
-        # ieee14 meter 4 takes 21 nodes (test_pinned_counts.MILP_NODES)
+        # the cap admits exactly the nodes a search takes; ieee14 meter 4
+        # takes the most (test_pinned_counts.MILP_NODES)
         net, meas = parse_case(IEEE14_CASE)
         prob = reduce_to_tu(net, meas, 4)
+        nodes = solve_milp_instance(prob, _big_m(net))[3]
+        assert nodes > 2
         with pytest.raises(CapExceeded) as exc:
             solve_milp_instance(prob, _big_m(net), cap=1)
         assert exc.value.cap == 1
         with pytest.raises(CapExceeded):
-            solve_milp_instance(prob, _big_m(net), cap=20)
-        assert solve_milp_instance(prob, _big_m(net), cap=21)[::3] == (4, 21)
+            solve_milp_instance(prob, _big_m(net), cap=nodes - 1)
+        assert solve_milp_instance(prob, _big_m(net), cap=nodes)[::3] == (4, nodes)
 
     def test_agrees_with_exhaustive_on_non_tu_data(self):
         # general integer rows, entries in -2..2, with up to 2 protected
@@ -329,6 +335,55 @@ class TestKeptRoot:
             with pytest.raises(ValueError, match="outside"):
                 oracle._branch_and_bound(root, 21)
         assert len({id(root) for root in roots}) == len(plans)
+
+
+class TestOneMeterSpaceRoot:
+    """Before its solve, the MILP root (_node_lp) holds the l1 base's rows
+    over the same columns, t'+_j and t'-_j where y+_j and y-_j are, and
+    starts from the same basis, lp._crash_basis of those rows."""
+
+    @staticmethod
+    def check(rows, n, I, monkeypatch):
+        tab, _ = _node_lp(rows, n, I, Fraction(2))
+        yrows, _, _, width = _meter_space(rows, n, I)
+        assert (tab.rows, tab.ncols) == (yrows, width)
+        assert tab.basis == lp._crash_basis(yrows, width)
+        # the basis the l1 base's own primal simplex starts from
+        starts, real = [], lp._run_simplex
+        with monkeypatch.context() as m:
+            m.setattr(lp, "_run_simplex",
+                      lambda t, pivots: (starts.append(list(t.basis)), real(t, pivots))[1])
+            solve_l1_base(rows, n, I)
+        assert starts == [tab.basis]
+
+    @pytest.mark.parametrize("protect", [3, 0])
+    def test_golden_mesh_grids(self, protect, monkeypatch):
+        for seed in (1, 2, 3, 4):
+            net, meas = mesh_grid(seed, protect=protect)
+            self.check(metering(net, meas).flow_pairs, net.n_states, meas.protected, monkeypatch)
+
+    def test_ieee14_under_seeded_plans(self, monkeypatch):
+        net, meas = parse_case(IEEE14_CASE)
+        rng = random.Random(1)
+        for plan in [frozenset(rng.sample(range(1, 21), 3)) for _ in range(3)]:
+            self.check(metering(net, meas).flow_pairs, net.n_states, plan, monkeypatch)
+
+    def test_the_118_bus_stand_in(self, monkeypatch):
+        net, meas = paper_stand_in(118, 186)
+        self.check(metering(net, meas).flow_pairs, net.n_states, frozenset(), monkeypatch)
+
+    def test_non_tu_data_gets_the_elimination_s_rows(self):
+        # the l1 base refuses entries of 2, the MILP root takes the
+        # elimination's rows as they are
+        A = np.array([[1, 2, 0], [2, -1, 1], [1, 1, 1], [0, 2, -1], [1, 0, 2], [2, 1, 0]])
+        prob = TUProblem(A, 1, frozenset({4}))
+        with pytest.raises(IntegralityError):
+            _meter_space(prob.rows, 3, prob.I)
+        tab, _ = _node_lp(prob.rows, 3, prob.I, Fraction(2))
+        yrows = list(_eliminate_states(prob.rows, 3, prob.I)[1].values())
+        assert any(abs(v) > 1 for row in yrows for v in row.values())
+        assert (tab.rows, tab.ncols) == (yrows, 10)
+        assert tab.basis == lp._crash_basis(yrows, 10)
 
 
 def test_the_milp_shares_only_the_problem_record_and_the_elimination_with_the_l1_path():

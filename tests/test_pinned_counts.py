@@ -39,10 +39,12 @@ RANDOM_LP_PIVOTS = {
     "bland": [5, 2, 0, 2, 2, 4, 1, 3, 3, 8, 1, 6, 4, 3, 0, 1, 6, 5, 2, 0],
     "dantzig": [5, 2, 0, 1, 2, 4, 1, 3, 2, 7, 1, 5, 4, 3, 0, 1, 3, 4, 2, 0],
 }
-MILP_NODES = {4: 21, 11: 1, 16: 1}
+# the root starts from lp._crash_basis over the l1 base's layout since
+# these moved from {4: 21} and 94: it stops at another optimal basis
+MILP_NODES = {4: 19, 11: 1, 16: 1}
 # branch and bound on the kept root (grid.Metering.milp_root), all 20 ieee14
 # meters
-IEEE14_MILP_NODE_TOTAL = 94
+IEEE14_MILP_NODE_TOTAL = 92
 
 
 @pytest.mark.parametrize("rule", ["bland", "dantzig"])

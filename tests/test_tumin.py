@@ -33,7 +33,7 @@ from gridsec import lp, tumin
 from gridsec.errors import IntegralityError, SizeLimitExceeded, SolverDefect
 from gridsec.exactla import det_int, int_rank
 from gridsec.grid import flow_rows, metering, parse_case
-from gridsec.lp import LpStatus, StandardFormLP, solve_lp
+from gridsec.lp import LpStatus, solve_lp
 from gridsec.oracle import exhaustive_min_tuple, nullspace_reformulate, solve_milp_instance
 from gridsec.security import reduce_to_tu
 from gridsec.tumin import (TUSolution, _image, _meter_space, solve_l1_base, solve_warm,
@@ -460,14 +460,16 @@ def test_the_warm_sweep_imports_nothing_from_fractions():
 class TestTernaryWarmStep:
     """solve_l1_base solves the base as a ternary tableau, and solve_warm
     re-optimizes it as one: rows of -1, 0 and 1 as two bitmasks, which
-    total unimodularity guarantees.  The dict tableau of lp.solve_lp is
-    the reference for both."""
+    total unimodularity guarantees.  lp's dict tableau of the same rows,
+    started at the same crash basis as the MILP root is, is the reference
+    for both."""
 
     @staticmethod
     def same_base(rows, n, I, monkeypatch):
-        """Assert that solve_l1_base and lp.solve_lp on _meter_space's rows
-        stop at the same tableau after the same number of primal pivots;
-        return the dict tableau, the base and that number."""
+        """Assert that solve_l1_base and a dict lp._Tableau of
+        _meter_space's rows at lp._crash_basis, its cost priced out, stop
+        at the same tableau after the same number of primal pivots; return
+        the dict tableau, the base and that number."""
         primal = []
         real = lp._run_simplex
         with monkeypatch.context() as m:
@@ -475,9 +477,11 @@ class TestTernaryWarmStep:
                       lambda tab, pivots: (real(tab, pivots), primal.append(pivots[0]))[0])
             base = solve_l1_base(rows, n, I)
         yrows, _, _, width = _meter_space(rows, n, I)
-        out = solve_lp(StandardFormLP.from_int_rows(yrows, dict.fromkeys(range(width), 1), width))
-        tab = out.tableau
-        assert primal == [out.pivots]
+        tab = lp._Tableau(yrows, lp._crash_basis(yrows, width), width)
+        tab.add_cost(dict.fromkeys(range(width), 1))
+        pivots = [0]
+        assert lp._run_simplex(tab, pivots) is LpStatus.OPTIMAL
+        assert primal == pivots
         assert [row[c] for row, c in zip(tab.rows, tab.basis)] == [1] * len(base.pos)
         assert tab.zden == 1
         assert base.basis == tab.basis
@@ -485,7 +489,7 @@ class TestTernaryWarmStep:
         assert base.pos == [sum(1 << j for j, v in row.items() if j != lp.RHS and v == 1)
                             for row in tab.rows]
         assert base.neg == [sum(1 << j for j, v in row.items() if v == -1) for row in tab.rows]
-        return tab, base, out.pivots
+        return tab, base, pivots[0]
 
     @pytest.mark.parametrize("rule", ["bland", "dantzig"])
     def test_it_pivots_as_the_dict_tableau(self, rule, monkeypatch):
