@@ -258,8 +258,9 @@ class Metering:
         """The solved target-free big-M root of flow_pairs and the protected
         meters, with the network's big-M, on the state-eliminated rows
         (oracle.MilpRoot: its optimal tableau, solved from a crash basis
-        with no phase 1 and copied by every target, its state rows, which
-        give each incumbent's d back, and the data it was solved for),
+        with no phase 1 and copied by every target, the indexes that read
+        each vertex and its d over the columns it moves, and the data it
+        was solved for),
         built on the first MILP solve of a flow-only system, never at
         parse time."""
         from .oracle import _big_m, _milp_root      # oracle imports this module

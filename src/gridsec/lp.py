@@ -119,15 +119,15 @@ class StandardFormLP:
                               _pairs(dict(enumerate(cost))), cost_den, width)
 
     @staticmethod
-    def from_int_rows(rows, cost, num_vars: int, cost_den: int = 1) -> "StandardFormLP":
+    def from_int_rows(rows, cost, num_vars: int) -> "StandardFormLP":
         """LP from integer rows given as {column: value} maps (right-hand
-        side under RHS) and the cost cost / cost_den, cost an integer map;
-        no scaling is needed; DimensionMismatch for a column outside the LP."""
+        side under RHS) and an integer cost map; no scaling is needed;
+        DimensionMismatch for a column outside the LP."""
         rows, cost = tuple(_pairs(r) for r in rows), _pairs(cost)
         cols = [j for j, _ in cost] + [j for row in rows for j, _ in row if j != RHS]
         if any(not 0 <= j < num_vars for j in cols):
             raise DimensionMismatch(f"a column outside 0..{num_vars - 1}")
-        return StandardFormLP(rows, (1,) * len(rows), cost, cost_den, num_vars)
+        return StandardFormLP(rows, (1,) * len(rows), cost, 1, num_vars)
 
     @property
     def num_rows(self) -> int:

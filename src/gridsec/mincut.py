@@ -104,10 +104,12 @@ def check_certificate(mtr: Metering, k: int, flow, value, dz, touched) -> None:
     flow maps flow slots to signed flow (from-bus -> to-bus), as
     max_flow returns it; dz and touched are the attack's measurement change
     and support, flow meters first, as security._witness_attack returns
-    them.  No unprotected line may carry more than 1, and the flow must be
-    conserved at every bus but the ends u, v of meter k's line, leaving u
-    and reaching v with `value`; the attack must move meter k by +1, touch
-    no protected meter, and touch exactly `value` flow meters.
+    them: each dz entry 0 or an exact integer pair (a, b) for a / b, so
+    meter k reads +1 exactly when a == b.  No unprotected line may carry
+    more than 1, and the flow must be conserved at every bus but the ends
+    u, v of meter k's line, leaving u and reaching v with `value`; the
+    attack must move meter k by +1, touch no protected meter, and touch
+    exactly `value` flow meters.
 
     That is weak duality.  An attack that moves meter k gives u and v
     different potentials, so no u-v path runs over metered lines it leaves
@@ -130,7 +132,8 @@ def check_certificate(mtr: Metering, k: int, flow, value, dz, touched) -> None:
     if any(excess):
         bus = next(b for b, x in enumerate(excess) if x)
         raise SolverDefect(f"a flow of {value} is not conserved at bus {bus}")
-    if dz[k - 1] != 1:
+    a, b = dz[k - 1] or (0, 1)
+    if a != b:
         raise SolverDefect("witness does not move the target meter by +1")
     if touched & protected:
         raise SolverDefect(f"witness touches protected meters {sorted(touched & protected)}")

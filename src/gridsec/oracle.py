@@ -159,12 +159,18 @@ def _node_lp(rows, n: int, I: frozenset[int], big_m: Fraction) -> tuple[lp._Tabl
 class MilpRoot(NamedTuple):
     """_milp_root's solved target-free big-M root of rows, n, I and big_m:
     its optimal tableau (every t' at 0), which every target copies and none
-    changes, its state rows (_node_lp) and tcol, t'+_j's column by free
-    row j, with t'-_j len(tcol) columns on."""
+    changes; tcol, t'+_j's column by free row j, with t'-_j len(tcol)
+    columns on, and trow, the free row of each t' column; tstate, by t'
+    column, the (state column c, coefficient) pairs that give d_c over
+    dscale (_state_move, from _node_lp's state rows); and cols, by state
+    column, the 1-based rows holding it."""
 
     tab: lp._Tableau
-    state: tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]
+    tstate: dict[int, tuple[tuple[int, int], ...]]
+    dscale: int
     tcol: dict[int, int]
+    trow: dict[int, int]
+    cols: tuple[tuple[int, ...], ...]
     rows: tuple[tuple[tuple[int, int], ...], ...]
     n: int
     I: frozenset[int]
@@ -174,8 +180,9 @@ class MilpRoot(NamedTuple):
 def _milp_root(rows, n: int, I: frozenset[int], big_m) -> MilpRoot:
     """The root LP (_node_lp) of checked integer rows over n states and
     protected rows I, solved once by lp's primal simplex from its crash
-    basis for every target row of that data; ValueError unless big_m is
-    positive.  The solve must stop optimal at zero with a certified
+    basis for every target row of that data, with the indexes by which a
+    vertex is read over the columns it moves only; ValueError unless big_m
+    is positive.  The solve must stop optimal at zero with a certified
     tableau; SolverDefect otherwise."""
     M = to_fraction(big_m)
     if M <= 0:
@@ -186,8 +193,21 @@ def _milp_root(rows, n: int, I: frozenset[int], big_m) -> MilpRoot:
     if lp._run_simplex(tab, [0]) is not lp.LpStatus.OPTIMAL or tab.objective() != 0:
         raise SolverDefect("the target-free big-M root is not optimal at zero; solver defect")
     tab.check_optimal()
+    r = len(tcol)
+    trow = {t + s: j for j, t in tcol.items() for s in (0, r)}
+    # p Md d_c = -(pairs . t'), read over the lcm of |p| times Md
+    scale = math.lcm(*(abs(p) for _, p, _ in state))
+    tstate: dict[int, list[tuple[int, int]]] = {}
+    for c, p, pairs in state:
+        for t, v in pairs:
+            tstate.setdefault(t, []).append((c, -v * (scale // p)))
+    cols: list[list[int]] = [[] for _ in range(n)]
+    for j, row in enumerate(rows, start=1):
+        for c, _ in row:
+            cols[c].append(j)
     # a copy holds its rows in dicts of their final size
-    return MilpRoot(tab.copy(), state, tcol, rows, n, I, M)
+    return MilpRoot(tab.copy(), {t: tuple(e) for t, e in tstate.items()}, scale * M.denominator,
+                    tcol, trow, tuple(map(tuple, cols)), rows, n, I, M)
 
 
 def _fix_one(tab: lp._Tableau, root: MilpRoot, j: int) -> lp.LpStatus:
@@ -215,13 +235,21 @@ def _target_tableau(root: MilpRoot, k: int) -> tuple[lp._Tableau, lp.LpStatus]:
 
 def _state_move(root: MilpRoot, X: dict[int, int], den: int) -> tuple[list[int], int]:
     """(numerators, denominator) of the state move d at the t' values X
-    (nonzero values by column over den), read from root's state rows:
-    d_c = -(pairs . t') / (p Md), every state column without a row 0."""
-    scale = math.lcm(*(abs(p) for _, p, _ in root.state))
+    (nonzero values by column over den), read from root's state rows
+    p Md d_c + pairs . t' = 0 over den * dscale.  Only X's entries are
+    visited (root.tstate): a t' at 0 adds nothing to any d_c, and a state
+    column without a row reads 0."""
     d = [0] * root.n
-    for c, p, pairs in root.state:
-        d[c] = -sum(v * X.get(t, 0) for t, v in pairs) * (scale // p)
-    return d, den * scale * root.big_m.denominator
+    for t, x in X.items():
+        for c, v in root.tstate.get(t, ()):
+            d[c] += v * x
+    return d, den * root.dscale
+
+
+def _held(root: MilpRoot, d: list[int]) -> set[int]:
+    """The 1-based rows of root holding a state column d moves; every other
+    row reads A(j,:) d = 0 exactly."""
+    return {j for c, v in enumerate(d) if v for j in root.cols[c]}
 
 
 def _check_incumbent(root: MilpRoot, k: int, X: dict[int, int], den: int,
@@ -229,15 +257,21 @@ def _check_incumbent(root: MilpRoot, k: int, X: dict[int, int], den: int,
     """An incumbent (nonzero t' values X by column over den, and its state
     move d over dden) must satisfy every row of the formulation before
     elimination (_node_lp: links, the bounds 0 <= t' <= Mn, protected
-    rows) and the target's A(k,:) d = 1 exactly; checked in integers."""
+    rows) and the target's A(k,:) d = 1 exactly; checked in integers.
+    The target row is always read; every other row is read where it can
+    fail, when it holds a state column d moves (_held) or, for a free row,
+    one of its t' is nonzero in X.  Any other row reads 0 = 0 with both
+    t' at 0."""
     Md, r = root.big_m.denominator, len(root.tcol)
     top = root.big_m.numerator * den
+    held = _held(root, d)
 
     def image(j):                     # dden * A(j,:) d
         return sum(a * d[c] for c, a in root.rows[j - 1])
 
-    ok = image(k) == dden and not any(image(i) for i in root.I)
-    for j, t in root.tcol.items():
+    ok = image(k) == dden and not any(image(i) for i in root.I & held)
+    for j in root.tcol.keys() & held.union(root.trow[c] for c in X if c in root.trow):
+        t = root.tcol[j]
         tp, tm = X.get(t, 0), X.get(t + r, 0)
         ok = (ok and image(j) * den * Md == (tp - tm) * dden
               and 0 <= tp <= top and 0 <= tm <= top)
@@ -252,6 +286,7 @@ def _branch_and_bound(root: MilpRoot, k: int, *, cap: int = 100_000, trace=None)
     protected."""
     k, _ = check_rows(len(root.rows), k, root.I)
     Mn, r = root.big_m.numerator, len(root.tcol)
+    trow = root.trow
     # every unprotected row but the target, whose binary is fixed to 1
     free = {j: c for j, c in root.tcol.items() if j != k}
     best: int | None = None
@@ -289,16 +324,19 @@ def _branch_and_bound(root: MilpRoot, k: int, *, cap: int = 100_000, trace=None)
             raise SolverDefect("bounded relaxation reported unbounded; solver defect")
         tab.check_optimal()
         X, den = tab.values()
-        # one pass over the free rows: the rows the vertex moves, the zero
-        # fixings, and the first fractional binary y_i = (t'+_i + t'-_i) / Mn
+        # one pass over the free rows with a nonzero t' (any other reads
+        # t'+ = t'- = 0, unmoved, within its fixings and integral): the
+        # rows the vertex moves, the zero fixings, and the lowest-index
+        # fractional binary y_i = (t'+_i + t'-_i) / Mn
         value, frac, full = 1, None, Mn * den
-        for i, c in free.items():
+        for i in free.keys() & {trow[c] for c in X if c in trow}:
+            c = free[i]
             tp, tm = X.get(c, 0), X.get(c + r, 0)
             value += tp != tm
             if i in fixed0:
                 if tp or tm:
                     raise SolverDefect("node vertex moves a row fixed to zero; solver defect")
-            elif frac is None and tp + tm not in (0, full) and i not in fixed1:
+            elif (frac is None or i < frac) and tp + tm not in (0, full) and i not in fixed1:
                 frac = i
         if best is None or value < best:
             d, dden = _state_move(root, X, den)
@@ -322,7 +360,7 @@ def _branch_and_bound(root: MilpRoot, k: int, *, cap: int = 100_000, trace=None)
         stack.append((tab, fixed0 | {frac}, fixed1, frac))
     if best is None:
         return None
-    support = frozenset(j for j in root.tcol
+    support = frozenset(j for j in root.tcol.keys() & _held(root, best_d)
                         if sum(a * best_d[c] for c, a in root.rows[j - 1]))
     if len(support) != best:
         raise SolverDefect("incumbent support disagrees with the optimum")
@@ -372,7 +410,9 @@ def solve_milp_instance(prob: TUProblem, big_m=Fraction(2), *, cap: int = 100_00
     against the rows before elimination and A(k,:) d = 1
     (_check_incumbent).  At a leaf (no fractional binary) the count is at
     most the leaf's objective, so leaves need no rule of their own.
-    Every node test reads the vertex in integers over its denominator.
+    Every node test reads the vertex in integers over its denominator,
+    and only at the free rows with a nonzero t' (the root's indexes, see
+    MilpRoot); every other free row is unmoved and within its fixings.
     Failed certificates and checks raise SolverDefect.
 
     More than cap nodes raise CapExceeded(cap); the default is over a

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -88,15 +87,19 @@ def reduce_to_tu(net: Network, meas: MeasurementSystem, k: int) -> TUProblem:
 
 
 def _witness_attack(mtr: Metering, k: int, x, den: int = 1) -> tuple[list, list, frozenset[int]]:
-    """Exact (dtheta, dz, touched) of the state move x / den over every
-    meter, flows first, scaled so flow meter k (which it moves by +1)
-    reads +1.
+    """Exact (dtheta, dz, touched) of the state move x / den (x integers,
+    den > 0) over every meter, flows first, scaled so flow meter k (which
+    it moves by +1) reads +1.
 
-    Only the lines at buses x moves are visited (mtr.bus_lines): each whose
-    ends x moves apart carries the flow change w * x_k / x_line, read by
-    its flow meter, added at its from-bus injection and subtracted at its
-    to-bus injection; integer x costs one Fraction per moved line.  Exact
-    zeros stay 0.
+    Each entry is 0 or an unreduced integer pair (a, b), b > 0, that reads
+    a / b.  Only the lines at buses x moves are visited (mtr.bus_lines):
+    one whose ends x moves apart by w carries the flow change
+    w * x_k / (den * x_line), the pair (w num dl, den dk nl) with
+    x_k = num / dk and x_line = nl / dl; its flow meter reads that pair,
+    and its from-bus injection adds it and its to-bus injection subtracts
+    it by cross-multiplication, so an injection holds the exact sum of its
+    lines' pairs (its numerator 0 when they cancel).  touched holds the
+    entries with a nonzero numerator.  No Fraction is built.
     """
     net, flow, inj = mtr.net, mtr.flow_slot, mtr.injection_slot
     xk = mtr.lines[k - 1].reactance
@@ -108,25 +111,30 @@ def _witness_attack(mtr: Metering, k: int, x, den: int = 1) -> tuple[list, list,
         ln = net.lines[lid - 1]
         w = pot.get(ln.from_bus, 0) - pot.get(ln.to_bus, 0)
         if w:
-            f = Fraction(w * num * ln.reactance.denominator, den * ln.reactance.numerator)
+            a, b = w * num * ln.reactance.denominator, den * ln.reactance.numerator
             if lid in flow:
-                dz[flow[lid]] = f
+                dz[flow[lid]] = (a, b)
                 touched.add(flow[lid])
-            if ln.from_bus in inj:
-                dz[inj[ln.from_bus]] += f
-                touched.add(inj[ln.from_bus])
-            if ln.to_bus in inj:
-                dz[inj[ln.to_bus]] -= f
-                touched.add(inj[ln.to_bus])
-    touched = frozenset(i + 1 for i in touched if dz[i])
-    return [Fraction(v * num, den) if v else 0 for v in x], dz, touched
+            for bus, s in ((ln.from_bus, a), (ln.to_bus, -a)):
+                if bus in inj:
+                    i = inj[bus]
+                    c, d = dz[i] or (0, 1)
+                    dz[i] = (c * b + s * d, d * b)
+                    touched.add(i)
+    touched = frozenset(i + 1 for i in touched if dz[i][0])
+    return [(v * num, den) if v else 0 for v in x], dz, touched
 
 
 def _attack(dtheta, dz, touched) -> AttackVector:
+    """The floats of an exact (dtheta, dz, touched) of _witness_attack:
+    each pair (a, b) reads a / b, an int true division, which rounds
+    correctly as float(Fraction(a, b)) does, so every float is the one
+    the exact value rounds to."""
     dz_f = np.zeros(len(dz))
     for i in touched:
-        dz_f[i - 1] = float(dz[i - 1])
-    return AttackVector(np.array([float(v) if v else 0.0 for v in dtheta]), dz_f, touched)
+        a, b = dz[i - 1]
+        dz_f[i - 1] = a / b
+    return AttackVector(np.array([v[0] / v[1] if v else 0.0 for v in dtheta]), dz_f, touched)
 
 
 def _exact_result(mtr: Metering, k: int, method: str, x, support, t0,

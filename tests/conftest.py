@@ -1,6 +1,7 @@
 """Shared constants and random instance generators for the test suite."""
 from __future__ import annotations
 
+import ast
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -11,6 +12,17 @@ import pytest
 from gridsec import Network, MeasurementSystem, TUProblem
 from gridsec import lp
 from gridsec.tumin import gen_consecutive_ones
+
+def imported_packages(module) -> set[str]:
+    """The top-level package of every absolute import in module's source."""
+    imported = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module.split(".")[0])
+    return imported
+
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
 IEEE14_CASE = CASES / "ieee14.case"

@@ -46,7 +46,8 @@ def _one(name, path, old, new, survives=False):
     return Mutant(name, ((path, old, new),), survives)
 
 
-LP, ORACLE, TUMIN, GRID, MINCUT = (f"src/gridsec/{m}.py" for m in ("lp", "oracle", "tumin", "grid", "mincut"))
+LP, ORACLE, TUMIN, GRID, MINCUT, SECURITY = (
+    f"src/gridsec/{m}.py" for m in ("lp", "oracle", "tumin", "grid", "mincut", "security"))
 
 MUTANTS = (
     # the MILP's kept root and its incumbent checks
@@ -60,19 +61,24 @@ MUTANTS = (
     _one("incumbent check without the target clause", ORACLE,
          "ok = image(k) == dden and not any(", "ok = not any("),
     _one("incumbent check without the protected clause", ORACLE,
-         "ok = image(k) == dden and not any(image(i) for i in root.I)", "ok = image(k) == dden"),
+         "ok = image(k) == dden and not any(image(i) for i in root.I & held)", "ok = image(k) == dden"),
     _one("incumbent check without the link clause", ORACLE,
          "ok = (ok and image(j) * den * Md == (tp - tm) * dden\n              and", "ok = (ok\n              and"),
     _one("incumbent check without the bound clause", ORACLE,
          "\n              and 0 <= tp <= top and 0 <= tm <= top)", ")"),
+    _one("incumbent check skips the rows only X moves", ORACLE,
+         "held.union(root.trow[c] for c in X if c in root.trow)", "held"),
     _one("incumbent check reads d over 1", ORACLE,
          "ok = image(k) == dden and", "ok = image(k) == 1 and"),
     _one("milp_root without its certificate", ORACLE,
-         "    tab.check_optimal()\n    # a copy", "    # a copy"),
+         "    tab.check_optimal()\n    r = len(tcol)\n", "    r = len(tcol)\n"),
     _one("the MILP reads d from the state rows with the wrong sign", ORACLE,
-         "d[c] = -sum(v * X.get(t, 0) for t, v in pairs)", "d[c] = sum(v * X.get(t, 0) for t, v in pairs)"),
+         "tstate.setdefault(t, []).append((c, -v * (scale // p)))",
+         "tstate.setdefault(t, []).append((c, v * (scale // p)))"),
     _one("branch and bound branches the target", ORACLE,
          "free = {j: c for j, c in root.tcol.items() if j != k}", "free = dict(root.tcol)"),
+    _one("the node loop skips a moved free row", ORACLE,
+         "{trow[c] for c in X if c in trow}", "{trow[c] for c in X if c < r}"),
     _one("no zero-fixing check", ORACLE,
          "                if tp or tm:\n"
          "                    raise SolverDefect(\"node vertex moves a row fixed to zero; solver defect\")\n",
@@ -160,9 +166,14 @@ MUTANTS = (
          "    if any(excess):\n"
          "        bus = next(b for b, x in enumerate(excess) if x)\n"
          "        raise SolverDefect(f\"a flow of {value} is not conserved at bus {bus}\")\n", ""),
+    _one("check_certificate compares the target's numerator with 1", MINCUT,
+         "    if a != b:\n", "    if a != 1:\n"),
     _one("flow certificate without the value clause", MINCUT,
          "    if flows != value:\n"
          "        raise SolverDefect(f\"a flow of {value} but the witness touches {flows} flow meters\")\n", ""),
+    # the exact witness read-back
+    _one("an injection sum drops its cross-multiplication", SECURITY,
+         "dz[i] = (c * b + s * d, d * b)", "dz[i] = (c + s, b)"),
     # the one flow-row form and the LP's column check
     _one("flow rows with their signs flipped", GRID,
          "rows[e].append((c, d))", "rows[e].append((c, -d))"),

@@ -744,6 +744,23 @@ def test_an_incumbent_past_its_bounds_is_caught():
         oracle._check_incumbent(root, 6, *_root_point(root, d))
 
 
+def test_an_incumbent_off_a_link_row_is_caught_where_either_side_moves():
+    # the check reads the rows holding a state column d moves and the rows
+    # with a t' in X: a t' on a row that holds none, or a moved row with
+    # both t' dropped, breaks that row's link
+    _, d, support, _ = oracle.solve_milp_instance(SIXBUS_MILP)
+    root = oracle._milp_root(SIXBUS_MILP.rows, 5, frozenset(), Fraction(2))
+    X, den, dn, dden = _root_point(root, d)
+    oracle._check_incumbent(root, 6, X, den, dn, dden)
+    still = next(j for j in root.tcol if not any(d[c] for c, _ in root.rows[j - 1]))
+    with pytest.raises(SolverDefect, match="root row"):
+        oracle._check_incumbent(root, 6, {**X, root.tcol[still]: den}, den, dn, dden)
+    t = root.tcol[min(support - {6})]
+    dropped = {c: v for c, v in X.items() if c not in (t, t + len(root.tcol))}
+    with pytest.raises(SolverDefect, match="root row"):
+        oracle._check_incumbent(root, 6, dropped, den, dn, dden)
+
+
 def test_a_miscounted_incumbent_is_caught_by_its_support(monkeypatch):
     # with the incumbent check off, a vertex whose t columns hide one moved
     # row counts one row fewer than its d moves

@@ -1,6 +1,7 @@
 """Security indices, bounds with injections, and critical tuples."""
 import copy
 import gc
+import math
 import pickle
 import random
 import weakref
@@ -14,6 +15,7 @@ from conftest import (
     SIXBUS_A_FULL,
     SIXBUS_CASE,
     count_pivots,
+    imported_packages,
     incidence_transpose,
     mesh_grid,
     paper_stand_in,
@@ -31,6 +33,7 @@ from gridsec import (
     exhaustive_min_support,
     exhaustive_min_tuple,
     lp,
+    milp_solve,
     min_critical_tuple,
     mincut_index,
     parse_case,
@@ -193,22 +196,37 @@ def random_injection_system(rng: random.Random, max_nodes: int = 8):
 
 
 def random_move(rng: random.Random, net, meas, k):
-    """A random exact state move that shifts meter k's line by +1, or None."""
+    """A random exact state move that shifts meter k's line by +1, as
+    (integer numerators, their positive common denominator), or None."""
     x = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.6 else 0
          for _ in range(net.n_states)]
     pot = dict(zip(net.state_buses, x))
     ln = net.lines[meas.flow_meters[k - 1] - 1]
     w = pot.get(ln.from_bus, 0) - pot.get(ln.to_bus, 0)
-    return [v / w for v in x] if w else None
+    if not w:
+        return None
+    moved = [Fraction(v) / w for v in x]
+    den = math.lcm(*(v.denominator for v in moved))
+    return [int(v * den) for v in moved], den
+
+
+def exact_entries(entries) -> list:
+    """The exact values of _witness_attack entries, each 0 or an integer
+    pair (a, b) with b > 0 for a / b."""
+    assert all(v == 0 or (type(v[0]) is int and type(v[1]) is int and v[1] > 0)
+               for v in entries)
+    return [Fraction(*v) if v else 0 for v in entries]
 
 
 class TestWitnessEvaluator:
-    def assert_matches_rows(self, net, meas, k, x):
-        dtheta, dz, touched = _witness_attack(metering(net, meas), k, x)
+    def assert_matches_rows(self, net, meas, k, x, den=1):
+        dtheta, dz, touched = _witness_attack(metering(net, meas), k, x, den)
         xk = net.lines[meas.flow_meters[k - 1] - 1].reactance
-        assert dtheta == [xk * v for v in x]
+        dtheta = exact_entries(dtheta)
+        assert dtheta == [xk * Fraction(v, den) for v in x]
         image = [sum((a * d for a, d in zip(row, dtheta)), Fraction(0))
                  for row in _exact_H_rows(net, meas)]
+        dz = exact_entries(dz)
         assert dz == image
         assert touched == frozenset(i + 1 for i, v in enumerate(image) if v)
         assert dz[k - 1] == 1
@@ -218,9 +236,9 @@ class TestWitnessEvaluator:
         cuts = 0
         for _ in range(300):
             net, meas, k = random_injection_system(rng)
-            x = random_move(rng, net, meas, k)
-            if x is not None:
-                self.assert_matches_rows(net, meas, k, x)
+            move = random_move(rng, net, meas, k)
+            if move is not None:
+                self.assert_matches_rows(net, meas, k, *move)
             try:
                 cut = max_flow(metering(net, MeasurementSystem(meas.flow_meters, (), meas.protected)), k)
             except InfeasibleIndex:
@@ -257,9 +275,9 @@ class TestWitnessEvaluator:
         rng = random.Random(507)
         kinds = set()
 
-        def both(mtr, k, x):
-            got = witness_attack_all_lines(mtr, k, x)
-            assert evaluate(mtr, k, x) == got
+        def both(mtr, k, x, den=1):
+            got = witness_attack_all_lines(mtr, k, x, den)
+            assert evaluate(mtr, k, x, den) == got
             pot = dict(zip(mtr.net.state_buses, x))
             for lid, ln in enumerate(mtr.net.lines, start=1):
                 if pot.get(ln.from_bus, 0) != pot.get(ln.to_bus, 0):
@@ -273,9 +291,9 @@ class TestWitnessEvaluator:
         bounded = 0
         for _ in range(200):
             net, meas, k = random_injection_system(rng)
-            x = random_move(rng, net, meas, k)
-            if x is not None:
-                both(metering(net, meas), k, x)
+            move = random_move(rng, net, meas, k)
+            if move is not None:
+                both(metering(net, meas), k, *move)
             try:
                 security_index_bounds(net, meas, k)
                 bounded += 1
@@ -284,6 +302,45 @@ class TestWitnessEvaluator:
         assert bounded > 100
         assert kinds == {(kind, flag) for kind in ("unmetered", "at reference", "injection")
                          for flag in (False, True)}
+
+    def test_every_float_is_its_exact_pair_rounded(self, monkeypatch):
+        # each solver's AttackVector holds, entry by entry, float(Fraction(a, b))
+        # of the exact pair (a, b) it was read from, and the pairs are the
+        # exact image of the move under the rows of H
+        seen = []
+        real = security._attack
+
+        def spy(dtheta, dz, touched):
+            attack = real(dtheta, dz, touched)
+            seen.append((dtheta, dz, touched, attack))
+            return attack
+
+        monkeypatch.setattr(security, "_attack", spy)
+        rng = random.Random(508)
+        solved = dict.fromkeys(("bounds", "lp", "mincut", "milp"), 0)
+        for _ in range(120):
+            net, meas, k = random_injection_system(rng)
+            flow_only = MeasurementSystem(meas.flow_meters, (), meas.protected)
+            for name, solve, system in (("bounds", security_index_bounds, meas),
+                                        ("lp", security_index, flow_only),
+                                        ("mincut", mincut_index, flow_only),
+                                        ("milp", milp_solve, flow_only)):
+                seen.clear()
+                try:
+                    res = solve(net, system, k)
+                except InfeasibleIndex:
+                    continue
+                solved[name] += 1
+                (dtheta, dz, touched, attack), = seen
+                assert res.attack is attack
+                assert attack.delta_theta.tolist() == [float(v) for v in exact_entries(dtheta)]
+                assert attack.delta_z.tolist() == [float(v) for v in exact_entries(dz)]
+                xs = exact_entries(dtheta)
+                image = [sum((a * x for a, x in zip(row, xs)), Fraction(0))
+                         for row in _exact_H_rows(net, system)]
+                assert exact_entries(dz) == image
+                assert touched == frozenset(i + 1 for i, v in enumerate(image) if v)
+        assert min(solved.values()) > 60
 
     def test_bounds_rejects_injection_at_missing_bus(self):
         net = Network(3, ((1, 2, 1), (2, 3, 1)))
@@ -296,6 +353,13 @@ class TestWitnessEvaluator:
             security_index_bounds(net, MeasurementSystem((1, 2), (2,)), 1)
         assert type(err.value) is ValidationError
         assert "reference bus" in str(err.value)
+
+
+def test_the_witness_read_back_imports_nothing_from_fractions():
+    # every exact entry is an integer pair read as a / b; an import of
+    # fractions would mean a rational path came back
+    imported = imported_packages(security)
+    assert imported and "fractions" not in imported
 
 
 class TestConditions:

@@ -1,8 +1,6 @@
 """Minimum-support solver against frozen values and the enumeration oracle."""
-import ast
 import random
 from itertools import combinations, product
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +11,7 @@ from conftest import (
     SIXBUS_A,
     SIXBUS_A_FULL,
     SIXBUS_OPTIMA,
+    imported_packages,
     mesh_grid,
     price_by,
     random_tu_problem,
@@ -447,13 +446,7 @@ class TestWarmStateRows:
 def test_the_warm_sweep_imports_nothing_from_fractions():
     # the state rows carry their pivot signs, so x is read back by integer
     # sums; an import of fractions would mean a rational path came back
-    tree = ast.parse(Path(tumin.__file__).read_text(encoding="utf-8"))
-    imported = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            imported |= {alias.name.split(".")[0] for alias in node.names}
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            imported.add(node.module.split(".")[0])
+    imported = imported_packages(tumin)
     assert imported and "fractions" not in imported
 
 
