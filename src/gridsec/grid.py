@@ -29,7 +29,7 @@ from .errors import (
     ValidationError,
 )
 from .exactla import to_fraction
-from .tumin import L1Base, solve_l1_base
+from .tumin import L1Base, MeterSpace, meter_space, solve_l1_base
 
 FLOAT_TOL = 1e-9
 # any ratio of two reactances in this range is a finite float64
@@ -146,8 +146,9 @@ class MeasurementSystem:
         return len(self.flow_meters) + len(self.injection_meters)
 
     def meter_kind(self, idx: int) -> tuple[str, int]:
-        """('flow', line_id) or ('injection', bus_id) for a 1-based meter index."""
-        nf = len(self.flow_meters)
+        """("flow", line_id) or ("injection", bus_id) for a 1-based meter index,
+        read by operator.index, so a non-integral one is a TypeError."""
+        idx, nf = index(idx), len(self.flow_meters)
         if 1 <= idx <= nf:
             return ("flow", self.flow_meters[idx - 1])
         if nf < idx <= self.n_meters:
@@ -244,28 +245,30 @@ class Metering:
         return tuple(map(tuple, rows))
 
     @cached_property
+    def meter_space(self) -> MeterSpace:
+        """flow_pairs and the protected meters in meter space
+        (tumin.meter_space: the one state elimination of the system, its
+        layout, state map and column index, with flow_pairs itself, no
+        copy), read as is by l1_base and milp_root."""
+        return meter_space(self.flow_pairs, self.net.n_states, self.meas.protected)
+
+    @cached_property
     def l1_base(self) -> L1Base:
-        """The solved target-free l1 LP of flow_pairs and the protected
-        meters (tumin.solve_l1_base: its ternary tableau, its state
-        rows and a column index, all live lists of ints that every target
-        copies or only reads, and flow_pairs itself, no copy, with the
-        protected meters), built on the first LP solve of a flow-only
-        system, never at parse time."""
-        return solve_l1_base(self.flow_pairs, self.net.n_states, self.meas.protected)
+        """The solved target-free l1 LP of meter_space (tumin.solve_l1_base:
+        its ternary tableau as live lists of ints that every target copies),
+        built on the first LP solve of a flow-only system, never at parse
+        time."""
+        return solve_l1_base(self.meter_space)
 
     @cached_property
     def milp_root(self):
-        """The solved target-free big-M root of flow_pairs and the protected
-        meters, with the network's big-M, on the state-eliminated rows
-        (oracle.MilpRoot: its optimal tableau, solved from a crash basis
-        with no phase 1 and copied by every target, the indexes that read
-        each vertex and its d over the columns it moves, and the data it
-        was solved for),
-        built on the first MILP solve of a flow-only system, never at
-        parse time."""
+        """The solved target-free big-M root of meter_space with the
+        network's big-M (oracle.MilpRoot: its optimal tableau, solved from
+        the l1 base's crash basis with no phase 1 and copied by every
+        target), built on the first MILP solve of a flow-only system, never
+        at parse time."""
         from .oracle import _big_m, _milp_root      # oracle imports this module
-        return _milp_root(self.flow_pairs, self.net.n_states, self.meas.protected,
-                          _big_m(self.net))
+        return _milp_root(self.meter_space, _big_m(self.net))
 
 
 def metering(net: Network, meas: MeasurementSystem) -> Metering:

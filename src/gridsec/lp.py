@@ -34,8 +34,8 @@ phase 1, is the public two-phase solve; the package's own solves bypass
 it, and its tableau carries no bounds.  A _Tableau may bound its columns
 above by integers (Dantzig's upper-bounding technique: a column at its
 bound is complemented), which costs no rows.  The two roots a
-measurement system keeps hold the same rows over the row slacks
-(tumin._eliminate_states) from the one crash rule (_crash_basis), so each
+measurement system keeps read the same rows over the row slacks
+(tumin.meter_space) from the one crash rule (_crash_basis), so each
 runs the primal loop alone.  The MILP oracle's is a bounded _Tableau: a
 copy of its optimum is re-optimized for each target, and then at every
 branch-and-bound node, fixing binaries by their bounds.  The l1 sweep's

@@ -6,13 +6,13 @@ big-M mixed-integer formulation solved by branch and bound on exact LP
 relaxations, and compressed-sensing measures (mutual coherence, restricted
 isometry) of the nullspace reformulation.  Beyond the validated input
 (tumin.TUProblem), the big-M root shares one step with the l1 path: the
-Gauss-Jordan elimination of the state (tumin._eliminate_states), in
-general integers, which leaves it the l1 base's rows, started at the same
-lp._crash_basis.  Its bounds, search and solver state are its own, and
-every incumbent is checked on the rows before elimination, so a defect in
-the shared step shows as a failed check, not as agreement.
-Exhaustive enumeration and min cut (gridsec.mincut) share nothing with
-either.
+Gauss-Jordan elimination of the state, in general integers, whose record
+(tumin.meter_space) gives it the l1 base's rows and layout, started at the
+same lp._crash_basis, and the state map that reads d back.  Its bounds,
+search and solver state are its own, and every incumbent is checked on
+the rows before elimination, so a defect in the shared step shows as a
+failed check, not as agreement.  Exhaustive enumeration and min cut
+(gridsec.mincut) share nothing with either.
 
 Meter/row indices are 1-based, matching the measurement-system convention.
 """
@@ -48,7 +48,7 @@ from .grid import MeasurementSystem, Network, metering
 # not called here; the benchmark's tracer wraps it by this name
 from .grid import incidence  # noqa: F401
 from .security import CriticalTuple, SecurityIndexResult, _exact_result, _flow_target
-from .tumin import TUProblem, _eliminate_states, check_rows
+from .tumin import TUProblem, check_rows, meter_space
 
 
 # --- exhaustive enumeration ----------------------------------------------
@@ -120,10 +120,9 @@ def _big_m(net: Network) -> Fraction:
     return to_fraction(max(2 - (ref in (ln.from_bus, ln.to_bus)) for ln in net.lines))
 
 
-def _node_lp(rows, n: int, I: frozenset[int], big_m: Fraction) -> tuple[lp._Tableau, tuple]:
-    """The target-free root LP relaxation of the big-M formulation of
-    integer rows (sparse pairs) over n states with protected rows I, at the
-    l1 base's crash basis, and the state rows that give d back.
+def _node_lp(space, big_m: Fraction) -> lp._Tableau:
+    """The target-free root LP relaxation of the big-M formulation of the
+    data of space (a tumin.MeterSpace), at the l1 base's crash basis.
 
     Binaries y mark touched rows: minimize sum(y) subject to
     |A(j,:) d| <= big_m * y_j on unprotected rows and A(I,:) d = 0.  Every
@@ -133,88 +132,58 @@ def _node_lp(rows, n: int, I: frozenset[int], big_m: Fraction) -> tuple[lp._Tabl
     y_j = (t'+_j + t'-_j) / Mn.  No row bounds t'+_j + t'-_j: at an
     optimum a free row's positive cost keeps one of the two at 0, and
     |A(j,:) d| <= big_m holds either way.  The state d is eliminated from
-    the protected and link rows first (tumin._eliminate_states, with
-    t'+_j / t'-_j as its y+_j / y-_j; the link rows are homogeneous, so
-    the scaling by Md leaves the cycle rows as they are), which drops
-    dependent protected rows; the root keeps only the cycle rows over t',
-    the l1 base's rows (tumin._meter_space): t'+_j / t'-_j at column pos /
-    pos + r, pos j's place among the r unprotected rows.  Like that base it
-    starts at lp._crash_basis, which covers every cycle row (by its own
-    t'+_j or t'-_j at worst): every t' is 0, a feasible basis.  The cost,
-    1 on every t' column (Mn sum(y)), is priced out.  A target adds its own
-    row (_target_tableau) and branch and bound fixes binaries by bounds, so
-    every node keeps this layout.  State row (c, p, pairs) reads
-    p Md d_c + pairs . t' = 0.
+    the protected and link rows first: that is space, with t'+_j / t'-_j
+    as its y+_j / y-_j (the link rows are homogeneous, so the scaling by
+    Md leaves the rows over y as they are, and space's state map gives
+    d_c over scale * Md), which drops dependent protected rows; the root
+    keeps only the rows over t', the l1 base's rows in its layout, copied
+    because the tableau pivots its rows in place.  Like that base it
+    starts at lp._crash_basis, which covers every row (by its own t'+_j
+    or t'-_j at worst): every t' is 0, a feasible basis.  The cost, 1 on
+    every t' column (Mn sum(y)), is priced out.  A target adds its own row
+    (_target_tableau) and branch and bound fixes binaries by bounds, so
+    every node keeps this layout.
     """
-    width = 2 * (len(rows) - len(I))
-    state, yrows = _eliminate_states(rows, n, I)
-    cycle = list(yrows.values())
-    tab = lp._Tableau(cycle, lp._crash_basis(cycle, width), width,
+    width = 2 * len(space.free)
+    rows = [dict(row) for row in space.yrows]
+    tab = lp._Tableau(rows, lp._crash_basis(rows, width), width,
                       dict.fromkeys(range(width), big_m.numerator))
     tab.add_cost(dict.fromkeys(range(width), 1))
-    return tab, tuple((c, row[c], tuple((j - n, v) for j, v in row.items() if j >= n))
-                      for c, row in state.items())
+    return tab
 
 
 class MilpRoot(NamedTuple):
-    """_milp_root's solved target-free big-M root of rows, n, I and big_m:
-    its optimal tableau (every t' at 0), which every target copies and none
-    changes; tcol, t'+_j's column by free row j, with t'-_j len(tcol)
-    columns on, and trow, the free row of each t' column; tstate, by t'
-    column, the (state column c, coefficient) pairs that give d_c over
-    dscale (_state_move, from _node_lp's state rows); and cols, by state
-    column, the 1-based rows holding it."""
+    """_milp_root's solved target-free big-M root of space (a
+    tumin.MeterSpace, whose layout and state map read each vertex and its
+    d over the columns it moves) and big_m: its optimal tableau (every t'
+    at 0), which every target copies and none changes."""
 
     tab: lp._Tableau
-    tstate: dict[int, tuple[tuple[int, int], ...]]
-    dscale: int
-    tcol: dict[int, int]
-    trow: dict[int, int]
-    cols: tuple[tuple[int, ...], ...]
-    rows: tuple[tuple[tuple[int, int], ...], ...]
-    n: int
-    I: frozenset[int]
+    space: tuple
     big_m: Fraction
 
 
-def _milp_root(rows, n: int, I: frozenset[int], big_m) -> MilpRoot:
-    """The root LP (_node_lp) of checked integer rows over n states and
-    protected rows I, solved once by lp's primal simplex from its crash
-    basis for every target row of that data, with the indexes by which a
-    vertex is read over the columns it moves only; ValueError unless big_m
-    is positive.  The solve must stop optimal at zero with a certified
-    tableau; SolverDefect otherwise."""
+def _milp_root(space, big_m) -> MilpRoot:
+    """The root LP (_node_lp) of space, solved once by lp's primal simplex
+    from its crash basis for every target row of its data; ValueError
+    unless big_m is positive.  The solve must stop optimal at zero with a
+    certified tableau; SolverDefect otherwise."""
     M = to_fraction(big_m)
     if M <= 0:
         raise ValueError("big_m must be positive")
-    rows = tuple(rows)
-    tcol = {j: pos for pos, j in enumerate(j for j in range(1, len(rows) + 1) if j not in I)}
-    tab, state = _node_lp(rows, n, I, M)
+    tab = _node_lp(space, M)
     if lp._run_simplex(tab, [0]) is not lp.LpStatus.OPTIMAL or tab.objective() != 0:
         raise SolverDefect("the target-free big-M root is not optimal at zero; solver defect")
     tab.check_optimal()
-    r = len(tcol)
-    trow = {t + s: j for j, t in tcol.items() for s in (0, r)}
-    # p Md d_c = -(pairs . t'), read over the lcm of |p| times Md
-    scale = math.lcm(*(abs(p) for _, p, _ in state))
-    tstate: dict[int, list[tuple[int, int]]] = {}
-    for c, p, pairs in state:
-        for t, v in pairs:
-            tstate.setdefault(t, []).append((c, -v * (scale // p)))
-    cols: list[list[int]] = [[] for _ in range(n)]
-    for j, row in enumerate(rows, start=1):
-        for c, _ in row:
-            cols[c].append(j)
     # a copy holds its rows in dicts of their final size
-    return MilpRoot(tab.copy(), {t: tuple(e) for t, e in tstate.items()}, scale * M.denominator,
-                    tcol, trow, tuple(map(tuple, cols)), rows, n, I, M)
+    return MilpRoot(tab.copy(), space, M)
 
 
 def _fix_one(tab: lp._Tableau, root: MilpRoot, j: int) -> lp.LpStatus:
     """y_j = 1 on tab: t'+_j and t'-_j cost nothing, and the primal simplex
     continues."""
-    t = root.tcol[j]
-    tab.add_cost({t: -1, t + len(root.tcol): -1})
+    t = root.space.ycol[j]
+    tab.add_cost({t: -1, t + len(root.space.free): -1})
     return lp._run_simplex(tab, [0])
 
 
@@ -223,11 +192,11 @@ def _target_tableau(root: MilpRoot, k: int) -> tuple[lp._Tableau, lp.LpStatus]:
     (_fix_one), then t'+_k - t'-_k, which k's link row holds at
     Md A(k,:) d, is held at Md (A(k,:) d = 1) by one appended row whose
     slack is fixed at 0, and the dual simplex restores the bounds."""
-    t = root.tcol[k]
+    t = root.space.ycol[k]
     tab = root.tab.copy()
     status = _fix_one(tab, root, k)
     if status is lp.LpStatus.OPTIMAL:
-        tab.add_row({t: 1, t + len(root.tcol): -1, lp.RHS: root.big_m.denominator})
+        tab.add_row({t: 1, t + len(root.space.free): -1, lp.RHS: root.big_m.denominator})
         tab.fix(tab.ncols - 1)
         status = lp._run_dual_simplex(tab, [0])
     return tab, status
@@ -235,21 +204,25 @@ def _target_tableau(root: MilpRoot, k: int) -> tuple[lp._Tableau, lp.LpStatus]:
 
 def _state_move(root: MilpRoot, X: dict[int, int], den: int) -> tuple[list[int], int]:
     """(numerators, denominator) of the state move d at the t' values X
-    (nonzero values by column over den), read from root's state rows
-    p Md d_c + pairs . t' = 0 over den * dscale.  Only X's entries are
-    visited (root.tstate): a t' at 0 adds nothing to any d_c, and a state
-    column without a row reads 0."""
-    d = [0] * root.n
+    (nonzero values by column over den), read from the state map of
+    root's space over den * scale * Md.  Only X's entries are visited: a
+    t' at 0 adds nothing to any d_c, and a state column without a pair
+    reads 0."""
+    space = root.space
+    r = len(space.free)
+    d = [0] * len(space.columns)
     for t, x in X.items():
-        for c, v in root.tstate.get(t, ()):
+        if t >= r:                      # t'-_j: the entries of t'+_j negated
+            t, x = t - r, -x
+        for c, v in space.state.get(t, ()):
             d[c] += v * x
-    return d, den * root.dscale
+    return d, den * space.scale * root.big_m.denominator
 
 
 def _held(root: MilpRoot, d: list[int]) -> set[int]:
     """The 1-based rows of root holding a state column d moves; every other
     row reads A(j,:) d = 0 exactly."""
-    return {j for c, v in enumerate(d) if v for j in root.cols[c]}
+    return {j for c, v in enumerate(d) if v for j in root.space.columns[c]}
 
 
 def _check_incumbent(root: MilpRoot, k: int, X: dict[int, int], den: int,
@@ -262,16 +235,17 @@ def _check_incumbent(root: MilpRoot, k: int, X: dict[int, int], den: int,
     fail, when it holds a state column d moves (_held) or, for a free row,
     one of its t' is nonzero in X.  Any other row reads 0 = 0 with both
     t' at 0."""
-    Md, r = root.big_m.denominator, len(root.tcol)
+    space = root.space
+    Md, r = root.big_m.denominator, len(space.free)
     top = root.big_m.numerator * den
     held = _held(root, d)
 
     def image(j):                     # dden * A(j,:) d
-        return sum(a * d[c] for c, a in root.rows[j - 1])
+        return sum(a * d[c] for c, a in space.rows[j - 1])
 
-    ok = image(k) == dden and not any(image(i) for i in root.I & held)
-    for j in root.tcol.keys() & held.union(root.trow[c] for c in X if c in root.trow):
-        t = root.tcol[j]
+    ok = image(k) == dden and not any(image(i) for i in space.I & held)
+    for j in space.ycol.keys() & held.union(space.free[c % r] for c in X if c < 2 * r):
+        t = space.ycol[j]
         tp, tm = X.get(t, 0), X.get(t + r, 0)
         ok = (ok and image(j) * den * Md == (tp - tm) * dden
               and 0 <= tp <= top and 0 <= tm <= top)
@@ -284,11 +258,12 @@ def _branch_and_bound(root: MilpRoot, k: int, *, cap: int = 100_000, trace=None)
     Returns (optimum, (d, den), support, nodes), d as integer numerators
     over den, or None; ValueError for a k outside root's rows or
     protected."""
-    k, _ = check_rows(len(root.rows), k, root.I)
-    Mn, r = root.big_m.numerator, len(root.tcol)
-    trow = root.trow
+    space = root.space
+    k, _ = check_rows(len(space.rows), k, space.I)
+    Mn, r = root.big_m.numerator, len(space.free)
+    owner = space.free             # t' column c is free row owner[c % r]'s
     # every unprotected row but the target, whose binary is fixed to 1
-    free = {j: c for j, c in root.tcol.items() if j != k}
+    free = {j: c for j, c in space.ycol.items() if j != k}
     best: int | None = None
     best_d: list[int] | None = None     # numerators over best_den
     best_den = 1
@@ -329,7 +304,7 @@ def _branch_and_bound(root: MilpRoot, k: int, *, cap: int = 100_000, trace=None)
         # rows the vertex moves, the zero fixings, and the lowest-index
         # fractional binary y_i = (t'+_i + t'-_i) / Mn
         value, frac, full = 1, None, Mn * den
-        for i in free.keys() & {trow[c] for c in X if c in trow}:
+        for i in free.keys() & {owner[c % r] for c in X if c < 2 * r}:
             c = free[i]
             tp, tm = X.get(c, 0), X.get(c + r, 0)
             value += tp != tm
@@ -360,8 +335,8 @@ def _branch_and_bound(root: MilpRoot, k: int, *, cap: int = 100_000, trace=None)
         stack.append((tab, fixed0 | {frac}, fixed1, frac))
     if best is None:
         return None
-    support = frozenset(j for j in root.tcol.keys() & _held(root, best_d)
-                        if sum(a * best_d[c] for c, a in root.rows[j - 1]))
+    support = frozenset(j for j in space.ycol.keys() & _held(root, best_d)
+                        if sum(a * best_d[c] for c, a in space.rows[j - 1]))
     if len(support) != best:
         raise SolverDefect("incumbent support disagrees with the optimum")
     return best, (best_d, best_den), support, nodes
@@ -376,8 +351,8 @@ def _bound(tab: lp._Tableau, Mn: int, fixed1) -> Fraction:
 def solve_milp_instance(prob: TUProblem, big_m=Fraction(2), *, cap: int = 100_000,
                         trace=None) -> tuple[int, tuple[Fraction, ...], frozenset[int], int] | None:
     """Branch and bound on the big-M formulation of prob (see _node_lp):
-    a fresh root for prob's rows, protected rows and big_m (_milp_root),
-    then target row prob.k on it, as milp_solve does on a system's kept
+    a fresh root for the meter space of prob's rows and protected rows
+    and big_m (_milp_root), then target row prob.k on it, as milp_solve does on a system's kept
     root.
 
     big_m must be positive and should dominate |A(j,:) d| at some optimum;
@@ -402,7 +377,7 @@ def solve_milp_instance(prob: TUProblem, big_m=Fraction(2), *, cap: int = 100_00
     against its zero fixings, before it is used.
 
     Every node's relaxation is itself an attack: d, read from the state
-    rows over the vertex's denominator (_state_move), meets the protected
+    map over the vertex's denominator (_state_move), meets the protected
     rows and the node's fixings, and the eliminated link rows give
     Md A(j,:) d = t'+_j - t'-_j, so d moves the target plus exactly the
     free rows with t'+_j != t'-_j.  When that count beats the best so
@@ -411,8 +386,9 @@ def solve_milp_instance(prob: TUProblem, big_m=Fraction(2), *, cap: int = 100_00
     (_check_incumbent).  At a leaf (no fractional binary) the count is at
     most the leaf's objective, so leaves need no rule of their own.
     Every node test reads the vertex in integers over its denominator,
-    and only at the free rows with a nonzero t' (the root's indexes, see
-    MilpRoot); every other free row is unmoved and within its fixings.
+    and only at the free rows with a nonzero t' (by the layout and column
+    index of the root's space); every other free row is unmoved and
+    within its fixings.
     Failed certificates and checks raise SolverDefect.
 
     More than cap nodes raise CapExceeded(cap); the default is over a
@@ -421,7 +397,7 @@ def solve_milp_instance(prob: TUProblem, big_m=Fraction(2), *, cap: int = 100_00
     free-text line per node.  Returns (optimum, d, support, nodes) or None
     when even the target's node is infeasible.
     """
-    root = _milp_root(prob.rows, prob.A.shape[1], prob.I, big_m)
+    root = _milp_root(meter_space(prob.rows, prob.A.shape[1], prob.I), big_m)
     out = _branch_and_bound(root, prob.k, cap=cap, trace=trace)
     if out is None:
         return None
@@ -432,8 +408,9 @@ def solve_milp_instance(prob: TUProblem, big_m=Fraction(2), *, cap: int = 100_00
 def milp_solve(net: Network, meas: MeasurementSystem, k: int) -> SecurityIndexResult:
     """Security index of flow meter k via the big-M reference solver.
 
-    Alternative to the l1 path: the same integer flow rows and the same
-    state elimination, an entirely different search, checked on the rows
+    Alternative to the l1 path: the same state elimination, read from the
+    system's one meter space (grid.Metering.meter_space), an entirely
+    different search, checked on the rows
     before elimination.  The system's target-free root, with the
     network's big-M (_big_m), is solved on its first MILP solve and kept
     by its grid.Metering (milp_root); each call runs branch and bound for

@@ -156,7 +156,7 @@ def security_index(net: Network, meas: MeasurementSystem, k: int) -> SecurityInd
     Returns the index together with a witness attack normalized to
     delta_z[k] = 1: a certified minimum-support attack.  The system's
     target-free l1 LP (tumin.solve_l1_base) is solved on its first call
-    and kept, with the flow rows it was solved for, by its grid.Metering;
+    and kept, with the meter space it was solved for, by its grid.Metering;
     each call re-optimizes a copy of it with meter k's row appended
     (tumin.solve_warm), as tumin.solve_min_support does on a fresh one.
     Raises InfeasibleIndex when protected meters pin meter k (no

@@ -7,25 +7,27 @@ relaxation, posed as a standard-form LP and solved exactly, attains the
 same optimum and an integral witness, so the combinatorial answer comes out
 of a single polynomial-time solve.  The LP is written once, in meter space:
 the state x is eliminated by Gauss-Jordan, leaving rows over the row
-slacks y plus state rows that give x back (_meter_space).  solve_l1_base
+slacks y and a state map that gives x back (meter_space, whose MeterSpace
+record also holds the checked data, the y layout and a column index, and
+is all the MILP oracle's root reads of this module's work).  solve_l1_base
 solves it without a target row once per (A, I) and keeps it as live
-lists with the rows and I it was solved for (L1Base); solve_warm(base, k)
-re-optimizes a shallow copy of it per target row k by a dual simplex and
-certifies the witness on base's own rows, and solve_min_support is the
-two on a fresh base.  A target pays for its pivots and for the rows its
-witness moves: its row is reduced over the two rows basic in its own
-columns, and the certificate reads A(j,:)x only on the rows that hold a
-column x moves (L1Base.columns).
+lists with that record (L1Base); solve_warm(base, k) re-optimizes a
+shallow copy of it per target row k by a dual simplex and certifies the
+witness on the record's rows, and solve_min_support is the two on a fresh
+base.  A target pays for its pivots and for the rows its witness moves:
+its row is reduced over the two rows basic in its own columns, and the
+certificate reads A(j,:)x only on the rows that hold a column x moves
+(MeterSpace.columns).
 
 For totally unimodular A every tableau of that LP is totally unimodular
 too, so the base and the warm step hold only -1, 0 and 1
 (lp._TernaryTableau: each row two bitmasks), and so do the state rows,
-kept as bitmasks keyed by y column with their pivot signs folded in.
-Data outside total unimodularity is an IntegralityError as soon as it
-shows: a state pivot or a meter-space entry outside {-1, 0, 1}, a pivot
-reaching +-2, or a witness the certificate rejects.  Such
-data may still have an integral l1 optimum, but l1 = cardinality is
-proved only under total unimodularity.
+whose map then reads x by integer sums.  Data outside total unimodularity
+is an IntegralityError as soon as it shows: a state pivot or a
+meter-space entry outside {-1, 0, 1} (MeterSpace.ternary), a pivot
+reaching +-2, or a witness the certificate rejects.  Such data may still
+have an integral l1 optimum, but l1 = cardinality is proved only under
+total unimodularity.
 
 Row indices (k, I, supports) are 1-based throughout this module.
 """
@@ -125,30 +127,65 @@ class TUSolution:
         return len(self.support)
 
 
-def _eliminate_states(rows, n: int, I: frozenset[int]) -> tuple[dict, dict]:
-    """(state, yrows): the rows A(I,:)x = 0, in ascending order, then
-    A(j,:)x - y+_j + y-_j = 0 for each unprotected row j, over n state
-    columns x and y+ / y- at columns n + pos / n + r + pos (pos the row's
-    place among the r unprotected rows), with x eliminated by Gauss-Jordan
-    in integers.  The data may be any integer rows.
+class MeterSpace(NamedTuple):
+    """meter_space's target-free l1 LP of checked integer rows over n state
+    columns with protected rows I, its state x eliminated: the one record
+    both kept roots of a measurement system read as is (solve_l1_base,
+    oracle._node_lp), and neither changes.
 
-    Each row that still holds a state column after reduction becomes the
-    state row of its smallest, state[c], and that column is eliminated
-    from the earlier state rows that hold it (found through a column
-    index); the other rows are over y only.  Taken first, a protected row
-    becomes a state row or reduces to nothing and is dropped, so each row
-    over y is an unprotected row's, the only row holding its y+ and y-
-    (with opposite entries): yrows[pos], returned with y+ / y- shifted to
-    pos / r + pos, the rows of both kept roots (_meter_space,
-    oracle._node_lp).  A state row reads p x_c + (free state columns) +
-    row . y = 0 with p any nonzero integer; a solution sets every state
-    column without a row to 0.
+    free holds the r unprotected rows, ascending, and ycol[j] the column
+    of y+_j, j's place among them; y-_j sits r columns on.  yrows are the
+    rows over y, each an unprotected row's, the only row holding its y+
+    and y-.  state[t], by y+ column t, holds the (state column c, a) pairs
+    that read x_c = sum a (y+_t - y-_t) / scale; a state column with no
+    pair reads 0.  columns[c] holds the 1-based rows with a nonzero in
+    state column c.  ternary: every state pivot and every entry of a state row
+    or of a row over y is -1 or 1 (and scale is then 1).
     """
+
+    rows: tuple[tuple[tuple[int, int], ...], ...]
+    I: frozenset[int]
+    free: tuple[int, ...]
+    ycol: dict[int, int]
+    yrows: tuple[dict[int, int], ...]
+    state: dict[int, tuple[tuple[int, int], ...]]
+    scale: int
+    columns: tuple[tuple[int, ...], ...]
+    ternary: bool
+
+
+def meter_space(rows, n: int, I=frozenset()) -> MeterSpace:
+    """The meter-space record of integer rows (sparse_rows pairs) over n
+    state columns and protected rows I; ValueError for a protected row or
+    a column outside the data.  The data may be any integer rows.
+
+    The rows A(I,:)x = 0, in ascending order, then A(j,:)x - y+_j + y-_j
+    = 0 for each unprotected row j, over x and y+ / y- at columns n + pos
+    / n + r + pos (pos = ycol[j]), are reduced by Gauss-Jordan in
+    integers.  Each row that still holds a state column after reduction
+    becomes the state row of its smallest, c, and that column is
+    eliminated from the earlier state rows that hold it (found through a
+    column index); the other rows are over y only.  Taken first, a
+    protected row becomes a state row or reduces to nothing and is
+    dropped, so each row over y is an unprotected row's.  A state row
+    reads p x_c + (free state columns) + row . y = 0 with p any nonzero
+    integer, and each row holds y-_t at minus its y+_t (row_t): setting
+    every state column without a row to 0, x_c = -sum row_t (y+_t - y-_t)
+    / p.
+    """
+    rows = tuple(rows)
+    I = _protected_rows(len(rows), I)
+    columns: list[list[int]] = [[] for _ in range(n)]
+    for j, row in enumerate(rows, start=1):
+        for c, _ in row:
+            if not 0 <= c < n:
+                raise ValueError(f"column {c} outside 0..{n - 1}")
+            columns[c].append(j)
     free = [j for j in range(1, len(rows) + 1) if j not in I]
     r = len(free)
     state: dict[int, dict[int, int]] = {}
     holders: dict[int, set[int]] = {}       # state column -> state rows holding it
-    yrows = {}
+    yrows = []
     for pos, j in enumerate(sorted(I) + free, start=-len(I)):
         row = dict(rows[j - 1])
         if pos >= 0:
@@ -161,7 +198,7 @@ def _eliminate_states(rows, n: int, I: frozenset[int]) -> tuple[dict, dict]:
         c = min(row, default=n)
         if c >= n:
             if row:
-                yrows[pos] = row
+                yrows.append(row)
             continue
         others = [s for s in row if s < n and s != c]
         for q in holders.pop(c, ()):
@@ -176,109 +213,77 @@ def _eliminate_states(rows, n: int, I: frozenset[int]) -> tuple[dict, dict]:
         for s in others:
             holders.setdefault(s, set()).add(c)
         state[c] = row
-    return state, {pos: {j - n: v for j, v in row.items()} for pos, row in yrows.items()}
-
-
-def _meter_space(rows, n: int, I: frozenset[int]) -> tuple[list, list[int], list[int], int]:
-    """(rows over y, spos, sneg, width) of the l1 LP of integer rows over n
-    state columns, without a target row and with its state x eliminated
-    (_eliminate_states): cost sum(y+) + sum(y-) over its width columns
-    y = (y+, y-).  Each row over y is an unprotected row j, the only one
-    holding y+_j and y-_j: a crash basis covers it.  Column c's state row
-    p x_c + row . y = 0 has p = +-1, so x_c = -p row . y: spos[j] /
-    sneg[j] are bitmasks of the columns whose p row holds +1 / -1 at y+_j
-    (the negative at y-_j); any other state column is 0.
-    IntegralityError for a p or entry outside {-1, 0, 1}.
-    """
-    state, yrows = _eliminate_states(rows, n, I)
-    r = len(rows) - len(I)
-    for row in [*state.values(), *yrows.values()]:     # the final rows: a state column and y only
-        if any(v not in (-1, 1) for v in row.values()):
-            raise IntegralityError("a meter-space entry leaves {-1, 0, 1}: "
-                                   "the data is not totally unimodular")
-    spos, sneg = [0] * r, [0] * r
-    for c, row in state.items():
-        p = row[c]
-        for j, v in row.items():
-            if n <= j < n + r:
-                (spos if v == p else sneg)[j - n] |= 1 << c
-    return list(yrows.values()), spos, sneg, 2 * r
+    ternary = all(v in (-1, 1) for row in [*state.values(), *yrows] for v in row.values())
+    scale = math.lcm(*(abs(srow[c]) for c, srow in state.items()))
+    pairs: dict[int, list[tuple[int, int]]] = {}
+    for c, srow in state.items():
+        p = srow[c]
+        for t, v in srow.items():
+            if n <= t < n + r:
+                pairs.setdefault(t - n, []).append((c, -v * (scale // p)))
+    return MeterSpace(rows, I, tuple(free), {j: pos for pos, j in enumerate(free)},
+                      tuple({t - n: v for t, v in row.items()} for row in yrows),
+                      {t: tuple(e) for t, e in pairs.items()}, scale,
+                      tuple(map(tuple, columns)), ternary)
 
 
 def build_l1_lp(problem: TUProblem) -> lp.StandardFormLP:
-    """The l1 relaxation of problem in one piece: _meter_space's rows, then
-    the target row y+_k - y-_k = 1, i.e. A(k,:)x = 1.  The solve path builds
-    the same LP in two steps (solve_l1_base, then solve_warm's row)."""
-    rows, _, _, width = _meter_space(problem.rows, problem.A.shape[1], problem.I)
-    y = _y_column(problem.I, problem.k)
-    rows.append({y: 1, y + width // 2: -1, lp.RHS: 1})
-    return lp.StandardFormLP.from_int_rows(rows, dict.fromkeys(range(width), 1), width)
+    """The l1 relaxation of problem in one piece: the rows over y of its
+    meter space, then the target row y+_k - y-_k = 1, i.e. A(k,:)x = 1,
+    at cost sum(y+) + sum(y-).  The solve path builds the same LP in two
+    steps (solve_l1_base, then solve_warm's row)."""
+    space = meter_space(problem.rows, problem.A.shape[1], problem.I)
+    r = len(space.free)
+    y = space.ycol[problem.k]
+    rows = [*space.yrows, {y: 1, y + r: -1, lp.RHS: 1}]
+    return lp.StandardFormLP.from_int_rows(rows, dict.fromkeys(range(2 * r), 1), 2 * r)
 
 
 def solve_min_support(problem: TUProblem) -> TUSolution | None:
     """Exact minimum-support solve; None when the constraints are infeasible:
     solve_warm on a base solved for problem's rows and protection alone."""
-    return solve_warm(solve_l1_base(problem.rows, problem.A.shape[1], problem.I), problem.k)
+    return solve_warm(solve_l1_base(meter_space(problem.rows, problem.A.shape[1], problem.I)),
+                      problem.k)
 
 
 class L1Base(NamedTuple):
-    """solve_l1_base's solved target-free l1 LP of rows and I, as live lists.
+    """solve_l1_base's solved target-free l1 LP of space, as live lists.
 
-    pos, neg, basis and z are its optimal ternary tableau (lp._TernaryTableau,
-    every basic value 0); spos and sneg are its state rows (_meter_space);
-    columns[c] holds the rows with a nonzero in state column c.  solve_warm
-    copies the tableau lists shallowly (their ints are immutable) and only
-    reads the rest, so a base serves every target unchanged.
+    pos, neg, basis and z are its optimal ternary tableau
+    (lp._TernaryTableau, every basic value 0).  solve_warm copies those
+    lists shallowly (their ints are immutable) and only reads space, so a
+    base serves every target unchanged.
     """
 
     pos: list[int]
     neg: list[int]
     basis: list[int]
     z: list[int]
-    spos: list[int]
-    sneg: list[int]
-    columns: tuple[tuple[int, ...], ...]
-    rows: tuple[tuple[tuple[int, int], ...], ...]
-    I: frozenset[int]
+    space: MeterSpace
 
 
-def solve_l1_base(rows, n: int, I=frozenset()) -> L1Base:
-    """The l1 LP of integer rows (sparse_rows pairs) over n state columns
-    and protected rows I without a target row, in meter space
-    (_meter_space), solved once for every target row of that data;
-    ValueError for a protected row or a column outside the data.
-
-    Each row is basic in its lp._crash_basis column at value 0, lp's
-    primal simplex runs on that ternary tableau, and its optimality is
-    checked (an unbounded stop fails it too).
-    Data that is not totally unimodular can raise IntegralityError here.
+def solve_l1_base(space: MeterSpace) -> L1Base:
+    """The l1 LP of space, cost sum(y+) + sum(y-), solved once for every
+    target row of its data.  Each row over y is basic in its
+    lp._crash_basis column at value 0, lp's primal simplex runs on that
+    ternary tableau, and its optimality is checked (an unbounded stop
+    fails it too).  IntegralityError unless space is ternary; data that
+    is not totally unimodular can also raise it in the simplex.
     """
-    rows = tuple(rows)
-    I = _protected_rows(len(rows), I)
-    columns: list[list[int]] = [[] for _ in range(n)]
-    for j, row in enumerate(rows, start=1):
-        for c, _ in row:
-            if not 0 <= c < n:
-                raise ValueError(f"column {c} outside 0..{n - 1}")
-            columns[c].append(j)
-    yrows, spos, sneg, width = _meter_space(rows, n, I)
+    if not space.ternary:
+        raise IntegralityError("a meter-space entry leaves {-1, 0, 1}: "
+                               "the data is not totally unimodular")
+    width = 2 * len(space.free)
     z, pos, neg = [1] * width, [], []     # z: reduced costs
-    for row in yrows:
+    for row in space.yrows:
         for j, v in row.items():
             z[j] -= v
         pos.append(sum(1 << j for j, v in row.items() if v == 1))
         neg.append(sum(1 << j for j, v in row.items() if v == -1))
-    tab = lp._TernaryTableau(pos, neg, [0] * len(yrows), lp._crash_basis(yrows, width), z)
+    tab = lp._TernaryTableau(pos, neg, [0] * len(pos), lp._crash_basis(space.yrows, width), z)
     lp._run_simplex(tab, [0])
     tab.check_optimal()
-    return L1Base(tab.pos, tab.neg, tab.basis, tab.z, spos, sneg, tuple(map(tuple, columns)),
-                  rows, I)
-
-
-def _y_column(I: frozenset[int], j: int) -> int:
-    """The column of y+_j in the meter-space LP: unprotected row j's place
-    among the unprotected rows, 0-based."""
-    return j - 1 - sum(i < j for i in I)
+    return L1Base(tab.pos, tab.neg, tab.basis, tab.z, space)
 
 
 def solve_warm(base: L1Base, k: int) -> TUSolution | None:
@@ -291,60 +296,60 @@ def solve_warm(base: L1Base, k: int) -> TUSolution | None:
     y-_k = 0, and lp's dual simplex restores nonnegative values.  The
     objective is positively homogeneous and at least |A(k,:)x|, so every
     optimum has A(k,:)x = 1 and s = 0, an optimum of build_l1_lp of the
-    same data.  x is read from base's state rows.
+    same data.  x is read from base's state map.
     """
-    k, I = check_rows(len(base.rows), k, base.I)
-    y = _y_column(I, k)
+    space = base.space
+    k, _ = check_rows(len(space.rows), k, space.I)
+    y = space.ycol[k]
     tab = lp._TernaryTableau(base.pos[:], base.neg[:], [0] * len(base.basis), base.basis[:],
                              base.z[:])
-    tab.add_row(1 << (y + len(base.spos)), 1 << y, -1)
+    tab.add_row(1 << (y + len(space.free)), 1 << y, -1)
     if lp._run_dual_simplex(tab, [0]) is lp.LpStatus.INFEASIBLE:
         return None
-    return _certified_solution(tab, base, k)
+    return _certified_solution(tab, space, k)
 
 
-def _state_values(vals: dict[int, int], base: L1Base) -> dict[int, int]:
+def _state_values(vals: dict[int, int], space: MeterSpace) -> dict[int, int]:
     """The nonzero entries of x, by column, at the y values vals (by
-    column) from base's state rows, touching only the state columns of the
-    nonzero y."""
-    pos, neg = base.spos, base.sneg
-    r = len(pos)
+    column) from space's state map (scale 1 on ternary data), touching
+    only the state columns of the nonzero y."""
+    r = len(space.free)
     x: dict[int, int] = {}
     for j, v in vals.items():
         if j >= r:                      # y-_j: the entries of y+_j negated
             j, v = j - r, -v
-        for c in lp._bits(pos[j]):
-            x[c] = x.get(c, 0) - v
-        for c in lp._bits(neg[j]):
-            x[c] = x.get(c, 0) + v
+        for c, a in space.state.get(j, ()):
+            x[c] = x.get(c, 0) + a * v
     return {c: v for c, v in x.items() if v}
 
 
-def _certified_solution(tab: lp._TernaryTableau, base: L1Base, k: int) -> TUSolution:
-    """The minimum-support solution of row k at base's optimal tableau, checked.
+def _certified_solution(tab: lp._TernaryTableau, space: MeterSpace, k: int) -> TUSolution:
+    """The minimum-support solution of row k at the optimal tableau of
+    space's LP, checked.
 
     The tableau must read optimal, every column past the y block (the
     target row's slack) must be zero, and the objective must equal the y
-    sum.  The state move x, read from base's state rows, must satisfy
-    A(I,:)x = 0 and A(k,:)x = 1 on base's integer rows, and touch as many
+    sum.  The state move x, read from space's state map, must satisfy
+    A(I,:)x = 0 and A(k,:)x = 1 on space's integer rows, and touch as many
     rows as the objective, in the unimodular pattern: x and every nonzero
     A(j,:)x in {-1, 1}.  A(j,:)x is evaluated on the rows that hold a
-    column x moves (base's column index); every other row reads 0.  SolverDefect otherwise (its subclass
-    IntegralityError for a broken integrality pattern).
+    column x moves (space's column index); every other row reads 0.
+    SolverDefect otherwise (its subclass IntegralityError for a broken
+    integrality pattern).
     """
     tab.check_optimal()
     vals, _ = tab.values()
-    if any(c >= 2 * len(base.spos) for c in vals):
+    if any(c >= 2 * len(space.free) for c in vals):
         raise SolverDefect("the target row's slack is not zero; solver defect")
     objective = tab.objective()
     if objective != sum(vals.values()):
         raise SolverDefect("objective bookkeeping mismatch; solver defect")
-    moved = _state_values(vals, base)
-    x = [0] * len(base.columns)
+    moved = _state_values(vals, space)
+    x = [0] * len(space.columns)
     for c, v in moved.items():
         x[c] = v
-    image = _image(base.rows, x, {j for c in moved for j in base.columns[c]})
-    if image.get(k) != 1 or any(j in base.I for j in image):
+    image = _image(space.rows, x, {j for c in moved for j in space.columns[c]})
+    if image.get(k) != 1 or any(j in space.I for j in image):
         raise SolverDefect("witness breaks the target or a protected row; solver defect")
     sol = TUSolution(tuple(x), frozenset(image))
     if sol.cardinality != objective:

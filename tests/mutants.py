@@ -54,31 +54,30 @@ MUTANTS = (
     _one("target_tableau re-optimizes the kept root in place", ORACLE,
          "tab = root.tab.copy()", "tab = root.tab"),
     _one("milp_root ignores the protection", GRID,
-         "_milp_root(self.flow_pairs, self.net.n_states, self.meas.protected,",
-         "_milp_root(self.flow_pairs, self.net.n_states, frozenset(),"),
+         "_milp_root(self.meter_space, ",
+         "_milp_root(meter_space(self.flow_pairs, self.net.n_states, frozenset()), "),
     _one("no incumbent check", ORACLE,
          "            _check_incumbent(root, k, X, den, d, dden)\n", ""),
     _one("incumbent check without the target clause", ORACLE,
          "ok = image(k) == dden and not any(", "ok = not any("),
     _one("incumbent check without the protected clause", ORACLE,
-         "ok = image(k) == dden and not any(image(i) for i in root.I & held)", "ok = image(k) == dden"),
+         "ok = image(k) == dden and not any(image(i) for i in space.I & held)", "ok = image(k) == dden"),
     _one("incumbent check without the link clause", ORACLE,
          "ok = (ok and image(j) * den * Md == (tp - tm) * dden\n              and", "ok = (ok\n              and"),
     _one("incumbent check without the bound clause", ORACLE,
          "\n              and 0 <= tp <= top and 0 <= tm <= top)", ")"),
     _one("incumbent check skips the rows only X moves", ORACLE,
-         "held.union(root.trow[c] for c in X if c in root.trow)", "held"),
+         "held.union(space.free[c % r] for c in X if c < 2 * r)", "held"),
     _one("incumbent check reads d over 1", ORACLE,
          "ok = image(k) == dden and", "ok = image(k) == 1 and"),
     _one("milp_root without its certificate", ORACLE,
-         "    tab.check_optimal()\n    r = len(tcol)\n", "    r = len(tcol)\n"),
+         "    tab.check_optimal()\n    # a copy holds", "    # a copy holds"),
     _one("the MILP reads d from the state rows with the wrong sign", ORACLE,
-         "tstate.setdefault(t, []).append((c, -v * (scale // p)))",
-         "tstate.setdefault(t, []).append((c, v * (scale // p)))"),
+         "            d[c] += v * x\n", "            d[c] -= v * x\n"),
     _one("branch and bound branches the target", ORACLE,
-         "free = {j: c for j, c in root.tcol.items() if j != k}", "free = dict(root.tcol)"),
+         "free = {j: c for j, c in space.ycol.items() if j != k}", "free = dict(space.ycol)"),
     _one("the node loop skips a moved free row", ORACLE,
-         "{trow[c] for c in X if c in trow}", "{trow[c] for c in X if c < r}"),
+         "{owner[c % r] for c in X if c < 2 * r}", "{owner[c % r] for c in X if c < r}"),
     _one("no zero-fixing check", ORACLE,
          "                if tp or tm:\n"
          "                    raise SolverDefect(\"node vertex moves a row fixed to zero; solver defect\")\n",
@@ -86,10 +85,17 @@ MUTANTS = (
     _one("a zero-fixing bounds only t'+_j", ORACLE,
          "            tab.fix(free[j] + r)\n", ""),
     Mutant("the MILP reads t'-_j at t + 1", (
-        (ORACLE, "tab.add_cost({t: -1, t + len(root.tcol): -1})", "tab.add_cost({t: -1, t + 1: -1})"),
-        (ORACLE, "tab.add_row({t: 1, t + len(root.tcol): -1,", "tab.add_row({t: 1, t + 1: -1,"),
-        (ORACLE, "Md, r = root.big_m.denominator, len(root.tcol)", "Md, r = root.big_m.denominator, 1"),
-        (ORACLE, "Mn, r = root.big_m.numerator, len(root.tcol)", "Mn, r = root.big_m.numerator, 1"))),
+        (ORACLE, "tab.add_cost({t: -1, t + len(root.space.free): -1})",
+         "tab.add_cost({t: -1, t + 1: -1})"),
+        (ORACLE, "tab.add_row({t: 1, t + len(root.space.free): -1,", "tab.add_row({t: 1, t + 1: -1,"),
+        (ORACLE, "    r = len(space.free)\n    d = [0]", "    r = 1\n    d = [0]"),
+        (ORACLE, "Md, r = root.big_m.denominator, len(space.free)", "Md, r = root.big_m.denominator, 1"),
+        (ORACLE, "Mn, r = root.big_m.numerator, len(space.free)", "Mn, r = root.big_m.numerator, 1"))),
+    Mutant("the state map reads y- unnegated", (
+        (TUMIN, "            j, v = j - r, -v\n", "            j, v = j - r, v\n"),
+        (ORACLE, "            t, x = t - r, -x\n", "            t, x = t - r, x\n"))),
+    _one("_node_lp pivots the shared rows without copying", ORACLE,
+         "    rows = [dict(row) for row in space.yrows]\n", "    rows = list(space.yrows)\n"),
     _one("node cap off by one", ORACLE, "if nodes > cap:", "if nodes > cap + 1:"),
     _one("no final support check", ORACLE,
          "    if len(support) != best:\n"
@@ -132,10 +138,10 @@ MUTANTS = (
     _one("solve_l1_base without its certificate", TUMIN,
          "    lp._run_simplex(tab, [0])\n    tab.check_optimal()\n", "    lp._run_simplex(tab, [0])\n"),
     _one("meter space checks the state rows only", TUMIN,
-         "for row in [*state.values(), *yrows.values()]:", "for row in state.values():"),
+         "for row in [*state.values(), *yrows]", "for row in state.values()"),
     _one("the elimination drops a y-row", TUMIN,
-         "            if row:\n                yrows[pos] = row\n",
-         "            if row and pos != r - 1:\n                yrows[pos] = row\n"),
+         "            if row:\n                yrows.append(row)\n",
+         "            if row and pos != r - 1:\n                yrows.append(row)\n"),
     Mutant("meter space takes the protected rows last", (
         (TUMIN, "enumerate(sorted(I) + free, start=-len(I))", "enumerate(free + sorted(I))"),
         (TUMIN, "        if pos >= 0:\n", "        if pos < r:\n"))),
@@ -145,9 +151,9 @@ MUTANTS = (
     _one("certificate without the target clause", TUMIN,
          "if image.get(k) != 1 or any(", "if any("),
     _one("certificate without the protected clause", TUMIN,
-         "if image.get(k) != 1 or any(j in base.I for j in image):", "if image.get(k) != 1:"),
+         "if image.get(k) != 1 or any(j in space.I for j in image):", "if image.get(k) != 1:"),
     _one("certificate without the slack check", TUMIN,
-         "    if any(c >= 2 * len(base.spos) for c in vals):\n"
+         "    if any(c >= 2 * len(space.free) for c in vals):\n"
          "        raise SolverDefect(\"the target row's slack is not zero; solver defect\")\n", ""),
     _one("certificate without the pattern check", TUMIN,
          "    if any(v not in (-1, 1) for v in moved.values()) or any(v not in (-1, 1) for v in image.values()):\n"

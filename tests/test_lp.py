@@ -32,7 +32,7 @@ from gridsec.lp import (
     solve_lp,
     verify_bfs,
 )
-from gridsec.tumin import TUProblem, _eliminate_states
+from gridsec.tumin import TUProblem, meter_space
 
 
 def test_minimize_sum_on_simplex():
@@ -575,11 +575,16 @@ def test_dual_simplex_pivot_budget_is_solver_defect(monkeypatch):
 SIXBUS_MILP = TUProblem(SIXBUS_A, 6)
 
 
+def _sixbus_space(I=SIXBUS_MILP.I):
+    """SIXBUS_MILP's meter space under protection I."""
+    return meter_space(SIXBUS_MILP.rows, 5, I)
+
+
 def _sixbus_layout():
-    """(tcol, r) of SIXBUS_MILP's root, read from the root itself: the
+    """(ycol, r) of SIXBUS_MILP's root, read from its meter space: the
     column of t'+_j by free row j, and the offset of t'-_j from it."""
-    root = oracle._milp_root(SIXBUS_MILP.rows, 5, SIXBUS_MILP.I, Fraction(2))
-    return root.tcol, len(root.tcol)
+    space = _sixbus_space()
+    return space.ycol, len(space.free)
 
 
 @pytest.mark.parametrize("forge", ["reduced cost", "basic value"])
@@ -650,11 +655,11 @@ def test_a_forged_node_vertex_is_caught(monkeypatch):
     # objective still hold, but the d read from the state rows flips sign
     # and misses A(k,:) d = 1
     real = lp_module._Tableau.values
-    tcol, r = _sixbus_layout()
+    ycol, r = _sixbus_layout()
 
     def swapped(tab):
         x, den = real(tab)
-        for c in tcol.values():
+        for c in ycol.values():
             x[c], x[c + r] = x.get(c + r, 0), x.get(c, 0)
         return {c: v for c, v in x.items() if v}, den
 
@@ -670,15 +675,17 @@ def test_a_vertex_off_a_cycle_row_is_caught(monkeypatch):
     # t'+_j and t'-_j on both cycle rows, which keeps every bound, the
     # objective and d, and only the link rows Md A(j,:) d = t'+_j - t'-_j
     # fail: every vertex moves the target's row 6
-    free = SIXBUS_MILP.free_rows
-    cycle = [free[pos] for pos in _eliminate_states(SIXBUS_MILP.rows, 5, SIXBUS_MILP.I)[1]]
-    assert cycle == [6, 7]
+    space = _sixbus_space()
+    # a cycle row's own t'+_j is held by its row over t' alone, never by a
+    # state row
+    cycle = [j for j in space.free if space.ycol[j] not in space.state]
+    assert cycle == [6, 7] and len(space.yrows) == 2
     real = lp_module._Tableau.values
-    tcol, r = _sixbus_layout()
+    ycol, r = space.ycol, len(space.free)
 
     def swapped(tab):
         x, den = real(tab)
-        for t in map(tcol.get, cycle):
+        for t in map(ycol.get, cycle):
             x[t], x[t + r] = x.get(t + r, 0), x.get(t, 0)
         return {c: v for c, v in x.items() if v}, den
 
@@ -711,10 +718,10 @@ def _root_point(root, d):
     """The point of root's layout at the state move d, as (t' values by
     column, their denominator, d's numerators, d's denominator): each free
     row's t'+_j - t'-_j = Md A(j,:) d, big_m = Mn / Md."""
-    x = {}
-    for j, t in root.tcol.items():
-        a = sum(v * d[c] for c, v in root.rows[j - 1]) * root.big_m.denominator
-        x[t if a > 0 else t + len(root.tcol)] = abs(a)
+    x, space = {}, root.space
+    for j, t in space.ycol.items():
+        a = sum(v * d[c] for c, v in space.rows[j - 1]) * root.big_m.denominator
+        x[t if a > 0 else t + len(space.free)] = abs(a)
     nums, den = scale_row([*x.values(), *d])
     return {c: v for c, v in zip(x, nums) if v}, den, nums[len(x):], den
 
@@ -724,10 +731,10 @@ def test_an_incumbent_off_a_protected_row_is_caught():
     # of the unprotected root, but not of a root that protects either
     _, d, support, _ = oracle.solve_milp_instance(SIXBUS_MILP)
     assert len(support) == 3 and 6 in support
-    root = oracle._milp_root(SIXBUS_MILP.rows, 5, frozenset(), Fraction(2))
+    root = oracle._milp_root(_sixbus_space(frozenset()), Fraction(2))
     oracle._check_incumbent(root, 6, *_root_point(root, d))
     for j in support - {6}:
-        root = oracle._milp_root(SIXBUS_MILP.rows, 5, frozenset({j}), Fraction(2))
+        root = oracle._milp_root(_sixbus_space(frozenset({j})), Fraction(2))
         with pytest.raises(SolverDefect, match="root row"):
             oracle._check_incumbent(root, 6, *_root_point(root, d))
 
@@ -737,9 +744,9 @@ def test_an_incumbent_past_its_bounds_is_caught():
     # past one of 2/3 (t' = 3 against Mn = 2), links and target intact
     _, d, _, _ = oracle.solve_milp_instance(SIXBUS_MILP)
     assert {abs(v) for v in SIXBUS_A @ np.array(d, dtype=object)} == {0, 1}
-    root = oracle._milp_root(SIXBUS_MILP.rows, 5, frozenset(), Fraction(1))
+    root = oracle._milp_root(_sixbus_space(), Fraction(1))
     oracle._check_incumbent(root, 6, *_root_point(root, d))
-    root = oracle._milp_root(SIXBUS_MILP.rows, 5, frozenset(), Fraction(2, 3))
+    root = oracle._milp_root(_sixbus_space(), Fraction(2, 3))
     with pytest.raises(SolverDefect, match="root row"):
         oracle._check_incumbent(root, 6, *_root_point(root, d))
 
@@ -749,14 +756,15 @@ def test_an_incumbent_off_a_link_row_is_caught_where_either_side_moves():
     # with a t' in X: a t' on a row that holds none, or a moved row with
     # both t' dropped, breaks that row's link
     _, d, support, _ = oracle.solve_milp_instance(SIXBUS_MILP)
-    root = oracle._milp_root(SIXBUS_MILP.rows, 5, frozenset(), Fraction(2))
+    root = oracle._milp_root(_sixbus_space(), Fraction(2))
     X, den, dn, dden = _root_point(root, d)
     oracle._check_incumbent(root, 6, X, den, dn, dden)
-    still = next(j for j in root.tcol if not any(d[c] for c, _ in root.rows[j - 1]))
+    ycol = root.space.ycol
+    still = next(j for j in ycol if not any(d[c] for c, _ in root.space.rows[j - 1]))
     with pytest.raises(SolverDefect, match="root row"):
-        oracle._check_incumbent(root, 6, {**X, root.tcol[still]: den}, den, dn, dden)
-    t = root.tcol[min(support - {6})]
-    dropped = {c: v for c, v in X.items() if c not in (t, t + len(root.tcol))}
+        oracle._check_incumbent(root, 6, {**X, ycol[still]: den}, den, dn, dden)
+    t = ycol[min(support - {6})]
+    dropped = {c: v for c, v in X.items() if c not in (t, t + len(ycol))}
     with pytest.raises(SolverDefect, match="root row"):
         oracle._check_incumbent(root, 6, dropped, den, dn, dden)
 
@@ -765,11 +773,11 @@ def test_a_miscounted_incumbent_is_caught_by_its_support(monkeypatch):
     # with the incumbent check off, a vertex whose t columns hide one moved
     # row counts one row fewer than its d moves
     real = lp_module._Tableau.values
-    tcol, r = _sixbus_layout()
+    ycol, r = _sixbus_layout()
 
     def hiding(tab):
         x, den = real(tab)
-        for j, c in tcol.items():
+        for j, c in ycol.items():
             if j != SIXBUS_MILP.k and x.get(c, 0) != x.get(c + r, 0):
                 x.pop(c, None)
                 x.pop(c + r, None)

@@ -1,5 +1,6 @@
 """Exhaustive oracles, big-M branch and bound, and sparse-recovery diagnostics."""
 import ast
+import copy
 import io
 import math
 import random
@@ -51,12 +52,13 @@ from gridsec.errors import (
     ZeroColumn,
 )
 from gridsec.exactla import EchelonBasis, int_rank
+from gridsec import grid
 from gridsec.grid import incidence, metering
 from gridsec import lp, oracle
 from gridsec.oracle import CsInstance, _big_m, _node_lp, coherence_bound, solve_milp_instance
 from oracle_helpers import big_m_min_support
 from gridsec.security import _exact_result
-from gridsec.tumin import _eliminate_states, _meter_space, solve_l1_base
+from gridsec.tumin import meter_space, solve_l1_base
 
 
 class TestExhaustiveMinSupport:
@@ -155,8 +157,10 @@ class TestMilp:
         protected = frozenset({1, 3, 5, 6})
         for k in (2, 4, 7):
             prob = TUProblem(SIXBUS_A, k, protected)
-            tab, state = _node_lp(prob.rows, 5, prob.I, Fraction(2))
-            assert len(state) + len(tab.rows) == len(prob.rows) - 1
+            tab = _node_lp(meter_space(prob.rows, 5, prob.I), Fraction(2))
+            # one state row per unit of rank, one row over t' per other
+            # row but the dependent one
+            assert int_rank(SIXBUS_A) + len(tab.rows) == len(prob.rows) - 1
             value, _, support, _ = solve_milp_instance(prob)
             assert value == exhaustive_min_support(SIXBUS_A, k, protected)
             assert support.isdisjoint(protected)
@@ -326,8 +330,8 @@ class TestKeptRoot:
                 assert (None if fresh is None else fresh[0]) == want
                 assert _index_or_none(milp_solve, net, system, k) == want
             root = mtr.milp_root
-            assert root.rows is mtr.flow_pairs
-            assert (root.I, root.big_m) == (plan, _big_m(net))
+            assert root.space is mtr.meter_space and root.space.rows is mtr.flow_pairs
+            assert (root.space.I, root.big_m) == (plan, _big_m(net))
             roots.append(root)
             for k in plan:
                 with pytest.raises(ValueError, match="cannot be protected"):
@@ -338,22 +342,23 @@ class TestKeptRoot:
 
 
 class TestOneMeterSpaceRoot:
-    """Before its solve, the MILP root (_node_lp) holds the l1 base's rows
-    over the same columns, t'+_j and t'-_j where y+_j and y-_j are, and
-    starts from the same basis, lp._crash_basis of those rows."""
+    """Both kept roots read one meter-space record (tumin.meter_space): before
+    its solve, the MILP root (_node_lp) holds the l1 base's rows over the
+    same columns, t'+_j and t'-_j where y+_j and y-_j are, and starts from
+    the same basis, lp._crash_basis of those rows."""
 
     @staticmethod
     def check(rows, n, I, monkeypatch):
-        tab, _ = _node_lp(rows, n, I, Fraction(2))
-        yrows, _, _, width = _meter_space(rows, n, I)
-        assert (tab.rows, tab.ncols) == (yrows, width)
-        assert tab.basis == lp._crash_basis(yrows, width)
+        space = meter_space(rows, n, I)
+        tab, width = _node_lp(space, Fraction(2)), 2 * len(space.free)
+        assert (tab.rows, tab.ncols) == (list(space.yrows), width)
+        assert tab.basis == lp._crash_basis(space.yrows, width)
         # the basis the l1 base's own primal simplex starts from
         starts, real = [], lp._run_simplex
         with monkeypatch.context() as m:
             m.setattr(lp, "_run_simplex",
                       lambda t, pivots: (starts.append(list(t.basis)), real(t, pivots))[1])
-            solve_l1_base(rows, n, I)
+            solve_l1_base(space)
         assert starts == [tab.basis]
 
     @pytest.mark.parametrize("protect", [3, 0])
@@ -377,13 +382,40 @@ class TestOneMeterSpaceRoot:
         # elimination's rows as they are
         A = np.array([[1, 2, 0], [2, -1, 1], [1, 1, 1], [0, 2, -1], [1, 0, 2], [2, 1, 0]])
         prob = TUProblem(A, 1, frozenset({4}))
+        space = meter_space(prob.rows, 3, prob.I)
+        assert not space.ternary
         with pytest.raises(IntegralityError):
-            _meter_space(prob.rows, 3, prob.I)
-        tab, _ = _node_lp(prob.rows, 3, prob.I, Fraction(2))
-        yrows = list(_eliminate_states(prob.rows, 3, prob.I)[1].values())
-        assert any(abs(v) > 1 for row in yrows for v in row.values())
-        assert (tab.rows, tab.ncols) == (yrows, 10)
-        assert tab.basis == lp._crash_basis(yrows, 10)
+            solve_l1_base(space)
+        tab = _node_lp(space, Fraction(2))
+        assert any(abs(v) > 1 for row in space.yrows for v in row.values())
+        assert (tab.rows, tab.ncols) == (list(space.yrows), 10)
+        assert tab.basis == lp._crash_basis(space.yrows, 10)
+
+    def test_both_roots_read_one_elimination_per_system(self, monkeypatch):
+        calls, real = [], grid.meter_space
+        monkeypatch.setattr(grid, "meter_space", lambda *a: calls.append(a[2]) or real(*a))
+        net, meas = parse_case(IEEE14_CASE)
+        plans = [frozenset(), frozenset({2, 9, 17})]
+        for plan in plans:
+            mtr = metering(net, MeasurementSystem(meas.flow_meters, protected=plan))
+            assert mtr.l1_base.space is mtr.milp_root.space is mtr.meter_space
+            milp_solve(net, mtr.meas, 1)
+            security_index(net, mtr.meas, 1)
+        assert calls == plans
+
+    def test_an_milp_sweep_leaves_the_shared_rows_unchanged(self):
+        # the dict tableau pivots its rows in place: the root must copy the
+        # rows over y, which the l1 base reads after it
+        net, meas = parse_case(IEEE14_CASE)
+        mtr = metering(net, meas)
+        space = mtr.meter_space
+        before = copy.deepcopy(space.yrows)
+        for k in range(1, 21):
+            milp_solve(net, meas, k)
+        assert mtr.milp_root.space is space and space.yrows == before
+        fresh = meter_space(mtr.flow_pairs, net.n_states, meas.protected)
+        assert fresh == space
+        assert solve_l1_base(space) == solve_l1_base(fresh)
 
 
 def test_the_milp_shares_only_the_problem_record_and_the_elimination_with_the_l1_path():
@@ -401,7 +433,7 @@ def test_the_milp_shares_only_the_problem_record_and_the_elimination_with_the_l1
                 assert "tumin" not in imported
         elif isinstance(node, ast.Import):
             assert all("tumin" not in a.name for a in node.names)
-    assert names == {"TUProblem", "_eliminate_states", "check_rows"}
+    assert names == {"TUProblem", "meter_space", "check_rows"}
 
 
 class TestCoherence:

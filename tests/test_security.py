@@ -131,6 +131,15 @@ class TestSecurityIndex:
             assert res2.index == res.index
             assert res2.attack.touched == res.attack.touched
 
+    @pytest.mark.parametrize("solve", [security_index, security_index_bounds, mincut_index,
+                                       milp_solve])
+    def test_a_non_integral_meter_id_is_a_type_error(self, solve):
+        # meter ids are read by operator.index, as every other id is
+        net, meas = sixbus_network(), sixbus_meas()
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            solve(net, meas, 1.0)
+        assert solve(net, meas, np.int64(1)).bounds == (2, 2)
+
 
 class TestBounds:
     def path_with_injection(self):
@@ -507,8 +516,8 @@ class TestWarmSweep:
         net = Network(6, ((1, 2, 1), (2, 3, 2), (1, 3, 3), (3, 4, 1), (4, 5, 1),
                           (5, 6, 2), (4, 6, 1), (2, 5, 3)))
         meas = MeasurementSystem((1, 2, 3, 6))
-        base = metering(net, meas).l1_base
-        moved = {c for mask in base.spos + base.sneg for c in lp._bits(mask)}
+        space = metering(net, meas).meter_space
+        moved = {c for pairs in space.state.values() for c, _ in pairs}
         assert 2 not in moved         # bus 4's column (buses 2..6 are columns 0..4)
         assert len(moved) == 3        # two columns have no state row: they stay 0
         for k, index in ((1, 2), (2, 2), (3, 2), (4, 1)):
@@ -523,8 +532,8 @@ class TestWarmSweep:
         net = Network(5, ((1, 2, 1), (2, 3, 2), (2, 4, 1), (4, 5, 3)))
         meas = MeasurementSystem((1, 2, 3, 4))
         base = metering(net, meas).l1_base
-        assert base.pos == base.neg == base.basis == []
-        assert sorted({c for mask in base.spos + base.sneg for c in lp._bits(mask)}) == [0, 1, 2, 3]
+        assert base.pos == base.neg == base.basis == [] == list(base.space.yrows)
+        assert sorted({c for pairs in base.space.state.values() for c, _ in pairs}) == [0, 1, 2, 3]
         for k in range(1, 5):
             res = security_index(net, meas, k)
             assert res.index == 1 == mincut_index(net, meas, k).index
@@ -550,7 +559,7 @@ class TestWarmSweep:
         meas = MeasurementSystem(tuple(range(1, 85)), protected=meas0.protected | {84})
         base = metering(net, meas).l1_base
         kept = copy.deepcopy(base)
-        assert base.pos and base.basis and any(base.spos + base.sneg)
+        assert base.pos and base.basis and base.space.state
         first = {}
         for k in sorted(set(range(1, 85)) - meas.protected):
             try:

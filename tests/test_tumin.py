@@ -35,7 +35,7 @@ from gridsec.grid import flow_rows, metering, parse_case
 from gridsec.lp import LpStatus, solve_lp
 from gridsec.oracle import exhaustive_min_tuple, nullspace_reformulate, solve_milp_instance
 from gridsec.security import reduce_to_tu
-from gridsec.tumin import (TUSolution, _image, _meter_space, solve_l1_base, solve_warm,
+from gridsec.tumin import (TUSolution, _image, meter_space, solve_l1_base, solve_warm,
                            sparse_rows)
 
 
@@ -51,7 +51,8 @@ INDEX_PROBLEMS = {
     "exhaustive_min_support": (exhaustive_min_support, True),
     "exhaustive_min_tuple": (exhaustive_min_tuple, False),
     "nullspace_reformulate": (nullspace_reformulate, True),
-    "solve_warm": (lambda A, k, I=(): solve_warm(solve_l1_base(sparse_rows(A), A.shape[1], I), k),
+    "solve_warm": (lambda A, k, I=(): solve_warm(solve_l1_base(meter_space(sparse_rows(A),
+                                                                           A.shape[1], I)), k),
                    True),
 }
 # (k, I, message) against a 2-row matrix
@@ -329,25 +330,25 @@ class TestForgedCertificate:
     are forged, each forgery passing every check but the one named."""
 
     def test_a_move_touching_a_protected_row(self, monkeypatch):
-        base = solve_l1_base(sparse_rows(np.array(FOUR_CYCLE_CHORD)), 3, {5})
+        base = solve_l1_base(meter_space(sparse_rows(np.array(FOUR_CYCLE_CHORD)), 3, {5}))
         assert solve_warm(base, 1).cardinality == 2
         # theta = (-1, -1, 0) touches rows 1 and 3, as many as the index,
         # and the protected row 5
-        monkeypatch.setattr(tumin, "_state_values", lambda vals, base: {0: -1, 1: -1})
+        monkeypatch.setattr(tumin, "_state_values", lambda vals, space: {0: -1, 1: -1})
         with pytest.raises(SolverDefect, match="breaks the target or a protected row"):
             solve_warm(base, 1)
 
     def test_a_move_off_the_pattern_in_an_empty_column(self, monkeypatch):
-        base = solve_l1_base(sparse_rows(np.array([[1, 0], [1, 0]])), 2)
+        base = solve_l1_base(meter_space(sparse_rows(np.array([[1, 0], [1, 0]])), 2))
         assert solve_warm(base, 1) == TUSolution((1, 0), frozenset({1, 2}))
         real = tumin._state_values
         # moving the empty column by 2 changes no row
-        monkeypatch.setattr(tumin, "_state_values", lambda vals, base: {**real(vals, base), 1: 2})
+        monkeypatch.setattr(tumin, "_state_values", lambda vals, space: {**real(vals, space), 1: 2})
         with pytest.raises(IntegralityError, match="unimodular pattern"):
             solve_warm(base, 1)
 
     def test_a_nonzero_slack(self, monkeypatch):
-        base = solve_l1_base(sparse_rows(np.array([[1]])), 1)
+        base = solve_l1_base(meter_space(sparse_rows(np.array([[1]])), 1))
         real = lp._TernaryTableau.values
         assert solve_warm(base, 1) == TUSolution((1,), frozenset({1}))
 
@@ -365,7 +366,7 @@ class TestForgedCertificate:
 
 class TestSparseCertificate:
     """The certificate evaluates A(j,:)x only on the rows holding a column x
-    moves (the base's column index); the dense walk over every unprotected
+    moves (the meter space's column index); the dense walk over every unprotected
     row (oracle_helpers.solution_from_x) must read the same solution."""
 
     def test_the_certified_solution_matches_the_dense_walk(self):
@@ -394,12 +395,12 @@ class TestSparseCertificate:
         rng = random.Random(1820)
         for _ in range(50):
             prob = random_tu_problem(rng)
-            base = solve_l1_base(prob.rows, prob.A.shape[1], prob.I)
-            assert base.columns == tuple(tuple((np.flatnonzero(prob.A[:, c]) + 1).tolist())
-                                         for c in range(prob.A.shape[1]))
+            space = meter_space(prob.rows, prob.A.shape[1], prob.I)
+            assert space.columns == tuple(tuple((np.flatnonzero(prob.A[:, c]) + 1).tolist())
+                                          for c in range(prob.A.shape[1]))
         # a column past n is refused, not read as a slack column of the LP
         with pytest.raises(ValueError, match="column 1 outside 0..0"):
-            solve_l1_base(sparse_rows(np.eye(2, dtype=int)), 1)
+            meter_space(sparse_rows(np.eye(2, dtype=int)), 1)
 
 
 class TestWarmStateRows:
@@ -416,8 +417,8 @@ class TestWarmStateRows:
             A = gen_consecutive_ones(m, n, seed)
             A[:, rng.sample(range(n), rng.randint(0, n // 2))] = 0
             I = frozenset(rng.sample(range(1, m + 1), rng.randint(0, m - 1)))
-            base = solve_l1_base(sparse_rows(A), n, I)
-            moved = {c for mask in base.spos + base.sneg for c in lp._bits(mask)}
+            base = solve_l1_base(meter_space(sparse_rows(A), n, I))
+            moved = {c for pairs in base.space.state.values() for c, _ in pairs}
             assert moved <= set(range(n))
             fixed += n - len(moved)
             for k in sorted(set(range(1, m + 1)) - I):
@@ -433,12 +434,13 @@ class TestWarmStateRows:
         assert feasible > 150 and infeasible > 50 and fixed > 100
 
     @pytest.mark.parametrize("forge", [
-        lambda base: base._replace(spos=base.sneg, sneg=base.spos),
+        lambda base: base._replace(space=base.space._replace(state={
+            t: tuple((c, -a) for c, a in pairs) for t, pairs in base.space.state.items()})),
     ], ids=["entry"])
     def test_a_forged_state_row_is_a_solver_defect(self, forge):
         # entries of the opposite sign negate x
-        base = solve_l1_base(sparse_rows(SIXBUS_A), 5)
-        assert any(base.spos + base.sneg)
+        base = solve_l1_base(meter_space(sparse_rows(SIXBUS_A), 5))
+        assert base.space.state
         with pytest.raises(SolverDefect):
             solve_warm(forge(base), 6)
 
@@ -459,8 +461,8 @@ class TestTernaryWarmStep:
 
     @staticmethod
     def same_base(rows, n, I, monkeypatch):
-        """Assert that solve_l1_base and a dict lp._Tableau of
-        _meter_space's rows at lp._crash_basis, its cost priced out, stop
+        """Assert that solve_l1_base and a dict lp._Tableau of (a copy of)
+        meter_space's rows at lp._crash_basis, its cost priced out, stop
         at the same tableau after the same number of primal pivots; return
         the dict tableau, the base and that number."""
         primal = []
@@ -468,8 +470,8 @@ class TestTernaryWarmStep:
         with monkeypatch.context() as m:
             m.setattr(lp, "_run_simplex",
                       lambda tab, pivots: (real(tab, pivots), primal.append(pivots[0]))[0])
-            base = solve_l1_base(rows, n, I)
-        yrows, _, _, width = _meter_space(rows, n, I)
+            base = solve_l1_base(meter_space(rows, n, I))
+        yrows, width = [dict(row) for row in base.space.yrows], 2 * len(base.space.free)
         tab = lp._Tableau(yrows, lp._crash_basis(yrows, width), width)
         tab.add_cost(dict.fromkeys(range(width), 1))
         pivots = [0]
@@ -502,7 +504,7 @@ class TestTernaryWarmStep:
             base_pivots += primal
             tern = lp._TernaryTableau(base.pos[:], base.neg[:], [0] * len(base.basis),
                                       base.basis[:], base.z[:])
-            y, r = prob.free_rows.index(prob.k), len(base.spos)
+            y, r = base.space.ycol[prob.k], len(base.space.free)
             tab.add_row({y: -1, y + r: 1, lp.RHS: -1})
             tern.add_row(1 << (y + r), 1 << y, -1)
             pivots = [[0], [0]]
@@ -542,16 +544,16 @@ class TestTernaryWarmStep:
         # the row over y 2 y+_1 - y+_2 - 2 y-_1 + y-_2: its base is refused
         # before the ternary kernel reads it
         with pytest.raises(IntegralityError, match="not totally unimodular"):
-            solve_l1_base(sparse_rows(np.array([[1], [2]])), 1)
+            solve_l1_base(meter_space(sparse_rows(np.array([[1], [2]])), 1))
 
     def test_a_base_that_is_not_optimal_is_a_solver_defect(self, monkeypatch):
         # the base's simplex stopped at its crash basis, where a reduced
         # cost is still negative
-        rows = sparse_rows(SIXBUS_A_FULL)
-        assert min(solve_l1_base(rows, 6).z) >= 0
+        space = meter_space(sparse_rows(SIXBUS_A_FULL), 6)
+        assert min(solve_l1_base(space).z) >= 0
         monkeypatch.setattr(lp, "_run_simplex", lambda tab, pivots: LpStatus.OPTIMAL)
         with pytest.raises(SolverDefect, match="negative reduced cost"):
-            solve_l1_base(rows, 6)
+            solve_l1_base(space)
 
 
 class TestVerifyTu:
