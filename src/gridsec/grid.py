@@ -195,8 +195,10 @@ class Metering:
     once per (network, measurement system) pair: the line each flow meter
     reads, the 0-based slot of each metered line id and bus in the combined
     meter list (flows first), and what the solvers derive from them on
-    first use (among them the l1 base and the MILP root, each solved once
-    for every target of the system), all kept with the network."""
+    first use (the metered-line graph in arc form, one record per line for
+    the witness read-back, the flow rows, and the l1 base and the MILP
+    root, each solved once for every target of the system), all kept with
+    the network."""
 
     net: Network
     meas: MeasurementSystem
@@ -205,14 +207,18 @@ class Metering:
     injection_slot: dict[int, int]
 
     @cached_property
-    def adjacency(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-        """The metered-line graph: per bus (index 0 unused), the metered lines
-        at it as (flow slot, far bus, d), d = +1 at the from-bus, -1 at the to-bus."""
-        adj: list[list[tuple[int, int, int]]] = [[] for _ in range(self.net.n_buses + 1)]
+    def arcs(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """The metered-line graph in arc form, (out, head): arc 2e runs
+        along flow slot e from its line's from-bus to its to-bus, arc
+        2e + 1 back; out[b] holds the arcs leaving bus b (index 0 unused)
+        and head[x] the bus arc x enters."""
+        out: list[list[int]] = [[] for _ in range(self.net.n_buses + 1)]
+        head = []
         for e, ln in enumerate(self.lines):
-            adj[ln.from_bus].append((e, ln.to_bus, 1))
-            adj[ln.to_bus].append((e, ln.from_bus, -1))
-        return tuple(map(tuple, adj))
+            out[ln.from_bus].append(2 * e)
+            out[ln.to_bus].append(2 * e + 1)
+            head += (ln.to_bus, ln.from_bus)
+        return tuple(map(tuple, out)), tuple(head)
 
     @cached_property
     def capacity(self) -> tuple[int, ...]:
@@ -234,13 +240,27 @@ class Metering:
         return tuple(map(tuple, at))
 
     @cached_property
+    def line_records(self) -> tuple[tuple[int, int, int, int, int, int, int], ...]:
+        """Per line of the network (0-based), what the witness read-back
+        needs of it: (from-bus, to-bus, flow slot, from-bus injection slot,
+        to-bus injection slot, reactance numerator, reactance denominator),
+        each slot -1 where no meter reads it."""
+        flow, inj = self.flow_slot, self.injection_slot
+        return tuple((ln.from_bus, ln.to_bus, flow.get(lid, -1), inj.get(ln.from_bus, -1),
+                      inj.get(ln.to_bus, -1), ln.reactance.numerator, ln.reactance.denominator)
+                     for lid, ln in enumerate(self.net.lines, start=1))
+
+    @cached_property
     def flow_pairs(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """The one form of the integer flow rows, read off adjacency: slot e
-        holds d at the state column of each end of its line, the state buses
-        walked in ascending order (tumin.sparse_rows pairs)."""
+        """The one form of the integer flow rows, read off the arcs: slot e
+        holds d at the state column of each end of its line, +1 at the
+        from-bus (arc 2e leaves it) and -1 at the to-bus (arc 2e + 1), the
+        state buses walked in ascending order (tumin.sparse_rows pairs)."""
+        out = self.arcs[0]
         rows: list[list[tuple[int, int]]] = [[] for _ in self.lines]
         for c, bus in enumerate(self.net.state_buses):
-            for e, _, d in self.adjacency[bus]:
+            for x in out[bus]:
+                e, d = x >> 1, -1 if x & 1 else 1
                 rows[e].append((c, d))
         return tuple(map(tuple, rows))
 

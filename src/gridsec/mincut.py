@@ -9,20 +9,23 @@ at u and v, so every u-v path carries a line whose flow it changes; a cut
 (one side at potential 0, the other at +-1) changes exactly the lines
 crossing it.
 
-The solve is a unit-capacity Edmonds-Karp max-flow on the standard library
-alone.  Beside the cut it returns the flow itself, and check_certificate()
-confirms weak duality on every solve: the flow respects the capacities, is
-conserved away from u and v and carries its value from u to v, and the
-attack that is reported touches exactly that many flow meters, which makes
-both the cut and the flow optimal (Ford & Fulkerson 1956).
+The solve is an Edmonds-Karp max-flow on the standard library alone, over
+flat lists: one residual per arc, and per search the buses it reached and
+the arc into each.  Its two cuts, the buses reachable from u and those
+reaching v in the final residual graph, are the same for every maximum
+flow (Ford & Fulkerson 1956; Picard & Queyranne 1980).  Beside the cut it
+returns the flow itself, and check_certificate() confirms weak duality on
+every solve: the flow respects the capacities, is conserved away from u
+and v and carries its value from u to v, and the attack that is reported
+touches exactly that many flow meters, which makes both the cut and the
+flow optimal.
 
 Each function reads the system's grid.Metering, whose metered-line graph
-(adjacency, capacity) is built once per system; lines are 1-based line
-ids, meters 1-based meter indices, as in grid.
+(arcs, capacity) is built once per system; lines are 1-based line ids,
+meters 1-based meter indices, as in grid.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import InfeasibleIndex, SolverDefect
@@ -40,50 +43,61 @@ class MinCut:
 
 
 def max_flow(mtr: Metering, k: int) -> MinCut:
-    """Edmonds-Karp between the endpoints of flow meter k's line.
+    """Edmonds-Karp between the endpoints u, v of flow meter k's line on
+    one residual list over mtr.arcs (res[2e] = cap - f, res[2e + 1] =
+    cap + f for the flow f along slot e); the sink side is one search
+    from v over the reverse residuals.
 
     Raises InfeasibleIndex when the flow is unbounded, i.e. protected lines
     join the endpoints and no attack can move meter k.
     """
-    lids, cap, adj = mtr.meas.flow_meters, mtr.capacity, mtr.adjacency
+    cap, (out, head) = mtr.capacity, mtr.arcs
     u, v = mtr.lines[k - 1].from_bus, mtr.lines[k - 1].to_bus
-    flow = [0] * len(lids)               # signed, from-bus -> to-bus
+    res = [0, 0] * len(cap)
+    res[::2] = res[1::2] = cap
     used: set[int] = set()               # slots some augmenting path crossed
-    total = 0
+    n, top, total = len(out), len(res), 0
     while True:
-        prev: dict[int, tuple[int, int, int] | None] = {u: None}
-        queue = deque([u])
-        while queue and v not in prev:
-            a = queue.popleft()
-            for e, b, d in adj[a]:
-                if b not in prev and cap[e] - d * flow[e] > 0:
-                    prev[b] = (a, e, d)
-                    queue.append(b)
-        if v not in prev:
+        into = [-1] * n                  # the arc each reached bus was entered by
+        into[u] = top
+        reached = [u]
+        for a in reached:
+            for x in out[a]:
+                b = head[x]
+                if into[b] < 0 and res[x]:
+                    into[b] = x
+                    reached.append(b)
+            if into[v] >= 0:
+                break
+        else:
             break
-        path = []
+        push, b = top, v
+        while b != u:
+            x = into[b]
+            if res[x] < push:
+                push = res[x]
+            b = head[x ^ 1]
         b = v
         while b != u:
-            a, e, d = prev[b]
-            path.append((e, d))
-            b = a
-        push = min(cap[e] - d * flow[e] for e, d in path)
-        for e, d in path:
-            flow[e] += d * push
-            used.add(e)
+            x = into[b]
+            res[x] -= push
+            res[x ^ 1] += push
+            used.add(x >> 1)
+            b = head[x ^ 1]
         total += push
-        if total > len(lids):            # more than any cut of unprotected lines
+        if total > len(cap):             # more than any cut of unprotected lines
             raise InfeasibleIndex(k)
-    sink = {v}
-    queue = deque([v])
-    while queue:
-        c = queue.popleft()
-        for e, b, d in adj[c]:
-            # the arc b -> c runs along e in direction -d
-            if b not in sink and cap[e] + d * flow[e] > 0:
-                sink.add(b)
-                queue.append(b)
-    return MinCut(total, {e: flow[e] for e in used if flow[e]}, frozenset(prev), frozenset(sink))
+    seen = [False] * n
+    seen[v] = True
+    sink = [v]
+    for c in sink:
+        for x in out[c]:
+            b = head[x]
+            if not seen[b] and res[x ^ 1]:      # the arc x ^ 1 runs b -> c
+                seen[b] = True
+                sink.append(b)
+    flow = {e: f for e in used if (f := cap[e] - res[2 * e])}
+    return MinCut(total, flow, frozenset(reached), frozenset(sink))
 
 
 def witness(mtr: Metering, k: int, side: frozenset[int]) -> tuple[int, ...]:

@@ -92,35 +92,39 @@ def _witness_attack(mtr: Metering, k: int, x, den: int = 1) -> tuple[list, list,
     it moves by +1) reads +1.
 
     Each entry is 0 or an unreduced integer pair (a, b), b > 0, that reads
-    a / b.  Only the lines at buses x moves are visited (mtr.bus_lines):
-    one whose ends x moves apart by w carries the flow change
-    w * x_k / (den * x_line), the pair (w num dl, den dk nl) with
-    x_k = num / dk and x_line = nl / dl; its flow meter reads that pair,
-    and its from-bus injection adds it and its to-bus injection subtracts
-    it by cross-multiplication, so an injection holds the exact sum of its
-    lines' pairs (its numerator 0 when they cancel).  touched holds the
-    entries with a nonzero numerator.  No Fraction is built.
+    a / b.  Only the lines at buses x moves are visited (mtr.bus_lines),
+    each once by line id, and each is read from its record
+    (mtr.line_records: ends, meter slots, reactance nl / dl): one whose
+    ends x moves apart by w carries the flow change w * x_k / (den * x_line),
+    the pair (w num dl, den dk nl) with x_k = num / dk; its flow meter
+    reads that pair, and its from-bus injection adds it and its to-bus
+    injection subtracts it by cross-multiplication, so an injection holds
+    the exact sum of its lines' pairs (its numerator 0 when they cancel).
+    touched holds the entries with a nonzero numerator.  No Fraction is
+    built.
     """
-    net, flow, inj = mtr.net, mtr.flow_slot, mtr.injection_slot
+    recs, at = mtr.line_records, mtr.bus_lines
     xk = mtr.lines[k - 1].reactance
     num, den = xk.numerator, xk.denominator * den
-    pot = {b: v for b, v in zip(net.state_buses, x) if v}
+    pot = {b: v for b, v in zip(mtr.net.state_buses, x) if v}
     dz = [0] * mtr.meas.n_meters
     touched = set()
-    for lid in {lid for b in pot for lid in mtr.bus_lines[b]}:
-        ln = net.lines[lid - 1]
-        w = pot.get(ln.from_bus, 0) - pot.get(ln.to_bus, 0)
+    for lid in {lid for b in pot for lid in at[b]}:
+        fb, tb, e, fi, ti, nl, dl = recs[lid - 1]
+        w = pot.get(fb, 0) - pot.get(tb, 0)
         if w:
-            a, b = w * num * ln.reactance.denominator, den * ln.reactance.numerator
-            if lid in flow:
-                dz[flow[lid]] = (a, b)
-                touched.add(flow[lid])
-            for bus, s in ((ln.from_bus, a), (ln.to_bus, -a)):
-                if bus in inj:
-                    i = inj[bus]
-                    c, d = dz[i] or (0, 1)
-                    dz[i] = (c * b + s * d, d * b)
-                    touched.add(i)
+            a, b = w * num * dl, den * nl
+            if e >= 0:
+                dz[e] = (a, b)
+                touched.add(e)
+            if fi >= 0:
+                c, d = dz[fi] or (0, 1)
+                dz[fi] = (c * b + a * d, d * b)
+                touched.add(fi)
+            if ti >= 0:
+                c, d = dz[ti] or (0, 1)
+                dz[ti] = (c * b - a * d, d * b)
+                touched.add(ti)
     touched = frozenset(i + 1 for i in touched if dz[i][0])
     return [(v * num, den) if v else 0 for v in x], dz, touched
 

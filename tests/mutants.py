@@ -177,9 +177,15 @@ MUTANTS = (
     _one("flow certificate without the value clause", MINCUT,
          "    if flows != value:\n"
          "        raise SolverDefect(f\"a flow of {value} but the witness touches {flows} flow meters\")\n", ""),
+    # the max-flow's residual list
+    _one("an augmenting push leaves the reverse residual", MINCUT,
+         "            res[x ^ 1] += push\n", ""),
+    _one("the sink side reads the forward residual", MINCUT,
+         "if not seen[b] and res[x ^ 1]:", "if not seen[b] and res[x]:"),
     # the exact witness read-back
-    _one("an injection sum drops its cross-multiplication", SECURITY,
-         "dz[i] = (c * b + s * d, d * b)", "dz[i] = (c + s, b)"),
+    Mutant("an injection sum drops its cross-multiplication", (
+        (SECURITY, "dz[fi] = (c * b + a * d, d * b)", "dz[fi] = (c + a, b)"),
+        (SECURITY, "dz[ti] = (c * b - a * d, d * b)", "dz[ti] = (c - a, b)"))),
     # the one flow-row form and the LP's column check
     _one("flow rows with their signs flipped", GRID,
          "rows[e].append((c, d))", "rows[e].append((c, -d))"),

@@ -60,8 +60,9 @@ def index_or_none(solve, *args):
         return None
 
 
-def networkx_index(net, meas, k):
-    """Independent oracle: minimum u-v cut by networkx on the metered lines."""
+def networkx_graph(net, meas, k):
+    """The metered lines as a networkx graph (parallel lines summed), the
+    ends u, v of meter k's line and the capacity of a protected line."""
     nx = pytest.importorskip("networkx")
     graph = nx.Graph()
     graph.add_nodes_from(range(1, net.n_buses + 1))
@@ -74,8 +75,29 @@ def networkx_index(net, meas, k):
         else:
             graph.add_edge(ln.from_bus, ln.to_bus, capacity=cap)
     target = net.lines[meas.flow_meters[k - 1] - 1]
-    value, _ = nx.minimum_cut(graph, target.from_bus, target.to_bus)
+    return graph, target.from_bus, target.to_bus, unbounded
+
+
+def networkx_index(net, meas, k):
+    """Independent oracle: minimum u-v cut by networkx on the metered lines."""
+    nx = pytest.importorskip("networkx")
+    graph, u, v, unbounded = networkx_graph(net, meas, k)
+    value, _ = nx.minimum_cut(graph, u, v)
     return None if value >= unbounded else value
+
+
+def networkx_sides(net, meas, k):
+    """Independent oracle: the flow value and the buses reachable from u
+    and reaching v in the residual network of networkx's Edmonds-Karp."""
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.flow import edmonds_karp
+    graph, u, v, _ = networkx_graph(net, meas, k)
+    res = edmonds_karp(graph, u, v)
+    live = nx.DiGraph()
+    live.add_nodes_from(graph)
+    live.add_edges_from((a, b) for a, b, d in res.edges(data=True) if d["capacity"] > d["flow"])
+    return (res.graph["flow_value"], {u} | nx.descendants(live, u),
+            {v} | nx.ancestors(live, v))
 
 
 @st.composite
@@ -118,6 +140,20 @@ class TestDifferential:
     def test_agrees_with_lp_exhaustive_and_networkx(self, system):
         """The property includes milp_solve."""
         assert_methods_agree(*system)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(flow_systems())
+    def test_cut_sides_are_the_residual_reach_sets(self, system):
+        # the sides of every maximum flow are the same, so max_flow's must
+        # be networkx's, whichever augmenting paths either one took
+        net, meas, k = system
+        try:
+            cut = max_flow(metering(net, meas), k)
+        except InfeasibleIndex:
+            assert networkx_index(net, meas, k) is None
+            return
+        value, source, sink = networkx_sides(net, meas, k)
+        assert (cut.value, cut.source_side, cut.sink_side) == (value, source, sink)
 
     @pytest.mark.parametrize("pinned", [True, False])
     def test_differential_covers_both_outcomes(self, pinned):
