@@ -8,11 +8,13 @@ isometry) of the nullspace reformulation.  Beyond the validated input
 (tumin.TUProblem), the big-M root shares one step with the l1 path: the
 Gauss-Jordan elimination of the state, in general integers, whose record
 (tumin.meter_space) gives it the l1 base's rows and layout, started at the
-same lp._crash_basis, and the state map that reads d back.  Its bounds,
-search and solver state are its own, and every incumbent is checked on
-the rows before elimination, so a defect in the shared step shows as a
-failed check, not as agreement.  Exhaustive enumeration and min cut
-(gridsec.mincut) share nothing with either.
+same lp._crash_basis, and the record's two readers: MeterSpace.move reads
+d back from the state map, and MeterSpace.image reads A(j,:) d on the
+rows that hold a column d moves.  Its bounds, search and solver state are
+its own, and every incumbent is checked on the rows before elimination,
+so a defect in the shared step shows as a failed check, not as
+agreement.  Exhaustive enumeration and min cut (gridsec.mincut) share
+nothing with either.
 
 Meter/row indices are 1-based, matching the measurement-system convention.
 """
@@ -48,7 +50,7 @@ from .grid import MeasurementSystem, Network, metering
 # not called here; the benchmark's tracer wraps it by this name
 from .grid import incidence  # noqa: F401
 from .security import CriticalTuple, SecurityIndexResult, _exact_result, _flow_target
-from .tumin import TUProblem, check_rows, meter_space
+from .tumin import MeterSpace, TUProblem, check_rows, meter_space
 
 
 # --- exhaustive enumeration ----------------------------------------------
@@ -120,7 +122,7 @@ def _big_m(net: Network) -> Fraction:
     return to_fraction(max(2 - (ref in (ln.from_bus, ln.to_bus)) for ln in net.lines))
 
 
-def _node_lp(space, big_m: Fraction) -> lp._Tableau:
+def _node_lp(space: MeterSpace, big_m: Fraction) -> lp._Tableau:
     """The target-free root LP relaxation of the big-M formulation of the
     data of space (a tumin.MeterSpace), at the l1 base's crash basis.
 
@@ -153,17 +155,17 @@ def _node_lp(space, big_m: Fraction) -> lp._Tableau:
 
 
 class MilpRoot(NamedTuple):
-    """_milp_root's solved target-free big-M root of space (a
-    tumin.MeterSpace, whose layout and state map read each vertex and its
-    d over the columns it moves) and big_m: its optimal tableau (every t'
+    """_milp_root's solved target-free big-M root of space (whose layout
+    reads each vertex, and whose move and image read its d and A(j,:) d
+    over the columns it moves) and big_m: its optimal tableau (every t'
     at 0), which every target copies and none changes."""
 
     tab: lp._Tableau
-    space: tuple
+    space: MeterSpace
     big_m: Fraction
 
 
-def _milp_root(space, big_m) -> MilpRoot:
+def _milp_root(space: MeterSpace, big_m) -> MilpRoot:
     """The root LP (_node_lp) of space, solved once by lp's primal simplex
     from its crash basis for every target row of its data; ValueError
     unless big_m is positive.  The solve must stop optimal at zero with a
@@ -202,52 +204,24 @@ def _target_tableau(root: MilpRoot, k: int) -> tuple[lp._Tableau, lp.LpStatus]:
     return tab, status
 
 
-def _state_move(root: MilpRoot, X: dict[int, int], den: int) -> tuple[list[int], int]:
-    """(numerators, denominator) of the state move d at the t' values X
-    (nonzero values by column over den), read from the state map of
-    root's space over den * scale * Md.  Only X's entries are visited: a
-    t' at 0 adds nothing to any d_c, and a state column without a pair
-    reads 0."""
-    space = root.space
-    r = len(space.free)
-    d = [0] * len(space.columns)
-    for t, x in X.items():
-        if t >= r:                      # t'-_j: the entries of t'+_j negated
-            t, x = t - r, -x
-        for c, v in space.state.get(t, ()):
-            d[c] += v * x
-    return d, den * space.scale * root.big_m.denominator
-
-
-def _held(root: MilpRoot, d: list[int]) -> set[int]:
-    """The 1-based rows of root holding a state column d moves; every other
-    row reads A(j,:) d = 0 exactly."""
-    return {j for c, v in enumerate(d) if v for j in root.space.columns[c]}
-
-
 def _check_incumbent(root: MilpRoot, k: int, X: dict[int, int], den: int,
-                     d: list[int], dden: int) -> None:
-    """An incumbent (nonzero t' values X by column over den, and its state
-    move d over dden) must satisfy every row of the formulation before
+                     image: dict[int, int], dden: int) -> None:
+    """An incumbent (nonzero t' values X by column over den, and the
+    nonzero image of its state move d over dden, dden * A(j,:) d by row:
+    MeterSpace.image) must satisfy every row of the formulation before
     elimination (_node_lp: links, the bounds 0 <= t' <= Mn, protected
     rows) and the target's A(k,:) d = 1 exactly; checked in integers.
-    The target row is always read; every other row is read where it can
-    fail, when it holds a state column d moves (_held) or, for a free row,
-    one of its t' is nonzero in X.  Any other row reads 0 = 0 with both
-    t' at 0."""
+    A protected row must be absent from the image; a free row is read
+    where it can fail, when it is in the image or one of its t' is
+    nonzero in X.  Any other free row reads 0 = 0 with both t' at 0."""
     space = root.space
     Md, r = root.big_m.denominator, len(space.free)
     top = root.big_m.numerator * den
-    held = _held(root, d)
-
-    def image(j):                     # dden * A(j,:) d
-        return sum(a * d[c] for c, a in space.rows[j - 1])
-
-    ok = image(k) == dden and not any(image(i) for i in space.I & held)
-    for j in space.ycol.keys() & held.union(space.free[c % r] for c in X if c < 2 * r):
+    ok = image.get(k) == dden and not any(j in space.I for j in image)
+    for j in space.ycol.keys() & (image.keys() | {space.free[c % r] for c in X if c < 2 * r}):
         t = space.ycol[j]
         tp, tm = X.get(t, 0), X.get(t + r, 0)
-        ok = (ok and image(j) * den * Md == (tp - tm) * dden
+        ok = (ok and image.get(j, 0) * den * Md == (tp - tm) * dden
               and 0 <= tp <= top and 0 <= tm <= top)
     if not ok:
         raise SolverDefect("incumbent violates a root row; solver defect")
@@ -266,7 +240,7 @@ def _branch_and_bound(root: MilpRoot, k: int, *, cap: int = 100_000, trace=None)
     free = {j: c for j, c in space.ycol.items() if j != k}
     best: int | None = None
     best_d: list[int] | None = None     # numerators over best_den
-    best_den = 1
+    best_den, support = 1, frozenset()
     nodes = 0
     # (tableau, rows fixed to 0, rows fixed to 1, the row fixed last); the
     # target's node has no fixing yet, and a node the depth rule will
@@ -314,9 +288,10 @@ def _branch_and_bound(root: MilpRoot, k: int, *, cap: int = 100_000, trace=None)
             elif (frac is None or i < frac) and tp + tm not in (0, full) and i not in fixed1:
                 frac = i
         if best is None or value < best:
-            d, dden = _state_move(root, X, den)
-            _check_incumbent(root, k, X, den, d, dden)
-            best, best_d, best_den = value, d, dden
+            d, dden = space.move(X), den * space.scale * root.big_m.denominator
+            image = space.image(d)
+            _check_incumbent(root, k, X, den, image, dden)
+            best, best_d, best_den, support = value, d, dden, frozenset(image)
             if trace is not None:
                 trace.write(f"node depth={depth} value={value} action=incumbent\n")
         # the node's bound, z / Mn + len(fixed1) + 1, against best - 1
@@ -335,8 +310,6 @@ def _branch_and_bound(root: MilpRoot, k: int, *, cap: int = 100_000, trace=None)
         stack.append((tab, fixed0 | {frac}, fixed1, frac))
     if best is None:
         return None
-    support = frozenset(j for j in space.ycol.keys() & _held(root, best_d)
-                        if sum(a * best_d[c] for c, a in space.rows[j - 1]))
     if len(support) != best:
         raise SolverDefect("incumbent support disagrees with the optimum")
     return best, (best_d, best_den), support, nodes
@@ -377,7 +350,7 @@ def solve_milp_instance(prob: TUProblem, big_m=Fraction(2), *, cap: int = 100_00
     against its zero fixings, before it is used.
 
     Every node's relaxation is itself an attack: d, read from the state
-    map over the vertex's denominator (_state_move), meets the protected
+    map over the vertex's denominator (MeterSpace.move), meets the protected
     rows and the node's fixings, and the eliminated link rows give
     Md A(j,:) d = t'+_j - t'-_j, so d moves the target plus exactly the
     free rows with t'+_j != t'-_j.  When that count beats the best so

@@ -9,15 +9,16 @@ of a single polynomial-time solve.  The LP is written once, in meter space:
 the state x is eliminated by Gauss-Jordan, leaving rows over the row
 slacks y and a state map that gives x back (meter_space, whose MeterSpace
 record also holds the checked data, the y layout and a column index, and
-is all the MILP oracle's root reads of this module's work).  solve_l1_base
-solves it without a target row once per (A, I) and keeps it as live
-lists with that record (L1Base); solve_warm(base, k) re-optimizes a
-shallow copy of it per target row k by a dual simplex and certifies the
-witness on the record's rows, and solve_min_support is the two on a fresh
-base.  A target pays for its pivots and for the rows its witness moves:
-its row is reduced over the two rows basic in its own columns, and the
-certificate reads A(j,:)x only on the rows that hold a column x moves
-(MeterSpace.columns).
+is all the MILP oracle's root reads of this module's work).  The record
+alone reads a witness back, for both roots: move gives x at the y values
+and image the nonzero A(j,:)x.  solve_l1_base solves it without a target
+row once per (A, I) and keeps it as live lists with that record (L1Base);
+solve_warm(base, k) re-optimizes a shallow copy of it per target row k by
+a dual simplex and certifies the witness on the record's rows, and
+solve_min_support is the two on a fresh base.  A target pays for its
+pivots and for the rows its witness moves: its row is reduced over the
+two rows basic in its own columns, and the certificate reads A(j,:)x only
+on the rows that hold a column x moves (MeterSpace.image).
 
 For totally unimodular A every tableau of that LP is totally unimodular
 too, so the base and the warm step hold only -1, 0 and 1
@@ -131,7 +132,8 @@ class MeterSpace(NamedTuple):
     """meter_space's target-free l1 LP of checked integer rows over n state
     columns with protected rows I, its state x eliminated: the one record
     both kept roots of a measurement system read as is (solve_l1_base,
-    oracle._node_lp), and neither changes.
+    oracle._node_lp), and neither changes, and the one reader of their
+    witnesses (move, image).
 
     free holds the r unprotected rows, ascending, and ycol[j] the column
     of y+_j, j's place among them; y-_j sits r columns on.  yrows are the
@@ -152,6 +154,25 @@ class MeterSpace(NamedTuple):
     scale: int
     columns: tuple[tuple[int, ...], ...]
     ternary: bool
+
+    def move(self, vals: dict[int, int]) -> list[int]:
+        """The state move x, by column as numerators over scale times the
+        values' denominator, at the nonzero y values vals by column (the
+        MILP's t' in the same layout), read from the state map through
+        the columns of vals only; a column past the y block adds nothing."""
+        r = len(self.free)
+        x = [0] * len(self.columns)
+        for t, v in vals.items():
+            if t >= r:                      # y-_t: the entries of y+_t negated
+                t, v = t - r, -v
+            for c, a in self.state.get(t, ()):
+                x[c] += a * v
+        return x
+
+    def image(self, x) -> dict[int, int]:
+        """The nonzero A(j,:)x by 1-based row j, read only on the rows
+        that hold a column x moves (columns); every other row reads 0."""
+        return _image(self.rows, x, {j for c, v in enumerate(x) if v for j in self.columns[c]})
 
 
 def meter_space(rows, n: int, I=frozenset()) -> MeterSpace:
@@ -309,33 +330,17 @@ def solve_warm(base: L1Base, k: int) -> TUSolution | None:
     return _certified_solution(tab, space, k)
 
 
-def _state_values(vals: dict[int, int], space: MeterSpace) -> dict[int, int]:
-    """The nonzero entries of x, by column, at the y values vals (by
-    column) from space's state map (scale 1 on ternary data), touching
-    only the state columns of the nonzero y."""
-    r = len(space.free)
-    x: dict[int, int] = {}
-    for j, v in vals.items():
-        if j >= r:                      # y-_j: the entries of y+_j negated
-            j, v = j - r, -v
-        for c, a in space.state.get(j, ()):
-            x[c] = x.get(c, 0) + a * v
-    return {c: v for c, v in x.items() if v}
-
-
 def _certified_solution(tab: lp._TernaryTableau, space: MeterSpace, k: int) -> TUSolution:
     """The minimum-support solution of row k at the optimal tableau of
     space's LP, checked.
 
     The tableau must read optimal, every column past the y block (the
     target row's slack) must be zero, and the objective must equal the y
-    sum.  The state move x, read from space's state map, must satisfy
-    A(I,:)x = 0 and A(k,:)x = 1 on space's integer rows, and touch as many
-    rows as the objective, in the unimodular pattern: x and every nonzero
-    A(j,:)x in {-1, 1}.  A(j,:)x is evaluated on the rows that hold a
-    column x moves (space's column index); every other row reads 0.
-    SolverDefect otherwise (its subclass IntegralityError for a broken
-    integrality pattern).
+    sum.  The state move x (space.move) must satisfy A(I,:)x = 0 and
+    A(k,:)x = 1 on space's integer rows, and touch as many rows as the
+    objective, in the unimodular pattern: x in {-1, 0, 1} and every
+    nonzero A(j,:)x (space.image) in {-1, 1}.  SolverDefect otherwise (its
+    subclass IntegralityError for a broken integrality pattern).
     """
     tab.check_optimal()
     vals, _ = tab.values()
@@ -344,17 +349,14 @@ def _certified_solution(tab: lp._TernaryTableau, space: MeterSpace, k: int) -> T
     objective = tab.objective()
     if objective != sum(vals.values()):
         raise SolverDefect("objective bookkeeping mismatch; solver defect")
-    moved = _state_values(vals, space)
-    x = [0] * len(space.columns)
-    for c, v in moved.items():
-        x[c] = v
-    image = _image(space.rows, x, {j for c in moved for j in space.columns[c]})
+    x = space.move(vals)
+    image = space.image(x)
     if image.get(k) != 1 or any(j in space.I for j in image):
         raise SolverDefect("witness breaks the target or a protected row; solver defect")
     sol = TUSolution(tuple(x), frozenset(image))
     if sol.cardinality != objective:
         raise IntegralityError(f"objective {objective} != support {sol.cardinality}")
-    if any(v not in (-1, 1) for v in moved.values()) or any(v not in (-1, 1) for v in image.values()):
+    if any(v not in (-1, 0, 1) for v in x) or any(v not in (-1, 1) for v in image.values()):
         raise IntegralityError(f"witness violates the unimodular pattern: {sol}")
     return sol
 

@@ -57,23 +57,25 @@ MUTANTS = (
          "_milp_root(self.meter_space, ",
          "_milp_root(meter_space(self.flow_pairs, self.net.n_states, frozenset()), "),
     _one("no incumbent check", ORACLE,
-         "            _check_incumbent(root, k, X, den, d, dden)\n", ""),
+         "            _check_incumbent(root, k, X, den, image, dden)\n", ""),
     _one("incumbent check without the target clause", ORACLE,
-         "ok = image(k) == dden and not any(", "ok = not any("),
+         "ok = image.get(k) == dden and not any(", "ok = not any("),
     _one("incumbent check without the protected clause", ORACLE,
-         "ok = image(k) == dden and not any(image(i) for i in space.I & held)", "ok = image(k) == dden"),
+         "ok = image.get(k) == dden and not any(j in space.I for j in image)",
+         "ok = image.get(k) == dden"),
     _one("incumbent check without the link clause", ORACLE,
-         "ok = (ok and image(j) * den * Md == (tp - tm) * dden\n              and", "ok = (ok\n              and"),
+         "ok = (ok and image.get(j, 0) * den * Md == (tp - tm) * dden\n              and",
+         "ok = (ok\n              and"),
     _one("incumbent check without the bound clause", ORACLE,
          "\n              and 0 <= tp <= top and 0 <= tm <= top)", ")"),
     _one("incumbent check skips the rows only X moves", ORACLE,
-         "held.union(space.free[c % r] for c in X if c < 2 * r)", "held"),
+         "image.keys() | {space.free[c % r] for c in X if c < 2 * r}", "image.keys()"),
     _one("incumbent check reads d over 1", ORACLE,
-         "ok = image(k) == dden and", "ok = image(k) == 1 and"),
+         "ok = image.get(k) == dden and", "ok = image.get(k) == 1 and"),
     _one("milp_root without its certificate", ORACLE,
          "    tab.check_optimal()\n    # a copy holds", "    # a copy holds"),
-    _one("the MILP reads d from the state rows with the wrong sign", ORACLE,
-         "            d[c] += v * x\n", "            d[c] -= v * x\n"),
+    _one("the state map reads x with the wrong sign", TUMIN,
+         "                x[c] += a * v\n", "                x[c] -= a * v\n"),
     _one("branch and bound branches the target", ORACLE,
          "free = {j: c for j, c in space.ycol.items() if j != k}", "free = dict(space.ycol)"),
     _one("the node loop skips a moved free row", ORACLE,
@@ -88,12 +90,10 @@ MUTANTS = (
         (ORACLE, "tab.add_cost({t: -1, t + len(root.space.free): -1})",
          "tab.add_cost({t: -1, t + 1: -1})"),
         (ORACLE, "tab.add_row({t: 1, t + len(root.space.free): -1,", "tab.add_row({t: 1, t + 1: -1,"),
-        (ORACLE, "    r = len(space.free)\n    d = [0]", "    r = 1\n    d = [0]"),
         (ORACLE, "Md, r = root.big_m.denominator, len(space.free)", "Md, r = root.big_m.denominator, 1"),
         (ORACLE, "Mn, r = root.big_m.numerator, len(space.free)", "Mn, r = root.big_m.numerator, 1"))),
-    Mutant("the state map reads y- unnegated", (
-        (TUMIN, "            j, v = j - r, -v\n", "            j, v = j - r, v\n"),
-        (ORACLE, "            t, x = t - r, -x\n", "            t, x = t - r, x\n"))),
+    _one("the state map reads y- unnegated", TUMIN,
+         "                t, v = t - r, -v\n", "                t, v = t - r, v\n"),
     _one("_node_lp pivots the shared rows without copying", ORACLE,
          "    rows = [dict(row) for row in space.yrows]\n", "    rows = list(space.yrows)\n"),
     _one("node cap off by one", ORACLE, "if nodes > cap:", "if nodes > cap + 1:"),
@@ -126,6 +126,10 @@ MUTANTS = (
          "                nums[j] = v\n"
          "            else:\n"
          "                nums.pop(j, None)\n", ""),
+    _one("add_cost reads a complemented column uncomplemented", LP,
+         "            if j in self.flipped:       # v x_j = v upper[j] - v x'_j\n"
+         "                _add_rhs(zrow, -v * self.upper[j])\n"
+         "                v = -v\n", ""),
     # the ternary kernel and the l1 base
     _one("ternary pivot without its +-2 guard", LP,
          "            if p & ap or n & an:\n                raise IntegralityError(_LEFT_TERNARY)\n",
@@ -156,7 +160,7 @@ MUTANTS = (
          "    if any(c >= 2 * len(space.free) for c in vals):\n"
          "        raise SolverDefect(\"the target row's slack is not zero; solver defect\")\n", ""),
     _one("certificate without the pattern check", TUMIN,
-         "    if any(v not in (-1, 1) for v in moved.values()) or any(v not in (-1, 1) for v in image.values()):\n"
+         "    if any(v not in (-1, 0, 1) for v in x) or any(v not in (-1, 1) for v in image.values()):\n"
          "        raise IntegralityError(f\"witness violates the unimodular pattern: {sol}\")\n", ""),
     _one("validate_integrality without the x check", TUMIN,
          " or any(v not in (-1, 0, 1) for v in sol.x):", ":"),
@@ -164,6 +168,9 @@ MUTANTS = (
          "return all(v in (-1, 1) for v in image.values()) and ", "return "),
     _one("validate_integrality without the support comparison", TUMIN,
          " and frozenset(image) == sol.support", ""),
+    # the total-unimodularity test
+    _one("the minor enumeration skips the last column", TUMIN,
+         "for cols in combinations(range(n), order):", "for cols in combinations(range(n - 1), order):"),
     # the min cut's flow certificate
     _one("flow certificate without the capacity clause", MINCUT,
          "        if abs(f) > 1 and e + 1 not in protected:\n"

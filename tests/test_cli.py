@@ -17,7 +17,7 @@ SIX = str(SIXBUS_CASE)
 IEEE = str(IEEE14_CASE)
 README = Path(__file__).resolve().parent.parent / "README.md"
 import gridsec
-from gridsec import MeasurementSystem, cli, parse_case
+from gridsec import MeasurementSystem, cli, parse_case, security_index_bounds
 from gridsec.cli import (
     METHODS,
     BatchReport,
@@ -28,6 +28,11 @@ from gridsec.cli import (
     run_batch,
 )
 from gridsec.errors import IntegralityError, MethodUnavailable, SolverDefect, UnknownMeterId
+
+
+# the six-bus case with every flow metered and an injection meter at bus 3
+INJECTED = SIXBUS_CASE.read_text() + "".join(f"meter flow {e}\n" for e in range(1, 8)) \
+    + "meter injection 3\n"
 
 
 def run_main(argv):
@@ -224,6 +229,17 @@ class TestRunBatch:
         assert rc == 0
         assert err.count("capped: ") == 6
         assert "capped: meter 13 (exhaustive)" in err
+
+    def test_a_meter_pinned_by_protection_is_infeasible_in_every_method(self, tmp_path):
+        # the protected lines 1-2 and 2-3 fix theta1 - theta3, so the 1-3
+        # meter cannot move: no index, no error, and no mismatch
+        case = tmp_path / "triangle.case"
+        case.write_text("buses 3\nline 1 2 0.5\nline 2 3 0.25\nline 1 3 1\nprotect 1\nprotect 2\n")
+        report = run_batch(case, methods=("lp", "mincut", "milp", "exhaustive"), jobs=1)
+        assert [(e.meter, e.method) for e in report.entries] == \
+            [(3, "lp"), (3, "mincut"), (3, "milp"), (3, "exhaustive")]
+        assert all(e.index is None and e.error is None and not e.capped for e in report.entries)
+        assert report.mismatches == () and report.failures == ()
 
     def test_jobs_below_one_rejected(self):
         with pytest.raises(ValueError):
@@ -451,6 +467,21 @@ class TestAttackCommand:
         assert len(doc["touched"]) == 3
         assert doc["delta_z"][5] == pytest.approx(1.0)
 
+    def test_a_case_with_injection_meters_emits_the_bounds_witness(self, tmp_path):
+        case = tmp_path / "injected.case"
+        case.write_text(INJECTED)
+        rc, out, _ = run_main(["attack", str(case), "-k", "6"])
+        assert rc == 0
+        atk = security_index_bounds(*parse_case(case), 6).attack
+        assert json.loads(out) == {
+            "meter": 6,
+            "delta_theta": [float(v) for v in atk.delta_theta],
+            "delta_z": [float(v) for v in atk.delta_z],
+            "touched": sorted(atk.touched),
+        }
+        # a witness over all eight meters, the injection included
+        assert len(atk.delta_z) == 8 and atk.delta_z[5] == 1
+
     def test_out_file(self, tmp_path):
         dest = tmp_path / "attack.json"
         rc, out, _ = run_main(["attack", SIX, "-k", "6",
@@ -470,6 +501,12 @@ class TestVerifyTuCommand:
         rc, out, _ = run_main(["verify-tu", IEEE, "--max-order", "2"])
         assert rc == 0
         assert "yes" in out
+
+    def test_a_case_with_injection_meters_is_exit_2(self, tmp_path):
+        case = tmp_path / "injected.case"
+        case.write_text(INJECTED)
+        rc, out, err = run_main(["verify-tu", str(case)])
+        assert (rc, out, err) == (2, "", "error: total unimodularity applies to the flow rows only\n")
 
     def test_the_readme_line_runs(self, monkeypatch):
         # the flow rows' 341120 minors up to order 3 exceed the default

@@ -283,6 +283,23 @@ class TestEstimation:
         b = wls_estimate(self.H, np.diag(w), z)
         assert np.allclose(a, b, atol=1e-12)
 
+    @pytest.mark.parametrize("W", [np.ones(19), np.ones(21), np.eye(21)],
+                             ids=["short", "long", "matrix"])
+    def test_a_weight_of_the_wrong_length_is_rejected(self, W):
+        z = self.H.H @ self.rng.normal(size=13)
+        for solve in (wls_estimate, bdd_residual):
+            with pytest.raises(ValidationError, match="must have length 20"):
+                solve(self.H, W, z)
+
+    @pytest.mark.parametrize("weight", [0.0, -1.0])
+    def test_a_nonpositive_weight_is_rejected(self, weight):
+        z = self.H.H @ self.rng.normal(size=13)
+        w = np.ones(20)
+        w[7] = weight
+        for W in (w, np.diag(w)):
+            with pytest.raises(ValidationError, match="weights must be positive"):
+                wls_estimate(self.H, W, z)
+
     def test_rank_deficient_raises(self):
         net = Network(3, ((1, 2, 1), (2, 3, 1)))
         H = build_H(net, MeasurementSystem((1,)))
@@ -357,6 +374,7 @@ protect 1
         "buses 2\nline 1 2 1\nprotect\n",        # missing protect id
         "buses 2\nline 1 2 1\nfrobnicate 1\n",   # unknown directive
         "buses two\n",                           # non-numeric count
+        "buses 5 foo 1\nline 1 2 1\n",           # no ref keyword
     ])
     def test_malformed_directives(self, tmp_path, text):
         with pytest.raises(ParseError):

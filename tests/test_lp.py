@@ -431,6 +431,30 @@ def test_bounded_tableau_matches_bounds_written_as_rows(rule, monkeypatch):
     assert flipped > 30
 
 
+@pytest.mark.parametrize("rule", ["bland", "dantzig"])
+def test_a_cost_added_at_a_bounded_optimum_matches_bounds_written_as_rows(rule, monkeypatch):
+    # add_cost at an optimum that complemented some columns reads each
+    # complemented column's cost through x_j = upper[j] - x'_j; the primal
+    # loop then continues to the optimum of the summed cost
+    price_by(monkeypatch, rule)
+    rng = random.Random(272)
+    outcomes, complemented = set(), 0
+    for _ in range(300):
+        rows, basis, ncols, cost, upper = _random_bounded_lp(rng)
+        tab = _Tableau([dict(row) for row in rows], basis, ncols, dict(upper))
+        tab.add_cost(cost)
+        if lp_module._run_simplex(tab, [0]) is not LpStatus.OPTIMAL or not tab.flipped:
+            continue
+        extra = {j: rng.randint(-3, 3) for j in cost}
+        complemented += any(extra[j] for j in tab.flipped)
+        tab.add_cost(extra)
+        status = lp_module._run_simplex(tab, [0])
+        _agrees(tab, status, rows, {j: cost[j] + extra[j] for j in cost}, upper)
+        outcomes.add(status)
+    assert outcomes == {LpStatus.OPTIMAL, LpStatus.UNBOUNDED}
+    assert complemented > 30
+
+
 def test_an_empty_bound_map_is_the_plain_tableau():
     # the solve_lp tableau carries no bounds, and a copy keeps them apart
     tab = _optimal_tableau(preprocess(_random_feasible_lp(random.Random(3))))
@@ -716,14 +740,15 @@ def test_an_incumbent_off_the_root_rows_is_caught(monkeypatch):
 
 def _root_point(root, d):
     """The point of root's layout at the state move d, as (t' values by
-    column, their denominator, d's numerators, d's denominator): each free
-    row's t'+_j - t'-_j = Md A(j,:) d, big_m = Mn / Md."""
+    column, their denominator, the image of d's numerators, d's
+    denominator): each free row's t'+_j - t'-_j = Md A(j,:) d, big_m =
+    Mn / Md."""
     x, space = {}, root.space
     for j, t in space.ycol.items():
         a = sum(v * d[c] for c, v in space.rows[j - 1]) * root.big_m.denominator
         x[t if a > 0 else t + len(space.free)] = abs(a)
     nums, den = scale_row([*x.values(), *d])
-    return {c: v for c, v in zip(x, nums) if v}, den, nums[len(x):], den
+    return {c: v for c, v in zip(x, nums) if v}, den, space.image(nums[len(x):]), den
 
 
 def test_an_incumbent_off_a_protected_row_is_caught():
@@ -752,21 +777,21 @@ def test_an_incumbent_past_its_bounds_is_caught():
 
 
 def test_an_incumbent_off_a_link_row_is_caught_where_either_side_moves():
-    # the check reads the rows holding a state column d moves and the rows
-    # with a t' in X: a t' on a row that holds none, or a moved row with
-    # both t' dropped, breaks that row's link
+    # the check reads the rows in d's image and the rows with a t' in X: a
+    # t' on a row that d leaves at 0, or a moved row with both t' dropped,
+    # breaks that row's link
     _, d, support, _ = oracle.solve_milp_instance(SIXBUS_MILP)
     root = oracle._milp_root(_sixbus_space(), Fraction(2))
-    X, den, dn, dden = _root_point(root, d)
-    oracle._check_incumbent(root, 6, X, den, dn, dden)
+    X, den, image, dden = _root_point(root, d)
+    oracle._check_incumbent(root, 6, X, den, image, dden)
     ycol = root.space.ycol
     still = next(j for j in ycol if not any(d[c] for c, _ in root.space.rows[j - 1]))
     with pytest.raises(SolverDefect, match="root row"):
-        oracle._check_incumbent(root, 6, {**X, ycol[still]: den}, den, dn, dden)
+        oracle._check_incumbent(root, 6, {**X, ycol[still]: den}, den, image, dden)
     t = ycol[min(support - {6})]
     dropped = {c: v for c, v in X.items() if c not in (t, t + len(ycol))}
     with pytest.raises(SolverDefect, match="root row"):
-        oracle._check_incumbent(root, 6, dropped, den, dn, dden)
+        oracle._check_incumbent(root, 6, dropped, den, image, dden)
 
 
 def test_a_miscounted_incumbent_is_caught_by_its_support(monkeypatch):

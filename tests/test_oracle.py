@@ -433,7 +433,7 @@ def test_the_milp_shares_only_the_problem_record_and_the_elimination_with_the_l1
                 assert "tumin" not in imported
         elif isinstance(node, ast.Import):
             assert all("tumin" not in a.name for a in node.names)
-    assert names == {"TUProblem", "meter_space", "check_rows"}
+    assert names == {"TUProblem", "MeterSpace", "meter_space", "check_rows"}
 
 
 class TestCoherence:

@@ -334,16 +334,16 @@ class TestForgedCertificate:
         assert solve_warm(base, 1).cardinality == 2
         # theta = (-1, -1, 0) touches rows 1 and 3, as many as the index,
         # and the protected row 5
-        monkeypatch.setattr(tumin, "_state_values", lambda vals, space: {0: -1, 1: -1})
+        monkeypatch.setattr(tumin.MeterSpace, "move", lambda space, vals: [-1, -1, 0])
         with pytest.raises(SolverDefect, match="breaks the target or a protected row"):
             solve_warm(base, 1)
 
     def test_a_move_off_the_pattern_in_an_empty_column(self, monkeypatch):
         base = solve_l1_base(meter_space(sparse_rows(np.array([[1, 0], [1, 0]])), 2))
         assert solve_warm(base, 1) == TUSolution((1, 0), frozenset({1, 2}))
-        real = tumin._state_values
+        real = tumin.MeterSpace.move
         # moving the empty column by 2 changes no row
-        monkeypatch.setattr(tumin, "_state_values", lambda vals, space: {**real(vals, space), 1: 2})
+        monkeypatch.setattr(tumin.MeterSpace, "move", lambda space, vals: [real(space, vals)[0], 2])
         with pytest.raises(IntegralityError, match="unimodular pattern"):
             solve_warm(base, 1)
 
@@ -583,15 +583,16 @@ class TestVerifyTu:
         assert not verify_tu(A, 3)
         assert not verify_tu(A.T, 3)
 
+    @staticmethod
+    def every_minor_unimodular(A, order):
+        m, n = A.shape
+        return all(det_int([[A[i][j] for j in cols] for i in rows]) in (-1, 0, 1)
+                   for r in range(1, order + 1)
+                   for rows in combinations(range(m), r) for cols in combinations(range(n), r))
+
     def test_two_nonzeros_per_line_agree_with_enumeration(self):
         # random signed rows (or columns) of at most two entries, every
         # order, against a determinant for every minor
-        def every_minor_unimodular(A, order):
-            m, n = A.shape
-            return all(det_int([[A[i][j] for j in cols] for i in rows]) in (-1, 0, 1)
-                       for r in range(1, order + 1)
-                       for rows in combinations(range(m), r) for cols in combinations(range(n), r))
-
         rng = random.Random(9)
         failed = 0
         for _ in range(300):
@@ -603,10 +604,28 @@ class TestVerifyTu:
             if rng.random() < 0.5:
                 A = A.T
             for order in range(1, min(A.shape) + 1):
-                want = every_minor_unimodular(A, order)
+                want = self.every_minor_unimodular(A, order)
                 assert verify_tu(A, order, budget=1) == want
                 failed += not want
         assert failed > 30
+
+    def test_enumerated_minors_agree_with_every_determinant(self):
+        # interval matrices, some with entries negated, holding more than
+        # two nonzeros in a row and in a column, so only the enumeration
+        # decides them: with and without a minor of +-2, every order
+        rng = random.Random(10)
+        verdicts = {True: 0, False: 0}
+        for seed in range(300):
+            A = gen_consecutive_ones(rng.randint(3, 5), rng.randint(3, 5), seed)
+            if min(np.count_nonzero(A, axis=0).max(), np.count_nonzero(A, axis=1).max()) <= 2:
+                continue
+            if rng.random() < 0.5:
+                A = A * np.array([[rng.choice((-1, 1)) for _ in row] for row in A])
+            for order in range(2, min(A.shape) + 1):
+                want = self.every_minor_unimodular(A, order)
+                assert verify_tu(A, order) == want
+                verdicts[want] += 1
+        assert min(verdicts.values()) > 50
 
     def test_flow_rows_need_no_enumeration(self):
         # ieee14's 20 x 13 flow rows hold 341120 minors up to order 3
