@@ -194,17 +194,18 @@ class Metering:
     """A measurement system resolved against its network by metering(),
     once per (network, measurement system) pair: the line each flow meter
     reads, the 0-based slot of each metered line id and bus in the combined
-    meter list (flows first), and what the solvers derive from them on
-    first use (the metered-line graph in arc form, one record per line for
-    the witness read-back, the flow rows, and the l1 base and the MILP
-    root, each solved once for every target of the system), all kept with
-    the network."""
+    meter list (flows first) and of each state bus among the state columns,
+    and what the solvers derive from them on first use (the metered-line
+    graph in arc form, one record per line for the witness read-back, the
+    flow rows, and the l1 base and the MILP root, each solved once for
+    every target of the system), all kept with the network."""
 
     net: Network
     meas: MeasurementSystem
     lines: tuple[Line, ...]
     flow_slot: dict[int, int]
     injection_slot: dict[int, int]
+    state_column: dict[int, int]
 
     @cached_property
     def arcs(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
@@ -316,7 +317,8 @@ def _resolve(net: Network, meas: MeasurementSystem) -> Metering:
     nf = len(meas.flow_meters)
     return Metering(net, meas, tuple(net.lines[lid - 1] for lid in meas.flow_meters),
                     {lid: i for i, lid in enumerate(meas.flow_meters)},
-                    {bus: j for j, bus in enumerate(meas.injection_meters, start=nf)})
+                    {bus: j for j, bus in enumerate(meas.injection_meters, start=nf)},
+                    {bus: c for c, bus in enumerate(net.state_buses)})
 
 
 def flow_rows(net: Network, meas: MeasurementSystem) -> np.ndarray:
@@ -336,7 +338,7 @@ def _exact_H_rows(net: Network, meas: MeasurementSystem) -> list[list[Fraction]]
     flow_pairs over each line's reactance, then each injection row summed
     over the lines at its bus (Metering.bus_lines)."""
     mtr = metering(net, meas)
-    pos = {bus: c for c, bus in enumerate(net.state_buses)}
+    pos = mtr.state_column
     rows = [[Fraction(0)] * net.n_states for _ in range(meas.n_meters)]
     for row, pairs, ln in zip(rows, mtr.flow_pairs, mtr.lines):
         for c, d in pairs:

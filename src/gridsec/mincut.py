@@ -100,15 +100,13 @@ def max_flow(mtr: Metering, k: int) -> MinCut:
     return MinCut(total, flow, frozenset(reached), frozenset(sink))
 
 
-def witness(mtr: Metering, k: int, side: frozenset[int]) -> tuple[int, ...]:
-    """State vector of the cut `side` (which holds one endpoint of meter
-    k's line): +-1 on the part away from the reference bus, 0 elsewhere,
-    signed so meter k's line carries +1 from its from-bus to its to-bus."""
-    net, ln = mtr.net, mtr.lines[k - 1]
-    if net.reference_bus in side:
-        side = frozenset(range(1, net.n_buses + 1)) - side
-    sign = 1 if ln.from_bus in side else -1
-    return tuple(sign if b in side else 0 for b in net.state_buses)
+def witness(mtr: Metering, k: int, side: frozenset[int]) -> dict[int, int]:
+    """The moved buses of the cut `side` (holding one end of meter k's line)
+    as {state bus: +-1}: the side, or its complement when it holds the
+    reference bus, signed so meter k's line carries +1 from-bus to to-bus."""
+    if mtr.net.reference_bus in side:
+        side = [b for b in mtr.net.state_buses if b not in side]
+    return dict.fromkeys(side, 1 if mtr.lines[k - 1].from_bus in side else -1)
 
 
 def check_certificate(mtr: Metering, k: int, flow, value, dz, touched) -> None:
@@ -116,13 +114,13 @@ def check_certificate(mtr: Metering, k: int, flow, value, dz, touched) -> None:
     each other optimal.
 
     flow maps flow slots to signed flow (from-bus -> to-bus), as
-    max_flow returns it; dz and touched are the attack's measurement change
-    and support, flow meters first, as security._witness_attack returns
-    them: each dz entry 0 or an exact integer pair (a, b) for a / b, so
-    meter k reads +1 exactly when a == b.  No unprotected line may carry
-    more than 1, and the flow must be conserved at every bus but the ends
-    u, v of meter k's line, leaving u and reaching v with `value`; the
-    attack must move meter k by +1, touch no protected meter, and touch
+    max_flow returns it; dz and touched are the reported attack's change
+    and support, flows first, as security._witness_attack reads them off
+    its moved buses: each dz entry 0 or an exact integer pair (a, b) for
+    a / b, so meter k reads +1 exactly when a == b.  No unprotected line
+    may carry more than 1, and the flow must be conserved at every bus but
+    the ends u, v of meter k's line, leaving u and reaching v with `value`;
+    the attack must move meter k by +1, touch no protected meter, and touch
     exactly `value` flow meters.
 
     That is weak duality.  An attack that moves meter k gives u and v

@@ -10,11 +10,11 @@ transpose, a network matrix, so the linear-programming relaxation has an
 integral optimum (security_index); the same index is the minimum cut
 between the line's endpoints (mincut_index).
 
-Meter indices follow the measurement-system convention: 1-based, flow
-meters first, resolved once per system by grid.metering.  One certified cut
-brackets a flow target's index (security_index_bounds): the flow-only
-minimum cut below, the meters its witness touches (on the lines crossing
-the cut, not on built rows of H) above; without injections it closes.
+Meter indices are 1-based, flows first, resolved once per system by
+grid.metering.  One certified cut brackets a flow target's index
+(security_index_bounds), closed without injections: the flow-only minimum
+cut below, the meters its witness touches above.  Every route reads its
+witness back from one map {moved state bus: numerator}, not rows of H.
 """
 from __future__ import annotations
 
@@ -86,27 +86,23 @@ def reduce_to_tu(net: Network, meas: MeasurementSystem, k: int) -> TUProblem:
     return TUProblem(flow_rows(net, meas), k, meas.protected)
 
 
-def _witness_attack(mtr: Metering, k: int, x, den: int = 1) -> tuple[list, list, frozenset[int]]:
-    """Exact (dtheta, dz, touched) of the state move x / den (x integers,
-    den > 0) over every meter, flows first, scaled so flow meter k (which
-    it moves by +1) reads +1.
+def _witness_attack(mtr: Metering, k: int, pot: dict[int, int], den: int = 1):
+    """Exact (dz, touched) over every meter, flows first, of the state move
+    pot / den (moved state bus: integer numerator; den > 0), scaled so flow
+    meter k, which it moves by +1, reads +1.  No Fraction is built.
 
-    Each entry is 0 or an unreduced integer pair (a, b), b > 0, that reads
-    a / b.  Only the lines at buses x moves are visited (mtr.bus_lines),
-    each once by line id, and each is read from its record
-    (mtr.line_records: ends, meter slots, reactance nl / dl): one whose
-    ends x moves apart by w carries the flow change w * x_k / (den * x_line),
-    the pair (w num dl, den dk nl) with x_k = num / dk; its flow meter
-    reads that pair, and its from-bus injection adds it and its to-bus
-    injection subtracts it by cross-multiplication, so an injection holds
-    the exact sum of its lines' pairs (its numerator 0 when they cancel).
-    touched holds the entries with a nonzero numerator.  No Fraction is
-    built.
+    Each dz entry is 0 or an unreduced integer pair (a, b), b > 0, for
+    a / b.  Only the lines at moved buses are visited (mtr.bus_lines), each
+    once, from its mtr.line_records entry: one whose ends move apart by w
+    changes its flow by w x_k / (den x_line), the pair (w num dl, den dk nl)
+    for x_k = num / dk and x_line = nl / dl, which its flow meter reads and
+    the injections at its from-bus add and at its to-bus subtract by
+    cross-multiplication (an exact sum, numerator 0 when it cancels).
+    touched holds the entries with a nonzero numerator.
     """
     recs, at = mtr.line_records, mtr.bus_lines
     xk = mtr.lines[k - 1].reactance
     num, den = xk.numerator, xk.denominator * den
-    pot = {b: v for b, v in zip(mtr.net.state_buses, x) if v}
     dz = [0] * mtr.meas.n_meters
     touched = set()
     for lid in {lid for b in pot for lid in at[b]}:
@@ -125,32 +121,35 @@ def _witness_attack(mtr: Metering, k: int, x, den: int = 1) -> tuple[list, list,
                 c, d = dz[ti] or (0, 1)
                 dz[ti] = (c * b - a * d, d * b)
                 touched.add(ti)
-    touched = frozenset(i + 1 for i in touched if dz[i][0])
-    return [(v * num, den) if v else 0 for v in x], dz, touched
+    return dz, frozenset(i + 1 for i in touched if dz[i][0])
 
 
-def _attack(dtheta, dz, touched) -> AttackVector:
-    """The floats of an exact (dtheta, dz, touched) of _witness_attack:
-    each pair (a, b) reads a / b, an int true division, which rounds
-    correctly as float(Fraction(a, b)) does, so every float is the one
-    the exact value rounds to."""
-    dz_f = np.zeros(len(dz))
+def _attack(mtr: Metering, k: int, pot: dict[int, int], den: int, dz, touched) -> AttackVector:
+    """The floats of the move pot / den (each moved bus's angle
+    pot[b] x_k / den at its mtr.state_column) and of its _witness_attack
+    (dz, touched): each an int true division a / b of its exact pair,
+    which rounds correctly as float(Fraction(a, b)) does."""
+    xk, col = mtr.lines[k - 1].reactance, mtr.state_column
+    dtheta, dz_f = np.zeros(mtr.net.n_states), np.zeros(len(dz))
+    for b, v in pot.items():
+        dtheta[col[b]] = v * xk.numerator / (xk.denominator * den)
     for i in touched:
         a, b = dz[i - 1]
         dz_f[i - 1] = a / b
-    return AttackVector(np.array([v[0] / v[1] if v else 0.0 for v in dtheta]), dz_f, touched)
+    return AttackVector(dtheta, dz_f, touched)
 
 
 def _exact_result(mtr: Metering, k: int, method: str, x, support, t0,
                   den: int = 1) -> SecurityIndexResult:
     """An exact solve's result, timed from t0: its state move x / den
-    (moving flow meter k by +1) must touch the meters of the solver's
-    support."""
-    dtheta, dz, touched = _witness_attack(mtr, k, x, den)
+    (dense over the state columns, moving flow meter k by +1) must touch
+    the meters of the solver's support."""
+    pot = {b: v for b, v in zip(mtr.net.state_buses, x) if v}
+    dz, touched = _witness_attack(mtr, k, pot, den)
     if touched != support:            # reactance scaling cannot move the support
         raise SolverDefect("witness support disagrees with the solver")
     i = len(touched)
-    return SecurityIndexResult(meter=k, index=i, attack=_attack(dtheta, dz, touched),
+    return SecurityIndexResult(meter=k, index=i, attack=_attack(mtr, k, pot, den, dz, touched),
                                method=method, bounds=(i, i), solve_time=time.perf_counter() - t0)
 
 
@@ -197,11 +196,12 @@ def security_index_bounds(net: Network, meas: MeasurementSystem, k: int) -> Secu
     meters); the meters its witness touches, evaluated on the lines crossing
     the cut, are an upper bound.  The witness moves the buses reachable from
     meter k's from-bus in the residual graph; with injection meters, also
-    the complement of those that can reach its to-bus, and the one touching
-    fewer meters is kept.  mincut.check_certificate checks it.  Protected
-    injections would invalidate the lower bound, so they raise
-    ProtectedInjection; injection targets are not reducible and raise
-    TargetIsInjection.  Meter ids are checked by grid.metering.
+    the complement of those reaching its to-bus unless the two cover every
+    bus, and the one touching fewer meters (the first on a tie) is kept.
+    mincut.check_certificate checks it.  Protected injections would
+    invalidate the lower bound, so they raise ProtectedInjection; injection
+    targets are not reducible and raise TargetIsInjection.  Meter ids are
+    checked by grid.metering.
     """
     t0 = time.perf_counter()
     kind, _ = meas.meter_kind(k)
@@ -215,14 +215,14 @@ def security_index_bounds(net: Network, meas: MeasurementSystem, k: int) -> Secu
     # every protected meter is now a flow meter, so the min cut reads meas as is
     mtr = metering(net, meas)
     cut = max_flow(mtr, k)
-    sides = [cut.source_side]
-    if meas.injection_meters:         # else every minimum cut touches cut.value meters
-        sides.append(frozenset(range(1, net.n_buses + 1)) - cut.sink_side)
-    moves = [_witness_attack(mtr, k, witness(mtr, k, side)) for side in dict.fromkeys(sides)]
-    dtheta, dz, touched = min(moves, key=lambda m: len(m[2]))   # the source side on a tie
+    moves = [witness(mtr, k, cut.source_side)]
+    if meas.injection_meters and len(cut.source_side) + len(cut.sink_side) < net.n_buses:
+        moves.append(witness(mtr, k, cut.sink_side))
+    reads = [(_witness_attack(mtr, k, pot), pot) for pot in moves]
+    (dz, touched), pot = min(reads, key=lambda r: len(r[0][1]))   # the source side on a tie
     check_certificate(mtr, k, cut.flow, cut.value, dz, touched)
     return SecurityIndexResult(
-        meter=k, index=None, attack=_attack(dtheta, dz, touched),
+        meter=k, index=None, attack=_attack(mtr, k, pot, 1, dz, touched),
         method="bounds", bounds=(cut.value, len(touched)),
         solve_time=time.perf_counter() - t0)
 

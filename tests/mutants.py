@@ -193,6 +193,12 @@ MUTANTS = (
     Mutant("an injection sum drops its cross-multiplication", (
         (SECURITY, "dz[fi] = (c * b + a * d, d * b)", "dz[fi] = (c + a, b)"),
         (SECURITY, "dz[ti] = (c * b - a * d, d * b)", "dz[ti] = (c - a, b)"))),
+    _one("the bracket moves the side holding the reference bus", MINCUT,
+         "    if mtr.net.reference_bus in side:\n", "    if mtr.net.reference_bus not in side:\n"),
+    _one("the float scatter writes a bus's angle one state column off", SECURITY,
+         "dtheta[col[b]] = v * xk.numerator", "dtheta[col[b] - 1] = v * xk.numerator"),
+    _one("the bracket drops the second candidate", SECURITY,
+         "        moves.append(witness(mtr, k, cut.sink_side))\n", "        pass\n"),
     # the one flow-row form and the LP's column check
     _one("flow rows with their signs flipped", GRID,
          "rows[e].append((c, d))", "rows[e].append((c, -d))"),

@@ -143,15 +143,15 @@ def solution_from_x(problem, x) -> TUSolution:
     return TUSolution(tuple(x), frozenset(support))
 
 
-def witness_attack_all_lines(mtr, k, x, den=1):
+def witness_attack_all_lines(mtr, k, pot, den=1):
     """security._witness_attack by a walk over every line of the network,
-    as it read before it visited only the lines at buses x moves: the same
-    unreduced (a, b) pairs, since a sum of pairs cross-multiplied in any
-    order is sum(a_i prod(b_j, j != i)) over prod(b_j)."""
+    as it read before it visited only the lines at moved buses: the same
+    (dz, touched) with the same unreduced (a, b) pairs, since a sum of
+    pairs cross-multiplied in any order is sum(a_i prod(b_j, j != i)) over
+    prod(b_j)."""
     net, flow, inj = mtr.net, mtr.flow_slot, mtr.injection_slot
     xk = mtr.lines[k - 1].reactance
     num, den = xk.numerator, xk.denominator * den
-    pot = {b: v for b, v in zip(net.state_buses, x) if v}
     dz = [0] * mtr.meas.n_meters
     for lid, ln in enumerate(net.lines, start=1):
         w = pot.get(ln.from_bus, 0) - pot.get(ln.to_bus, 0)
@@ -165,5 +165,4 @@ def witness_attack_all_lines(mtr, k, x, den=1):
             if ln.to_bus in inj:
                 c, d = dz[inj[ln.to_bus]] or (0, 1)
                 dz[inj[ln.to_bus]] = (c * b - a * d, d * b)
-    touched = frozenset(i + 1 for i, v in enumerate(dz) if v and v[0])
-    return [(v * num, den) if v else 0 for v in x], dz, touched
+    return dz, frozenset(i + 1 for i, v in enumerate(dz) if v and v[0])

@@ -38,22 +38,30 @@ size.  Unprotected and under {13, 15, 16}: meters 4 and 5 (lines 1, 3,
 4, 5 became 2, 3, 4, 5) and meter 7 (3, 4, 7, 10 became 2, 5, 7, 10).
 Under {4, 9, 16}: meters 5 and 7 (1, 5, 7, 10 became 2, 5, 7, 10) and
 meter 10 (10, 11, 17 became 10, 17, 18).
+
+The bounds digest takes security_index_bounds on every unprotected flow
+meter of injection-metered systems: mesh_grid seeds 1-3, each with 8
+seeded injection meters, and 60 draws of conftest.random_injection_system.
+It hashes the bracket, the sorted touched meters and the exact bytes of
+delta_z and delta_theta, so a change to the candidate cut sides, the tie
+rule or the witness read-back shows here.
 """
 import hashlib
 import random
 
-from gridsec import MeasurementSystem, parse_case, security_index
+from gridsec import MeasurementSystem, parse_case, security_index, security_index_bounds
 from gridsec.errors import InfeasibleIndex
 from gridsec.grid import metering
 from gridsec.oracle import milp_solve
 
-from conftest import IEEE14_CASE, count_pivots, mesh_grid
+from conftest import IEEE14_CASE, count_pivots, mesh_grid, random_injection_system
 
 SEEDS = (1, 2, 3, 4)
 GOLDEN = "e12dd4943f4b3ec005f5a174756b395afb9d1a7e68432bc8a75ef399fcde4bc4"
 GOLDEN_UNPROTECTED = "56453f25ee5bfe246465613925384f6b42b8e3912f8008d67a533ffd4e5fbf85"
 WARM_PIVOTS = {3: 2342, 0: 2412}      # by the number of protected meters
 GOLDEN_MILP = "11f341b78398662ec006c16755504ab2ba733262167798bc82cf0f9c3c483181"
+GOLDEN_BOUNDS = "688b85b95d0356b3a862d50e8c6116a38f0b6cf91ddf8aeeecfdc35a599922be"
 
 
 def _answer(solve, net, meas, k):
@@ -105,3 +113,31 @@ def test_the_milp_gives_the_golden_answers():
                     for k in range(1, 21) if k not in plan]
     assert len(answers) == 20 + 3 * 17
     assert hashlib.sha256(repr(answers).encode()).hexdigest() == GOLDEN_MILP
+
+
+def _bracket(net, meas, k):
+    """(bounds, sorted touched, delta_z bytes, delta_theta bytes) of meter
+    k's bracket, or (None,) when no attack reaches it."""
+    try:
+        res = security_index_bounds(net, meas, k)
+    except InfeasibleIndex:
+        return (None,)
+    a = res.attack
+    return res.bounds, sorted(a.touched), a.delta_z.tobytes().hex(), a.delta_theta.tobytes().hex()
+
+
+def test_the_bounds_give_the_golden_answers():
+    answers = []
+    for seed in (1, 2, 3):
+        net, meas = mesh_grid(seed)
+        injections = tuple(sorted(random.Random(seed).sample(net.state_buses, 8)))
+        system = MeasurementSystem(meas.flow_meters, injections, meas.protected)
+        answers += [(seed, k) + _bracket(net, system, k)
+                    for k in range(1, len(meas.flow_meters) + 1) if k not in meas.protected]
+    rng = random.Random(36)
+    for draw in range(60):
+        net, meas, _ = random_injection_system(rng)
+        answers += [("draw", draw, k) + _bracket(net, meas, k)
+                    for k in range(1, len(meas.flow_meters) + 1) if k not in meas.protected]
+    assert len(answers) == 464 and sum(a[-1] is None for a in answers) == 17
+    assert hashlib.sha256(repr(answers).encode()).hexdigest() == GOLDEN_BOUNDS

@@ -263,6 +263,39 @@ class TestDifferential:
         assert res.bounds == (2, 2)
         assert res.attack.touched.isdisjoint({5})
 
+    def test_bounds_keep_the_source_side_on_a_tie(self, monkeypatch):
+        # the same square with an injection at bus 2: the source side
+        # (moving buses 2, 3, 4 off the reference bus 1) cuts lines 1-2 and
+        # 1-3, the sink side (bus 2) lines 1-2 and 4-2, and each touches
+        # the injection, so both touch 3 meters
+        reads = []
+        evaluate = security._witness_attack
+
+        def counted(*args):
+            reads.append(evaluate(*args))
+            return reads[-1]
+
+        monkeypatch.setattr(security, "_witness_attack", counted)
+        net = Network(4, ((1, 2, 1), (1, 3, 1), (3, 4, 1), (4, 2, 1)))
+        res = security_index_bounds(net, MeasurementSystem((1, 2, 3, 4), (2,)), 1)
+        assert [touched for _, touched in reads] == [{1, 2, 5}, {1, 4, 5}]
+        assert res.bounds == (2, 3)
+        assert res.attack.touched == {1, 2, 5}
+        assert res.attack.delta_theta.tolist() == [-1.0, -1.0, -1.0]
+
+    def test_bounds_read_one_side_when_the_cut_is_unique(self, monkeypatch):
+        # on the path 1-2-3 the only cut of meter 1 is line 1-2: the source
+        # side {1} and the sink side's complement coincide
+        calls = []
+        evaluate = security._witness_attack
+        monkeypatch.setattr(security, "_witness_attack",
+                            lambda *args: calls.append(args[2]) or evaluate(*args))
+        net = Network(3, ((1, 2, 1), (2, 3, 1)))
+        res = security_index_bounds(net, MeasurementSystem((1, 2), (3,)), 1)
+        assert calls == [{2: -1, 3: -1}]
+        assert res.bounds == (1, 1)
+        assert res.attack.touched == {1}
+
 
 class TestContract:
     def test_six_bus_values(self):
@@ -305,11 +338,12 @@ class TestCertificate:
 
     def check(self, flow, value, x=None, meas=None):
         mtr = metering(self.net, meas or self.meas)
-        _, dz, touched = security._witness_attack(mtr, 1, self.x if x is None else x)
+        dz, touched = security._witness_attack(mtr, 1, self.x if x is None else x)
         check_certificate(mtr, 1, flow, value, dz, touched)
 
     def test_solver_output_passes(self):
         assert self.cut.value == 2
+        assert self.x == {2: -1}         # bus 2 alone, away from the reference bus 1
         assert all(self.cut.flow.values())
         self.check(self.cut.flow, self.cut.value)
 
@@ -343,7 +377,7 @@ class TestCertificate:
 
     def test_rejects_a_witness_that_misses_the_target(self):
         with pytest.raises(SolverDefect, match="target"):
-            self.check(self.cut.flow, self.cut.value, x=(0, 0, 0))
+            self.check(self.cut.flow, self.cut.value, x={})
 
     def test_rejects_a_witness_that_touches_a_protected_meter(self):
         # with line 2 protected the flow stays valid, but the witness moves it
@@ -362,7 +396,7 @@ class TestCertificate:
             if k in meas.protected:
                 continue
             cut = max_flow(mtr, k)
-            _, dz, touched = security._witness_attack(mtr, k, witness(mtr, k, cut.source_side))
+            dz, touched = security._witness_attack(mtr, k, witness(mtr, k, cut.source_side))
             check_certificate(mtr, k, cut.flow, cut.value, dz, touched)
             heavy += any(abs(f) > 1 for f in cut.flow.values())
             e = min(e for e in cut.flow if e + 1 not in meas.protected)
@@ -384,9 +418,9 @@ class TestCertificate:
         evaluate = security._witness_attack
 
         def padded(*args):
-            dtheta, dz, touched = evaluate(*args)
+            dz, touched = evaluate(*args)
             extra = min(set(range(1, 6)) - touched)
-            return dtheta, dz, touched | {extra}
+            return dz, touched | {extra}
 
         monkeypatch.setattr(security, "_witness_attack", padded)
         with pytest.raises(SolverDefect, match=match):

@@ -206,7 +206,8 @@ def random_injection_system(rng: random.Random, max_nodes: int = 8):
 
 def random_move(rng: random.Random, net, meas, k):
     """A random exact state move that shifts meter k's line by +1, as
-    (integer numerators, their positive common denominator), or None."""
+    ({state bus: nonzero integer numerator}, their positive common
+    denominator), or None."""
     x = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.6 else 0
          for _ in range(net.n_states)]
     pot = dict(zip(net.state_buses, x))
@@ -216,23 +217,33 @@ def random_move(rng: random.Random, net, meas, k):
         return None
     moved = [Fraction(v) / w for v in x]
     den = math.lcm(*(v.denominator for v in moved))
-    return [int(v * den) for v in moved], den
+    return {b: int(v * den) for b, v in zip(net.state_buses, moved) if v}, den
 
 
 def exact_entries(entries) -> list:
-    """The exact values of _witness_attack entries, each 0 or an integer
-    pair (a, b) with b > 0 for a / b."""
+    """The exact values of _witness_attack's dz entries, each 0 or an
+    integer pair (a, b) with b > 0 for a / b."""
     assert all(v == 0 or (type(v[0]) is int and type(v[1]) is int and v[1] > 0)
                for v in entries)
     return [Fraction(*v) if v else 0 for v in entries]
 
 
+def exact_dtheta(net, meas, k, pot, den) -> list:
+    """The exact state move of the moved-bus map pot over den, scaled by
+    meter k's reactance (the read-back's scaling), dense over the state
+    buses."""
+    assert all(type(v) is int and v for v in pot.values()) and type(den) is int and den > 0
+    xk = net.lines[meas.flow_meters[k - 1] - 1].reactance
+    return [xk * Fraction(pot.get(b, 0), den) for b in net.state_buses]
+
+
 class TestWitnessEvaluator:
-    def assert_matches_rows(self, net, meas, k, x, den=1):
-        dtheta, dz, touched = _witness_attack(metering(net, meas), k, x, den)
-        xk = net.lines[meas.flow_meters[k - 1] - 1].reactance
-        dtheta = exact_entries(dtheta)
-        assert dtheta == [xk * Fraction(v, den) for v in x]
+    def assert_matches_rows(self, net, meas, k, pot, den=1):
+        mtr = metering(net, meas)
+        dz, touched = _witness_attack(mtr, k, pot, den)
+        dtheta = exact_dtheta(net, meas, k, pot, den)
+        attack = security._attack(mtr, k, pot, den, dz, touched)
+        assert attack.delta_theta.tolist() == [float(v) for v in dtheta]
         image = [sum((a * d for a, d in zip(row, dtheta)), Fraction(0))
                  for row in _exact_H_rows(net, meas)]
         dz = exact_entries(dz)
@@ -254,7 +265,11 @@ class TestWitnessEvaluator:
                 continue
             cuts += 1
             for side in (cut.source_side, frozenset(range(1, net.n_buses + 1)) - cut.sink_side):
-                self.assert_matches_rows(net, meas, k, witness(metering(net, meas), k, side))
+                pot = witness(metering(net, meas), k, side)
+                # the moved side: one side of the cut, never the reference bus
+                assert net.reference_bus not in pot
+                assert pot.keys() in (side, set(range(1, net.n_buses + 1)) - side)
+                self.assert_matches_rows(net, meas, k, pot)
         assert cuts > 100
 
     def test_bounds_attack_is_the_image_of_its_state_move(self):
@@ -284,15 +299,14 @@ class TestWitnessEvaluator:
         rng = random.Random(507)
         kinds = set()
 
-        def both(mtr, k, x, den=1):
-            got = witness_attack_all_lines(mtr, k, x, den)
-            assert evaluate(mtr, k, x, den) == got
-            pot = dict(zip(mtr.net.state_buses, x))
+        def both(mtr, k, pot, den=1):
+            got = witness_attack_all_lines(mtr, k, pot, den)
+            assert evaluate(mtr, k, pot, den) == got
             for lid, ln in enumerate(mtr.net.lines, start=1):
                 if pot.get(ln.from_bus, 0) != pot.get(ln.to_bus, 0):
                     kinds.add(("unmetered", lid not in mtr.flow_slot))
                     kinds.add(("at reference", mtr.net.reference_bus in (ln.from_bus, ln.to_bus)))
-            kinds.add(("injection", any(i > len(mtr.meas.flow_meters) for i in got[2])))
+            kinds.add(("injection", any(i > len(mtr.meas.flow_meters) for i in got[1])))
             return got
 
         evaluate = security._witness_attack
@@ -319,9 +333,9 @@ class TestWitnessEvaluator:
         seen = []
         real = security._attack
 
-        def spy(dtheta, dz, touched):
-            attack = real(dtheta, dz, touched)
-            seen.append((dtheta, dz, touched, attack))
+        def spy(mtr, k, pot, den, dz, touched):
+            attack = real(mtr, k, pot, den, dz, touched)
+            seen.append((pot, den, dz, touched, attack))
             return attack
 
         monkeypatch.setattr(security, "_attack", spy)
@@ -340,11 +354,11 @@ class TestWitnessEvaluator:
                 except InfeasibleIndex:
                     continue
                 solved[name] += 1
-                (dtheta, dz, touched, attack), = seen
+                (pot, den, dz, touched, attack), = seen
                 assert res.attack is attack
-                assert attack.delta_theta.tolist() == [float(v) for v in exact_entries(dtheta)]
+                xs = exact_dtheta(net, system, k, pot, den)
+                assert attack.delta_theta.tolist() == [float(v) for v in xs]
                 assert attack.delta_z.tolist() == [float(v) for v in exact_entries(dz)]
-                xs = exact_entries(dtheta)
                 image = [sum((a * x for a, x in zip(row, xs)), Fraction(0))
                          for row in _exact_H_rows(net, system)]
                 assert exact_entries(dz) == image
