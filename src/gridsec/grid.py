@@ -195,10 +195,10 @@ class Metering:
     once per (network, measurement system) pair: the line each flow meter
     reads, the 0-based slot of each metered line id and bus in the combined
     meter list (flows first) and of each state bus among the state columns,
-    and what the solvers derive from them on first use (the metered-line
-    graph in arc form, one record per line for the witness read-back, the
-    flow rows, and the l1 base and the MILP root, each solved once for
-    every target of the system), all kept with the network."""
+    and what the solvers derive from them on first use (one record per
+    line, the one description of which meters read it and with what sign;
+    the flow rows; the max-flow's arc form; the l1 base and the MILP root,
+    each solved once for every target), all kept with the network."""
 
     net: Network
     meas: MeasurementSystem
@@ -209,10 +209,10 @@ class Metering:
 
     @cached_property
     def arcs(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-        """The metered-line graph in arc form, (out, head): arc 2e runs
-        along flow slot e from its line's from-bus to its to-bus, arc
-        2e + 1 back; out[b] holds the arcs leaving bus b (index 0 unused)
-        and head[x] the bus arc x enters."""
+        """The metered-line graph in arc form, (out, head), built by the
+        max-flow alone: arc 2e runs along flow slot e from its line's
+        from-bus to its to-bus, arc 2e + 1 back; out[b] holds the arcs
+        leaving bus b (index 0 unused) and head[x] the bus arc x enters."""
         out: list[list[int]] = [[] for _ in range(self.net.n_buses + 1)]
         head = []
         for e, ln in enumerate(self.lines):
@@ -233,7 +233,7 @@ class Metering:
     @cached_property
     def bus_lines(self) -> tuple[tuple[int, ...], ...]:
         """Per bus (index 0 unused), the 1-based ids of every line at it,
-        metered or not."""
+        metered or not: the lines the witness read-back visits."""
         at: list[list[int]] = [[] for _ in range(self.net.n_buses + 1)]
         for lid, ln in enumerate(self.net.lines, start=1):
             at[ln.from_bus].append(lid)
@@ -241,29 +241,30 @@ class Metering:
         return tuple(map(tuple, at))
 
     @cached_property
-    def line_records(self) -> tuple[tuple[int, int, int, int, int, int, int], ...]:
-        """Per line of the network (0-based), what the witness read-back
-        needs of it: (from-bus, to-bus, flow slot, from-bus injection slot,
-        to-bus injection slot, reactance numerator, reactance denominator),
-        each slot -1 where no meter reads it."""
+    def line_records(self) -> tuple[tuple[int, int, tuple[tuple[int, int], ...], int, int], ...]:
+        """Per line of the network (0-based), the one description of the
+        meters that read its flow: (from-bus, to-bus, signed slots,
+        reactance numerator, reactance denominator), the signed slots
+        (meter slot, +-1) of the meters that exist among its flow meter
+        (+1), its from-bus injection (+1) and its to-bus injection (-1).
+        The exact rows of H and the witness read-back are built from it."""
         flow, inj = self.flow_slot, self.injection_slot
-        return tuple((ln.from_bus, ln.to_bus, flow.get(lid, -1), inj.get(ln.from_bus, -1),
-                      inj.get(ln.to_bus, -1), ln.reactance.numerator, ln.reactance.denominator)
+        return tuple((ln.from_bus, ln.to_bus,
+                      tuple((i, s) for i, s in ((flow.get(lid), 1), (inj.get(ln.from_bus), 1),
+                                                (inj.get(ln.to_bus), -1)) if i is not None),
+                      ln.reactance.numerator, ln.reactance.denominator)
                      for lid, ln in enumerate(self.net.lines, start=1))
 
     @cached_property
     def flow_pairs(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """The one form of the integer flow rows, read off the arcs: slot e
-        holds d at the state column of each end of its line, +1 at the
-        from-bus (arc 2e leaves it) and -1 at the to-bus (arc 2e + 1), the
-        state buses walked in ascending order (tumin.sparse_rows pairs)."""
-        out = self.arcs[0]
-        rows: list[list[tuple[int, int]]] = [[] for _ in self.lines]
-        for c, bus in enumerate(self.net.state_buses):
-            for x in out[bus]:
-                e, d = x >> 1, -1 if x & 1 else 1
-                rows[e].append((c, d))
-        return tuple(map(tuple, rows))
+        """The one form of the integer flow rows (tumin.sparse_rows pairs),
+        read off each flow meter's line ends: +1 at the from-bus's state
+        column and -1 at the to-bus's, ascending, at each end that is a
+        state bus (what its +1 slot in line_records adds over x_line)."""
+        col = self.state_column
+        return tuple(tuple(sorted((col[b], d) for b, d in ((ln.from_bus, 1), (ln.to_bus, -1))
+                                  if b in col))
+                     for ln in self.lines)
 
     @cached_property
     def meter_space(self) -> MeterSpace:
@@ -334,22 +335,18 @@ def flow_rows(net: Network, meas: MeasurementSystem) -> np.ndarray:
 
 
 def _exact_H_rows(net: Network, meas: MeasurementSystem) -> list[list[Fraction]]:
-    """Measurement matrix rows over exact rationals (same order as build_H):
-    flow_pairs over each line's reactance, then each injection row summed
-    over the lines at its bus (Metering.bus_lines)."""
+    """Measurement matrix rows over exact rationals (same order as build_H),
+    read off Metering.line_records, the one description of each line: a
+    signed slot (i, s) adds s/x at its from-bus's state column and -s/x at
+    its to-bus's."""
     mtr = metering(net, meas)
     pos = mtr.state_column
     rows = [[Fraction(0)] * net.n_states for _ in range(meas.n_meters)]
-    for row, pairs, ln in zip(rows, mtr.flow_pairs, mtr.lines):
-        for c, d in pairs:
-            row[c] = d / ln.reactance
-    for row, bus in zip(rows[len(mtr.lines):], meas.injection_meters):
-        for lid in mtr.bus_lines[bus]:    # +1/x on the diagonal, -1/x toward the far end
-            ln = net.lines[lid - 1]
-            far = ln.to_bus if ln.from_bus == bus else ln.from_bus
-            row[pos[bus]] += 1 / ln.reactance
-            if far in pos:
-                row[pos[far]] -= 1 / ln.reactance
+    for fb, tb, slots, nl, dl in mtr.line_records:
+        for i, s in slots:
+            for bus, v in ((fb, s), (tb, -s)):
+                if bus in pos:
+                    rows[i][pos[bus]] += Fraction(v * dl, nl)
     return rows
 
 

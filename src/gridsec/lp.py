@@ -1,21 +1,28 @@
-"""Exact two-phase simplex for standard-form linear programs.
+"""Exact simplex kernels on integer rows, and the two roots a measurement
+system keeps.
 
-Problems are  min f'x  s.t.  C x = d,  x >= 0,  with every coefficient an
-exact rational.  No floating point enters the solve path, so the returned
-basic feasible solutions are exact and the Infeasible/Unbounded/Optimal
-trichotomy is decided, not estimated.
+Two tableaux run the same primal and dual loops.  A _Tableau holds sparse
+integer rows: a row maps column -> nonzero integer numerator (the
+right-hand side sits under the key RHS), all over one positive
+denominator, its own entry in its basic column, and it may bound its
+columns above by integers (Dantzig's upper-bounding technique: a column at
+its bound is complemented), which costs no rows.  A _TernaryTableau holds
+entries that are all -1, 0 or 1 (total unimodularity), each row two
+bitmasks.  Both read a vertex as integer numerators over one common
+denominator.  No floating point enters a solve, so the Infeasible /
+Unbounded / Optimal trichotomy is decided, not estimated.
 
-Rows are kept as sparse integer rows: a row maps column -> nonzero integer
-numerator (the right-hand side sits under the key RHS), all over one
-positive denominator, a tableau row's own entry in its basic column; a
-vertex is read as integer numerators over one common denominator.  Integer
-input goes straight into that form and reaches the tableau without a
-Fraction detour; a pivot is an integer cross-multiplication over the pivot
-row's nonzeros, applied to the rows whose pivot-column entry is nonzero,
-followed by a gcd sweep (the elimination kernel of exactla, which
-preprocess and verify_bfs share).  On the unimodular-style instances this
-package cares about the denominators stay tiny and the rows short, which
-is what makes exact arithmetic affordable.
+The two roots a measurement system keeps read the same rows over the row
+slacks (tumin.meter_space) from the one crash rule (_crash_basis), so
+each runs the primal loop alone.  The l1 sweep's (tumin.solve_l1_base) is
+a _TernaryTableau, and the dual loop re-optimizes a fresh copy of it for
+each target row.  The MILP oracle's is a bounded _Tableau: a copy of its
+optimum is re-optimized for each target, and then at every
+branch-and-bound node, fixing binaries by their bounds.  A dict pivot
+cross-multiplies the rows holding the pivot column by the pivot row and
+sweeps their gcds (exactla's elimination kernel, which preprocess and
+verify_bfs share); on unimodular-style data the denominators stay tiny
+and the rows short, which keeps exact arithmetic affordable.
 
 One pivot policy serves every loop: the primal loop enters by Dantzig's
 rule (most negative reduced cost), the dual loop leaves by steepest edge
@@ -23,25 +30,18 @@ rule (most negative reduced cost), the dual loop leaves by steepest edge
 tableau), and both fall back to Bland's rule past a pivot allowance so
 that degenerate cycling cannot stall a solve.  Any rule that reaches an
 optimal vertex gives the same optimum, so the policy is a speed choice,
-not a correctness one.  preprocess is the one place that removes
-dependent rows; the simplex expects independent ones.
+not a correctness one.
 
-A solve returns an LpOutcome; an optimal one carries its tableau, which
-can be re-optimized in place rather than solved again: by the primal
-simplex after a cost change, and by the dual simplex after an appended
-row or a fixed column.  solve_lp, with StandardFormLP, preprocess and
-phase 1, is the public two-phase solve; the package's own solves bypass
-it, and its tableau carries no bounds.  A _Tableau may bound its columns
-above by integers (Dantzig's upper-bounding technique: a column at its
-bound is complemented), which costs no rows.  The two roots a
-measurement system keeps read the same rows over the row slacks
-(tumin.meter_space) from the one crash rule (_crash_basis), so each
-runs the primal loop alone.  The MILP oracle's is a bounded _Tableau: a
-copy of its optimum is re-optimized for each target, and then at every
-branch-and-bound node, fixing binaries by their bounds.  The l1 sweep's
-(tumin.solve_l1_base) is a _TernaryTableau, whose entries are all -1, 0
-or 1 (total unimodularity), each row two bitmasks; the dual loop
-re-optimizes a fresh copy of it for each target row by the same rules.
+solve_lp, with StandardFormLP, preprocess and phase 1, is the public
+two-phase solve of  min f'x  s.t.  C x = d,  x >= 0  over exact
+rationals (integer input takes no Fraction detour).  No solve of the
+package enters it and its tableau carries no bounds; it is public API
+only, to go once the benchmark's tracer no longer wraps it (ROADMAP.md,
+items 1 and 5).  preprocess is the one place that removes
+dependent rows; the simplex expects independent ones.  It returns an
+LpOutcome; an optimal one carries its tableau, which can be re-optimized
+in place rather than solved again: by the primal simplex after a cost
+change, and by the dual simplex after an appended row or a fixed column.
 """
 from __future__ import annotations
 

@@ -93,12 +93,13 @@ def _witness_attack(mtr: Metering, k: int, pot: dict[int, int], den: int = 1):
 
     Each dz entry is 0 or an unreduced integer pair (a, b), b > 0, for
     a / b.  Only the lines at moved buses are visited (mtr.bus_lines), each
-    once, from its mtr.line_records entry: one whose ends move apart by w
-    changes its flow by w x_k / (den x_line), the pair (w num dl, den dk nl)
-    for x_k = num / dk and x_line = nl / dl, which its flow meter reads and
-    the injections at its from-bus add and at its to-bus subtract by
-    cross-multiplication (an exact sum, numerator 0 when it cancels).
-    touched holds the entries with a nonzero numerator.
+    once, from mtr.line_records, the one description of the meters that
+    read a line.  One whose ends move apart by w changes its flow by
+    w x_k / (den x_line), the pair (a, b) = (w num dl, den dk nl) for
+    x_k = num / dk and x_line = nl / dl; each of its signed slots (i, s)
+    first reads (s a, b), then adds s a / b by cross-multiplication (an
+    exact sum, numerator 0 when it cancels).  touched holds the entries
+    with a nonzero numerator.
     """
     recs, at = mtr.line_records, mtr.bus_lines
     xk = mtr.lines[k - 1].reactance
@@ -106,21 +107,17 @@ def _witness_attack(mtr: Metering, k: int, pot: dict[int, int], den: int = 1):
     dz = [0] * mtr.meas.n_meters
     touched = set()
     for lid in {lid for b in pot for lid in at[b]}:
-        fb, tb, e, fi, ti, nl, dl = recs[lid - 1]
+        fb, tb, slots, nl, dl = recs[lid - 1]
         w = pot.get(fb, 0) - pot.get(tb, 0)
         if w:
             a, b = w * num * dl, den * nl
-            if e >= 0:
-                dz[e] = (a, b)
-                touched.add(e)
-            if fi >= 0:
-                c, d = dz[fi] or (0, 1)
-                dz[fi] = (c * b + a * d, d * b)
-                touched.add(fi)
-            if ti >= 0:
-                c, d = dz[ti] or (0, 1)
-                dz[ti] = (c * b - a * d, d * b)
-                touched.add(ti)
+            for i, sign in slots:
+                if dz[i]:
+                    c, d = dz[i]
+                    dz[i] = (c * b + sign * a * d, d * b)
+                else:
+                    dz[i] = (sign * a, b)
+                touched.add(i)
     return dz, frozenset(i + 1 for i in touched if dz[i][0])
 
 

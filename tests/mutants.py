@@ -190,18 +190,19 @@ MUTANTS = (
     _one("the sink side reads the forward residual", MINCUT,
          "if not seen[b] and res[x ^ 1]:", "if not seen[b] and res[x]:"),
     # the exact witness read-back
-    Mutant("an injection sum drops its cross-multiplication", (
-        (SECURITY, "dz[fi] = (c * b + a * d, d * b)", "dz[fi] = (c + a, b)"),
-        (SECURITY, "dz[ti] = (c * b - a * d, d * b)", "dz[ti] = (c - a, b)"))),
+    _one("an injection sum drops its cross-multiplication", SECURITY,
+         "dz[i] = (c * b + sign * a * d, d * b)", "dz[i] = (c + sign * a, b)"),
     _one("the bracket moves the side holding the reference bus", MINCUT,
          "    if mtr.net.reference_bus in side:\n", "    if mtr.net.reference_bus not in side:\n"),
     _one("the float scatter writes a bus's angle one state column off", SECURITY,
          "dtheta[col[b]] = v * xk.numerator", "dtheta[col[b] - 1] = v * xk.numerator"),
     _one("the bracket drops the second candidate", SECURITY,
          "        moves.append(witness(mtr, k, cut.sink_side))\n", "        pass\n"),
-    # the one flow-row form and the LP's column check
+    # the one line description, the one flow-row form and the LP's column check
     _one("flow rows with their signs flipped", GRID,
-         "rows[e].append((c, d))", "rows[e].append((c, -d))"),
+         "((ln.from_bus, 1), (ln.to_bus, -1))", "((ln.from_bus, -1), (ln.to_bus, 1))"),
+    _one("a line record gives its to-bus injection the from-bus sign", GRID,
+         "(inj.get(ln.to_bus), -1)", "(inj.get(ln.to_bus), 1)"),
     _one("from_int_rows without its column check", LP,
          "        if any(not 0 <= j < num_vars for j in cols):\n"
          "            raise DimensionMismatch(f\"a column outside 0..{num_vars - 1}\")\n", ""),

@@ -679,3 +679,11 @@ class TestWarmSweep:
         del net, meas
         gc.collect()
         assert gone() is None
+
+    def test_only_the_max_flow_builds_the_arc_form(self):
+        # the LP and MILP routes read their flow rows off the lines' ends
+        net, meas = parse_case(SIXBUS_CASE)
+        assert security_index(net, meas, 6).index == milp_solve(net, meas, 6).index == 3
+        assert "arcs" not in vars(metering(net, meas))
+        assert mincut_index(net, meas, 6).index == 3
+        assert "arcs" in vars(metering(net, meas))
